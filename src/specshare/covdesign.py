@@ -7,22 +7,32 @@ decomposition with an outer bisection on the power multiplier lambda1;
 for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
 follow from the closed-form subproblem solution.
+
+All L subproblems run as one batched kernel over stacked arrays. The parts
+that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
+the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
+solve; each dual step is then one stacked SVD, and the power follows in
+closed form from its factors. Covariance matrices are built only for the
+returned iterate. The selfish design (W_l = 0, lambda1 = 1) and the
+single-symbol subproblem run through the same kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .interference import (
     CovarianceSchedule,
+    MetricError,
     NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
     weighted_eip,
 )
-from .linalg import hermitize, min_eig, psd_inv_sqrt
+from .linalg import eig_floor, hermitize, psd_inv_sqrt
 
 # Bisection width on lambda1; the dual bracket shrinks to this before the
 # power-feasible endpoint is returned.
@@ -90,8 +100,8 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
     """Smallest lambda2 >= 0 with sum_i (log2(lambda2 sigma_i^2))^+ >= L*C.
 
     sing_vals are the positive singular values of all L effective channels
-    pooled together. Exact closed form: sort the squared values, grow the
-    active set until the water-level equation is consistent.
+    pooled together. Exact closed form: sort the squared values and take the
+    smallest active set k whose water-level equation is consistent.
     """
     target = L * C
     if target <= 0:
@@ -100,17 +110,101 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
     g = g[g > 0]
     if g.size == 0:
         raise InfeasibleError("no usable channel directions (all singular values zero)")
-    log_g = np.log2(g)
-    cum = np.cumsum(log_g)
-    lam2 = None
-    for k in range(1, g.size + 1):
-        lam2 = 2.0 ** ((target - cum[k - 1]) / k)
-        kth_active = lam2 * g[k - 1] >= 1.0 - 1e-12
-        next_inactive = k == g.size or lam2 * g[k] <= 1.0 + 1e-12
-        if kth_active and next_inactive:
-            break
-    # Nudge up so the achieved sum never rounds below the target.
-    return lam2 * (1.0 + 4e-12)
+    exponent = (target - np.cumsum(np.log2(g))) / np.arange(1, g.size + 1)
+    # A level past 2**1023 leaves the next direction active unless its gain
+    # is below 2**-1023, so such k are skipped instead of overflowing; the
+    # last k is the fallback and never needs its successor.
+    in_range = exponent < 1023.0
+    levels = np.full(g.size, np.inf)
+    levels[in_range] = 2.0 ** exponent[in_range]
+    kth_active = levels * g >= 1.0 - 1e-12
+    next_inactive = np.append(levels[:-1] * g[1:] <= 1.0 + 1e-12, True)
+    consistent = np.flatnonzero(kth_active & next_inactive)
+    k = consistent[0] if consistent.size else g.size - 1
+    if exponent[k] >= 1024.0:
+        return math.inf
+    # Scalar power at the chosen k (vectorized pow can differ in the last
+    # bit); nudge up so the achieved sum never rounds below the target.
+    return 2.0 ** exponent[k] * (1.0 + 4e-12)
+
+
+@dataclass
+class _DualIterate:
+    """One dual evaluation: the multipliers, the power it consumes and the
+    factors its covariances are built from."""
+
+    lambda1: float
+    lambda2: float
+    power: float
+    d_isqrt: np.ndarray  # (L, n) eigenvalues of Phi_l^{-1/2} in the U_l basis
+    beta: np.ndarray  # (L, k) water-filling powers of the whitened channels
+    vh: np.ndarray  # (L, k, n) their right singular vectors in the U_l basis
+
+
+@dataclass
+class _DualKernel:
+    """The L per-symbol subproblems with their lambda1-independent parts
+    factored once: A_l = G2^H diag(w_l) G2 = U_l diag(a_l) U_l^H and the
+    whitened channels B_l = R_wl^{-1/2} H U_l.
+
+    Phi_l = A_l + lambda1 I shares the eigenvectors U_l, so the whitened
+    channel R_wl^{-1/2} H Phi_l^{-1/2} = B_l diag(d_l^{-1/2}) U_l^H with
+    d_l = a_l + lambda1, and one stacked SVD of B_l diag(d_l^{-1/2}) gives
+    every symbol's singular values; V_l = U_l V'_l.
+    """
+
+    a: np.ndarray  # (L, n) ascending
+    U: np.ndarray  # (L, n, n)
+    B: np.ndarray  # (L, m, n)
+    ridge: float
+
+    @classmethod
+    def weighted(cls, w_diags: np.ndarray, G2: np.ndarray, whitened: np.ndarray) -> "_DualKernel":
+        A = G2.conj().T @ (w_diags[:, :, None] * G2)
+        a, U = np.linalg.eigh(hermitize(A))
+        ridge = PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0)
+        return cls(a=a, U=U, B=whitened @ U, ridge=ridge)
+
+    @classmethod
+    def unweighted(cls, whitened: np.ndarray) -> "_DualKernel":
+        """A_l = 0: Phi_l = lambda1 I, as in the selfish power minimization."""
+        L, _, n = whitened.shape
+        return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)),
+                   B=whitened, ridge=PHI_RIDGE)
+
+    def singular(self, lambda1: float) -> np.ndarray:
+        """Per-symbol mask of a singular Phi_l, where the ridge applies."""
+        return self.a[:, 0] + lambda1 <= 0.0
+
+    def whitened_svd(self, lambda1: float):
+        """(d^{-1/2}, singular values, V'^H) of every whitened channel at lambda1."""
+        d = self.a + lambda1
+        d = np.where(self.singular(lambda1)[:, None], d + self.ridge, d)
+        d_isqrt = 1.0 / np.sqrt(eig_floor(d))
+        _, s, vh = np.linalg.svd(self.B * d_isqrt[:, None, :], full_matrices=False)
+        return d_isqrt, s, vh
+
+    def allocate(self, lambda1: float, lambda2: float, d_isqrt, s, vh) -> _DualIterate:
+        """Water-fill at level lambda2; power sum_i beta_i ||d^{-1/2} o v'_i||^2."""
+        beta = np.where(s > 0, np.maximum(lambda2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
+        power = float(np.einsum("lk,lkn,ln->", beta, np.abs(vh) ** 2, d_isqrt**2))
+        return _DualIterate(lambda1, lambda2, power, d_isqrt, beta, vh)
+
+    def step(self, lambda1: float, C: float) -> _DualIterate:
+        """Dual evaluation at lambda1 with the smallest capacity-feasible lambda2."""
+        d_isqrt, s, vh = self.whitened_svd(lambda1)
+        lambda2 = min_capacity_multiplier(s.ravel(), C, s.shape[0])
+        return self.allocate(lambda1, lambda2, d_isqrt, s, vh)
+
+    def covariances(self, it: _DualIterate) -> np.ndarray:
+        """(L, n, n) stack R_l = Phi_l^{-1/2} V_l diag(beta_l) V_l^H Phi_l^{-1/2}."""
+        X = self.U @ (it.d_isqrt[:, :, None] * np.swapaxes(it.vh, -1, -2).conj())
+        return hermitize((X * it.beta[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
+
+
+def _whiten(H: np.ndarray, noise) -> np.ndarray:
+    """(L, M_rC, M_tC) stack of whitened channels R_wl^{-1/2} H."""
+    return psd_inv_sqrt(np.stack(list(noise))) @ H
 
 
 def subproblem_solution(
@@ -127,62 +221,32 @@ def subproblem_solution(
     Phi = G2^H diag(w) G2 + lambda1 I. The optimum is a water-filling
     allocation in the whitened channel R_w^{-1/2} H Phi^{-1/2}.
     """
-    phi = hermitize(G2.conj().T @ (w_diag[:, None] * G2))
-    n = phi.shape[0]
-    phi = phi + lambda1 * np.eye(n)
-    if min_eig(phi) <= 0.0:
-        if not (allow_ridge and lambda1 >= 0.0):
-            raise SolverError("Phi is singular at lambda1 = 0")
-        ridge = PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0)
-        phi = phi + ridge * np.eye(n)
-    phi_isqrt = psd_inv_sqrt(phi)
-    H_tilde = psd_inv_sqrt(R_wl) @ H @ phi_isqrt
-    _, s, vh = np.linalg.svd(H_tilde, full_matrices=False)
-    beta = np.where(s > 0, np.maximum(lambda2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
-    V = vh.conj().T
-    R_tilde = (V * beta) @ V.conj().T
-    return hermitize(phi_isqrt @ R_tilde @ phi_isqrt)
-
-
-def _whitened_channels(weights: WeightSchedule, G2, H, noise, lambda1):
-    """Per-symbol Phi^{-1/2}, whitened channel SVD factors and singular values."""
-    per_symbol = []
-    n = G2.shape[1]
-    eye = np.eye(n)
-    for l in range(len(weights)):
-        w = weights.diagonals[l]
-        phi = hermitize(G2.conj().T @ (w[:, None] * G2)) + lambda1 * eye
-        if min_eig(phi) <= 0.0:
-            ridge = PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0)
-            phi = phi + ridge * eye
-        phi_isqrt = psd_inv_sqrt(phi)
-        H_tilde = psd_inv_sqrt(noise[l]) @ H @ phi_isqrt
-        _, s, vh = np.linalg.svd(H_tilde, full_matrices=False)
-        per_symbol.append((phi_isqrt, s, vh.conj().T))
-    return per_symbol
-
-
-def _schedule_from_dual(per_symbol, lambda2):
-    mats = []
-    power = 0.0
-    for phi_isqrt, s, V in per_symbol:
-        beta = np.where(s > 0, np.maximum(lambda2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
-        R_tilde = (V * beta) @ V.conj().T
-        R = hermitize(phi_isqrt @ R_tilde @ phi_isqrt)
-        power += float(np.trace(R).real)
-        mats.append(R)
-    return CovarianceSchedule(matrices=mats), power
+    kernel = _DualKernel.weighted(np.asarray(w_diag)[None, :], G2, _whiten(H, [R_wl]))
+    if kernel.singular(lambda1)[0] and not (allow_ridge and lambda1 >= 0.0):
+        raise SolverError("Phi is singular at lambda1 = 0")
+    it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
+    return kernel.covariances(it)[0]
 
 
 def max_average_capacity(H, noise: NoiseCovSchedule, P_t: float) -> float:
     """Water-filling capacity bound of the block under total power P_t."""
-    gains = []
-    for R_w in noise:
-        s = np.linalg.svd(psd_inv_sqrt(R_w) @ H, compute_uv=False)
-        gains.append(s**2)
-    gains = np.concatenate(gains)
+    gains = np.linalg.svd(_whiten(H, noise), compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(noise))
+
+
+def _checked(sol: DesignSolution, C: float, P_t: float = math.inf) -> DesignSolution:
+    """Post-conditions of a returned design: Hermitian PSD covariances, power
+    within P_t and capacity at least C, both to a 1e-9 relative slack."""
+    try:
+        sol.schedule.validate()
+    except MetricError as exc:
+        raise SolverError(f"invalid covariance schedule: {exc}") from exc
+    if not sol.consumed_power <= P_t * (1.0 + 1e-9):
+        raise SolverError(f"power {sol.consumed_power!r} exceeds the budget {P_t!r}")
+    if not sol.achieved_capacity >= C * (1.0 - 1e-9):
+        raise SolverError(f"capacity {sol.achieved_capacity!r} is below the target {C!r}")
+    return sol
 
 
 def solve_weighted_eip(
@@ -209,46 +273,40 @@ def solve_weighted_eip(
         raise InfeasibleError(
             f"capacity target {C} unreachable within power budget {P_t}"
         )
-
-    def evaluate(lambda1):
-        per_symbol = _whitened_channels(weights, G2, H, noise, lambda1)
-        sing = np.concatenate([s for _, s, _ in per_symbol])
-        lambda2 = min_capacity_multiplier(sing, C, L)
-        schedule, power = _schedule_from_dual(per_symbol, lambda2)
-        return schedule, power, lambda2
+    kernel = _DualKernel.weighted(weights.diagonals, G2, _whiten(H, noise))
 
     iterations = 0
     # Grow the upper bracket endpoint until the power budget is respected.
     hi = 1.0
-    schedule, power, lambda2 = evaluate(hi)
+    it = kernel.step(hi, C)
     iterations += 1
-    while power > P_t:
+    while it.power > P_t:
         hi *= 2.0
-        schedule, power, lambda2 = evaluate(hi)
+        it = kernel.step(hi, C)
         iterations += 1
         if iterations > max_iterations:
             raise SolverError("failed to bracket the power multiplier")
     lo = 0.0
-    best = (schedule, power, lambda2, hi)
+    best = it
     while hi - lo > dual_tol and iterations < max_iterations:
         mid = 0.5 * (lo + hi)
-        schedule, power, lambda2 = evaluate(mid)
+        it = kernel.step(mid, C)
         iterations += 1
-        if power < P_t:
+        if it.power < P_t:
             hi = mid
-            best = (schedule, power, lambda2, mid)
+            best = it
         else:
             lo = mid
-    schedule, power, lambda2, lambda1 = best
-    return DesignSolution(
+    schedule = CovarianceSchedule(matrices=list(kernel.covariances(best)))
+    return _checked(DesignSolution(
         schedule=schedule,
-        dual=DualPoint(lambda1=lambda1, lambda2=lambda2),
+        dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
         achieved_capacity=average_capacity(schedule, H, noise),
-        consumed_power=power,
+        consumed_power=schedule.total_power,
         objective_eip=weighted_eip(weights, G2, schedule),
         iterations=iterations,
         converged=hi - lo <= dual_tol,
-    )
+    ), C, P_t)
 
 
 def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSolution:
@@ -257,24 +315,18 @@ def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSol
     Dual of the power objective: the per-symbol subproblem has Phi = I, so
     a single closed-form water-level solve suffices (no bisection).
     """
-    L = len(noise)
-    per_symbol = []
-    for R_w in noise:
-        H_tilde = psd_inv_sqrt(R_w) @ H
-        _, s, vh = np.linalg.svd(H_tilde, full_matrices=False)
-        per_symbol.append((np.eye(H.shape[1]), s, vh.conj().T))
-    sing = np.concatenate([s for _, s, _ in per_symbol])
-    lambda2 = min_capacity_multiplier(sing, C, L) if C > 0 else 0.0
-    schedule, power = _schedule_from_dual(per_symbol, lambda2)
-    return DesignSolution(
+    kernel = _DualKernel.unweighted(_whiten(H, noise))
+    it = kernel.step(1.0, C)
+    schedule = CovarianceSchedule(matrices=list(kernel.covariances(it)))
+    return _checked(DesignSolution(
         schedule=schedule,
-        dual=DualPoint(lambda1=0.0, lambda2=lambda2),
+        dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
         achieved_capacity=average_capacity(schedule, H, noise),
-        consumed_power=power,
+        consumed_power=schedule.total_power,
         objective_eip=float("nan"),  # filled by the caller's metric
         iterations=1,
         converged=True,
-    )
+    ), C)
 
 
 def verify_solution(

@@ -161,6 +161,8 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
             t0 = time.perf_counter()
             try:
                 sol, mask = _solve_method(method, cfg, scn, noise)
+                if not sol.converged:
+                    row.error = f"dual bisection not converged after {sol.iterations} evaluations"
                 schedule = sol.schedule
                 row.eip = _scheme_eip(cfg, mask, scn.waveforms.S, scn.channels.G2, schedule)
                 row.tip = tip(schedule, scn.channels.G2)

@@ -8,7 +8,8 @@ EIG_FLOOR = 1e-14
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part of a square matrix, or of each matrix in a stack."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2).conj())
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -23,14 +24,24 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a Hermitian PD matrix with a relative eigenvalue floor."""
-    w, v = np.linalg.eigh(hermitize(a))
-    floor = EIG_FLOOR * max(w[-1], 0.0)
-    if w[-1] <= 0.0:
+def eig_floor(w: np.ndarray) -> np.ndarray:
+    """Clip ascending eigenvalues (last axis) at EIG_FLOOR times the largest.
+
+    Raises LinAlgError unless every largest eigenvalue is positive.
+    """
+    top = w[..., -1:]
+    if np.any(top <= 0.0):
         raise np.linalg.LinAlgError("matrix is not positive definite")
-    w = np.maximum(w, floor if floor > 0 else EIG_FLOOR)
-    return (v / np.sqrt(w)) @ v.conj().T
+    floor = EIG_FLOOR * top
+    return np.maximum(w, np.where(floor > 0, floor, EIG_FLOOR))
+
+
+def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian PD matrix, or of each matrix in a
+    stack, with a relative eigenvalue floor."""
+    w, v = np.linalg.eigh(hermitize(a))
+    w = eig_floor(w)
+    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def min_eig(a: np.ndarray) -> float:

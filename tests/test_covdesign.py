@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 
 from specshare.config import ScenarioConfig
+import warnings
+
+from specshare import covdesign
 from specshare.covdesign import (
+    PHI_RIDGE,
     InfeasibleError,
+    SolverError,
     min_capacity_multiplier,
     solve_selfish,
     solve_weighted_eip,
@@ -18,13 +23,14 @@ from specshare.interference import (
     METHOD_EIP_I,
     METHOD_TIP,
     NoiseCovSchedule,
+    WeightSchedule,
     average_capacity,
     eip_scheme1,
     noise_covariances,
     weight_schedule,
     weighted_eip,
 )
-from specshare.linalg import crandn, hermitize
+from specshare.linalg import crandn, hermitize, min_eig, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
@@ -185,15 +191,9 @@ class TestSolveWeightedEip:
     def test_power_nonincreasing_in_lambda1(self):
         H, G2, noise = small_instance(4)
         w = weight_schedule(METHOD_TIP, 3, 4)
-        from specshare.covdesign import _schedule_from_dual, _whitened_channels
-
-        powers = []
-        for lam1 in (0.1, 0.5, 1.0, 2.0, 5.0):
-            per = _whitened_channels(w, G2, H, noise, lam1)
-            sing = np.concatenate([s for _, s, _ in per])
-            lam2 = min_capacity_multiplier(sing, 2.0, 4)
-            _, power = _schedule_from_dual(per, lam2)
-            powers.append(power)
+        kernel = covdesign._DualKernel.weighted(
+            w.diagonals, G2, covdesign._whiten(H, noise))
+        powers = [kernel.step(lam1, 2.0).power for lam1 in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b - 1e-9 for a, b in zip(powers, powers[1:]))
 
     def test_cooperative_ordering(self):
@@ -278,3 +278,153 @@ class TestObjectiveConsistency:
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         assert abs(sol.objective_eip - weighted_eip(w, G2, sol.schedule)) < 1e-12
         assert abs(sol.achieved_capacity - average_capacity(sol.schedule, H, noise)) < 1e-12
+
+
+def loop_multiplier(sing_vals, C, L):
+    """The sequential k-scan min_capacity_multiplier replaced; reference only."""
+    target = L * C
+    if target <= 0:
+        return 0.0
+    g = np.sort(np.asarray(sing_vals, dtype=float) ** 2)[::-1]
+    g = g[g > 0]
+    log_g = np.log2(g)
+    cum = np.cumsum(log_g)
+    lam2 = None
+    with np.errstate(over="ignore"):
+        for k in range(1, g.size + 1):
+            lam2 = 2.0 ** ((target - cum[k - 1]) / k)
+            kth_active = lam2 * g[k - 1] >= 1.0 - 1e-12
+            next_inactive = k == g.size or lam2 * g[k] <= 1.0 + 1e-12
+            if kth_active and next_inactive:
+                break
+    return lam2 * (1.0 + 4e-12)
+
+
+class TestMultiplierScan:
+    def test_bit_identical_to_loop(self):
+        rng = stream(2, "scan")
+        for _ in range(300):
+            L = int(rng.integers(1, 129))
+            n = int(rng.integers(1, 5))
+            sing = rng.uniform(0.05, 3.0, size=L * n) ** float(rng.uniform(0.5, 4.0))
+            C = float(rng.uniform(0.1, 20.0))
+            assert min_capacity_multiplier(sing, C, L) == loop_multiplier(sing, C, L)
+
+    def test_long_block_does_not_overflow(self):
+        # L = 128 with a 12 bit/symbol target: small k need levels past 2**1024.
+        sing = stream(3, "scan").uniform(0.05, 3.0, size=128 * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam2 = min_capacity_multiplier(sing, 12.0, 128)
+        assert np.isfinite(lam2)
+        assert lam2 == loop_multiplier(sing, 12.0, 128)
+
+
+def reference_step(w_diags, G2, H, noise, lambda1, C):
+    """One dual evaluation computed symbol by symbol, as the solver did
+    before the batched kernel: (lambda2, power, stacked covariances)."""
+    n = G2.shape[1]
+    eye = np.eye(n)
+    per_symbol = []
+    for l in range(len(noise)):
+        phi = hermitize(G2.conj().T @ (w_diags[l][:, None] * G2)) + lambda1 * eye
+        if min_eig(phi) <= 0.0:
+            phi = phi + PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0) * eye
+        phi_isqrt = psd_inv_sqrt(phi)
+        _, s, vh = np.linalg.svd(psd_inv_sqrt(noise[l]) @ H @ phi_isqrt, full_matrices=False)
+        per_symbol.append((phi_isqrt, s, vh.conj().T))
+    lam2 = min_capacity_multiplier(np.concatenate([s for _, s, _ in per_symbol]), C, len(noise))
+    mats = []
+    for phi_isqrt, s, V in per_symbol:
+        beta = np.where(s > 0, np.maximum(lam2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
+        mats.append(hermitize(phi_isqrt @ ((V * beta) @ V.conj().T) @ phi_isqrt))
+    return lam2, float(sum(np.trace(R).real for R in mats)), np.array(mats)
+
+
+def coop_instance(seed, L, partial_rows=True):
+    """Cooperative-style weights: every third symbol has no sampled entry
+    (A_l = 0), and with partial_rows every third has a rank-1 A_l."""
+    rng = stream(seed, "kernel")
+    M, n, m = 6, 3, 2
+    G2 = crandn(rng, M, n)
+    H = crandn(rng, m, n)
+    mats = []
+    for _ in range(L):
+        A = crandn(rng, m, m)
+        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(m))
+    w = rng.uniform(0.2, 1.0, size=(L, M))
+    kind = np.arange(L) % 3
+    w[kind == 0] = 0.0
+    if partial_rows:
+        w[kind == 2, 1:] = 0.0
+    return w, G2, H, NoiseCovSchedule(mats)
+
+
+class TestDualKernel:
+    def assert_matches_reference(self, w, G2, H, noise, lambda1, C=2.0):
+        kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
+        it = kernel.step(lambda1, C)
+        lam2, power, mats = reference_step(w, G2, H, noise, lambda1, C)
+        assert abs(it.lambda2 - lam2) <= 1e-10 * lam2
+        assert abs(it.power - power) <= 1e-10 * power
+        R = kernel.covariances(it)
+        assert np.linalg.norm(R - mats) <= 1e-10 * np.linalg.norm(mats)
+        return kernel
+
+    @pytest.mark.parametrize("L", [1, 4, 128])
+    def test_matches_per_symbol_path(self, L):
+        w, G2, H, noise = coop_instance(L, L)
+        for lam1 in (0.05, 0.5, 3.0):
+            self.assert_matches_reference(w, G2, H, noise, lam1)
+
+    @pytest.mark.parametrize("L", [1, 4, 128])
+    def test_ridge_branch_matches(self, L):
+        # Zero-weight symbols have Phi_l = lambda1 I: singular at lambda1 = 0,
+        # where both paths add the PHI_RIDGE ridge.
+        w, G2, H, noise = coop_instance(10 + L, L, partial_rows=False)
+        for lam1 in (0.0, 1e-12):
+            kernel = self.assert_matches_reference(w, G2, H, noise, lam1)
+            assert np.array_equal(kernel.singular(lam1), (np.arange(L) % 3 == 0) & (lam1 == 0.0))
+
+    def test_default_scenario_dual_evaluations(self):
+        cfg = ScenarioConfig(p=0.6, seed=0)
+        scn = make_scenario(cfg)
+        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+        for w in (weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L),
+                  weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)):
+            sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+            assert sol.iterations == 31
+            assert sol.converged
+
+
+class TestPostConditions:
+    def test_capacity_shortfall_raises(self, monkeypatch):
+        real = covdesign.min_capacity_multiplier
+        monkeypatch.setattr(covdesign, "min_capacity_multiplier",
+                            lambda s, C, L: 0.5 * real(s, C, L))
+        H, G2, noise = small_instance(3)
+        w = weight_schedule(METHOD_TIP, 3, 4)
+        with pytest.raises(SolverError, match="capacity"):
+            solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+        with pytest.raises(SolverError, match="capacity"):
+            solve_selfish(H, noise, 2.0)
+
+    def test_power_excess_raises(self, monkeypatch):
+        real = covdesign._DualKernel.covariances
+        monkeypatch.setattr(covdesign._DualKernel, "covariances",
+                            lambda self, it: 2.0 * real(self, it))
+        # Scalar channel: the design uses 0.5 * (2**3 - 1) = 3.5 of P_t = 4.
+        noise = NoiseCovSchedule([0.5 * np.eye(1)])
+        w = weight_schedule(METHOD_TIP, 1, 1)
+        with pytest.raises(SolverError, match="power"):
+            solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=4.0, C=3.0)
+
+    def test_invalid_schedule_raises(self, monkeypatch):
+        real = covdesign._DualKernel.covariances
+        skew = 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        monkeypatch.setattr(covdesign._DualKernel, "covariances",
+                            lambda self, it: real(self, it) + skew)
+        H, G2, noise = small_instance(3)
+        w = weight_schedule(METHOD_TIP, 3, 4)
+        with pytest.raises(SolverError, match="Hermitian"):
+            solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)

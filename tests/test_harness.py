@@ -97,6 +97,17 @@ class TestRunCompare:
         for r in run_compare(spec):
             assert abs(r.capacity - 12.0) <= 1e-3
 
+    def test_unconverged_solution_reported(self, monkeypatch):
+        import specshare.harness as harness
+        from specshare.covdesign import solve_weighted_eip
+
+        spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["noncoop"], seeds=[0])
+        monkeypatch.setattr(harness, "solve_weighted_eip",
+                            lambda *a: solve_weighted_eip(*a, max_iterations=5))
+        row = run_compare(spec)[0]
+        assert "not converged after 5 evaluations" in row.error
+        assert np.isfinite(row.eip) and np.isfinite(row.power)
+
     def test_mc_columns_filled(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],
                               mc_trials=2)
