@@ -16,12 +16,11 @@ from .interference import (
     NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
-    eip_scheme1,
-    eip_scheme2,
-    ip_fmfb,
+    interference_diag_matrix,
     noise_covariances,
-    tip,
+    scheme_weights,
     weight_schedule,
+    weighted_eip,
 )
 from .completion import CompletionParams, RecoveryReport, complete, radar_pipeline, relative_error
 from .harness import ExperimentSpec, ResultRow, run_compare, sweep, write_csv
@@ -44,5 +43,4 @@ from .scenario import (
 )
 from .streams import stream
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

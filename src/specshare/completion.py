@@ -51,11 +51,15 @@ class RecoveryReport:
     converged: bool
 
 
-def shrink(X: np.ndarray, threshold: float) -> np.ndarray:
-    """Singular-value soft thresholding: sigma_i -> (sigma_i - t)^+."""
+def shrink(X: np.ndarray, threshold: float):
+    """Singular-value soft thresholding: sigma_i -> (sigma_i - t)^+.
+
+    Returns the thresholded matrix and its singular values (the latter sum
+    to its nuclear norm).
+    """
     u, s, vh = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vh
+    return (u * s) @ vh, s
 
 
 def complete(
@@ -109,9 +113,7 @@ def complete(
         obj = objective(X, mu)
         converged = False
         for _ in range(params.max_iterations):
-            u, s, vh = np.linalg.svd(Y - tau * (omega * (Y - observed)), full_matrices=False)
-            s = np.maximum(s - tau * mu, 0.0)
-            Z = (u * s) @ vh
+            Z, s = shrink(Y - tau * (omega * (Y - observed)), tau * mu)
             obj_Z = objective(Z, mu, nuc=float(s.sum()))
             X_prev = X
             if obj_Z <= obj:

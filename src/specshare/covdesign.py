@@ -30,6 +30,7 @@ from .interference import (
     NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
+    interference_diag_matrix,
     weighted_eip,
 )
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
@@ -202,9 +203,9 @@ class _DualKernel:
         return hermitize((X * it.beta[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
 
 
-def _whiten(H: np.ndarray, noise) -> np.ndarray:
+def _whiten(H: np.ndarray, noise: NoiseCovSchedule) -> np.ndarray:
     """(L, M_rC, M_tC) stack of whitened channels R_wl^{-1/2} H."""
-    return psd_inv_sqrt(np.stack(list(noise))) @ H
+    return psd_inv_sqrt(noise.matrices) @ H
 
 
 def subproblem_solution(
@@ -221,7 +222,8 @@ def subproblem_solution(
     Phi = G2^H diag(w) G2 + lambda1 I. The optimum is a water-filling
     allocation in the whitened channel R_w^{-1/2} H Phi^{-1/2}.
     """
-    kernel = _DualKernel.weighted(np.asarray(w_diag)[None, :], G2, _whiten(H, [R_wl]))
+    whitened = _whiten(H, NoiseCovSchedule([R_wl]))
+    kernel = _DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
     if kernel.singular(lambda1)[0] and not (allow_ridge and lambda1 >= 0.0):
         raise SolverError("Phi is singular at lambda1 = 0")
     it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
@@ -233,6 +235,12 @@ def max_average_capacity(H, noise: NoiseCovSchedule, P_t: float) -> float:
     gains = np.linalg.svd(_whiten(H, noise), compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(noise))
+
+
+def _objective_eip(weights: WeightSchedule, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
+    """The design objective: the weighted interference power, clamped at 0
+    so that roundoff never reports a negative power."""
+    return max(weighted_eip(weights, interference_diag_matrix(G2, schedule)), 0.0)
 
 
 def _checked(sol: DesignSolution, C: float, P_t: float = math.inf) -> DesignSolution:
@@ -297,13 +305,13 @@ def solve_weighted_eip(
             best = it
         else:
             lo = mid
-    schedule = CovarianceSchedule(matrices=list(kernel.covariances(best)))
+    schedule = CovarianceSchedule(kernel.covariances(best))
     return _checked(DesignSolution(
         schedule=schedule,
         dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
         achieved_capacity=average_capacity(schedule, H, noise),
         consumed_power=schedule.total_power,
-        objective_eip=weighted_eip(weights, G2, schedule),
+        objective_eip=_objective_eip(weights, G2, schedule),
         iterations=iterations,
         converged=hi - lo <= dual_tol,
     ), C, P_t)
@@ -317,7 +325,7 @@ def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSol
     """
     kernel = _DualKernel.unweighted(_whiten(H, noise))
     it = kernel.step(1.0, C)
-    schedule = CovarianceSchedule(matrices=list(kernel.covariances(it)))
+    schedule = CovarianceSchedule(kernel.covariances(it))
     return _checked(DesignSolution(
         schedule=schedule,
         dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
@@ -359,9 +367,9 @@ def verify_solution(
     report["capacity_active"] = abs(cap - C) <= 1e-3
     report["slackness_residual"] = abs(sol.dual.lambda1 * (P_t - power))
     if weights is not None:
-        report["objective_eip"] = weighted_eip(weights, G2, sol.schedule)
+        report["objective_eip"] = _objective_eip(weights, G2, sol.schedule)
         if other is not None:
-            other_eip = weighted_eip(weights, G2, other.schedule)
+            other_eip = _objective_eip(weights, G2, other.schedule)
             report["other_eip"] = other_eip
             report["ordering_ok"] = report["objective_eip"] <= other_eip + 1e-8
     return report

@@ -1,5 +1,13 @@
 """Experiment runner: assembles scenarios, runs the sharing methods over
-parameter sweeps and emits deterministic CSV tables."""
+parameter sweeps and emits deterministic CSV tables.
+
+Every row scores its design through one interference profile Q: the eip
+column is the radar scheme's EIP (scheme_weights) and the tip column the
+total interference power, both weighted sums of Q. Radar and comm systems
+share the L-symbol block, so unequal symbol rates are rejected; the
+mismatched-rate metric is a library call (mismatched_weight_diagonals, then
+weighted_eip).
+"""
 
 from __future__ import annotations
 
@@ -17,11 +25,11 @@ from .interference import (
     METHOD_EIP_II,
     METHOD_IP_FMFB,
     METHOD_TIP,
-    eip_scheme1,
-    eip_scheme2,
+    interference_diag_matrix,
     noise_covariances,
-    tip,
+    scheme_weights,
     weight_schedule,
+    weighted_eip,
 )
 from .samplingopt import joint_design
 from .scenario import make_scenario
@@ -67,6 +75,11 @@ class ExperimentSpec:
             raise SpecError("seed list is empty")
         if self.mc_trials < 0:
             raise SpecError("mc_trials must be nonnegative")
+        if self.cfg.radar_rate != self.cfg.comm_rate:
+            raise SpecError(
+                f"radar_rate {self.cfg.radar_rate} != comm_rate {self.cfg.comm_rate}: "
+                "the harness runs both systems on one L-symbol block"
+            )
 
 
 @dataclass
@@ -108,12 +121,6 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
         coef = base_coef / math.sqrt(k)
         return cfg.replace(targets=[(float(a), coef) for a in angles])
     raise SpecError(f"unknown sweep variable {var!r}")
-
-
-def _scheme_eip(cfg, mask, S, G2, schedule):
-    if cfg.scheme is Scheme.SCHEME_I:
-        return eip_scheme1(mask, G2, schedule)
-    return eip_scheme2(mask, S, G2, schedule)
 
 
 def _solve_method(method, cfg, scn, noise):
@@ -164,8 +171,9 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                 if not sol.converged:
                     row.error = f"dual bisection not converged after {sol.iterations} evaluations"
                 schedule = sol.schedule
-                row.eip = _scheme_eip(cfg, mask, scn.waveforms.S, scn.channels.G2, schedule)
-                row.tip = tip(schedule, scn.channels.G2)
+                Q = interference_diag_matrix(scn.channels.G2, schedule)
+                row.eip = weighted_eip(scheme_weights(cfg, mask, scn.waveforms.S), Q)
+                row.tip = weighted_eip(weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L), Q)
                 row.capacity = sol.achieved_capacity
                 row.power = sol.consumed_power
                 if spec.mc_trials > 0:

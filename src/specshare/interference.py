@@ -1,15 +1,20 @@
 """Capacity and interference-power metrics.
 
-All radar-side interference metrics share the weighted form
-sum_l Tr(W_l G2 R_xl G2^H) with a nonnegative diagonal W_l:
+Every radar-side interference metric is the one weighted form
+sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T), where Q (M_rR x L) holds the
+diagonals of G2 R_xl G2^H (interference_diag_matrix) and only the
+nonnegative diagonal weights W_l differ (weight_schedule):
 
   TIP      W_l = I             total power at the radar RX antennas
   EIP_I    W_l = Delta_l       only entries sampled by a Scheme I radar
   IP_FMFB  W_l = a_l * I       full matched filter bank output power
   EIP_II   W_l = Delta_l_xi    random matched filter bank (Scheme II)
 
-A Monte-Carlo oracle evaluates the same expectations directly from the
-signal model.
+weighted_eip forms the sum, scheme_weights picks the radar scheme's EIP
+weights and mismatched_weight_diagonals remaps them onto the comm symbol
+grid when the symbol rates differ. Schedules are stacked (L, n, n) arrays.
+The trace form of EIP_II and a Monte-Carlo oracle evaluate the same
+quantities independently, for testing.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ScenarioConfig, Scheme
 from .linalg import crandn, hermitize, min_eig, psd_sqrt
 from .scenario import SamplingMask
 
@@ -36,10 +41,14 @@ class MetricError(ValueError):
 
 
 @dataclass
-class CovarianceSchedule:
-    """The L per-symbol Hermitian PSD transmit covariance matrices."""
+class _MatrixStack:
+    """L per-symbol n x n matrices as one (L, n, n) array; a list of
+    matrices is stacked on construction."""
 
-    matrices: list
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        self.matrices = np.asarray(self.matrices)
 
     def __len__(self):
         return len(self.matrices)
@@ -50,19 +59,25 @@ class CovarianceSchedule:
     def __getitem__(self, i):
         return self.matrices[i]
 
+
+class CovarianceSchedule(_MatrixStack):
+    """The L per-symbol Hermitian PSD transmit covariance matrices."""
+
     @property
     def total_power(self) -> float:
-        return float(sum(np.trace(R).real for R in self.matrices))
+        return float(np.trace(self.matrices, axis1=-2, axis2=-1).real.sum())
 
     def validate(self, tol: float = PSD_TOL):
-        for R in self.matrices:
-            if np.linalg.norm(R - R.conj().T) > 1e-10 * max(1.0, np.linalg.norm(R)):
-                raise MetricError("covariance matrix is not Hermitian")
-            if min_eig(R) < -tol * max(1.0, float(np.trace(R).real)):
-                raise MetricError("covariance matrix is not PSD")
+        R = self.matrices
+        skew = np.linalg.norm(R - np.swapaxes(R, -1, -2).conj(), axis=(-2, -1))
+        if np.any(skew > 1e-10 * np.maximum(1.0, np.linalg.norm(R, axis=(-2, -1)))):
+            raise MetricError("covariance matrix is not Hermitian")
+        power = np.trace(R, axis1=-2, axis2=-1).real
+        if np.any(min_eig(R) < -tol * np.maximum(1.0, power)):
+            raise MetricError("covariance matrix is not PSD")
 
-    def sqrts(self) -> list:
-        return [psd_sqrt(R) for R in self.matrices]
+    def sqrts(self) -> np.ndarray:
+        return psd_sqrt(self.matrices)
 
 
 @dataclass
@@ -76,20 +91,8 @@ class WeightSchedule:
         return self.diagonals.shape[0]
 
 
-@dataclass
-class NoiseCovSchedule:
+class NoiseCovSchedule(_MatrixStack):
     """Per-symbol comm receiver noise-plus-interference covariances R_wl."""
-
-    matrices: list
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-    def __getitem__(self, i):
-        return self.matrices[i]
 
 
 def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> NoiseCovSchedule:
@@ -100,55 +103,39 @@ def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> Noi
     for l in range(S.shape[1]):
         v = G1 @ S[:, l]
         mats.append(hermitize(scale * np.outer(v, v.conj()) + eye))
-    return NoiseCovSchedule(matrices=mats)
+    return NoiseCovSchedule(np.stack(mats))
 
 
 def average_capacity(
     schedule: CovarianceSchedule, H: np.ndarray, noise: NoiseCovSchedule
 ) -> float:
     """(1/L) sum_l log2 |I + R_wl^{-1} H R_xl H^H| in bits/symbol."""
-    L = len(schedule)
-    if len(noise) != L:
+    if len(noise) != len(schedule):
         raise MetricError("schedule and noise lengths differ")
-    total = 0.0
-    for R_x, R_w in zip(schedule, noise):
-        if min_eig(R_w) <= 0.0:
-            raise MetricError("noise covariance is not positive definite")
-        sign_n, logdet_n = np.linalg.slogdet(R_w)
-        sign_f, logdet_f = np.linalg.slogdet(R_w + H @ R_x @ H.conj().T)
-        if sign_n.real <= 0 or sign_f.real <= 0:
-            raise MetricError("capacity determinant is not positive")
-        total += (logdet_f - logdet_n) / math.log(2.0)
-    return total / L
-
-
-def _interference_diag(G2: np.ndarray, R_x: np.ndarray) -> np.ndarray:
-    """Diagonal of G2 R_xl G2^H (real, nonnegative up to roundoff)."""
-    return np.einsum("ij,jk,ik->i", G2, R_x, G2.conj()).real
+    R_w = noise.matrices
+    if np.any(min_eig(R_w) <= 0.0):
+        raise MetricError("noise covariance is not positive definite")
+    sign_n, logdet_n = np.linalg.slogdet(R_w)
+    sign_f, logdet_f = np.linalg.slogdet(R_w + H @ schedule.matrices @ H.conj().T)
+    if np.any(sign_n.real <= 0) or np.any(sign_f.real <= 0):
+        raise MetricError("capacity determinant is not positive")
+    return float(np.sum((logdet_f - logdet_n) / math.log(2.0))) / len(schedule)
 
 
 def interference_diag_matrix(G2: np.ndarray, schedule: CovarianceSchedule) -> np.ndarray:
     """Q with column l holding the diagonal of G2 R_xl G2^H (M_rR x L)."""
-    return np.stack([_interference_diag(G2, R) for R in schedule], axis=1)
+    return np.einsum("ij,ljk,ik->il", G2, schedule.matrices, G2.conj()).real
 
 
-def weighted_eip(weights: WeightSchedule, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
-    """Generic weighted interference power sum_l Tr(W_l G2 R_xl G2^H)."""
-    Q = interference_diag_matrix(G2, schedule)  # M_rR x L
-    return max(float(np.sum(weights.diagonals * Q.T)), 0.0)
+def weighted_eip(weights: WeightSchedule, Q: np.ndarray) -> float:
+    """Weighted interference power sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T).
 
-
-def tip(schedule: CovarianceSchedule, G2: np.ndarray) -> float:
-    """Total interference power sum_l Tr(G2 R_xl G2^H)."""
-    return float(sum(_interference_diag(G2, R).sum() for R in schedule))
-
-
-def eip_scheme1(mask: SamplingMask, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
-    """Scheme I effective interference power, weights Delta_l = diag(Omega_col_l)."""
-    if mask.omega.shape != (G2.shape[0], len(schedule)):
-        raise MetricError("mask is not Scheme-I shaped for this instance")
-    Q = interference_diag_matrix(G2, schedule)
-    return float(np.sum(mask.omega * Q))
+    Q comes from interference_diag_matrix. The sum is signed: roundoff can
+    leave a numerically zero power slightly negative.
+    """
+    if weights.diagonals.shape != Q.T.shape:
+        raise MetricError("weights and interference profile shapes differ")
+    return float(np.sum(weights.diagonals * Q.T))
 
 
 def matched_filter_weights(S: np.ndarray, mask: SamplingMask):
@@ -164,17 +151,6 @@ def matched_filter_weights(S: np.ndarray, mask: SamplingMask):
     return delta_lxi, s_abs2.sum(axis=0)
 
 
-def eip_scheme2(
-    mask: SamplingMask, S: np.ndarray, G2: np.ndarray, schedule: CovarianceSchedule
-) -> float:
-    """Scheme II effective interference power sum_l Tr(Delta_l_xi G2 R_xl G2^H)."""
-    delta_lxi, _ = matched_filter_weights(S, mask)
-    if mask.omega.shape[0] != G2.shape[0] or len(schedule) != S.shape[1]:
-        raise MetricError("shape mismatch in Scheme-II metric")
-    Q = interference_diag_matrix(G2, schedule)
-    return float(np.sum(delta_lxi * Q.T))
-
-
 def eip_scheme2_trace_form(
     mask: SamplingMask, S: np.ndarray, G2: np.ndarray, schedule: CovarianceSchedule
 ) -> float:
@@ -184,13 +160,6 @@ def eip_scheme2_trace_form(
     Q = interference_diag_matrix(G2, schedule)
     s_abs2 = np.abs(S) ** 2
     return float(np.trace(mask.omega.T @ Q @ s_abs2.T).real)
-
-
-def ip_fmfb(S: np.ndarray, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
-    """Interference power at the full matched filter bank, sum_l a_l Tr(G2 R_xl G2^H)."""
-    a = np.sum(np.abs(S) ** 2, axis=0)
-    Q = interference_diag_matrix(G2, schedule)
-    return float(np.sum(a * Q.sum(axis=0)))
 
 
 def weight_schedule(
@@ -222,6 +191,15 @@ def weight_schedule(
     else:
         raise MetricError(f"unknown weight method {method!r}")
     return WeightSchedule(diagonals=diags, method=method)
+
+
+def scheme_weights(cfg: ScenarioConfig, mask: SamplingMask, S: np.ndarray) -> WeightSchedule:
+    """The radar scheme's EIP weights: EIP_I under Scheme I, EIP_II under
+    Scheme II, over the L = S.shape[1] radar symbols."""
+    n_rx, L = mask.omega.shape[0], S.shape[1]
+    if cfg.scheme is Scheme.SCHEME_I:
+        return weight_schedule(METHOD_EIP_I, n_rx, L, mask=mask)
+    return weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask, S=S)
 
 
 def mismatched_weight_diagonals(
@@ -261,35 +239,6 @@ def mismatched_weight_diagonals(
     return weights.diagonals.reshape(L_comm, k, n_rx).sum(axis=1)
 
 
-def eip_mismatched(
-    cfg: ScenarioConfig,
-    mask: SamplingMask,
-    G2: np.ndarray,
-    S: np.ndarray,
-    schedule: CovarianceSchedule,
-) -> float:
-    """Effective interference power when radar and comm symbol rates differ.
-
-    The scheme's per-radar-symbol weights are remapped onto the comm symbol
-    grid by mismatched_weight_diagonals before the weighted sum.
-    """
-    from .config import Scheme
-
-    if cfg.scheme is Scheme.SCHEME_I:
-        weights = weight_schedule(
-            METHOD_EIP_I, G2.shape[0], mask.omega.shape[1], mask=mask
-        )
-    else:
-        weights = weight_schedule(
-            METHOD_EIP_II, G2.shape[0], S.shape[1], mask=mask, S=S
-        )
-    diags = mismatched_weight_diagonals(
-        weights, cfg.radar_rate, cfg.comm_rate, len(schedule)
-    )
-    Q = interference_diag_matrix(G2, schedule)
-    return float(np.sum(diags * Q.T))
-
-
 def empirical_eip(
     cfg: ScenarioConfig,
     mask: SamplingMask,
@@ -307,8 +256,6 @@ def empirical_eip(
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
-    from .config import Scheme  # local to avoid cycle at import time
-
     roots = schedule.sqrts()
     L = len(schedule)
     n_tx = roots[0].shape[0]

@@ -18,10 +18,11 @@ def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix (eigenvalues clipped at 0)."""
+    """Principal square root of a Hermitian PSD matrix, or of each matrix in a
+    stack (eigenvalues clipped at 0)."""
     w, v = np.linalg.eigh(hermitize(a))
     w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def eig_floor(w: np.ndarray) -> np.ndarray:
@@ -44,5 +45,6 @@ def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
-def min_eig(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(a))[0])
+def min_eig(a: np.ndarray):
+    """Smallest eigenvalue of a Hermitian matrix, or of each matrix in a stack."""
+    return np.linalg.eigvalsh(hermitize(a))[..., 0]

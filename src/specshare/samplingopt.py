@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import (
-    METHOD_EIP_I,
-    METHOD_EIP_II,
-    NoiseCovSchedule,
-    interference_diag_matrix,
-    weight_schedule,
-)
+from .interference import NoiseCovSchedule, interference_diag_matrix, scheme_weights
 from .config import ScenarioConfig, Scheme
 from .covdesign import DesignSolution, solve_weighted_eip
 from .scenario import SamplingMask, generate_sampling_mask
@@ -118,10 +112,8 @@ def best_column_permutation(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingM
     if omega.shape != Qtilde.shape:
         raise ValueError("mask and cost matrix shapes differ")
     C = omega.T @ Qtilde
-    assign = hungarian(C)
     out = np.empty_like(omega)
-    for m, l in enumerate(assign.permutation):
-        out[:, l] = omega[:, m]
+    out[:, hungarian(C).permutation] = omega
     return mask.with_omega(out)
 
 
@@ -131,10 +123,8 @@ def best_row_permutation(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask
     if omega.shape != Qtilde.shape:
         raise ValueError("mask and cost matrix shapes differ")
     C = omega @ Qtilde.T
-    assign = hungarian(C)
     out = np.empty_like(omega)
-    for m, l in enumerate(assign.permutation):
-        out[l, :] = omega[m, :]
+    out[hungarian(C).permutation, :] = omega
     return mask.with_omega(out)
 
 
@@ -164,12 +154,6 @@ def spectral_gap(mask: SamplingMask):
     s = np.linalg.svd(mask.omega, compute_uv=False)
     s2 = float(s[1]) if s.size > 1 else 0.0
     return float(s[0]), s2, float(s[0]) - s2
-
-
-def _scheme_weights(cfg: ScenarioConfig, mask: SamplingMask, S: np.ndarray, L: int):
-    if cfg.scheme is Scheme.SCHEME_I:
-        return weight_schedule(METHOD_EIP_I, mask.omega.shape[0], L, mask=mask)
-    return weight_schedule(METHOD_EIP_II, mask.omega.shape[0], L, mask=mask, S=S)
 
 
 def joint_design(
@@ -211,12 +195,11 @@ def joint_design(
 
 
 def _joint_design_once(cfg, H, G2, noise, S, mask, delta1, delta2, max_outer):
-    L = len(noise)
     trace = []
     solution = None
     d2 = delta2
     for n in range(max_outer):
-        weights = _scheme_weights(cfg, mask, S, L)
+        weights = scheme_weights(cfg, mask, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
         eip = solution.objective_eip
         trace.append(eip)

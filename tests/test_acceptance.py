@@ -26,13 +26,15 @@ from specshare.interference import (
     METHOD_IP_FMFB,
     METHOD_TIP,
     CovarianceSchedule,
-    eip_mismatched,
-    eip_scheme1,
-    eip_scheme2,
+    WeightSchedule,
     eip_scheme2_trace_form,
     empirical_eip,
+    interference_diag_matrix,
+    mismatched_weight_diagonals,
     noise_covariances,
+    scheme_weights,
     weight_schedule,
+    weighted_eip,
 )
 from specshare.linalg import crandn, hermitize
 from specshare.samplingopt import hungarian, joint_design
@@ -45,6 +47,11 @@ N_SEEDS = 20
 # Noise-calibrated completion penalty for the noisy recovery experiments;
 # the tiny default penalty targets the noiseless exact-recovery regime.
 PIPELINE_PARAMS = CompletionParams(mu_rel=0.1)
+
+
+def scheme_eip(cfg, mask, S, G2, schedule):
+    """The radar scheme's EIP of a design, through the one weighted form."""
+    return weighted_eip(scheme_weights(cfg, mask, S), interference_diag_matrix(G2, schedule))
 
 
 def scenario2_cfg(**kw):
@@ -72,8 +79,10 @@ def scheme1_grid():
             coop = solve_weighted_eip(w_eip, scn.channels.H, scn.channels.G2,
                                       noise, cfg.P_t, cfg.C)
             out[(p, seed)] = {
-                "eip_noncoop": eip_scheme1(scn.mask, scn.channels.G2, noncoop.schedule),
-                "eip_coop": eip_scheme1(scn.mask, scn.channels.G2, coop.schedule),
+                "eip_noncoop": scheme_eip(cfg, scn.mask, scn.waveforms.S,
+                                          scn.channels.G2, noncoop.schedule),
+                "eip_coop": scheme_eip(cfg, scn.mask, scn.waveforms.S,
+                                       scn.channels.G2, coop.schedule),
                 "capacities": (noncoop.achieved_capacity, coop.achieved_capacity),
             }
     out["elapsed"] = time.perf_counter() - t0
@@ -104,7 +113,7 @@ def scheme2_grid():
             }
             out[(p, seed)] = {
                 "eips": {
-                    name: eip_scheme2(scn.mask, S, scn.channels.G2, sol.schedule)
+                    name: scheme_eip(cfg, scn.mask, S, scn.channels.G2, sol.schedule)
                     for name, sol in sols.items()
                 },
                 "capacities": tuple(s.achieved_capacity for s in sols.values()),
@@ -126,10 +135,10 @@ def joint_grid():
                                   scn.waveforms.S, scn.mask, restarts=3,
                                   rng=stream(seed, "acc-joint", p))
             out[(p, seed)] = {
-                "eip_selfish": eip_scheme1(scn.mask, scn.channels.G2,
-                                           selfish.schedule),
-                "eip_joint": eip_scheme1(result.mask, scn.channels.G2,
-                                         result.solution.schedule),
+                "eip_selfish": scheme_eip(cfg, scn.mask, scn.waveforms.S,
+                                          scn.channels.G2, selfish.schedule),
+                "eip_joint": scheme_eip(cfg, result.mask, scn.waveforms.S,
+                                        scn.channels.G2, result.solution.schedule),
                 "capacities": (selfish.achieved_capacity,
                                result.solution.achieved_capacity),
             }
@@ -213,7 +222,8 @@ def test_criterion_06_trace_identity():
             for A in (crandn(rng, n_tx, n_tx) for _ in range(L))
         ])
         mask = SamplingMask((rng.random((n_rx, m)) < 0.5).astype(float))
-        a = eip_scheme2(mask, S, G2, schedule)
+        w = weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask, S=S)
+        a = weighted_eip(w, interference_diag_matrix(G2, schedule))
         b = eip_scheme2_trace_form(mask, S, G2, schedule)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
     ok = worst <= 1e-12
@@ -238,10 +248,7 @@ def test_criterion_07_monte_carlo_oracle():
             ])
             cols = 4 if scheme is Scheme.SCHEME_I else 2
             mask = SamplingMask((rng.random((3, cols)) < 0.5).astype(float))
-            if scheme is Scheme.SCHEME_I:
-                analytic = eip_scheme1(mask, G2, schedule)
-            else:
-                analytic = eip_scheme2(mask, S, G2, schedule)
+            analytic = scheme_eip(cfg, mask, S, G2, schedule)
             mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10_000,
                                      stream(i, "acc-mc", scheme.value))
             if se > 0 and abs(analytic - mean) > 3 * se:
@@ -381,11 +388,17 @@ def test_criterion_12_mismatched_rates():
     def q_diag(R):
         return np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real
 
+    def eip_mismatched(cfg, schedule):
+        w = scheme_weights(cfg, mask, S4)
+        diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
+        return weighted_eip(WeightSchedule(diags, w.method),
+                            interference_diag_matrix(G2, schedule))
+
     # Equal rates reproduce the matched-rate metric exactly.
     sched4 = rand_schedule(4)
     cfg_eq = ScenarioConfig(M_tR=2, M_rR=3, M_tC=2, M_rC=2, L=4, p=0.5)
-    ok = abs(eip_mismatched(cfg_eq, mask, G2, S4, sched4)
-             - eip_scheme1(mask, G2, sched4)) <= 1e-12
+    hand = sum(float(np.sum(omega[:, l] * q_diag(sched4[l]))) for l in range(4))
+    ok = abs(eip_mismatched(cfg_eq, sched4) - hand) <= 1e-12
 
     # Radar twice as fast: comm symbol l sees the two radar symbols 2l, 2l+1.
     sched2 = rand_schedule(2)
@@ -394,7 +407,7 @@ def test_criterion_12_mismatched_rates():
         float(np.sum((omega[:, 2 * l] + omega[:, 2 * l + 1]) * q_diag(sched2[l])))
         for l in range(2)
     )
-    val = eip_mismatched(cfg_fast, mask, G2, S4, sched2)
+    val = eip_mismatched(cfg_fast, sched2)
     ok = ok and abs(val - hand) <= 1e-12 * max(hand, 1e-300)
 
     # Radar at half rate: only every other comm symbol is sampled.
@@ -403,7 +416,7 @@ def test_criterion_12_mismatched_rates():
     hand = sum(
         float(np.sum(omega[:, l] * q_diag(sched8[2 * l]))) for l in range(4)
     )
-    val = eip_mismatched(cfg_slow, mask, G2, S4, sched8)
+    val = eip_mismatched(cfg_slow, sched8)
     ok = ok and abs(val - hand) <= 1e-12 * max(hand, 1e-300)
 
     print(f"criterion 12 (mismatched symbol rates match hand-built index "

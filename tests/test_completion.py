@@ -37,15 +37,19 @@ class TestShrink:
         X = crandn(rng, 5, 7)
         t = 0.8
         s_before = np.linalg.svd(X, compute_uv=False)
-        s_after = np.linalg.svd(shrink(X, t), compute_uv=False)
+        Z, s = shrink(X, t)
+        s_after = np.linalg.svd(Z, compute_uv=False)
         expect = np.maximum(s_before - t, 0.0)
         assert np.linalg.norm(s_after - expect) <= 1e-10
+        assert np.linalg.norm(s - expect) <= 1e-10
 
     def test_large_threshold_zeroes_matrix(self):
         rng = stream(1, "shrink")
         X = crandn(rng, 4, 4)
         t = float(np.linalg.svd(X, compute_uv=False)[0]) + 1.0
-        assert np.linalg.norm(shrink(X, t)) == 0.0
+        Z, s = shrink(X, t)
+        assert np.linalg.norm(Z) == 0.0
+        assert np.all(s == 0.0)
 
 
 class TestComplete:

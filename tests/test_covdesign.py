@@ -25,7 +25,7 @@ from specshare.interference import (
     NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
-    eip_scheme1,
+    interference_diag_matrix,
     noise_covariances,
     weight_schedule,
     weighted_eip,
@@ -212,8 +212,8 @@ class TestSolveWeightedEip:
             coop = solve_weighted_eip(w_eip, H, G2, noise, P_t=10.0, C=1.0)
             noncoop = solve_weighted_eip(w_tip, H, G2, noise, P_t=10.0, C=1.0)
             assert (
-                eip_scheme1(mask, G2, coop.schedule)
-                <= eip_scheme1(mask, G2, noncoop.schedule) + 1e-6
+                weighted_eip(w_eip, interference_diag_matrix(G2, coop.schedule))
+                <= weighted_eip(w_eip, interference_diag_matrix(G2, noncoop.schedule)) + 1e-6
             )
 
 
@@ -276,7 +276,8 @@ class TestObjectiveConsistency:
         H, G2, noise = small_instance(6)
         w = weight_schedule(METHOD_TIP, 3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        assert abs(sol.objective_eip - weighted_eip(w, G2, sol.schedule)) < 1e-12
+        Q = interference_diag_matrix(G2, sol.schedule)
+        assert abs(sol.objective_eip - weighted_eip(w, Q)) < 1e-12
         assert abs(sol.achieved_capacity - average_capacity(sol.schedule, H, noise)) < 1e-12
 
 

@@ -51,6 +51,14 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(cfg=scenario1(), mc_trials=-1).validate()
 
+    @pytest.mark.parametrize("radar_rate,comm_rate", [(2.0, 1.0), (1.0, 2.0)])
+    def test_unequal_symbol_rates_rejected(self, radar_rate, comm_rate):
+        cfg = scenario1(radar_rate=radar_rate, comm_rate=comm_rate)
+        with pytest.raises(SpecError, match="radar_rate"):
+            ExperimentSpec(cfg=cfg).validate()
+        with pytest.raises(SpecError):
+            run_compare(ExperimentSpec(cfg=cfg))
+
 
 class TestApplySweep:
     def test_p(self):
@@ -224,6 +232,12 @@ class TestCli:
 
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1
+
+    def test_unequal_rates_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        save_config(scenario1(radar_rate=2.0), path)
+        assert cli_main(["compare", "--methods", "selfish", "--config", str(path)]) == 1
+        assert "radar_rate" in capsys.readouterr().err
 
     def test_mc_eval_defaults_trials(self, tmp_path):
         out = tmp_path / "mc.csv"

@@ -13,23 +13,20 @@ from specshare.interference import (
     METHOD_TIP,
     CovarianceSchedule,
     MetricError,
+    NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
-    eip_mismatched,
-    eip_scheme1,
-    eip_scheme2,
     eip_scheme2_trace_form,
     empirical_eip,
     interference_diag_matrix,
-    ip_fmfb,
     matched_filter_weights,
     mismatched_weight_diagonals,
     noise_covariances,
-    tip,
+    scheme_weights,
     weight_schedule,
     weighted_eip,
 )
-from specshare.linalg import crandn, hermitize
+from specshare.linalg import crandn, hermitize, psd_sqrt
 from specshare.scenario import SamplingMask
 from specshare.streams import stream
 
@@ -53,6 +50,30 @@ def random_mask(rng, rows, cols, p=0.5):
 def random_orthonormal_rows(rng, m, L):
     q, _ = np.linalg.qr(crandn(rng, L, m))
     return q.conj().T
+
+
+def metric(method, G2, schedule, mask=None, S=None):
+    """The named interference metric through the one weighted form."""
+    w = weight_schedule(method, G2.shape[0], len(schedule), mask=mask, S=S)
+    return weighted_eip(w, interference_diag_matrix(G2, schedule))
+
+
+def loop_weighted_trace(w_diags, G2, schedule):
+    """sum_l Tr(diag(w_l) G2 R_l G2^H), one symbol at a time."""
+    return sum(
+        float(np.trace(np.diag(w) @ G2 @ R @ G2.conj().T).real)
+        for w, R in zip(w_diags, schedule)
+    )
+
+
+def loop_tip(G2, schedule):
+    return loop_weighted_trace(np.ones((len(schedule), G2.shape[0])), G2, schedule)
+
+
+def loop_fmfb(S, G2, schedule):
+    """sum_l a_l Tr(G2 R_l G2^H) with a_l the waveform column energies."""
+    a = np.sum(np.abs(S) ** 2, axis=0)
+    return loop_weighted_trace(np.outer(a, np.ones(G2.shape[0])), G2, schedule)
 
 
 class TestNoiseCovariances:
@@ -143,11 +164,11 @@ class TestTip:
     def test_identity_case(self):
         L, n = 5, 3
         schedule = CovarianceSchedule([np.eye(n)] * L)
-        assert abs(tip(schedule, np.eye(n)) - L * n) < 1e-12
+        assert abs(metric(METHOD_TIP, np.eye(n), schedule) - L * n) < 1e-12
 
     def test_zero_channel(self):
         schedule = random_schedule(stream(0, "tip"), 2, 3)
-        assert tip(schedule, np.zeros((4, 2))) == 0.0
+        assert metric(METHOD_TIP, np.zeros((4, 2)), schedule) == 0.0
 
     def test_monte_carlo_oracle(self):
         rng = stream(2, "tip-mc")
@@ -164,7 +185,7 @@ class TestTip:
             samples[t] = total
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(trials)
-        assert abs(tip(schedule, G2) - mean) <= 3 * stderr
+        assert abs(metric(METHOD_TIP, G2, schedule) - mean) <= 3 * stderr
 
 
 class TestEipScheme1:
@@ -173,37 +194,37 @@ class TestEipScheme1:
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
         mask = SamplingMask(np.ones((4, 6)))
-        assert abs(eip_scheme1(mask, G2, schedule) - tip(schedule, G2)) < 1e-12
+        assert abs(metric(METHOD_EIP_I, G2, schedule, mask=mask) - loop_tip(G2, schedule)) < 1e-12
 
     def test_zero_mask(self):
         rng = stream(1, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
-        assert eip_scheme1(SamplingMask(np.zeros((4, 6))), G2, schedule) == 0.0
+        assert metric(METHOD_EIP_I, G2, schedule, mask=SamplingMask(np.zeros((4, 6)))) == 0.0
 
     def test_hand_case(self):
         mask = SamplingMask(np.array([[1.0], [0.0]]))
         schedule = CovarianceSchedule([np.eye(2)])
-        assert abs(eip_scheme1(mask, np.eye(2), schedule) - 1.0) < 1e-14
+        assert abs(metric(METHOD_EIP_I, np.eye(2), schedule, mask=mask) - 1.0) < 1e-14
 
     def test_shape_mismatch(self):
         schedule = CovarianceSchedule([np.eye(2)])
         with pytest.raises(MetricError):
-            eip_scheme1(SamplingMask(np.ones((3, 2))), np.eye(2), schedule)
+            metric(METHOD_EIP_I, np.eye(2), schedule, mask=SamplingMask(np.ones((3, 2))))
 
     def test_bounded_by_tip_and_monotone_in_mask(self):
         rng = stream(2, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 5)
         mask = random_mask(rng, 4, 5)
-        base = eip_scheme1(mask, G2, schedule)
-        assert 0.0 <= base <= tip(schedule, G2) + 1e-12
+        base = metric(METHOD_EIP_I, G2, schedule, mask=mask)
+        assert 0.0 <= base <= loop_tip(G2, schedule) + 1e-12
         zeros = np.argwhere(mask.omega == 0)
         if len(zeros):
             i, j = zeros[0]
             grown = mask.omega.copy()
             grown[i, j] = 1.0
-            assert eip_scheme1(SamplingMask(grown), G2, schedule) >= base - 1e-12
+            assert metric(METHOD_EIP_I, G2, schedule, mask=SamplingMask(grown)) >= base - 1e-12
 
 
 class TestMatchedFilterWeights:
@@ -237,14 +258,15 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = SamplingMask(np.ones((5, 3)))
-        assert abs(eip_scheme2(mask, S, G2, schedule) - ip_fmfb(S, G2, schedule)) < 1e-10
+        assert abs(metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+                   - loop_fmfb(S, G2, schedule)) < 1e-10
 
     def test_zero_mask(self):
         rng = stream(1, "eip2")
         S = random_orthonormal_rows(rng, 3, 6)
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
-        assert eip_scheme2(SamplingMask(np.zeros((5, 3))), S, G2, schedule) == 0.0
+        assert metric(METHOD_EIP_II, G2, schedule, mask=SamplingMask(np.zeros((5, 3))), S=S) == 0.0
 
     def test_trace_form_identity(self):
         rng = stream(2, "eip2")
@@ -254,7 +276,7 @@ class TestEipScheme2:
             G2 = crandn(rng, n_rx, n_tx)
             schedule = random_schedule(rng, n_tx, L)
             mask = random_mask(rng, n_rx, m)
-            a = eip_scheme2(mask, S, G2, schedule)
+            a = metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
             b = eip_scheme2_trace_form(mask, S, G2, schedule)
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
 
@@ -272,7 +294,8 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = random_mask(rng, 5, 3)
-        assert eip_scheme2(mask, S, G2, schedule) <= ip_fmfb(S, G2, schedule) + 1e-12
+        assert (metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+                <= loop_fmfb(S, G2, schedule) + 1e-12)
 
     def test_monotone_in_mask(self):
         rng = stream(4, "eip2")
@@ -280,13 +303,14 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = random_mask(rng, 5, 3)
-        base = eip_scheme2(mask, S, G2, schedule)
+        base = metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
         zeros = np.argwhere(mask.omega == 0)
         if len(zeros):
             i, j = zeros[0]
             grown = mask.omega.copy()
             grown[i, j] = 1.0
-            assert eip_scheme2(SamplingMask(grown), S, G2, schedule) >= base - 1e-12
+            grown_eip = metric(METHOD_EIP_II, G2, schedule, mask=SamplingMask(grown), S=S)
+            assert grown_eip >= base - 1e-12
 
 
 class TestIpFmfb:
@@ -298,14 +322,14 @@ class TestIpFmfb:
         rng = stream(0, "fmfb")
         G2 = crandn(rng, 5, 3)
         schedule = random_schedule(rng, 3, L)
-        expect = (m / L) * tip(schedule, G2)
-        assert abs(ip_fmfb(F, G2, schedule) - expect) < 1e-10
+        expect = (m / L) * loop_tip(G2, schedule)
+        assert abs(metric(METHOD_IP_FMFB, G2, schedule, S=F) - expect) < 1e-10
 
     def test_zero_channel(self):
         rng = stream(1, "fmfb")
         S = random_orthonormal_rows(rng, 3, 6)
         schedule = random_schedule(rng, 2, 6)
-        assert ip_fmfb(S, np.zeros((5, 2)), schedule) == 0.0
+        assert metric(METHOD_IP_FMFB, np.zeros((5, 2)), schedule, S=S) == 0.0
 
 
 class TestWeightSchedule:
@@ -328,18 +352,42 @@ class TestWeightSchedule:
         schedule = random_schedule(rng, n_tx, L)
         mask1 = random_mask(rng, n_rx, L)
         mask2 = random_mask(rng, n_rx, m)
-        pairs = [
-            (weight_schedule(METHOD_TIP, n_rx, L), tip(schedule, G2)),
-            (weight_schedule(METHOD_EIP_I, n_rx, L, mask=mask1),
-             eip_scheme1(mask1, G2, schedule)),
-            (weight_schedule(METHOD_IP_FMFB, n_rx, L, S=S),
-             ip_fmfb(S, G2, schedule)),
-            (weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask2, S=S),
-             eip_scheme2(mask2, S, G2, schedule)),
+        weights = [
+            weight_schedule(METHOD_TIP, n_rx, L),
+            weight_schedule(METHOD_EIP_I, n_rx, L, mask=mask1),
+            weight_schedule(METHOD_IP_FMFB, n_rx, L, S=S),
+            weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask2, S=S),
         ]
-        for w, direct in pairs:
-            generic = weighted_eip(w, G2, schedule)
+        Q = interference_diag_matrix(G2, schedule)
+        for w in weights:
+            direct = loop_weighted_trace(w.diagonals, G2, schedule)
+            generic = weighted_eip(w, Q)
             assert abs(generic - direct) <= 1e-12 * max(abs(direct), 1e-300)
+
+    def test_weighted_eip_rejects_shape_mismatch(self):
+        Q = np.ones((4, 6))
+        with pytest.raises(MetricError):
+            weighted_eip(weight_schedule(METHOD_TIP, 6, 4), Q)
+
+    def test_weighted_eip_is_signed(self):
+        w = WeightSchedule(diagonals=np.ones((1, 2)), method=METHOD_TIP)
+        assert weighted_eip(w, np.array([[-1e-18], [0.0]])) == -1e-18
+
+    def test_scheme_weights(self):
+        rng = stream(1, "ws")
+        S = random_orthonormal_rows(rng, 3, 6)
+        mask1 = random_mask(rng, 5, 6)
+        mask2 = random_mask(rng, 5, 3)
+        cfg1 = ScenarioConfig(scheme=Scheme.SCHEME_I)
+        cfg2 = ScenarioConfig(scheme=Scheme.SCHEME_II)
+        w1 = scheme_weights(cfg1, mask1, S)
+        w2 = scheme_weights(cfg2, mask2, S)
+        assert w1.method == METHOD_EIP_I
+        assert np.array_equal(w1.diagonals, mask1.omega.T)
+        assert w2.method == METHOD_EIP_II
+        assert np.array_equal(w2.diagonals, matched_filter_weights(S, mask2)[0])
+        with pytest.raises(MetricError):
+            scheme_weights(cfg1, mask2, S)
 
     def test_missing_mask_rejected(self):
         with pytest.raises(MetricError):
@@ -380,8 +428,11 @@ class TestMismatchedRates:
         G2 = crandn(rng, 3, 2)
         schedule = random_schedule(rng, 2, 4)
         mask = random_mask(rng, 3, 4)
-        val = eip_mismatched(cfg, mask, G2, S, schedule)
-        assert abs(val - eip_scheme1(mask, G2, schedule)) < 1e-12
+        w = scheme_weights(cfg, mask, S)
+        diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
+        val = weighted_eip(WeightSchedule(diags, w.method),
+                           interference_diag_matrix(G2, schedule))
+        assert abs(val - loop_weighted_trace(mask.omega.T, G2, schedule)) < 1e-12
 
 
 class TestEmpiricalEip:
@@ -419,7 +470,8 @@ class TestEmpiricalEip:
         G2 = crandn(rng, 3, 2)
         schedule = random_schedule(rng, 2, 4)
         mask = random_mask(rng, 3, 2)
-        analytic = eip_scheme2(mask, S, G2, schedule)
+        analytic = weighted_eip(scheme_weights(cfg, mask, S),
+                                interference_diag_matrix(G2, schedule))
         mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10000, stream(1, "emp"))
         assert abs(analytic - mean) <= 3 * se
 
@@ -446,3 +498,101 @@ class TestCovarianceSchedule:
         Q = interference_diag_matrix(G2, schedule)
         assert Q.shape == (5, 4)
         assert np.all(Q >= -1e-12)
+
+
+def loop_validate_ok(schedule, tol=1e-9):
+    """Per-symbol Hermitian and PSD verdict of a covariance schedule."""
+    for R in schedule:
+        if np.linalg.norm(R - R.conj().T) > 1e-10 * max(1.0, np.linalg.norm(R)):
+            return False
+        if np.linalg.eigvalsh(hermitize(R))[0] < -tol * max(1.0, float(np.trace(R).real)):
+            return False
+    return True
+
+
+class TestStackedAgainstPerSymbol:
+    """The stacked (L, n, n) schedule operations against per-symbol loops."""
+
+    @pytest.mark.parametrize("n_rx,n_tx,L", [
+        (8, 8, 32), (8, 8, 128), (32, 4, 32), (5, 3, 4), (3, 1, 7), (1, 6, 9),
+    ])
+    def test_interference_diag_matrix(self, n_rx, n_tx, L):
+        rng = stream(0, "q-loop", n_rx, n_tx, L)
+        G2 = crandn(rng, n_rx, n_tx)
+        schedule = random_schedule(rng, n_tx, L)
+        loop = np.stack(
+            [np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real for R in schedule], axis=1
+        )
+        assert np.array_equal(interference_diag_matrix(G2, schedule), loop)
+
+    def test_interference_diag_matrix_tiny_operands(self):
+        # einsum may order the reduction differently for 2 x 2 operands, so
+        # these agree to roundoff rather than bit for bit.
+        rng = stream(1, "q-loop")
+        G2 = crandn(rng, 2, 2)
+        schedule = random_schedule(rng, 2, 64)
+        loop = np.stack(
+            [np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real for R in schedule], axis=1
+        )
+        Q = interference_diag_matrix(G2, schedule)
+        assert np.allclose(Q, loop, rtol=1e-14, atol=0.0)
+
+    def test_sqrts(self):
+        rng = stream(0, "sqrt-loop")
+        schedule = random_schedule(rng, 8, 32)
+        rank_deficient = CovarianceSchedule([np.diag([2.0, 0.0, 1.0])] * 3)
+        for sched in (schedule, rank_deficient):
+            loop = []
+            for R in sched:
+                w, v = np.linalg.eigh(hermitize(R))
+                loop.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+            assert np.array_equal(sched.sqrts(), np.stack(loop))
+            assert np.array_equal(sched.sqrts()[0], psd_sqrt(sched[0]))
+
+    def test_validate_verdict(self):
+        rng = stream(0, "validate-loop")
+        good = [random_psd(rng, 3) for _ in range(4)]
+        skew = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        indefinite = np.diag([1.0, -1e-3, 1.0])
+        barely = np.diag([1.0, -1e-10, 1.0])  # within PSD_TOL
+        cases = [good, good + [skew], [indefinite] + good, good + [indefinite],
+                 good[:2] + [barely], [skew, indefinite]]
+        for mats in cases:
+            schedule = CovarianceSchedule(mats)
+            try:
+                schedule.validate()
+                ok = True
+            except MetricError:
+                ok = False
+            assert np.array_equal(ok, loop_validate_ok(schedule))
+
+    def test_total_power(self):
+        schedule = random_schedule(stream(0, "power-loop"), 8, 128, scale=3.0)
+        loop = sum(float(np.trace(R).real) for R in schedule)
+        assert abs(schedule.total_power - loop) <= 1e-12 * loop
+
+    def test_average_capacity(self):
+        rng = stream(0, "cap-loop")
+        cfg = ScenarioConfig()
+        G1 = crandn(rng, cfg.M_rC, cfg.M_tR)
+        S = random_orthonormal_rows(rng, cfg.M_tR, cfg.L)
+        H = crandn(rng, cfg.M_rC, cfg.M_tC)
+        noise = noise_covariances(cfg, G1, S)
+        schedule = random_schedule(rng, cfg.M_tC, cfg.L, scale=4.0)
+        loop = 0.0
+        for R_x, R_w in zip(schedule, noise):
+            _, logdet_n = np.linalg.slogdet(R_w)
+            _, logdet_f = np.linalg.slogdet(R_w + H @ R_x @ H.conj().T)
+            loop += (logdet_f - logdet_n) / math.log(2.0)
+        loop /= cfg.L
+        assert abs(average_capacity(schedule, H, noise) - loop) <= 1e-12 * loop
+
+    def test_list_input_is_stacked(self):
+        mats = [np.eye(2), 2 * np.eye(2), 3 * np.eye(2)]
+        schedule = CovarianceSchedule(mats)
+        noise = NoiseCovSchedule(mats)
+        for stack in (schedule, noise):
+            assert stack.matrices.shape == (3, 2, 2)
+            assert len(stack) == 3
+            assert np.array_equal(stack[1], mats[1])
+            assert all(np.array_equal(a, b) for a, b in zip(stack, mats))

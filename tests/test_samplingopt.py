@@ -9,10 +9,11 @@ from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import (
     METHOD_EIP_I,
-    eip_scheme1,
-    eip_scheme2,
+    interference_diag_matrix,
     noise_covariances,
+    scheme_weights,
     weight_schedule,
+    weighted_eip,
 )
 from specshare.samplingopt import (
     best_column_permutation,
@@ -182,8 +183,9 @@ class TestJointDesign:
                                       cfg.P_t, cfg.C)
             result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
                                   scn.waveforms.S, scn.mask)
-            joint_eip = eip_scheme1(result.mask, scn.channels.G2,
-                                    result.solution.schedule)
+            joint_eip = weighted_eip(
+                weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=result.mask),
+                interference_diag_matrix(scn.channels.G2, result.solution.schedule))
             assert joint_eip <= coop.objective_eip + 1e-6
 
     def test_trace_nonincreasing_and_orbit_preserved(self):
@@ -201,8 +203,8 @@ class TestJointDesign:
         cfg, scn, noise = scenario_instance(2, scheme=Scheme.SCHEME_II)
         result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
                               scn.waveforms.S, scn.mask)
-        val = eip_scheme2(result.mask, scn.waveforms.S, scn.channels.G2,
-                          result.solution.schedule)
+        val = weighted_eip(scheme_weights(cfg, result.mask, scn.waveforms.S),
+                           interference_diag_matrix(scn.channels.G2, result.solution.schedule))
         # The recorded trace ends with the EIP of the final schedule under the
         # mask it was solved for.
         assert abs(val - result.eip_trace[-1]) <= 1e-6 * max(val, 1e-12)
