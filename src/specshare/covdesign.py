@@ -232,9 +232,14 @@ def subproblem_solution(
 
 def max_average_capacity(H, noise: NoiseCovSchedule, P_t: float) -> float:
     """Water-filling capacity bound of the block under total power P_t."""
-    gains = np.linalg.svd(_whiten(H, noise), compute_uv=False).ravel() ** 2
+    return _capacity_bound(_whiten(H, noise), P_t)
+
+
+def _capacity_bound(whitened: np.ndarray, P_t: float) -> float:
+    """max_average_capacity from the (L, M_rC, M_tC) whitened channels."""
+    gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
-    return float(np.sum(np.log2(1.0 + gains * powers)) / len(noise))
+    return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))
 
 
 def _objective_eip(weights: WeightSchedule, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
@@ -277,11 +282,17 @@ def solve_weighted_eip(
     L = len(weights)
     if len(noise) != L:
         raise SolverError("weights and noise schedules have different lengths")
-    if max_average_capacity(H, noise, P_t) < C:
+    if weights.diagonals.shape[1] != G2.shape[0]:
+        raise SolverError(
+            f"weights cover {weights.diagonals.shape[1]} radar antennas, "
+            f"G2 has {G2.shape[0]}"
+        )
+    whitened = _whiten(H, noise)
+    if _capacity_bound(whitened, P_t) < C:
         raise InfeasibleError(
             f"capacity target {C} unreachable within power budget {P_t}"
         )
-    kernel = _DualKernel.weighted(weights.diagonals, G2, _whiten(H, noise))
+    kernel = _DualKernel.weighted(weights.diagonals, G2, whitened)
 
     iterations = 0
     # Grow the upper bracket endpoint until the power budget is respected.

@@ -181,11 +181,17 @@ def weight_schedule(
     elif method == METHOD_IP_FMFB:
         if S is None:
             raise MetricError("IP_FMFB weights require the waveform matrix")
+        if S.shape[1] != L:
+            raise MetricError(f"waveform matrix has {S.shape[1]} symbols, expected {L}")
         a = np.sum(np.abs(S) ** 2, axis=0)
         diags = np.repeat(a[:, None], n_rx, axis=1)
     elif method == METHOD_EIP_II:
         if mask is None or S is None:
             raise MetricError("EIP_II weights require a Scheme-II mask and waveforms")
+        if S.shape[1] != L:
+            raise MetricError(f"waveform matrix has {S.shape[1]} symbols, expected {L}")
+        if mask.omega.shape[0] != n_rx:
+            raise MetricError(f"mask has {mask.omega.shape[0]} rows, expected {n_rx}")
         delta_lxi, _ = matched_filter_weights(S, mask)
         diags = delta_lxi
     else:

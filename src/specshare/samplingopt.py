@@ -36,9 +36,18 @@ class JointDesignResult:
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-cost linear assignment (shortest augmenting path, O(n^3)).
 
+    Rows are inserted one at a time; each step of the Dijkstra-like search
+    for an augmenting path scans all n + 1 columns with a few whole-array
+    NumPy operations: the reduced costs of the row just added to the tree,
+    the masked update of the per-column slack minv and predecessor way,
+    the argmin over the free columns and the dual update of the tree. The
+    arithmetic is the same as that of the scalar column loop, element by
+    element, so the result is bit-identical to it.
+
     Rectangular inputs are padded with a constant exceeding any real entry;
     padded cells never contribute to the returned cost. Ties are broken by
-    lowest index, so the result is deterministic.
+    lowest index (np.argmin returns the first minimum), so the result is
+    deterministic.
     """
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
@@ -50,50 +59,61 @@ def hungarian(cost: np.ndarray) -> Assignment:
     nr, nc = cost.shape
     n = max(nr, nc)
     pad = float(np.abs(cost).max() if cost.size else 0.0) + 1.0
-    C = np.full((n, n), pad)
-    C[:nr, :nc] = cost
+    # 1-based: row and column 0 are the virtual root of the search tree.
+    C = np.full((n + 1, n + 1), pad)
+    C[1:nr + 1, 1:nc + 1] = cost
+    C_rows = list(C)
 
-    INF = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)  # p[j]: row matched to column j (1-based)
-    way = np.zeros(n + 1, dtype=int)
+    INF = np.inf
+    u = np.zeros(n + 1)  # row potentials
+    p = np.zeros(n + 1, dtype=np.intp)  # p[j]: row matched to column j (1-based)
+    way = np.zeros(n + 1, dtype=np.intp)  # predecessor column on the shortest path
+    # During one search, duals[0] holds u[p[j]], the potential of the row
+    # matched to column j, and duals[1] the negated column potential -v[j],
+    # so one add of delta * in_tree shifts both duals of the tree and adds
+    # an exact zero elsewhere. Rounding is symmetric in sign: -v + delta is
+    # exactly -(v - delta), and (c - u) + (-v) is exactly (c - u) - v.
+    duals = np.zeros((2, n + 1))
+    u_col, neg_v = duals
+    in_tree = np.empty(n + 1)  # 1.0 on the tree columns, 0.0 elsewhere
+    shift = np.empty(n + 1)
+    # -v on the free columns and +inf on the tree columns, so that a tree
+    # column's reduced cost is +inf and it never wins the scan.
+    neg_v_free = np.empty(n + 1)
+    minv = np.empty(n + 1)  # +inf on the tree columns
+    better = np.empty(n + 1, dtype=bool)
+    cur = np.empty(n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
+        np.take(u, p, out=u_col)
+        np.copyto(neg_v_free, neg_v)
+        minv.fill(INF)
+        in_tree.fill(0.0)
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = C[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
+            in_tree[j0] = 1.0
+            neg_v_free[j0] = INF
+            minv[j0] = INF
+            np.subtract(C_rows[p[j0]], u_col[j0], out=cur)
+            cur += neg_v_free
+            np.less(cur, minv, out=better)
+            np.minimum(minv, cur, out=minv)
+            np.putmask(way, better, j0)
+            j0 = int(minv.argmin())
+            delta = minv[j0]
+            np.multiply(in_tree, delta, out=shift)
+            duals += shift
+            minv -= delta
             if p[j0] == 0:
                 break
+        tree = np.flatnonzero(in_tree)
+        u[p[tree]] = u_col[tree]
         while j0:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    perm = np.zeros(n, dtype=int)
-    for j in range(1, n + 1):
-        perm[p[j] - 1] = j - 1
+    perm = np.empty(n, dtype=int)
+    perm[p[1:] - 1] = np.arange(n)
     total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
     return Assignment(permutation=perm, cost=total)
 

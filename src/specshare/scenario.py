@@ -124,8 +124,11 @@ def generate_sampling_mask(
 
     With require_coverage (the default), the draw is rejected and resampled
     until every row and every column holds at least one sample; a matrix
-    with an empty row or column cannot be completed. Callers that only need
-    the interference weights (no completion) may opt out for sub-sampling
+    with an empty row or column cannot be completed. If max_attempts draws
+    all fail, which happens at sampling rates close to the coverage limit,
+    the mask is built by _covering_mask instead; that fallback is not
+    uniform over the covering masks. Callers that only need the
+    interference weights (no completion) may opt out for sub-sampling
     rates too low to cover every row and column.
     """
     rows, cols = mask_shape(cfg)
@@ -144,7 +147,28 @@ def generate_sampling_mask(
             return SamplingMask(omega=omega)
         if omega.sum(axis=1).min() >= 1 and omega.sum(axis=0).min() >= 1:
             return SamplingMask(omega=omega)
-    raise ScenarioError("failed to draw a row/column-covering mask")
+    return SamplingMask(omega=_covering_mask(rows, cols, n_ones, rng))
+
+
+def _covering_mask(rows: int, cols: int, n_ones: int, rng: np.random.Generator) -> np.ndarray:
+    """A rows x cols binary mask with n_ones >= max(rows, cols) ones that
+    covers every row and column, built directly from rng.
+
+    For t = 0 .. k-1 with k = max(rows, cols), cell t joins the (t mod rows)-th
+    of the shuffled rows to the (t mod cols)-th of the shuffled columns;
+    these k cells are distinct and cover both sides. The remaining ones go
+    to distinct cells drawn uniformly from the rest. The result is not
+    uniform over the covering masks, so this is only the fallback of
+    generate_sampling_mask.
+    """
+    k = max(rows, cols)
+    r = rng.permutation(rows)[np.arange(k) % rows]
+    c = rng.permutation(cols)[np.arange(k) % cols]
+    omega = np.zeros((rows, cols))
+    omega[r, c] = 1.0
+    free = np.flatnonzero(omega.ravel() == 0.0)
+    omega.ravel()[rng.choice(free, size=n_ones - k, replace=False)] = 1.0
+    return omega
 
 
 def generate_phase_offsets(cfg: ScenarioConfig, rng: np.random.Generator) -> PhaseSchedule:

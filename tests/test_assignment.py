@@ -1,12 +1,96 @@
-"""Linear assignment solver against an exhaustive oracle."""
+"""Linear assignment solver against an exhaustive oracle, the scalar
+column loop it replaced, and scipy's solver."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from specshare.config import ScenarioConfig
+from specshare.covdesign import solve_weighted_eip
+from specshare.interference import interference_diag_matrix, noise_covariances, scheme_weights
 from specshare.samplingopt import hungarian
+from specshare.scenario import make_scenario
 from specshare.streams import stream
+
+
+def scalar_loop_hungarian(cost):
+    """Reference: the shortest-augmenting-path solver with its column scan
+    as a scalar Python loop (strict < comparisons, so the lowest index wins
+    ties). Returns (permutation, cost)."""
+    cost = np.asarray(cost, dtype=float)
+    nr, nc = cost.shape
+    n = max(nr, nc)
+    pad = float(np.abs(cost).max() if cost.size else 0.0) + 1.0
+    C = np.full((n, n), pad)
+    C[:nr, :nc] = cost
+
+    INF = float("inf")
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, INF)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = C[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    perm = np.zeros(n, dtype=int)
+    for j in range(1, n + 1):
+        perm[p[j] - 1] = j - 1
+    total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
+    return perm, total
+
+
+def random_shapes(rng, count, max_side=40):
+    """Square and rectangular shapes with sides 1..max_side."""
+    for k in range(count):
+        nr = int(rng.integers(1, max_side + 1))
+        nc = nr if k % 2 == 0 else int(rng.integers(1, max_side + 1))
+        yield nr, nc
+
+
+@pytest.fixture(scope="module")
+def joint_costs():
+    """The column (128 x 128) and row (32 x 32) assignment costs of the first
+    mask sweep of a joint design on a joint-long-sized Scheme I scenario."""
+    cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
+    scn = make_scenario(cfg)
+    ch = scn.channels
+    noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
+    sol = solve_weighted_eip(scheme_weights(cfg, scn.mask, scn.waveforms.S),
+                             ch.H, ch.G2, noise, cfg.P_t, cfg.C)
+    Q = interference_diag_matrix(ch.G2, sol.schedule)
+    omega = scn.mask.omega
+    return omega.T @ Q, omega @ Q.T
 
 
 def brute_force_cost(cost):
@@ -78,3 +162,63 @@ class TestHungarian:
         a = hungarian(cost)
         b = hungarian(cost)
         assert np.array_equal(a.permutation, b.permutation)
+
+
+def assert_matches_scalar_loop(cost):
+    out = hungarian(cost)
+    perm, total = scalar_loop_hungarian(cost)
+    assert np.array_equal(out.permutation, perm)
+    assert out.cost == total
+
+
+class TestAgainstScalarLoop:
+    """Bit-equal permutation and cost to the scalar column loop."""
+
+    def test_random_real_costs(self):
+        rng = stream(3, "hungarian")
+        for nr, nc in random_shapes(rng, 100):
+            assert_matches_scalar_loop(rng.uniform(-5.0, 5.0, size=(nr, nc)))
+
+    def test_integer_costs_with_ties(self):
+        rng = stream(4, "hungarian")
+        for k, (nr, nc) in enumerate(random_shapes(rng, 200)):
+            high = (2, 4, 10)[k % 3]
+            assert_matches_scalar_loop(rng.integers(-high, high, size=(nr, nc)).astype(float))
+
+    def test_binary_costs(self):
+        rng = stream(5, "hungarian")
+        for nr, nc in random_shapes(rng, 60):
+            assert_matches_scalar_loop((rng.random((nr, nc)) < 0.5).astype(float))
+
+    def test_degenerate_shapes(self):
+        for shape in ((1, 1), (1, 6), (6, 1), (0, 0), (0, 3), (3, 0)):
+            assert_matches_scalar_loop(np.arange(np.prod(shape), dtype=float).reshape(shape) - 2.0)
+
+    def test_joint_long_costs(self, joint_costs):
+        for cost in joint_costs:
+            assert_matches_scalar_loop(cost)
+
+
+class TestScipyOracle:
+    """Optimal cost against scipy.optimize.linear_sum_assignment, a test-only
+    dependency."""
+
+    @staticmethod
+    def assert_optimal(cost):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        rows, cols = linear_sum_assignment(cost)
+        best = float(cost[rows, cols].sum())
+        assert abs(hungarian(cost).cost - best) <= 1e-9 * max(1.0, abs(best))
+
+    def test_random_costs(self):
+        rng = stream(6, "hungarian")
+        for k, (nr, nc) in enumerate(random_shapes(rng, 100)):
+            if k % 2:
+                cost = rng.integers(-5, 5, size=(nr, nc)).astype(float)
+            else:
+                cost = rng.uniform(-5.0, 5.0, size=(nr, nc))
+            self.assert_optimal(cost)
+
+    def test_joint_long_costs(self, joint_costs):
+        for cost in joint_costs:
+            self.assert_optimal(cost)

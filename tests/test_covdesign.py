@@ -175,6 +175,12 @@ class TestSolveWeightedEip:
         with pytest.raises(InfeasibleError):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=1.0, C=10.0)
 
+    def test_weights_antenna_count_mismatch_rejected(self):
+        H, G2, noise = small_instance(0)
+        w = weight_schedule(METHOD_TIP, G2.shape[0] + 1, len(noise))
+        with pytest.raises(SolverError):
+            solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
+
     def test_subproblem_consistency(self):
         # Re-deriving the schedule from the returned dual point reproduces it.
         H, G2, noise = small_instance(3)

@@ -393,6 +393,21 @@ class TestWeightSchedule:
         with pytest.raises(MetricError):
             weight_schedule(METHOD_EIP_I, 4, 6)
 
+    def test_symbol_count_mismatch_rejected(self):
+        rng = stream(2, "ws")
+        S = random_orthonormal_rows(rng, 3, 6)
+        mask = random_mask(rng, 4, 3)
+        with pytest.raises(MetricError):
+            weight_schedule(METHOD_IP_FMFB, 4, 5, S=S)
+        with pytest.raises(MetricError):
+            weight_schedule(METHOD_EIP_II, 4, 5, mask=mask, S=S)
+
+    def test_eip2_receive_count_mismatch_rejected(self):
+        rng = stream(3, "ws")
+        S = random_orthonormal_rows(rng, 3, 6)
+        with pytest.raises(MetricError):
+            weight_schedule(METHOD_EIP_II, 4, 6, mask=random_mask(rng, 8, 3), S=S)
+
 
 class TestMismatchedRates:
     def test_equal_rates_identity(self):

@@ -7,6 +7,7 @@ from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config,
 from specshare.scenario import (
     SamplingMask,
     ScenarioError,
+    _covering_mask,
     generate_channels,
     generate_phase_offsets,
     generate_sampling_mask,
@@ -136,6 +137,29 @@ class TestSamplingMask:
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.05)
         with pytest.raises(ScenarioError):
             generate_sampling_mask(cfg, stream(0, "mask"))
+
+    def test_covering_fallback_near_coverage_limit(self):
+        # Rejection sampling gives up here although 33 ones can cover the
+        # 32 columns and 8 rows; the constructive fallback takes over.
+        cfg = ScenarioConfig(M_rR=8, L=32, p=0.13)
+        a = generate_sampling_mask(cfg, stream(0, "mask"))
+        b = generate_sampling_mask(cfg, stream(0, "mask"))
+        assert a.ones_count == int(np.floor(0.13 * 256)) == 33
+        assert a.omega.sum(axis=1).min() >= 1
+        assert a.omega.sum(axis=0).min() >= 1
+        assert set(np.unique(a.omega)) <= {0.0, 1.0}
+        assert np.array_equal(a.omega, b.omega)
+
+    @pytest.mark.parametrize("rows,cols", [(8, 32), (32, 8), (5, 5), (1, 7)])
+    def test_covering_fallback_every_count(self, rows, cols):
+        rng = stream(0, "cover")
+        for n_ones in range(max(rows, cols), rows * cols + 1):
+            omega = _covering_mask(rows, cols, n_ones, rng)
+            assert omega.shape == (rows, cols)
+            assert omega.sum() == n_ones
+            assert omega.sum(axis=1).min() >= 1
+            assert omega.sum(axis=0).min() >= 1
+            assert set(np.unique(omega)) <= {0.0, 1.0}
 
     def test_coverage_opt_out(self):
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.05)
