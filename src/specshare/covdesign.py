@@ -6,7 +6,9 @@ they differ only in the diagonal interference weights. The solver is dual
 decomposition with an outer bisection on the power multiplier lambda1;
 for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
-follow from the closed-form subproblem solution.
+follow from the closed-form subproblem solution. The search returns the
+bisection's own iterate but evaluates only the midpoints that earlier
+evaluations do not settle (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
@@ -43,6 +45,19 @@ DEFAULT_DUAL_TOL = 1e-9
 # while G2^H W G2 is singular; lambda1 > 0 strictly at such optima, the
 # ridge only keeps the matrix square roots finite.
 PHI_RIDGE = 1e-12
+
+# Fewest bisection halvings for which the dual search probes ahead of the
+# bisection's own midpoints. A probe that misses costs one evaluation more
+# than the bisection and only the halvings it settles pay it back: on random
+# instances probing saved at least 4 of 20 halvings and 12 of 30, and cost
+# up to 3 evaluations more than the bisection below 10.
+_MIN_PROBE_HALVINGS = 20
+
+# Relative gap to P_t beyond which an evaluated power settles the bisection
+# decisions on its side of lambda1 (see _dual_search). The computed power
+# rose by up to 3.2e-14 relative where lambda1 grew, on the benchmark's
+# instances, so the gap leaves a factor of about 300 for its rounding.
+_POWER_RTOL = 1e-11
 
 
 class InfeasibleError(RuntimeError):
@@ -262,6 +277,114 @@ def _checked(sol: DesignSolution, C: float, P_t: float = math.inf) -> DesignSolu
     return sol
 
 
+def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
+                 max_iterations: int) -> tuple[_DualIterate, int, bool]:
+    """The bisection on lambda1: (iterate, dual evaluations, converged).
+
+    The iterate is bit for bit the one the plain bisection returns: grow
+    hi = 2^m until power(hi) <= P_t; from lo = 0, while hi - lo > dual_tol
+    and fewer than max_iterations evaluations were made, move hi to the
+    midpoint if its power is below P_t and lo otherwise; return the iterate
+    at the final hi. Only evaluations that cannot change that answer are
+    left out. Power is nonincreasing in lambda1, so a midpoint at or above a
+    point with power clearly below P_t moves hi, and one at or below a point
+    with power clearly at or above P_t moves lo, without being evaluated.
+    Every midpoint is a point of the grid of the n halvings the loop makes,
+    and probes on that grid (see _probe) narrow the part still open before
+    the n decisions are replayed.
+    """
+    cache: dict[float, _DualIterate] = {}
+
+    def evaluate(lambda1: float) -> _DualIterate:
+        if lambda1 not in cache:
+            cache[lambda1] = kernel.step(lambda1, C)
+        return cache[lambda1]
+
+    # Grow the upper bracket endpoint until the power budget is respected.
+    hi = 1.0
+    while evaluate(hi).power > P_t:
+        if len(cache) >= max_iterations:
+            raise SolverError("failed to bracket the power multiplier")
+        hi *= 2.0
+    bracketed = len(cache)
+    # The midpoints are exact grid points for up to 52 halvings, which the
+    # probes need; the count stops at 53, which stands for any more.
+    halvings, width = 0, hi
+    while width > dual_tol and bracketed + halvings < max_iterations and halvings <= 52:
+        width *= 0.5
+        halvings += 1
+    # "Clearly" means by more than the rounding of the computed power, which
+    # is not monotone at about 1e-14 relative; a point closer to P_t decides
+    # only its own midpoint.
+    margin = _POWER_RTOL * abs(P_t)
+    if _MIN_PROBE_HALVINGS <= halvings <= 52 and cache[hi].power < P_t - margin:
+        last_grown = 0.5 * hi if hi > 1.0 else 0.0  # power > P_t there
+        _probe(evaluate, P_t, math.ldexp(hi, -halvings), last_grown, hi, budget=halvings)
+    below = max((lam for lam, it in cache.items() if it.power >= P_t + margin), default=0.0)
+    above = min((lam for lam, it in cache.items() if it.power < P_t - margin), default=math.inf)
+
+    lo, steps = 0.0, bracketed
+    while hi - lo > dual_tol and steps < max_iterations:
+        mid = 0.5 * (lo + hi)
+        steps += 1
+        if mid in cache or below < mid < above:
+            power = evaluate(mid).power
+            if power < P_t:
+                hi = mid
+                if power < P_t - margin:
+                    above = min(above, mid)
+            else:
+                lo = mid
+                if power >= P_t + margin:
+                    below = max(below, mid)
+        elif mid >= above:
+            hi = mid
+        else:
+            lo = mid
+    best = evaluate(hi)  # evaluated already unless a probe was off the grid
+    return best, len(cache), hi - lo <= dual_tol
+
+
+def _probe(evaluate, P_t: float, grid: float, below: float, above: float, budget: int) -> None:
+    """Evaluate at most budget grid points between below and above (power
+    >= P_t at below, < P_t at above) that home in on where power crosses P_t.
+
+    The lowest grid point comes first: if its power is below P_t, the budget
+    is slack and it settles every midpoint. Then Illinois steps on
+    power(lambda1) - P_t, taken in log(lambda1) because the bracket spans
+    about 30 octaves, each rounded to a grid point strictly inside the
+    bracket, until the bracket ends are neighbouring grid points.
+    """
+    lo, hi = round(below / grid), round(above / grid)
+    if lo == 0:
+        budget -= 1
+        if evaluate(grid).power < P_t:
+            return
+        lo = 1
+    f_lo, f_hi = (evaluate(k * grid).power - P_t for k in (lo, hi))
+    moved = 0  # the end the last probe replaced: -1 lo, +1 hi
+    for _ in range(budget):
+        if hi - lo <= 1:
+            return
+        # The secant root in log(lambda1); a non-finite or degenerate weight
+        # falls back to the geometric midpoint.
+        t = f_hi / (f_hi - f_lo)
+        if not 0.0 < t < 1.0:
+            t = 0.5
+        k = round(math.exp(math.log(hi) - t * math.log(hi / lo)))
+        k = min(max(k, lo + 1), hi - 1)
+        power = evaluate(k * grid).power
+        # Illinois: an end kept twice in a row has its value halved.
+        if power < P_t:
+            if moved > 0:
+                f_lo *= 0.5
+            hi, f_hi, moved = k, power - P_t, 1
+        else:
+            if moved < 0:
+                f_hi *= 0.5
+            lo, f_lo, moved = k, power - P_t, -1
+
+
 def solve_weighted_eip(
     weights: WeightSchedule,
     H: np.ndarray,
@@ -276,8 +399,12 @@ def solve_weighted_eip(
     >= C and total power <= P_t, by bisection on the power multiplier.
 
     Power consumption is nonincreasing in lambda1, so the bracket [lo, hi]
-    keeps power(hi) <= P_t < power(lo); the returned iterate comes from the
-    power-feasible side.
+    keeps power(hi) <= P_t <= power(lo); the returned iterate comes from the
+    power-feasible side. dual_tol and max_iterations define that bisection
+    and converged says whether it reached dual_tol; the iterate is the
+    bisection's bit for bit. iterations counts the dual evaluations made;
+    with the default dual_tol that is 2 when the power budget is slack and
+    about 8 to 18 when it binds, where the bisection makes 31.
     """
     L = len(weights)
     if len(noise) != L:
@@ -293,29 +420,7 @@ def solve_weighted_eip(
             f"capacity target {C} unreachable within power budget {P_t}"
         )
     kernel = _DualKernel.weighted(weights.diagonals, G2, whitened)
-
-    iterations = 0
-    # Grow the upper bracket endpoint until the power budget is respected.
-    hi = 1.0
-    it = kernel.step(hi, C)
-    iterations += 1
-    while it.power > P_t:
-        hi *= 2.0
-        it = kernel.step(hi, C)
-        iterations += 1
-        if iterations > max_iterations:
-            raise SolverError("failed to bracket the power multiplier")
-    lo = 0.0
-    best = it
-    while hi - lo > dual_tol and iterations < max_iterations:
-        mid = 0.5 * (lo + hi)
-        it = kernel.step(mid, C)
-        iterations += 1
-        if it.power < P_t:
-            hi = mid
-            best = it
-        else:
-            lo = mid
+    best, iterations, converged = _dual_search(kernel, C, P_t, dual_tol, max_iterations)
     schedule = CovarianceSchedule(kernel.covariances(best))
     return _checked(DesignSolution(
         schedule=schedule,
@@ -324,7 +429,7 @@ def solve_weighted_eip(
         consumed_power=schedule.total_power,
         objective_eip=_objective_eip(weights, G2, schedule),
         iterations=iterations,
-        converged=hi - lo <= dual_tol,
+        converged=converged,
     ), C, P_t)
 
 

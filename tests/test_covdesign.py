@@ -400,7 +400,10 @@ class TestDualKernel:
         for w in (weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L),
                   weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)):
             sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
-            assert sol.iterations == 31
+            # The power budget is slack: the bisection halves hi = 1 thirty
+            # times; the search evaluates hi and the lowest grid point only.
+            assert sol.dual.lambda1 == 2.0 ** -30
+            assert sol.iterations == 2
             assert sol.converged
 
 
@@ -435,3 +438,157 @@ class TestPostConditions:
         w = weight_schedule(METHOD_TIP, 3, 4)
         with pytest.raises(SolverError, match="Hermitian"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+
+
+def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations):
+    """The plain bisection on lambda1 that covdesign._dual_search replaced;
+    reference only: (iterate, evaluations, converged)."""
+    iterations = 0
+    hi = 1.0
+    it = kernel.step(hi, C)
+    iterations += 1
+    while it.power > P_t:
+        hi *= 2.0
+        it = kernel.step(hi, C)
+        iterations += 1
+        if iterations > max_iterations:
+            raise SolverError("failed to bracket the power multiplier")
+    lo = 0.0
+    best = it
+    while hi - lo > dual_tol and iterations < max_iterations:
+        mid = 0.5 * (lo + hi)
+        it = kernel.step(mid, C)
+        iterations += 1
+        if it.power < P_t:
+            hi = mid
+            best = it
+        else:
+            lo = mid
+    return best, iterations, hi - lo <= dual_tol
+
+
+def search_instances():
+    """Small random designs: TIP-like 0/1 weights on a 3 x 2 G2, or
+    cooperative weights whose zero rows make A_l singular. Seeds 2, 5 and 8
+    draw all-zero weights: power does not depend on lambda1, and its
+    computed value is not monotone in the last bits.
+    Yields the design, its selfish (minimum) power and its power at
+    lambda1 = 1 and 2^-30."""
+    for seed in range(12):
+        rng = stream(seed, "search")
+        L = int(rng.integers(1, 6))
+        if seed % 2:
+            H, G2, noise = small_instance(seed, L)
+            w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
+        else:
+            w, G2, H, noise = coop_instance(seed, L)
+        C = float(rng.uniform(0.5, 3.0))
+        kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
+        powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30)]
+        design = (WeightSchedule(w, METHOD_EIP_I), H, G2, noise)
+        yield design, C, solve_selfish(H, noise, C).consumed_power, *powers
+
+
+def budgets(p_min, p_one, p_zero):
+    """Power budgets below the selfish power (infeasible), between it and the
+    power at lambda1 = 1 (the bracket grows), inside the range the bisection
+    searches (active) and above it (slack)."""
+    return (0.5 * p_min, p_min + 0.2 * (p_one - p_min),
+            p_min + 0.05 * (p_zero - p_min), p_min + 0.5 * (p_zero - p_min), 2.0 * p_zero)
+
+
+class TestDualSearch:
+    """The search returns the bisection's iterate bit for bit, with at most
+    as many dual evaluations."""
+
+    @staticmethod
+    def solve_both(monkeypatch, *args, **kwargs):
+        """solve_weighted_eip's solution or error, with the search and then
+        with the bisection oracle in its place."""
+        out = []
+        for search in (covdesign._dual_search, bisection_oracle):
+            with monkeypatch.context() as m:
+                m.setattr(covdesign, "_dual_search", search)
+                try:
+                    out.append(solve_weighted_eip(*args, **kwargs))
+                except (InfeasibleError, SolverError) as exc:
+                    out.append(exc)
+        return out
+
+    def assert_same(self, monkeypatch, *args, **kwargs):
+        sol, ref = self.solve_both(monkeypatch, *args, **kwargs)
+        if isinstance(ref, Exception):
+            assert type(sol) is type(ref) and str(sol) == str(ref)
+            return type(ref).__name__
+        assert sol.dual.lambda1 == ref.dual.lambda1
+        assert sol.dual.lambda2 == ref.dual.lambda2
+        assert sol.converged == ref.converged
+        assert sol.schedule.matrices.tobytes() == ref.schedule.matrices.tobytes()
+        assert sol.iterations <= ref.iterations
+        if ref.dual.lambda1 == 2.0 ** -30:
+            return "slack"
+        return "grown" if ref.dual.lambda1 > 1.0 else "active"
+
+    def test_random_instances_match_bisection(self, monkeypatch):
+        seen = set()
+        for design, C, *powers in search_instances():
+            for P_t in budgets(*powers):
+                for dual_tol in (covdesign.DEFAULT_DUAL_TOL, 1e-6):
+                    seen.add(self.assert_same(monkeypatch, *design, P_t, C, dual_tol=dual_tol))
+        assert seen == {"InfeasibleError", "slack", "grown", "active"}
+
+    @pytest.mark.parametrize("max_iterations", range(1, 11))
+    def test_small_iteration_limits_match_bisection(self, monkeypatch, max_iterations):
+        seen = set()
+        for design, C, *powers in search_instances():
+            for P_t in budgets(*powers)[1:]:
+                seen.add(self.assert_same(monkeypatch, *design, P_t, C,
+                                          max_iterations=max_iterations))
+        # Too few evaluations to bracket a grown multiplier raise; one
+        # evaluation cannot bracket any.
+        assert "SolverError" in seen and ("grown" in seen) == (max_iterations > 1)
+
+    def test_power_equal_to_budget_is_not_below_it(self, monkeypatch):
+        design, C, *_ = next(search_instances())
+        kernel = covdesign._DualKernel.weighted(
+            design[0].diagonals, design[2], covdesign._whiten(design[1], design[3]))
+        # The bracket stops growing at hi = 2 with power(2) == P_t: every
+        # midpoint then moves lo and the answer is the top point.
+        P_t = kernel.step(2.0, C).power
+        assert kernel.step(1.0, C).power > P_t
+        sol = solve_weighted_eip(*design, P_t, C)
+        assert sol.dual.lambda1 == 2.0
+        self.assert_same(monkeypatch, *design, P_t, C)
+        # The first midpoint 0.5 has power == P_t and must move lo.
+        P_t = kernel.step(0.5, C).power
+        sol = solve_weighted_eip(*design, P_t, C)
+        assert 0.5 < sol.dual.lambda1 <= 0.5 + 2.0 ** -30
+        self.assert_same(monkeypatch, *design, P_t, C)
+
+    def test_default_scenario_matches_bisection(self, monkeypatch):
+        for p in (0.2, 0.6, 1.0):
+            cfg = ScenarioConfig(p=p, seed=3)
+            scn = make_scenario(cfg)
+            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+            for w in (weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L),
+                      weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)):
+                for P_t in (cfg.P_t, 0.1 * cfg.P_t):
+                    self.assert_same(monkeypatch, w, scn.channels.H, scn.channels.G2,
+                                     noise, P_t, cfg.C)
+
+    def test_probes_are_capped_on_a_step_curve(self):
+        # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the
+        # secant weight is 5e-301, and uncapped Illinois steps would creep
+        # one grid point at a time from hi for about a thousand probes.
+        class StepCurve:
+            def step(self, lambda1, C):
+                power = 1e300 if lambda1 < 0.3 else 0.5
+                return covdesign._DualIterate(lambda1, 1.0, power, None, None, None)
+
+        best, evaluations, converged = covdesign._dual_search(
+            StepCurve(), 1.0, 1.0, covdesign.DEFAULT_DUAL_TOL, 200)
+        ref, ref_evaluations, ref_converged = bisection_oracle(
+            StepCurve(), 1.0, 1.0, covdesign.DEFAULT_DUAL_TOL, 200)
+        assert best.lambda1 == ref.lambda1 and converged == ref_converged
+        # One bracket evaluation, at most 30 probes and 30 replayed midpoints.
+        assert ref_evaluations == 31 and evaluations <= 61

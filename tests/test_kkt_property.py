@@ -1,0 +1,43 @@
+"""KKT conditions of the weighted-EIP design on small random instances."""
+
+import numpy as np
+import pytest
+
+from specshare.covdesign import solve_selfish, solve_weighted_eip, verify_solution
+from specshare.interference import METHOD_EIP_I, NoiseCovSchedule, WeightSchedule
+from specshare.linalg import crandn, hermitize
+from specshare.streams import stream
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def instance(seed, L):
+    """2 x 2 channel, 3 x 2 radar channel, L noise covariances and 0/1 weights."""
+    rng = stream(seed, "kkt")
+    H = crandn(rng, 2, 2)
+    G2 = crandn(rng, 3, 2)
+    mats = []
+    for _ in range(L):
+        A = crandn(rng, 2, 2)
+        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
+    w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
+    return WeightSchedule(w, METHOD_EIP_I), H, G2, NoiseCovSchedule(mats)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
+@hypothesis.given(seed=st.integers(0, 10_000), L=st.integers(1, 4),
+                  C=st.floats(0.25, 3.0), headroom=st.floats(0.01, 3.0))
+def test_verify_solution_reports_kkt(seed, L, C, headroom):
+    weights, H, G2, noise = instance(seed, L)
+    # Above the selfish (minimum) power the target is feasible; small
+    # headroom makes the budget bind, large headroom leaves it slack.
+    P_t = solve_selfish(H, noise, C).consumed_power * (1.0 + headroom)
+    sol = solve_weighted_eip(weights, H, G2, noise, P_t, C)
+    report = verify_solution(sol, H, G2, noise, P_t, C)
+    assert report["psd_ok"]
+    assert report["power_feasible"]
+    assert report["capacity_active"]
+    # lambda1 (P_t - power) vanishes to the bisection's resolution: lambda1
+    # is its lowest grid point, or the power is within a grid step of P_t.
+    assert report["slackness_residual"] <= 1e-8 * max(1.0, sol.dual.lambda1) * P_t
