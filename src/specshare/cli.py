@@ -68,11 +68,10 @@ def _build_spec(args, sweep_var="none", sweep_values=(None,)):
 
 
 def _emit(rows, args):
-    text = format_csv(rows, timing=args.timing)
     if args.out:
         write_csv(rows, args.out, timing=args.timing)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(format_csv(rows, timing=args.timing))
     if rows and all(r.error for r in rows):
         return 2
     return 0

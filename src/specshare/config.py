@@ -130,15 +130,10 @@ def format_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str, extra_keys=()) -> tuple[ScenarioConfig, dict]:
-    """Parse flat key/value text into a ScenarioConfig.
-
-    Keys listed in extra_keys are collected verbatim into the returned dict
-    instead of being treated as config fields (the harness uses this for
-    experiment-level settings).
-    """
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse flat key/value text (the format_config format; '#' starts a
+    comment) into a ScenarioConfig. Every key must be a config field."""
     values = {}
-    extras = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -146,9 +141,6 @@ def parse_config(text: str, extra_keys=()) -> tuple[ScenarioConfig, dict]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in extra_keys:
-            extras[key] = val
-            continue
         if key not in _FIELD_NAMES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         values[key] = val
@@ -165,7 +157,7 @@ def parse_config(text: str, extra_keys=()) -> tuple[ScenarioConfig, dict]:
             kwargs[key] = None
         else:
             kwargs[key] = float(val)
-    return ScenarioConfig(**kwargs), extras
+    return ScenarioConfig(**kwargs)
 
 
 def save_config(cfg: ScenarioConfig, path):
@@ -175,5 +167,4 @@ def save_config(cfg: ScenarioConfig, path):
 
 def load_config(path) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
-        cfg, _ = parse_config(fh.read())
-    return cfg
+        return parse_config(fh.read())

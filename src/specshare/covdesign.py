@@ -15,8 +15,8 @@ that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
 the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
 solve; each dual step is then one stacked SVD, and the power follows in
 closed form from its factors. Covariance matrices are built only for the
-returned iterate. The selfish design (W_l = 0, lambda1 = 1) and the
-single-symbol subproblem run through the same kernel.
+returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs through
+the same kernel.
 """
 
 from __future__ import annotations
@@ -223,35 +223,9 @@ def _whiten(H: np.ndarray, noise: NoiseCovSchedule) -> np.ndarray:
     return psd_inv_sqrt(noise.matrices) @ H
 
 
-def subproblem_solution(
-    lambda1: float,
-    lambda2: float,
-    w_diag: np.ndarray,
-    G2: np.ndarray,
-    H: np.ndarray,
-    R_wl: np.ndarray,
-    allow_ridge: bool = True,
-) -> np.ndarray:
-    """Closed-form minimizer of Tr(Phi R) - lambda2 log2|I + R_w^{-1} H R H^H|.
-
-    Phi = G2^H diag(w) G2 + lambda1 I. The optimum is a water-filling
-    allocation in the whitened channel R_w^{-1/2} H Phi^{-1/2}.
-    """
-    whitened = _whiten(H, NoiseCovSchedule([R_wl]))
-    kernel = _DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
-    if kernel.singular(lambda1)[0] and not (allow_ridge and lambda1 >= 0.0):
-        raise SolverError("Phi is singular at lambda1 = 0")
-    it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
-    return kernel.covariances(it)[0]
-
-
-def max_average_capacity(H, noise: NoiseCovSchedule, P_t: float) -> float:
-    """Water-filling capacity bound of the block under total power P_t."""
-    return _capacity_bound(_whiten(H, noise), P_t)
-
-
 def _capacity_bound(whitened: np.ndarray, P_t: float) -> float:
-    """max_average_capacity from the (L, M_rC, M_tC) whitened channels."""
+    """Water-filling capacity bound of the block under total power P_t, from
+    the (L, M_rC, M_tC) whitened channels R_wl^{-1/2} H."""
     gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))

@@ -21,8 +21,6 @@ from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme
 from .covdesign import InfeasibleError, solve_selfish, solve_weighted_eip
 from .interference import (
-    METHOD_EIP_I,
-    METHOD_EIP_II,
     METHOD_IP_FMFB,
     METHOD_TIP,
     interference_diag_matrix,
@@ -133,12 +131,10 @@ def _solve_method(method, cfg, scn, noise):
         return solve_selfish(H, noise, cfg.C), scn.mask
     if method == "noncoop":
         w = weight_schedule(METHOD_TIP, n_rx, L)
-    elif method == "coop":
-        w = weight_schedule(METHOD_EIP_I, n_rx, L, mask=scn.mask)
+    elif method in ("coop", "full"):  # the radar scheme's EIP, per validate()
+        w = scheme_weights(cfg, scn.mask, S)
     elif method == "partial":
         w = weight_schedule(METHOD_IP_FMFB, n_rx, L, S=S)
-    elif method == "full":
-        w = weight_schedule(METHOD_EIP_II, n_rx, L, mask=scn.mask, S=S)
     elif method == "joint":
         result = joint_design(cfg, H, G2, noise, S, scn.mask)
         return result.solution, result.mask

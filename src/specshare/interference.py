@@ -13,8 +13,8 @@ nonnegative diagonal weights W_l differ (weight_schedule):
 weighted_eip forms the sum, scheme_weights picks the radar scheme's EIP
 weights and mismatched_weight_diagonals remaps them onto the comm symbol
 grid when the symbol rates differ. Schedules are stacked (L, n, n) arrays.
-The trace form of EIP_II and a Monte-Carlo oracle evaluate the same
-quantities independently, for testing.
+Independent oracles for these quantities (the trace form of EIP_II and a
+Monte-Carlo estimate from the signal model) are kept with the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
-from .linalg import crandn, hermitize, min_eig, psd_sqrt
+from .linalg import hermitize, min_eig, psd_sqrt
 from .scenario import SamplingMask
 
 PSD_TOL = 1e-9
@@ -85,7 +85,6 @@ class WeightSchedule:
     """Per-symbol nonnegative diagonal interference weights."""
 
     diagonals: np.ndarray  # L x M_rR, real nonnegative
-    method: str
 
     def __len__(self):
         return self.diagonals.shape[0]
@@ -151,17 +150,6 @@ def matched_filter_weights(S: np.ndarray, mask: SamplingMask):
     return delta_lxi, s_abs2.sum(axis=0)
 
 
-def eip_scheme2_trace_form(
-    mask: SamplingMask, S: np.ndarray, G2: np.ndarray, schedule: CovarianceSchedule
-) -> float:
-    """Equivalent trace form Tr(Omega^T Q (S o conj(S))^T)."""
-    if mask.omega.shape != (G2.shape[0], S.shape[0]):
-        raise MetricError("mask is not Scheme-II shaped")
-    Q = interference_diag_matrix(G2, schedule)
-    s_abs2 = np.abs(S) ** 2
-    return float(np.trace(mask.omega.T @ Q @ s_abs2.T).real)
-
-
 def weight_schedule(
     method: str,
     n_rx: int,
@@ -196,7 +184,7 @@ def weight_schedule(
         diags = delta_lxi
     else:
         raise MetricError(f"unknown weight method {method!r}")
-    return WeightSchedule(diagonals=diags, method=method)
+    return WeightSchedule(diagonals=diags)
 
 
 def scheme_weights(cfg: ScenarioConfig, mask: SamplingMask, S: np.ndarray) -> WeightSchedule:
@@ -243,39 +231,3 @@ def mismatched_weight_diagonals(
     if L_radar != k * L_comm:
         raise MetricError("radar symbol count must equal k * comm symbol count")
     return weights.diagonals.reshape(L_comm, k, n_rx).sum(axis=1)
-
-
-def empirical_eip(
-    cfg: ScenarioConfig,
-    mask: SamplingMask,
-    G2: np.ndarray,
-    S: np.ndarray,
-    schedule: CovarianceSchedule,
-    trials: int,
-    rng: np.random.Generator,
-):
-    """Monte-Carlo estimate of the masked interference power.
-
-    Draws x(l) ~ CN(0, R_xl) and fresh phase offsets each trial and
-    evaluates the masked power directly from the signal model. Returns
-    (mean, standard error).
-    """
-    if trials < 1:
-        raise MetricError("trials must be >= 1")
-    roots = schedule.sqrts()
-    L = len(schedule)
-    n_tx = roots[0].shape[0]
-    samples = np.empty(trials)
-    sd_alpha = np.sqrt(cfg.sigma_alpha2)
-    for t in range(trials):
-        X = np.stack([roots[l] @ crandn(rng, n_tx) for l in range(L)], axis=1)
-        lam2 = np.exp(1j * sd_alpha * rng.standard_normal(L))
-        interf = (G2 @ X) * lam2
-        if cfg.scheme is Scheme.SCHEME_I:
-            masked = mask.omega * interf
-        else:
-            masked = mask.omega * (interf @ S.conj().T)
-        samples[t] = np.sum(np.abs(masked) ** 2)
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr

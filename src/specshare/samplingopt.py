@@ -4,7 +4,8 @@ The mask objective Tr(Omega^T Q~) is minimized over the permutation orbit
 of the initial mask: each sweep solves one column and one row linear
 assignment problem (Hungarian algorithm) and never increases the
 objective. Permutations preserve the mask's singular values, hence its
-spectral gap and completability.
+spectral gap and completability. The joint design alternates this search
+with the weighted covariance design, from the one initial mask it is given.
 """
 
 from __future__ import annotations
@@ -16,7 +17,16 @@ import numpy as np
 from .interference import NoiseCovSchedule, interference_diag_matrix, scheme_weights
 from .config import ScenarioConfig, Scheme
 from .covdesign import DesignSolution, solve_weighted_eip
-from .scenario import SamplingMask, generate_sampling_mask
+from .scenario import SamplingMask
+
+# optimize_mask stops once a sweep lowers the objective by less than
+# _MASK_RTOL times the initial objective (at least 1), or after _MAX_SWEEPS.
+_MASK_RTOL = 1e-9
+_MAX_SWEEPS = 100
+# joint_design stops once an outer iteration moves the EIP by less than
+# _EIP_RTOL times the first iteration's EIP, or after _MAX_OUTER iterations.
+_EIP_RTOL = 1e-6
+_MAX_OUTER = 50
 
 
 @dataclass
@@ -148,19 +158,18 @@ def best_row_permutation(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask
     return mask.with_omega(out)
 
 
-def optimize_mask(mask: SamplingMask, Qtilde: np.ndarray, delta1: float | None = None,
-                  max_sweeps: int = 100) -> SamplingMask:
-    """Alternate column/row permutations until the objective change < delta1."""
+def optimize_mask(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask:
+    """Alternate column/row permutations until a sweep stops lowering the
+    objective (see _MASK_RTOL)."""
     obj = mask_objective(mask, Qtilde)
-    if delta1 is None:
-        delta1 = 1e-9 * max(obj, 1.0)
-    for _ in range(max_sweeps):
+    tol = _MASK_RTOL * max(obj, 1.0)
+    for _ in range(_MAX_SWEEPS):
         cand = best_row_permutation(best_column_permutation(mask, Qtilde), Qtilde)
         new_obj = mask_objective(cand, Qtilde)
         if new_obj > obj + 1e-12:
             break  # assignment optimality should prevent this; stop defensively
         mask = cand
-        if abs(obj - new_obj) < delta1:
+        if abs(obj - new_obj) < tol:
             obj = new_obj
             break
         obj = new_obj
@@ -182,59 +191,32 @@ def joint_design(
     G2: np.ndarray,
     noise: NoiseCovSchedule,
     S: np.ndarray,
-    mask0: SamplingMask,
-    delta1: float | None = None,
-    delta2: float | None = None,
-    max_outer: int = 50,
-    restarts: int = 1,
-    rng: np.random.Generator | None = None,
-    require_coverage: bool = True,
+    mask: SamplingMask,
 ) -> JointDesignResult:
     """Alternating covariance / sampling-mask optimization.
 
     Each outer iteration solves the weighted covariance problem for the
     current mask, then permutes the mask against the resulting interference
-    profile (Q~ = Q for Scheme I, Q~ = Q (S o conj(S))^T for Scheme II).
-    Extra restarts draw fresh initial masks from rng and keep the best
-    final EIP.
+    profile (Q~ = Q for Scheme I, Q~ = Q (S o conj(S))^T for Scheme II),
+    until the EIP stops falling (see _EIP_RTOL).
     """
-    best = None
-    for r in range(restarts):
-        if r == 0:
-            mask = mask0
-        else:
-            if rng is None:
-                raise ValueError("restarts > 1 requires an rng to draw new masks")
-            mask = generate_sampling_mask(cfg, rng, require_coverage=require_coverage)
-        result = _joint_design_once(
-            cfg, H, G2, noise, S, mask, delta1, delta2, max_outer
-        )
-        if best is None or result.eip_trace[-1] < best.eip_trace[-1]:
-            best = result
-    return best
-
-
-def _joint_design_once(cfg, H, G2, noise, S, mask, delta1, delta2, max_outer):
     trace = []
     solution = None
-    d2 = delta2
-    for n in range(max_outer):
+    for n in range(_MAX_OUTER):
         weights = scheme_weights(cfg, mask, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
         eip = solution.objective_eip
         trace.append(eip)
         if eip == 0.0:
             break  # no interference reaches the radar; the mask is irrelevant
-        if d2 is None:
-            d2 = 1e-6 * max(eip, 1e-30)
-        if n > 0 and abs(trace[-2] - eip) < d2:
+        if n > 0 and abs(trace[-2] - eip) < _EIP_RTOL * max(trace[0], 1e-30):
             break
         Q = interference_diag_matrix(G2, solution.schedule)  # M_rR x L
         if cfg.scheme is Scheme.SCHEME_I:
             Qtilde = Q
         else:
             Qtilde = Q @ (np.abs(S) ** 2).T  # M_rR x M_tR
-        mask = optimize_mask(mask, Qtilde, delta1)
+        mask = optimize_mask(mask, Qtilde)
     return JointDesignResult(
         solution=solution, mask=mask, eip_trace=trace, outer_iterations=len(trace)
     )

@@ -140,14 +140,18 @@ def generate_sampling_mask(
             f"in a {rows}x{cols} mask"
         )
     for _ in range(max_attempts):
-        flat = np.zeros(size)
-        flat[rng.choice(size, size=n_ones, replace=False)] = 1.0
-        omega = flat.reshape(rows, cols)
-        if not require_coverage:
-            return SamplingMask(omega=omega)
-        if omega.sum(axis=1).min() >= 1 and omega.sum(axis=0).min() >= 1:
-            return SamplingMask(omega=omega)
+        cells = rng.choice(size, size=n_ones, replace=False)
+        if not require_coverage or _covers(cells, rows, cols):
+            flat = np.zeros(size)
+            flat[cells] = 1.0
+            return SamplingMask(omega=flat.reshape(rows, cols))
     return SamplingMask(omega=_covering_mask(rows, cols, n_ones, rng))
+
+
+def _covers(cells: np.ndarray, rows: int, cols: int) -> bool:
+    """Whether the flat (row-major) cell indices hit every column and row."""
+    return (len(set((cells % cols).tolist())) == cols
+            and len(set((cells // cols).tolist())) == rows)
 
 
 def _covering_mask(rows: int, cols: int, n_ones: int, rng: np.random.Generator) -> np.ndarray:

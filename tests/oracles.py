@@ -1,0 +1,60 @@
+"""Independent reference implementations of the interference metrics.
+
+They evaluate the quantities that specshare.interference computes through
+its one weighted form by other routes: the EIP_II trace form, and a
+Monte-Carlo estimate of the masked interference power drawn from the signal
+model itself. Only the tests use them.
+"""
+
+import numpy as np
+
+from specshare.config import Scheme
+from specshare.interference import MetricError, interference_diag_matrix
+
+
+def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
+    """Equivalent trace form Tr(Omega^T Q (S o conj(S))^T)."""
+    if mask.omega.shape != (G2.shape[0], S.shape[0]):
+        raise MetricError("mask is not Scheme-II shaped")
+    Q = interference_diag_matrix(G2, schedule)
+    s_abs2 = np.abs(S) ** 2
+    return float(np.trace(mask.omega.T @ Q @ s_abs2.T).real)
+
+
+def eip_samples(cfg, mask, G2, S, schedule, trials: int, rng) -> np.ndarray:
+    """Masked interference power of `trials` independent realizations.
+
+    Each trial draws x(l) ~ CN(0, R_xl) for l = 0 .. L-1 (the real then the
+    imaginary parts of crandn, symbol by symbol) and then L fresh phase
+    offsets, and evaluates the masked power directly from the signal model.
+    All trials are drawn in one call and evaluated as stacked arrays; the
+    normals come in the same order as trial-by-trial crandn calls, and each
+    sample is bit-equal to the one a loop over trials and symbols computes.
+    """
+    if trials < 1:
+        raise MetricError("trials must be >= 1")
+    roots = schedule.sqrts()  # (L, n_tx, n_tx)
+    L, n_tx = roots.shape[0], roots.shape[1]
+    draws = rng.standard_normal((trials, 2 * L * n_tx + L))
+    parts = draws[:, : 2 * L * n_tx].reshape(trials, L, 2, n_tx)
+    v = (parts[:, :, 0] + 1j * parts[:, :, 1]) / np.sqrt(2.0)
+    # Contiguous (trials, n_tx, L), laid out like the loop's per-trial X: a
+    # transposed view sends G2 @ X down another BLAS path when M_rR = 1,
+    # which rounds differently.
+    X = np.ascontiguousarray(np.swapaxes((roots @ v[..., None])[..., 0], -1, -2))
+    lam2 = np.exp(1j * np.sqrt(cfg.sigma_alpha2) * draws[:, 2 * L * n_tx:])
+    interf = (G2 @ X) * lam2[:, None, :]
+    if cfg.scheme is Scheme.SCHEME_I:
+        masked = mask.omega * interf
+    else:
+        masked = mask.omega * (interf @ S.conj().T)
+    return np.sum((np.abs(masked) ** 2).reshape(trials, -1), axis=1)
+
+
+def empirical_eip(cfg, mask, G2, S, schedule, trials: int, rng):
+    """Monte-Carlo estimate of the masked interference power:
+    (mean, standard error) over eip_samples."""
+    samples = eip_samples(cfg, mask, G2, S, schedule, trials, rng)
+    mean = float(samples.mean())
+    stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return mean, stderr

@@ -27,8 +27,6 @@ from specshare.interference import (
     METHOD_TIP,
     CovarianceSchedule,
     WeightSchedule,
-    eip_scheme2_trace_form,
-    empirical_eip,
     interference_diag_matrix,
     mismatched_weight_diagonals,
     noise_covariances,
@@ -38,8 +36,10 @@ from specshare.interference import (
 )
 from specshare.linalg import crandn, hermitize
 from specshare.samplingopt import hungarian, joint_design
-from specshare.scenario import SamplingMask, make_scenario
+from specshare.scenario import SamplingMask, generate_sampling_mask, make_scenario
 from specshare.streams import stream
+
+from oracles import eip_scheme2_trace_form, empirical_eip
 
 P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 N_SEEDS = 20
@@ -52,6 +52,19 @@ PIPELINE_PARAMS = CompletionParams(mu_rel=0.1)
 def scheme_eip(cfg, mask, S, G2, schedule):
     """The radar scheme's EIP of a design, through the one weighted form."""
     return weighted_eip(scheme_weights(cfg, mask, S), interference_diag_matrix(G2, schedule))
+
+
+def best_joint_design(cfg, scn, noise, restarts, rng):
+    """The joint design from scn.mask and from restarts - 1 covering masks
+    drawn in turn from rng, keeping the lowest final EIP (the first on ties)."""
+    best = None
+    for r in range(restarts):
+        mask = scn.mask if r == 0 else generate_sampling_mask(cfg, rng)
+        result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
+                              scn.waveforms.S, mask)
+        if best is None or result.eip_trace[-1] < best.eip_trace[-1]:
+            best = result
+    return best
 
 
 def scenario2_cfg(**kw):
@@ -131,9 +144,7 @@ def joint_grid():
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
             selfish = solve_selfish(scn.channels.H, noise, cfg.C)
-            result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                                  scn.waveforms.S, scn.mask, restarts=3,
-                                  rng=stream(seed, "acc-joint", p))
+            result = best_joint_design(cfg, scn, noise, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
                 "eip_selfish": scheme_eip(cfg, scn.mask, scn.waveforms.S,
                                           scn.channels.G2, selfish.schedule),
@@ -391,7 +402,7 @@ def test_criterion_12_mismatched_rates():
     def eip_mismatched(cfg, schedule):
         w = scheme_weights(cfg, mask, S4)
         diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
-        return weighted_eip(WeightSchedule(diags, w.method),
+        return weighted_eip(WeightSchedule(diags),
                             interference_diag_matrix(G2, schedule))
 
     # Equal rates reproduce the matched-rate metric exactly.

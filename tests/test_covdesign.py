@@ -15,7 +15,6 @@ from specshare.covdesign import (
     min_capacity_multiplier,
     solve_selfish,
     solve_weighted_eip,
-    subproblem_solution,
     verify_solution,
     water_fill,
 )
@@ -85,6 +84,16 @@ class TestMinCapacityMultiplier:
             ach = achieved_log_sum(lam2, sing)
             assert L * C <= ach <= L * C + 1e-8
             assert achieved_log_sum(lam2 - 1e-6, sing) < L * C
+
+
+def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
+    """Closed-form minimizer of Tr(Phi R) - lambda2 log2|I + R_w^{-1} H R H^H|
+    with Phi = G2^H diag(w) G2 + lambda1 I, from the solver's dual kernel on
+    a one-symbol block."""
+    whitened = covdesign._whiten(H, NoiseCovSchedule([R_wl]))
+    kernel = covdesign._DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
+    it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
+    return kernel.covariances(it)[0]
 
 
 class TestSubproblemSolution:
@@ -485,7 +494,7 @@ def search_instances():
         C = float(rng.uniform(0.5, 3.0))
         kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
         powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30)]
-        design = (WeightSchedule(w, METHOD_EIP_I), H, G2, noise)
+        design = (WeightSchedule(w), H, G2, noise)
         yield design, C, solve_selfish(H, noise, C).consumed_power, *powers
 
 

@@ -210,6 +210,15 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
+    def test_out_file_bytes_equal_stdout(self, tmp_path, capsysbinary):
+        argv = ["sweep", "--methods", "selfish,noncoop", "--sweep", "p=0.5:1.0:0.5",
+                "--seeds", "2"]
+        out = tmp_path / "out.csv"
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert cli_main(argv) == 0
+        assert out.read_bytes() == capsysbinary.readouterr().out
+
     def test_sweep_grid(self, tmp_path):
         out = tmp_path / "out.csv"
         code = cli_main(["sweep", "--methods", "selfish", "--sweep",

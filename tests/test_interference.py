@@ -16,8 +16,6 @@ from specshare.interference import (
     NoiseCovSchedule,
     WeightSchedule,
     average_capacity,
-    eip_scheme2_trace_form,
-    empirical_eip,
     interference_diag_matrix,
     matched_filter_weights,
     mismatched_weight_diagonals,
@@ -29,6 +27,8 @@ from specshare.interference import (
 from specshare.linalg import crandn, hermitize, psd_sqrt
 from specshare.scenario import SamplingMask
 from specshare.streams import stream
+
+from oracles import eip_samples, eip_scheme2_trace_form, empirical_eip
 
 
 def random_psd(rng, n, scale=1.0):
@@ -336,7 +336,6 @@ class TestWeightSchedule:
     def test_tip_weights(self):
         w = weight_schedule(METHOD_TIP, 4, 6)
         assert np.all(w.diagonals == 1.0)
-        assert w.method == METHOD_TIP
 
     def test_eip1_full_mask_matches_tip(self):
         mask = SamplingMask(np.ones((4, 6)))
@@ -370,7 +369,7 @@ class TestWeightSchedule:
             weighted_eip(weight_schedule(METHOD_TIP, 6, 4), Q)
 
     def test_weighted_eip_is_signed(self):
-        w = WeightSchedule(diagonals=np.ones((1, 2)), method=METHOD_TIP)
+        w = WeightSchedule(diagonals=np.ones((1, 2)))
         assert weighted_eip(w, np.array([[-1e-18], [0.0]])) == -1e-18
 
     def test_scheme_weights(self):
@@ -382,9 +381,7 @@ class TestWeightSchedule:
         cfg2 = ScenarioConfig(scheme=Scheme.SCHEME_II)
         w1 = scheme_weights(cfg1, mask1, S)
         w2 = scheme_weights(cfg2, mask2, S)
-        assert w1.method == METHOD_EIP_I
         assert np.array_equal(w1.diagonals, mask1.omega.T)
-        assert w2.method == METHOD_EIP_II
         assert np.array_equal(w2.diagonals, matched_filter_weights(S, mask2)[0])
         with pytest.raises(MetricError):
             scheme_weights(cfg1, mask2, S)
@@ -419,20 +416,20 @@ class TestMismatchedRates:
 
     def test_radar_faster_sums_consecutive_weights(self):
         d = np.arange(12.0).reshape(4, 3)
-        w = WeightSchedule(diagonals=d, method=METHOD_EIP_I)
+        w = WeightSchedule(diagonals=d)
         out = mismatched_weight_diagonals(w, 2.0, 1.0, 2)
         assert np.array_equal(out, d[0::2] + d[1::2])
 
     def test_radar_slower_zeroes_unsampled_symbols(self):
         d = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = WeightSchedule(diagonals=d, method=METHOD_EIP_I)
+        w = WeightSchedule(diagonals=d)
         out = mismatched_weight_diagonals(w, 1.0, 2.0, 4)
         assert np.array_equal(out[0], d[0])
         assert np.array_equal(out[2], d[1])
         assert np.all(out[1] == 0) and np.all(out[3] == 0)
 
     def test_non_integer_ratio_rejected(self):
-        w = WeightSchedule(diagonals=np.ones((3, 2)), method=METHOD_EIP_I)
+        w = WeightSchedule(diagonals=np.ones((3, 2)))
         with pytest.raises(MetricError):
             mismatched_weight_diagonals(w, 2.0, 3.0, 3)
 
@@ -445,7 +442,7 @@ class TestMismatchedRates:
         mask = random_mask(rng, 3, 4)
         w = scheme_weights(cfg, mask, S)
         diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
-        val = weighted_eip(WeightSchedule(diags, w.method),
+        val = weighted_eip(WeightSchedule(diags),
                            interference_diag_matrix(G2, schedule))
         assert abs(val - loop_weighted_trace(mask.omega.T, G2, schedule)) < 1e-12
 
@@ -489,6 +486,36 @@ class TestEmpiricalEip:
                                 interference_diag_matrix(G2, schedule))
         mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10000, stream(1, "emp"))
         assert abs(analytic - mean) <= 3 * se
+
+    @pytest.mark.parametrize("scheme", [Scheme.SCHEME_I, Scheme.SCHEME_II])
+    @pytest.mark.parametrize("n_rx,n_tx,m,L", [(3, 2, 2, 4), (1, 5, 2, 10), (8, 8, 4, 32)])
+    def test_samples_equal_per_symbol_loop(self, scheme, n_rx, n_tx, m, L):
+        # The batched draw must reproduce every sample of the trial-by-trial,
+        # symbol-by-symbol loop bit for bit, so the statistical tests keep
+        # their realizations.
+        def loop_samples(cfg, mask, G2, S, schedule, trials, rng):
+            roots = schedule.sqrts()
+            samples = np.empty(trials)
+            for t in range(trials):
+                X = np.stack([roots[l] @ crandn(rng, n_tx) for l in range(L)], axis=1)
+                lam2 = np.exp(1j * np.sqrt(cfg.sigma_alpha2) * rng.standard_normal(L))
+                interf = (G2 @ X) * lam2
+                if cfg.scheme is Scheme.SCHEME_I:
+                    masked = mask.omega * interf
+                else:
+                    masked = mask.omega * (interf @ S.conj().T)
+                samples[t] = np.sum(np.abs(masked) ** 2)
+            return samples
+
+        rng = stream(3, "emp-batch")
+        cfg = ScenarioConfig(M_tR=m, M_rR=n_rx, M_tC=n_tx, M_rC=2, L=L, scheme=scheme)
+        S = random_orthonormal_rows(rng, m, L)
+        G2 = crandn(rng, n_rx, n_tx)
+        schedule = random_schedule(rng, n_tx, L)
+        mask = random_mask(rng, n_rx, L if scheme is Scheme.SCHEME_I else m)
+        want = loop_samples(cfg, mask, G2, S, schedule, 200, stream(4, "emp-batch"))
+        got = eip_samples(cfg, mask, G2, S, schedule, 200, stream(4, "emp-batch"))
+        assert np.array_equal(got, want)
 
 
 class TestCovarianceSchedule:

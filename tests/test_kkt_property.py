@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specshare.covdesign import solve_selfish, solve_weighted_eip, verify_solution
-from specshare.interference import METHOD_EIP_I, NoiseCovSchedule, WeightSchedule
+from specshare.interference import NoiseCovSchedule, WeightSchedule
 from specshare.linalg import crandn, hermitize
 from specshare.streams import stream
 
@@ -22,7 +22,7 @@ def instance(seed, L):
         A = crandn(rng, 2, 2)
         mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
     w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
-    return WeightSchedule(w, METHOD_EIP_I), H, G2, NoiseCovSchedule(mats)
+    return WeightSchedule(w), H, G2, NoiseCovSchedule(mats)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)

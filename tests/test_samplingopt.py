@@ -208,18 +208,3 @@ class TestJointDesign:
         # The recorded trace ends with the EIP of the final schedule under the
         # mask it was solved for.
         assert abs(val - result.eip_trace[-1]) <= 1e-6 * max(val, 1e-12)
-
-    def test_restarts_keep_best(self):
-        cfg, scn, noise = scenario_instance(3)
-        single = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                              scn.waveforms.S, scn.mask)
-        multi = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                             scn.waveforms.S, scn.mask, restarts=3,
-                             rng=stream(3, "restarts"))
-        assert multi.eip_trace[-1] <= single.eip_trace[-1] + 1e-12
-
-    def test_restarts_without_rng_rejected(self):
-        cfg, scn, noise = scenario_instance(4)
-        with pytest.raises(ValueError):
-            joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                         scn.waveforms.S, scn.mask, restarts=2)

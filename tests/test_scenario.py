@@ -14,6 +14,7 @@ from specshare.scenario import (
     generate_target_response,
     generate_waveforms,
     make_scenario,
+    mask_shape,
     noiseless_radar_return,
     steering_vector,
     synthesize_comm_rx,
@@ -149,6 +150,41 @@ class TestSamplingMask:
         assert a.omega.sum(axis=0).min() >= 1
         assert set(np.unique(a.omega)) <= {0.0, 1.0}
         assert np.array_equal(a.omega, b.omega)
+
+    @pytest.mark.parametrize("scheme,p,require_coverage", [
+        (Scheme.SCHEME_I, 0.13, True),   # every draw fails: the fallback
+        (Scheme.SCHEME_I, 0.15, True),
+        (Scheme.SCHEME_I, 0.25, True),   # some draws fail, then one covers
+        (Scheme.SCHEME_I, 0.5, True),
+        (Scheme.SCHEME_I, 0.05, False),
+        (Scheme.SCHEME_II, 0.3, True),
+        (Scheme.SCHEME_II, 0.9, True),
+    ])
+    def test_same_masks_and_draws_as_mask_loop(self, scheme, p, require_coverage):
+        # The coverage test runs on the drawn cells; the sampler must still
+        # make the same rng calls and return the same mask as the loop that
+        # built every candidate mask and summed its rows and columns.
+        def loop_mask(cfg, rng, max_attempts):
+            rows, cols = mask_shape(cfg)
+            n_ones = int(np.floor(cfg.p * rows * cols))
+            for _ in range(max_attempts):
+                flat = np.zeros(rows * cols)
+                flat[rng.choice(rows * cols, size=n_ones, replace=False)] = 1.0
+                omega = flat.reshape(rows, cols)
+                if not require_coverage:
+                    return omega
+                if omega.sum(axis=1).min() >= 1 and omega.sum(axis=0).min() >= 1:
+                    return omega
+            return _covering_mask(rows, cols, n_ones, rng)
+
+        for seed in range(4):
+            cfg = ScenarioConfig(M_rR=8, L=32, p=p, scheme=scheme, seed=seed)
+            want_rng, got_rng = stream(seed, "mask"), stream(seed, "mask")
+            want = loop_mask(cfg, want_rng, max_attempts=2000)
+            got = generate_sampling_mask(cfg, got_rng, require_coverage=require_coverage,
+                                         max_attempts=2000)
+            assert np.array_equal(got.omega, want)
+            assert got_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("rows,cols", [(8, 32), (32, 8), (5, 5), (1, 7)])
     def test_covering_fallback_every_count(self, rows, cols):
@@ -345,15 +381,9 @@ class TestConfig:
             scheme=Scheme.SCHEME_II,
             targets=[(30.0, 0.2 + 0.1j), (-15.0, 0.05 - 0.02j)],
         )
-        back, extras = parse_config(format_config(cfg))
+        back = parse_config(format_config(cfg))
         assert back == cfg
-        assert extras == {}
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("no_such_field = 3\n")
-
-    def test_parse_extra_keys(self):
-        _, extras = parse_config("methods = a,b\nL = 8\nM_tR = 2\nM_rR=2\nM_tC=2\nM_rC=2",
-                                 extra_keys=("methods",))
-        assert extras == {"methods": "a,b"}
