@@ -46,12 +46,22 @@ class JointDesignResult:
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-cost linear assignment (shortest augmenting path, O(n^3)).
 
-    Rows are inserted one at a time; each step of the Dijkstra-like search
-    for an augmenting path scans all n + 1 columns with a few whole-array
-    NumPy operations: the reduced costs of the row just added to the tree,
-    the masked update of the per-column slack minv and predecessor way,
-    the argmin over the free columns and the dual update of the tree. The
-    arithmetic is the same as that of the scalar column loop, element by
+    A square cost is first offered to an identity certificate
+    (_identity_certified). When it certifies, the identity permutation is
+    the unique optimum by more than n^3 * eps * max|C|, a margin that covers
+    the rounding of the search's potentials and path sums, so the search
+    would return the identity too and is skipped; the cost is summed by the
+    same expression, so it is bit-equal as well. When the identity ties
+    with another assignment (a zero-weight cycle, as in constant or integer
+    costs) or wins by no more than the margin, the certificate does not
+    answer and the search below decides, with its lowest-index tie-break.
+
+    The search inserts rows one at a time; each step of the Dijkstra-like
+    search for an augmenting path scans all n + 1 columns with a few
+    whole-array NumPy operations: the reduced costs of the row just added to
+    the tree, the masked update of the per-column slack minv and predecessor
+    way, the argmin over the free columns and the dual update of the tree.
+    The arithmetic is the same as that of the scalar column loop, element by
     element, so the result is bit-identical to it.
 
     Rectangular inputs are padded with a constant exceeding any real entry;
@@ -66,6 +76,43 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("cost matrix contains NaN")
     if np.isinf(cost).any():
         raise ValueError("cost matrix contains infinite entries")
+    nr, nc = cost.shape
+    if nr == nc and nr > 0 and _identity_certified(cost):
+        perm = np.arange(nr)
+    else:
+        perm = _augmenting_path_search(cost)
+    total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
+    return Assignment(permutation=perm, cost=total)
+
+
+def _identity_certified(cost: np.ndarray) -> bool:
+    """True when the identity is the unique optimal assignment of the square
+    cost C by more than the margin n^3 * eps * max|C|.
+
+    The identity is the unique optimum exactly when every cycle of the
+    complete digraph with arc weights D_ij = C_ij - C_ii has positive weight
+    (a permutation's cost minus the identity's is the sum of its cycles'
+    weights). Floyd-Warshall over D, with +inf on the diagonal, leaves the
+    least cycle weight through i in D_ii. It gives up as soon as any D_ii
+    falls to the margin: a zero-weight cycle is a tie for the search to
+    break, and stopping at the first non-positive cycle also keeps negative
+    cycles from compounding towards overflow.
+    """
+    n = cost.shape[0]
+    margin = n**3 * np.finfo(float).eps * float(np.abs(cost).max())
+    D = cost - np.diag(cost)[:, None]
+    np.fill_diagonal(D, np.inf)
+    cycles = np.diagonal(D)  # a read-only view, updated in place with D
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        if cycles.min() <= margin:
+            return False
+    return True
+
+
+def _augmenting_path_search(cost: np.ndarray) -> np.ndarray:
+    """The shortest-augmenting-path search of hungarian: permutation[i] is
+    the column assigned to row i (columns >= nc are padding)."""
     nr, nc = cost.shape
     n = max(nr, nc)
     pad = float(np.abs(cost).max() if cost.size else 0.0) + 1.0
@@ -124,8 +171,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
             j0 = j1
     perm = np.empty(n, dtype=int)
     perm[p[1:] - 1] = np.arange(n)
-    total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
-    return Assignment(permutation=perm, cost=total)
+    return perm
 
 
 def mask_objective(mask: SamplingMask, Qtilde: np.ndarray) -> float:

@@ -1,15 +1,19 @@
 """Linear assignment solver against an exhaustive oracle, the scalar
-column loop it replaced, and scipy's solver."""
+column loop it replaced, and scipy's solver; its identity certificate on
+costs it must certify and on costs where it must leave the answer to the
+search."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+from specshare import samplingopt
 from specshare.config import ScenarioConfig
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import interference_diag_matrix, noise_covariances, scheme_weights
-from specshare.samplingopt import hungarian
+from specshare.samplingopt import _identity_certified, hungarian, joint_design
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
@@ -222,3 +226,107 @@ class TestScipyOracle:
     def test_joint_long_costs(self, joint_costs):
         for cost in joint_costs:
             self.assert_optimal(cost)
+
+
+def identity_optimal(rng, n, lowered):
+    """A random n x n cost whose unique optimal assignment is the identity:
+    a random cost's columns are reordered so that its optimal assignment
+    lies on the diagonal, and the diagonal is then lowered by `lowered`,
+    so every other assignment costs at least 2 * lowered more."""
+    cost = rng.uniform(-5.0, 5.0, size=(n, n))
+    cost = cost[:, hungarian(cost).permutation]
+    cost[np.diag_indices(n)] -= lowered
+    return cost
+
+
+class TestIdentityCertificate:
+    """The certificate answers only when the identity is the unique optimum
+    by more than its margin, and hungarian's answer is the scalar loop's
+    either way."""
+
+    def test_identity_optimal_costs_certified(self):
+        rng = stream(7, "hungarian")
+        for k, (n, _) in enumerate(random_shapes(rng, 60)):
+            lowered = (1e-3, 1e-2, 0.1, 1.0, 10.0)[k % 5]
+            cost = identity_optimal(rng, n, lowered)
+            assert _identity_certified(cost)
+            assert_matches_scalar_loop(cost)
+            assert np.array_equal(hungarian(cost).permutation, np.arange(n))
+
+    def test_certified_call_skips_the_search(self, monkeypatch):
+        cost = identity_optimal(stream(8, "hungarian"), 16, 0.1)
+        expected = hungarian(cost)
+
+        def no_search(_cost):
+            raise AssertionError("search ran on a certified cost")
+
+        monkeypatch.setattr(samplingopt, "_augmenting_path_search", no_search)
+        out = hungarian(cost)
+        assert np.array_equal(out.permutation, expected.permutation)
+        assert out.cost == expected.cost
+
+    def test_ties_fall_back(self):
+        for cost in (np.full((3, 3), 2.0), np.full((8, 8), -1.5), np.zeros((5, 5))):
+            assert not _identity_certified(cost)
+            assert_matches_scalar_loop(cost)
+
+    def test_zero_weight_cycles_fall_back(self):
+        """Integer costs on which the identity is optimal but ties with a
+        2-cycle or a 3-cycle of weight 0; the lowest-index tie-break of the
+        search decides."""
+        rng = stream(9, "hungarian")
+        for n in range(3, 13):
+            for _ in range(5):
+                cost = rng.integers(1, 6, size=(n, n)).astype(float)
+                np.fill_diagonal(cost, 0.0)
+                i, j, m = rng.choice(n, size=3, replace=False)
+                if n % 2:
+                    cost[i, j] = cost[j, i] = 0.0
+                else:
+                    cost[i, j] = cost[j, m] = cost[m, i] = 0.0
+                assert not _identity_certified(cost)
+                assert_matches_scalar_loop(cost)
+
+    def test_margin_boundary(self):
+        """A 2-cycle whose weight equals the margin falls back; one of twice
+        the margin is certified."""
+        n = 6
+        margin = n**3 * np.finfo(float).eps  # n^3 * eps * max|C|, max|C| = 1
+        for weight, certified in ((margin, False), (2 * margin, True)):
+            cost = np.ones((n, n))
+            np.fill_diagonal(cost, 0.0)
+            cost[1, 4] = cost[4, 1] = weight / 2
+            assert _identity_certified(cost) == certified
+            assert_matches_scalar_loop(cost)
+
+    def test_joint_design_calls(self, monkeypatch):
+        """Every assignment the joint design solves on joint-long-sized
+        Scheme I scenarios, certified or not."""
+        costs = []
+
+        def recording_hungarian(cost):
+            costs.append(np.array(cost, dtype=float))
+            return hungarian(cost)
+
+        monkeypatch.setattr(samplingopt, "hungarian", recording_hungarian)
+        for seed in (1, 2):
+            cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=seed)
+            scn = make_scenario(cfg)
+            ch = scn.channels
+            noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
+            joint_design(cfg, ch.H, ch.G2, noise, scn.waveforms.S, scn.mask)
+        certified = [_identity_certified(cost) for cost in costs]
+        assert any(certified) and not all(certified)
+        for cost in costs:
+            assert_matches_scalar_loop(cost)
+
+    def test_large_negative_cycles_no_warning(self):
+        """Negative cycles compound through Floyd-Warshall's steps; at this
+        size and scale they would overflow if the certificate did not stop
+        at the first one."""
+        cost = stream(10, "hungarian").uniform(-1.0, 1.0, size=(512, 512)) * 1e250
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _identity_certified(cost)
+            out = hungarian(cost)
+        assert sorted(out.permutation) == list(range(512))

@@ -176,13 +176,13 @@ class TestTip:
         schedule = random_schedule(rng, 2, 2)
         roots = schedule.sqrts()
         trials = 20000
-        samples = np.empty(trials)
-        for t in range(trials):
-            total = 0.0
-            for root in roots:
-                x = root @ crandn(rng, 2)
-                total += np.sum(np.abs(G2 @ x) ** 2)
-            samples[t] = total
+        # x(l) = R_l^{1/2} v for every trial and symbol at once, drawn in the
+        # order of trial-by-trial, symbol-by-symbol crandn(rng, 2) calls (real
+        # then imaginary parts); each sample is bit-equal to that loop's.
+        draws = rng.standard_normal((trials, len(roots), 2, 2))
+        v = (draws[:, :, 0] + 1j * draws[:, :, 1]) / np.sqrt(2.0)
+        x = roots @ v[..., None]
+        samples = np.sum(np.abs(G2 @ x) ** 2, axis=(-2, -1)).sum(axis=1)
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(trials)
         assert abs(metric(METHOD_TIP, G2, schedule) - mean) <= 3 * stderr
