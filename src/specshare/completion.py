@@ -51,15 +51,53 @@ class RecoveryReport:
     converged: bool
 
 
+def _gram_spectrum(X: np.ndarray):
+    """Singular values of X, descending, from its narrow-side Gram matrix.
+
+    Returns (sigma, A, V): A is X or X^H, whichever has no more columns than
+    rows, and the columns of V are the eigenvectors of A^H A in the same
+    order, i.e. the right singular vectors of A. The eigenvalues carry an
+    absolute error of about eps*sigma1^2, so sigma_i is exact to about
+    eps*sigma1^2/sigma_i.
+    """
+    A = X.conj().T if X.shape[0] < X.shape[1] else X
+    w, V = np.linalg.eigh(A.conj().T @ A)
+    return np.sqrt(np.maximum(w[::-1], 0.0)), A, V[:, ::-1]
+
+
 def shrink(X: np.ndarray, threshold: float):
     """Singular-value soft thresholding: sigma_i -> (sigma_i - t)^+.
 
     Returns the thresholded matrix and its singular values (the latter sum
-    to its nuclear norm).
+    to its nuclear norm). Both come from the Hermitian eigendecomposition
+    of the narrow-side Gram matrix A^H A: the result is
+    A V_k diag((sigma_k - t)/sigma_k) V_k^H over the kept sigma_k > t. A kept
+    value is exact to about eps*sigma1^2/sigma_k absolute, so relative to
+    itself to about eps*(sigma1/t)^2 or better; the completer's thresholds
+    are at least tau*mu >= mu_rel*sigma1.
     """
-    u, s, vh = np.linalg.svd(X, full_matrices=False)
-    s = np.maximum(s - threshold, 0.0)
-    return (u * s) @ vh, s
+    sigma, A, V = _gram_spectrum(X)
+    s = np.maximum(sigma - threshold, 0.0)
+    k = int(np.count_nonzero(s))
+    Vk = V[:, :k]
+    Z = ((A @ Vk) * (s[:k] / sigma[:k])) @ Vk.conj().T
+    return (Z.conj().T if A is not X else Z), s
+
+
+def _mu_schedule(sigma1: float, mu_final: float, continuation: float) -> list:
+    """Penalty schedule: start near sigma1 and decay geometrically to the target.
+
+    A geometric stage within 1e-9 relative of mu_final (continuation**k *
+    sigma1 rounding just above mu_rel * sigma1) is dropped, so the schedule
+    is strictly decreasing and ends with one stage at mu_final.
+    """
+    mus = []
+    mu = continuation * sigma1
+    while mu > mu_final * (1.0 + 1e-9):
+        mus.append(mu)
+        mu *= continuation
+    mus.append(mu_final)
+    return mus
 
 
 def complete(
@@ -86,19 +124,13 @@ def complete(
     masked = omega * observed
     if np.linalg.norm(masked) == 0.0:
         return np.zeros_like(observed), 0, True
-    sigma1 = float(np.linalg.svd(masked, compute_uv=False)[0])
+    sigma1 = float(_gram_spectrum(masked)[0][0])
     mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
     tau = params.step
-    # Penalty schedule: start near sigma1 and decay geometrically to the target.
-    mus = []
-    mu = params.continuation * sigma1
-    while mu > mu_final:
-        mus.append(mu)
-        mu *= params.continuation
-    mus.append(mu_final)
+    mus = _mu_schedule(sigma1, mu_final, params.continuation)
     def objective(mat, mu, nuc=None):
         if nuc is None:
-            nuc = float(np.linalg.svd(mat, compute_uv=False).sum())
+            nuc = float(_gram_spectrum(mat)[0].sum())
         return mu * nuc + 0.5 * float(np.linalg.norm(omega * (mat - observed)) ** 2)
 
     X = np.zeros_like(observed)

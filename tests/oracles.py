@@ -1,9 +1,11 @@
-"""Independent reference implementations of the interference metrics.
+"""Independent reference implementations for the tests.
 
-They evaluate the quantities that specshare.interference computes through
-its one weighted form by other routes: the EIP_II trace form, and a
-Monte-Carlo estimate of the masked interference power drawn from the signal
-model itself. Only the tests use them.
+They evaluate by other routes what the library computes: the EIP_II trace
+form and a Monte-Carlo estimate of the masked interference power drawn
+from the signal model itself (specshare.interference computes both through
+its one weighted form), and singular-value soft thresholding through a thin
+SVD (specshare.completion goes through a Gram eigendecomposition). Only the
+tests use them.
 """
 
 import numpy as np
@@ -58,3 +60,11 @@ def empirical_eip(cfg, mask, G2, S, schedule, trials: int, rng):
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
+
+
+def svd_shrink(X, threshold: float):
+    """Singular-value soft thresholding through a thin SVD: the thresholded
+    matrix and its singular values (sigma_i - t)^+, descending."""
+    u, s, vh = np.linalg.svd(X, full_matrices=False)
+    s = np.maximum(s - threshold, 0.0)
+    return (u * s) @ vh, s

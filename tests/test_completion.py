@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import svd_shrink
 from specshare.completion import (
     CompletionParams,
+    _mu_schedule,
     complete,
     radar_pipeline,
     relative_error,
@@ -14,7 +16,13 @@ from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_selfish
 from specshare.interference import CovarianceSchedule, noise_covariances
 from specshare.linalg import crandn
-from specshare.scenario import SamplingMask, make_scenario, noiseless_radar_return
+from specshare.scenario import (
+    SamplingMask,
+    generate_phase_offsets,
+    make_scenario,
+    noiseless_radar_return,
+    synthesize_radar_rx,
+)
 from specshare.streams import stream
 
 
@@ -50,6 +58,109 @@ class TestShrink:
         Z, s = shrink(X, t)
         assert np.linalg.norm(Z) == 0.0
         assert np.all(s == 0.0)
+
+
+EPS = np.finfo(float).eps
+ORACLE_THRESHOLDS = (0.5, 1e-1, 1e-2, 1e-4, 1e-7)  # times sigma1
+
+
+def graded(rng, rows, cols):
+    """Random singular vectors with singular values from 1 down to 1e-6."""
+    k = min(rows, cols)
+    u, _ = np.linalg.qr(crandn(rng, rows, k))
+    v, _ = np.linalg.qr(crandn(rng, cols, k))
+    return (u * np.logspace(0.0, -6.0, k)) @ v.conj().T
+
+
+def assert_matches_svd_oracle(X, threshold):
+    """shrink agrees with the SVD route within the Gram route's error,
+    about n*eps*sigma1^2/sigma_i on each kept value and n*eps*sigma1^2/t on
+    the rest and on the matrix (n the narrow side)."""
+    Z, s = shrink(X, threshold)
+    Z_ref, s_ref = svd_shrink(X, threshold)
+    sigma1 = float(np.linalg.svd(X, compute_uv=False)[0])
+    n = min(X.shape)
+    assert Z.shape == X.shape and s.shape == (n,)
+    assert np.all(np.diff(s) <= 0.0)
+    scale = 8.0 * n * EPS * sigma1**2
+    kept = s_ref > 0.0
+    assert np.all(np.abs(s - s_ref)[kept] <= scale / (s_ref[kept] + threshold))
+    assert np.all(s[~kept] <= scale / threshold)
+    assert np.linalg.norm(Z - Z_ref) <= scale / threshold
+
+
+class TestShrinkOracle:
+    """shrink against the thin-SVD soft threshold it replaced."""
+
+    @pytest.mark.parametrize("shape", [(32, 32), (32, 16), (16, 32), (7, 5), (5, 7), (1, 6), (6, 1)])
+    def test_full_rank(self, shape):
+        for seed in range(5):
+            X = crandn(stream(seed, "shrink-oracle", *shape), *shape)
+            sigma1 = float(np.linalg.svd(X, compute_uv=False)[0])
+            for rel in ORACLE_THRESHOLDS:
+                assert_matches_svd_oracle(X, rel * sigma1)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (32, 16), (16, 32), (7, 5), (5, 7)])
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_rank_deficient(self, shape, rank):
+        rows, cols = shape
+        for seed in range(5):
+            rng = stream(seed, "shrink-oracle-rank", rank, *shape)
+            X = crandn(rng, rows, rank) @ crandn(rng, rank, cols)
+            sigma1 = float(np.linalg.svd(X, compute_uv=False)[0])
+            for rel in ORACLE_THRESHOLDS:
+                assert_matches_svd_oracle(X, rel * sigma1)
+            # The Gram route reads a zero singular value as up to about
+            # sqrt(n*eps)*sigma1; every threshold the completer uses is far
+            # above that, so the null space is dropped exactly.
+            _, s = shrink(X, 1e-4 * sigma1)
+            assert np.all(s[rank:] == 0.0)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (32, 16), (16, 32)])
+    def test_graded_spectrum(self, shape):
+        # The Gram route's error grows as sigma_i shrinks, and the smallest
+        # thresholds keep such values.
+        for seed in range(5):
+            X = graded(stream(seed, "shrink-oracle-graded", *shape), *shape)
+            for rel in ORACLE_THRESHOLDS:
+                assert_matches_svd_oracle(X, rel)
+
+    def test_complete_matches_svd_route(self, monkeypatch):
+        # One mc-recovery-shaped completion (32 x 32 radar data, p = 0.5,
+        # default parameters) with each kernel.
+        cfg = pipeline_cfg(L=32, p=0.5, seed=1)
+        scn = make_scenario(cfg)
+        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+        roots = solve_selfish(scn.channels.H, noise, cfg.C).schedule.sqrts()
+        rng = stream(1, "mc")
+        X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
+        observed = synthesize_radar_rx(
+            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
+            generate_phase_offsets(cfg, rng), scn.mask, rng,
+        )
+        assert observed.shape == (32, 32)
+        est, iters, conv = complete(observed, scn.mask)
+        monkeypatch.setattr("specshare.completion.shrink", svd_shrink)
+        est_ref, iters_ref, conv_ref = complete(observed, scn.mask)
+        assert iters == iters_ref and conv == conv_ref
+        assert np.linalg.norm(est - est_ref) <= 1e-8 * np.linalg.norm(est_ref)
+
+
+class TestMuSchedule:
+    def test_strictly_decreasing_without_duplicate_last_stage(self):
+        for sigma1 in np.linspace(0.5, 50.0, 1000):
+            for continuation in (0.1, 0.3, 0.5):
+                mu_final = 1e-4 * sigma1
+                mus = _mu_schedule(sigma1, mu_final, continuation)
+                assert mus[0] <= continuation * sigma1
+                assert mus[-1] == mu_final
+                assert np.all(np.diff(mus) < 0.0)
+                assert all(mu > mu_final * (1.0 + 1e-9) for mu in mus[:-1])
+
+    def test_rounding_above_target_adds_no_stage(self):
+        # 0.1**4 rounds to 1.0000000000000003e-4 > 1e-4.
+        assert 0.1 * 0.1 * 0.1 * 0.1 > 1e-4
+        assert _mu_schedule(1.0, 1e-4, 0.1) == pytest.approx([0.1, 0.01, 1e-3, 1e-4], rel=1e-15)
 
 
 class TestComplete:
