@@ -16,7 +16,9 @@ the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
 solve; each dual step is then one stacked SVD, and the power follows in
 closed form from its factors. Covariance matrices are built only for the
 returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs through
-the same kernel.
+the same kernel and is the feasibility test: C is reachable within P_t
+exactly when the minimum-power design fits in it. linalg.eig_floor is the
+only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
 """
 
 from __future__ import annotations
@@ -37,14 +39,10 @@ from .interference import (
 )
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
 
-# Bisection width on lambda1; the dual bracket shrinks to this before the
-# power-feasible endpoint is returned.
-DEFAULT_DUAL_TOL = 1e-9
-
-# Tiny ridge applied to Phi_l when the bracket collapses toward lambda1=0
-# while G2^H W G2 is singular; lambda1 > 0 strictly at such optima, the
-# ridge only keeps the matrix square roots finite.
-PHI_RIDGE = 1e-12
+# The bisection on lambda1 shrinks its bracket to DUAL_TOL, within
+# MAX_DUAL_EVALUATIONS dual evaluations counting the bracket growth.
+DUAL_TOL = 1e-9
+MAX_DUAL_EVALUATIONS = 200
 
 # Fewest bisection halvings for which the dual search probes ahead of the
 # bisection's own midpoints. A probe that misses costs one evaluation more
@@ -85,33 +83,6 @@ class DesignSolution:
     converged: bool
 
 
-def water_fill(gains: np.ndarray, budget: float) -> np.ndarray:
-    """Classic water-filling: maximize sum log2(1 + g_i p_i) s.t. sum p_i = budget.
-
-    Returns the optimal powers. Exact active-set solve over sorted gains.
-    """
-    g = np.asarray(gains, dtype=float)
-    order = np.argsort(g)[::-1]
-    gs = g[order]
-    if gs.size == 0 or gs[0] <= 0 or budget <= 0:
-        return np.zeros_like(g)
-    pos = gs > 0
-    gs = gs[pos]
-    # With k channels active the water level is (budget + sum 1/g)/k.
-    inv = 1.0 / gs
-    cum = np.cumsum(inv)
-    k = gs.size
-    for i in range(gs.size):
-        level = (budget + cum[i]) / (i + 1)
-        if i + 1 == gs.size or level <= inv[i + 1]:
-            k = i + 1
-            break
-    level = (budget + cum[k - 1]) / k
-    powers = np.zeros_like(g)
-    powers[order[:k]] = level - inv[:k]
-    return powers
-
-
 def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
     """Smallest lambda2 >= 0 with sum_i (log2(lambda2 sigma_i^2))^+ >= L*C.
 
@@ -133,12 +104,14 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
     in_range = exponent < 1023.0
     levels = np.full(g.size, np.inf)
     levels[in_range] = 2.0 ** exponent[in_range]
-    kth_active = levels * g >= 1.0 - 1e-12
-    next_inactive = np.append(levels[:-1] * g[1:] <= 1.0 + 1e-12, True)
+    # A level near 2**1023 times a gain above 1 overflows to inf, which compares correctly.
+    with np.errstate(over="ignore"):
+        kth_active = levels * g >= 1.0 - 1e-12
+        next_inactive = np.append(levels[:-1] * g[1:] <= 1.0 + 1e-12, True)
     consistent = np.flatnonzero(kth_active & next_inactive)
     k = consistent[0] if consistent.size else g.size - 1
     if exponent[k] >= 1024.0:
-        return math.inf
+        raise InfeasibleError(f"capacity target {C} unreachable: water level past the float range")
     # Scalar power at the chosen k (vectorized pow can differ in the last
     # bit); nudge up so the achieved sum never rounds below the target.
     return 2.0 ** exponent[k] * (1.0 + 4e-12)
@@ -172,31 +145,23 @@ class _DualKernel:
     a: np.ndarray  # (L, n) ascending
     U: np.ndarray  # (L, n, n)
     B: np.ndarray  # (L, m, n)
-    ridge: float
 
     @classmethod
     def weighted(cls, w_diags: np.ndarray, G2: np.ndarray, whitened: np.ndarray) -> "_DualKernel":
         A = G2.conj().T @ (w_diags[:, :, None] * G2)
         a, U = np.linalg.eigh(hermitize(A))
-        ridge = PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0)
-        return cls(a=a, U=U, B=whitened @ U, ridge=ridge)
+        return cls(a=a, U=U, B=whitened @ U)
 
     @classmethod
     def unweighted(cls, whitened: np.ndarray) -> "_DualKernel":
         """A_l = 0: Phi_l = lambda1 I, as in the selfish power minimization."""
         L, _, n = whitened.shape
-        return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)),
-                   B=whitened, ridge=PHI_RIDGE)
-
-    def singular(self, lambda1: float) -> np.ndarray:
-        """Per-symbol mask of a singular Phi_l, where the ridge applies."""
-        return self.a[:, 0] + lambda1 <= 0.0
+        return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)), B=whitened)
 
     def whitened_svd(self, lambda1: float):
-        """(d^{-1/2}, singular values, V'^H) of every whitened channel at lambda1."""
-        d = self.a + lambda1
-        d = np.where(self.singular(lambda1)[:, None], d + self.ridge, d)
-        d_isqrt = 1.0 / np.sqrt(eig_floor(d))
+        """(d^{-1/2}, singular values, V'^H) of every whitened channel at
+        lambda1 > 0; eig_floor keeps d^{-1/2} finite where A_l is singular."""
+        d_isqrt = 1.0 / np.sqrt(eig_floor(self.a + lambda1))
         _, s, vh = np.linalg.svd(self.B * d_isqrt[:, None, :], full_matrices=False)
         return d_isqrt, s, vh
 
@@ -221,14 +186,6 @@ class _DualKernel:
 def _whiten(H: np.ndarray, noise: NoiseCovSchedule) -> np.ndarray:
     """(L, M_rC, M_tC) stack of whitened channels R_wl^{-1/2} H."""
     return psd_inv_sqrt(noise.matrices) @ H
-
-
-def _capacity_bound(whitened: np.ndarray, P_t: float) -> float:
-    """Water-filling capacity bound of the block under total power P_t, from
-    the (L, M_rC, M_tC) whitened channels R_wl^{-1/2} H."""
-    gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
-    powers = water_fill(gains, P_t)
-    return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))
 
 
 def _objective_eip(weights: WeightSchedule, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
@@ -366,22 +323,20 @@ def solve_weighted_eip(
     noise: NoiseCovSchedule,
     P_t: float,
     C: float,
-    dual_tol: float = DEFAULT_DUAL_TOL,
-    max_iterations: int = 200,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by bisection on the power multiplier.
 
-    Power consumption is nonincreasing in lambda1, so the bracket [lo, hi]
-    keeps power(hi) <= P_t <= power(lo); the returned iterate comes from the
-    power-feasible side. dual_tol and max_iterations define that bisection
-    and converged says whether it reached dual_tol; the iterate is the
-    bisection's bit for bit. iterations counts the dual evaluations made;
-    with the default dual_tol that is 2 when the power budget is slack and
-    about 8 to 18 when it binds, where the bisection makes 31.
+    InfeasibleError: C needs more power than P_t even in the minimum-power
+    (selfish) design. Power consumption is nonincreasing in lambda1, so the
+    bracket [lo, hi] keeps power(hi) <= P_t <= power(lo); the returned
+    iterate comes from the power-feasible side. converged says whether the
+    bracket reached DUAL_TOL within MAX_DUAL_EVALUATIONS; the iterate is the
+    bisection's bit for bit. iterations counts the dual evaluations made:
+    2 when the power budget is slack and about 8 to 18 when it binds, where
+    the bisection makes 31.
     """
-    L = len(weights)
-    if len(noise) != L:
+    if len(noise) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")
     if weights.diagonals.shape[1] != G2.shape[0]:
         raise SolverError(
@@ -389,12 +344,11 @@ def solve_weighted_eip(
             f"G2 has {G2.shape[0]}"
         )
     whitened = _whiten(H, noise)
-    if _capacity_bound(whitened, P_t) < C:
-        raise InfeasibleError(
-            f"capacity target {C} unreachable within power budget {P_t}"
-        )
+    # Written so that a NaN power is infeasible too.
+    if not _DualKernel.unweighted(whitened).step(1.0, C).power <= P_t:
+        raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
     kernel = _DualKernel.weighted(weights.diagonals, G2, whitened)
-    best, iterations, converged = _dual_search(kernel, C, P_t, dual_tol, max_iterations)
+    best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
     schedule = CovarianceSchedule(kernel.covariances(best))
     return _checked(DesignSolution(
         schedule=schedule,

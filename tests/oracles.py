@@ -3,9 +3,11 @@
 They evaluate by other routes what the library computes: the EIP_II trace
 form and a Monte-Carlo estimate of the masked interference power drawn
 from the signal model itself (specshare.interference computes both through
-its one weighted form), and singular-value soft thresholding through a thin
-SVD (specshare.completion goes through a Gram eigendecomposition). Only the
-tests use them.
+its one weighted form), singular-value soft thresholding through a thin
+SVD (specshare.completion goes through a Gram eigendecomposition), and the
+feasibility of a capacity target by classic water-filling of the power
+budget (specshare.covdesign asks whether the minimum-power design fits in
+the budget). Only the tests use them.
 """
 
 import numpy as np
@@ -68,3 +70,39 @@ def svd_shrink(X, threshold: float):
     u, s, vh = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
     return (u * s) @ vh, s
+
+
+def water_fill(gains: np.ndarray, budget: float) -> np.ndarray:
+    """Classic water-filling: maximize sum log2(1 + g_i p_i) s.t. sum p_i = budget.
+
+    Returns the optimal powers. Exact active-set solve over sorted gains.
+    """
+    g = np.asarray(gains, dtype=float)
+    order = np.argsort(g)[::-1]
+    gs = g[order]
+    if gs.size == 0 or gs[0] <= 0 or budget <= 0:
+        return np.zeros_like(g)
+    pos = gs > 0
+    gs = gs[pos]
+    # With k channels active the water level is (budget + sum 1/g)/k.
+    inv = 1.0 / gs
+    cum = np.cumsum(inv)
+    k = gs.size
+    for i in range(gs.size):
+        level = (budget + cum[i]) / (i + 1)
+        if i + 1 == gs.size or level <= inv[i + 1]:
+            k = i + 1
+            break
+    level = (budget + cum[k - 1]) / k
+    powers = np.zeros_like(g)
+    powers[order[:k]] = level - inv[:k]
+    return powers
+
+
+def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
+    """Water-filling capacity bound of the block under total power P_t, from
+    the (L, M_rC, M_tC) whitened channels R_wl^{-1/2} H. A capacity target
+    above it is unreachable within P_t."""
+    gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
+    powers = water_fill(gains, P_t)
+    return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))

@@ -9,14 +9,12 @@ import warnings
 
 from specshare import covdesign
 from specshare.covdesign import (
-    PHI_RIDGE,
     InfeasibleError,
     SolverError,
     min_capacity_multiplier,
     solve_selfish,
     solve_weighted_eip,
     verify_solution,
-    water_fill,
 )
 from specshare.interference import (
     METHOD_EIP_I,
@@ -29,9 +27,11 @@ from specshare.interference import (
     weight_schedule,
     weighted_eip,
 )
-from specshare.linalg import crandn, hermitize, min_eig, psd_inv_sqrt
+from specshare.linalg import crandn, hermitize, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
+
+from oracles import capacity_bound, water_fill
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -84,6 +84,11 @@ class TestMinCapacityMultiplier:
             ach = achieved_log_sum(lam2, sing)
             assert L * C <= ach <= L * C + 1e-8
             assert achieved_log_sum(lam2 - 1e-6, sing) < L * C
+
+    def test_water_level_past_float_range_is_infeasible(self):
+        # One direction with unit gain needs the level 2**1100.
+        with pytest.raises(InfeasibleError, match="unreachable"):
+            min_capacity_multiplier(np.array([1.0]), 1100.0, 1)
 
 
 def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
@@ -232,6 +237,62 @@ class TestSolveWeightedEip:
             )
 
 
+def random_design(rng):
+    """L symbols, an m x n channel, an M x n radar channel, PD noise
+    covariances, 0/1 weights and a capacity target."""
+    L, m, n, M = (int(x) for x in rng.integers(1, [9, 5, 5, 5]))
+    H = crandn(rng, m, n)
+    G2 = crandn(rng, M, n)
+    mats = []
+    for _ in range(L):
+        A = crandn(rng, m, m)
+        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(m))
+    w = (rng.uniform(size=(L, M)) < 0.6).astype(float)
+    return (WeightSchedule(w), H, G2, NoiseCovSchedule(mats)), float(rng.uniform(0.5, 6.0))
+
+
+class SearchReached(Exception):
+    pass
+
+
+def no_search(*args):
+    raise SearchReached
+
+
+class TestFeasibility:
+    """InfeasibleError comes from the minimum-power design, before any
+    dual search."""
+
+    def test_agrees_with_water_filling_bound(self, monkeypatch):
+        # Water-filling duality: C is unreachable within P_t exactly when the
+        # capacity bound at P_t is below C.
+        monkeypatch.setattr(covdesign, "_dual_search", no_search)
+        rng = stream(0, "feasible")
+        outcomes = set()
+        for _ in range(300):
+            design, C = random_design(rng)
+            _, H, _, noise = design
+            p_min = solve_selfish(H, noise, C).consumed_power
+            for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
+                with pytest.raises((InfeasibleError, SearchReached)) as info:
+                    solve_weighted_eip(*design, P_t, C)
+                infeasible = info.type is InfeasibleError
+                assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
+                outcomes.add(infeasible)
+        assert outcomes == {True, False}
+
+    def test_budget_just_below_selfish_power_skips_search(self, monkeypatch):
+        monkeypatch.setattr(covdesign, "_dual_search", no_search)
+        for seed in range(4):
+            design, C = random_design(stream(seed, "feasible-edge"))
+            _, H, _, noise = design
+            p_min = solve_selfish(H, noise, C).consumed_power
+            with pytest.raises(InfeasibleError, match="unreachable within power budget"):
+                solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
+            with pytest.raises(SearchReached):
+                solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
+
+
 class TestSolveSelfish:
     def test_zero_capacity_target(self):
         H, _, noise = small_instance(0)
@@ -316,15 +377,31 @@ def loop_multiplier(sing_vals, C, L):
     return lam2 * (1.0 + 4e-12)
 
 
+def scan_draws(rng, count):
+    """count random (singular values, C, L) tuples: L up to 128 symbols of
+    up to 4 directions, targets up to 20 bits/symbol."""
+    for _ in range(count):
+        L = int(rng.integers(1, 129))
+        n = int(rng.integers(1, 5))
+        sing = rng.uniform(0.05, 3.0, size=L * n) ** float(rng.uniform(0.5, 4.0))
+        C = float(rng.uniform(0.1, 20.0))
+        yield sing, C, L
+
+
 class TestMultiplierScan:
     def test_bit_identical_to_loop(self):
-        rng = stream(2, "scan")
-        for _ in range(300):
-            L = int(rng.integers(1, 129))
-            n = int(rng.integers(1, 5))
-            sing = rng.uniform(0.05, 3.0, size=L * n) ** float(rng.uniform(0.5, 4.0))
-            C = float(rng.uniform(0.1, 20.0))
+        for sing, C, L in scan_draws(stream(2, "scan"), 300):
             assert min_capacity_multiplier(sing, C, L) == loop_multiplier(sing, C, L)
+
+    def test_level_near_float_max_does_not_overflow(self):
+        # The 967th draw (L = 110, n = 2, C = 18.64): a level just under
+        # 2**1023 times a gain above 1 overflowed in the active-set test.
+        *_, (sing, C, L) = scan_draws(stream(0, "ovf"), 967)
+        assert (L, sing.size, round(C, 2)) == (110, 220, 18.64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam2 = min_capacity_multiplier(sing, C, L)
+        assert lam2 == loop_multiplier(sing, C, L)
 
     def test_long_block_does_not_overflow(self):
         # L = 128 with a 12 bit/symbol target: small k need levels past 2**1024.
@@ -344,8 +421,6 @@ def reference_step(w_diags, G2, H, noise, lambda1, C):
     per_symbol = []
     for l in range(len(noise)):
         phi = hermitize(G2.conj().T @ (w_diags[l][:, None] * G2)) + lambda1 * eye
-        if min_eig(phi) <= 0.0:
-            phi = phi + PHI_RIDGE * max(float(np.linalg.norm(G2)) ** 2, 1.0) * eye
         phi_isqrt = psd_inv_sqrt(phi)
         _, s, vh = np.linalg.svd(psd_inv_sqrt(noise[l]) @ H @ phi_isqrt, full_matrices=False)
         per_symbol.append((phi_isqrt, s, vh.conj().T))
@@ -395,12 +470,10 @@ class TestDualKernel:
 
     @pytest.mark.parametrize("L", [1, 4, 128])
     def test_ridge_branch_matches(self, L):
-        # Zero-weight symbols have Phi_l = lambda1 I: singular at lambda1 = 0,
-        # where both paths add the PHI_RIDGE ridge.
+        # Zero-weight symbols have Phi_l = lambda1 I, nearly singular at a
+        # tiny lambda1; both paths floor its eigenvalues with eig_floor.
         w, G2, H, noise = coop_instance(10 + L, L, partial_rows=False)
-        for lam1 in (0.0, 1e-12):
-            kernel = self.assert_matches_reference(w, G2, H, noise, lam1)
-            assert np.array_equal(kernel.singular(lam1), (np.arange(L) % 3 == 0) & (lam1 == 0.0))
+        self.assert_matches_reference(w, G2, H, noise, 1e-12)
 
     def test_default_scenario_dual_evaluations(self):
         cfg = ScenarioConfig(p=0.6, seed=0)
@@ -481,8 +554,9 @@ def search_instances():
     cooperative weights whose zero rows make A_l singular. Seeds 2, 5 and 8
     draw all-zero weights: power does not depend on lambda1, and its
     computed value is not monotone in the last bits.
-    Yields the design, its selfish (minimum) power and its power at
-    lambda1 = 1 and 2^-30."""
+    Yields the design, its dual kernel, C and its powers: the selfish
+    (minimum) power as the feasibility test computes it, and the power at
+    lambda1 = 1, 2^-30 and 2^10."""
     for seed in range(12):
         rng = stream(seed, "search")
         L = int(rng.integers(1, 6))
@@ -492,18 +566,34 @@ def search_instances():
         else:
             w, G2, H, noise = coop_instance(seed, L)
         C = float(rng.uniform(0.5, 3.0))
-        kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
-        powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30)]
-        design = (WeightSchedule(w), H, G2, noise)
-        yield design, C, solve_selfish(H, noise, C).consumed_power, *powers
+        whitened = covdesign._whiten(H, noise)
+        kernel = covdesign._DualKernel.weighted(w, G2, whitened)
+        p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, C).power
+        powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30, 2.0 ** 10)]
+        yield (WeightSchedule(w), H, G2, noise), kernel, C, (p_min, *powers)
 
 
-def budgets(p_min, p_one, p_zero):
+def budgets(p_min, p_one, p_zero, p_far):
     """Power budgets below the selfish power (infeasible), between it and the
     power at lambda1 = 1 (the bracket grows), inside the range the bisection
-    searches (active) and above it (slack)."""
+    searches (active), above it (slack), and first met at lambda1 = 2^10
+    (the bracket grows for 11 evaluations)."""
     return (0.5 * p_min, p_min + 0.2 * (p_one - p_min),
-            p_min + 0.05 * (p_zero - p_min), p_min + 0.5 * (p_zero - p_min), 2.0 * p_zero)
+            p_min + 0.05 * (p_zero - p_min), p_min + 0.5 * (p_zero - p_min), 2.0 * p_zero,
+            p_far)
+
+
+def feasible_budgets(p_min, *powers):
+    """The budgets the feasibility test passes on to the search."""
+    return [P_t for P_t in budgets(p_min, *powers) if P_t >= p_min]
+
+
+def category(lambda1):
+    """Where the bisection's answer lies: its lowest grid point at the
+    default tolerance (slack), above 1 (grown) or between (active)."""
+    if lambda1 == 2.0 ** -30:
+        return "slack"
+    return "grown" if lambda1 > 1.0 else "active"
 
 
 class TestDualSearch:
@@ -511,7 +601,7 @@ class TestDualSearch:
     as many dual evaluations."""
 
     @staticmethod
-    def solve_both(monkeypatch, *args, **kwargs):
+    def solve_both(monkeypatch, *args):
         """solve_weighted_eip's solution or error, with the search and then
         with the bisection oracle in its place."""
         out = []
@@ -519,13 +609,13 @@ class TestDualSearch:
             with monkeypatch.context() as m:
                 m.setattr(covdesign, "_dual_search", search)
                 try:
-                    out.append(solve_weighted_eip(*args, **kwargs))
+                    out.append(solve_weighted_eip(*args))
                 except (InfeasibleError, SolverError) as exc:
                     out.append(exc)
         return out
 
-    def assert_same(self, monkeypatch, *args, **kwargs):
-        sol, ref = self.solve_both(monkeypatch, *args, **kwargs)
+    def assert_same(self, monkeypatch, *args):
+        sol, ref = self.solve_both(monkeypatch, *args)
         if isinstance(ref, Exception):
             assert type(sol) is type(ref) and str(sol) == str(ref)
             return type(ref).__name__
@@ -534,33 +624,53 @@ class TestDualSearch:
         assert sol.converged == ref.converged
         assert sol.schedule.matrices.tobytes() == ref.schedule.matrices.tobytes()
         assert sol.iterations <= ref.iterations
-        if ref.dual.lambda1 == 2.0 ** -30:
-            return "slack"
-        return "grown" if ref.dual.lambda1 > 1.0 else "active"
+        return category(ref.dual.lambda1)
+
+    @staticmethod
+    def assert_same_search(kernel, C, P_t, dual_tol=covdesign.DUAL_TOL,
+                           max_iterations=covdesign.MAX_DUAL_EVALUATIONS):
+        """The same assertions on _dual_search and the bisection oracle run
+        directly, with the given solver settings."""
+        out = []
+        for search in (covdesign._dual_search, bisection_oracle):
+            try:
+                out.append(search(kernel, C, P_t, dual_tol, max_iterations))
+            except SolverError as exc:
+                out.append(exc)
+        found, ref = out
+        if isinstance(ref, Exception):
+            assert type(found) is type(ref) and str(found) == str(ref)
+            return type(ref).__name__
+        (best, evaluations, converged), (ref_best, ref_evaluations, ref_converged) = found, ref
+        assert best.lambda1 == ref_best.lambda1
+        assert best.lambda2 == ref_best.lambda2
+        assert converged == ref_converged
+        assert kernel.covariances(best).tobytes() == kernel.covariances(ref_best).tobytes()
+        assert evaluations <= ref_evaluations
+        return category(ref_best.lambda1)
 
     def test_random_instances_match_bisection(self, monkeypatch):
         seen = set()
-        for design, C, *powers in search_instances():
+        for design, kernel, C, powers in search_instances():
             for P_t in budgets(*powers):
-                for dual_tol in (covdesign.DEFAULT_DUAL_TOL, 1e-6):
-                    seen.add(self.assert_same(monkeypatch, *design, P_t, C, dual_tol=dual_tol))
+                seen.add(self.assert_same(monkeypatch, *design, P_t, C))
+            for P_t in feasible_budgets(*powers):
+                seen.add(self.assert_same_search(kernel, C, P_t, dual_tol=1e-6))
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
 
     @pytest.mark.parametrize("max_iterations", range(1, 11))
-    def test_small_iteration_limits_match_bisection(self, monkeypatch, max_iterations):
+    def test_small_iteration_limits_match_bisection(self, max_iterations):
         seen = set()
-        for design, C, *powers in search_instances():
-            for P_t in budgets(*powers)[1:]:
-                seen.add(self.assert_same(monkeypatch, *design, P_t, C,
-                                          max_iterations=max_iterations))
-        # Too few evaluations to bracket a grown multiplier raise; one
-        # evaluation cannot bracket any.
+        for _, kernel, C, powers in search_instances():
+            for P_t in feasible_budgets(*powers):
+                seen.add(self.assert_same_search(kernel, C, P_t,
+                                                 max_iterations=max_iterations))
+        # Too few evaluations to bracket a grown multiplier raise (a budget
+        # first met at 2^10 needs 11); one evaluation cannot bracket any.
         assert "SolverError" in seen and ("grown" in seen) == (max_iterations > 1)
 
     def test_power_equal_to_budget_is_not_below_it(self, monkeypatch):
-        design, C, *_ = next(search_instances())
-        kernel = covdesign._DualKernel.weighted(
-            design[0].diagonals, design[2], covdesign._whiten(design[1], design[3]))
+        design, kernel, C, _ = next(search_instances())
         # The bracket stops growing at hi = 2 with power(2) == P_t: every
         # midpoint then moves lo and the answer is the top point.
         P_t = kernel.step(2.0, C).power
@@ -595,9 +705,9 @@ class TestDualSearch:
                 return covdesign._DualIterate(lambda1, 1.0, power, None, None, None)
 
         best, evaluations, converged = covdesign._dual_search(
-            StepCurve(), 1.0, 1.0, covdesign.DEFAULT_DUAL_TOL, 200)
+            StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
         ref, ref_evaluations, ref_converged = bisection_oracle(
-            StepCurve(), 1.0, 1.0, covdesign.DEFAULT_DUAL_TOL, 200)
+            StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
         assert best.lambda1 == ref.lambda1 and converged == ref_converged
         # One bracket evaluation, at most 30 probes and 30 replayed midpoints.
         assert ref_evaluations == 31 and evaluations <= 61

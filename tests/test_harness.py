@@ -1,5 +1,7 @@
 """Experiment harness: validation, sweeps, CSV determinism and the CLI."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,17 +108,29 @@ class TestRunCompare:
             assert abs(r.capacity - 12.0) <= 1e-3
 
     def test_unconverged_solution_reported(self, monkeypatch):
-        import specshare.harness as harness
-        from specshare.covdesign import solve_weighted_eip
+        from specshare import covdesign
 
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["noncoop"], seeds=[0])
-        monkeypatch.setattr(harness, "solve_weighted_eip",
-                            lambda *a: solve_weighted_eip(*a, max_iterations=5))
+        search = covdesign._dual_search
+        monkeypatch.setattr(covdesign, "_dual_search",
+                            lambda kernel, C, P_t, dual_tol, _: search(kernel, C, P_t, dual_tol, 5))
         row = run_compare(spec)[0]
         prefix = "dual bisection not converged after "
         assert row.error.startswith(prefix) and row.error.endswith(" evaluations")
         assert 1 <= int(row.error[len(prefix):].split()[0]) <= 5
         assert np.isfinite(row.eip) and np.isfinite(row.power)
+
+    def test_water_level_past_float_range_reported_unreachable(self):
+        # C = 5000 bits/symbol needs a water level beyond 2**1024.
+        spec = ExperimentSpec(cfg=scenario1(C=5000.0), methods=["selfish", "noncoop"],
+                              seeds=[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows = run_compare(spec)
+        assert [r.method for r in rows] == ["selfish", "noncoop"]
+        for r in rows:
+            assert r.error == "capacity target 5000.0 unreachable: water level past the float range"
+            assert np.isnan(r.power)
 
     def test_mc_columns_filled(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],
