@@ -46,15 +46,26 @@ class JointDesignResult:
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-cost linear assignment (shortest augmenting path, O(n^3)).
 
-    A square cost is first offered to an identity certificate
-    (_identity_certified). When it certifies, the identity permutation is
-    the unique optimum by more than n^3 * eps * max|C|, a margin that covers
-    the rounding of the search's potentials and path sums, so the search
-    would return the identity too and is skipped; the cost is summed by the
-    same expression, so it is bit-equal as well. When the identity ties
-    with another assignment (a zero-weight cycle, as in constant or integer
-    costs) or wins by no more than the margin, the certificate does not
-    answer and the search below decides, with its lowest-index tie-break.
+    A square cost C is first answered by a warm start from the candidate
+    permutation pi = identity and an empty row set S. Each round:
+
+    1. Certify: when _identity_certified accepts the column-permuted cost
+       C[:, pi], pi is the unique optimum by more than n^3 * eps * max|C|
+       (a margin a column permutation does not change), so the search
+       would return pi too, and pi is the answer.
+    2. Otherwise find the rows on negative cycles relative to pi
+       (_negative_cycle_rows, a Bellman-Ford over C[i, pi(j)] - C[i, pi(i)])
+       and add them to S.
+    3. Re-solve on S: pi becomes the identity off S and, on S, the search
+       below applied to the S x S sub-cost.
+
+    S grows every round, so the loop ends. The full search decides instead
+    when no cycle below the margin is found (ties and zero-weight cycles,
+    as in constant or integer costs, are left to its lowest-index
+    tie-break), when only rows already in S are found, or when S would
+    hold more than _WARM_START_SHARE of the rows. Every answer is thus
+    either certified unique, or the full search's own result; the cost is
+    summed by the same expression, so both are bit-equal to the search.
 
     The search inserts rows one at a time; each step of the Dijkstra-like
     search for an augmenting path scans all n + 1 columns with a few
@@ -67,9 +78,11 @@ def hungarian(cost: np.ndarray) -> Assignment:
     Rectangular inputs are padded with a constant exceeding any real entry;
     padded cells never contribute to the returned cost. Ties are broken by
     lowest index (np.argmin returns the first minimum), so the result is
-    deterministic.
+    deterministic. The cost is copied to C order first, so every kernel
+    sees one layout whatever the caller passes (the certificate's column
+    slices ran about 4x slower on a Fortran-ordered cost).
     """
-    cost = np.asarray(cost, dtype=float)
+    cost = np.ascontiguousarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost must be a matrix")
     if np.isnan(cost).any():
@@ -77,17 +90,59 @@ def hungarian(cost: np.ndarray) -> Assignment:
     if np.isinf(cost).any():
         raise ValueError("cost matrix contains infinite entries")
     nr, nc = cost.shape
-    if nr == nc and nr > 0 and _identity_certified(cost):
-        perm = np.arange(nr)
+    if nr == nc and nr > 0:
+        perm = _warm_started_search(cost)
     else:
         perm = _augmenting_path_search(cost)
     total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
     return Assignment(permutation=perm, cost=total)
 
 
-def _identity_certified(cost: np.ndarray) -> bool:
+# The warm start hands over to the full search once its row set S would hold
+# more than this share of the rows: re-solving S x S costs about as much as
+# the full search by then.
+_WARM_START_SHARE = 0.5
+
+
+def _warm_started_search(cost: np.ndarray) -> np.ndarray:
+    """The optimal permutation of the square cost, by the warm start of
+    hungarian: certify pi, else re-solve the rows on negative cycles."""
+    n = cost.shape[0]
+    margin = _certificate_margin(cost)
+    perm = np.arange(n)
+    in_s = np.zeros(n, dtype=bool)
+    while True:
+        if _identity_certified(cost, perm):
+            return perm
+        size = in_s.sum()
+        in_s[_negative_cycle_rows(_arc_weights(cost, perm), margin, _WARM_START_SHARE * n)] = True
+        if in_s.sum() == size or in_s.sum() > _WARM_START_SHARE * n:
+            return _augmenting_path_search(cost)
+        s = np.flatnonzero(in_s)
+        perm = np.arange(n)
+        perm[s] = s[_augmenting_path_search(cost[np.ix_(s, s)])]
+
+
+def _certificate_margin(cost: np.ndarray) -> float:
+    """n^3 * eps * max|C|: cycle weights within it of zero count as ties."""
+    return cost.shape[0] ** 3 * np.finfo(float).eps * float(np.abs(cost).max())
+
+
+def _arc_weights(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """D_ij = C[i, perm[j]] - C[i, perm[i]], what row i adds to the cost by
+    taking row j's column, with +inf on the diagonal: a permutation's cost
+    minus that of perm is the summed weight of its cycles in this digraph.
+    A new C-ordered array (cost[:, perm] would come out Fortran-ordered)."""
+    D = cost.take(perm, axis=1)
+    D -= D.diagonal().copy()[:, None]
+    np.fill_diagonal(D, np.inf)
+    return D
+
+
+def _identity_certified(cost: np.ndarray, perm: np.ndarray | None = None) -> bool:
     """True when the identity is the unique optimal assignment of the square
-    cost C by more than the margin n^3 * eps * max|C|.
+    cost C[:, perm] (perm defaults to the identity) by more than the margin
+    n^3 * eps * max|C|, which a column permutation does not change.
 
     The identity is the unique optimum exactly when every cycle of the
     complete digraph with arc weights D_ij = C_ij - C_ii has positive weight
@@ -99,15 +154,77 @@ def _identity_certified(cost: np.ndarray) -> bool:
     cycles from compounding towards overflow.
     """
     n = cost.shape[0]
-    margin = n**3 * np.finfo(float).eps * float(np.abs(cost).max())
-    D = cost - np.diag(cost)[:, None]
-    np.fill_diagonal(D, np.inf)
+    margin = _certificate_margin(cost)
+    D = _arc_weights(cost, np.arange(n) if perm is None else perm)
     cycles = np.diagonal(D)  # a read-only view, updated in place with D
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
         if cycles.min() <= margin:
             return False
     return True
+
+
+def _negative_cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray:
+    """Rows on disjoint cycles of weight below -margin in the digraph of the
+    arc weights D (see _arc_weights; overwritten here), found by
+    Bellman-Ford from a virtual source joined to every row by a zero arc.
+
+    Each round relaxes every arc at once: one (n, n) add and an argmin over
+    the tails. A cycle of parent pointers appears once some distance keeps
+    falling for n rounds, and usually much sooner, so the parent graph is
+    searched after every round that relaxed an arc. The rows of its cycles
+    below -margin are taken out of the graph and the search starts again on
+    the rest. It stops at the first round that relaxes nothing, after n
+    rounds in all, or once more than `most` rows are found.
+    """
+    n = D.shape[0]
+    dist = np.zeros(n)
+    parent = np.full(n + 1, n)  # n is the virtual source, its own parent
+    cols = np.arange(n)
+    found = np.zeros(n, dtype=bool)
+    reach = np.empty_like(D)
+    for _ in range(n):
+        np.add(dist[:, None], D, out=reach)
+        tail = reach.argmin(axis=0)
+        best = reach[tail, cols]
+        better = best < dist
+        if not better.any():
+            break
+        dist[better] = best[better]
+        parent[:n][better] = tail[better]
+        rows = _parent_cycle_rows(parent, D, margin)
+        if rows.size:
+            found[rows] = True
+            if found.sum() > most:
+                break
+            D[rows, :] = np.inf
+            D[:, rows] = np.inf
+            dist.fill(0.0)
+            parent.fill(n)
+    return np.flatnonzero(found)
+
+
+def _parent_cycle_rows(parent: np.ndarray, D: np.ndarray, margin: float) -> np.ndarray:
+    """Rows on the cycles of the parent graph (every row has one parent, the
+    virtual source n is its own) whose arc weights D[parent[i], i] sum to
+    below -margin."""
+    ancestor = parent
+    for _ in range(parent.size.bit_length()):
+        ancestor = ancestor[ancestor]  # parent^(2^k): on a cycle once 2^k >= n + 1
+    on_cycle = np.zeros(parent.size, dtype=bool)
+    on_cycle[ancestor] = True
+    on_cycle[-1] = False
+    rows = []
+    for start in np.flatnonzero(on_cycle):
+        if not on_cycle[start]:
+            continue  # on a cycle already walked
+        cycle = [start]
+        while parent[cycle[-1]] != start:
+            cycle.append(parent[cycle[-1]])
+        on_cycle[cycle] = False
+        if D[parent[cycle], cycle].sum() < -margin:
+            rows.extend(cycle)
+    return np.array(rows, dtype=np.intp)
 
 
 def _augmenting_path_search(cost: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Linear assignment solver against an exhaustive oracle, the scalar
 column loop it replaced, and scipy's solver; its identity certificate on
 costs it must certify and on costs where it must leave the answer to the
-search."""
+search; its warm start, which re-solves only the rows on negative cycles;
+and its independence of the cost's memory layout."""
 
 import itertools
 import warnings
@@ -228,6 +229,26 @@ class TestScipyOracle:
             self.assert_optimal(cost)
 
 
+def joint_design_costs(seeds):
+    """Every assignment cost the joint design solves on joint-long-sized
+    Scheme I scenarios (L = 128, p = 0.5) of the given seeds, in call order."""
+    costs = []
+
+    def recording_hungarian(cost):
+        costs.append(np.array(cost, dtype=float))
+        return hungarian(cost)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplingopt, "hungarian", recording_hungarian)
+        for seed in seeds:
+            cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=seed)
+            scn = make_scenario(cfg)
+            ch = scn.channels
+            noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
+            joint_design(cfg, ch.H, ch.G2, noise, scn.waveforms.S, scn.mask)
+    return costs
+
+
 def identity_optimal(rng, n, lowered):
     """A random n x n cost whose unique optimal assignment is the identity:
     a random cost's columns are reordered so that its optimal assignment
@@ -299,22 +320,10 @@ class TestIdentityCertificate:
             assert _identity_certified(cost) == certified
             assert_matches_scalar_loop(cost)
 
-    def test_joint_design_calls(self, monkeypatch):
+    def test_joint_design_calls(self):
         """Every assignment the joint design solves on joint-long-sized
         Scheme I scenarios, certified or not."""
-        costs = []
-
-        def recording_hungarian(cost):
-            costs.append(np.array(cost, dtype=float))
-            return hungarian(cost)
-
-        monkeypatch.setattr(samplingopt, "hungarian", recording_hungarian)
-        for seed in (1, 2):
-            cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=seed)
-            scn = make_scenario(cfg)
-            ch = scn.channels
-            noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
-            joint_design(cfg, ch.H, ch.G2, noise, scn.waveforms.S, scn.mask)
+        costs = joint_design_costs((1, 2))
         certified = [_identity_certified(cost) for cost in costs]
         assert any(certified) and not all(certified)
         for cost in costs:
@@ -330,3 +339,124 @@ class TestIdentityCertificate:
             assert not _identity_certified(cost)
             out = hungarian(cost)
         assert sorted(out.permutation) == list(range(512))
+
+
+def planted_cycles(rng, n, lengths, weight):
+    """An n x n cost on which the identity wins every cycle, with disjoint
+    cycles of the given lengths planted on random rows. Off the diagonal,
+    identity_optimal(rng, n, 10.0) keeps its entries in [-5, 5] and puts the
+    diagonal below -5, so every arc weight C_ij - C_ii is positive; each
+    arc of a planted cycle then gets weight -weight. The unique optimum
+    moves each planted row to the next row's column and leaves the other
+    rows in place. Returns (cost, optimal permutation)."""
+    cost = identity_optimal(rng, n, 10.0)
+    rows = rng.permutation(n)
+    perm = np.arange(n)
+    start = 0
+    for length in lengths:
+        cycle = rows[start:start + length]
+        start += length
+        succ = np.roll(cycle, -1)
+        cost[cycle, succ] = cost[cycle, cycle] - weight
+        perm[cycle] = succ
+    return cost, perm
+
+
+@pytest.fixture
+def search_sizes(monkeypatch):
+    """The sizes of the costs that hungarian hands to the search, in order."""
+    sizes = []
+    search = samplingopt._augmenting_path_search
+
+    def recording_search(cost):
+        sizes.append(cost.shape[0])
+        return search(cost)
+
+    monkeypatch.setattr(samplingopt, "_augmenting_path_search", recording_search)
+    return sizes
+
+
+class TestWarmStart:
+    """A cost the identity certificate rejects is re-solved on the rows of
+    its negative cycles and certified; ties and far-from-identity costs go
+    to the full search. Either way the answer is the scalar loop's."""
+
+    def test_planted_cycles_skip_the_full_search(self, search_sizes):
+        rng = stream(11, "hungarian")
+        for n in (32, 48, 64):
+            for weight in (1e-3, 1.0, 4.0):
+                cost, expected = planted_cycles(rng, n, (2, 3, 7), weight)
+                search_sizes.clear()
+                out = hungarian(cost)
+                assert np.array_equal(out.permutation, expected)
+                assert search_sizes and max(search_sizes) < n
+                assert_matches_scalar_loop(cost)
+
+    def test_zero_weight_cycle_falls_back(self, search_sizes):
+        """A planted negative 3-cycle plus a zero-weight 2-cycle on two other
+        rows: the candidate that rotates the 3-cycle ties with the one that
+        also swaps the pair, so the full search breaks the tie."""
+        rng = stream(12, "hungarian")
+        for n in (8, 16, 32):
+            cost, planted = planted_cycles(rng, n, (3,), 1.0)
+            a, b = np.flatnonzero(planted == np.arange(n))[:2]
+            cost[a, b] = cost[a, a]
+            cost[b, a] = cost[b, b]
+            search_sizes.clear()
+            out = hungarian(cost)
+            assert search_sizes[-1] == n
+            perm, total = scalar_loop_hungarian(cost)
+            assert np.array_equal(out.permutation, perm)
+            assert out.cost == total
+
+    def test_joint_design_calls(self, search_sizes):
+        """The joint-long costs of seeds 13-18: most calls the certificate
+        rejects are answered without a full-size search, and every call
+        matches the scalar loop."""
+        costs = joint_design_costs(range(13, 19))
+        assert len(costs) == 46
+        uncertified = [cost for cost in costs if not _identity_certified(cost)]
+        assert len(uncertified) == 15
+        answered = 0
+        for cost in uncertified:
+            search_sizes.clear()
+            hungarian(cost)
+            answered += max(search_sizes) < cost.shape[0]
+        assert answered >= 12
+        for cost in costs:
+            assert_matches_scalar_loop(cost)
+
+
+class TestMemoryLayout:
+    """hungarian's answer and speed do not depend on how the cost is laid out."""
+
+    def test_layouts_bit_equal(self, joint_costs):
+        rng = stream(14, "hungarian")
+        cost_sets = list(joint_costs) + [rng.uniform(-5.0, 5.0, size=(9, 9)),
+                                         rng.uniform(-5.0, 5.0, size=(7, 11))]
+        for cost in cost_sets:
+            expected = hungarian(cost)
+            for layout in (np.asfortranarray(cost), np.ascontiguousarray(cost),
+                           cost.T.copy().T):
+                out = hungarian(layout)
+                assert np.array_equal(out.permutation, expected.permutation)
+                assert out.cost == expected.cost
+
+    def test_kernels_see_c_order(self, joint_costs, monkeypatch):
+        """The certificate runs several times slower on a Fortran-ordered
+        array, so hungarian hands every kernel a C-ordered one: on costs the
+        warm start answers, on a far-from-identity cost that goes to the
+        full search, and on a rectangular one."""
+        seen = []
+        for name in ("_identity_certified", "_augmenting_path_search"):
+            kernel = getattr(samplingopt, name)
+
+            def recording(cost, *args, kernel=kernel):
+                seen.append(cost.flags.c_contiguous)
+                return kernel(cost, *args)
+
+            monkeypatch.setattr(samplingopt, name, recording)
+        rng = stream(15, "hungarian")
+        for cost in list(joint_costs) + [rng.uniform(size=(16, 16)), rng.uniform(size=(7, 11))]:
+            hungarian(np.asfortranarray(cost))
+        assert seen and all(seen)
