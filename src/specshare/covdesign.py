@@ -19,12 +19,24 @@ returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs through
 the same kernel and is the feasibility test: C is reachable within P_t
 exactly when the minimum-power design fits in it. linalg.eig_floor is the
 only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
+
+The methods differ only in W_l, and only the cooperative weights depend on
+the sampling mask, so one design problem is solved many times over with
+bit-equal inputs. Solves are memoized for one problem at a time: its key is
+the exact bytes (with dtype, shape and layout) of H, the noise matrices and
+C; it holds the whitened channels, the selfish step and the last few
+designs, keyed by the exact bytes of the weight diagonals and G2 and by
+P_t. A problem that differs in any bit replaces the one held; errors are
+never memoized. A design passes its post-conditions (_checked) once, when
+it is computed; a memoized one comes back as the same frozen solution with
+a read-only covariance stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +69,10 @@ _MIN_PROBE_HALVINGS = 20
 # instances, so the gap leaves a factor of about 300 for its rounding.
 _POWER_RTOL = 1e-11
 
+# Designs memoized per problem (see _Problem); an L = 128 design with its
+# key takes about 100 KB.
+_MEMO_SIZE = 8
+
 
 class InfeasibleError(RuntimeError):
     """The capacity target is unreachable within the power budget."""
@@ -66,13 +82,13 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualPoint:
     lambda1: float
     lambda2: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignSolution:
     schedule: CovarianceSchedule
     dual: DualPoint
@@ -316,6 +332,52 @@ def _probe(evaluate, P_t: float, grid: float, below: float, above: float, budget
             lo, f_lo, moved = k, power - P_t, -1
 
 
+def _exact(*values) -> tuple:
+    """dtype, shape, strides and bytes of each value: two keys are equal
+    exactly when the values are the same arrays bit for bit, laid out alike
+    (a transposed layout can send a product down another BLAS path)."""
+    return tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in map(np.asarray, values))
+
+
+@dataclass
+class _Problem:
+    """One design problem (H, noise, C) and what its designs share: the
+    whitened channels and the selfish step, which is also the feasibility
+    test. designs holds up to _MEMO_SIZE checked solutions, the least
+    recently used dropped first; the selfish design is under None and the
+    weighted ones under _exact(weights, G2, P_t)."""
+
+    key: tuple
+    whitened: np.ndarray
+    selfish: _DualIterate
+    designs: OrderedDict = field(default_factory=OrderedDict)
+
+    def design(self, key, solve) -> DesignSolution:
+        if key in self.designs:
+            self.designs.move_to_end(key)
+            return self.designs[key]
+        sol = solve()  # an error propagates and nothing is kept
+        sol.schedule.matrices.flags.writeable = False
+        self.designs[key] = sol
+        if len(self.designs) > _MEMO_SIZE:
+            self.designs.popitem(last=False)
+        return sol
+
+
+# The problem of the last solve; one that differs in any bit replaces it.
+# It takes no lock: the harness and joint_design solve on one thread.
+_memo: _Problem | None = None
+
+
+def _problem(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> _Problem:
+    global _memo
+    key = _exact(H, noise.matrices, C)
+    if _memo is None or _memo.key != key:
+        whitened = _whiten(H, noise)
+        _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C))
+    return _memo
+
+
 def solve_weighted_eip(
     weights: WeightSchedule,
     H: np.ndarray,
@@ -334,7 +396,8 @@ def solve_weighted_eip(
     bracket reached DUAL_TOL within MAX_DUAL_EVALUATIONS; the iterate is the
     bisection's bit for bit. iterations counts the dual evaluations made:
     2 when the power budget is slack and about 8 to 18 when it binds, where
-    the bisection makes 31.
+    the bisection makes 31. A repeated call with bit-equal inputs returns
+    the memoized solution.
     """
     if len(noise) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")
@@ -343,77 +406,49 @@ def solve_weighted_eip(
             f"weights cover {weights.diagonals.shape[1]} radar antennas, "
             f"G2 has {G2.shape[0]}"
         )
-    whitened = _whiten(H, noise)
+    problem = _problem(H, noise, C)
     # Written so that a NaN power is infeasible too.
-    if not _DualKernel.unweighted(whitened).step(1.0, C).power <= P_t:
+    if not problem.selfish.power <= P_t:
         raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
-    kernel = _DualKernel.weighted(weights.diagonals, G2, whitened)
-    best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
-    schedule = CovarianceSchedule(kernel.covariances(best))
-    return _checked(DesignSolution(
-        schedule=schedule,
-        dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
-        achieved_capacity=average_capacity(schedule, H, noise),
-        consumed_power=schedule.total_power,
-        objective_eip=_objective_eip(weights, G2, schedule),
-        iterations=iterations,
-        converged=converged,
-    ), C, P_t)
+
+    def solve():
+        kernel = _DualKernel.weighted(weights.diagonals, G2, problem.whitened)
+        best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
+        schedule = CovarianceSchedule(kernel.covariances(best))
+        return _checked(DesignSolution(
+            schedule=schedule,
+            dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
+            achieved_capacity=average_capacity(schedule, H, noise),
+            consumed_power=schedule.total_power,
+            objective_eip=_objective_eip(weights, G2, schedule),
+            iterations=iterations,
+            converged=converged,
+        ), C, P_t)
+
+    return problem.design(_exact(weights.diagonals, G2, P_t), solve)
 
 
 def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSolution:
     """Minimum-power design achieving average capacity C, ignoring the radar.
 
     Dual of the power objective: the per-symbol subproblem has Phi = I, so
-    a single closed-form water-level solve suffices (no bisection).
+    a single closed-form water-level solve suffices (no bisection). It is
+    the step the weighted solves of the same (H, noise, C) test feasibility
+    with, and is memoized with them.
     """
-    kernel = _DualKernel.unweighted(_whiten(H, noise))
-    it = kernel.step(1.0, C)
-    schedule = CovarianceSchedule(kernel.covariances(it))
-    return _checked(DesignSolution(
-        schedule=schedule,
-        dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
-        achieved_capacity=average_capacity(schedule, H, noise),
-        consumed_power=schedule.total_power,
-        objective_eip=float("nan"),  # filled by the caller's metric
-        iterations=1,
-        converged=True,
-    ), C)
+    problem = _problem(H, noise, C)
 
+    def solve():
+        it = problem.selfish
+        schedule = CovarianceSchedule(_DualKernel.unweighted(problem.whitened).covariances(it))
+        return _checked(DesignSolution(
+            schedule=schedule,
+            dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
+            achieved_capacity=average_capacity(schedule, H, noise),
+            consumed_power=schedule.total_power,
+            objective_eip=float("nan"),  # no weights: the radar is ignored
+            iterations=1,
+            converged=True,
+        ), C)
 
-def verify_solution(
-    sol: DesignSolution,
-    H: np.ndarray,
-    G2: np.ndarray,
-    noise: NoiseCovSchedule,
-    P_t: float,
-    C: float,
-    weights: WeightSchedule | None = None,
-    other: DesignSolution | None = None,
-) -> dict:
-    """Feasibility / optimality report for a returned design.
-
-    When weights and a second solution are given, the ordering verdict
-    checks that sol's weighted EIP does not exceed the other solution's
-    (the structure of the cooperative-vs-noncooperative comparisons).
-    """
-    report = {}
-    try:
-        sol.schedule.validate()
-        report["psd_ok"] = True
-    except Exception:
-        report["psd_ok"] = False
-    power = sol.schedule.total_power
-    report["consumed_power"] = power
-    report["power_feasible"] = power <= P_t + 1e-6
-    cap = average_capacity(sol.schedule, H, noise)
-    report["capacity_gap"] = cap - C
-    report["capacity_active"] = abs(cap - C) <= 1e-3
-    report["slackness_residual"] = abs(sol.dual.lambda1 * (P_t - power))
-    if weights is not None:
-        report["objective_eip"] = _objective_eip(weights, G2, sol.schedule)
-        if other is not None:
-            other_eip = _objective_eip(weights, G2, other.schedule)
-            report["other_eip"] = other_eip
-            report["ordering_ok"] = report["objective_eip"] <= other_eip + 1e-8
-    return report
+    return problem.design(None, solve)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,11 +193,17 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
 
 
 def sweep(spec: ExperimentSpec) -> list:
-    """run_compare at every grid value; rows tagged with the sweep value."""
+    """run_compare at every grid value; rows tagged with the sweep value.
+
+    Seeds run one at a time through the whole grid, so the designs a seed's
+    grid points share come from covdesign's memo of its last problem;
+    format_csv sorts the rows."""
     spec.validate()
     rows = []
-    for value in spec.sweep_values:
-        rows.extend(run_compare(spec, sweep_value=value))
+    for seed in spec.seeds:
+        one_seed = replace(spec, seeds=[seed])
+        for value in spec.sweep_values:
+            rows.extend(run_compare(one_seed, sweep_value=value))
     return rows
 
 

@@ -7,13 +7,20 @@ its one weighted form), singular-value soft thresholding through a thin
 SVD (specshare.completion goes through a Gram eigendecomposition), and the
 feasibility of a capacity target by classic water-filling of the power
 budget (specshare.covdesign asks whether the minimum-power design fits in
-the budget). Only the tests use them.
+the budget), and a feasibility and optimality report of a returned design
+recomputed from its covariances (specshare.covdesign checks its own
+post-conditions once, as it solves). Only the tests use them.
 """
 
 import numpy as np
 
 from specshare.config import Scheme
-from specshare.interference import MetricError, interference_diag_matrix
+from specshare.interference import (
+    MetricError,
+    average_capacity,
+    interference_diag_matrix,
+    weighted_eip,
+)
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
@@ -106,3 +113,35 @@ def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
     gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))
+
+
+def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other=None) -> dict:
+    """Feasibility / optimality report for a returned design.
+
+    When weights and a second solution are given, the ordering verdict
+    checks that sol's weighted EIP does not exceed the other solution's
+    (the structure of the cooperative-vs-noncooperative comparisons).
+    """
+    report = {}
+    try:
+        sol.schedule.validate()
+        report["psd_ok"] = True
+    except Exception:
+        report["psd_ok"] = False
+    power = sol.schedule.total_power
+    report["consumed_power"] = power
+    report["power_feasible"] = power <= P_t + 1e-6
+    cap = average_capacity(sol.schedule, H, noise)
+    report["capacity_gap"] = cap - C
+    report["capacity_active"] = abs(cap - C) <= 1e-3
+    report["slackness_residual"] = abs(sol.dual.lambda1 * (P_t - power))
+    if weights is not None:
+        def eip(design):  # clamped at 0 like the design objective
+            return max(weighted_eip(weights, interference_diag_matrix(G2, design.schedule)), 0.0)
+
+        report["objective_eip"] = eip(sol)
+        if other is not None:
+            other_eip = eip(other)
+            report["other_eip"] = other_eip
+            report["ordering_ok"] = report["objective_eip"] <= other_eip + 1e-8
+    return report

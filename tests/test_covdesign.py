@@ -1,6 +1,8 @@
 """Covariance design: water level, closed-form subproblem, bisection solver."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from specshare.covdesign import (
     min_capacity_multiplier,
     solve_selfish,
     solve_weighted_eip,
-    verify_solution,
 )
 from specshare.interference import (
     METHOD_EIP_I,
@@ -31,7 +32,7 @@ from specshare.linalg import crandn, hermitize, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
-from oracles import capacity_bound, water_fill
+from oracles import capacity_bound, verify_solution, water_fill
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -342,8 +343,7 @@ class TestVerifySolution:
         from specshare.interference import CovarianceSchedule
 
         bumped = CovarianceSchedule([R + 10.0 * np.eye(2) for R in sol.schedule])
-        sol.schedule = bumped
-        report = verify_solution(sol, H, G2, noise, 6.0, 2.0)
+        report = verify_solution(dataclasses.replace(sol, schedule=bumped), H, G2, noise, 6.0, 2.0)
         assert not report["power_feasible"]
 
 
@@ -603,11 +603,12 @@ class TestDualSearch:
     @staticmethod
     def solve_both(monkeypatch, *args):
         """solve_weighted_eip's solution or error, with the search and then
-        with the bisection oracle in its place."""
+        with the bisection oracle in its place, each from an empty memo."""
         out = []
         for search in (covdesign._dual_search, bisection_oracle):
             with monkeypatch.context() as m:
                 m.setattr(covdesign, "_dual_search", search)
+                m.setattr(covdesign, "_memo", None)
                 try:
                     out.append(solve_weighted_eip(*args))
                 except (InfeasibleError, SolverError) as exc:

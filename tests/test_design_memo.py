@@ -1,0 +1,254 @@
+"""The design memo of specshare.covdesign: one problem (H, noise, C) at a
+time, its designs keyed by the exact inputs, and no answer that differs
+from a cold solve."""
+
+import collections
+import dataclasses
+
+import numpy as np
+import pytest
+
+from specshare import covdesign, harness
+from specshare.config import ScenarioConfig, Scheme
+from specshare.covdesign import InfeasibleError, SolverError, solve_selfish, solve_weighted_eip
+from specshare.harness import ExperimentSpec, format_csv, run_compare, sweep
+from specshare.interference import (
+    METHOD_TIP,
+    NoiseCovSchedule,
+    WeightSchedule,
+    noise_covariances,
+    scheme_weights,
+    weight_schedule,
+)
+from specshare.samplingopt import joint_design
+from specshare.scenario import make_scenario
+
+SCHEME_METHODS = {
+    Scheme.SCHEME_I: ("selfish", "noncoop", "coop", "joint"),
+    Scheme.SCHEME_II: ("selfish", "noncoop", "partial", "full", "joint"),
+}
+
+
+def forget(monkeypatch):
+    monkeypatch.setattr(covdesign, "_memo", None)
+
+
+def count_calls(monkeypatch, *names):
+    """Counter of the calls to the named covdesign functions from now on."""
+    counts = collections.Counter()
+    for name in names:
+        real = getattr(covdesign, name)
+
+        def counting(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(covdesign, name, counting)
+    return counts
+
+
+def fingerprint(sol):
+    """Every field of a design, as bytes where it is a number."""
+    numbers = [sol.dual.lambda1, sol.dual.lambda2, sol.achieved_capacity,
+               sol.consumed_power, sol.objective_eip]
+    return (sol.schedule.matrices.tobytes(), np.array(numbers).tobytes(),
+            sol.iterations, sol.converged)
+
+
+def solve(method, cfg):
+    """The harness's design for method on a freshly generated scenario, so
+    that every call passes new arrays with the same bytes."""
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    return harness._solve_method(method, cfg, scn, noise)[0]
+
+
+def scheme_cases():
+    return [(scheme, method) for scheme, methods in SCHEME_METHODS.items() for method in methods]
+
+
+@pytest.mark.parametrize("scheme,method", scheme_cases())
+def test_hit_is_bit_equal_to_cold_solve(monkeypatch, scheme, method):
+    cfg = ScenarioConfig(scheme=scheme, p=0.5, seed=3)
+    cold = fingerprint(solve(method, cfg))
+    # The other methods first: this one is then solved on a warm problem,
+    # and again as a memo hit.
+    forget(monkeypatch)
+    for other in SCHEME_METHODS[scheme]:
+        if other != method:
+            solve(other, cfg)
+    first = solve(method, cfg)
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    again = solve(method, cfg)
+    assert again is first and not counts
+    assert fingerprint(first) == cold
+
+
+def perturbed_designs():
+    """(name, change) pairs; each change maps the design's arguments to
+    arguments that differ in one ulp, or only in memory layout."""
+    def ulp(x):
+        return np.nextafter(x, np.inf)
+
+    def bump(a):
+        a = np.array(a)
+        flat = a.reshape(-1)
+        if np.iscomplexobj(a):
+            flat.real[0] = ulp(flat.real[0])
+        else:
+            flat[0] = ulp(flat[0])
+        return a
+
+    return [
+        ("H", lambda w, H, G2, noise, P_t, C: (w, bump(H), G2, noise, P_t, C)),
+        ("noise", lambda w, H, G2, noise, P_t, C:
+            (w, H, G2, NoiseCovSchedule(bump(noise.matrices)), P_t, C)),
+        ("G2", lambda w, H, G2, noise, P_t, C: (w, H, bump(G2), noise, P_t, C)),
+        ("W", lambda w, H, G2, noise, P_t, C:
+            (WeightSchedule(bump(w.diagonals)), H, G2, noise, P_t, C)),
+        ("P_t", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, ulp(P_t), C)),
+        ("C", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, P_t, ulp(C))),
+        ("W layout", lambda w, H, G2, noise, P_t, C:
+            (WeightSchedule(np.asfortranarray(w.diagonals)), H, G2, noise, P_t, C)),
+    ]
+
+
+@pytest.mark.parametrize("name,change", perturbed_designs(),
+                         ids=[name for name, _ in perturbed_designs()])
+def test_any_changed_input_misses(monkeypatch, name, change):
+    cfg = ScenarioConfig(p=0.5, seed=5)
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
+    design = (w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+    base = solve_weighted_eip(*design)
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    assert solve_weighted_eip(*design) is base and not counts
+    changed = solve_weighted_eip(*change(*design))
+    assert changed is not base and counts["_dual_search"] == 1
+    new_problem = name in ("H", "noise", "C")
+    assert counts["_whiten"] == int(new_problem)
+    # A changed weighted input leaves the problem and its designs in place;
+    # a changed problem replaces them.
+    again = solve_weighted_eip(*design)
+    assert (again is base) == (not new_problem)
+    assert fingerprint(again) == fingerprint(base)
+
+
+def test_returned_designs_are_read_only():
+    cfg = ScenarioConfig(p=0.5, seed=5)
+    for method in ("selfish", "noncoop"):
+        sol = solve(method, cfg)
+        assert not sol.schedule.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            sol.schedule.matrices[0, 0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.converged = False
+
+
+def small_design():
+    cfg = ScenarioConfig(p=0.5, seed=7)
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    w = weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L)
+    return (w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+
+
+class TestErrorsAreNotMemoized:
+    def test_infeasible_selfish_step(self, monkeypatch):
+        w, H, G2, noise, P_t, C = small_design()
+
+        def unreachable(*args):
+            raise InfeasibleError("unreachable")
+
+        with monkeypatch.context() as m:
+            m.setattr(covdesign, "min_capacity_multiplier", unreachable)
+            with pytest.raises(InfeasibleError):
+                solve_selfish(H, noise, C)
+            with pytest.raises(InfeasibleError):
+                solve_weighted_eip(w, H, G2, noise, P_t, C)
+        assert solve_selfish(H, noise, C).converged
+        assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
+
+    def test_infeasible_budget(self):
+        w, H, G2, noise, P_t, C = small_design()
+        p_min = solve_selfish(H, noise, C).consumed_power
+        for _ in range(2):
+            with pytest.raises(InfeasibleError):
+                solve_weighted_eip(w, H, G2, noise, 0.5 * p_min, C)
+            assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
+
+    def test_solver_errors(self, monkeypatch):
+        design = small_design()
+
+        def fails(*args):
+            raise SolverError("no search")
+
+        real = covdesign._DualKernel.covariances
+        for name, target, replacement in (
+            ("_dual_search", covdesign, fails),
+            ("covariances", covdesign._DualKernel, lambda self, it: 2.0 * real(self, it)),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, replacement)
+                with pytest.raises(SolverError):
+                    solve_weighted_eip(*design)
+            assert solve_weighted_eip(*design).converged
+            forget(monkeypatch)
+
+
+def sweep_p_jobs(seed):
+    """The paper's p-sweep as the benchmark runs it: both schemes, one
+    run_compare per grid point."""
+    cfg = ScenarioConfig(seed=seed)
+    for cfg, methods in ((cfg, ["selfish", "noncoop", "coop"]),
+                         (cfg.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
+        for p in (0.2, 0.4, 0.6, 0.8, 1.0):
+            yield ExperimentSpec(cfg=cfg, methods=methods, sweep_var="p", seeds=[seed]), p
+
+
+def test_sweep_p_seed_shares_one_problem(monkeypatch):
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    for spec, p in sweep_p_jobs(13):
+        rows = run_compare(spec, p)
+        assert not any(r.error for r in rows)
+    # 25 weighted designs, of which 11 differ: the noncoop and partial
+    # weights do not depend on p, Scheme II noncoop repeats Scheme I's, and
+    # the Scheme I coop weights at p = 1 are the noncoop ones. (The Scheme
+    # II full weights at p = 1 equal the partial ones in value but not in
+    # memory layout, and are solved again.)
+    assert counts["_whiten"] == 1
+    assert counts["_dual_search"] <= 12
+
+
+def test_joint_design_whitens_once(monkeypatch):
+    cfg = ScenarioConfig(p=0.5, seed=1)
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise, scn.waveforms.S, scn.mask)
+    assert result.outer_iterations >= 2
+    assert counts["_whiten"] == 1
+    assert counts["_dual_search"] <= result.outer_iterations
+
+
+@pytest.mark.parametrize("scheme,methods", [
+    (Scheme.SCHEME_I, ["selfish", "noncoop", "coop"]),
+    (Scheme.SCHEME_II, ["noncoop", "partial", "full"]),
+])
+def test_warm_sweep_csv_equals_cold(monkeypatch, scheme, methods):
+    spec = ExperimentSpec(cfg=ScenarioConfig(scheme=scheme), methods=methods,
+                          sweep_var="p", sweep_values=[0.6, 1.0], seeds=[0, 1])
+    with monkeypatch.context() as m:
+        counts = count_calls(m, "_whiten")
+        warm = format_csv(sweep(spec))
+    # Seeds run one after the other, each through the whole grid.
+    assert counts["_whiten"] == 2
+    real = harness._solve_method
+
+    def cold_solve(*args):
+        forget(monkeypatch)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_solve_method", cold_solve)
+    assert format_csv(sweep(spec)) == warm

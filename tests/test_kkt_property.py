@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from specshare.covdesign import solve_selfish, solve_weighted_eip, verify_solution
+from specshare.covdesign import solve_selfish, solve_weighted_eip
 from specshare.interference import NoiseCovSchedule, WeightSchedule
 from specshare.linalg import crandn, hermitize
 from specshare.streams import stream
+
+from oracles import verify_solution
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
