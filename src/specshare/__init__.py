@@ -12,14 +12,12 @@ from .covdesign import (
     solve_weighted_eip,
 )
 from .interference import (
-    CovarianceSchedule,
-    NoiseCovSchedule,
-    WeightSchedule,
     average_capacity,
+    fmfb_weights,
     interference_diag_matrix,
     noise_covariances,
     scheme_weights,
-    weight_schedule,
+    tip_weights,
     weighted_eip,
 )
 from .completion import CompletionParams, RecoveryReport, complete, radar_pipeline, relative_error

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
-from .interference import CovarianceSchedule
-from .linalg import crandn
+from .linalg import crandn, psd_sqrt
 from .scenario import (
     SamplingMask,
     generate_phase_offsets,
@@ -26,7 +25,6 @@ from .scenario import (
 
 @dataclass
 class CompletionParams:
-    step: float = 1.0
     mu: float | None = None          # None: 1e-4 * sigma1(observed)
     mu_rel: float = 1e-4
     max_iterations: int = 500        # per continuation stage
@@ -34,8 +32,6 @@ class CompletionParams:
     continuation: float = 0.1        # geometric factor for the mu schedule
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("step must be positive")
         if self.mu is not None and self.mu <= 0:
             raise ValueError("mu must be positive")
         if self.max_iterations < 1:
@@ -74,7 +70,7 @@ def shrink(X: np.ndarray, threshold: float):
     A V_k diag((sigma_k - t)/sigma_k) V_k^H over the kept sigma_k > t. A kept
     value is exact to about eps*sigma1^2/sigma_k absolute, so relative to
     itself to about eps*(sigma1/t)^2 or better; the completer's thresholds
-    are at least tau*mu >= mu_rel*sigma1.
+    are at least mu >= mu_rel*sigma1.
     """
     sigma, A, V = _gram_spectrum(X)
     s = np.maximum(sigma - threshold, 0.0)
@@ -126,7 +122,6 @@ def complete(
         return np.zeros_like(observed), 0, True
     sigma1 = float(_gram_spectrum(masked)[0][0])
     mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
-    tau = params.step
     mus = _mu_schedule(sigma1, mu_final, params.continuation)
     def objective(mat, mu, nuc=None):
         if nuc is None:
@@ -139,13 +134,14 @@ def complete(
     for mu in mus:
         # Monotone accelerated proximal gradient, warm-started from the
         # previous stage: the shrinkage step Z is accepted only when it
-        # lowers the objective, while momentum always follows Z.
+        # lowers the objective, while momentum always follows Z. The
+        # gradient step is 1, since P_Omega(Y - observed) is 1-Lipschitz.
         Y = X.copy()
         t = 1.0
         obj = objective(X, mu)
         converged = False
         for _ in range(params.max_iterations):
-            Z, s = shrink(Y - tau * (omega * (Y - observed)), tau * mu)
+            Z, s = shrink(Y - omega * (Y - observed), mu)
             obj_Z = objective(Z, mu, nuc=float(s.sum()))
             X_prev = X
             if obj_Z <= obj:
@@ -185,7 +181,7 @@ def radar_pipeline(
     D: np.ndarray,
     S: np.ndarray,
     G2: np.ndarray,
-    schedule: CovarianceSchedule,
+    schedule: np.ndarray,
     mask: SamplingMask,
     trials: int,
     rng: np.random.Generator,
@@ -198,7 +194,7 @@ def radar_pipeline(
     score against the noiseless ground truth (gamma*rho*D*S for Scheme I,
     gamma*rho*D for Scheme II).
     """
-    roots = schedule.sqrts()
+    roots = psd_sqrt(schedule)
     L = len(schedule)
     truth = noiseless_radar_return(cfg, D, S)
     if cfg.scheme is Scheme.SCHEME_II:

@@ -23,11 +23,11 @@ only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
-the exact bytes (with dtype, shape and layout) of H, the noise matrices and
+the exact bytes (with dtype, shape and layout) of H, the noise stack and
 C; it holds the whitened channels, the selfish step and the last few
-designs, keyed by the exact bytes of the weight diagonals and G2 and by
-P_t. A problem that differs in any bit replaces the one held; errors are
-never memoized. A design passes its post-conditions (_checked) once, when
+designs, keyed by the exact bytes of the weights and G2 and by P_t. A
+problem that differs in any bit replaces the one held; errors are never
+memoized. A design passes its post-conditions (_checked) once, when
 it is computed; a memoized one comes back as the same frozen solution with
 a read-only covariance stack.
 """
@@ -41,12 +41,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .interference import (
-    CovarianceSchedule,
     MetricError,
-    NoiseCovSchedule,
-    WeightSchedule,
     average_capacity,
+    check_covariances,
     interference_diag_matrix,
+    total_power,
     weighted_eip,
 )
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
@@ -90,7 +89,7 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class DesignSolution:
-    schedule: CovarianceSchedule
+    schedule: np.ndarray  # (L, M_tC, M_tC) transmit covariances
     dual: DualPoint
     achieved_capacity: float
     consumed_power: float
@@ -199,29 +198,29 @@ class _DualKernel:
         return hermitize((X * it.beta[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
 
 
-def _whiten(H: np.ndarray, noise: NoiseCovSchedule) -> np.ndarray:
+def _whiten(H: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """(L, M_rC, M_tC) stack of whitened channels R_wl^{-1/2} H."""
-    return psd_inv_sqrt(noise.matrices) @ H
+    return psd_inv_sqrt(noise) @ H
 
 
-def _objective_eip(weights: WeightSchedule, G2: np.ndarray, schedule: CovarianceSchedule) -> float:
-    """The design objective: the weighted interference power, clamped at 0
-    so that roundoff never reports a negative power."""
-    return max(weighted_eip(weights, interference_diag_matrix(G2, schedule)), 0.0)
-
-
-def _checked(sol: DesignSolution, C: float, P_t: float = math.inf) -> DesignSolution:
-    """Post-conditions of a returned design: Hermitian PSD covariances, power
-    within P_t and capacity at least C, both to a 1e-9 relative slack."""
+def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
+             P_t: float = math.inf, **fields) -> DesignSolution:
+    """The design of the covariance stack, with its capacity and power and
+    the other DesignSolution fields, once its post-conditions hold: Hermitian
+    PSD covariances, power within P_t and capacity at least C, both to a
+    1e-9 relative slack."""
     try:
-        sol.schedule.validate()
+        check_covariances(schedule)
     except MetricError as exc:
         raise SolverError(f"invalid covariance schedule: {exc}") from exc
-    if not sol.consumed_power <= P_t * (1.0 + 1e-9):
-        raise SolverError(f"power {sol.consumed_power!r} exceeds the budget {P_t!r}")
-    if not sol.achieved_capacity >= C * (1.0 - 1e-9):
-        raise SolverError(f"capacity {sol.achieved_capacity!r} is below the target {C!r}")
-    return sol
+    power = total_power(schedule)
+    if not power <= P_t * (1.0 + 1e-9):
+        raise SolverError(f"power {power!r} exceeds the budget {P_t!r}")
+    capacity = average_capacity(schedule, H, noise)
+    if not capacity >= C * (1.0 - 1e-9):
+        raise SolverError(f"capacity {capacity!r} is below the target {C!r}")
+    return DesignSolution(schedule=schedule, achieved_capacity=capacity,
+                          consumed_power=power, **fields)
 
 
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
@@ -357,7 +356,7 @@ class _Problem:
             self.designs.move_to_end(key)
             return self.designs[key]
         sol = solve()  # an error propagates and nothing is kept
-        sol.schedule.matrices.flags.writeable = False
+        sol.schedule.flags.writeable = False
         self.designs[key] = sol
         if len(self.designs) > _MEMO_SIZE:
             self.designs.popitem(last=False)
@@ -369,9 +368,9 @@ class _Problem:
 _memo: _Problem | None = None
 
 
-def _problem(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> _Problem:
+def _problem(H: np.ndarray, noise: np.ndarray, C: float) -> _Problem:
     global _memo
-    key = _exact(H, noise.matrices, C)
+    key = _exact(H, noise, C)
     if _memo is None or _memo.key != key:
         whitened = _whiten(H, noise)
         _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C))
@@ -379,15 +378,16 @@ def _problem(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> _Problem:
 
 
 def solve_weighted_eip(
-    weights: WeightSchedule,
+    weights: np.ndarray,
     H: np.ndarray,
     G2: np.ndarray,
-    noise: NoiseCovSchedule,
+    noise: np.ndarray,
     P_t: float,
     C: float,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by bisection on the power multiplier.
+    weights is the (L, M_rR) array of the diagonals of the W_l.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
     (selfish) design. Power consumption is nonincreasing in lambda1, so the
@@ -401,34 +401,27 @@ def solve_weighted_eip(
     """
     if len(noise) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")
-    if weights.diagonals.shape[1] != G2.shape[0]:
-        raise SolverError(
-            f"weights cover {weights.diagonals.shape[1]} radar antennas, "
-            f"G2 has {G2.shape[0]}"
-        )
+    if weights.shape[1] != G2.shape[0]:
+        raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
     problem = _problem(H, noise, C)
     # Written so that a NaN power is infeasible too.
     if not problem.selfish.power <= P_t:
         raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
 
     def solve():
-        kernel = _DualKernel.weighted(weights.diagonals, G2, problem.whitened)
+        kernel = _DualKernel.weighted(weights, G2, problem.whitened)
         best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
-        schedule = CovarianceSchedule(kernel.covariances(best))
-        return _checked(DesignSolution(
-            schedule=schedule,
-            dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
-            achieved_capacity=average_capacity(schedule, H, noise),
-            consumed_power=schedule.total_power,
-            objective_eip=_objective_eip(weights, G2, schedule),
-            iterations=iterations,
-            converged=converged,
-        ), C, P_t)
+        schedule = kernel.covariances(best)
+        # Clamped at 0 so that roundoff never reports a negative power.
+        eip = max(weighted_eip(weights, interference_diag_matrix(G2, schedule)), 0.0)
+        return _checked(schedule, H, noise, C, P_t,
+                        dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
+                        objective_eip=eip, iterations=iterations, converged=converged)
 
-    return problem.design(_exact(weights.diagonals, G2, P_t), solve)
+    return problem.design(_exact(weights, G2, P_t), solve)
 
 
-def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSolution:
+def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float) -> DesignSolution:
     """Minimum-power design achieving average capacity C, ignoring the radar.
 
     Dual of the power objective: the per-symbol subproblem has Phi = I, so
@@ -440,15 +433,9 @@ def solve_selfish(H: np.ndarray, noise: NoiseCovSchedule, C: float) -> DesignSol
 
     def solve():
         it = problem.selfish
-        schedule = CovarianceSchedule(_DualKernel.unweighted(problem.whitened).covariances(it))
-        return _checked(DesignSolution(
-            schedule=schedule,
-            dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
-            achieved_capacity=average_capacity(schedule, H, noise),
-            consumed_power=schedule.total_power,
-            objective_eip=float("nan"),  # no weights: the radar is ignored
-            iterations=1,
-            converged=True,
-        ), C)
+        return _checked(_DualKernel.unweighted(problem.whitened).covariances(it), H, noise, C,
+                        dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
+                        objective_eip=float("nan"),  # no weights: the radar is ignored
+                        iterations=1, converged=True)
 
     return problem.design(None, solve)

@@ -21,12 +21,11 @@ from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme
 from .covdesign import InfeasibleError, solve_selfish, solve_weighted_eip
 from .interference import (
-    METHOD_IP_FMFB,
-    METHOD_TIP,
+    fmfb_weights,
     interference_diag_matrix,
     noise_covariances,
     scheme_weights,
-    weight_schedule,
+    tip_weights,
     weighted_eip,
 )
 from .samplingopt import joint_design
@@ -122,19 +121,24 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
 
 
 def _solve_method(method, cfg, scn, noise):
-    """Returns (DesignSolution, mask used for the EIP metric)."""
+    """Returns (DesignSolution, mask used for the EIP metric). The method's
+    name picks the interference weights W_l of its design problem."""
     H, G2 = scn.channels.H, scn.channels.G2
     S = scn.waveforms.S
-    L = cfg.L
-    n_rx = cfg.M_rR
     if method == "selfish":
-        return solve_selfish(H, noise, cfg.C), scn.mask
+        sol = solve_selfish(H, noise, cfg.C)
+        # The budget test of solve_weighted_eip: the minimum-power design
+        # ignores P_t, so a capacity target beyond it makes the row infeasible.
+        if not sol.consumed_power <= cfg.P_t:
+            raise InfeasibleError(
+                f"capacity target {cfg.C} unreachable within power budget {cfg.P_t}")
+        return sol, scn.mask
     if method == "noncoop":
-        w = weight_schedule(METHOD_TIP, n_rx, L)
+        w = tip_weights(cfg.M_rR, cfg.L)
     elif method in ("coop", "full"):  # the radar scheme's EIP, per validate()
         w = scheme_weights(cfg, scn.mask, S)
     elif method == "partial":
-        w = weight_schedule(METHOD_IP_FMFB, n_rx, L, S=S)
+        w = fmfb_weights(S, cfg.M_rR)
     elif method == "joint":
         result = joint_design(cfg, H, G2, noise, S, scn.mask)
         return result.solution, result.mask
@@ -169,7 +173,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                 schedule = sol.schedule
                 Q = interference_diag_matrix(scn.channels.G2, schedule)
                 row.eip = weighted_eip(scheme_weights(cfg, mask, scn.waveforms.S), Q)
-                row.tip = weighted_eip(weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L), Q)
+                row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), Q)
                 row.capacity = sol.achieved_capacity
                 row.power = sol.consumed_power
                 if spec.mc_trials > 0:

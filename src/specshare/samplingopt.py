@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import NoiseCovSchedule, interference_diag_matrix, scheme_weights
+from .interference import interference_diag_matrix, scheme_weights
 from .config import ScenarioConfig, Scheme
 from .covdesign import DesignSolution, solve_weighted_eip
 from .scenario import SamplingMask
@@ -44,9 +44,10 @@ class JointDesignResult:
 
 
 def hungarian(cost: np.ndarray) -> Assignment:
-    """Minimum-cost linear assignment (shortest augmenting path, O(n^3)).
+    """Minimum-cost linear assignment of a square cost (shortest augmenting
+    path, O(n^3)); a non-square cost raises ValueError.
 
-    A square cost C is first answered by a warm start from the candidate
+    A non-empty cost C is first answered by a warm start from the candidate
     permutation pi = identity and an empty row set S. Each round:
 
     1. Certify: when _identity_certified accepts the column-permuted cost
@@ -75,26 +76,21 @@ def hungarian(cost: np.ndarray) -> Assignment:
     The arithmetic is the same as that of the scalar column loop, element by
     element, so the result is bit-identical to it.
 
-    Rectangular inputs are padded with a constant exceeding any real entry;
-    padded cells never contribute to the returned cost. Ties are broken by
-    lowest index (np.argmin returns the first minimum), so the result is
-    deterministic. The cost is copied to C order first, so every kernel
+    Ties are broken by lowest index (np.argmin returns the first minimum),
+    so the result is deterministic. The cost is copied to C order first, so every kernel
     sees one layout whatever the caller passes (the certificate's column
     slices ran about 4x slower on a Fortran-ordered cost).
     """
     cost = np.ascontiguousarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a matrix")
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"cost must be a square matrix, got shape {cost.shape}")
     if np.isnan(cost).any():
         raise ValueError("cost matrix contains NaN")
     if np.isinf(cost).any():
         raise ValueError("cost matrix contains infinite entries")
-    nr, nc = cost.shape
-    if nr == nc and nr > 0:
-        perm = _warm_started_search(cost)
-    else:
-        perm = _augmenting_path_search(cost)
-    total = float(sum(cost[i, perm[i]] for i in range(nr) if perm[i] < nc))
+    n = cost.shape[0]
+    perm = _warm_started_search(cost) if n else np.empty(0, dtype=int)
+    total = float(sum(cost[i, perm[i]] for i in range(n)))
     return Assignment(permutation=perm, cost=total)
 
 
@@ -228,14 +224,14 @@ def _parent_cycle_rows(parent: np.ndarray, D: np.ndarray, margin: float) -> np.n
 
 
 def _augmenting_path_search(cost: np.ndarray) -> np.ndarray:
-    """The shortest-augmenting-path search of hungarian: permutation[i] is
-    the column assigned to row i (columns >= nc are padding)."""
-    nr, nc = cost.shape
-    n = max(nr, nc)
-    pad = float(np.abs(cost).max() if cost.size else 0.0) + 1.0
-    # 1-based: row and column 0 are the virtual root of the search tree.
-    C = np.full((n + 1, n + 1), pad)
-    C[1:nr + 1, 1:nc + 1] = cost
+    """The shortest-augmenting-path search of hungarian on a square cost:
+    permutation[i] is the column assigned to row i."""
+    n = cost.shape[0]
+    # 1-based: row and column 0 are the virtual root of the search tree. Row
+    # 0 is never read, and column 0 joins the tree first, so the scan adds
+    # +inf to its entries and they never count.
+    C = np.zeros((n + 1, n + 1))
+    C[1:, 1:] = cost
     C_rows = list(C)
 
     INF = np.inf
@@ -352,7 +348,7 @@ def joint_design(
     cfg: ScenarioConfig,
     H: np.ndarray,
     G2: np.ndarray,
-    noise: NoiseCovSchedule,
+    noise: np.ndarray,
     S: np.ndarray,
     mask: SamplingMask,
 ) -> JointDesignResult:

@@ -18,9 +18,12 @@ from specshare.config import Scheme
 from specshare.interference import (
     MetricError,
     average_capacity,
+    check_covariances,
     interference_diag_matrix,
+    total_power,
     weighted_eip,
 )
+from specshare.linalg import psd_sqrt
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
@@ -44,7 +47,7 @@ def eip_samples(cfg, mask, G2, S, schedule, trials: int, rng) -> np.ndarray:
     """
     if trials < 1:
         raise MetricError("trials must be >= 1")
-    roots = schedule.sqrts()  # (L, n_tx, n_tx)
+    roots = psd_sqrt(schedule)  # (L, n_tx, n_tx)
     L, n_tx = roots.shape[0], roots.shape[1]
     draws = rng.standard_normal((trials, 2 * L * n_tx + L))
     parts = draws[:, : 2 * L * n_tx].reshape(trials, L, 2, n_tx)
@@ -124,11 +127,11 @@ def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other
     """
     report = {}
     try:
-        sol.schedule.validate()
+        check_covariances(sol.schedule)
         report["psd_ok"] = True
     except Exception:
         report["psd_ok"] = False
-    power = sol.schedule.total_power
+    power = total_power(sol.schedule)
     report["consumed_power"] = power
     report["power_feasible"] = power <= P_t + 1e-6
     cap = average_capacity(sol.schedule, H, noise)

@@ -21,17 +21,12 @@ from specshare.covdesign import (
 )
 from specshare.harness import ExperimentSpec, format_csv, sweep
 from specshare.interference import (
-    METHOD_EIP_I,
-    METHOD_EIP_II,
-    METHOD_IP_FMFB,
-    METHOD_TIP,
-    CovarianceSchedule,
-    WeightSchedule,
+    fmfb_weights,
     interference_diag_matrix,
     mismatched_weight_diagonals,
     noise_covariances,
     scheme_weights,
-    weight_schedule,
+    tip_weights,
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize
@@ -85,8 +80,8 @@ def scheme1_grid():
             cfg = ScenarioConfig(p=p, seed=seed)
             scn = make_scenario(cfg, require_coverage=False)
             noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-            w_tip = weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L)
-            w_eip = weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)
+            w_tip = tip_weights(cfg.M_rR, cfg.L)
+            w_eip = scheme_weights(cfg, scn.mask, scn.waveforms.S)
             noncoop = solve_weighted_eip(w_tip, scn.channels.H, scn.channels.G2,
                                          noise, cfg.P_t, cfg.C)
             coop = solve_weighted_eip(w_eip, scn.channels.H, scn.channels.G2,
@@ -112,10 +107,9 @@ def scheme2_grid():
             scn = make_scenario(cfg, require_coverage=False)
             noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
             S = scn.waveforms.S
-            w_tip = weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L)
-            w_fmfb = weight_schedule(METHOD_IP_FMFB, cfg.M_rR, cfg.L, S=S)
-            w_eip2 = weight_schedule(METHOD_EIP_II, cfg.M_rR, cfg.L,
-                                     mask=scn.mask, S=S)
+            w_tip = tip_weights(cfg.M_rR, cfg.L)
+            w_fmfb = fmfb_weights(S, cfg.M_rR)
+            w_eip2 = scheme_weights(cfg, scn.mask, S)
             sols = {
                 "noncoop": solve_weighted_eip(w_tip, scn.channels.H, scn.channels.G2,
                                               noise, cfg.P_t, cfg.C),
@@ -228,12 +222,12 @@ def test_criterion_06_trace_identity():
         q, _ = np.linalg.qr(crandn(rng, L, m))
         S = q.conj().T
         G2 = crandn(rng, n_rx, n_tx)
-        schedule = CovarianceSchedule([
+        schedule = np.stack([
             hermitize(A @ A.conj().T)
             for A in (crandn(rng, n_tx, n_tx) for _ in range(L))
         ])
         mask = SamplingMask((rng.random((n_rx, m)) < 0.5).astype(float))
-        w = weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask, S=S)
+        w = scheme_weights(ScenarioConfig(scheme=Scheme.SCHEME_II), mask, S)
         a = weighted_eip(w, interference_diag_matrix(G2, schedule))
         b = eip_scheme2_trace_form(mask, S, G2, schedule)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
@@ -253,7 +247,7 @@ def test_criterion_07_monte_carlo_oracle():
             q, _ = np.linalg.qr(crandn(rng, 4, 2))
             S = q.conj().T
             G2 = crandn(rng, 3, 2)
-            schedule = CovarianceSchedule([
+            schedule = np.stack([
                 hermitize(A @ A.conj().T)
                 for A in (crandn(rng, 2, 2) for _ in range(4))
             ])
@@ -353,7 +347,7 @@ def test_criterion_11_recovery_trend():
         if method == "selfish":
             sol, mask = solve_selfish(scn.channels.H, noise, cfg.C), scn.mask
         elif method == "noncoop":
-            w = weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L)
+            w = tip_weights(cfg.M_rR, cfg.L)
             sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
                                      cfg.P_t, cfg.C)
             mask = scn.mask
@@ -391,7 +385,7 @@ def test_criterion_12_mismatched_rates():
     S4 = np.linalg.qr(crandn(rng, 4, 2))[0].conj().T
 
     def rand_schedule(L):
-        return CovarianceSchedule([
+        return np.stack([
             hermitize(A @ A.conj().T)
             for A in (crandn(rng, 2, 2) for _ in range(L))
         ])
@@ -402,7 +396,7 @@ def test_criterion_12_mismatched_rates():
     def eip_mismatched(cfg, schedule):
         w = scheme_weights(cfg, mask, S4)
         diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
-        return weighted_eip(WeightSchedule(diags),
+        return weighted_eip(diags,
                             interference_diag_matrix(G2, schedule))
 
     # Equal rates reproduce the matched-rate metric exactly.

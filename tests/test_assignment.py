@@ -76,11 +76,10 @@ def scalar_loop_hungarian(cost):
 
 
 def random_shapes(rng, count, max_side=40):
-    """Square and rectangular shapes with sides 1..max_side."""
-    for k in range(count):
-        nr = int(rng.integers(1, max_side + 1))
-        nc = nr if k % 2 == 0 else int(rng.integers(1, max_side + 1))
-        yield nr, nc
+    """Square shapes with sides 1..max_side."""
+    for _ in range(count):
+        n = int(rng.integers(1, max_side + 1))
+        yield n, n
 
 
 @pytest.fixture(scope="module")
@@ -99,19 +98,8 @@ def joint_costs():
 
 
 def brute_force_cost(cost):
-    nr, nc = cost.shape
-    best = None
-    if nr <= nc:
-        for perm in itertools.permutations(range(nc), nr):
-            total = sum(cost[i, perm[i]] for i in range(nr))
-            if best is None or total < best:
-                best = total
-    else:
-        for perm in itertools.permutations(range(nr), nc):
-            total = sum(cost[perm[j], j] for j in range(nc))
-            if best is None or total < best:
-                best = total
-    return best
+    n = cost.shape[0]
+    return min(sum(cost[i, perm[i]] for i in range(n)) for perm in itertools.permutations(range(n)))
 
 
 class TestHungarian:
@@ -148,13 +136,10 @@ class TestHungarian:
                 assert abs(out.cost - direct) < 1e-12
                 assert abs(out.cost - brute_force_cost(cost)) < 1e-9
 
-    def test_matches_brute_force_rectangular(self):
-        rng = stream(1, "hungarian")
-        for shape in ((2, 4), (3, 5), (4, 2), (5, 3)):
-            for _ in range(20):
-                cost = rng.uniform(-5.0, 5.0, size=shape)
-                out = hungarian(cost)
-                assert abs(out.cost - brute_force_cost(cost)) < 1e-9
+    def test_non_square_rejected(self):
+        for shape in ((2, 4), (4, 2), (1, 0), (0, 3), (5,)):
+            with pytest.raises(ValueError, match="square"):
+                hungarian(np.zeros(shape))
 
     def test_negative_entries(self):
         cost = np.array([[-3.0, 0.0], [0.0, -3.0]])
@@ -196,7 +181,7 @@ class TestAgainstScalarLoop:
             assert_matches_scalar_loop((rng.random((nr, nc)) < 0.5).astype(float))
 
     def test_degenerate_shapes(self):
-        for shape in ((1, 1), (1, 6), (6, 1), (0, 0), (0, 3), (3, 0)):
+        for shape in ((1, 1), (0, 0)):
             assert_matches_scalar_loop(np.arange(np.prod(shape), dtype=float).reshape(shape) - 2.0)
 
     def test_joint_long_costs(self, joint_costs):
@@ -433,7 +418,7 @@ class TestMemoryLayout:
     def test_layouts_bit_equal(self, joint_costs):
         rng = stream(14, "hungarian")
         cost_sets = list(joint_costs) + [rng.uniform(-5.0, 5.0, size=(9, 9)),
-                                         rng.uniform(-5.0, 5.0, size=(7, 11))]
+                                         rng.uniform(-5.0, 5.0, size=(11, 11))]
         for cost in cost_sets:
             expected = hungarian(cost)
             for layout in (np.asfortranarray(cost), np.ascontiguousarray(cost),
@@ -445,8 +430,8 @@ class TestMemoryLayout:
     def test_kernels_see_c_order(self, joint_costs, monkeypatch):
         """The certificate runs several times slower on a Fortran-ordered
         array, so hungarian hands every kernel a C-ordered one: on costs the
-        warm start answers, on a far-from-identity cost that goes to the
-        full search, and on a rectangular one."""
+        warm start answers, and on a far-from-identity cost that goes to the
+        full search."""
         seen = []
         for name in ("_identity_certified", "_augmenting_path_search"):
             kernel = getattr(samplingopt, name)
@@ -457,6 +442,6 @@ class TestMemoryLayout:
 
             monkeypatch.setattr(samplingopt, name, recording)
         rng = stream(15, "hungarian")
-        for cost in list(joint_costs) + [rng.uniform(size=(16, 16)), rng.uniform(size=(7, 11))]:
+        for cost in list(joint_costs) + [rng.uniform(size=(16, 16))]:
             hungarian(np.asfortranarray(cost))
         assert seen and all(seen)

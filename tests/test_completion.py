@@ -14,8 +14,8 @@ from specshare.completion import (
 )
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_selfish
-from specshare.interference import CovarianceSchedule, noise_covariances
-from specshare.linalg import crandn
+from specshare.interference import noise_covariances
+from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
     SamplingMask,
     generate_phase_offsets,
@@ -131,7 +131,7 @@ class TestShrinkOracle:
         cfg = pipeline_cfg(L=32, p=0.5, seed=1)
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        roots = solve_selfish(scn.channels.H, noise, cfg.C).schedule.sqrts()
+        roots = psd_sqrt(solve_selfish(scn.channels.H, noise, cfg.C).schedule)
         rng = stream(1, "mc")
         X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
         observed = synthesize_radar_rx(
@@ -219,8 +219,6 @@ class TestComplete:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
-            CompletionParams(step=0.0)
-        with pytest.raises(ValueError):
             CompletionParams(mu=-1.0)
         with pytest.raises(ValueError):
             CompletionParams(max_iterations=0)
@@ -264,7 +262,7 @@ class TestRadarPipeline:
     def test_clean_full_sampling_recovers_exactly(self):
         cfg = pipeline_cfg(p=1.0, sigma_R2=0.0, seed=0)
         scn = make_scenario(cfg)
-        zeros = CovarianceSchedule([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
             cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
             scn.mask, 2, stream(0, "mc"),
@@ -275,7 +273,7 @@ class TestRadarPipeline:
     def test_scheme2_truth_is_target_response(self):
         cfg = pipeline_cfg(p=1.0, sigma_R2=0.0, seed=0, scheme=Scheme.SCHEME_II)
         scn = make_scenario(cfg)
-        zeros = CovarianceSchedule([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
             cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
             scn.mask, 2, stream(0, "mc"),
@@ -309,7 +307,7 @@ class TestRadarPipeline:
     def test_reports_match_trials(self):
         cfg = pipeline_cfg(p=0.5, seed=1)
         scn = make_scenario(cfg)
-        zeros = CovarianceSchedule([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
             cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
             scn.mask, 3, stream(1, "mc"),

@@ -18,14 +18,12 @@ from specshare.covdesign import (
     solve_weighted_eip,
 )
 from specshare.interference import (
-    METHOD_EIP_I,
-    METHOD_TIP,
-    NoiseCovSchedule,
-    WeightSchedule,
     average_capacity,
+    check_covariances,
     interference_diag_matrix,
     noise_covariances,
-    weight_schedule,
+    scheme_weights,
+    tip_weights,
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize, psd_inv_sqrt
@@ -96,7 +94,7 @@ def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
     """Closed-form minimizer of Tr(Phi R) - lambda2 log2|I + R_w^{-1} H R H^H|
     with Phi = G2^H diag(w) G2 + lambda1 I, from the solver's dual kernel on
     a one-symbol block."""
-    whitened = covdesign._whiten(H, NoiseCovSchedule([R_wl]))
+    whitened = covdesign._whiten(H, np.stack([R_wl]))
     kernel = covdesign._DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
     it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
     return kernel.covariances(it)[0]
@@ -151,14 +149,14 @@ def small_instance(seed, L=4):
     for _ in range(L):
         A = crandn(rng, 2, 2)
         mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
-    return H, G2, NoiseCovSchedule(mats)
+    return H, G2, np.stack(mats)
 
 
 class TestSolveWeightedEip:
     def test_zero_interference_channel(self):
         H, _, noise = small_instance(0)
         G2 = np.zeros((3, 2))
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
         assert sol.objective_eip == 0.0
         assert sol.achieved_capacity >= 2.0 - 1e-6
@@ -166,8 +164,8 @@ class TestSolveWeightedEip:
     def test_scalar_closed_form(self):
         sigma_C2 = 0.5
         C = 3.0
-        noise = NoiseCovSchedule([sigma_C2 * np.eye(1)])
-        w = weight_schedule(METHOD_TIP, 1, 1)
+        noise = np.stack([sigma_C2 * np.eye(1)])
+        w = tip_weights(1, 1)
         sol = solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=10.0, C=C)
         expect = sigma_C2 * (2.0**C - 1.0)
         assert abs(sol.consumed_power - expect) <= 1e-6 * expect
@@ -177,33 +175,33 @@ class TestSolveWeightedEip:
         cfg = ScenarioConfig(p=0.5, seed=0)
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        w = weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)
+        w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
         sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
                                  cfg.P_t, cfg.C)
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
-        sol.schedule.validate()
+        check_covariances(sol.schedule)
 
     def test_infeasible_target_rejected(self):
-        noise = NoiseCovSchedule([np.eye(1)])
-        w = weight_schedule(METHOD_TIP, 1, 1)
+        noise = np.stack([np.eye(1)])
+        w = tip_weights(1, 1)
         with pytest.raises(InfeasibleError):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=1.0, C=10.0)
 
     def test_weights_antenna_count_mismatch_rejected(self):
         H, G2, noise = small_instance(0)
-        w = weight_schedule(METHOD_TIP, G2.shape[0] + 1, len(noise))
+        w = tip_weights(G2.shape[0] + 1, len(noise))
         with pytest.raises(SolverError):
             solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
 
     def test_subproblem_consistency(self):
         # Re-deriving the schedule from the returned dual point reproduces it.
         H, G2, noise = small_instance(3)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         for l in range(4):
             R = subproblem_solution(
-                sol.dual.lambda1, sol.dual.lambda2, w.diagonals[l], G2, H, noise[l]
+                sol.dual.lambda1, sol.dual.lambda2, w[l], G2, H, noise[l]
             )
             assert np.linalg.norm(R - sol.schedule[l]) <= 1e-8 * max(
                 np.linalg.norm(sol.schedule[l]), 1.0
@@ -211,9 +209,9 @@ class TestSolveWeightedEip:
 
     def test_power_nonincreasing_in_lambda1(self):
         H, G2, noise = small_instance(4)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         kernel = covdesign._DualKernel.weighted(
-            w.diagonals, G2, covdesign._whiten(H, noise))
+            w, G2, covdesign._whiten(H, noise))
         powers = [kernel.step(lam1, 2.0).power for lam1 in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b - 1e-9 for a, b in zip(powers, powers[1:]))
 
@@ -228,8 +226,8 @@ class TestSolveWeightedEip:
                 if omega.sum() > 0:
                     break
             mask = SamplingMask(omega)
-            w_eip = weight_schedule(METHOD_EIP_I, 3, 4, mask=mask)
-            w_tip = weight_schedule(METHOD_TIP, 3, 4)
+            w_eip = mask.omega.T.copy()
+            w_tip = tip_weights(3, 4)
             coop = solve_weighted_eip(w_eip, H, G2, noise, P_t=10.0, C=1.0)
             noncoop = solve_weighted_eip(w_tip, H, G2, noise, P_t=10.0, C=1.0)
             assert (
@@ -249,7 +247,7 @@ def random_design(rng):
         A = crandn(rng, m, m)
         mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(m))
     w = (rng.uniform(size=(L, M)) < 0.6).astype(float)
-    return (WeightSchedule(w), H, G2, NoiseCovSchedule(mats)), float(rng.uniform(0.5, 6.0))
+    return (w, H, G2, np.stack(mats)), float(rng.uniform(0.5, 6.0))
 
 
 class SearchReached(Exception):
@@ -301,7 +299,7 @@ class TestSolveSelfish:
         assert sol.consumed_power == 0.0
 
     def test_scalar_power(self):
-        noise = NoiseCovSchedule([np.eye(1)])
+        noise = np.stack([np.eye(1)])
         sol = solve_selfish(np.eye(1), noise, 4.0)
         assert abs(sol.consumed_power - (2.0**4 - 1.0)) <= 1e-6
 
@@ -316,7 +314,7 @@ class TestVerifySolution:
         cfg = ScenarioConfig(p=0.5, seed=1)
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        w = weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)
+        w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
         coop = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
                                   cfg.P_t, cfg.C)
         selfish = solve_selfish(scn.channels.H, noise, cfg.C)
@@ -329,7 +327,7 @@ class TestVerifySolution:
 
     def test_slackness_residual(self):
         H, G2, noise = small_instance(2)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         report = verify_solution(sol, H, G2, noise, 6.0, 2.0)
         # Either the budget binds (active power constraint) or lambda1 is 0
@@ -338,11 +336,9 @@ class TestVerifySolution:
 
     def test_power_violation_flagged(self):
         H, G2, noise = small_instance(2)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        from specshare.interference import CovarianceSchedule
-
-        bumped = CovarianceSchedule([R + 10.0 * np.eye(2) for R in sol.schedule])
+        bumped = np.stack([R + 10.0 * np.eye(2) for R in sol.schedule])
         report = verify_solution(dataclasses.replace(sol, schedule=bumped), H, G2, noise, 6.0, 2.0)
         assert not report["power_feasible"]
 
@@ -350,7 +346,7 @@ class TestVerifySolution:
 class TestObjectiveConsistency:
     def test_objective_matches_metric(self):
         H, G2, noise = small_instance(6)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         Q = interference_diag_matrix(G2, sol.schedule)
         assert abs(sol.objective_eip - weighted_eip(w, Q)) < 1e-12
@@ -448,7 +444,7 @@ def coop_instance(seed, L, partial_rows=True):
     w[kind == 0] = 0.0
     if partial_rows:
         w[kind == 2, 1:] = 0.0
-    return w, G2, H, NoiseCovSchedule(mats)
+    return w, G2, H, np.stack(mats)
 
 
 class TestDualKernel:
@@ -479,8 +475,8 @@ class TestDualKernel:
         cfg = ScenarioConfig(p=0.6, seed=0)
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        for w in (weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L),
-                  weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)):
+        for w in (tip_weights(cfg.M_rR, cfg.L),
+                  scheme_weights(cfg, scn.mask, scn.waveforms.S)):
             sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates hi and the lowest grid point only.
@@ -495,7 +491,7 @@ class TestPostConditions:
         monkeypatch.setattr(covdesign, "min_capacity_multiplier",
                             lambda s, C, L: 0.5 * real(s, C, L))
         H, G2, noise = small_instance(3)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="capacity"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         with pytest.raises(SolverError, match="capacity"):
@@ -506,8 +502,8 @@ class TestPostConditions:
         monkeypatch.setattr(covdesign._DualKernel, "covariances",
                             lambda self, it: 2.0 * real(self, it))
         # Scalar channel: the design uses 0.5 * (2**3 - 1) = 3.5 of P_t = 4.
-        noise = NoiseCovSchedule([0.5 * np.eye(1)])
-        w = weight_schedule(METHOD_TIP, 1, 1)
+        noise = np.stack([0.5 * np.eye(1)])
+        w = tip_weights(1, 1)
         with pytest.raises(SolverError, match="power"):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=4.0, C=3.0)
 
@@ -517,7 +513,7 @@ class TestPostConditions:
         monkeypatch.setattr(covdesign._DualKernel, "covariances",
                             lambda self, it: real(self, it) + skew)
         H, G2, noise = small_instance(3)
-        w = weight_schedule(METHOD_TIP, 3, 4)
+        w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="Hermitian"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
 
@@ -570,7 +566,7 @@ def search_instances():
         kernel = covdesign._DualKernel.weighted(w, G2, whitened)
         p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, C).power
         powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30, 2.0 ** 10)]
-        yield (WeightSchedule(w), H, G2, noise), kernel, C, (p_min, *powers)
+        yield (w, H, G2, noise), kernel, C, (p_min, *powers)
 
 
 def budgets(p_min, p_one, p_zero, p_far):
@@ -623,7 +619,7 @@ class TestDualSearch:
         assert sol.dual.lambda1 == ref.dual.lambda1
         assert sol.dual.lambda2 == ref.dual.lambda2
         assert sol.converged == ref.converged
-        assert sol.schedule.matrices.tobytes() == ref.schedule.matrices.tobytes()
+        assert sol.schedule.tobytes() == ref.schedule.tobytes()
         assert sol.iterations <= ref.iterations
         return category(ref.dual.lambda1)
 
@@ -690,8 +686,8 @@ class TestDualSearch:
             cfg = ScenarioConfig(p=p, seed=3)
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-            for w in (weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L),
-                      weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)):
+            for w in (tip_weights(cfg.M_rR, cfg.L),
+                      scheme_weights(cfg, scn.mask, scn.waveforms.S)):
                 for P_t in (cfg.P_t, 0.1 * cfg.P_t):
                     self.assert_same(monkeypatch, w, scn.channels.H, scn.channels.G2,
                                      noise, P_t, cfg.C)

@@ -12,14 +12,7 @@ from specshare import covdesign, harness
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import InfeasibleError, SolverError, solve_selfish, solve_weighted_eip
 from specshare.harness import ExperimentSpec, format_csv, run_compare, sweep
-from specshare.interference import (
-    METHOD_TIP,
-    NoiseCovSchedule,
-    WeightSchedule,
-    noise_covariances,
-    scheme_weights,
-    weight_schedule,
-)
+from specshare.interference import noise_covariances, scheme_weights, tip_weights
 from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
 
@@ -51,7 +44,7 @@ def fingerprint(sol):
     """Every field of a design, as bytes where it is a number."""
     numbers = [sol.dual.lambda1, sol.dual.lambda2, sol.achieved_capacity,
                sol.consumed_power, sol.objective_eip]
-    return (sol.schedule.matrices.tobytes(), np.array(numbers).tobytes(),
+    return (sol.schedule.tobytes(), np.array(numbers).tobytes(),
             sol.iterations, sol.converged)
 
 
@@ -102,14 +95,14 @@ def perturbed_designs():
     return [
         ("H", lambda w, H, G2, noise, P_t, C: (w, bump(H), G2, noise, P_t, C)),
         ("noise", lambda w, H, G2, noise, P_t, C:
-            (w, H, G2, NoiseCovSchedule(bump(noise.matrices)), P_t, C)),
+            (w, H, G2, bump(noise), P_t, C)),
         ("G2", lambda w, H, G2, noise, P_t, C: (w, H, bump(G2), noise, P_t, C)),
         ("W", lambda w, H, G2, noise, P_t, C:
-            (WeightSchedule(bump(w.diagonals)), H, G2, noise, P_t, C)),
+            (bump(w), H, G2, noise, P_t, C)),
         ("P_t", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, ulp(P_t), C)),
         ("C", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, P_t, ulp(C))),
         ("W layout", lambda w, H, G2, noise, P_t, C:
-            (WeightSchedule(np.asfortranarray(w.diagonals)), H, G2, noise, P_t, C)),
+            (np.asfortranarray(w), H, G2, noise, P_t, C)),
     ]
 
 
@@ -139,9 +132,9 @@ def test_returned_designs_are_read_only():
     cfg = ScenarioConfig(p=0.5, seed=5)
     for method in ("selfish", "noncoop"):
         sol = solve(method, cfg)
-        assert not sol.schedule.matrices.flags.writeable
+        assert not sol.schedule.flags.writeable
         with pytest.raises(ValueError):
-            sol.schedule.matrices[0, 0, 0] = 0.0
+            sol.schedule[0, 0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.converged = False
 
@@ -150,7 +143,7 @@ def small_design():
     cfg = ScenarioConfig(p=0.5, seed=7)
     scn = make_scenario(cfg)
     noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-    w = weight_schedule(METHOD_TIP, cfg.M_rR, cfg.L)
+    w = tip_weights(cfg.M_rR, cfg.L)
     return (w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
 
 
@@ -212,13 +205,13 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
     for spec, p in sweep_p_jobs(13):
         rows = run_compare(spec, p)
         assert not any(r.error for r in rows)
-    # 25 weighted designs, of which 11 differ: the noncoop and partial
-    # weights do not depend on p, Scheme II noncoop repeats Scheme I's, and
-    # the Scheme I coop weights at p = 1 are the noncoop ones. (The Scheme
-    # II full weights at p = 1 equal the partial ones in value but not in
-    # memory layout, and are solved again.)
+    # 25 weighted designs, of which 10 differ: the noncoop and partial
+    # weights do not depend on p, Scheme II noncoop repeats Scheme I's, the
+    # Scheme I coop weights at p = 1 are the noncoop ones, and the Scheme II
+    # full weights at p = 1 are the partial ones, bit for bit and in the
+    # same C-ordered layout.
     assert counts["_whiten"] == 1
-    assert counts["_dual_search"] <= 12
+    assert counts["_dual_search"] <= 10
 
 
 def test_joint_design_whitens_once(monkeypatch):

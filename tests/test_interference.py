@@ -7,21 +7,16 @@ import pytest
 
 from specshare.config import ScenarioConfig, Scheme
 from specshare.interference import (
-    METHOD_EIP_I,
-    METHOD_EIP_II,
-    METHOD_IP_FMFB,
-    METHOD_TIP,
-    CovarianceSchedule,
     MetricError,
-    NoiseCovSchedule,
-    WeightSchedule,
     average_capacity,
+    check_covariances,
+    fmfb_weights,
     interference_diag_matrix,
-    matched_filter_weights,
     mismatched_weight_diagonals,
     noise_covariances,
     scheme_weights,
-    weight_schedule,
+    tip_weights,
+    total_power,
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize, psd_sqrt
@@ -37,7 +32,7 @@ def random_psd(rng, n, scale=1.0):
 
 
 def random_schedule(rng, n, L, scale=1.0):
-    return CovarianceSchedule([random_psd(rng, n, scale) for _ in range(L)])
+    return np.stack([random_psd(rng, n, scale) for _ in range(L)])
 
 
 def random_mask(rng, rows, cols, p=0.5):
@@ -52,9 +47,32 @@ def random_orthonormal_rows(rng, m, L):
     return q.conj().T
 
 
+SCHEME_I = ScenarioConfig(scheme=Scheme.SCHEME_I)
+SCHEME_II = ScenarioConfig(scheme=Scheme.SCHEME_II)
+
+
+def named_weights(method, n_rx, L, mask=None, S=None):
+    """The named metric's weights, from the builder of its family."""
+    if method == "TIP":
+        return tip_weights(n_rx, L)
+    if method == "IP_FMFB":
+        return fmfb_weights(S, n_rx)
+    if method == "EIP_I":
+        # Scheme I weights read only the symbol count of the waveforms.
+        return scheme_weights(SCHEME_I, mask, np.empty((0, L)) if S is None else S)
+    return scheme_weights(SCHEME_II, mask, S)
+
+
+def matched_filter_weights(S, mask):
+    """(delta, a): delta[l, m] = sum_{i in xi_m} |s_i(l)|^2, the Scheme II
+    weights, and a_l the waveform column energies."""
+    s_abs2 = np.abs(S) ** 2
+    return (mask.omega @ s_abs2).T, s_abs2.sum(axis=0)
+
+
 def metric(method, G2, schedule, mask=None, S=None):
     """The named interference metric through the one weighted form."""
-    w = weight_schedule(method, G2.shape[0], len(schedule), mask=mask, S=S)
+    w = named_weights(method, G2.shape[0], len(schedule), mask=mask, S=S)
     return weighted_eip(w, interference_diag_matrix(G2, schedule))
 
 
@@ -107,26 +125,22 @@ class TestAverageCapacity:
         S = random_orthonormal_rows(stream(0, "s"), cfg.M_tR, cfg.L)
         H = crandn(stream(0, "h"), cfg.M_rC, cfg.M_tC)
         noise = noise_covariances(cfg, G1, S)
-        zeros = CovarianceSchedule([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
+        zeros = np.stack([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
         assert average_capacity(zeros, H, noise) == 0.0
 
     def test_scalar_one_bit(self):
-        from specshare.interference import NoiseCovSchedule
-
-        schedule = CovarianceSchedule([np.eye(1)])
-        noise = NoiseCovSchedule([np.eye(1)])
+        schedule = np.stack([np.eye(1)])
+        noise = np.stack([np.eye(1)])
         cap = average_capacity(schedule, np.eye(1), noise)
         assert abs(cap - 1.0) < 1e-12
 
     def test_matches_determinant_oracle(self):
-        from specshare.interference import NoiseCovSchedule
-
         rng = stream(0, "cap-oracle")
         for _ in range(20):
             L = int(rng.integers(1, 5))
             H = crandn(rng, 2, 2)
             schedule = random_schedule(rng, 2, L)
-            noise = NoiseCovSchedule(
+            noise = np.stack(
                 [random_psd(rng, 2) + 0.1 * np.eye(2) for _ in range(L)]
             )
             slow = 0.0
@@ -138,24 +152,20 @@ class TestAverageCapacity:
             assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
     def test_monotone_in_psd_order(self):
-        from specshare.interference import NoiseCovSchedule
-
         rng = stream(1, "cap-mono")
         H = crandn(rng, 3, 3)
-        noise = NoiseCovSchedule([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(2)])
+        noise = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(2)])
         schedule = random_schedule(rng, 3, 2)
         base = average_capacity(schedule, H, noise)
         v = crandn(rng, 3)
-        bumped = CovarianceSchedule(
+        bumped = np.stack(
             [R + 0.1 * np.outer(v, v.conj()) for R in schedule]
         )
         assert average_capacity(bumped, H, noise) >= base - 1e-12
 
     def test_non_pd_noise_rejected(self):
-        from specshare.interference import NoiseCovSchedule
-
-        schedule = CovarianceSchedule([np.eye(1)])
-        noise = NoiseCovSchedule([np.zeros((1, 1))])
+        schedule = np.stack([np.eye(1)])
+        noise = np.stack([np.zeros((1, 1))])
         with pytest.raises(MetricError):
             average_capacity(schedule, np.eye(1), noise)
 
@@ -163,18 +173,18 @@ class TestAverageCapacity:
 class TestTip:
     def test_identity_case(self):
         L, n = 5, 3
-        schedule = CovarianceSchedule([np.eye(n)] * L)
-        assert abs(metric(METHOD_TIP, np.eye(n), schedule) - L * n) < 1e-12
+        schedule = np.stack([np.eye(n)] * L)
+        assert abs(metric("TIP", np.eye(n), schedule) - L * n) < 1e-12
 
     def test_zero_channel(self):
         schedule = random_schedule(stream(0, "tip"), 2, 3)
-        assert metric(METHOD_TIP, np.zeros((4, 2)), schedule) == 0.0
+        assert metric("TIP", np.zeros((4, 2)), schedule) == 0.0
 
     def test_monte_carlo_oracle(self):
         rng = stream(2, "tip-mc")
         G2 = crandn(rng, 3, 2)
         schedule = random_schedule(rng, 2, 2)
-        roots = schedule.sqrts()
+        roots = psd_sqrt(schedule)
         trials = 20000
         # x(l) = R_l^{1/2} v for every trial and symbol at once, drawn in the
         # order of trial-by-trial, symbol-by-symbol crandn(rng, 2) calls (real
@@ -185,7 +195,7 @@ class TestTip:
         samples = np.sum(np.abs(G2 @ x) ** 2, axis=(-2, -1)).sum(axis=1)
         mean = samples.mean()
         stderr = samples.std(ddof=1) / np.sqrt(trials)
-        assert abs(metric(METHOD_TIP, G2, schedule) - mean) <= 3 * stderr
+        assert abs(metric("TIP", G2, schedule) - mean) <= 3 * stderr
 
 
 class TestEipScheme1:
@@ -194,37 +204,37 @@ class TestEipScheme1:
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
         mask = SamplingMask(np.ones((4, 6)))
-        assert abs(metric(METHOD_EIP_I, G2, schedule, mask=mask) - loop_tip(G2, schedule)) < 1e-12
+        assert abs(metric("EIP_I", G2, schedule, mask=mask) - loop_tip(G2, schedule)) < 1e-12
 
     def test_zero_mask(self):
         rng = stream(1, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
-        assert metric(METHOD_EIP_I, G2, schedule, mask=SamplingMask(np.zeros((4, 6)))) == 0.0
+        assert metric("EIP_I", G2, schedule, mask=SamplingMask(np.zeros((4, 6)))) == 0.0
 
     def test_hand_case(self):
         mask = SamplingMask(np.array([[1.0], [0.0]]))
-        schedule = CovarianceSchedule([np.eye(2)])
-        assert abs(metric(METHOD_EIP_I, np.eye(2), schedule, mask=mask) - 1.0) < 1e-14
+        schedule = np.stack([np.eye(2)])
+        assert abs(metric("EIP_I", np.eye(2), schedule, mask=mask) - 1.0) < 1e-14
 
     def test_shape_mismatch(self):
-        schedule = CovarianceSchedule([np.eye(2)])
+        schedule = np.stack([np.eye(2)])
         with pytest.raises(MetricError):
-            metric(METHOD_EIP_I, np.eye(2), schedule, mask=SamplingMask(np.ones((3, 2))))
+            metric("EIP_I", np.eye(2), schedule, mask=SamplingMask(np.ones((3, 2))))
 
     def test_bounded_by_tip_and_monotone_in_mask(self):
         rng = stream(2, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 5)
         mask = random_mask(rng, 4, 5)
-        base = metric(METHOD_EIP_I, G2, schedule, mask=mask)
+        base = metric("EIP_I", G2, schedule, mask=mask)
         assert 0.0 <= base <= loop_tip(G2, schedule) + 1e-12
         zeros = np.argwhere(mask.omega == 0)
         if len(zeros):
             i, j = zeros[0]
             grown = mask.omega.copy()
             grown[i, j] = 1.0
-            assert metric(METHOD_EIP_I, G2, schedule, mask=SamplingMask(grown)) >= base - 1e-12
+            assert metric("EIP_I", G2, schedule, mask=SamplingMask(grown)) >= base - 1e-12
 
 
 class TestMatchedFilterWeights:
@@ -258,7 +268,7 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = SamplingMask(np.ones((5, 3)))
-        assert abs(metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+        assert abs(metric("EIP_II", G2, schedule, mask=mask, S=S)
                    - loop_fmfb(S, G2, schedule)) < 1e-10
 
     def test_zero_mask(self):
@@ -266,7 +276,7 @@ class TestEipScheme2:
         S = random_orthonormal_rows(rng, 3, 6)
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
-        assert metric(METHOD_EIP_II, G2, schedule, mask=SamplingMask(np.zeros((5, 3))), S=S) == 0.0
+        assert metric("EIP_II", G2, schedule, mask=SamplingMask(np.zeros((5, 3))), S=S) == 0.0
 
     def test_trace_form_identity(self):
         rng = stream(2, "eip2")
@@ -276,7 +286,7 @@ class TestEipScheme2:
             G2 = crandn(rng, n_rx, n_tx)
             schedule = random_schedule(rng, n_tx, L)
             mask = random_mask(rng, n_rx, m)
-            a = metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+            a = metric("EIP_II", G2, schedule, mask=mask, S=S)
             b = eip_scheme2_trace_form(mask, S, G2, schedule)
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
 
@@ -284,7 +294,7 @@ class TestEipScheme2:
         mask = SamplingMask(np.ones((1, 1)))
         S = np.ones((1, 1), dtype=complex)
         G2 = np.array([[2.0 - 1.0j]])
-        schedule = CovarianceSchedule([np.array([[0.7]])])
+        schedule = np.stack([np.array([[0.7]])])
         val = eip_scheme2_trace_form(mask, S, G2, schedule)
         assert abs(val - 5.0 * 0.7) < 1e-12
 
@@ -294,7 +304,7 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = random_mask(rng, 5, 3)
-        assert (metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+        assert (metric("EIP_II", G2, schedule, mask=mask, S=S)
                 <= loop_fmfb(S, G2, schedule) + 1e-12)
 
     def test_monotone_in_mask(self):
@@ -303,13 +313,13 @@ class TestEipScheme2:
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
         mask = random_mask(rng, 5, 3)
-        base = metric(METHOD_EIP_II, G2, schedule, mask=mask, S=S)
+        base = metric("EIP_II", G2, schedule, mask=mask, S=S)
         zeros = np.argwhere(mask.omega == 0)
         if len(zeros):
             i, j = zeros[0]
             grown = mask.omega.copy()
             grown[i, j] = 1.0
-            grown_eip = metric(METHOD_EIP_II, G2, schedule, mask=SamplingMask(grown), S=S)
+            grown_eip = metric("EIP_II", G2, schedule, mask=SamplingMask(grown), S=S)
             assert grown_eip >= base - 1e-12
 
 
@@ -323,25 +333,25 @@ class TestIpFmfb:
         G2 = crandn(rng, 5, 3)
         schedule = random_schedule(rng, 3, L)
         expect = (m / L) * loop_tip(G2, schedule)
-        assert abs(metric(METHOD_IP_FMFB, G2, schedule, S=F) - expect) < 1e-10
+        assert abs(metric("IP_FMFB", G2, schedule, S=F) - expect) < 1e-10
 
     def test_zero_channel(self):
         rng = stream(1, "fmfb")
         S = random_orthonormal_rows(rng, 3, 6)
         schedule = random_schedule(rng, 2, 6)
-        assert metric(METHOD_IP_FMFB, np.zeros((5, 2)), schedule, S=S) == 0.0
+        assert metric("IP_FMFB", np.zeros((5, 2)), schedule, S=S) == 0.0
 
 
 class TestWeightSchedule:
     def test_tip_weights(self):
-        w = weight_schedule(METHOD_TIP, 4, 6)
-        assert np.all(w.diagonals == 1.0)
+        w = named_weights("TIP", 4, 6)
+        assert np.all(w == 1.0)
 
     def test_eip1_full_mask_matches_tip(self):
         mask = SamplingMask(np.ones((4, 6)))
-        a = weight_schedule(METHOD_EIP_I, 4, 6, mask=mask)
-        b = weight_schedule(METHOD_TIP, 4, 6)
-        assert np.array_equal(a.diagonals, b.diagonals)
+        a = named_weights("EIP_I", 4, 6, mask=mask)
+        b = named_weights("TIP", 4, 6)
+        assert np.array_equal(a, b)
 
     def test_generic_sum_reproduces_metrics(self):
         rng = stream(0, "ws")
@@ -352,24 +362,24 @@ class TestWeightSchedule:
         mask1 = random_mask(rng, n_rx, L)
         mask2 = random_mask(rng, n_rx, m)
         weights = [
-            weight_schedule(METHOD_TIP, n_rx, L),
-            weight_schedule(METHOD_EIP_I, n_rx, L, mask=mask1),
-            weight_schedule(METHOD_IP_FMFB, n_rx, L, S=S),
-            weight_schedule(METHOD_EIP_II, n_rx, L, mask=mask2, S=S),
+            named_weights("TIP", n_rx, L),
+            named_weights("EIP_I", n_rx, L, mask=mask1),
+            named_weights("IP_FMFB", n_rx, L, S=S),
+            named_weights("EIP_II", n_rx, L, mask=mask2, S=S),
         ]
         Q = interference_diag_matrix(G2, schedule)
         for w in weights:
-            direct = loop_weighted_trace(w.diagonals, G2, schedule)
+            direct = loop_weighted_trace(w, G2, schedule)
             generic = weighted_eip(w, Q)
             assert abs(generic - direct) <= 1e-12 * max(abs(direct), 1e-300)
 
     def test_weighted_eip_rejects_shape_mismatch(self):
         Q = np.ones((4, 6))
         with pytest.raises(MetricError):
-            weighted_eip(weight_schedule(METHOD_TIP, 6, 4), Q)
+            weighted_eip(named_weights("TIP", 6, 4), Q)
 
     def test_weighted_eip_is_signed(self):
-        w = WeightSchedule(diagonals=np.ones((1, 2)))
+        w = np.ones((1, 2))
         assert weighted_eip(w, np.array([[-1e-18], [0.0]])) == -1e-18
 
     def test_scheme_weights(self):
@@ -381,55 +391,61 @@ class TestWeightSchedule:
         cfg2 = ScenarioConfig(scheme=Scheme.SCHEME_II)
         w1 = scheme_weights(cfg1, mask1, S)
         w2 = scheme_weights(cfg2, mask2, S)
-        assert np.array_equal(w1.diagonals, mask1.omega.T)
-        assert np.array_equal(w2.diagonals, matched_filter_weights(S, mask2)[0])
+        assert np.array_equal(w1, mask1.omega.T)
+        assert np.array_equal(w2, matched_filter_weights(S, mask2)[0])
         with pytest.raises(MetricError):
             scheme_weights(cfg1, mask2, S)
 
-    def test_missing_mask_rejected(self):
-        with pytest.raises(MetricError):
-            weight_schedule(METHOD_EIP_I, 4, 6)
-
-    def test_symbol_count_mismatch_rejected(self):
-        rng = stream(2, "ws")
-        S = random_orthonormal_rows(rng, 3, 6)
-        mask = random_mask(rng, 4, 3)
-        with pytest.raises(MetricError):
-            weight_schedule(METHOD_IP_FMFB, 4, 5, S=S)
-        with pytest.raises(MetricError):
-            weight_schedule(METHOD_EIP_II, 4, 5, mask=mask, S=S)
-
     def test_eip2_receive_count_mismatch_rejected(self):
+        # The receive count comes from the mask: an 8-row mask meets the
+        # 4-antenna interference profile where the weights are applied.
         rng = stream(3, "ws")
         S = random_orthonormal_rows(rng, 3, 6)
+        w = scheme_weights(SCHEME_II, random_mask(rng, 8, 3), S)
         with pytest.raises(MetricError):
-            weight_schedule(METHOD_EIP_II, 4, 6, mask=random_mask(rng, 8, 3), S=S)
+            weighted_eip(w, np.ones((4, 6)))
+
+    def test_eip2_waveform_count_mismatch_rejected(self):
+        rng = stream(4, "ws")
+        S = random_orthonormal_rows(rng, 3, 6)
+        with pytest.raises(MetricError):
+            scheme_weights(SCHEME_II, random_mask(rng, 4, 5), S)
+
+    def test_weights_are_c_ordered(self):
+        # The layout of the weights takes part in the design memo's key and
+        # in the summation order of weighted_eip.
+        rng = stream(5, "ws")
+        S = random_orthonormal_rows(rng, 3, 6)
+        for w in (tip_weights(4, 6), fmfb_weights(S, 4),
+                  scheme_weights(SCHEME_I, random_mask(rng, 4, 6), S),
+                  scheme_weights(SCHEME_II, random_mask(rng, 4, 3), S)):
+            assert w.shape == (6, 4) and w.flags.c_contiguous
 
 
 class TestMismatchedRates:
     def test_equal_rates_identity(self):
         rng = stream(0, "mm")
         mask = random_mask(rng, 3, 4)
-        w = weight_schedule(METHOD_EIP_I, 3, 4, mask=mask)
+        w = named_weights("EIP_I", 3, 4, mask=mask)
         out = mismatched_weight_diagonals(w, 1.0, 1.0, 4)
-        assert np.array_equal(out, w.diagonals)
+        assert np.array_equal(out, w)
 
     def test_radar_faster_sums_consecutive_weights(self):
         d = np.arange(12.0).reshape(4, 3)
-        w = WeightSchedule(diagonals=d)
+        w = d
         out = mismatched_weight_diagonals(w, 2.0, 1.0, 2)
         assert np.array_equal(out, d[0::2] + d[1::2])
 
     def test_radar_slower_zeroes_unsampled_symbols(self):
         d = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = WeightSchedule(diagonals=d)
+        w = d
         out = mismatched_weight_diagonals(w, 1.0, 2.0, 4)
         assert np.array_equal(out[0], d[0])
         assert np.array_equal(out[2], d[1])
         assert np.all(out[1] == 0) and np.all(out[3] == 0)
 
     def test_non_integer_ratio_rejected(self):
-        w = WeightSchedule(diagonals=np.ones((3, 2)))
+        w = np.ones((3, 2))
         with pytest.raises(MetricError):
             mismatched_weight_diagonals(w, 2.0, 3.0, 3)
 
@@ -442,7 +458,7 @@ class TestMismatchedRates:
         mask = random_mask(rng, 3, 4)
         w = scheme_weights(cfg, mask, S)
         diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
-        val = weighted_eip(WeightSchedule(diags),
+        val = weighted_eip(diags,
                            interference_diag_matrix(G2, schedule))
         assert abs(val - loop_weighted_trace(mask.omega.T, G2, schedule)) < 1e-12
 
@@ -467,7 +483,7 @@ class TestEmpiricalEip:
 
     def test_zero_schedule(self):
         cfg = ScenarioConfig(M_tR=2, M_rR=3, M_tC=2, M_rC=2, L=4, p=0.5)
-        schedule = CovarianceSchedule([np.zeros((2, 2))] * 4)
+        schedule = np.stack([np.zeros((2, 2))] * 4)
         mask = SamplingMask(np.ones((3, 4)))
         S = random_orthonormal_rows(stream(0, "s"), 2, 4)
         G2 = crandn(stream(0, "g2"), 3, 2)
@@ -494,7 +510,7 @@ class TestEmpiricalEip:
         # symbol-by-symbol loop bit for bit, so the statistical tests keep
         # their realizations.
         def loop_samples(cfg, mask, G2, S, schedule, trials, rng):
-            roots = schedule.sqrts()
+            roots = psd_sqrt(schedule)
             samples = np.empty(trials)
             for t in range(trials):
                 X = np.stack([roots[l] @ crandn(rng, n_tx) for l in range(L)], axis=1)
@@ -520,18 +536,18 @@ class TestEmpiricalEip:
 
 class TestCovarianceSchedule:
     def test_total_power(self):
-        schedule = CovarianceSchedule([np.eye(2), 2 * np.eye(2)])
-        assert abs(schedule.total_power - 6.0) < 1e-12
+        schedule = np.stack([np.eye(2), 2 * np.eye(2)])
+        assert abs(total_power(schedule) - 6.0) < 1e-12
 
     def test_validate_rejects_non_hermitian(self):
-        schedule = CovarianceSchedule([np.array([[1.0, 1.0], [0.0, 1.0]])])
+        schedule = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]])])
         with pytest.raises(MetricError):
-            schedule.validate()
+            check_covariances(schedule)
 
     def test_validate_rejects_indefinite(self):
-        schedule = CovarianceSchedule([np.diag([1.0, -1.0])])
+        schedule = np.stack([np.diag([1.0, -1.0])])
         with pytest.raises(MetricError):
-            schedule.validate()
+            check_covariances(schedule)
 
     def test_interference_diag_matrix_shape(self):
         rng = stream(0, "q")
@@ -582,14 +598,14 @@ class TestStackedAgainstPerSymbol:
     def test_sqrts(self):
         rng = stream(0, "sqrt-loop")
         schedule = random_schedule(rng, 8, 32)
-        rank_deficient = CovarianceSchedule([np.diag([2.0, 0.0, 1.0])] * 3)
+        rank_deficient = np.stack([np.diag([2.0, 0.0, 1.0])] * 3)
         for sched in (schedule, rank_deficient):
             loop = []
             for R in sched:
                 w, v = np.linalg.eigh(hermitize(R))
                 loop.append((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
-            assert np.array_equal(sched.sqrts(), np.stack(loop))
-            assert np.array_equal(sched.sqrts()[0], psd_sqrt(sched[0]))
+            assert np.array_equal(psd_sqrt(sched), np.stack(loop))
+            assert np.array_equal(psd_sqrt(sched)[0], psd_sqrt(sched[0]))
 
     def test_validate_verdict(self):
         rng = stream(0, "validate-loop")
@@ -600,9 +616,9 @@ class TestStackedAgainstPerSymbol:
         cases = [good, good + [skew], [indefinite] + good, good + [indefinite],
                  good[:2] + [barely], [skew, indefinite]]
         for mats in cases:
-            schedule = CovarianceSchedule(mats)
+            schedule = np.stack(mats)
             try:
-                schedule.validate()
+                check_covariances(schedule)
                 ok = True
             except MetricError:
                 ok = False
@@ -611,7 +627,7 @@ class TestStackedAgainstPerSymbol:
     def test_total_power(self):
         schedule = random_schedule(stream(0, "power-loop"), 8, 128, scale=3.0)
         loop = sum(float(np.trace(R).real) for R in schedule)
-        assert abs(schedule.total_power - loop) <= 1e-12 * loop
+        assert abs(total_power(schedule) - loop) <= 1e-12 * loop
 
     def test_average_capacity(self):
         rng = stream(0, "cap-loop")
@@ -628,13 +644,3 @@ class TestStackedAgainstPerSymbol:
             loop += (logdet_f - logdet_n) / math.log(2.0)
         loop /= cfg.L
         assert abs(average_capacity(schedule, H, noise) - loop) <= 1e-12 * loop
-
-    def test_list_input_is_stacked(self):
-        mats = [np.eye(2), 2 * np.eye(2), 3 * np.eye(2)]
-        schedule = CovarianceSchedule(mats)
-        noise = NoiseCovSchedule(mats)
-        for stack in (schedule, noise):
-            assert stack.matrices.shape == (3, 2, 2)
-            assert len(stack) == 3
-            assert np.array_equal(stack[1], mats[1])
-            assert all(np.array_equal(a, b) for a, b in zip(stack, mats))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from specshare.covdesign import solve_selfish, solve_weighted_eip
-from specshare.interference import NoiseCovSchedule, WeightSchedule
 from specshare.linalg import crandn, hermitize
 from specshare.streams import stream
 
@@ -24,7 +23,7 @@ def instance(seed, L):
         A = crandn(rng, 2, 2)
         mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
     w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
-    return WeightSchedule(w), H, G2, NoiseCovSchedule(mats)
+    return w, H, G2, np.stack(mats)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)

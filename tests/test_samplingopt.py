@@ -8,11 +8,9 @@ import pytest
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import (
-    METHOD_EIP_I,
     interference_diag_matrix,
     noise_covariances,
     scheme_weights,
-    weight_schedule,
     weighted_eip,
 )
 from specshare.samplingopt import (
@@ -178,13 +176,13 @@ class TestJointDesign:
     def test_never_worse_than_cooperative(self):
         for seed in range(3):
             cfg, scn, noise = scenario_instance(seed)
-            w = weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=scn.mask)
+            w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
             coop = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
                                       cfg.P_t, cfg.C)
             result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
                                   scn.waveforms.S, scn.mask)
             joint_eip = weighted_eip(
-                weight_schedule(METHOD_EIP_I, cfg.M_rR, cfg.L, mask=result.mask),
+                scheme_weights(cfg, result.mask, scn.waveforms.S),
                 interference_diag_matrix(scn.channels.G2, result.solution.schedule))
             assert joint_eip <= coop.objective_eip + 1e-6
 
