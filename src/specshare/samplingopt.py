@@ -48,22 +48,22 @@ def hungarian(cost: np.ndarray) -> Assignment:
     path, O(n^3)); a non-square cost raises ValueError.
 
     A non-empty cost C is first answered by a warm start from the candidate
-    permutation pi = identity and an empty row set S. Each round:
+    permutation pi = identity and an empty row set S. Each round runs one
+    cycle search (_cycle_rows, a Bellman-Ford over the arc weights
+    C[i, pi(j)] - C[i, pi(i)]) that ends in one of three ways:
 
-    1. Certify: when _identity_certified accepts the column-permuted cost
-       C[:, pi], pi is the unique optimum by more than n^3 * eps * max|C|
-       (a margin a column permutation does not change), so the search
-       would return pi too, and pi is the answer.
-    2. Otherwise find the rows on negative cycles relative to pi
-       (_negative_cycle_rows, a Bellman-Ford over C[i, pi(j)] - C[i, pi(i)])
-       and add them to S.
-    3. Re-solve on S: pi becomes the identity off S and, on S, the search
-       below applied to the S x S sub-cost.
+    1. Certified: every cycle weighs more than n^3 * eps * max|C|, so pi is
+       the unique optimum by more than that margin, the search would return
+       pi too, and pi is the answer.
+    2. Rows on cycles below -margin are found: they join S, and pi
+       becomes the identity off S and, on S, the search below applied to
+       the S x S sub-cost.
+    3. Undecided: a cycle within the margin (ties and zero-weight cycles,
+       as in constant or integer costs, are left to the search's
+       lowest-index tie-break), or no cycle found in n rounds.
 
-    S grows every round, so the loop ends. The full search decides instead
-    when no cycle below the margin is found (ties and zero-weight cycles,
-    as in constant or integer costs, are left to its lowest-index
-    tie-break), when only rows already in S are found, or when S would
+    S grows every round, so the loop ends. The full search decides when the
+    cycle search is undecided, finds only rows already in S, or when S would
     hold more than _WARM_START_SHARE of the rows. Every answer is thus
     either certified unique, or the full search's own result; the cost is
     summed by the same expression, so both are bit-equal to the search.
@@ -77,9 +77,10 @@ def hungarian(cost: np.ndarray) -> Assignment:
     element, so the result is bit-identical to it.
 
     Ties are broken by lowest index (np.argmin returns the first minimum),
-    so the result is deterministic. The cost is copied to C order first, so every kernel
-    sees one layout whatever the caller passes (the certificate's column
-    slices ran about 4x slower on a Fortran-ordered cost).
+    so the result is deterministic. The cost is copied to C order first, so
+    every kernel sees one layout whatever the caller passes (the arc
+    weights gather columns of the cost, about 1.8 times slower from a
+    Fortran-ordered one at n = 128).
     """
     cost = np.ascontiguousarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -108,11 +109,13 @@ def _warm_started_search(cost: np.ndarray) -> np.ndarray:
     perm = np.arange(n)
     in_s = np.zeros(n, dtype=bool)
     while True:
-        if _identity_certified(cost, perm):
+        rows = _cycle_rows(_arc_weights(cost, perm), margin, _WARM_START_SHARE * n)
+        if rows is not None and not rows.size:
             return perm
-        size = in_s.sum()
-        in_s[_negative_cycle_rows(_arc_weights(cost, perm), margin, _WARM_START_SHARE * n)] = True
-        if in_s.sum() == size or in_s.sum() > _WARM_START_SHARE * n:
+        if rows is None or in_s[rows].all():
+            return _augmenting_path_search(cost)
+        in_s[rows] = True
+        if in_s.sum() > _WARM_START_SHARE * n:
             return _augmenting_path_search(cost)
         s = np.flatnonzero(in_s)
         perm = np.arange(n)
@@ -135,61 +138,53 @@ def _arc_weights(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return D
 
 
-def _identity_certified(cost: np.ndarray, perm: np.ndarray | None = None) -> bool:
-    """True when the identity is the unique optimal assignment of the square
-    cost C[:, perm] (perm defaults to the identity) by more than the margin
-    n^3 * eps * max|C|, which a column permutation does not change.
+def _cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray | None:
+    """The warm start's cycle search over the arc weights D of a candidate
+    (see _arc_weights; overwritten here). Returns an empty array when every
+    cycle weighs more than the margin, which certifies the candidate; the
+    rows on disjoint cycles of weight below -margin, when some are found;
+    and None otherwise, which leaves the answer to the full search.
 
-    The identity is the unique optimum exactly when every cycle of the
-    complete digraph with arc weights D_ij = C_ij - C_ii has positive weight
-    (a permutation's cost minus the identity's is the sum of its cycles'
-    weights). Floyd-Warshall over D, with +inf on the diagonal, leaves the
-    least cycle weight through i in D_ii. It gives up as soon as any D_ii
-    falls to the margin: a zero-weight cycle is a tie for the search to
-    break, and stopping at the first non-positive cycle also keeps negative
-    cycles from compounding towards overflow.
-    """
-    n = cost.shape[0]
-    margin = _certificate_margin(cost)
-    D = _arc_weights(cost, np.arange(n) if perm is None else perm)
-    cycles = np.diagonal(D)  # a read-only view, updated in place with D
-    for k in range(n):
-        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-        if cycles.min() <= margin:
-            return False
-    return True
+    Bellman-Ford relaxes from a virtual source, joined to every row by a
+    zero arc, over the arc weights lowered by delta = 3/4 * margin. A cycle
+    of k >= 2 arcs and weight w then weighs w - k * delta, which is
+    negative whenever w <= margin. So a round that relaxes nothing proves
+    that every cycle weighs at least 2 * delta > margin; an all-zero cost
+    (margin 0, every cycle a tie) is never certified. After a round that
+    relaxes an arc, the parent graph is searched for cycles, each of which
+    is negative after lowering. The rows of cycles below -margin are taken
+    out of the graph and the search starts again on the rest. Any other
+    cycle, a tie or one the lowering cannot tell from one, returns None at
+    once; so does running out of rounds (n in all) before any row is found.
+    The search also stops once more than `most` rows are found.
 
-
-def _negative_cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray:
-    """Rows on disjoint cycles of weight below -margin in the digraph of the
-    arc weights D (see _arc_weights; overwritten here), found by
-    Bellman-Ford from a virtual source joined to every row by a zero arc.
-
-    Each round relaxes every arc at once: one (n, n) add and an argmin over
-    the tails. A cycle of parent pointers appears once some distance keeps
-    falling for n rounds, and usually much sooner, so the parent graph is
-    searched after every round that relaxed an arc. The rows of its cycles
-    below -margin are taken out of the graph and the search starts again on
-    the rest. It stops at the first round that relaxes nothing, after n
-    rounds in all, or once more than `most` rows are found.
+    The search runs on the reversed digraph, whose cycles are those of D
+    reversed, with the same weights. There row i of D holds the arcs into
+    i, so each round is one (n, n) add and an argmin along contiguous rows.
     """
     n = D.shape[0]
+    if margin == 0.0:
+        return None
+    delta = 0.75 * margin
     dist = np.zeros(n)
     parent = np.full(n + 1, n)  # n is the virtual source, its own parent
-    cols = np.arange(n)
+    heads = np.arange(n)
     found = np.zeros(n, dtype=bool)
     reach = np.empty_like(D)
     for _ in range(n):
-        np.add(dist[:, None], D, out=reach)
-        tail = reach.argmin(axis=0)
-        best = reach[tail, cols]
+        np.add(D, dist, out=reach)  # reach[i, j]: dist[j] plus the arc j -> i
+        tail = reach.argmin(axis=1)
+        best = reach[heads, tail] - delta
         better = best < dist
         if not better.any():
-            break
+            return np.flatnonzero(found)
         dist[better] = best[better]
         parent[:n][better] = tail[better]
-        rows = _parent_cycle_rows(parent, D, margin)
-        if rows.size:
+        cycles = _parent_cycles(parent)
+        if cycles:
+            if max(D[cycle, parent[cycle]].sum() for cycle in cycles) >= -margin:
+                return None
+            rows = np.concatenate(cycles)
             found[rows] = True
             if found.sum() > most:
                 break
@@ -197,20 +192,19 @@ def _negative_cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarra
             D[:, rows] = np.inf
             dist.fill(0.0)
             parent.fill(n)
-    return np.flatnonzero(found)
+    return np.flatnonzero(found) if found.any() else None
 
 
-def _parent_cycle_rows(parent: np.ndarray, D: np.ndarray, margin: float) -> np.ndarray:
-    """Rows on the cycles of the parent graph (every row has one parent, the
-    virtual source n is its own) whose arc weights D[parent[i], i] sum to
-    below -margin."""
+def _parent_cycles(parent: np.ndarray) -> list:
+    """The cycles of the parent graph (every row has one parent, the
+    virtual source n is its own), each an array of its rows."""
     ancestor = parent
     for _ in range(parent.size.bit_length()):
         ancestor = ancestor[ancestor]  # parent^(2^k): on a cycle once 2^k >= n + 1
     on_cycle = np.zeros(parent.size, dtype=bool)
     on_cycle[ancestor] = True
     on_cycle[-1] = False
-    rows = []
+    cycles = []
     for start in np.flatnonzero(on_cycle):
         if not on_cycle[start]:
             continue  # on a cycle already walked
@@ -218,9 +212,8 @@ def _parent_cycle_rows(parent: np.ndarray, D: np.ndarray, margin: float) -> np.n
         while parent[cycle[-1]] != start:
             cycle.append(parent[cycle[-1]])
         on_cycle[cycle] = False
-        if D[parent[cycle], cycle].sum() < -margin:
-            rows.extend(cycle)
-    return np.array(rows, dtype=np.intp)
+        cycles.append(np.array(cycle, dtype=np.intp))
+    return cycles
 
 
 def _augmenting_path_search(cost: np.ndarray) -> np.ndarray:

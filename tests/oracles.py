@@ -9,7 +9,9 @@ feasibility of a capacity target by classic water-filling of the power
 budget (specshare.covdesign asks whether the minimum-power design fits in
 the budget), and a feasibility and optimality report of a returned design
 recomputed from its covariances (specshare.covdesign checks its own
-post-conditions once, as it solves). Only the tests use them.
+post-conditions once, as it solves), and a Floyd-Warshall certificate that
+the identity is the unique optimal assignment (specshare.samplingopt
+certifies it by a Bellman-Ford cycle search). Only the tests use them.
 """
 
 import numpy as np
@@ -148,3 +150,30 @@ def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other
             report["other_eip"] = other_eip
             report["ordering_ok"] = report["objective_eip"] <= other_eip + 1e-8
     return report
+
+
+def floyd_warshall_certified(cost, perm=None) -> bool:
+    """True when the identity is the unique optimal assignment of the square
+    cost C[:, perm] (perm defaults to the identity) by more than the margin
+    n^3 * eps * max|C|, which a column permutation does not change.
+
+    The identity is the unique optimum exactly when every cycle of the
+    complete digraph with arc weights D_ij = C[i, perm[j]] - C[i, perm[i]]
+    has positive weight (a permutation's cost minus the identity's is the
+    sum of its cycles' weights). Floyd-Warshall over D, with +inf on the
+    diagonal, leaves the least cycle weight through i in D_ii. It gives up
+    as soon as any D_ii falls to the margin, which also keeps negative
+    cycles from compounding towards overflow.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n = cost.shape[0]
+    margin = n**3 * np.finfo(float).eps * float(np.abs(cost).max())
+    D = cost[:, np.arange(n) if perm is None else perm]
+    D = D - np.diagonal(D)[:, None]
+    np.fill_diagonal(D, np.inf)
+    cycles = np.diagonal(D)  # a read-only view, updated in place with D
+    for k in range(n):
+        np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        if cycles.min() <= margin:
+            return False
+    return True

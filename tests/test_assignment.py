@@ -1,8 +1,9 @@
 """Linear assignment solver against an exhaustive oracle, the scalar
 column loop it replaced, and scipy's solver; its identity certificate on
 costs it must certify and on costs where it must leave the answer to the
-search; its warm start, which re-solves only the rows on negative cycles;
-and its independence of the cost's memory layout."""
+search, and against the Floyd-Warshall certificate it replaced; its warm
+start, which re-solves only the rows on negative cycles; and its
+independence of the cost's memory layout."""
 
 import itertools
 import warnings
@@ -14,9 +15,11 @@ from specshare import samplingopt
 from specshare.config import ScenarioConfig
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import interference_diag_matrix, noise_covariances, scheme_weights
-from specshare.samplingopt import _identity_certified, hungarian, joint_design
+from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import make_scenario
 from specshare.streams import stream
+
+from oracles import floyd_warshall_certified
 
 
 def scalar_loop_hungarian(cost):
@@ -234,6 +237,15 @@ def joint_design_costs(seeds):
     return costs
 
 
+def search_certified(cost, perm=None):
+    """Whether hungarian's cycle search certifies the candidate perm
+    (default: the identity) for the cost, as the warm start asks it."""
+    n = cost.shape[0]
+    D = samplingopt._arc_weights(cost, np.arange(n) if perm is None else perm)
+    rows = samplingopt._cycle_rows(D, samplingopt._certificate_margin(cost), n)
+    return rows is not None and not rows.size
+
+
 def identity_optimal(rng, n, lowered):
     """A random n x n cost whose unique optimal assignment is the identity:
     a random cost's columns are reordered so that its optimal assignment
@@ -255,7 +267,7 @@ class TestIdentityCertificate:
         for k, (n, _) in enumerate(random_shapes(rng, 60)):
             lowered = (1e-3, 1e-2, 0.1, 1.0, 10.0)[k % 5]
             cost = identity_optimal(rng, n, lowered)
-            assert _identity_certified(cost)
+            assert search_certified(cost)
             assert_matches_scalar_loop(cost)
             assert np.array_equal(hungarian(cost).permutation, np.arange(n))
 
@@ -273,7 +285,7 @@ class TestIdentityCertificate:
 
     def test_ties_fall_back(self):
         for cost in (np.full((3, 3), 2.0), np.full((8, 8), -1.5), np.zeros((5, 5))):
-            assert not _identity_certified(cost)
+            assert not search_certified(cost)
             assert_matches_scalar_loop(cost)
 
     def test_zero_weight_cycles_fall_back(self):
@@ -290,7 +302,7 @@ class TestIdentityCertificate:
                     cost[i, j] = cost[j, i] = 0.0
                 else:
                     cost[i, j] = cost[j, m] = cost[m, i] = 0.0
-                assert not _identity_certified(cost)
+                assert not search_certified(cost)
                 assert_matches_scalar_loop(cost)
 
     def test_margin_boundary(self):
@@ -302,28 +314,119 @@ class TestIdentityCertificate:
             cost = np.ones((n, n))
             np.fill_diagonal(cost, 0.0)
             cost[1, 4] = cost[4, 1] = weight / 2
-            assert _identity_certified(cost) == certified
+            assert search_certified(cost) == certified
             assert_matches_scalar_loop(cost)
 
     def test_joint_design_calls(self):
         """Every assignment the joint design solves on joint-long-sized
         Scheme I scenarios, certified or not."""
         costs = joint_design_costs((1, 2))
-        certified = [_identity_certified(cost) for cost in costs]
+        certified = [search_certified(cost) for cost in costs]
         assert any(certified) and not all(certified)
         for cost in costs:
             assert_matches_scalar_loop(cost)
 
     def test_large_negative_cycles_no_warning(self):
-        """Negative cycles compound through Floyd-Warshall's steps; at this
-        size and scale they would overflow if the certificate did not stop
-        at the first one."""
-        cost = stream(10, "hungarian").uniform(-1.0, 1.0, size=(512, 512)) * 1e250
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not _identity_certified(cost)
-            out = hungarian(cost)
-        assert sorted(out.permutation) == list(range(512))
+        """Negative cycles compound through the relaxation rounds; at this
+        size and scale they would overflow if the search did not stop at
+        the first one. Scaled down as far, the margin and its lowering of
+        the arcs stay normal numbers."""
+        cost = stream(10, "hungarian").uniform(-1.0, 1.0, size=(512, 512))
+        for scale in (1e250, 1e-250):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not search_certified(cost * scale)
+                out = hungarian(cost * scale)
+            assert sorted(out.permutation) == list(range(512))
+
+    def test_all_zero_cost_refused(self):
+        """Margin 0: every cycle is a tie, at any size."""
+        for n in (1, 2, 7):
+            cost = np.zeros((n, n))
+            assert not search_certified(cost)
+            assert_matches_scalar_loop(cost)
+
+    def test_single_row_certified(self):
+        for value in (3.5, -1e-300, 1e300):
+            cost = np.array([[value]])
+            assert search_certified(cost)
+            assert_matches_scalar_loop(cost)
+
+    def test_two_by_two_outcomes(self):
+        """The identity wins and is certified; the swap wins, its 2-cycle is
+        found and the search answers; a tie is refused."""
+        for cost, certified in (([[0.0, 1.0], [1.0, 0.0]], True),
+                                ([[1.0, 0.0], [0.0, 1.0]], False),
+                                ([[1.0, 2.0], [2.0, 3.0]], False)):
+            cost = np.array(cost)
+            assert search_certified(cost) == certified
+            assert_matches_scalar_loop(cost)
+
+    def test_three_cycle_within_the_lowering(self):
+        """A 3-cycle weighing 1.5 margins, above the margin but below the
+        three arcs' lowering of 2.25 margins: Floyd-Warshall certifies the
+        identity, the cycle search refuses it, and the full search answers
+        as the scalar loop does."""
+        n = 6
+        margin = n**3 * np.finfo(float).eps  # max|C| = 1
+        cost = np.ones((n, n))
+        np.fill_diagonal(cost, 0.0)
+        cost[1, 3] = cost[3, 5] = cost[5, 1] = 1.5 * margin / 3
+        assert floyd_warshall_certified(cost)
+        assert not search_certified(cost)
+        assert_matches_scalar_loop(cost)
+
+
+class TestFloydWarshallOracle:
+    """The cycle search certifies what the Floyd-Warshall certificate it
+    replaced certifies on the inputs hungarian builds, and never certifies
+    a cost that certificate refuses."""
+
+    def test_joint_design_inputs_agree(self, monkeypatch):
+        """Every candidate the warm start checks on the joint-long-sized
+        costs of seeds 1-2 and 13-18."""
+        costs = joint_design_costs((1, 2, *range(13, 19)))
+        inputs = []
+        arc_weights = samplingopt._arc_weights
+
+        def recording(cost, perm):
+            inputs.append((cost.copy(), perm.copy()))
+            return arc_weights(cost, perm)
+
+        monkeypatch.setattr(samplingopt, "_arc_weights", recording)
+        for cost in costs:
+            hungarian(cost)
+        monkeypatch.undo()
+        assert len(inputs) > len(costs)
+        verdicts = [floyd_warshall_certified(cost, perm) for cost, perm in inputs]
+        assert any(verdicts) and not all(verdicts)
+        for (cost, perm), verdict in zip(inputs, verdicts):
+            assert search_certified(cost, perm) == verdict
+
+    def test_never_certifies_what_the_oracle_refuses(self):
+        rng = stream(16, "hungarian")
+        costs = []
+        for k, (n, _) in enumerate(random_shapes(rng, 60)):
+            margin = n**3 * np.finfo(float).eps * 5.0
+            costs.append(identity_optimal(rng, n, (0.0, margin / 4, margin, 1e-3)[k % 4]))
+        for n in (8, 16, 32):
+            for weight in (1e-12, 1e-3, 1.0):
+                cost, planted = planted_cycles(rng, n, (2, 3), weight)
+                costs.append(cost)
+                costs.append(cost[:, planted])
+        for n in range(2, 13):
+            for high in (2, 4):
+                costs.append(rng.integers(-high, high, size=(n, n)).astype(float))
+                cost = rng.integers(1, 6, size=(n, n)).astype(float)
+                np.fill_diagonal(cost, 0.0)
+                cost[0, 1] = cost[1, 0] = 0.0
+                costs.append(cost)
+        outcomes = set()
+        for cost in costs:
+            verdict = search_certified(cost)
+            outcomes.add(verdict)
+            assert not verdict or floyd_warshall_certified(cost)
+        assert outcomes == {True, False}
 
 
 def planted_cycles(rng, n, lengths, weight):
@@ -400,7 +503,7 @@ class TestWarmStart:
         matches the scalar loop."""
         costs = joint_design_costs(range(13, 19))
         assert len(costs) == 46
-        uncertified = [cost for cost in costs if not _identity_certified(cost)]
+        uncertified = [cost for cost in costs if not search_certified(cost)]
         assert len(uncertified) == 15
         answered = 0
         for cost in uncertified:
@@ -428,12 +531,12 @@ class TestMemoryLayout:
                 assert out.cost == expected.cost
 
     def test_kernels_see_c_order(self, joint_costs, monkeypatch):
-        """The certificate runs several times slower on a Fortran-ordered
-        array, so hungarian hands every kernel a C-ordered one: on costs the
-        warm start answers, and on a far-from-identity cost that goes to the
-        full search."""
+        """The arc weights gather columns of the cost, about 1.8 times slower
+        from a Fortran-ordered array at n = 128, so hungarian hands every
+        kernel a C-ordered one: on costs the warm start answers, and on a
+        far-from-identity cost that goes to the full search."""
         seen = []
-        for name in ("_identity_certified", "_augmenting_path_search"):
+        for name in ("_arc_weights", "_augmenting_path_search"):
             kernel = getattr(samplingopt, name)
 
             def recording(cost, *args, kernel=kernel):
