@@ -24,19 +24,13 @@ from .completion import CompletionParams, RecoveryReport, complete, radar_pipeli
 from .harness import ExperimentSpec, ResultRow, run_compare, sweep, write_csv
 from .samplingopt import JointDesignResult, hungarian, joint_design, optimize_mask, spectral_gap
 from .scenario import (
-    ChannelSet,
-    PhaseSchedule,
-    SamplingMask,
     Scenario,
-    TargetResponse,
-    WaveformMatrix,
     generate_channels,
     generate_phase_offsets,
     generate_sampling_mask,
     generate_target_response,
     generate_waveforms,
     make_scenario,
-    synthesize_comm_rx,
     synthesize_radar_rx,
 )
 from .streams import stream

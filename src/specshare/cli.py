@@ -110,8 +110,8 @@ def main(argv=None) -> int:
         if args.command == "mask-gap":
             cfg = load_config(args.config) if args.config else ScenarioConfig()
             cfg = cfg.replace(seed=args.seed)
-            mask = generate_sampling_mask(cfg, stream(cfg.seed, "mask"))
-            s1, s2, gap = spectral_gap(mask)
+            omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"))
+            s1, s2, gap = spectral_gap(omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
     except (ConfigError, SpecError, ScenarioError) as exc:

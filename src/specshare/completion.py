@@ -15,12 +15,7 @@ import numpy as np
 
 from .config import ScenarioConfig, Scheme
 from .linalg import crandn, psd_sqrt
-from .scenario import (
-    SamplingMask,
-    generate_phase_offsets,
-    noiseless_radar_return,
-    synthesize_radar_rx,
-)
+from .scenario import generate_phase_offsets, noiseless_radar_return, synthesize_radar_rx
 
 
 @dataclass
@@ -98,11 +93,11 @@ def _mu_schedule(sigma1: float, mu_final: float, continuation: float) -> list:
 
 def complete(
     observed: np.ndarray,
-    mask: SamplingMask,
+    omega: np.ndarray,
     params: CompletionParams | None = None,
     objective_trace: list | None = None,
 ):
-    """Nuclear-norm completion of the entries marked by the mask.
+    """Nuclear-norm completion of the entries marked by the binary mask omega.
 
     Returns (estimate, iterations, converged). Requires at least one
     observed entry in every row and column. Accepted iterates never
@@ -112,7 +107,6 @@ def complete(
     """
     if params is None:
         params = CompletionParams()
-    omega = mask.omega
     if omega.shape != observed.shape:
         raise ValueError("mask and observation shapes differ")
     if omega.sum(axis=1).min() < 1 or omega.sum(axis=0).min() < 1:
@@ -182,7 +176,7 @@ def radar_pipeline(
     S: np.ndarray,
     G2: np.ndarray,
     schedule: np.ndarray,
-    mask: SamplingMask,
+    omega: np.ndarray,
     trials: int,
     rng: np.random.Generator,
     params: CompletionParams | None = None,
@@ -202,9 +196,9 @@ def radar_pipeline(
     reports = []
     for _ in range(trials):
         X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(L)], axis=1)
-        phases = generate_phase_offsets(cfg, rng)
-        observed = synthesize_radar_rx(cfg, D, S, G2, X, phases, mask, rng)
-        estimate, iters, conv = complete(observed, mask, params)
+        _, alpha2 = generate_phase_offsets(cfg, rng)
+        observed = synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng)
+        estimate, iters, conv = complete(observed, omega, params)
         reports.append(
             RecoveryReport(
                 relative_error=relative_error(truth, estimate),

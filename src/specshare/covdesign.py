@@ -377,6 +377,13 @@ def _problem(H: np.ndarray, noise: np.ndarray, C: float) -> _Problem:
     return _memo
 
 
+def _check_budget(problem: _Problem, C: float, P_t: float) -> None:
+    """InfeasibleError unless the minimum-power design fits in P_t."""
+    # Written so that a NaN power is infeasible too.
+    if not problem.selfish.power <= P_t:
+        raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
+
+
 def solve_weighted_eip(
     weights: np.ndarray,
     H: np.ndarray,
@@ -404,9 +411,7 @@ def solve_weighted_eip(
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
     problem = _problem(H, noise, C)
-    # Written so that a NaN power is infeasible too.
-    if not problem.selfish.power <= P_t:
-        raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
+    _check_budget(problem, C, P_t)
 
     def solve():
         kernel = _DualKernel.weighted(weights, G2, problem.whitened)
@@ -421,15 +426,17 @@ def solve_weighted_eip(
     return problem.design(_exact(weights, G2, P_t), solve)
 
 
-def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float) -> DesignSolution:
+def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> DesignSolution:
     """Minimum-power design achieving average capacity C, ignoring the radar.
 
     Dual of the power objective: the per-symbol subproblem has Phi = I, so
     a single closed-form water-level solve suffices (no bisection). It is
     the step the weighted solves of the same (H, noise, C) test feasibility
-    with, and is memoized with them.
+    with, and is memoized with them. InfeasibleError: the design needs more
+    power than P_t, the same test as solve_weighted_eip's.
     """
     problem = _problem(H, noise, C)
+    _check_budget(problem, C, P_t)
 
     def solve():
         it = problem.selfish

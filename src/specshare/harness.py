@@ -121,30 +121,23 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
 
 
 def _solve_method(method, cfg, scn, noise):
-    """Returns (DesignSolution, mask used for the EIP metric). The method's
-    name picks the interference weights W_l of its design problem."""
-    H, G2 = scn.channels.H, scn.channels.G2
-    S = scn.waveforms.S
+    """Returns (DesignSolution, mask omega used for the EIP metric). The
+    method's name picks the interference weights W_l of its design problem."""
+    H, G2, S = scn.H, scn.G2, scn.S
     if method == "selfish":
-        sol = solve_selfish(H, noise, cfg.C)
-        # The budget test of solve_weighted_eip: the minimum-power design
-        # ignores P_t, so a capacity target beyond it makes the row infeasible.
-        if not sol.consumed_power <= cfg.P_t:
-            raise InfeasibleError(
-                f"capacity target {cfg.C} unreachable within power budget {cfg.P_t}")
-        return sol, scn.mask
+        return solve_selfish(H, noise, cfg.C, cfg.P_t), scn.omega
     if method == "noncoop":
         w = tip_weights(cfg.M_rR, cfg.L)
     elif method in ("coop", "full"):  # the radar scheme's EIP, per validate()
-        w = scheme_weights(cfg, scn.mask, S)
+        w = scheme_weights(cfg, scn.omega, S)
     elif method == "partial":
         w = fmfb_weights(S, cfg.M_rR)
     elif method == "joint":
-        result = joint_design(cfg, H, G2, noise, S, scn.mask)
+        result = joint_design(cfg, H, G2, noise, S, scn.omega)
         return result.solution, result.mask
     else:
         raise SpecError(f"unknown method {method!r}")
-    return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.mask
+    return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.omega
 
 
 def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
@@ -156,7 +149,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
         value = 0.0 if sweep_value is None else float(sweep_value)
         try:
             scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
         except Exception as exc:  # scenario-level failure poisons all methods
             for method in spec.methods:
                 rows.append(
@@ -167,24 +160,18 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
             row = ResultRow(method, spec.sweep_var, value, int(seed))
             t0 = time.perf_counter()
             try:
-                sol, mask = _solve_method(method, cfg, scn, noise)
+                sol, omega = _solve_method(method, cfg, scn, noise)
                 if not sol.converged:
                     row.error = f"dual bisection not converged after {sol.iterations} evaluations"
                 schedule = sol.schedule
-                Q = interference_diag_matrix(scn.channels.G2, schedule)
-                row.eip = weighted_eip(scheme_weights(cfg, mask, scn.waveforms.S), Q)
+                Q = interference_diag_matrix(scn.G2, schedule)
+                row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), Q)
                 row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), Q)
                 row.capacity = sol.achieved_capacity
                 row.power = sol.consumed_power
                 if spec.mc_trials > 0:
                     stats = radar_pipeline(
-                        cfg,
-                        scn.target.D,
-                        scn.waveforms.S,
-                        scn.channels.G2,
-                        schedule,
-                        mask,
-                        spec.mc_trials,
+                        cfg, scn.D, scn.S, scn.G2, schedule, omega, spec.mc_trials,
                         stream(cfg.seed, "mc", method, spec.sweep_var, value),
                     )
                     row.mc_mean_err = stats.mean_error

@@ -26,7 +26,6 @@ import numpy as np
 
 from .config import ScenarioConfig, Scheme
 from .linalg import hermitize, min_eig
-from .scenario import SamplingMask
 
 PSD_TOL = 1e-9
 
@@ -56,11 +55,8 @@ def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> np.
     """(L, M_rC, M_rC) stack R_wl = rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H + sigma_C^2 I."""
     scale = cfg.rho2 * cfg.sigma_alpha2
     eye = cfg.sigma_C2 * np.eye(cfg.M_rC)
-    mats = []
-    for l in range(S.shape[1]):
-        v = G1 @ S[:, l]
-        mats.append(hermitize(scale * np.outer(v, v.conj()) + eye))
-    return np.stack(mats)
+    v = np.matmul(G1, S.T[:, :, None])[..., 0]  # row l: G1 s(l)
+    return hermitize(scale * (v[:, :, None] * v.conj()[:, None, :]) + eye)
 
 
 def average_capacity(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray) -> float:
@@ -103,15 +99,14 @@ def fmfb_weights(S: np.ndarray, n_rx: int) -> np.ndarray:
     return np.repeat(a[:, None], n_rx, axis=1)
 
 
-def scheme_weights(cfg: ScenarioConfig, mask: SamplingMask, S: np.ndarray) -> np.ndarray:
+def scheme_weights(cfg: ScenarioConfig, omega: np.ndarray, S: np.ndarray) -> np.ndarray:
     """The radar scheme's EIP weights over the L = S.shape[1] radar symbols.
 
-    Scheme I: W_l = Delta_l, the mask's column l. Scheme II: row l holds
-    a_{l,xi_m} = sum_{i in xi_m} |s_i(l)|^2, the energy of symbol l in the
-    waveforms that receive antenna m's matched filters keep. Either way the
-    array is C-ordered, like every other weight array.
+    Scheme I: W_l = Delta_l, column l of the mask omega. Scheme II: row l
+    holds a_{l,xi_m} = sum_{i in xi_m} |s_i(l)|^2, the energy of symbol l in
+    the waveforms that receive antenna m's matched filters keep. Either way
+    the array is C-ordered, like every other weight array.
     """
-    omega = mask.omega
     if cfg.scheme is Scheme.SCHEME_I:
         if omega.shape[1] != S.shape[1]:
             raise MetricError("mask is not Scheme-I shaped")

@@ -17,7 +17,6 @@ import numpy as np
 from .interference import interference_diag_matrix, scheme_weights
 from .config import ScenarioConfig, Scheme
 from .covdesign import DesignSolution, solve_weighted_eip
-from .scenario import SamplingMask
 
 # optimize_mask stops once a sweep lowers the objective by less than
 # _MASK_RTOL times the initial objective (at least 1), or after _MAX_SWEEPS.
@@ -38,7 +37,7 @@ class Assignment:
 @dataclass
 class JointDesignResult:
     solution: DesignSolution
-    mask: SamplingMask
+    mask: np.ndarray  # the final binary mask omega
     eip_trace: list
     outer_iterations: int
 
@@ -91,7 +90,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("cost matrix contains infinite entries")
     n = cost.shape[0]
     perm = _warm_started_search(cost) if n else np.empty(0, dtype=int)
-    total = float(sum(cost[i, perm[i]] for i in range(n)))
+    total = float(sum(cost[np.arange(n), perm].tolist()))
     return Assignment(permutation=perm, cost=total)
 
 
@@ -280,59 +279,57 @@ def _augmenting_path_search(cost: np.ndarray) -> np.ndarray:
     return perm
 
 
-def mask_objective(mask: SamplingMask, Qtilde: np.ndarray) -> float:
+def mask_objective(omega: np.ndarray, Qtilde: np.ndarray) -> float:
     """Tr(Omega^T Q~), the quantity the permutation search minimizes."""
-    return float(np.sum(mask.omega * Qtilde))
+    return float(np.sum(omega * Qtilde))
 
 
-def best_column_permutation(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask:
-    """Reorder mask columns to minimize Tr(Omega^T Q~).
+def best_column_permutation(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
+    """Reorder the columns of the mask omega to minimize Tr(Omega^T Q~).
 
     Cost of placing current column m at position l is Omega_col_m . Q~_col_l.
     """
-    omega = mask.omega
     if omega.shape != Qtilde.shape:
         raise ValueError("mask and cost matrix shapes differ")
     C = omega.T @ Qtilde
     out = np.empty_like(omega)
     out[:, hungarian(C).permutation] = omega
-    return mask.with_omega(out)
+    return out
 
 
-def best_row_permutation(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask:
+def best_row_permutation(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
     """Row counterpart of best_column_permutation."""
-    omega = mask.omega
     if omega.shape != Qtilde.shape:
         raise ValueError("mask and cost matrix shapes differ")
     C = omega @ Qtilde.T
     out = np.empty_like(omega)
     out[hungarian(C).permutation, :] = omega
-    return mask.with_omega(out)
+    return out
 
 
-def optimize_mask(mask: SamplingMask, Qtilde: np.ndarray) -> SamplingMask:
-    """Alternate column/row permutations until a sweep stops lowering the
-    objective (see _MASK_RTOL)."""
-    obj = mask_objective(mask, Qtilde)
+def optimize_mask(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
+    """Alternate column/row permutations of the mask omega until a sweep
+    stops lowering the objective (see _MASK_RTOL)."""
+    obj = mask_objective(omega, Qtilde)
     tol = _MASK_RTOL * max(obj, 1.0)
     for _ in range(_MAX_SWEEPS):
-        cand = best_row_permutation(best_column_permutation(mask, Qtilde), Qtilde)
+        cand = best_row_permutation(best_column_permutation(omega, Qtilde), Qtilde)
         new_obj = mask_objective(cand, Qtilde)
         if new_obj > obj + 1e-12:
             break  # assignment optimality should prevent this; stop defensively
-        mask = cand
+        omega = cand
         if abs(obj - new_obj) < tol:
             obj = new_obj
             break
         obj = new_obj
-    return mask
+    return omega
 
 
-def spectral_gap(mask: SamplingMask):
-    """(sigma1, sigma2, sigma1 - sigma2) of the binary mask."""
-    if mask.omega.sum() == 0:
+def spectral_gap(omega: np.ndarray):
+    """(sigma1, sigma2, sigma1 - sigma2) of the binary mask omega."""
+    if omega.sum() == 0:
         raise ValueError("spectral gap of the all-zero mask is undefined")
-    s = np.linalg.svd(mask.omega, compute_uv=False)
+    s = np.linalg.svd(omega, compute_uv=False)
     s2 = float(s[1]) if s.size > 1 else 0.0
     return float(s[0]), s2, float(s[0]) - s2
 
@@ -343,19 +340,19 @@ def joint_design(
     G2: np.ndarray,
     noise: np.ndarray,
     S: np.ndarray,
-    mask: SamplingMask,
+    omega: np.ndarray,
 ) -> JointDesignResult:
     """Alternating covariance / sampling-mask optimization.
 
     Each outer iteration solves the weighted covariance problem for the
-    current mask, then permutes the mask against the resulting interference
-    profile (Q~ = Q for Scheme I, Q~ = Q (S o conj(S))^T for Scheme II),
-    until the EIP stops falling (see _EIP_RTOL).
+    current mask omega, then permutes the mask against the resulting
+    interference profile (Q~ = Q for Scheme I, Q~ = Q (S o conj(S))^T for
+    Scheme II), until the EIP stops falling (see _EIP_RTOL).
     """
     trace = []
     solution = None
     for n in range(_MAX_OUTER):
-        weights = scheme_weights(cfg, mask, S)
+        weights = scheme_weights(cfg, omega, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
         eip = solution.objective_eip
         trace.append(eip)
@@ -368,7 +365,7 @@ def joint_design(
             Qtilde = Q
         else:
             Qtilde = Q @ (np.abs(S) ** 2).T  # M_rR x M_tR
-        mask = optimize_mask(mask, Qtilde)
+        omega = optimize_mask(omega, Qtilde)
     return JointDesignResult(
-        solution=solution, mask=mask, eip_trace=trace, outer_iterations=len(trace)
+        solution=solution, mask=omega, eip_trace=trace, outer_iterations=len(trace)
     )

@@ -1,9 +1,9 @@
-"""Random inputs of a coexistence experiment and received-signal synthesis.
+"""Random inputs of a coexistence experiment and radar receive synthesis.
 
-Generates channels, orthogonal radar waveforms, the target response matrix,
-the binary sampling mask and oscillator phase offsets, and synthesizes the
-radar/communication receive matrices. All generators are pure functions of
-(config, rng stream).
+Generates the channels H, G1 and G2, the orthogonal radar waveforms S, the
+target response D, the binary sampling mask omega and oscillator phase
+offsets, all plain arrays, and synthesizes the masked radar receive matrix.
+All generators are pure functions of (config, rng stream).
 """
 
 from __future__ import annotations
@@ -21,80 +21,34 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass
-class ChannelSet:
-    H: np.ndarray    # M_rC x M_tC, unit entry variance
-    G1: np.ndarray   # M_rC x M_tR, entry variance sigma1_2
-    G2: np.ndarray   # M_rR x M_tC, entry variance sigma2_2
-
-
-@dataclass
-class WaveformMatrix:
-    S: np.ndarray    # M_tR x L with orthonormal rows, S S^H = I
-
-    @property
-    def column_energies(self) -> np.ndarray:
-        """a_l = s^H(l) s(l) for each symbol l."""
-        return np.sum(np.abs(self.S) ** 2, axis=0)
-
-
-@dataclass
-class TargetResponse:
-    D: np.ndarray
-    targets: list
-
-
-@dataclass
-class SamplingMask:
-    omega: np.ndarray  # binary, M_rR x L (Scheme I) or M_rR x M_tR (Scheme II)
-
-    @property
-    def ones_count(self) -> int:
-        return int(self.omega.sum())
-
-    def with_omega(self, omega: np.ndarray) -> "SamplingMask":
-        return SamplingMask(omega=np.asarray(omega, dtype=float))
-
-
-@dataclass
-class PhaseSchedule:
-    alpha1: np.ndarray  # length L, radians
-    alpha2: np.ndarray
-
-    @property
-    def lambda1(self) -> np.ndarray:
-        return np.exp(1j * self.alpha1)
-
-    @property
-    def lambda2(self) -> np.ndarray:
-        return np.exp(1j * self.alpha2)
-
-
 def steering_vector(n_antennas: int, angle_deg: float) -> np.ndarray:
     """Half-wavelength ULA steering vector [1, e^{j pi sin(theta)}, ...]."""
     theta = np.deg2rad(angle_deg)
     return np.exp(1j * np.pi * np.arange(n_antennas) * np.sin(theta))
 
 
-def generate_channels(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelSet:
-    """i.i.d. circularly symmetric Gaussian channels H, G1, G2."""
+def generate_channels(cfg: ScenarioConfig, rng: np.random.Generator):
+    """i.i.d. circularly symmetric Gaussian channels (H, G1, G2): H is
+    M_rC x M_tC with unit entry variance, G1 M_rC x M_tR with variance
+    sigma1_2 and G2 M_rR x M_tC with variance sigma2_2."""
     H = crandn(rng, cfg.M_rC, cfg.M_tC)
     G1 = np.sqrt(cfg.sigma1_2) * crandn(rng, cfg.M_rC, cfg.M_tR)
     G2 = np.sqrt(cfg.sigma2_2) * crandn(rng, cfg.M_rR, cfg.M_tC)
-    return ChannelSet(H=H, G1=G1, G2=G2)
+    return H, G1, G2
 
 
-def generate_waveforms(cfg: ScenarioConfig, rng: np.random.Generator) -> WaveformMatrix:
-    """Gaussian orthogonal waveforms: rows of S orthonormalized so S S^H = I."""
+def generate_waveforms(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian orthogonal waveforms: the M_tR x L matrix S, its rows
+    orthonormalized so S S^H = I."""
     if cfg.L < cfg.M_tR:
         raise ScenarioError("L must be >= M_tR for orthonormal waveform rows")
     A = crandn(rng, cfg.M_tR, cfg.L)
     # QR of A^H gives orthonormal columns; transpose back to orthonormal rows.
     q, _ = np.linalg.qr(A.conj().T)
-    return WaveformMatrix(S=q.conj().T)
+    return q.conj().T
 
 
-def generate_target_response(cfg: ScenarioConfig) -> TargetResponse:
+def generate_target_response(cfg: ScenarioConfig) -> np.ndarray:
     """D = sum_k beta_k a_r(theta_k) a_t(theta_k)^T for stationary ULA targets."""
     if not cfg.targets:
         raise ScenarioError("target list is empty")
@@ -105,7 +59,7 @@ def generate_target_response(cfg: ScenarioConfig) -> TargetResponse:
         a_r = steering_vector(cfg.M_rR, angle_deg)
         a_t = steering_vector(cfg.M_tR, angle_deg)
         D += complex(coef) * np.outer(a_r, a_t)
-    return TargetResponse(D=D, targets=list(cfg.targets))
+    return D
 
 
 def mask_shape(cfg: ScenarioConfig) -> tuple[int, int]:
@@ -119,8 +73,9 @@ def generate_sampling_mask(
     rng: np.random.Generator,
     require_coverage: bool = True,
     max_attempts: int = 200_000,
-) -> SamplingMask:
-    """Uniformly random binary mask with exactly floor(p * entries) ones.
+) -> np.ndarray:
+    """Uniformly random binary mask omega, M_rR x L (Scheme I) or M_rR x M_tR
+    (Scheme II), with exactly floor(p * entries) ones.
 
     With require_coverage (the default), the draw is rejected and resampled
     until every row and every column holds at least one sample; a matrix
@@ -144,8 +99,8 @@ def generate_sampling_mask(
         if not require_coverage or _covers(cells, rows, cols):
             flat = np.zeros(size)
             flat[cells] = 1.0
-            return SamplingMask(omega=flat.reshape(rows, cols))
-    return SamplingMask(omega=_covering_mask(rows, cols, n_ones, rng))
+            return flat.reshape(rows, cols)
+    return _covering_mask(rows, cols, n_ones, rng)
 
 
 def _covers(cells: np.ndarray, rows: int, cols: int) -> bool:
@@ -175,13 +130,12 @@ def _covering_mask(rows: int, cols: int, n_ones: int, rng: np.random.Generator) 
     return omega
 
 
-def generate_phase_offsets(cfg: ScenarioConfig, rng: np.random.Generator) -> PhaseSchedule:
-    """Zero-mean Gaussian phase jitter sequences with variance sigma_alpha2."""
+def generate_phase_offsets(cfg: ScenarioConfig, rng: np.random.Generator):
+    """(alpha1, alpha2): zero-mean Gaussian phase jitter sequences of length L
+    in radians with variance sigma_alpha2, alpha1 drawn first."""
     sd = np.sqrt(cfg.sigma_alpha2)
-    return PhaseSchedule(
-        alpha1=sd * rng.standard_normal(cfg.L),
-        alpha2=sd * rng.standard_normal(cfg.L),
-    )
+    alpha1 = sd * rng.standard_normal(cfg.L)
+    return alpha1, sd * rng.standard_normal(cfg.L)
 
 
 def _check_shapes(cfg, D, S, X, G2):
@@ -216,11 +170,11 @@ def synthesize_radar_rx(
     S: np.ndarray,
     G2: np.ndarray,
     X: np.ndarray,
-    phases: PhaseSchedule,
-    mask: SamplingMask,
+    alpha2: np.ndarray,
+    omega: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Masked radar receive matrix.
+    """Masked radar receive matrix, Lambda2 = diag(exp(j alpha2)).
 
     Scheme I:  Omega o (gamma*rho*D*S + G2*X*Lambda2 + W_R)
     Scheme II: Omega o ((gamma*rho*D*S + G2*X*Lambda2 + W_R) S^H)
@@ -228,57 +182,38 @@ def synthesize_radar_rx(
     _check_shapes(cfg, D, S, X, G2)
     sigma_R2 = resolve_sigma_R2(cfg, D, S)
     W_R = np.sqrt(sigma_R2) * crandn(rng, cfg.M_rR, cfg.L)
-    Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * phases.lambda2 + W_R
+    Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2) + W_R
     if cfg.scheme is Scheme.SCHEME_II:
         Y_R = Y_R @ S.conj().T
-    if mask.omega.shape != Y_R.shape:
+    if omega.shape != Y_R.shape:
         raise ScenarioError(
-            f"mask shape {mask.omega.shape} does not match data shape {Y_R.shape}"
+            f"mask shape {omega.shape} does not match data shape {Y_R.shape}"
         )
-    return mask.omega * Y_R
-
-
-def synthesize_comm_rx(
-    cfg: ScenarioConfig,
-    H: np.ndarray,
-    G1: np.ndarray,
-    S: np.ndarray,
-    X: np.ndarray,
-    phases: PhaseSchedule,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Residual comm receive matrix after radar interference cancellation:
-    H*X + rho*G1*S*Lambda_alpha + W_C with Lambda_alpha = diag(j*alpha1)."""
-    if H.shape != (cfg.M_rC, cfg.M_tC) or G1.shape != (cfg.M_rC, cfg.M_tR):
-        raise ScenarioError("channel shapes inconsistent with config")
-    if X.shape != (cfg.M_tC, cfg.L) or S.shape != (cfg.M_tR, cfg.L):
-        raise ScenarioError("signal shapes inconsistent with config")
-    W_C = np.sqrt(cfg.sigma_C2) * crandn(rng, cfg.M_rC, cfg.L)
-    return H @ X + cfg.rho * (G1 @ S) * (1j * phases.alpha1) + W_C
+    return omega * Y_R
 
 
 @dataclass
 class Scenario:
-    """One fully generated experiment instance."""
+    """One fully generated experiment instance, the arrays of the generators."""
 
     cfg: ScenarioConfig
-    channels: ChannelSet
-    waveforms: WaveformMatrix
-    target: TargetResponse
-    mask: SamplingMask
-    phases: PhaseSchedule
+    H: np.ndarray
+    G1: np.ndarray
+    G2: np.ndarray
+    S: np.ndarray
+    D: np.ndarray
+    omega: np.ndarray
 
 
 def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenario:
     """Generate every random input of an experiment from named streams of
     cfg.seed. Stream separation keeps each piece stable as others evolve."""
+    H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     return Scenario(
-        cfg=cfg,
-        channels=generate_channels(cfg, stream(cfg.seed, "channels")),
-        waveforms=generate_waveforms(cfg, stream(cfg.seed, "waveforms")),
-        target=generate_target_response(cfg),
-        mask=generate_sampling_mask(
+        cfg, H, G1, G2,
+        S=generate_waveforms(cfg, stream(cfg.seed, "waveforms")),
+        D=generate_target_response(cfg),
+        omega=generate_sampling_mask(
             cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage
         ),
-        phases=generate_phase_offsets(cfg, stream(cfg.seed, "phases")),
     )

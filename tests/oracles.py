@@ -30,11 +30,11 @@ from specshare.linalg import psd_sqrt
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
     """Equivalent trace form Tr(Omega^T Q (S o conj(S))^T)."""
-    if mask.omega.shape != (G2.shape[0], S.shape[0]):
+    if mask.shape != (G2.shape[0], S.shape[0]):
         raise MetricError("mask is not Scheme-II shaped")
     Q = interference_diag_matrix(G2, schedule)
     s_abs2 = np.abs(S) ** 2
-    return float(np.trace(mask.omega.T @ Q @ s_abs2.T).real)
+    return float(np.trace(mask.T @ Q @ s_abs2.T).real)
 
 
 def eip_samples(cfg, mask, G2, S, schedule, trials: int, rng) -> np.ndarray:
@@ -61,9 +61,9 @@ def eip_samples(cfg, mask, G2, S, schedule, trials: int, rng) -> np.ndarray:
     lam2 = np.exp(1j * np.sqrt(cfg.sigma_alpha2) * draws[:, 2 * L * n_tx:])
     interf = (G2 @ X) * lam2[:, None, :]
     if cfg.scheme is Scheme.SCHEME_I:
-        masked = mask.omega * interf
+        masked = mask * interf
     else:
-        masked = mask.omega * (interf @ S.conj().T)
+        masked = mask * (interf @ S.conj().T)
     return np.sum((np.abs(masked) ** 2).reshape(trials, -1), axis=1)
 
 

@@ -31,7 +31,7 @@ from specshare.interference import (
 )
 from specshare.linalg import crandn, hermitize
 from specshare.samplingopt import hungarian, joint_design
-from specshare.scenario import SamplingMask, generate_sampling_mask, make_scenario
+from specshare.scenario import generate_sampling_mask, make_scenario
 from specshare.streams import stream
 
 from oracles import eip_scheme2_trace_form, empirical_eip
@@ -50,13 +50,12 @@ def scheme_eip(cfg, mask, S, G2, schedule):
 
 
 def best_joint_design(cfg, scn, noise, restarts, rng):
-    """The joint design from scn.mask and from restarts - 1 covering masks
+    """The joint design from scn.omega and from restarts - 1 covering masks
     drawn in turn from rng, keeping the lowest final EIP (the first on ties)."""
     best = None
     for r in range(restarts):
-        mask = scn.mask if r == 0 else generate_sampling_mask(cfg, rng)
-        result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                              scn.waveforms.S, mask)
+        mask = scn.omega if r == 0 else generate_sampling_mask(cfg, rng)
+        result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, mask)
         if best is None or result.eip_trace[-1] < best.eip_trace[-1]:
             best = result
     return best
@@ -79,18 +78,18 @@ def scheme1_grid():
         for seed in range(N_SEEDS):
             cfg = ScenarioConfig(p=p, seed=seed)
             scn = make_scenario(cfg, require_coverage=False)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
             w_tip = tip_weights(cfg.M_rR, cfg.L)
-            w_eip = scheme_weights(cfg, scn.mask, scn.waveforms.S)
-            noncoop = solve_weighted_eip(w_tip, scn.channels.H, scn.channels.G2,
+            w_eip = scheme_weights(cfg, scn.omega, scn.S)
+            noncoop = solve_weighted_eip(w_tip, scn.H, scn.G2,
                                          noise, cfg.P_t, cfg.C)
-            coop = solve_weighted_eip(w_eip, scn.channels.H, scn.channels.G2,
+            coop = solve_weighted_eip(w_eip, scn.H, scn.G2,
                                       noise, cfg.P_t, cfg.C)
             out[(p, seed)] = {
-                "eip_noncoop": scheme_eip(cfg, scn.mask, scn.waveforms.S,
-                                          scn.channels.G2, noncoop.schedule),
-                "eip_coop": scheme_eip(cfg, scn.mask, scn.waveforms.S,
-                                       scn.channels.G2, coop.schedule),
+                "eip_noncoop": scheme_eip(cfg, scn.omega, scn.S,
+                                          scn.G2, noncoop.schedule),
+                "eip_coop": scheme_eip(cfg, scn.omega, scn.S,
+                                       scn.G2, coop.schedule),
                 "capacities": (noncoop.achieved_capacity, coop.achieved_capacity),
             }
     out["elapsed"] = time.perf_counter() - t0
@@ -105,22 +104,22 @@ def scheme2_grid():
         for seed in range(N_SEEDS):
             cfg = ScenarioConfig(p=p, seed=seed, scheme=Scheme.SCHEME_II)
             scn = make_scenario(cfg, require_coverage=False)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-            S = scn.waveforms.S
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            S = scn.S
             w_tip = tip_weights(cfg.M_rR, cfg.L)
             w_fmfb = fmfb_weights(S, cfg.M_rR)
-            w_eip2 = scheme_weights(cfg, scn.mask, S)
+            w_eip2 = scheme_weights(cfg, scn.omega, S)
             sols = {
-                "noncoop": solve_weighted_eip(w_tip, scn.channels.H, scn.channels.G2,
+                "noncoop": solve_weighted_eip(w_tip, scn.H, scn.G2,
                                               noise, cfg.P_t, cfg.C),
-                "partial": solve_weighted_eip(w_fmfb, scn.channels.H, scn.channels.G2,
+                "partial": solve_weighted_eip(w_fmfb, scn.H, scn.G2,
                                               noise, cfg.P_t, cfg.C),
-                "full": solve_weighted_eip(w_eip2, scn.channels.H, scn.channels.G2,
+                "full": solve_weighted_eip(w_eip2, scn.H, scn.G2,
                                            noise, cfg.P_t, cfg.C),
             }
             out[(p, seed)] = {
                 "eips": {
-                    name: scheme_eip(cfg, scn.mask, S, scn.channels.G2, sol.schedule)
+                    name: scheme_eip(cfg, scn.omega, S, scn.G2, sol.schedule)
                     for name, sol in sols.items()
                 },
                 "capacities": tuple(s.achieved_capacity for s in sols.values()),
@@ -136,14 +135,14 @@ def joint_grid():
         for seed in range(5):
             cfg = scenario2_cfg(p=p, seed=seed)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-            selfish = solve_selfish(scn.channels.H, noise, cfg.C)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            selfish = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
             result = best_joint_design(cfg, scn, noise, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
-                "eip_selfish": scheme_eip(cfg, scn.mask, scn.waveforms.S,
-                                          scn.channels.G2, selfish.schedule),
-                "eip_joint": scheme_eip(cfg, result.mask, scn.waveforms.S,
-                                        scn.channels.G2, result.solution.schedule),
+                "eip_selfish": scheme_eip(cfg, scn.omega, scn.S,
+                                          scn.G2, selfish.schedule),
+                "eip_joint": scheme_eip(cfg, result.mask, scn.S,
+                                        scn.G2, result.solution.schedule),
                 "capacities": (selfish.achieved_capacity,
                                result.solution.achieved_capacity),
             }
@@ -226,7 +225,7 @@ def test_criterion_06_trace_identity():
             hermitize(A @ A.conj().T)
             for A in (crandn(rng, n_tx, n_tx) for _ in range(L))
         ])
-        mask = SamplingMask((rng.random((n_rx, m)) < 0.5).astype(float))
+        mask = (rng.random((n_rx, m)) < 0.5).astype(float)
         w = scheme_weights(ScenarioConfig(scheme=Scheme.SCHEME_II), mask, S)
         a = weighted_eip(w, interference_diag_matrix(G2, schedule))
         b = eip_scheme2_trace_form(mask, S, G2, schedule)
@@ -252,7 +251,7 @@ def test_criterion_07_monte_carlo_oracle():
                 for A in (crandn(rng, 2, 2) for _ in range(4))
             ])
             cols = 4 if scheme is Scheme.SCHEME_I else 2
-            mask = SamplingMask((rng.random((3, cols)) < 0.5).astype(float))
+            mask = (rng.random((3, cols)) < 0.5).astype(float)
             analytic = scheme_eip(cfg, mask, S, G2, schedule)
             mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10_000,
                                      stream(i, "acc-mc", scheme.value))
@@ -301,14 +300,13 @@ def test_criterion_09_alternating_monotonicity():
         for seed in range(20):
             cfg = ScenarioConfig(p=0.5, seed=seed, scheme=scheme)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-            result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                                  scn.waveforms.S, scn.mask)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
             trace = result.eip_trace
             if not all(a >= b - 1e-9 for a, b in zip(trace, trace[1:])):
                 ok = False
-            s_in = np.linalg.svd(scn.mask.omega, compute_uv=False)
-            s_out = np.linalg.svd(result.mask.omega, compute_uv=False)
+            s_in = np.linalg.svd(scn.omega, compute_uv=False)
+            s_out = np.linalg.svd(result.mask, compute_uv=False)
             if np.linalg.norm(s_in - s_out) > 1e-10:
                 ok = False
     print(f"criterion 9 (alternating EIP trace monotone, mask orbit "
@@ -343,20 +341,19 @@ def test_criterion_11_recovery_trend():
     def mean_error(p, method, seed):
         cfg = scenario2_cfg(p=p, seed=seed)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+        noise = noise_covariances(cfg, scn.G1, scn.S)
         if method == "selfish":
-            sol, mask = solve_selfish(scn.channels.H, noise, cfg.C), scn.mask
+            sol, mask = solve_selfish(scn.H, noise, cfg.C, cfg.P_t), scn.omega
         elif method == "noncoop":
             w = tip_weights(cfg.M_rR, cfg.L)
-            sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
+            sol = solve_weighted_eip(w, scn.H, scn.G2, noise,
                                      cfg.P_t, cfg.C)
-            mask = scn.mask
+            mask = scn.omega
         else:
-            result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                                  scn.waveforms.S, scn.mask)
+            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
             sol, mask = result.solution, result.mask
-        stats = radar_pipeline(cfg, scn.target.D, scn.waveforms.S,
-                               scn.channels.G2, sol.schedule, mask, 10,
+        stats = radar_pipeline(cfg, scn.D, scn.S,
+                               scn.G2, sol.schedule, mask, 10,
                                stream(seed, "acc-mc", method, p),
                                PIPELINE_PARAMS)
         return stats.mean_error
@@ -381,7 +378,7 @@ def test_criterion_12_mismatched_rates():
     G2 = crandn(rng, 3, 2)
     omega = (rng.random((3, 4)) < 0.6).astype(float)
     omega[omega.sum(axis=1) == 0, 0] = 1.0
-    mask = SamplingMask(omega)
+    mask = omega
     S4 = np.linalg.qr(crandn(rng, 4, 2))[0].conj().T
 
     def rand_schedule(L):

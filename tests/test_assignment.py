@@ -91,12 +91,11 @@ def joint_costs():
     mask sweep of a joint design on a joint-long-sized Scheme I scenario."""
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
     scn = make_scenario(cfg)
-    ch = scn.channels
-    noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
-    sol = solve_weighted_eip(scheme_weights(cfg, scn.mask, scn.waveforms.S),
-                             ch.H, ch.G2, noise, cfg.P_t, cfg.C)
-    Q = interference_diag_matrix(ch.G2, sol.schedule)
-    omega = scn.mask.omega
+    noise = noise_covariances(cfg, scn.G1, scn.S)
+    sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S),
+                             scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+    Q = interference_diag_matrix(scn.G2, sol.schedule)
+    omega = scn.omega
     return omega.T @ Q, omega @ Q.T
 
 
@@ -231,9 +230,8 @@ def joint_design_costs(seeds):
         for seed in seeds:
             cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=seed)
             scn = make_scenario(cfg)
-            ch = scn.channels
-            noise = noise_covariances(cfg, ch.G1, scn.waveforms.S)
-            joint_design(cfg, ch.H, ch.G2, noise, scn.waveforms.S, scn.mask)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
     return costs
 
 

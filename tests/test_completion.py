@@ -17,7 +17,6 @@ from specshare.covdesign import solve_selfish
 from specshare.interference import noise_covariances
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
-    SamplingMask,
     generate_phase_offsets,
     make_scenario,
     noiseless_radar_return,
@@ -36,7 +35,7 @@ def covered_mask(rng, rows, cols, p):
     while True:
         omega = (rng.random((rows, cols)) < p).astype(float)
         if omega.sum(axis=0).min() >= 1 and omega.sum(axis=1).min() >= 1:
-            return SamplingMask(omega)
+            return omega
 
 
 class TestShrink:
@@ -130,18 +129,18 @@ class TestShrinkOracle:
         # default parameters) with each kernel.
         cfg = pipeline_cfg(L=32, p=0.5, seed=1)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        roots = psd_sqrt(solve_selfish(scn.channels.H, noise, cfg.C).schedule)
+        noise = noise_covariances(cfg, scn.G1, scn.S)
+        roots = psd_sqrt(solve_selfish(scn.H, noise, cfg.C, cfg.P_t).schedule)
         rng = stream(1, "mc")
         X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
         observed = synthesize_radar_rx(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
-            generate_phase_offsets(cfg, rng), scn.mask, rng,
+            cfg, scn.D, scn.S, scn.G2, X,
+            generate_phase_offsets(cfg, rng)[1], scn.omega, rng,
         )
         assert observed.shape == (32, 32)
-        est, iters, conv = complete(observed, scn.mask)
+        est, iters, conv = complete(observed, scn.omega)
         monkeypatch.setattr("specshare.completion.shrink", svd_shrink)
-        est_ref, iters_ref, conv_ref = complete(observed, scn.mask)
+        est_ref, iters_ref, conv_ref = complete(observed, scn.omega)
         assert iters == iters_ref and conv == conv_ref
         assert np.linalg.norm(est - est_ref) <= 1e-8 * np.linalg.norm(est_ref)
 
@@ -167,7 +166,7 @@ class TestComplete:
     def test_full_mask_noiseless(self):
         rng = stream(0, "complete")
         M = rank_one(rng)
-        mask = SamplingMask(np.ones((10, 10)))
+        mask = np.ones((10, 10))
         est, _, conv = complete(M, mask, CompletionParams(mu_rel=1e-7, tolerance=1e-9))
         assert conv
         assert relative_error(M, est) <= 1e-6
@@ -176,11 +175,11 @@ class TestComplete:
         rng = stream(0, "complete-half")
         M = rank_one(rng)
         mask = covered_mask(rng, 10, 10, 0.5)
-        est, _, _ = complete(mask.omega * M, mask)
+        est, _, _ = complete(mask * M, mask)
         assert relative_error(M, est) <= 1e-3
 
     def test_all_zero_observation(self):
-        mask = SamplingMask(np.ones((5, 5)))
+        mask = np.ones((5, 5))
         est, iters, conv = complete(np.zeros((5, 5), dtype=complex), mask)
         assert np.all(est == 0)
         assert iters == 0 and conv
@@ -189,17 +188,17 @@ class TestComplete:
         omega = np.ones((4, 4))
         omega[2, :] = 0.0
         with pytest.raises(ValueError):
-            complete(np.ones((4, 4), dtype=complex), SamplingMask(omega))
+            complete(np.ones((4, 4), dtype=complex), omega)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            complete(np.ones((4, 4), dtype=complex), SamplingMask(np.ones((4, 5))))
+            complete(np.ones((4, 4), dtype=complex), np.ones((4, 5)))
 
     def test_objective_nonincreasing_single_stage(self):
         rng = stream(1, "complete")
         M = rank_one(rng)
         mask = covered_mask(rng, 10, 10, 0.5)
-        obs = mask.omega * M
+        obs = mask * M
         # mu above the continuation start collapses the schedule to one stage.
         sigma1 = float(np.linalg.svd(obs, compute_uv=False)[0])
         trace = []
@@ -212,9 +211,9 @@ class TestComplete:
         rng = stream(2, "complete")
         M = rank_one(rng)
         mask = covered_mask(rng, 10, 10, 0.6)
-        obs = mask.omega * M
+        obs = mask * M
         est, _, _ = complete(obs, mask, CompletionParams(mu_rel=1e-6, tolerance=1e-8))
-        resid = np.linalg.norm(mask.omega * est - obs) / np.linalg.norm(obs)
+        resid = np.linalg.norm(mask * est - obs) / np.linalg.norm(obs)
         assert resid <= 1e-4
 
     def test_invalid_params_rejected(self):
@@ -264,8 +263,8 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
-            scn.mask, 2, stream(0, "mc"),
+            cfg, scn.D, scn.S, scn.G2, zeros,
+            scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
         assert stats.mean_error <= 1e-6
@@ -275,8 +274,8 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
-            scn.mask, 2, stream(0, "mc"),
+            cfg, scn.D, scn.S, scn.G2, zeros,
+            scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
         assert stats.mean_error <= 1e-6
@@ -293,11 +292,11 @@ class TestRadarPipeline:
             for seed in range(2):
                 cfg = pipeline_cfg(p=0.5, seed=seed, targets=targets)
                 scn = make_scenario(cfg)
-                noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-                sol = solve_selfish(scn.channels.H, noise, cfg.C)
+                noise = noise_covariances(cfg, scn.G1, scn.S)
+                sol = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
                 stats = radar_pipeline(
-                    cfg, scn.target.D, scn.waveforms.S, scn.channels.G2,
-                    sol.schedule, scn.mask, 6, stream(seed, "mc", len(targets)),
+                    cfg, scn.D, scn.S, scn.G2,
+                    sol.schedule, scn.omega, 6, stream(seed, "mc", len(targets)),
                     params,
                 )
                 acc += stats.mean_error
@@ -309,8 +308,8 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, zeros,
-            scn.mask, 3, stream(1, "mc"),
+            cfg, scn.D, scn.S, scn.G2, zeros,
+            scn.omega, 3, stream(1, "mc"),
         )
         assert len(stats.reports) == 3
         assert stats.mean_error == pytest.approx(
@@ -320,7 +319,7 @@ class TestRadarPipeline:
     def test_truth_helper(self):
         cfg = pipeline_cfg(seed=0)
         scn = make_scenario(cfg)
-        truth = noiseless_radar_return(cfg, scn.target.D, scn.waveforms.S)
+        truth = noiseless_radar_return(cfg, scn.D, scn.S)
         assert truth.shape == (cfg.M_rR, cfg.L)
-        expect = cfg.gamma * cfg.rho * (scn.target.D @ scn.waveforms.S)
+        expect = cfg.gamma * cfg.rho * (scn.D @ scn.S)
         assert np.linalg.norm(truth - expect) == 0.0

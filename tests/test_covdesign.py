@@ -174,9 +174,9 @@ class TestSolveWeightedEip:
     def test_scenario1_capacity_active(self):
         cfg = ScenarioConfig(p=0.5, seed=0)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
-        sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
+        noise = noise_covariances(cfg, scn.G1, scn.S)
+        w = scheme_weights(cfg, scn.omega, scn.S)
+        sol = solve_weighted_eip(w, scn.H, scn.G2, noise,
                                  cfg.P_t, cfg.C)
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
@@ -217,16 +217,13 @@ class TestSolveWeightedEip:
 
     def test_cooperative_ordering(self):
         # EIP_I of the cooperative design never exceeds that of the TIP design.
-        from specshare.scenario import SamplingMask
-
         for seed in range(5):
             H, G2, noise = small_instance(10 + seed)
             while True:
                 omega = (stream(seed, "m").random((3, 4)) < 0.5).astype(float)
                 if omega.sum() > 0:
                     break
-            mask = SamplingMask(omega)
-            w_eip = mask.omega.T.copy()
+            w_eip = omega.T.copy()
             w_tip = tip_weights(3, 4)
             coop = solve_weighted_eip(w_eip, H, G2, noise, P_t=10.0, C=1.0)
             noncoop = solve_weighted_eip(w_tip, H, G2, noise, P_t=10.0, C=1.0)
@@ -271,7 +268,7 @@ class TestFeasibility:
         for _ in range(300):
             design, C = random_design(rng)
             _, H, _, noise = design
-            p_min = solve_selfish(H, noise, C).consumed_power
+            p_min = solve_selfish(H, noise, C, np.inf).consumed_power
             for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
                 with pytest.raises((InfeasibleError, SearchReached)) as info:
                     solve_weighted_eip(*design, P_t, C)
@@ -285,7 +282,7 @@ class TestFeasibility:
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
             _, H, _, noise = design
-            p_min = solve_selfish(H, noise, C).consumed_power
+            p_min = solve_selfish(H, noise, C, np.inf).consumed_power
             with pytest.raises(InfeasibleError, match="unreachable within power budget"):
                 solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
             with pytest.raises(SearchReached):
@@ -295,17 +292,17 @@ class TestFeasibility:
 class TestSolveSelfish:
     def test_zero_capacity_target(self):
         H, _, noise = small_instance(0)
-        sol = solve_selfish(H, noise, 0.0)
+        sol = solve_selfish(H, noise, 0.0, np.inf)
         assert sol.consumed_power == 0.0
 
     def test_scalar_power(self):
         noise = np.stack([np.eye(1)])
-        sol = solve_selfish(np.eye(1), noise, 4.0)
+        sol = solve_selfish(np.eye(1), noise, 4.0, np.inf)
         assert abs(sol.consumed_power - (2.0**4 - 1.0)) <= 1e-6
 
     def test_capacity_active(self):
         H, _, noise = small_instance(7)
-        sol = solve_selfish(H, noise, 3.0)
+        sol = solve_selfish(H, noise, 3.0, np.inf)
         assert abs(sol.achieved_capacity - 3.0) <= 1e-6
 
 
@@ -313,12 +310,12 @@ class TestVerifySolution:
     def test_selfish_vs_cooperative_ordering(self):
         cfg = ScenarioConfig(p=0.5, seed=1)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
-        coop = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
+        noise = noise_covariances(cfg, scn.G1, scn.S)
+        w = scheme_weights(cfg, scn.omega, scn.S)
+        coop = solve_weighted_eip(w, scn.H, scn.G2, noise,
                                   cfg.P_t, cfg.C)
-        selfish = solve_selfish(scn.channels.H, noise, cfg.C)
-        report = verify_solution(coop, scn.channels.H, scn.channels.G2, noise,
+        selfish = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+        report = verify_solution(coop, scn.H, scn.G2, noise,
                                  cfg.P_t, cfg.C, weights=w, other=selfish)
         assert report["psd_ok"]
         assert report["power_feasible"]
@@ -474,10 +471,10 @@ class TestDualKernel:
     def test_default_scenario_dual_evaluations(self):
         cfg = ScenarioConfig(p=0.6, seed=0)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+        noise = noise_covariances(cfg, scn.G1, scn.S)
         for w in (tip_weights(cfg.M_rR, cfg.L),
-                  scheme_weights(cfg, scn.mask, scn.waveforms.S)):
-            sol = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+                  scheme_weights(cfg, scn.omega, scn.S)):
+            sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates hi and the lowest grid point only.
             assert sol.dual.lambda1 == 2.0 ** -30
@@ -495,7 +492,7 @@ class TestPostConditions:
         with pytest.raises(SolverError, match="capacity"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         with pytest.raises(SolverError, match="capacity"):
-            solve_selfish(H, noise, 2.0)
+            solve_selfish(H, noise, 2.0, P_t=6.0)
 
     def test_power_excess_raises(self, monkeypatch):
         real = covdesign._DualKernel.covariances
@@ -685,11 +682,11 @@ class TestDualSearch:
         for p in (0.2, 0.6, 1.0):
             cfg = ScenarioConfig(p=p, seed=3)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
             for w in (tip_weights(cfg.M_rR, cfg.L),
-                      scheme_weights(cfg, scn.mask, scn.waveforms.S)):
+                      scheme_weights(cfg, scn.omega, scn.S)):
                 for P_t in (cfg.P_t, 0.1 * cfg.P_t):
-                    self.assert_same(monkeypatch, w, scn.channels.H, scn.channels.G2,
+                    self.assert_same(monkeypatch, w, scn.H, scn.G2,
                                      noise, P_t, cfg.C)
 
     def test_probes_are_capped_on_a_step_curve(self):

@@ -52,7 +52,7 @@ def solve(method, cfg):
     """The harness's design for method on a freshly generated scenario, so
     that every call passes new arrays with the same bytes."""
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
     return harness._solve_method(method, cfg, scn, noise)[0]
 
 
@@ -111,9 +111,9 @@ def perturbed_designs():
 def test_any_changed_input_misses(monkeypatch, name, change):
     cfg = ScenarioConfig(p=0.5, seed=5)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-    w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
-    design = (w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
+    w = scheme_weights(cfg, scn.omega, scn.S)
+    design = (w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
     base = solve_weighted_eip(*design)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
     assert solve_weighted_eip(*design) is base and not counts
@@ -142,9 +142,9 @@ def test_returned_designs_are_read_only():
 def small_design():
     cfg = ScenarioConfig(p=0.5, seed=7)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
     w = tip_weights(cfg.M_rR, cfg.L)
-    return (w, scn.channels.H, scn.channels.G2, noise, cfg.P_t, cfg.C)
+    return (w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
 
 
 class TestErrorsAreNotMemoized:
@@ -157,15 +157,15 @@ class TestErrorsAreNotMemoized:
         with monkeypatch.context() as m:
             m.setattr(covdesign, "min_capacity_multiplier", unreachable)
             with pytest.raises(InfeasibleError):
-                solve_selfish(H, noise, C)
+                solve_selfish(H, noise, C, P_t)
             with pytest.raises(InfeasibleError):
                 solve_weighted_eip(w, H, G2, noise, P_t, C)
-        assert solve_selfish(H, noise, C).converged
+        assert solve_selfish(H, noise, C, P_t).converged
         assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
 
     def test_infeasible_budget(self):
         w, H, G2, noise, P_t, C = small_design()
-        p_min = solve_selfish(H, noise, C).consumed_power
+        p_min = solve_selfish(H, noise, C, P_t).consumed_power
         for _ in range(2):
             with pytest.raises(InfeasibleError):
                 solve_weighted_eip(w, H, G2, noise, 0.5 * p_min, C)
@@ -217,9 +217,9 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
 def test_joint_design_whitens_once(monkeypatch):
     cfg = ScenarioConfig(p=0.5, seed=1)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise, scn.waveforms.S, scn.mask)
+    result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
     assert result.outer_iterations >= 2
     assert counts["_whiten"] == 1
     assert counts["_dual_search"] <= result.outer_iterations

@@ -7,7 +7,7 @@ import pytest
 
 from specshare.cli import main as cli_main
 from specshare.config import ScenarioConfig, Scheme, save_config
-from specshare.covdesign import solve_selfish
+from specshare.covdesign import InfeasibleError, solve_selfish
 from specshare.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -138,15 +138,17 @@ class TestRunCompare:
     def test_selfish_row_obeys_power_budget(self):
         # C = 30 needs about 79 of P_t = 32 even in the minimum-power design,
         # so the selfish row is infeasible like the weighted ones, while
-        # solve_selfish itself still returns that design.
+        # solve_selfish without a budget still returns that design.
         cfg = scenario1(C=30.0)
         spec = ExperimentSpec(cfg=cfg, methods=["selfish", "noncoop", "coop"], seeds=[0])
         for r in run_compare(spec):
             assert r.error == "capacity target 30.0 unreachable within power budget 32.0"
             assert np.isnan(r.eip) and np.isnan(r.power)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
-        assert solve_selfish(scn.channels.H, noise, cfg.C).consumed_power > cfg.P_t
+        noise = noise_covariances(cfg, scn.G1, scn.S)
+        with pytest.raises(InfeasibleError, match="unreachable within power budget 32.0"):
+            solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+        assert solve_selfish(scn.H, noise, cfg.C, np.inf).consumed_power > cfg.P_t
 
     def test_mc_columns_filled(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],

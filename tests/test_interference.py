@@ -20,7 +20,7 @@ from specshare.interference import (
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize, psd_sqrt
-from specshare.scenario import SamplingMask
+from specshare.scenario import generate_channels, generate_waveforms
 from specshare.streams import stream
 
 from oracles import eip_samples, eip_scheme2_trace_form, empirical_eip
@@ -39,7 +39,7 @@ def random_mask(rng, rows, cols, p=0.5):
     while True:
         omega = (rng.random((rows, cols)) < p).astype(float)
         if omega.sum(axis=0).min() >= 1 and omega.sum(axis=1).min() >= 1:
-            return SamplingMask(omega)
+            return omega
 
 
 def random_orthonormal_rows(rng, m, L):
@@ -67,7 +67,7 @@ def matched_filter_weights(S, mask):
     """(delta, a): delta[l, m] = sum_{i in xi_m} |s_i(l)|^2, the Scheme II
     weights, and a_l the waveform column energies."""
     s_abs2 = np.abs(S) ** 2
-    return (mask.omega @ s_abs2).T, s_abs2.sum(axis=0)
+    return (mask @ s_abs2).T, s_abs2.sum(axis=0)
 
 
 def metric(method, G2, schedule, mask=None, S=None):
@@ -203,24 +203,24 @@ class TestEipScheme1:
         rng = stream(0, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
-        mask = SamplingMask(np.ones((4, 6)))
+        mask = np.ones((4, 6))
         assert abs(metric("EIP_I", G2, schedule, mask=mask) - loop_tip(G2, schedule)) < 1e-12
 
     def test_zero_mask(self):
         rng = stream(1, "eip1")
         G2 = crandn(rng, 4, 3)
         schedule = random_schedule(rng, 3, 6)
-        assert metric("EIP_I", G2, schedule, mask=SamplingMask(np.zeros((4, 6)))) == 0.0
+        assert metric("EIP_I", G2, schedule, mask=np.zeros((4, 6))) == 0.0
 
     def test_hand_case(self):
-        mask = SamplingMask(np.array([[1.0], [0.0]]))
+        mask = np.array([[1.0], [0.0]])
         schedule = np.stack([np.eye(2)])
         assert abs(metric("EIP_I", np.eye(2), schedule, mask=mask) - 1.0) < 1e-14
 
     def test_shape_mismatch(self):
         schedule = np.stack([np.eye(2)])
         with pytest.raises(MetricError):
-            metric("EIP_I", np.eye(2), schedule, mask=SamplingMask(np.ones((3, 2))))
+            metric("EIP_I", np.eye(2), schedule, mask=np.ones((3, 2)))
 
     def test_bounded_by_tip_and_monotone_in_mask(self):
         rng = stream(2, "eip1")
@@ -229,19 +229,19 @@ class TestEipScheme1:
         mask = random_mask(rng, 4, 5)
         base = metric("EIP_I", G2, schedule, mask=mask)
         assert 0.0 <= base <= loop_tip(G2, schedule) + 1e-12
-        zeros = np.argwhere(mask.omega == 0)
+        zeros = np.argwhere(mask == 0)
         if len(zeros):
             i, j = zeros[0]
-            grown = mask.omega.copy()
+            grown = mask.copy()
             grown[i, j] = 1.0
-            assert metric("EIP_I", G2, schedule, mask=SamplingMask(grown)) >= base - 1e-12
+            assert metric("EIP_I", G2, schedule, mask=grown) >= base - 1e-12
 
 
 class TestMatchedFilterWeights:
     def test_full_mask_gives_scaled_identity(self):
         rng = stream(0, "mfw")
         S = random_orthonormal_rows(rng, 3, 8)
-        mask = SamplingMask(np.ones((5, 3)))
+        mask = np.ones((5, 3))
         delta, a = matched_filter_weights(S, mask)
         for l in range(8):
             assert np.allclose(delta[l], a[l])
@@ -257,7 +257,7 @@ class TestMatchedFilterWeights:
     def test_column_energy_sum(self):
         rng = stream(2, "mfw")
         S = random_orthonormal_rows(rng, 4, 9)
-        _, a = matched_filter_weights(S, SamplingMask(np.ones((2, 4))))
+        _, a = matched_filter_weights(S, np.ones((2, 4)))
         assert abs(a.sum() - 4.0) < 1e-10
 
 
@@ -267,7 +267,7 @@ class TestEipScheme2:
         S = random_orthonormal_rows(rng, 3, 6)
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
-        mask = SamplingMask(np.ones((5, 3)))
+        mask = np.ones((5, 3))
         assert abs(metric("EIP_II", G2, schedule, mask=mask, S=S)
                    - loop_fmfb(S, G2, schedule)) < 1e-10
 
@@ -276,7 +276,7 @@ class TestEipScheme2:
         S = random_orthonormal_rows(rng, 3, 6)
         G2 = crandn(rng, 5, 2)
         schedule = random_schedule(rng, 2, 6)
-        assert metric("EIP_II", G2, schedule, mask=SamplingMask(np.zeros((5, 3))), S=S) == 0.0
+        assert metric("EIP_II", G2, schedule, mask=np.zeros((5, 3)), S=S) == 0.0
 
     def test_trace_form_identity(self):
         rng = stream(2, "eip2")
@@ -291,7 +291,7 @@ class TestEipScheme2:
             assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
 
     def test_trace_form_scalar(self):
-        mask = SamplingMask(np.ones((1, 1)))
+        mask = np.ones((1, 1))
         S = np.ones((1, 1), dtype=complex)
         G2 = np.array([[2.0 - 1.0j]])
         schedule = np.stack([np.array([[0.7]])])
@@ -314,12 +314,12 @@ class TestEipScheme2:
         schedule = random_schedule(rng, 2, 6)
         mask = random_mask(rng, 5, 3)
         base = metric("EIP_II", G2, schedule, mask=mask, S=S)
-        zeros = np.argwhere(mask.omega == 0)
+        zeros = np.argwhere(mask == 0)
         if len(zeros):
             i, j = zeros[0]
-            grown = mask.omega.copy()
+            grown = mask.copy()
             grown[i, j] = 1.0
-            grown_eip = metric("EIP_II", G2, schedule, mask=SamplingMask(grown), S=S)
+            grown_eip = metric("EIP_II", G2, schedule, mask=grown, S=S)
             assert grown_eip >= base - 1e-12
 
 
@@ -348,7 +348,7 @@ class TestWeightSchedule:
         assert np.all(w == 1.0)
 
     def test_eip1_full_mask_matches_tip(self):
-        mask = SamplingMask(np.ones((4, 6)))
+        mask = np.ones((4, 6))
         a = named_weights("EIP_I", 4, 6, mask=mask)
         b = named_weights("TIP", 4, 6)
         assert np.array_equal(a, b)
@@ -391,7 +391,7 @@ class TestWeightSchedule:
         cfg2 = ScenarioConfig(scheme=Scheme.SCHEME_II)
         w1 = scheme_weights(cfg1, mask1, S)
         w2 = scheme_weights(cfg2, mask2, S)
-        assert np.array_equal(w1, mask1.omega.T)
+        assert np.array_equal(w1, mask1.T)
         assert np.array_equal(w2, matched_filter_weights(S, mask2)[0])
         with pytest.raises(MetricError):
             scheme_weights(cfg1, mask2, S)
@@ -460,7 +460,7 @@ class TestMismatchedRates:
         diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
         val = weighted_eip(diags,
                            interference_diag_matrix(G2, schedule))
-        assert abs(val - loop_weighted_trace(mask.omega.T, G2, schedule)) < 1e-12
+        assert abs(val - loop_weighted_trace(mask.T, G2, schedule)) < 1e-12
 
 
 class TestEmpiricalEip:
@@ -474,17 +474,17 @@ class TestEmpiricalEip:
         X = crandn(rng, 2, 4)
         for trial in range(5):
             alpha = np.sqrt(cfg.sigma_alpha2) * rng.standard_normal(4)
-            masked = mask.omega * ((G2 @ X) * np.exp(1j * alpha))
+            masked = mask * ((G2 @ X) * np.exp(1j * alpha))
             direct = np.sum(np.abs(masked) ** 2)
             analytic = sum(
-                np.sum(mask.omega[:, l] * np.abs(G2 @ X[:, l]) ** 2) for l in range(4)
+                np.sum(mask[:, l] * np.abs(G2 @ X[:, l]) ** 2) for l in range(4)
             )
             assert abs(direct - analytic) <= 1e-10 * max(analytic, 1e-300)
 
     def test_zero_schedule(self):
         cfg = ScenarioConfig(M_tR=2, M_rR=3, M_tC=2, M_rC=2, L=4, p=0.5)
         schedule = np.stack([np.zeros((2, 2))] * 4)
-        mask = SamplingMask(np.ones((3, 4)))
+        mask = np.ones((3, 4))
         S = random_orthonormal_rows(stream(0, "s"), 2, 4)
         G2 = crandn(stream(0, "g2"), 3, 2)
         mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10, stream(0, "emp"))
@@ -517,9 +517,9 @@ class TestEmpiricalEip:
                 lam2 = np.exp(1j * np.sqrt(cfg.sigma_alpha2) * rng.standard_normal(L))
                 interf = (G2 @ X) * lam2
                 if cfg.scheme is Scheme.SCHEME_I:
-                    masked = mask.omega * interf
+                    masked = mask * interf
                 else:
-                    masked = mask.omega * (interf @ S.conj().T)
+                    masked = mask * (interf @ S.conj().T)
                 samples[t] = np.sum(np.abs(masked) ** 2)
             return samples
 
@@ -594,6 +594,23 @@ class TestStackedAgainstPerSymbol:
         )
         Q = interference_diag_matrix(G2, schedule)
         assert np.allclose(Q, loop, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        ScenarioConfig(scheme=Scheme.SCHEME_II),
+        ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
+    ])
+    def test_noise_covariances(self, cfg):
+        scale = cfg.rho2 * cfg.sigma_alpha2
+        eye = cfg.sigma_C2 * np.eye(cfg.M_rC)
+        for seed in range(30):
+            _, G1, _ = generate_channels(cfg, stream(seed, "channels"))
+            S = generate_waveforms(cfg, stream(seed, "waveforms"))
+            loop = []
+            for l in range(cfg.L):
+                v = G1 @ S[:, l]
+                loop.append(hermitize(scale * np.outer(v, v.conj()) + eye))
+            assert np.array_equal(noise_covariances(cfg, G1, S), np.stack(loop))
 
     def test_sqrts(self):
         rng = stream(0, "sqrt-loop")

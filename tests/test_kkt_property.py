@@ -33,7 +33,7 @@ def test_verify_solution_reports_kkt(seed, L, C, headroom):
     weights, H, G2, noise = instance(seed, L)
     # Above the selfish (minimum) power the target is feasible; small
     # headroom makes the budget bind, large headroom leaves it slack.
-    P_t = solve_selfish(H, noise, C).consumed_power * (1.0 + headroom)
+    P_t = solve_selfish(H, noise, C, np.inf).consumed_power * (1.0 + headroom)
     sol = solve_weighted_eip(weights, H, G2, noise, P_t, C)
     report = verify_solution(sol, H, G2, noise, P_t, C)
     assert report["psd_ok"]

@@ -21,7 +21,7 @@ from specshare.samplingopt import (
     optimize_mask,
     spectral_gap,
 )
-from specshare.scenario import SamplingMask, make_scenario
+from specshare.scenario import make_scenario
 from specshare.streams import stream
 
 
@@ -29,7 +29,7 @@ def random_mask(rng, rows, cols, p=0.5):
     while True:
         omega = (rng.random((rows, cols)) < p).astype(float)
         if omega.sum() >= 1:
-            return SamplingMask(omega)
+            return omega
 
 
 def exhaustive_minimum(omega, Qtilde):
@@ -47,7 +47,7 @@ def exhaustive_minimum(omega, Qtilde):
 
 class TestColumnPermutation:
     def test_swap_reaches_zero(self):
-        mask = SamplingMask(np.eye(2))
+        mask = np.eye(2)
         Qtilde = np.array([[0.0, 1.0], [1.0, 0.0]])
         out = best_column_permutation(mask, Qtilde)
         assert mask_objective(out, Qtilde) == 0.0
@@ -69,21 +69,21 @@ class TestColumnPermutation:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            best_column_permutation(SamplingMask(np.eye(2)), np.zeros((3, 3)))
+            best_column_permutation(np.eye(2), np.zeros((3, 3)))
 
 
 class TestRowPermutation:
     def test_swap_reaches_zero(self):
-        mask = SamplingMask(np.eye(2))
+        mask = np.eye(2)
         Qtilde = np.array([[0.0, 1.0], [1.0, 0.0]])
         out = best_row_permutation(mask, Qtilde)
         assert mask_objective(out, Qtilde) == 0.0
 
     def test_single_row_identity(self):
-        mask = SamplingMask(np.array([[1.0, 0.0, 1.0]]))
+        mask = np.array([[1.0, 0.0, 1.0]])
         Qtilde = np.array([[0.3, 0.2, 0.5]])
         out = best_row_permutation(mask, Qtilde)
-        assert np.array_equal(out.omega, mask.omega)
+        assert np.array_equal(out, mask)
 
     def test_never_increases(self):
         rng = stream(2, "row")
@@ -99,7 +99,7 @@ class TestOptimizeMask:
         rng = stream(0, "opt")
         mask = random_mask(rng, 3, 4)
         out = optimize_mask(mask, np.zeros((3, 4)))
-        assert np.array_equal(out.omega, mask.omega)
+        assert np.array_equal(out, mask)
 
     def test_matches_exhaustive_on_small_instances(self):
         rng = stream(1, "opt")
@@ -108,7 +108,7 @@ class TestOptimizeMask:
             mask = random_mask(rng, 2, 2)
             Qtilde = rng.uniform(size=(2, 2))
             out = optimize_mask(mask, Qtilde)
-            if abs(mask_objective(out, Qtilde) - exhaustive_minimum(mask.omega, Qtilde)) < 1e-12:
+            if abs(mask_objective(out, Qtilde) - exhaustive_minimum(mask, Qtilde)) < 1e-12:
                 hits += 1
         # Alternating row/column assignment solves almost every tiny case;
         # require the overwhelming majority rather than all to allow for
@@ -122,24 +122,24 @@ class TestOptimizeMask:
             Qtilde = rng.uniform(size=(5, 6))
             out = optimize_mask(mask, Qtilde)
             assert mask_objective(out, Qtilde) <= mask_objective(mask, Qtilde) + 1e-12
-            assert out.ones_count == mask.ones_count
-            s_in = np.linalg.svd(mask.omega, compute_uv=False)
-            s_out = np.linalg.svd(out.omega, compute_uv=False)
+            assert out.sum() == mask.sum()
+            s_in = np.linalg.svd(mask, compute_uv=False)
+            s_out = np.linalg.svd(out, compute_uv=False)
             assert np.linalg.norm(s_in - s_out) <= 1e-10
-            rows_in = sorted(mask.omega.sum(axis=1))
-            rows_out = sorted(out.omega.sum(axis=1))
+            rows_in = sorted(mask.sum(axis=1))
+            rows_out = sorted(out.sum(axis=1))
             assert rows_in == rows_out
 
 
 class TestSpectralGap:
     def test_all_ones(self):
-        s1, s2, gap = spectral_gap(SamplingMask(np.ones((4, 6))))
+        s1, s2, gap = spectral_gap(np.ones((4, 6)))
         assert abs(s1 - np.sqrt(24.0)) < 1e-12
         assert abs(s2) < 1e-12
         assert abs(gap - s1) < 1e-12
 
     def test_identity(self):
-        s1, s2, gap = spectral_gap(SamplingMask(np.eye(4)))
+        s1, s2, gap = spectral_gap(np.eye(4))
         assert abs(s1 - 1.0) < 1e-12
         assert abs(s2 - 1.0) < 1e-12
         assert abs(gap) < 1e-12
@@ -147,62 +147,59 @@ class TestSpectralGap:
     def test_permutation_invariance(self):
         rng = stream(0, "gap")
         mask = random_mask(rng, 4, 5)
-        perm = mask.omega[np.ix_(rng.permutation(4), rng.permutation(5))]
+        perm = mask[np.ix_(rng.permutation(4), rng.permutation(5))]
         a = spectral_gap(mask)
-        b = spectral_gap(SamplingMask(perm))
+        b = spectral_gap(perm)
         assert abs(a[0] - b[0]) < 1e-10 and abs(a[1] - b[1]) < 1e-10
 
     def test_zero_mask_rejected(self):
         with pytest.raises(ValueError):
-            spectral_gap(SamplingMask(np.zeros((3, 3))))
+            spectral_gap(np.zeros((3, 3)))
 
 
 def scenario_instance(seed, scheme=Scheme.SCHEME_I, p=0.5, **kw):
     cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed, **kw)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.channels.G1, scn.waveforms.S)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
     return cfg, scn, noise
 
 
 class TestJointDesign:
     def test_zero_interference_channel_converges_immediately(self):
         cfg, scn, noise = scenario_instance(0)
-        G2 = np.zeros_like(scn.channels.G2)
-        result = joint_design(cfg, scn.channels.H, G2, noise, scn.waveforms.S, scn.mask)
+        G2 = np.zeros_like(scn.G2)
+        result = joint_design(cfg, scn.H, G2, noise, scn.S, scn.omega)
         assert result.outer_iterations == 1
         assert result.eip_trace == [0.0]
-        assert np.array_equal(result.mask.omega, scn.mask.omega)
+        assert np.array_equal(result.mask, scn.omega)
 
     def test_never_worse_than_cooperative(self):
         for seed in range(3):
             cfg, scn, noise = scenario_instance(seed)
-            w = scheme_weights(cfg, scn.mask, scn.waveforms.S)
-            coop = solve_weighted_eip(w, scn.channels.H, scn.channels.G2, noise,
+            w = scheme_weights(cfg, scn.omega, scn.S)
+            coop = solve_weighted_eip(w, scn.H, scn.G2, noise,
                                       cfg.P_t, cfg.C)
-            result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                                  scn.waveforms.S, scn.mask)
+            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
             joint_eip = weighted_eip(
-                scheme_weights(cfg, result.mask, scn.waveforms.S),
-                interference_diag_matrix(scn.channels.G2, result.solution.schedule))
+                scheme_weights(cfg, result.mask, scn.S),
+                interference_diag_matrix(scn.G2, result.solution.schedule))
             assert joint_eip <= coop.objective_eip + 1e-6
 
     def test_trace_nonincreasing_and_orbit_preserved(self):
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
             cfg, scn, noise = scenario_instance(1, scheme=scheme)
-            result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                                  scn.waveforms.S, scn.mask)
+            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
             trace = result.eip_trace
             assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
-            s_in = np.linalg.svd(scn.mask.omega, compute_uv=False)
-            s_out = np.linalg.svd(result.mask.omega, compute_uv=False)
+            s_in = np.linalg.svd(scn.omega, compute_uv=False)
+            s_out = np.linalg.svd(result.mask, compute_uv=False)
             assert np.linalg.norm(s_in - s_out) <= 1e-10
 
     def test_final_eip_matches_schedule_and_mask(self):
         cfg, scn, noise = scenario_instance(2, scheme=Scheme.SCHEME_II)
-        result = joint_design(cfg, scn.channels.H, scn.channels.G2, noise,
-                              scn.waveforms.S, scn.mask)
-        val = weighted_eip(scheme_weights(cfg, result.mask, scn.waveforms.S),
-                           interference_diag_matrix(scn.channels.G2, result.solution.schedule))
+        result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+        val = weighted_eip(scheme_weights(cfg, result.mask, scn.S),
+                           interference_diag_matrix(scn.G2, result.solution.schedule))
         # The recorded trace ends with the EIP of the final schedule under the
         # mask it was solved for.
         assert abs(val - result.eip_trace[-1]) <= 1e-6 * max(val, 1e-12)

@@ -1,11 +1,13 @@
 """Scenario generation: channels, waveforms, targets, masks, phases, signals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from specshare import completion
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
 from specshare.scenario import (
-    SamplingMask,
     ScenarioError,
     _covering_mask,
     generate_channels,
@@ -17,7 +19,6 @@ from specshare.scenario import (
     mask_shape,
     noiseless_radar_return,
     steering_vector,
-    synthesize_comm_rx,
     synthesize_radar_rx,
 )
 from specshare.streams import stream
@@ -31,29 +32,28 @@ def numerical_rank(A, rel_tol=1e-8):
 class TestChannels:
     def test_shapes_scenario1(self):
         cfg = ScenarioConfig(M_tR=4, M_rR=8, M_tC=8, M_rC=4)
-        ch = generate_channels(cfg, stream(0, "channels"))
-        assert ch.H.shape == (4, 8)
-        assert ch.G1.shape == (4, 4)
-        assert ch.G2.shape == (8, 8)
+        H, G1, G2 = generate_channels(cfg, stream(0, "channels"))
+        assert H.shape == (4, 8)
+        assert G1.shape == (4, 4)
+        assert G2.shape == (8, 8)
 
     def test_zero_variance_gives_zero_channel(self):
         cfg = ScenarioConfig(sigma2_2=0.0)
-        ch = generate_channels(cfg, stream(0, "channels"))
-        assert np.all(ch.G2 == 0)
+        _, _, G2 = generate_channels(cfg, stream(0, "channels"))
+        assert np.all(G2 == 0)
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=7)
         a = generate_channels(cfg, stream(7, "channels"))
         b = generate_channels(cfg, stream(7, "channels"))
-        assert np.array_equal(a.H, b.H)
-        assert np.array_equal(a.G1, b.G1)
-        assert np.array_equal(a.G2, b.G2)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_entry_variances_at_1e5_samples(self):
         # >= 1e5 entries per channel matrix; empirical variance within 5%.
         cfg = ScenarioConfig(M_tR=400, M_rR=250, M_tC=400, M_rC=250, L=400)
-        ch = generate_channels(cfg, stream(3, "channels"))
-        for mat, var in ((ch.H, 1.0), (ch.G1, cfg.sigma1_2), (ch.G2, cfg.sigma2_2)):
+        channels = generate_channels(cfg, stream(3, "channels"))
+        for mat, var in zip(channels, (1.0, cfg.sigma1_2, cfg.sigma2_2)):
             assert mat.size >= 1e5
             emp = np.mean(np.abs(mat) ** 2)
             assert abs(emp - var) < 0.05 * var
@@ -62,14 +62,14 @@ class TestChannels:
 class TestWaveforms:
     def test_orthonormal_rows(self):
         cfg = ScenarioConfig(M_tR=4, L=32)
-        wf = generate_waveforms(cfg, stream(0, "waveforms"))
-        gram = wf.S @ wf.S.conj().T
+        S = generate_waveforms(cfg, stream(0, "waveforms"))
+        gram = S @ S.conj().T
         assert np.linalg.norm(gram - np.eye(4)) <= 1e-10
 
     def test_column_energies_sum_to_M_tR(self):
         cfg = ScenarioConfig(M_tR=4, L=32)
-        wf = generate_waveforms(cfg, stream(1, "waveforms"))
-        assert abs(wf.column_energies.sum() - 4.0) <= 1e-10
+        S = generate_waveforms(cfg, stream(1, "waveforms"))
+        assert abs(np.sum(np.abs(S) ** 2, axis=0).sum() - 4.0) <= 1e-10
 
     def test_L_smaller_than_M_tR_rejected(self):
         cfg = ScenarioConfig(M_tR=4, L=3, M_rR=4)
@@ -80,20 +80,20 @@ class TestWaveforms:
 class TestTargetResponse:
     def test_single_target_rank_one(self):
         cfg = ScenarioConfig(targets=[(30.0, 0.2 + 0.1j)])
-        tr = generate_target_response(cfg)
-        assert numerical_rank(tr.D) == 1
+        D = generate_target_response(cfg)
+        assert numerical_rank(D) == 1
 
     def test_broadside_target_is_constant_outer_product(self):
         beta = 0.5 - 0.25j
         cfg = ScenarioConfig(targets=[(0.0, beta)])
-        tr = generate_target_response(cfg)
+        D = generate_target_response(cfg)
         expect = beta * np.ones((cfg.M_rR, cfg.M_tR))
-        assert np.linalg.norm(tr.D - expect) <= 1e-12
+        assert np.linalg.norm(D - expect) <= 1e-12
 
     def test_two_targets_rank_two(self):
         cfg = ScenarioConfig(targets=[(-20.0, 0.3 + 0.0j), (35.0, 0.1 - 0.2j)])
-        tr = generate_target_response(cfg)
-        assert numerical_rank(tr.D) == 2
+        D = generate_target_response(cfg)
+        assert numerical_rank(D) == 2
 
     def test_empty_target_list_rejected(self):
         cfg = ScenarioConfig(targets=[])
@@ -114,24 +114,24 @@ class TestTargetResponse:
 class TestSamplingMask:
     def test_full_sampling_all_ones(self):
         cfg = ScenarioConfig(p=1.0)
-        mask = generate_sampling_mask(cfg, stream(0, "mask"))
-        assert np.all(mask.omega == 1)
+        omega = generate_sampling_mask(cfg, stream(0, "mask"))
+        assert np.all(omega == 1)
 
     def test_ones_count_floor(self):
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.5)
-        mask = generate_sampling_mask(cfg, stream(0, "mask"))
-        assert mask.ones_count == 128
+        omega = generate_sampling_mask(cfg, stream(0, "mask"))
+        assert omega.sum() == 128
 
     def test_row_and_column_coverage(self):
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.3, seed=5)
-        mask = generate_sampling_mask(cfg, stream(5, "mask"))
-        assert mask.omega.sum(axis=1).min() >= 1
-        assert mask.omega.sum(axis=0).min() >= 1
+        omega = generate_sampling_mask(cfg, stream(5, "mask"))
+        assert omega.sum(axis=1).min() >= 1
+        assert omega.sum(axis=0).min() >= 1
 
     def test_binary_entries(self):
         cfg = ScenarioConfig(p=0.4)
-        mask = generate_sampling_mask(cfg, stream(2, "mask"))
-        assert set(np.unique(mask.omega)) <= {0.0, 1.0}
+        omega = generate_sampling_mask(cfg, stream(2, "mask"))
+        assert set(np.unique(omega)) <= {0.0, 1.0}
 
     def test_coverage_unsatisfiable_rejected(self):
         # 8x32 mask at p=0.05 has 12 ones < 32 columns.
@@ -145,11 +145,11 @@ class TestSamplingMask:
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.13)
         a = generate_sampling_mask(cfg, stream(0, "mask"))
         b = generate_sampling_mask(cfg, stream(0, "mask"))
-        assert a.ones_count == int(np.floor(0.13 * 256)) == 33
-        assert a.omega.sum(axis=1).min() >= 1
-        assert a.omega.sum(axis=0).min() >= 1
-        assert set(np.unique(a.omega)) <= {0.0, 1.0}
-        assert np.array_equal(a.omega, b.omega)
+        assert a.sum() == int(np.floor(0.13 * 256)) == 33
+        assert a.sum(axis=1).min() >= 1
+        assert a.sum(axis=0).min() >= 1
+        assert set(np.unique(a)) <= {0.0, 1.0}
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scheme,p,require_coverage", [
         (Scheme.SCHEME_I, 0.13, True),   # every draw fails: the fallback
@@ -183,7 +183,7 @@ class TestSamplingMask:
             want = loop_mask(cfg, want_rng, max_attempts=2000)
             got = generate_sampling_mask(cfg, got_rng, require_coverage=require_coverage,
                                          max_attempts=2000)
-            assert np.array_equal(got.omega, want)
+            assert np.array_equal(got, want)
             assert got_rng.random() == want_rng.random()
 
     @pytest.mark.parametrize("rows,cols", [(8, 32), (32, 8), (5, 5), (1, 7)])
@@ -199,46 +199,43 @@ class TestSamplingMask:
 
     def test_coverage_opt_out(self):
         cfg = ScenarioConfig(M_rR=8, L=32, p=0.05)
-        mask = generate_sampling_mask(cfg, stream(0, "mask"), require_coverage=False)
-        assert mask.ones_count == 12
+        omega = generate_sampling_mask(cfg, stream(0, "mask"), require_coverage=False)
+        assert omega.sum() == 12
 
     def test_scheme2_shape(self):
         cfg = ScenarioConfig(scheme=Scheme.SCHEME_II, p=0.8)
-        mask = generate_sampling_mask(cfg, stream(0, "mask"))
-        assert mask.omega.shape == (cfg.M_rR, cfg.M_tR)
+        omega = generate_sampling_mask(cfg, stream(0, "mask"))
+        assert omega.shape == (cfg.M_rR, cfg.M_tR)
 
     def test_determinism(self):
         cfg = ScenarioConfig(p=0.5, seed=11)
         a = generate_sampling_mask(cfg, stream(11, "mask"))
         b = generate_sampling_mask(cfg, stream(11, "mask"))
-        assert np.array_equal(a.omega, b.omega)
+        assert np.array_equal(a, b)
 
 
 class TestPhaseOffsets:
     def test_zero_jitter_gives_identity(self):
         cfg = ScenarioConfig(sigma_alpha2=0.0)
-        ph = generate_phase_offsets(cfg, stream(0, "phases"))
-        assert np.all(ph.lambda1 == 1.0)
-        assert np.all(ph.lambda2 == 1.0)
+        for alpha in generate_phase_offsets(cfg, stream(0, "phases")):
+            assert np.all(np.exp(1j * alpha) == 1.0)
 
     def test_unit_modulus(self):
         cfg = ScenarioConfig()
-        ph = generate_phase_offsets(cfg, stream(4, "phases"))
-        assert np.allclose(np.abs(ph.lambda1), 1.0)
-        assert np.allclose(np.abs(ph.lambda2), 1.0)
+        for alpha in generate_phase_offsets(cfg, stream(4, "phases")):
+            assert np.allclose(np.abs(np.exp(1j * alpha)), 1.0)
 
     def test_sample_variance_at_1e5_draws(self):
         cfg = ScenarioConfig(M_tR=1, M_rR=1, M_tC=1, M_rC=1, L=100_000)
-        ph = generate_phase_offsets(cfg, stream(9, "phases"))
-        var = np.var(np.concatenate([ph.alpha1, ph.alpha2]))
+        var = np.var(np.concatenate(generate_phase_offsets(cfg, stream(9, "phases"))))
         assert abs(var - 1e-3) < 0.05e-3
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=1)
         a = generate_phase_offsets(cfg, stream(1, "phases"))
         b = generate_phase_offsets(cfg, stream(1, "phases"))
-        assert np.array_equal(a.alpha1, b.alpha1)
-        assert np.array_equal(a.alpha2, b.alpha2)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
 
 def _noiseless_cfg(**kw):
@@ -254,20 +251,20 @@ class TestSynthesis:
         scn = make_scenario(cfg)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
-            scn.phases, scn.mask, stream(0, "noise"),
+            cfg, scn.D, scn.S, scn.G2, X,
+            np.zeros(cfg.L), scn.omega, stream(0, "noise"),
         )
-        expect = noiseless_radar_return(cfg, scn.target.D, scn.waveforms.S)
+        expect = noiseless_radar_return(cfg, scn.D, scn.S)
         assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_radar_rx_zero_mask(self):
         cfg = ScenarioConfig()
         scn = make_scenario(cfg)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
-        zero_mask = SamplingMask(np.zeros((cfg.M_rR, cfg.L)))
+        zero_mask = np.zeros((cfg.M_rR, cfg.L))
         out = synthesize_radar_rx(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
-            scn.phases, zero_mask, stream(0, "noise"),
+            cfg, scn.D, scn.S, scn.G2, X,
+            np.zeros(cfg.L), zero_mask, stream(0, "noise"),
         )
         assert np.all(out == 0)
 
@@ -276,10 +273,10 @@ class TestSynthesis:
         scn = make_scenario(cfg)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
-            cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
-            scn.phases, scn.mask, stream(0, "noise"),
+            cfg, scn.D, scn.S, scn.G2, X,
+            np.zeros(cfg.L), scn.omega, stream(0, "noise"),
         )
-        expect = cfg.gamma * cfg.rho * scn.target.D
+        expect = cfg.gamma * cfg.rho * scn.D
         assert numerical_rank(out) == 1
         assert np.linalg.norm(out - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -289,49 +286,9 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC + 1, cfg.L), dtype=complex)
         with pytest.raises(ScenarioError):
             synthesize_radar_rx(
-                cfg, scn.target.D, scn.waveforms.S, scn.channels.G2, X,
-                scn.phases, scn.mask, stream(0, "noise"),
+                cfg, scn.D, scn.S, scn.G2, X,
+                np.zeros(cfg.L), scn.omega, stream(0, "noise"),
             )
-
-    def test_comm_rx_perfect_cancellation(self):
-        cfg = _noiseless_cfg()
-        scn = make_scenario(cfg)
-        X = stream(0, "x").standard_normal((cfg.M_tC, cfg.L)) + 0j
-        out = synthesize_comm_rx(
-            cfg, scn.channels.H, scn.channels.G1, scn.waveforms.S, X,
-            scn.phases, stream(0, "noise"),
-        )
-        expect = scn.channels.H @ X
-        assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
-
-    def test_comm_rx_radar_only_residual(self):
-        cfg = ScenarioConfig(sigma_C2=0.0)
-        scn = make_scenario(cfg)
-        X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
-        out = synthesize_comm_rx(
-            cfg, scn.channels.H, scn.channels.G1, scn.waveforms.S, X,
-            scn.phases, stream(0, "noise"),
-        )
-        expect = cfg.rho * (scn.channels.G1 @ scn.waveforms.S) * (1j * scn.phases.alpha1)
-        assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
-
-    def test_comm_rx_residual_power_matches_second_moment(self):
-        cfg = ScenarioConfig(sigma_C2=0.0)
-        scn = make_scenario(cfg)
-        X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
-        rng = stream(0, "jitter-mc")
-        draws = 4000
-        acc = 0.0
-        for _ in range(draws):
-            ph = generate_phase_offsets(cfg, rng)
-            out = synthesize_comm_rx(
-                cfg, scn.channels.H, scn.channels.G1, scn.waveforms.S, X, ph, rng
-            )
-            acc += np.sum(np.abs(out) ** 2) / cfg.L
-        emp = acc / draws
-        G1S = scn.channels.G1 @ scn.waveforms.S
-        analytic = cfg.rho2 * cfg.sigma_alpha2 * np.sum(np.abs(G1S) ** 2) / cfg.L
-        assert abs(emp - analytic) < 0.1 * analytic
 
 
 class TestMakeScenario:
@@ -339,17 +296,78 @@ class TestMakeScenario:
         cfg = ScenarioConfig(p=0.5, seed=13)
         a = make_scenario(cfg)
         b = make_scenario(cfg)
-        assert np.array_equal(a.channels.H, b.channels.H)
-        assert np.array_equal(a.waveforms.S, b.waveforms.S)
-        assert np.array_equal(a.mask.omega, b.mask.omega)
-        assert np.array_equal(a.phases.alpha1, b.phases.alpha1)
+        for name in ("H", "G1", "G2", "S", "D", "omega"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.
         a = make_scenario(ScenarioConfig(p=1.0, seed=3))
         b = make_scenario(ScenarioConfig(p=0.5, seed=3))
-        assert np.array_equal(a.channels.H, b.channels.H)
-        assert np.array_equal(a.waveforms.S, b.waveforms.S)
+        assert np.array_equal(a.H, b.H)
+        assert np.array_equal(a.S, b.S)
+
+
+def digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+class TestPinnedDraws:
+    """make_scenario and the first completion input of radar_pipeline are
+    pinned to recorded digests of their bytes, so that no change to the
+    generators or the synthesis moves a draw unnoticed. S comes from a
+    LAPACK QR and may differ in its last bits under another LAPACK."""
+
+    # SHA-256 (first 16 hex digits) of the bytes of (H, G1, G2, S, D) by seed;
+    # they do not depend on the scheme or on require_coverage.
+    SCENARIO_DIGESTS = {
+        0: ("65811aed2ca60b18", "654d78cada8607c0", "b1e2ad4422d93856",
+            "eb80daeada3473fb", "1cf7d3e0a14c454a"),
+        1: ("328573ae1441fe48", "91d37df74eb6876d", "0daea6aaa9be178c",
+            "b83245090e737629", "1cf7d3e0a14c454a"),
+        2: ("d32c012120f88cf6", "4b6f4cc32c5ef7d4", "4a33f14494a1a547",
+            "3a8c21c89c15cb27", "1cf7d3e0a14c454a"),
+        3: ("6bedc417662b09c9", "b4379538313e6715", "89816ff050e65bd6",
+            "66e12f7967455908", "1cf7d3e0a14c454a"),
+    }
+    # ... and of omega by (scheme, require_coverage): one digest per seed 0-3.
+    MASK_DIGESTS = {
+        (Scheme.SCHEME_I, True): ("383d47e75dd40d79", "e98a2578f6506414",
+            "19d8e54b05f05491", "17d0e2488a65dee4"),
+        (Scheme.SCHEME_I, False): ("383d47e75dd40d79", "25aacb6eecccaebf",
+            "d7ff60bc22d848d1", "b8a7d86322f0be90"),
+        (Scheme.SCHEME_II, True): ("cd487d2090e7244a", "1b0b657a6c6163b9",
+            "87d62c59535d8bbe", "217f254aaad9c25d"),
+        (Scheme.SCHEME_II, False): ("2c044651546481b2", "29fd1595a088d728",
+            "07a6bf7b0ccf473c", "b7c266f749e7b13a"),
+    }
+    OBSERVED_DIGEST = "27f2e95158c632ff"
+
+    @pytest.mark.parametrize("scheme,require_coverage", list(MASK_DIGESTS))
+    def test_make_scenario(self, scheme, require_coverage):
+        for seed in range(4):
+            cfg = ScenarioConfig(p=0.3, scheme=scheme, seed=seed)
+            scn = make_scenario(cfg, require_coverage=require_coverage)
+            got = tuple(digest(a) for a in (scn.H, scn.G1, scn.G2, scn.S, scn.D))
+            assert got == self.SCENARIO_DIGESTS[seed]
+            assert digest(scn.omega) == self.MASK_DIGESTS[scheme, require_coverage][seed]
+
+    def test_first_pipeline_observation(self, monkeypatch):
+        # The 32 x 32 Scheme I recovery problem at p = 0.5 with an isotropic
+        # design: only the draws and the synthesis reach the observation.
+        cfg = ScenarioConfig(L=32, M_tR=16, M_rR=32, M_tC=4, M_rC=4, p=0.5, seed=13)
+        scn = make_scenario(cfg)
+        seen = []
+
+        def record(observed, omega, params=None):
+            seen.append(observed.copy())
+            return np.zeros_like(observed), 0, True
+
+        monkeypatch.setattr(completion, "complete", record)
+        eye = cfg.P_t / (cfg.L * cfg.M_tC) * np.eye(cfg.M_tC)
+        schedule = np.broadcast_to(eye, (cfg.L, cfg.M_tC, cfg.M_tC))
+        completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 1,
+                                  stream(cfg.seed, "mc"))
+        assert digest(seen[0]) == self.OBSERVED_DIGEST
 
 
 class TestConfig:
