@@ -29,6 +29,10 @@ class CompletionParams:
     def __post_init__(self):
         if self.mu is not None and self.mu <= 0:
             raise ValueError("mu must be positive")
+        if self.mu_rel <= 0:
+            raise ValueError("mu_rel must be positive")
+        if self.tolerance <= 0:
+            raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.continuation < 1.0:

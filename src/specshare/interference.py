@@ -140,8 +140,7 @@ def mismatched_weight_diagonals(
         if L_comm < (L_radar - 1) * k + 1:
             raise MetricError("schedule too short for the radar symbol count")
         out = np.zeros((L_comm, n_rx))
-        for lr in range(L_radar):
-            out[lr * k] = weights[lr]
+        out[: L_radar * k : k] = weights
         return out
     ratio = radar_rate / comm_rate
     k = int(round(ratio))

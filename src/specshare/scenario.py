@@ -9,6 +9,7 @@ All generators are pure functions of (config, rng stream).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -68,23 +69,28 @@ def mask_shape(cfg: ScenarioConfig) -> tuple[int, int]:
     return (cfg.M_rR, cfg.M_tR)
 
 
+# Rejection sampling keeps drawing while a uniform draw covers every row and
+# column with at least this probability, i.e. for at most 1e4 expected draws.
+_MIN_COVERAGE_PROBABILITY = 1e-4
+
+
 def generate_sampling_mask(
     cfg: ScenarioConfig,
     rng: np.random.Generator,
     require_coverage: bool = True,
-    max_attempts: int = 200_000,
 ) -> np.ndarray:
     """Uniformly random binary mask omega, M_rR x L (Scheme I) or M_rR x M_tR
     (Scheme II), with exactly floor(p * entries) ones.
 
-    With require_coverage (the default), the draw is rejected and resampled
-    until every row and every column holds at least one sample; a matrix
-    with an empty row or column cannot be completed. If max_attempts draws
-    all fail, which happens at sampling rates close to the coverage limit,
-    the mask is built by _covering_mask instead; that fallback is not
-    uniform over the covering masks. Callers that only need the
-    interference weights (no completion) may opt out for sub-sampling
-    rates too low to cover every row and column.
+    With require_coverage (the default), every row and every column holds at
+    least one sample; a matrix with an empty row or column cannot be
+    completed. A draw that leaves one empty is rejected and redrawn, as long
+    as a uniform draw covers with probability at least 1e-4
+    (_coverage_probability). Closer to the coverage limit the first failed
+    draw hands over to _covering_mask, which is not uniform over the
+    covering masks. Callers that only need the interference weights (no
+    completion) may opt out for sub-sampling rates too low to cover every
+    row and column.
     """
     rows, cols = mask_shape(cfg)
     size = rows * cols
@@ -94,13 +100,31 @@ def generate_sampling_mask(
             f"cannot cover every row and column with {n_ones} ones "
             f"in a {rows}x{cols} mask"
         )
-    for _ in range(max_attempts):
-        cells = rng.choice(size, size=n_ones, replace=False)
-        if not require_coverage or _covers(cells, rows, cols):
-            flat = np.zeros(size)
-            flat[cells] = 1.0
-            return flat.reshape(rows, cols)
-    return _covering_mask(rows, cols, n_ones, rng)
+    cells = rng.choice(size, size=n_ones, replace=False)
+    if require_coverage and not _covers(cells, rows, cols):
+        if _coverage_probability(rows, cols, n_ones) < _MIN_COVERAGE_PROBABILITY:
+            return _covering_mask(rows, cols, n_ones, rng)
+        while not _covers(cells, rows, cols):
+            cells = rng.choice(size, size=n_ones, replace=False)
+    flat = np.zeros(size)
+    flat[cells] = 1.0
+    return flat.reshape(rows, cols)
+
+
+def _coverage_probability(rows: int, cols: int, n_ones: int) -> float:
+    """Probability that n_ones distinct cells drawn uniformly from a rows x
+    cols grid hit every row and every column.
+
+    Inclusion-exclusion over the i rows and j columns left empty, summed in
+    exact integers: sum (-1)^(i+j) C(rows, i) C(cols, j)
+    C((rows-i)(cols-j), n_ones) / C(rows*cols, n_ones).
+    """
+    hits = sum(
+        (-1) ** (i + j) * comb(rows, i) * comb(cols, j) * comb((rows - i) * (cols - j), n_ones)
+        for i in range(rows + 1)
+        for j in range(cols + 1)
+    )
+    return hits / comb(rows * cols, n_ones)
 
 
 def _covers(cells: np.ndarray, rows: int, cols: int) -> bool:

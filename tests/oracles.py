@@ -4,14 +4,17 @@ They evaluate by other routes what the library computes: the EIP_II trace
 form and a Monte-Carlo estimate of the masked interference power drawn
 from the signal model itself (specshare.interference computes both through
 its one weighted form), singular-value soft thresholding through a thin
-SVD (specshare.completion goes through a Gram eigendecomposition), and the
-feasibility of a capacity target by classic water-filling of the power
-budget (specshare.covdesign asks whether the minimum-power design fits in
-the budget), and a feasibility and optimality report of a returned design
-recomputed from its covariances (specshare.covdesign checks its own
-post-conditions once, as it solves), and a Floyd-Warshall certificate that
-the identity is the unique optimal assignment (specshare.samplingopt
-certifies it by a Bellman-Ford cycle search). Only the tests use them.
+SVD (specshare.completion goes through a Gram eigendecomposition), the
+completion at a fixed penalty iterated by plain proximal gradient until a
+fixed-point certificate holds (specshare.completion stops accelerated
+continuation stages on a step-size rule), the feasibility of a capacity
+target by classic water-filling of the power budget (specshare.covdesign
+asks whether the minimum-power design fits in the budget), a feasibility
+and optimality report of a returned design recomputed from its
+covariances (specshare.covdesign checks its own post-conditions once, as
+it solves), and a Floyd-Warshall certificate that the identity is the
+unique optimal assignment (specshare.samplingopt certifies it by a
+Bellman-Ford cycle search). Only the tests use them.
 """
 
 import numpy as np
@@ -82,6 +85,24 @@ def svd_shrink(X, threshold: float):
     u, s, vh = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
     return (u * s) @ vh, s
+
+
+def converged_completion(observed, omega, mu: float):
+    """Minimizer of mu*||X||_* + 0.5*||P_Omega(X - observed)||_F^2 at a fixed mu.
+
+    Iterates X <- svd_shrink(X - P_Omega(X - observed), mu), whose fixed
+    points are exactly the minimizers, and returns the first iterate with
+    ||X - svd_shrink(X - P_Omega(X - observed), mu)|| <= 1e-10*||X||.
+    Raises RuntimeError if none does within 100 000 iterations.
+    """
+    masked = omega * observed
+    X = np.zeros_like(masked)
+    for _ in range(100_000):
+        Z = svd_shrink(X - omega * (X - masked), mu)[0]
+        if np.linalg.norm(Z - X) <= 1e-10 * np.linalg.norm(X):
+            return X
+        X = Z
+    raise RuntimeError("no fixed-point certificate within 100 000 iterations")
 
 
 def water_fill(gains: np.ndarray, budget: float) -> np.ndarray:

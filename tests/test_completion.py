@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import svd_shrink
+from oracles import converged_completion, svd_shrink
 from specshare.completion import (
     CompletionParams,
     _mu_schedule,
@@ -127,22 +127,58 @@ class TestShrinkOracle:
     def test_complete_matches_svd_route(self, monkeypatch):
         # One mc-recovery-shaped completion (32 x 32 radar data, p = 0.5,
         # default parameters) with each kernel.
-        cfg = pipeline_cfg(L=32, p=0.5, seed=1)
-        scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
-        roots = psd_sqrt(solve_selfish(scn.H, noise, cfg.C, cfg.P_t).schedule)
-        rng = stream(1, "mc")
-        X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
-        observed = synthesize_radar_rx(
-            cfg, scn.D, scn.S, scn.G2, X,
-            generate_phase_offsets(cfg, rng)[1], scn.omega, rng,
-        )
+        observed, omega = mc_recovery_input()
         assert observed.shape == (32, 32)
-        est, iters, conv = complete(observed, scn.omega)
+        est, iters, conv = complete(observed, omega)
         monkeypatch.setattr("specshare.completion.shrink", svd_shrink)
-        est_ref, iters_ref, conv_ref = complete(observed, scn.omega)
+        est_ref, iters_ref, conv_ref = complete(observed, omega)
         assert iters == iters_ref and conv == conv_ref
         assert np.linalg.norm(est - est_ref) <= 1e-8 * np.linalg.norm(est_ref)
+
+
+def mc_recovery_input():
+    """The first completion input of a 32 x 32 Scheme I radar pipeline at
+    p = 0.5 under the selfish design: (observed, omega)."""
+    cfg = pipeline_cfg(L=32, p=0.5, seed=1)
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
+    roots = psd_sqrt(solve_selfish(scn.H, noise, cfg.C, cfg.P_t).schedule)
+    rng = stream(1, "mc")
+    X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
+    observed = synthesize_radar_rx(
+        cfg, scn.D, scn.S, scn.G2, X,
+        generate_phase_offsets(cfg, rng)[1], scn.omega, rng,
+    )
+    return observed, scn.omega
+
+
+class TestConvergenceOracle:
+    """complete() at a fixed mu and the default tolerance against the
+    minimizer that converged_completion certifies, at mu = 0.025 sigma1,
+    about the noise-calibrated penalty of the mc-recovery inputs."""
+
+    # Measured relative distances: 1.4e-5, 1.22e-4 and 3.7e-6 on the
+    # rank-one fixtures, 3.7e-5 on the 32 x 32 input.
+    BOUND = 2e-4
+
+    def assert_near_oracle(self, observed, omega):
+        mu = 0.025 * float(np.linalg.svd(omega * observed, compute_uv=False)[0])
+        want = converged_completion(observed, omega, mu)
+        est, _, conv = complete(observed, omega, CompletionParams(mu=mu))
+        assert conv
+        assert np.linalg.norm(est - want) <= self.BOUND * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("seed,name,p", [
+        (0, "complete-half", 0.5), (1, "complete", 0.5), (2, "complete", 0.6),
+    ])
+    def test_rank_one(self, seed, name, p):
+        rng = stream(seed, name)
+        M = rank_one(rng)
+        mask = covered_mask(rng, 10, 10, p)
+        self.assert_near_oracle(mask * M, mask)
+
+    def test_mc_recovery_input(self):
+        self.assert_near_oracle(*mc_recovery_input())
 
 
 class TestMuSchedule:
@@ -219,6 +255,11 @@ class TestComplete:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             CompletionParams(mu=-1.0)
+        for bad in (0.0, -1e-4):
+            with pytest.raises(ValueError):
+                CompletionParams(mu_rel=bad)
+            with pytest.raises(ValueError):
+                CompletionParams(tolerance=bad)
         with pytest.raises(ValueError):
             CompletionParams(max_iterations=0)
         with pytest.raises(ValueError):

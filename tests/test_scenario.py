@@ -9,6 +9,7 @@ from specshare import completion
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
 from specshare.scenario import (
     ScenarioError,
+    _coverage_probability,
     _covering_mask,
     generate_channels,
     generate_phase_offsets,
@@ -140,20 +141,43 @@ class TestSamplingMask:
             generate_sampling_mask(cfg, stream(0, "mask"))
 
     def test_covering_fallback_near_coverage_limit(self):
-        # Rejection sampling gives up here although 33 ones can cover the
-        # 32 columns and 8 rows; the constructive fallback takes over.
-        cfg = ScenarioConfig(M_rR=8, L=32, p=0.13)
-        a = generate_sampling_mask(cfg, stream(0, "mask"))
-        b = generate_sampling_mask(cfg, stream(0, "mask"))
-        assert a.sum() == int(np.floor(0.13 * 256)) == 33
-        assert a.sum(axis=1).min() >= 1
-        assert a.sum(axis=0).min() >= 1
-        assert set(np.unique(a)) <= {0.0, 1.0}
-        assert np.array_equal(a, b)
+        # 33 and 38 ones can cover the 32 columns and 8 rows, but a uniform
+        # draw covers with probability 2.0e-11 and 6.4e-8: the sampler makes
+        # one draw and hands over to the constructive fallback.
+        for p, n_ones in ((0.13, 33), (0.15, 38)):
+            cfg = ScenarioConfig(M_rR=8, L=32, p=p)
+            assert int(np.floor(p * 256)) == n_ones
+            assert _coverage_probability(8, 32, n_ones) < 1e-4
+            for seed in range(3):
+                rng, want_rng = stream(seed, "mask"), stream(seed, "mask")
+                a = generate_sampling_mask(cfg, rng)
+                want_rng.choice(256, size=n_ones, replace=False)
+                assert np.array_equal(a, _covering_mask(8, 32, n_ones, want_rng))
+                assert rng.random() == want_rng.random()
+                assert a.sum() == n_ones
+                assert a.sum(axis=1).min() >= 1
+                assert a.sum(axis=0).min() >= 1
+                assert set(np.unique(a)) <= {0.0, 1.0}
+                assert np.array_equal(a, generate_sampling_mask(cfg, stream(seed, "mask")))
+
+    @pytest.mark.parametrize("rows,cols", [(2, 5), (3, 4), (4, 4)])
+    def test_coverage_probability_matches_enumeration(self, rows, cols):
+        # Every subset of the grid's cells, as the bits of 0 .. 2^(rows*cols)-1.
+        size = rows * cols
+        bits = (np.arange(2 ** size)[:, None] >> np.arange(size)) & 1
+        grids = bits.reshape(-1, rows, cols).astype(bool)
+        covers = grids.any(axis=2).all(axis=1) & grids.any(axis=1).all(axis=1)
+        counts = bits.sum(axis=1)
+        for n_ones in range(size + 1):
+            want = covers[counts == n_ones].mean()
+            assert abs(_coverage_probability(rows, cols, n_ones) - want) <= 1e-15
+        assert _coverage_probability(rows, cols, max(rows, cols) - 1) == 0.0
+        assert _coverage_probability(rows, cols, size) == 1.0
 
     @pytest.mark.parametrize("scheme,p,require_coverage", [
-        (Scheme.SCHEME_I, 0.13, True),   # every draw fails: the fallback
+        (Scheme.SCHEME_I, 0.13, True),   # coverage probability < 1e-4: the fallback
         (Scheme.SCHEME_I, 0.15, True),
+        (Scheme.SCHEME_I, 0.2, True),    # probability 4.8e-4: no fallback
         (Scheme.SCHEME_I, 0.25, True),   # some draws fail, then one covers
         (Scheme.SCHEME_I, 0.5, True),
         (Scheme.SCHEME_I, 0.05, False),
@@ -163,11 +187,13 @@ class TestSamplingMask:
     def test_same_masks_and_draws_as_mask_loop(self, scheme, p, require_coverage):
         # The coverage test runs on the drawn cells; the sampler must still
         # make the same rng calls and return the same mask as the loop that
-        # built every candidate mask and summed its rows and columns.
-        def loop_mask(cfg, rng, max_attempts):
+        # built every candidate mask and summed its rows and columns, and
+        # that gave up after the first failed draw when a uniform draw
+        # covers with probability below 1e-4.
+        def loop_mask(cfg, rng):
             rows, cols = mask_shape(cfg)
             n_ones = int(np.floor(cfg.p * rows * cols))
-            for _ in range(max_attempts):
+            while True:
                 flat = np.zeros(rows * cols)
                 flat[rng.choice(rows * cols, size=n_ones, replace=False)] = 1.0
                 omega = flat.reshape(rows, cols)
@@ -175,14 +201,14 @@ class TestSamplingMask:
                     return omega
                 if omega.sum(axis=1).min() >= 1 and omega.sum(axis=0).min() >= 1:
                     return omega
-            return _covering_mask(rows, cols, n_ones, rng)
+                if _coverage_probability(rows, cols, n_ones) < 1e-4:
+                    return _covering_mask(rows, cols, n_ones, rng)
 
         for seed in range(4):
             cfg = ScenarioConfig(M_rR=8, L=32, p=p, scheme=scheme, seed=seed)
             want_rng, got_rng = stream(seed, "mask"), stream(seed, "mask")
-            want = loop_mask(cfg, want_rng, max_attempts=2000)
-            got = generate_sampling_mask(cfg, got_rng, require_coverage=require_coverage,
-                                         max_attempts=2000)
+            want = loop_mask(cfg, want_rng)
+            got = generate_sampling_mask(cfg, got_rng, require_coverage=require_coverage)
             assert np.array_equal(got, want)
             assert got_rng.random() == want_rng.random()
 
