@@ -24,8 +24,7 @@ from .harness import (
     write_csv,
 )
 from .samplingopt import spectral_gap
-from .scenario import ScenarioError, generate_sampling_mask
-from .streams import stream
+from .scenario import ScenarioError, make_scenario
 
 
 def _parse_sweep(text):
@@ -90,6 +89,7 @@ def main(argv=None) -> int:
 
     p_mc = sub.add_parser("mc-eval", help="matrix-completion recovery evaluation")
     _add_common(p_mc)
+    p_mc.set_defaults(mc_trials=10)
 
     p_gap = sub.add_parser("mask-gap", help="spectral gap of the sampling mask")
     p_gap.add_argument("--config", help="scenario config file")
@@ -103,15 +103,12 @@ def main(argv=None) -> int:
             var, values = _parse_sweep(args.sweep)
             return _emit(run_sweep(_build_spec(args, var, values)), args)
         if args.command == "mc-eval":
-            spec = _build_spec(args)
-            if spec.mc_trials < 1:
-                spec.mc_trials = 10
-            return _emit(run_compare(spec), args)
+            if args.mc_trials < 1:
+                raise SpecError("mc-eval needs --mc-trials >= 1")
+            return _emit(run_compare(_build_spec(args)), args)
         if args.command == "mask-gap":
             cfg = load_config(args.config) if args.config else ScenarioConfig()
-            cfg = cfg.replace(seed=args.seed)
-            omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"))
-            s1, s2, gap = spectral_gap(omega)
+            s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=args.seed)).omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
     except (ConfigError, SpecError, ScenarioError) as exc:

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig, Scheme
-from .linalg import crandn, psd_sqrt
+from .linalg import psd_sqrt
 from .scenario import generate_phase_offsets, noiseless_radar_return, synthesize_radar_rx
+
+# Iterations per continuation stage, and the geometric factor of the mu
+# schedule (see _mu_schedule).
+_MAX_ITERATIONS = 500
+_CONTINUATION = 0.1
 
 
 @dataclass
 class CompletionParams:
     mu: float | None = None          # None: 1e-4 * sigma1(observed)
     mu_rel: float = 1e-4
-    max_iterations: int = 500        # per continuation stage
     tolerance: float = 1e-5
-    continuation: float = 0.1        # geometric factor for the mu schedule
 
     def __post_init__(self):
         if self.mu is not None and self.mu <= 0:
@@ -33,10 +36,6 @@ class CompletionParams:
             raise ValueError("mu_rel must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0.0 < self.continuation < 1.0:
-            raise ValueError("continuation factor must lie in (0, 1)")
 
 
 @dataclass
@@ -120,7 +119,7 @@ def complete(
         return np.zeros_like(observed), 0, True
     sigma1 = float(_gram_spectrum(masked)[0][0])
     mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
-    mus = _mu_schedule(sigma1, mu_final, params.continuation)
+    mus = _mu_schedule(sigma1, mu_final, _CONTINUATION)
     def objective(mat, mu, nuc=None):
         if nuc is None:
             nuc = float(_gram_spectrum(mat)[0].sum())
@@ -138,7 +137,7 @@ def complete(
         t = 1.0
         obj = objective(X, mu)
         converged = False
-        for _ in range(params.max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             Z, s = shrink(Y - omega * (Y - observed), mu)
             obj_Z = objective(Z, mu, nuc=float(s.sum()))
             X_prev = X
@@ -199,7 +198,11 @@ def radar_pipeline(
         truth = cfg.gamma * cfg.rho * D
     reports = []
     for _ in range(trials):
-        X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(L)], axis=1)
+        # Row l of z holds the real and imaginary parts of symbol l's draw,
+        # in the order L successive crandn(rng, M_tC) calls take them.
+        z = rng.standard_normal((L, 2, cfg.M_tC))
+        v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        X = (roots @ v[:, :, None])[:, :, 0].T
         _, alpha2 = generate_phase_offsets(cfg, rng)
         observed = synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng)
         estimate, iters, conv = complete(observed, omega, params)

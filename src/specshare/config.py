@@ -58,6 +58,7 @@ class ScenarioConfig:
     comm_rate: float = 1.0
 
     def __post_init__(self):
+        # The dimensions first: the rho2 default divides by M_tR.
         for name in ("M_tR", "M_rR", "M_tC", "M_rC", "L"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -67,12 +68,6 @@ class ScenarioConfig:
             self.rho2 = 1000.0 * self.L / self.M_tR
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
-        self.validate()
-
-    def validate(self):
-        for name in ("M_tR", "M_rR", "M_tC", "M_rC", "L"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if not (0.0 < self.p <= 1.0):
             raise ConfigError("p must be in (0, 1]")
         if self.P_t <= 0:

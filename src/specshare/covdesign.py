@@ -40,14 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interference import (
-    MetricError,
-    average_capacity,
-    check_covariances,
-    interference_diag_matrix,
-    total_power,
-    weighted_eip,
-)
+from .interference import MetricError, average_capacity, check_covariances, total_power
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
 
 # The bisection on lambda1 shrinks its bracket to DUAL_TOL, within
@@ -93,7 +86,6 @@ class DesignSolution:
     dual: DualPoint
     achieved_capacity: float
     consumed_power: float
-    objective_eip: float
     iterations: int
     converged: bool
 
@@ -181,8 +173,13 @@ class _DualKernel:
         return d_isqrt, s, vh
 
     def allocate(self, lambda1: float, lambda2: float, d_isqrt, s, vh) -> _DualIterate:
-        """Water-fill at level lambda2; power sum_i beta_i ||d^{-1/2} o v'_i||^2."""
-        beta = np.where(s > 0, np.maximum(lambda2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
+        """Water-fill at level lambda2; power sum_i beta_i ||d^{-1/2} o v'_i||^2.
+        A gain s^2 whose inverse is not finite (a zero singular value, as of
+        a comm antenna that hears nothing) gets no power."""
+        gain = s**2
+        inv_gain = np.divide(1.0, gain, out=np.full_like(gain, np.inf),
+                             where=gain > 1.0 / np.finfo(float).max)
+        beta = np.maximum(lambda2 - inv_gain, 0.0)
         power = float(np.einsum("lk,lkn,ln->", beta, np.abs(vh) ** 2, d_isqrt**2))
         return _DualIterate(lambda1, lambda2, power, d_isqrt, beta, vh)
 
@@ -416,12 +413,9 @@ def solve_weighted_eip(
     def solve():
         kernel = _DualKernel.weighted(weights, G2, problem.whitened)
         best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
-        schedule = kernel.covariances(best)
-        # Clamped at 0 so that roundoff never reports a negative power.
-        eip = max(weighted_eip(weights, interference_diag_matrix(G2, schedule)), 0.0)
-        return _checked(schedule, H, noise, C, P_t,
+        return _checked(kernel.covariances(best), H, noise, C, P_t,
                         dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
-                        objective_eip=eip, iterations=iterations, converged=converged)
+                        iterations=iterations, converged=converged)
 
     return problem.design(_exact(weights, G2, P_t), solve)
 
@@ -442,7 +436,6 @@ def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> Des
         it = problem.selfish
         return _checked(_DualKernel.unweighted(problem.whitened).covariances(it), H, noise, C,
                         dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
-                        objective_eip=float("nan"),  # no weights: the radar is ignored
                         iterations=1, converged=True)
 
     return problem.design(None, solve)

@@ -98,14 +98,8 @@ class ResultRow:
 def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
     if var == "none" or value is None:
         return cfg
-    if var == "p":
-        return cfg.replace(p=float(value))
-    if var == "C":
-        return cfg.replace(C=float(value))
-    if var == "rho2":
-        return cfg.replace(rho2=float(value))
-    if var == "sigma1_2":
-        return cfg.replace(sigma1_2=float(value))
+    if var in ("p", "C", "rho2", "sigma1_2"):
+        return cfg.replace(**{var: float(value)})
     if var == "targets":
         k = int(value)
         if k < 1:

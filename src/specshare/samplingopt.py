@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import interference_diag_matrix, scheme_weights
+from .interference import interference_diag_matrix, scheme_weights, weighted_eip
 from .config import ScenarioConfig, Scheme
 from .covdesign import DesignSolution, solve_weighted_eip
 
@@ -354,13 +354,14 @@ def joint_design(
     for n in range(_MAX_OUTER):
         weights = scheme_weights(cfg, omega, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
-        eip = solution.objective_eip
+        Q = interference_diag_matrix(G2, solution.schedule)  # M_rR x L
+        # Clamped at 0 so that roundoff never reports a negative power.
+        eip = max(weighted_eip(weights, Q), 0.0)
         trace.append(eip)
         if eip == 0.0:
             break  # no interference reaches the radar; the mask is irrelevant
         if n > 0 and abs(trace[-2] - eip) < _EIP_RTOL * max(trace[0], 1e-30):
             break
-        Q = interference_diag_matrix(G2, solution.schedule)  # M_rR x L
         if cfg.scheme is Scheme.SCHEME_I:
             Qtilde = Q
         else:

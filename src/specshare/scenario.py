@@ -220,7 +220,6 @@ def synthesize_radar_rx(
 class Scenario:
     """One fully generated experiment instance, the arrays of the generators."""
 
-    cfg: ScenarioConfig
     H: np.ndarray
     G1: np.ndarray
     G2: np.ndarray
@@ -234,7 +233,7 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     cfg.seed. Stream separation keeps each piece stable as others evolve."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     return Scenario(
-        cfg, H, G1, G2,
+        H, G1, G2,
         S=generate_waveforms(cfg, stream(cfg.seed, "waveforms")),
         D=generate_target_response(cfg),
         omega=generate_sampling_mask(

@@ -260,10 +260,6 @@ class TestComplete:
                 CompletionParams(mu_rel=bad)
             with pytest.raises(ValueError):
                 CompletionParams(tolerance=bad)
-        with pytest.raises(ValueError):
-            CompletionParams(max_iterations=0)
-        with pytest.raises(ValueError):
-            CompletionParams(continuation=1.5)
 
 
 class TestRelativeError:

@@ -158,7 +158,7 @@ class TestSolveWeightedEip:
         G2 = np.zeros((3, 2))
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
-        assert sol.objective_eip == 0.0
+        assert weighted_eip(w, interference_diag_matrix(G2, sol.schedule)) == 0.0
         assert sol.achieved_capacity >= 2.0 - 1e-6
 
     def test_scalar_closed_form(self):
@@ -169,7 +169,8 @@ class TestSolveWeightedEip:
         sol = solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=10.0, C=C)
         expect = sigma_C2 * (2.0**C - 1.0)
         assert abs(sol.consumed_power - expect) <= 1e-6 * expect
-        assert abs(sol.objective_eip - expect) <= 1e-6 * expect
+        eip = weighted_eip(w, interference_diag_matrix(np.eye(1), sol.schedule))
+        assert abs(eip - expect) <= 1e-6 * expect
 
     def test_scenario1_capacity_active(self):
         cfg = ScenarioConfig(p=0.5, seed=0)
@@ -345,8 +346,6 @@ class TestObjectiveConsistency:
         H, G2, noise = small_instance(6)
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        Q = interference_diag_matrix(G2, sol.schedule)
-        assert abs(sol.objective_eip - weighted_eip(w, Q)) < 1e-12
         assert abs(sol.achieved_capacity - average_capacity(sol.schedule, H, noise)) < 1e-12
 
 
@@ -467,6 +466,44 @@ class TestDualKernel:
         # tiny lambda1; both paths floor its eigenvalues with eig_floor.
         w, G2, H, noise = coop_instance(10 + L, L, partial_rows=False)
         self.assert_matches_reference(w, G2, H, noise, 1e-12)
+
+    def test_zero_singular_value(self, monkeypatch):
+        """A comm antenna that hears nothing (a zero row of H) leaves every
+        whitened channel a zero singular value. It gets no power, with no
+        divide-by-zero warning, and both designs meet their post-conditions."""
+        monkeypatch.setattr(covdesign, "_memo", None)
+        H = crandn(np.random.default_rng(0), 3, 4)
+        H[2] = 0.0
+        noise = np.stack([0.01 * np.eye(3)] * 4)  # what sigma_alpha2 = 0 gives
+        G2 = crandn(np.random.default_rng(1), 5, 4)
+        w = tip_weights(5, 4)
+        whitened = covdesign._whiten(H, noise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            designs = [solve_selfish(H, noise, 2.0, 10.0),
+                       solve_weighted_eip(w, H, G2, noise, 10.0, 2.0)]
+            kernels = [covdesign._DualKernel.unweighted(whitened),
+                       covdesign._DualKernel.weighted(w, G2, whitened)]
+            steps = [(kernel.whitened_svd(1.0)[1], kernel.step(1.0, 2.0)) for kernel in kernels]
+        for sol in designs:
+            report = verify_solution(sol, H, G2, noise, 10.0, 2.0)
+            assert report["psd_ok"] and report["power_feasible"] and report["capacity_active"]
+        for s, it in steps:
+            assert np.all(s[:, -1] == 0.0) and np.all(s[:, :-1] > 0.0)
+            assert np.all(it.beta[:, -1] == 0.0) and np.all(it.beta[:, :-1] > 0.0)
+
+    def test_beta_unchanged_for_positive_singular_values(self):
+        """The water-filling powers are those of lambda2 - 1/s^2 wherever it
+        is finite, bit for bit, down to the underflow of s^2, and 0 at s = 0."""
+        s = np.array([[0.0, 5e-324, 1e-300, 1e-160, 7.5e-155, 1e-150, 1e-3, 0.5, 1.0, 40.0]])
+        kernel = covdesign._DualKernel.unweighted(np.zeros((1, 1, s.size)))
+        for lam2 in (0.0, 3.0, 1e6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                it = kernel.allocate(1.0, lam2, np.ones((1, s.size)), s, np.eye(s.size)[None])
+            with np.errstate(divide="ignore", over="ignore"):
+                expect = np.where(s > 0, np.maximum(lam2 - 1.0 / s**2, 0.0), 0.0)
+            assert it.beta.tobytes() == expect.tobytes()
 
     def test_default_scenario_dual_evaluations(self):
         cfg = ScenarioConfig(p=0.6, seed=0)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from specshare import cli
 from specshare.cli import main as cli_main
 from specshare.config import ScenarioConfig, Scheme, save_config
 from specshare.covdesign import InfeasibleError, solve_selfish
@@ -20,6 +21,7 @@ from specshare.harness import (
     write_csv,
 )
 from specshare.interference import noise_covariances
+from specshare.samplingopt import spectral_gap
 from specshare.scenario import make_scenario
 
 
@@ -268,10 +270,21 @@ class TestCli:
         code = cli_main(["compare", "--methods", "selfish", "--config", str(path)])
         assert code == 0
 
-    def test_mask_gap(self, capsys):
+    def test_mask_gap(self, tmp_path, capsys):
         assert cli_main(["mask-gap", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "sigma1=" in out and "gap=" in out
+        # The gap of make_scenario's mask, so the (config, seed) -> mask rule
+        # lives in one place.
+        path = tmp_path / "cfg.txt"
+        for cfg in (scenario1(), scenario1(p=0.5)):
+            save_config(cfg, path)
+            assert cli_main(["mask-gap", "--seed", "3", "--config", str(path)]) == 0
+            s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=3)).omega)
+            assert capsys.readouterr().out == f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}\n"
+        save_config(scenario1(L=2), path)  # fewer symbols than radar waveforms
+        assert cli_main(["mask-gap", "--config", str(path)]) == 1
+        assert "L must be >= M_tR" in capsys.readouterr().err
 
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1
@@ -281,6 +294,22 @@ class TestCli:
         save_config(scenario1(radar_rate=2.0), path)
         assert cli_main(["compare", "--methods", "selfish", "--config", str(path)]) == 1
         assert "radar_rate" in capsys.readouterr().err
+
+    def test_mc_trials_counts(self, monkeypatch, capsys):
+        """mc-eval runs 10 trials by default and rejects fewer than 1; the
+        other commands default to none and reject a negative count."""
+        assert cli_main(["compare", "--methods", "selfish", "--mc-trials", "-2"]) == 1
+        seen = []
+        monkeypatch.setattr(cli, "run_compare", lambda spec: seen.append(spec.mc_trials) or [])
+        assert cli_main(["mc-eval", "--methods", "selfish"]) == 0
+        assert cli_main(["mc-eval", "--methods", "selfish", "--mc-trials", "3"]) == 0
+        assert cli_main(["compare", "--methods", "selfish"]) == 0
+        assert seen == [10, 3, 0]
+        capsys.readouterr()
+        for bad in ("0", "-2"):
+            assert cli_main(["mc-eval", "--methods", "selfish", "--mc-trials", bad]) == 1
+            assert "--mc-trials >= 1" in capsys.readouterr().err
+        assert seen == [10, 3, 0]
 
     def test_mc_eval_defaults_trials(self, tmp_path):
         out = tmp_path / "mc.csv"

@@ -183,7 +183,8 @@ class TestJointDesign:
             joint_eip = weighted_eip(
                 scheme_weights(cfg, result.mask, scn.S),
                 interference_diag_matrix(scn.G2, result.solution.schedule))
-            assert joint_eip <= coop.objective_eip + 1e-6
+            coop_eip = weighted_eip(w, interference_diag_matrix(scn.G2, coop.schedule))
+            assert joint_eip <= coop_eip + 1e-6
 
     def test_trace_nonincreasing_and_orbit_preserved(self):
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
