@@ -6,7 +6,6 @@ harness."""
 from .config import ScenarioConfig, Scheme, load_config, save_config
 from .covdesign import (
     DesignSolution,
-    DualPoint,
     InfeasibleError,
     solve_selfish,
     solve_weighted_eip,

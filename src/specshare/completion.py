@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, Scheme
+from .config import ScenarioConfig
 from .linalg import psd_sqrt
-from .scenario import generate_phase_offsets, noiseless_radar_return, synthesize_radar_rx
+from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
 
 # Iterations per continuation stage, and the geometric factor of the mu
 # schedule (see _mu_schedule).
@@ -188,14 +188,11 @@ def radar_pipeline(
 
     Per trial: draw codewords x(l) = R_xl^{1/2} * randn, synthesize the
     masked radar data matrix with fresh phases and noise, complete it and
-    score against the noiseless ground truth (gamma*rho*D*S for Scheme I,
-    gamma*rho*D for Scheme II).
+    score against the noiseless ground truth (scenario.radar_truth).
     """
     roots = psd_sqrt(schedule)
     L = len(schedule)
-    truth = noiseless_radar_return(cfg, D, S)
-    if cfg.scheme is Scheme.SCHEME_II:
-        truth = cfg.gamma * cfg.rho * D
+    truth = radar_truth(cfg, D, S)
     reports = []
     for _ in range(trials):
         # Row l of z holds the real and imaginary parts of symbol l's draw,

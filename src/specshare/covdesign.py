@@ -75,15 +75,10 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DualPoint:
-    lambda1: float
-    lambda2: float
-
-
-@dataclass(frozen=True)
 class DesignSolution:
     schedule: np.ndarray  # (L, M_tC, M_tC) transmit covariances
-    dual: DualPoint
+    lambda1: float  # power multiplier (0 for the selfish design)
+    lambda2: float  # capacity multiplier
     achieved_capacity: float
     consumed_power: float
     iterations: int
@@ -201,7 +196,7 @@ def _whiten(H: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
-             P_t: float = math.inf, **fields) -> DesignSolution:
+             P_t: float, **fields) -> DesignSolution:
     """The design of the covariance stack, with its capacity and power and
     the other DesignSolution fields, once its post-conditions hold: Hermitian
     PSD covariances, power within P_t and capacity at least C, both to a
@@ -365,20 +360,18 @@ class _Problem:
 _memo: _Problem | None = None
 
 
-def _problem(H: np.ndarray, noise: np.ndarray, C: float) -> _Problem:
+def _problem(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> _Problem:
+    """The problem (H, noise, C), memoized; InfeasibleError unless its
+    minimum-power design fits in P_t."""
     global _memo
     key = _exact(H, noise, C)
     if _memo is None or _memo.key != key:
         whitened = _whiten(H, noise)
         _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C))
-    return _memo
-
-
-def _check_budget(problem: _Problem, C: float, P_t: float) -> None:
-    """InfeasibleError unless the minimum-power design fits in P_t."""
     # Written so that a NaN power is infeasible too.
-    if not problem.selfish.power <= P_t:
+    if not _memo.selfish.power <= P_t:
         raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
+    return _memo
 
 
 def solve_weighted_eip(
@@ -407,14 +400,13 @@ def solve_weighted_eip(
         raise SolverError("weights and noise schedules have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    problem = _problem(H, noise, C)
-    _check_budget(problem, C, P_t)
+    problem = _problem(H, noise, C, P_t)
 
     def solve():
         kernel = _DualKernel.weighted(weights, G2, problem.whitened)
         best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
         return _checked(kernel.covariances(best), H, noise, C, P_t,
-                        dual=DualPoint(lambda1=best.lambda1, lambda2=best.lambda2),
+                        lambda1=best.lambda1, lambda2=best.lambda2,
                         iterations=iterations, converged=converged)
 
     return problem.design(_exact(weights, G2, P_t), solve)
@@ -429,13 +421,11 @@ def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> Des
     with, and is memoized with them. InfeasibleError: the design needs more
     power than P_t, the same test as solve_weighted_eip's.
     """
-    problem = _problem(H, noise, C)
-    _check_budget(problem, C, P_t)
+    problem = _problem(H, noise, C, P_t)
 
     def solve():
         it = problem.selfish
-        return _checked(_DualKernel.unweighted(problem.whitened).covariances(it), H, noise, C,
-                        dual=DualPoint(lambda1=0.0, lambda2=it.lambda2),
-                        iterations=1, converged=True)
+        return _checked(_DualKernel.unweighted(problem.whitened).covariances(it), H, noise, C, P_t,
+                        lambda1=0.0, lambda2=it.lambda2, iterations=1, converged=True)
 
     return problem.design(None, solve)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme
-from .covdesign import InfeasibleError, solve_selfish, solve_weighted_eip
+from .covdesign import solve_selfish, solve_weighted_eip
 from .interference import (
     fmfb_weights,
     interference_diag_matrix,
@@ -47,6 +47,9 @@ class SpecError(ValueError):
 
 @dataclass
 class ExperimentSpec:
+    """What an experiment runs; SpecError at construction (dataclasses.replace
+    included) unless the methods, sweep and seeds fit the config."""
+
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
     sweep_var: str = "none"
@@ -54,7 +57,7 @@ class ExperimentSpec:
     seeds: list = field(default_factory=lambda: [0])
     mc_trials: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not self.methods:
             raise SpecError("method list is empty")
         for m in self.methods:
@@ -122,7 +125,7 @@ def _solve_method(method, cfg, scn, noise):
         return solve_selfish(H, noise, cfg.C, cfg.P_t), scn.omega
     if method == "noncoop":
         w = tip_weights(cfg.M_rR, cfg.L)
-    elif method in ("coop", "full"):  # the radar scheme's EIP, per validate()
+    elif method in ("coop", "full"):  # the radar scheme's EIP, per the spec check
         w = scheme_weights(cfg, scn.omega, S)
     elif method == "partial":
         w = fmfb_weights(S, cfg.M_rR)
@@ -136,7 +139,6 @@ def _solve_method(method, cfg, scn, noise):
 
 def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
     """One row per (seed, method) at a single sweep point."""
-    spec.validate()
     rows = []
     for seed in spec.seeds:
         cfg = apply_sweep(spec.cfg, spec.sweep_var, sweep_value).replace(seed=int(seed))
@@ -144,7 +146,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
         try:
             scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
             noise = noise_covariances(cfg, scn.G1, scn.S)
-        except Exception as exc:  # scenario-level failure poisons all methods
+        except ValueError as exc:  # scenario-level failure poisons all methods
             for method in spec.methods:
                 rows.append(
                     ResultRow(method, spec.sweep_var, value, int(seed), error=str(exc))
@@ -170,7 +172,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                     )
                     row.mc_mean_err = stats.mean_error
                     row.mc_std_err = stats.std_error
-            except (InfeasibleError, ValueError, RuntimeError) as exc:
+            except (ValueError, RuntimeError) as exc:
                 row.error = str(exc)
             row.wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(row)
@@ -183,7 +185,6 @@ def sweep(spec: ExperimentSpec) -> list:
     Seeds run one at a time through the whole grid, so the designs a seed's
     grid points share come from covdesign's memo of its last problem;
     format_csv sorts the rows."""
-    spec.validate()
     rows = []
     for seed in spec.seeds:
         one_seed = replace(spec, seeds=[seed])

@@ -11,11 +11,12 @@ the diagonal of W_l, and each family has one builder:
   IP_FMFB  W_l = a_l * I       fmfb_weights: full matched filter bank output power
   EIP_II   W_l = Delta_l_xi    scheme_weights: random matched filter bank (Scheme II)
 
-weighted_eip forms the sum and mismatched_weight_diagonals remaps weights
-onto the comm symbol grid when the symbol rates differ. Covariance and
-noise schedules are stacked (L, n, n) arrays. Independent oracles for these
-quantities (the trace form of EIP_II and a Monte-Carlo estimate from the
-signal model) are kept with the tests.
+weighted_eip forms the sum, scheme_mask_cost (the adjoint of scheme_weights)
+the mask's own cost Q~ with EIP = sum(Omega o Q~), and
+mismatched_weight_diagonals remaps weights onto the comm symbol grid when the
+symbol rates differ. Covariance and noise schedules are stacked (L, n, n)
+arrays. Independent oracles for these quantities (the trace form of EIP_II
+and a Monte-Carlo estimate from the signal model) are kept with the tests.
 """
 
 from __future__ import annotations
@@ -114,6 +115,15 @@ def scheme_weights(cfg: ScenarioConfig, omega: np.ndarray, S: np.ndarray) -> np.
     if omega.shape[1] != S.shape[0]:
         raise MetricError("mask is not Scheme-II shaped for this waveform matrix")
     return np.ascontiguousarray((omega @ np.abs(S) ** 2).T)
+
+
+def scheme_mask_cost(cfg: ScenarioConfig, Q: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The mask cost Q~ with weighted_eip(scheme_weights(cfg, omega, S), Q) =
+    sum(omega o Q~): Q for Scheme I, Q (S o conj(S))^T (M_rR x M_tR) for
+    Scheme II."""
+    if cfg.scheme is Scheme.SCHEME_I:
+        return Q
+    return Q @ (np.abs(S) ** 2).T
 
 
 def mismatched_weight_diagonals(

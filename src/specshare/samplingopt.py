@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import interference_diag_matrix, scheme_weights, weighted_eip
-from .config import ScenarioConfig, Scheme
+from .interference import (interference_diag_matrix, scheme_mask_cost, scheme_weights,
+                           weighted_eip)
+from .config import ScenarioConfig
 from .covdesign import DesignSolution, solve_weighted_eip
 
 # optimize_mask stops once a sweep lowers the objective by less than
@@ -297,23 +298,15 @@ def best_column_permutation(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray
     return out
 
 
-def best_row_permutation(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
-    """Row counterpart of best_column_permutation."""
-    if omega.shape != Qtilde.shape:
-        raise ValueError("mask and cost matrix shapes differ")
-    C = omega @ Qtilde.T
-    out = np.empty_like(omega)
-    out[hungarian(C).permutation, :] = omega
-    return out
-
-
 def optimize_mask(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
     """Alternate column/row permutations of the mask omega until a sweep
-    stops lowering the objective (see _MASK_RTOL)."""
+    stops lowering the objective (see _MASK_RTOL). The row step is the
+    column step on the transposes."""
     obj = mask_objective(omega, Qtilde)
     tol = _MASK_RTOL * max(obj, 1.0)
     for _ in range(_MAX_SWEEPS):
-        cand = best_row_permutation(best_column_permutation(omega, Qtilde), Qtilde)
+        cand = best_column_permutation(omega, Qtilde)
+        cand = best_column_permutation(cand.T, Qtilde.T).T
         new_obj = mask_objective(cand, Qtilde)
         if new_obj > obj + 1e-12:
             break  # assignment optimality should prevent this; stop defensively
@@ -346,8 +339,8 @@ def joint_design(
 
     Each outer iteration solves the weighted covariance problem for the
     current mask omega, then permutes the mask against the resulting
-    interference profile (Q~ = Q for Scheme I, Q~ = Q (S o conj(S))^T for
-    Scheme II), until the EIP stops falling (see _EIP_RTOL).
+    interference profile Q~ (scheme_mask_cost), until the EIP stops falling
+    (see _EIP_RTOL).
     """
     trace = []
     solution = None
@@ -362,11 +355,7 @@ def joint_design(
             break  # no interference reaches the radar; the mask is irrelevant
         if n > 0 and abs(trace[-2] - eip) < _EIP_RTOL * max(trace[0], 1e-30):
             break
-        if cfg.scheme is Scheme.SCHEME_I:
-            Qtilde = Q
-        else:
-            Qtilde = Q @ (np.abs(S) ** 2).T  # M_rR x M_tR
-        omega = optimize_mask(omega, Qtilde)
+        omega = optimize_mask(omega, scheme_mask_cost(cfg, Q, S))
     return JointDesignResult(
         solution=solution, mask=omega, eip_trace=trace, outer_iterations=len(trace)
     )

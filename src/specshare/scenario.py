@@ -178,6 +178,15 @@ def noiseless_radar_return(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) ->
     return cfg.gamma * cfg.rho * (D @ S)
 
 
+def radar_truth(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The noiseless matrix the radar completes: gamma*rho*D*S for Scheme I,
+    which samples the receive antennas, and gamma*rho*D for Scheme II, which
+    samples the matched-filter outputs (gamma*rho*D*S S^H, with S S^H = I)."""
+    if cfg.scheme is Scheme.SCHEME_II:
+        return cfg.gamma * cfg.rho * D
+    return noiseless_radar_return(cfg, D, S)
+
+
 def resolve_sigma_R2(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> float:
     """Radar noise variance: explicit if configured, else set by snr_dB
     against the mean entry power of the noiseless return."""

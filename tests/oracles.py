@@ -160,7 +160,7 @@ def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other
     cap = average_capacity(sol.schedule, H, noise)
     report["capacity_gap"] = cap - C
     report["capacity_active"] = abs(cap - C) <= 1e-3
-    report["slackness_residual"] = abs(sol.dual.lambda1 * (P_t - power))
+    report["slackness_residual"] = abs(sol.lambda1 * (P_t - power))
     if weights is not None:
         def eip(design):  # clamped at 0 like the design objective
             return max(weighted_eip(weights, interference_diag_matrix(G2, design.schedule)), 0.0)

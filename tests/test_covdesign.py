@@ -202,7 +202,7 @@ class TestSolveWeightedEip:
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         for l in range(4):
             R = subproblem_solution(
-                sol.dual.lambda1, sol.dual.lambda2, w[l], G2, H, noise[l]
+                sol.lambda1, sol.lambda2, w[l], G2, H, noise[l]
             )
             assert np.linalg.norm(R - sol.schedule[l]) <= 1e-8 * max(
                 np.linalg.norm(sol.schedule[l]), 1.0
@@ -330,7 +330,7 @@ class TestVerifySolution:
         report = verify_solution(sol, H, G2, noise, 6.0, 2.0)
         # Either the budget binds (active power constraint) or lambda1 is 0
         # at the resolution of the bisection bracket.
-        assert report["slackness_residual"] <= sol.dual.lambda1 * 6.0 + 1e-6
+        assert report["slackness_residual"] <= sol.lambda1 * 6.0 + 1e-6
 
     def test_power_violation_flagged(self):
         H, G2, noise = small_instance(2)
@@ -514,7 +514,7 @@ class TestDualKernel:
             sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates hi and the lowest grid point only.
-            assert sol.dual.lambda1 == 2.0 ** -30
+            assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 2
             assert sol.converged
 
@@ -540,6 +540,16 @@ class TestPostConditions:
         w = tip_weights(1, 1)
         with pytest.raises(SolverError, match="power"):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=4.0, C=3.0)
+
+    def test_selfish_power_excess_raises(self, monkeypatch):
+        real = covdesign._DualKernel.covariances
+        monkeypatch.setattr(covdesign._DualKernel, "covariances",
+                            lambda self, it: 2.0 * real(self, it))
+        # The same scalar channel: the selfish design uses 3.5 of P_t = 4
+        # too, which passes the budget test; doubled it uses 7.
+        noise = np.stack([0.5 * np.eye(1)])
+        with pytest.raises(SolverError, match="power"):
+            solve_selfish(np.eye(1), noise, 3.0, P_t=4.0)
 
     def test_invalid_schedule_raises(self, monkeypatch):
         real = covdesign._DualKernel.covariances
@@ -650,12 +660,12 @@ class TestDualSearch:
         if isinstance(ref, Exception):
             assert type(sol) is type(ref) and str(sol) == str(ref)
             return type(ref).__name__
-        assert sol.dual.lambda1 == ref.dual.lambda1
-        assert sol.dual.lambda2 == ref.dual.lambda2
+        assert sol.lambda1 == ref.lambda1
+        assert sol.lambda2 == ref.lambda2
         assert sol.converged == ref.converged
         assert sol.schedule.tobytes() == ref.schedule.tobytes()
         assert sol.iterations <= ref.iterations
-        return category(ref.dual.lambda1)
+        return category(ref.lambda1)
 
     @staticmethod
     def assert_same_search(kernel, C, P_t, dual_tol=covdesign.DUAL_TOL,
@@ -707,12 +717,12 @@ class TestDualSearch:
         P_t = kernel.step(2.0, C).power
         assert kernel.step(1.0, C).power > P_t
         sol = solve_weighted_eip(*design, P_t, C)
-        assert sol.dual.lambda1 == 2.0
+        assert sol.lambda1 == 2.0
         self.assert_same(monkeypatch, *design, P_t, C)
         # The first midpoint 0.5 has power == P_t and must move lo.
         P_t = kernel.step(0.5, C).power
         sol = solve_weighted_eip(*design, P_t, C)
-        assert 0.5 < sol.dual.lambda1 <= 0.5 + 2.0 ** -30
+        assert 0.5 < sol.lambda1 <= 0.5 + 2.0 ** -30
         self.assert_same(monkeypatch, *design, P_t, C)
 
     def test_default_scenario_matches_bisection(self, monkeypatch):

@@ -42,7 +42,7 @@ def count_calls(monkeypatch, *names):
 
 def fingerprint(sol):
     """Every field of a design, as bytes where it is a number."""
-    numbers = [sol.dual.lambda1, sol.dual.lambda2, sol.achieved_capacity,
+    numbers = [sol.lambda1, sol.lambda2, sol.achieved_capacity,
                sol.consumed_power]
     return (sol.schedule.tobytes(), np.array(numbers).tobytes(),
             sol.iterations, sol.converged)

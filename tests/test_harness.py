@@ -1,11 +1,12 @@
 """Experiment harness: validation, sweeps, CSV determinism and the CLI."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from specshare import cli
+from specshare import cli, harness
 from specshare.cli import main as cli_main
 from specshare.config import ScenarioConfig, Scheme, save_config
 from specshare.covdesign import InfeasibleError, solve_selfish
@@ -31,40 +32,40 @@ def scenario1(**kw):
 
 class TestExperimentSpec:
     def test_defaults_validate(self):
-        ExperimentSpec(cfg=scenario1()).validate()
+        ExperimentSpec(cfg=scenario1())
 
     def test_empty_methods_rejected(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), methods=[]).validate()
+            ExperimentSpec(cfg=scenario1(), methods=[])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), methods=["greedy"]).validate()
+            ExperimentSpec(cfg=scenario1(), methods=["greedy"])
 
     def test_coop_requires_scheme1(self):
         cfg = scenario1(scheme=Scheme.SCHEME_II)
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=cfg, methods=["coop"]).validate()
+            ExperimentSpec(cfg=cfg, methods=["coop"])
 
     def test_full_requires_scheme2(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), methods=["full"]).validate()
+            ExperimentSpec(cfg=scenario1(), methods=["full"])
 
     def test_unknown_sweep_var_rejected(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), sweep_var="q").validate()
+            ExperimentSpec(cfg=scenario1(), sweep_var="q")
 
     def test_negative_mc_trials_rejected(self):
         with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), mc_trials=-1).validate()
+            ExperimentSpec(cfg=scenario1(), mc_trials=-1)
 
     @pytest.mark.parametrize("radar_rate,comm_rate", [(2.0, 1.0), (1.0, 2.0)])
     def test_unequal_symbol_rates_rejected(self, radar_rate, comm_rate):
         cfg = scenario1(radar_rate=radar_rate, comm_rate=comm_rate)
         with pytest.raises(SpecError, match="radar_rate"):
-            ExperimentSpec(cfg=cfg).validate()
-        with pytest.raises(SpecError):
-            run_compare(ExperimentSpec(cfg=cfg))
+            ExperimentSpec(cfg=cfg)
+        with pytest.raises(SpecError, match="radar_rate"):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), cfg=cfg)
 
 
 class TestApplySweep:
@@ -151,6 +152,23 @@ class TestRunCompare:
         with pytest.raises(InfeasibleError, match="unreachable within power budget 32.0"):
             solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
         assert solve_selfish(scn.H, noise, cfg.C, np.inf).consumed_power > cfg.P_t
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(cfg, require_coverage=True):
+            raise TypeError("broken scenario")
+
+        monkeypatch.setattr(harness, "make_scenario", broken)
+        with pytest.raises(TypeError, match="broken scenario"):
+            run_compare(ExperimentSpec(cfg=scenario1()))
+
+    def test_scenario_error_fills_one_row_per_method(self):
+        spec = ExperimentSpec(cfg=scenario1(L=3), methods=["selfish", "noncoop"], seeds=[0, 1])
+        rows = run_compare(spec)
+        assert [(r.method, r.seed) for r in rows] == [
+            ("selfish", 0), ("noncoop", 0), ("selfish", 1), ("noncoop", 1)]
+        for r in rows:
+            assert r.error == "L must be >= M_tR for orthonormal waveform rows"
+            assert np.isnan(r.eip) and np.isnan(r.power)
 
     def test_mc_columns_filled(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],

@@ -14,6 +14,7 @@ from specshare.interference import (
     interference_diag_matrix,
     mismatched_weight_diagonals,
     noise_covariances,
+    scheme_mask_cost,
     scheme_weights,
     tip_weights,
     total_power,
@@ -395,6 +396,20 @@ class TestWeightSchedule:
         assert np.array_equal(w2, matched_filter_weights(S, mask2)[0])
         with pytest.raises(MetricError):
             scheme_weights(cfg1, mask2, S)
+
+    def test_scheme_mask_cost_is_adjoint(self):
+        # The cost the mask search minimizes is the scheme's EIP:
+        # sum(W o Q^T) over scheme_weights equals sum(omega o Q~).
+        rng = stream(6, "ws")
+        for cfg, cols in ((SCHEME_I, 6), (SCHEME_II, 3)):
+            for _ in range(5):
+                S = crandn(rng, 3, 6)
+                omega = random_mask(rng, 4, cols)
+                Q = rng.uniform(size=(4, 6))
+                eip = weighted_eip(scheme_weights(cfg, omega, S), Q)
+                cost = scheme_mask_cost(cfg, Q, S)
+                assert cost.shape == omega.shape
+                assert abs(float(np.sum(omega * cost)) - eip) <= 1e-12 * abs(eip)
 
     def test_eip2_receive_count_mismatch_rejected(self):
         # The receive count comes from the mask: an 8-row mask meets the

@@ -41,4 +41,4 @@ def test_verify_solution_reports_kkt(seed, L, C, headroom):
     assert report["capacity_active"]
     # lambda1 (P_t - power) vanishes to the bisection's resolution: lambda1
     # is its lowest grid point, or the power is within a grid step of P_t.
-    assert report["slackness_residual"] <= 1e-8 * max(1.0, sol.dual.lambda1) * P_t
+    assert report["slackness_residual"] <= 1e-8 * max(1.0, sol.lambda1) * P_t

@@ -19,6 +19,7 @@ from specshare.scenario import (
     make_scenario,
     mask_shape,
     noiseless_radar_return,
+    radar_truth,
     steering_vector,
     synthesize_radar_rx,
 )
@@ -315,6 +316,24 @@ class TestSynthesis:
                 cfg, scn.D, scn.S, scn.G2, X,
                 np.zeros(cfg.L), scn.omega, stream(0, "noise"),
             )
+
+
+class TestRadarTruth:
+    def test_scheme1_samples_the_return(self):
+        cfg = ScenarioConfig(seed=2)
+        scn = make_scenario(cfg)
+        truth = radar_truth(cfg, scn.D, scn.S)
+        assert truth.shape == (cfg.M_rR, cfg.L)
+        assert np.array_equal(truth, cfg.gamma * cfg.rho * (scn.D @ scn.S))
+
+    def test_scheme2_samples_the_matched_filters(self):
+        # gamma*rho*D*S S^H = gamma*rho*D, since S S^H = I.
+        cfg = ScenarioConfig(scheme=Scheme.SCHEME_II, seed=2)
+        scn = make_scenario(cfg)
+        truth = radar_truth(cfg, scn.D, scn.S)
+        assert np.array_equal(truth, cfg.gamma * cfg.rho * scn.D)
+        filtered = noiseless_radar_return(cfg, scn.D, scn.S) @ scn.S.conj().T
+        assert np.linalg.norm(filtered - truth) <= 1e-12 * np.linalg.norm(truth)
 
 
 class TestMakeScenario:
