@@ -3,7 +3,7 @@ MIMO communication system: interference metrics, covariance design,
 sampling-mask optimization, matrix-completion recovery and an experiment
 harness."""
 
-from .config import ScenarioConfig, Scheme, load_config, save_config
+from .config import ScenarioConfig, Scheme, SpecshareError, load_config, save_config
 from .covdesign import (
     DesignSolution,
     InfeasibleError,

@@ -6,7 +6,10 @@ Subcommands:
   mc-eval   recovery-error evaluation via the completion pipeline
   mask-gap  spectral gap of the generated sampling mask
 
-Exit codes: 0 success, 1 validation error, 2 solver infeasibility on all rows.
+Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
+or a file that cannot be read or written, reported as 'error: ...' on
+stderr; 2 every result row failed, with the reason in each row's error
+(an unreachable capacity target, a scenario with L < M_tR, ...).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ScenarioConfig, SpecshareError, load_config
 from .harness import (
     ExperimentSpec,
     SpecError,
@@ -24,7 +27,7 @@ from .harness import (
     write_csv,
 )
 from .samplingopt import spectral_gap
-from .scenario import ScenarioError, make_scenario
+from .scenario import make_scenario
 
 
 def _parse_sweep(text):
@@ -33,7 +36,10 @@ def _parse_sweep(text):
     parts = grid.split(":")
     if len(parts) != 3:
         raise SpecError(f"bad sweep spec {text!r}; expected var=start:stop:step")
-    start, stop, step = (float(s) for s in parts)
+    try:
+        start, stop, step = (float(s) for s in parts)
+    except ValueError:
+        raise SpecError(f"bad sweep spec {text!r}; bounds must be numbers") from None
     if step <= 0:
         raise SpecError("sweep step must be positive")
     values = []
@@ -111,7 +117,7 @@ def main(argv=None) -> int:
             s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=args.seed)).omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
-    except (ConfigError, SpecError, ScenarioError) as exc:
+    except (SpecshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 1

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScenarioConfig
+from .interference import MetricError
 from .linalg import psd_sqrt
 from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
 
@@ -162,7 +163,7 @@ def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
         raise ValueError("shape mismatch")
     denom = np.linalg.norm(truth)
     if denom == 0.0:
-        raise ValueError("relative error undefined for zero truth")
+        raise MetricError("relative error undefined for zero truth")
     return float(np.linalg.norm(truth - estimate) / denom)
 
 

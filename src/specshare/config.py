@@ -7,11 +7,18 @@ Angles are in degrees, powers in normalized units, gamma2_dB in dB.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
 
 
-class ConfigError(ValueError):
+class SpecshareError(ValueError):
+    """A failure of a problem instance or its input (an invalid config or
+    spec, an unreachable capacity target, a singular noise covariance): a
+    result row records it and the CLI reports it. Anything else is a bug."""
+
+
+class ConfigError(SpecshareError):
     pass
 
 
@@ -112,12 +119,29 @@ def _parse_targets(text):
         part = part.strip()
         if not part:
             continue
-        ang, coef = part.split(":")
+        fields = part.split(":")
+        if len(fields) != 2:
+            raise ValueError(f"expected angle:coefficient, got {part!r}")
+        ang, coef = fields
         targets.append((float(ang), complex(coef.strip("()"))))
     return targets
 
 
 _FIELD_NAMES = [f.name for f in dataclasses.fields(ScenarioConfig)]
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _parse_value(key, text):
+    """A field's value from its text, by the field's declared type; 'None'
+    only for an optional (T | None) field."""
+    kind = _FIELD_TYPES[key]
+    if typing.get_args(kind):  # T | None
+        if text == "None":
+            return None
+        kind = typing.get_args(kind)[0]
+    if kind is list:
+        return _parse_targets(text)
+    return kind(text)
 
 
 def format_config(cfg: ScenarioConfig) -> str:
@@ -127,8 +151,9 @@ def format_config(cfg: ScenarioConfig) -> str:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat key/value text (the format_config format; '#' starts a
-    comment) into a ScenarioConfig. Every key must be a config field."""
-    values = {}
+    comment) into a ScenarioConfig. Every key must be a config field; a
+    value its field's type cannot hold is a ConfigError naming its line."""
+    kwargs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,20 +163,10 @@ def parse_config(text: str) -> ScenarioConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _FIELD_NAMES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = val
-
-    kwargs = {}
-    for key, val in values.items():
-        if key == "scheme":
-            kwargs[key] = Scheme(val)
-        elif key == "targets":
-            kwargs[key] = _parse_targets(val)
-        elif key in ("M_tR", "M_rR", "M_tC", "M_rC", "L", "seed"):
-            kwargs[key] = int(val)
-        elif val == "None":
-            kwargs[key] = None
-        else:
-            kwargs[key] = float(val)
+        try:
+            kwargs[key] = _parse_value(key, val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return ScenarioConfig(**kwargs)
 
 
@@ -161,5 +176,7 @@ def save_config(cfg: ScenarioConfig, path):
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
+    # A byte that is not UTF-8 becomes U+FFFD, which no key or value accepts,
+    # so parse_config reports its line.
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_config(fh.read())

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SpecshareError
 from .interference import MetricError, average_capacity, check_covariances, total_power
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
 
@@ -66,11 +67,11 @@ _POWER_RTOL = 1e-11
 _MEMO_SIZE = 8
 
 
-class InfeasibleError(RuntimeError):
+class InfeasibleError(SpecshareError):
     """The capacity target is unreachable within the power budget."""
 
 
-class SolverError(RuntimeError):
+class SolverError(SpecshareError):
     pass
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .completion import radar_pipeline
-from .config import ScenarioConfig, Scheme
+from .config import ScenarioConfig, Scheme, SpecshareError
 from .covdesign import solve_selfish, solve_weighted_eip
 from .interference import (
     fmfb_weights,
@@ -37,11 +37,15 @@ CSV_HEADER = "method,sweep_var,sweep_value,seed,eip,tip,capacity,power,mc_mean_e
 METHODS = ("selfish", "noncoop", "coop", "partial", "full", "joint")
 SWEEP_VARS = ("p", "C", "targets", "rho2", "sigma1_2", "none")
 
+# A failure of the problem instance, which its result row records: the
+# library's own family, or a numerical one (linalg.eig_floor, NumPy solvers).
+_ROW_ERRORS = (SpecshareError, np.linalg.LinAlgError)
+
 _SCHEME_I_ONLY = {"coop"}
 _SCHEME_II_ONLY = {"partial", "full"}
 
 
-class SpecError(ValueError):
+class SpecError(SpecshareError):
     pass
 
 
@@ -138,7 +142,9 @@ def _solve_method(method, cfg, scn, noise):
 
 
 def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
-    """One row per (seed, method) at a single sweep point."""
+    """One row per (seed, method) at a single sweep point. A row whose
+    scenario or method fails with a SpecshareError or LinAlgError keeps nan
+    metrics and the message in ResultRow.error; other exceptions propagate."""
     rows = []
     for seed in spec.seeds:
         cfg = apply_sweep(spec.cfg, spec.sweep_var, sweep_value).replace(seed=int(seed))
@@ -146,7 +152,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
         try:
             scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
             noise = noise_covariances(cfg, scn.G1, scn.S)
-        except ValueError as exc:  # scenario-level failure poisons all methods
+        except _ROW_ERRORS as exc:  # a scenario failure fills every method's row
             for method in spec.methods:
                 rows.append(
                     ResultRow(method, spec.sweep_var, value, int(seed), error=str(exc))
@@ -172,7 +178,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                     )
                     row.mc_mean_err = stats.mean_error
                     row.mc_std_err = stats.std_error
-            except (ValueError, RuntimeError) as exc:
+            except _ROW_ERRORS as exc:
                 row.error = str(exc)
             row.wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(row)
@@ -230,8 +236,5 @@ def format_csv(rows, timing: bool = False) -> str:
 
 
 def write_csv(rows, path, timing: bool = False):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_csv(rows, timing=timing))
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_csv(rows, timing=timing))

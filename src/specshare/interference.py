@@ -25,13 +25,13 @@ import math
 
 import numpy as np
 
-from .config import ScenarioConfig, Scheme
+from .config import ScenarioConfig, Scheme, SpecshareError
 from .linalg import hermitize, min_eig
 
 PSD_TOL = 1e-9
 
 
-class MetricError(ValueError):
+class MetricError(SpecshareError):
     pass
 
 

@@ -13,12 +13,12 @@ from math import comb
 
 import numpy as np
 
-from .config import ScenarioConfig, Scheme
+from .config import ScenarioConfig, Scheme, SpecshareError
 from .linalg import crandn
 from .streams import stream
 
 
-class ScenarioError(ValueError):
+class ScenarioError(SpecshareError):
     pass
 
 

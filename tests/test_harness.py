@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import cli, harness
+from specshare import SpecshareError, cli, harness
 from specshare.cli import main as cli_main
-from specshare.config import ScenarioConfig, Scheme, save_config
-from specshare.covdesign import InfeasibleError, solve_selfish
+from specshare.config import ConfigError, ScenarioConfig, Scheme, save_config
+from specshare.covdesign import InfeasibleError, SolverError, solve_selfish
 from specshare.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -21,9 +21,9 @@ from specshare.harness import (
     sweep,
     write_csv,
 )
-from specshare.interference import noise_covariances
+from specshare.interference import MetricError, noise_covariances
 from specshare.samplingopt import spectral_gap
-from specshare.scenario import make_scenario
+from specshare.scenario import ScenarioError, make_scenario
 
 
 def scenario1(**kw):
@@ -160,6 +160,38 @@ class TestRunCompare:
         monkeypatch.setattr(harness, "make_scenario", broken)
         with pytest.raises(TypeError, match="broken scenario"):
             run_compare(ExperimentSpec(cfg=scenario1()))
+
+    @pytest.mark.parametrize("expected", [ValueError, NotImplementedError])
+    def test_method_programming_error_propagates(self, monkeypatch, expected):
+        def broken(G2, schedule):
+            if expected is ValueError:
+                return np.ones(3) + np.ones(4)  # NumPy's broadcast error
+            raise NotImplementedError
+
+        monkeypatch.setattr(harness, "interference_diag_matrix", broken)
+        with pytest.raises(expected):
+            run_compare(ExperimentSpec(cfg=scenario1(), methods=["selfish"]))
+
+    def test_error_family(self):
+        for cls in (ConfigError, SpecError, ScenarioError, MetricError, InfeasibleError,
+                    SolverError):
+            assert issubclass(cls, SpecshareError)
+        assert not issubclass(SpecshareError, RuntimeError)
+
+    def test_zero_truth_mc_row_reported(self):
+        # A zero target coefficient makes the radar truth zero, so its
+        # recovery error is undefined; the designs themselves are fine.
+        spec = ExperimentSpec(cfg=scenario1(targets=[(30.0, 0j)]),
+                              methods=["selfish", "noncoop"], mc_trials=1)
+        for r in run_compare(spec):
+            assert r.error == "relative error undefined for zero truth"
+            assert np.isfinite(r.eip) and np.isnan(r.mc_mean_err)
+
+    def test_singular_noise_reported(self):
+        spec = ExperimentSpec(cfg=scenario1(sigma_C2=0.0), methods=["selfish", "noncoop", "coop"])
+        for r in run_compare(spec):
+            assert r.error == "noise covariance is not positive definite"
+            assert np.isnan(r.eip) and np.isnan(r.power)
 
     def test_scenario_error_fills_one_row_per_method(self):
         spec = ExperimentSpec(cfg=scenario1(L=3), methods=["selfish", "noncoop"], seeds=[0, 1])
@@ -303,6 +335,27 @@ class TestCli:
         save_config(scenario1(L=2), path)  # fewer symbols than radar waveforms
         assert cli_main(["mask-gap", "--config", str(path)]) == 1
         assert "L must be >= M_tR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,config", [
+        (["compare"], b"C = abc"),
+        (["compare"], b"scheme = Foo"),
+        (["compare"], b"targets = 30"),
+        (["mask-gap"], b"L = 3.5"),
+        (["mc-eval"], b"p = 0.5\xff"),  # not UTF-8
+        (["sweep", "--sweep", "p=a:b:c"], None),
+        (["compare", "--config", "missing.txt"], None),
+        (["compare", "--out", "no/such/dir/out.csv"], None),
+    ])
+    def test_malformed_input_reported(self, tmp_path, monkeypatch, capsys, argv, config):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "bad.txt").write_bytes(config + b"\n")
+            argv = argv + ["--config", "bad.txt"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if config is not None:
+            assert err.startswith(f"error: line 1: {config.split()[0].decode()}: ")
 
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1

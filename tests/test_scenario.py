@@ -447,6 +447,21 @@ class TestConfig:
         back = parse_config(format_config(cfg))
         assert back == cfg
 
+    @pytest.mark.parametrize("line,message", [
+        ("C = abc", "could not convert string to float: 'abc'"),
+        ("C = None", "could not convert string to float: 'None'"),
+        ("L = 3.5", "invalid literal for int()"),
+        ("scheme = Foo", "'Foo' is not a valid Scheme"),
+        ("targets = 30", "expected angle:coefficient, got '30'"),
+        ("targets = 30:abc", "complex() arg is a malformed string"),
+    ])
+    def test_parse_rejects_bad_value_with_line(self, line, message):
+        key = line.split()[0]
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"# header\np = 0.5\n{line}\n")
+        assert str(info.value).startswith(f"line 3: {key}: ")
+        assert message in str(info.value)
+
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("no_such_field = 3\n")
