@@ -8,8 +8,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
 or a file that cannot be read or written, reported as 'error: ...' on
-stderr; 2 every result row failed, with the reason in each row's error
-(an unreachable capacity target, a scenario with L < M_tR, ...).
+stderr; 2 every result row failed, with each distinct reason from the rows'
+errors (an unreachable capacity target, a scenario with L < M_tR, ...)
+reported the same way.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ from .harness import (
 )
 from .samplingopt import spectral_gap
 from .scenario import make_scenario
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is invalid input: exit 1, not argparse's 2, which
+        this tool returns when every result row failed."""
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_sweep(text):
@@ -78,12 +87,14 @@ def _emit(rows, args):
     else:
         sys.stdout.write(format_csv(rows, timing=args.timing))
     if rows and all(r.error for r in rows):
+        for error in dict.fromkeys(r.error for r in rows):
+            print(f"error: {error}", file=sys.stderr)
         return 2
     return 0
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="specshare", description=__doc__)
+    parser = _Parser(prog="specshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_cmp = sub.add_parser("compare", help="run methods at a fixed configuration")

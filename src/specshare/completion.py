@@ -4,11 +4,15 @@ The completer minimizes mu*||X||_* + 0.5*||P_Omega(X - observed)||_F^2 by
 accelerated proximal gradient descent with singular-value soft thresholding,
 using continuation on the penalty (mu is lowered geometrically toward its
 target, warm-starting each stage); the radar pipeline wraps it into the
-end-to-end recovery experiment.
+end-to-end recovery experiment, whose trials it completes on the CPUs the
+process may use.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +178,75 @@ class PipelineStats:
     reports: list
 
 
+def _trial(observed, omega, params, truth) -> RecoveryReport:
+    """Complete one trial's observation and score it against the truth."""
+    estimate, iterations, converged = complete(observed, omega, params)
+    return RecoveryReport(
+        relative_error=relative_error(truth, estimate),
+        iterations=iterations,
+        converged=converged,
+    )
+
+
+def _cpu_share(trials: int) -> int:
+    """How many CPUs complete the trials: the caller and n - 1 fork workers.
+
+    n is the number of CPUs the process may use (its affinity mask, which
+    taskset sets), at most one per trial. It is 1 where a worker cannot be
+    forked safely: no fork start method, a daemonic caller (which may not
+    have children), or a caller running other threads (a forked child
+    holds no copy of them, nor of the locks they hold).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    n = min(cpus, trials)
+    if n > 1:
+        import multiprocessing
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon
+                or threading.active_count() > 1):
+            return 1
+    return n
+
+
+def _complete_trials(observations, omega, params, truth) -> list:
+    """The trials' reports, in trial order, completed on _cpu_share CPUs.
+
+    With n CPUs the caller completes the last len // n trials in-process,
+    and n - 1 fork workers share the others. The split is fixed, so the
+    caller's own complete calls, which a profiler in it sees, are the same
+    on every run. A fork worker shares the caller's code and data, so every
+    report equals the in-process one bit for bit; the pool exists only
+    inside this call. A failing trial raises what a loop in trial order
+    raises: after a failure in the caller, the workers' trials that have
+    not started run here, in order.
+    """
+    run = functools.partial(_trial, omega=omega, params=params, truth=truth)
+    n = _cpu_share(len(observations))
+    if n <= 1:
+        return [run(obs) for obs in observations]
+    import multiprocessing
+    from concurrent.futures import Future, ProcessPoolExecutor
+
+    first_own = len(observations) - len(observations) // n
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(run, obs) for obs in observations[:first_own]]
+        try:
+            for obs in observations[first_own:]:
+                futures.append(Future())
+                futures[-1].set_result(run(obs))
+        except BaseException as exc:
+            pool.shutdown(cancel_futures=True)  # drop the trials no worker started
+            if not isinstance(exc, Exception):
+                raise
+            futures[-1].set_exception(exc)  # raised below, in trial order
+    return [run(obs) if future.cancelled() else future.result()
+            for obs, future in zip(observations, futures)]
+
+
 def radar_pipeline(
     cfg: ScenarioConfig,
     D: np.ndarray,
@@ -189,12 +262,15 @@ def radar_pipeline(
 
     Per trial: draw codewords x(l) = R_xl^{1/2} * randn, synthesize the
     masked radar data matrix with fresh phases and noise, complete it and
-    score against the noiseless ground truth (scenario.radar_truth).
+    score against the noiseless ground truth (scenario.radar_truth). Every
+    trial's draws are made first, in trial order; the trials are then
+    completed on the CPUs the process may use, with the same reports for
+    any number of them.
     """
     roots = psd_sqrt(schedule)
     L = len(schedule)
     truth = radar_truth(cfg, D, S)
-    reports = []
+    observations = []
     for _ in range(trials):
         # Row l of z holds the real and imaginary parts of symbol l's draw,
         # in the order L successive crandn(rng, M_tC) calls take them.
@@ -202,15 +278,8 @@ def radar_pipeline(
         v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
         X = (roots @ v[:, :, None])[:, :, 0].T
         _, alpha2 = generate_phase_offsets(cfg, rng)
-        observed = synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng)
-        estimate, iters, conv = complete(observed, omega, params)
-        reports.append(
-            RecoveryReport(
-                relative_error=relative_error(truth, estimate),
-                iterations=iters,
-                converged=conv,
-            )
-        )
+        observations.append(synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng))
+    reports = _complete_trials(observations, omega, params, truth)
     errs = np.array([r.relative_error for r in reports])
     return PipelineStats(
         mean_error=float(errs.mean()),

@@ -1,9 +1,15 @@
 """Nuclear-norm completion and the end-to-end recovery pipeline."""
 
+import concurrent.futures
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from oracles import converged_completion, svd_shrink
+from specshare import completion
 from specshare.completion import (
     CompletionParams,
     _mu_schedule,
@@ -360,3 +366,117 @@ class TestRadarPipeline:
         assert truth.shape == (cfg.M_rR, cfg.L)
         expect = cfg.gamma * cfg.rho * (scn.D @ scn.S)
         assert np.linalg.norm(truth - expect) == 0.0
+
+
+def usable_cpus(monkeypatch, n):
+    """Make the process's CPU affinity mask read as n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def selfish_pipeline(cfg, trials):
+    scn = make_scenario(cfg)
+    noise = noise_covariances(cfg, scn.G1, scn.S)
+    sol = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+    return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, trials,
+                          stream(cfg.seed, "mc"))
+
+
+def outcome(stats):
+    return (stats.mean_error, stats.std_error,
+            [(r.relative_error, r.iterations, r.converged) for r in stats.reports])
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was built")
+
+
+class TestParallelTrials:
+    """radar_pipeline completes its trials on the CPUs the process may use;
+    the result is the in-process loop's bit for bit."""
+
+    @pytest.mark.parametrize("cfg", [
+        pipeline_cfg(L=32, p=0.5, seed=13),  # the mc-recovery benchmark config
+        pipeline_cfg(L=32, p=0.5, seed=14),
+        ScenarioConfig(seed=0),
+    ], ids=["mc-recovery-13", "mc-recovery-14", "default"])
+    def test_bit_identical_for_any_cpu_count(self, monkeypatch, cfg):
+        results = []
+        for n in (1, 2):
+            usable_cpus(monkeypatch, n)
+            results.append(outcome(selfish_pipeline(cfg, 5)))
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == 1  # the pool's threads are joined too
+        assert results[0] == results[1]
+
+    def test_caller_takes_a_fixed_share_from_the_back(self, monkeypatch):
+        def pid_as_iterations(observed, omega, params=None):
+            return np.zeros_like(observed), os.getpid(), True
+
+        monkeypatch.setattr(completion, "complete", pid_as_iterations)
+        cfg = ScenarioConfig(seed=1)
+        me = os.getpid()
+        for n, trials, own in ((2, 5, 2), (2, 4, 2), (3, 7, 2), (4, 2, 1)):
+            usable_cpus(monkeypatch, n)
+            pids = [r.iterations for r in selfish_pipeline(cfg, trials).reports]
+            assert pids[trials - own:] == [me] * own
+            assert me not in pids[:trials - own]
+        usable_cpus(monkeypatch, 1)
+        assert [r.iterations for r in selfish_pipeline(cfg, 4).reports] == [me] * 4
+
+    @pytest.mark.parametrize("kind,message", [
+        ("empty column", "mask has an empty row or column; completion impossible"),
+        ("zero truth", "relative error undefined for zero truth"),
+    ])
+    def test_trial_error_propagates(self, monkeypatch, kind, message):
+        targets = [(30.0, 0j)] if kind == "zero truth" else [(30.0, 0.2 + 0.1j)]
+        cfg = pipeline_cfg(p=0.5, seed=1, targets=targets)
+        scn = make_scenario(cfg)
+        omega = scn.omega.copy()
+        if kind == "empty column":
+            omega[:, 0] = 0.0
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
+        errors = []
+        for n in (1, 2):
+            usable_cpus(monkeypatch, n)
+            with pytest.raises(ValueError, match=message) as exc:
+                radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, omega, 3, stream(1, "mc"))
+            errors.append((type(exc.value), str(exc.value)))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
+
+    def test_interrupt_in_the_caller_propagates(self, monkeypatch):
+        me = os.getpid()
+
+        def interrupted_here(observed, omega, params=None):
+            if os.getpid() == me:
+                raise KeyboardInterrupt
+            return np.zeros_like(observed), 0, True
+
+        monkeypatch.setattr(completion, "complete", interrupted_here)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            selfish_pipeline(ScenarioConfig(seed=1), 6)
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_without_a_second_cpu_or_trial(self, monkeypatch):
+        # TestPinnedDraws.test_first_pipeline_observation relies on a single
+        # trial completing in-process.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = ScenarioConfig(seed=1)
+        usable_cpus(monkeypatch, 2)
+        selfish_pipeline(cfg, 1)
+        usable_cpus(monkeypatch, 1)
+        selfish_pipeline(cfg, 2)
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        usable_cpus(monkeypatch, 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            selfish_pipeline(ScenarioConfig(seed=1), 2)
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()

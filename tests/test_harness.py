@@ -357,6 +357,36 @@ class TestCli:
         if config is not None:
             assert err.startswith(f"error: line 1: {config.split()[0].decode()}: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--seed", "abc"],
+        ["compare", "--bogus"],
+        ["sweep", "--methods", "selfish"],  # no --sweep
+        [],
+    ])
+    def test_usage_error_exit_code(self, capsys, argv):
+        # Exit 1 like any invalid option; 2 means every result row failed.
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv[:1] + ["--help"])
+        assert exc.value.code == 0
+
+    def test_failed_rows_reported(self, tmp_path, capsys):
+        # Every row fails with the same error: it is printed once, and the
+        # CSV is what the harness formats for those rows.
+        path = tmp_path / "cfg.txt"
+        save_config(scenario1(targets=[(30.0, 0j)]), path)
+        argv = ["mc-eval", "--mc-trials", "1", "--methods", "selfish,noncoop",
+                "--config", str(path)]
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: relative error undefined for zero truth\n"
+        spec = ExperimentSpec(cfg=scenario1(targets=[(30.0, 0j)]),
+                              methods=["selfish", "noncoop"], mc_trials=1)
+        assert out == format_csv(run_compare(spec))
+
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1
 
