@@ -220,31 +220,27 @@ def _complete_trials(observations, omega, params, truth) -> list:
     caller's own complete calls, which a profiler in it sees, are the same
     on every run. A fork worker shares the caller's code and data, so every
     report equals the in-process one bit for bit; the pool exists only
-    inside this call. A failing trial raises what a loop in trial order
-    raises: after a failure in the caller, the workers' trials that have
-    not started run here, in order.
+    inside this call. Every error a trial can raise depends only on what all
+    trials share: omega and its shape (an empty row or column), the truth
+    (zero), and the message of a failed eigh. So whichever trial fails first
+    raises what a loop in trial order raises.
     """
     run = functools.partial(_trial, omega=omega, params=params, truth=truth)
     n = _cpu_share(len(observations))
     if n <= 1:
         return [run(obs) for obs in observations]
     import multiprocessing
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor
 
     first_own = len(observations) - len(observations) // n
     with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(run, obs) for obs in observations[:first_own]]
+        theirs = pool.map(run, observations[:first_own])
         try:
-            for obs in observations[first_own:]:
-                futures.append(Future())
-                futures[-1].set_result(run(obs))
-        except BaseException as exc:
+            own = [run(obs) for obs in observations[first_own:]]
+        except BaseException:
             pool.shutdown(cancel_futures=True)  # drop the trials no worker started
-            if not isinstance(exc, Exception):
-                raise
-            futures[-1].set_exception(exc)  # raised below, in trial order
-    return [run(obs) if future.cancelled() else future.result()
-            for obs, future in zip(observations, futures)]
+            raise
+        return list(theirs) + own
 
 
 def radar_pipeline(

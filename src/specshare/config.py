@@ -7,6 +7,7 @@ Angles are in degrees, powers in normalized units, gamma2_dB in dB.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -65,9 +66,15 @@ class ScenarioConfig:
     comm_rate: float = 1.0
 
     def __post_init__(self):
-        # The dimensions first: the rho2 default divides by M_tR.
+        # The dimensions first: the rho2 default divides by M_tR. Any
+        # integer type passes (NumPy's too); 32.0 does not.
         for name in ("M_tR", "M_rR", "M_tC", "M_rC", "L"):
-            if int(getattr(self, name)) < 1:
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.P_t is None:
             self.P_t = float(self.L)

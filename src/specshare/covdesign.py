@@ -3,12 +3,13 @@
 One generic solver handles the noncooperative (TIP), cooperative (EIP_I),
 partially cooperative (IP_FMFB) and fully cooperative (EIP_II) problems:
 they differ only in the diagonal interference weights. The solver is dual
-decomposition with an outer bisection on the power multiplier lambda1;
+decomposition with an outer search on the power multiplier lambda1;
 for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
 follow from the closed-form subproblem solution. The search returns the
-bisection's own iterate but evaluates only the midpoints that earlier
-evaluations do not settle (see _dual_search).
+smallest point of a bisection grid whose power is below P_t, found by
+Illinois steps, with its lower neighbour evaluated at or above P_t as a
+certificate (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
@@ -44,23 +45,10 @@ from .config import SpecshareError
 from .interference import MetricError, average_capacity, check_covariances, total_power
 from .linalg import eig_floor, hermitize, psd_inv_sqrt
 
-# The bisection on lambda1 shrinks its bracket to DUAL_TOL, within
+# The search on lambda1 shrinks its bracket to DUAL_TOL, within
 # MAX_DUAL_EVALUATIONS dual evaluations counting the bracket growth.
 DUAL_TOL = 1e-9
 MAX_DUAL_EVALUATIONS = 200
-
-# Fewest bisection halvings for which the dual search probes ahead of the
-# bisection's own midpoints. A probe that misses costs one evaluation more
-# than the bisection and only the halvings it settles pay it back: on random
-# instances probing saved at least 4 of 20 halvings and 12 of 30, and cost
-# up to 3 evaluations more than the bisection below 10.
-_MIN_PROBE_HALVINGS = 20
-
-# Relative gap to P_t beyond which an evaluated power settles the bisection
-# decisions on its side of lambda1 (see _dual_search). The computed power
-# rose by up to 3.2e-14 relative where lambda1 grew, on the benchmark's
-# instances, so the gap leaves a factor of about 300 for its rounding.
-_POWER_RTOL = 1e-11
 
 # Designs memoized per problem (see _Problem); an L = 128 design with its
 # key takes about 100 KB.
@@ -218,110 +206,66 @@ def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
 
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
                  max_iterations: int) -> tuple[_DualIterate, int, bool]:
-    """The bisection on lambda1: (iterate, dual evaluations, converged).
+    """The search on lambda1: (iterate, dual evaluations, converged).
 
-    The iterate is bit for bit the one the plain bisection returns: grow
-    hi = 2^m until power(hi) <= P_t; from lo = 0, while hi - lo > dual_tol
-    and fewer than max_iterations evaluations were made, move hi to the
-    midpoint if its power is below P_t and lo otherwise; return the iterate
-    at the final hi. Only evaluations that cannot change that answer are
-    left out. Power is nonincreasing in lambda1, so a midpoint at or above a
-    point with power clearly below P_t moves hi, and one at or below a point
-    with power clearly at or above P_t moves lo, without being evaluated.
-    Every midpoint is a point of the grid of the n halvings the loop makes,
-    and probes on that grid (see _probe) narrow the part still open before
-    the n decisions are replayed.
+    Power is nonincreasing in lambda1. The bracket top hi = 2^m is the first
+    power of two with power(hi) <= P_t; the answer is the smallest point of
+    the grid k * hi * 2^-n (n the halvings from hi that reach dual_tol)
+    whose power is below P_t, or hi if there is none. The lowest grid point
+    comes first when hi = 1: below P_t there, the budget is slack. Then
+    Illinois steps on power(lambda1) - P_t, taken in log(lambda1) because
+    the bracket spans about 30 octaves, each rounded to a grid point strictly
+    inside the bracket; after n of them, midpoints. The search stops when the
+    ends are neighbouring grid points, or after max_iterations evaluations
+    counting the bracket growth, and returns the top end. converged says
+    whether the bracket is then at most dual_tol wide; the lower end, unless
+    it is 0, was evaluated at or above P_t, which certifies the answer.
     """
-    cache: dict[float, _DualIterate] = {}
-
-    def evaluate(lambda1: float) -> _DualIterate:
-        if lambda1 not in cache:
-            cache[lambda1] = kernel.step(lambda1, C)
-        return cache[lambda1]
-
     # Grow the upper bracket endpoint until the power budget is respected.
     hi = 1.0
-    while evaluate(hi).power > P_t:
-        if len(cache) >= max_iterations:
+    best = kernel.step(hi, C)
+    evaluations = 1
+    while best.power > P_t:
+        if evaluations >= max_iterations:
             raise SolverError("failed to bracket the power multiplier")
-        hi *= 2.0
-    bracketed = len(cache)
-    # The midpoints are exact grid points for up to 52 halvings, which the
-    # probes need; the count stops at 53, which stands for any more.
-    halvings, width = 0, hi
-    while width > dual_tol and bracketed + halvings < max_iterations and halvings <= 52:
-        width *= 0.5
-        halvings += 1
-    # "Clearly" means by more than the rounding of the computed power, which
-    # is not monotone at about 1e-14 relative; a point closer to P_t decides
-    # only its own midpoint.
-    margin = _POWER_RTOL * abs(P_t)
-    if _MIN_PROBE_HALVINGS <= halvings <= 52 and cache[hi].power < P_t - margin:
-        last_grown = 0.5 * hi if hi > 1.0 else 0.0  # power > P_t there
-        _probe(evaluate, P_t, math.ldexp(hi, -halvings), last_grown, hi, budget=halvings)
-    below = max((lam for lam, it in cache.items() if it.power >= P_t + margin), default=0.0)
-    above = min((lam for lam, it in cache.items() if it.power < P_t - margin), default=math.inf)
-
-    lo, steps = 0.0, bracketed
-    while hi - lo > dual_tol and steps < max_iterations:
-        mid = 0.5 * (lo + hi)
-        steps += 1
-        if mid in cache or below < mid < above:
-            power = evaluate(mid).power
-            if power < P_t:
-                hi = mid
-                if power < P_t - margin:
-                    above = min(above, mid)
-            else:
-                lo = mid
-                if power >= P_t + margin:
-                    below = max(below, mid)
-        elif mid >= above:
-            hi = mid
+        below, hi = best, 2.0 * hi
+        best = kernel.step(hi, C)
+        evaluations += 1
+    n = 0
+    while math.ldexp(hi, -n) > dual_tol:
+        n += 1
+    grid = math.ldexp(hi, -n)
+    # The ends as grid indices; a grown bracket's lower end is hi / 2.
+    top, f_top = 2**n, best.power - P_t
+    low, f_low = (2 ** (n - 1), below.power - P_t) if hi > 1.0 else (0, math.nan)
+    steps, moved = 0, 0  # moved: the end the last step replaced, -1 low, +1 top
+    while top - low > 1 and evaluations < max_iterations:
+        if low == 0:
+            k = 1
+        elif steps < n:
+            # The secant root in log(lambda1); a non-finite or degenerate
+            # weight (both ends at P_t) falls back to the geometric midpoint.
+            t = f_top / (f_top - f_low) if f_top < f_low else math.nan
+            if not 0.0 < t < 1.0:
+                t = 0.5
+            k = round(math.exp(math.log(top) - t * math.log(top / low)))
+            k = min(max(k, low + 1), top - 1)
+            steps += 1
         else:
-            lo = mid
-    best = evaluate(hi)  # evaluated already unless a probe was off the grid
-    return best, len(cache), hi - lo <= dual_tol
-
-
-def _probe(evaluate, P_t: float, grid: float, below: float, above: float, budget: int) -> None:
-    """Evaluate at most budget grid points between below and above (power
-    >= P_t at below, < P_t at above) that home in on where power crosses P_t.
-
-    The lowest grid point comes first: if its power is below P_t, the budget
-    is slack and it settles every midpoint. Then Illinois steps on
-    power(lambda1) - P_t, taken in log(lambda1) because the bracket spans
-    about 30 octaves, each rounded to a grid point strictly inside the
-    bracket, until the bracket ends are neighbouring grid points.
-    """
-    lo, hi = round(below / grid), round(above / grid)
-    if lo == 0:
-        budget -= 1
-        if evaluate(grid).power < P_t:
-            return
-        lo = 1
-    f_lo, f_hi = (evaluate(k * grid).power - P_t for k in (lo, hi))
-    moved = 0  # the end the last probe replaced: -1 lo, +1 hi
-    for _ in range(budget):
-        if hi - lo <= 1:
-            return
-        # The secant root in log(lambda1); a non-finite or degenerate weight
-        # falls back to the geometric midpoint.
-        t = f_hi / (f_hi - f_lo)
-        if not 0.0 < t < 1.0:
-            t = 0.5
-        k = round(math.exp(math.log(hi) - t * math.log(hi / lo)))
-        k = min(max(k, lo + 1), hi - 1)
-        power = evaluate(k * grid).power
+            k = (low + top) // 2
+        it = kernel.step(k * grid, C)
+        evaluations += 1
         # Illinois: an end kept twice in a row has its value halved.
-        if power < P_t:
+        if it.power < P_t:
             if moved > 0:
-                f_lo *= 0.5
-            hi, f_hi, moved = k, power - P_t, 1
+                f_low *= 0.5
+            best, top, f_top, moved = it, k, it.power - P_t, 1
         else:
             if moved < 0:
-                f_hi *= 0.5
-            lo, f_lo, moved = k, power - P_t, -1
+                f_top *= 0.5
+            moved = -1 if low else 0  # the lowest grid point is no Illinois step
+            low, f_low = k, it.power - P_t
+    return best, evaluations, (top - low) * grid <= dual_tol
 
 
 def _exact(*values) -> tuple:
@@ -384,18 +328,18 @@ def solve_weighted_eip(
     C: float,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
-    >= C and total power <= P_t, by bisection on the power multiplier.
+    >= C and total power <= P_t, by a search on the power multiplier.
     weights is the (L, M_rR) array of the diagonals of the W_l.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
     (selfish) design. Power consumption is nonincreasing in lambda1, so the
     bracket [lo, hi] keeps power(hi) <= P_t <= power(lo); the returned
     iterate comes from the power-feasible side. converged says whether the
-    bracket reached DUAL_TOL within MAX_DUAL_EVALUATIONS; the iterate is the
-    bisection's bit for bit. iterations counts the dual evaluations made:
-    2 when the power budget is slack and about 8 to 18 when it binds, where
-    the bisection makes 31. A repeated call with bit-equal inputs returns
-    the memoized solution.
+    bracket reached DUAL_TOL within MAX_DUAL_EVALUATIONS. iterations counts
+    the dual evaluations made: 2 when the power budget is slack and 7 to 17
+    when it binds (the benchmark's p-sweep, seeds 0-63), where a bisection
+    makes 31. A repeated call with bit-equal inputs returns the memoized
+    solution.
     """
     if len(noise) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")
@@ -417,7 +361,7 @@ def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> Des
     """Minimum-power design achieving average capacity C, ignoring the radar.
 
     Dual of the power objective: the per-symbol subproblem has Phi = I, so
-    a single closed-form water-level solve suffices (no bisection). It is
+    a single closed-form water-level solve suffices (no search). It is
     the step the weighted solves of the same (H, noise, C) test feasibility
     with, and is memoized with them. InfeasibleError: the design needs more
     power than P_t, the same test as solve_weighted_eip's.

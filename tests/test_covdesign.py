@@ -1,15 +1,14 @@
-"""Covariance design: water level, closed-form subproblem, bisection solver."""
+"""Covariance design: water level, closed-form subproblem, dual search."""
 
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from specshare.config import ScenarioConfig
-import warnings
-
 from specshare import covdesign
+from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import (
     InfeasibleError,
     SolverError,
@@ -17,6 +16,7 @@ from specshare.covdesign import (
     solve_selfish,
     solve_weighted_eip,
 )
+from specshare.harness import ExperimentSpec, sweep
 from specshare.interference import (
     average_capacity,
     check_covariances,
@@ -615,9 +615,11 @@ def search_instances():
 
 def budgets(p_min, p_one, p_zero, p_far):
     """Power budgets below the selfish power (infeasible), between it and the
-    power at lambda1 = 1 (the bracket grows), inside the range the bisection
-    searches (active), above it (slack), and first met at lambda1 = 2^10
-    (the bracket grows for 11 evaluations)."""
+    power at lambda1 = 1 (the bracket grows), inside the range the search
+    covers (active), above it (slack), and first met at lambda1 = 2^10
+    (the bracket grows for 11 evaluations). The last is a tie: power equals
+    P_t at the bracket top, and the computed power just below it need not
+    stay at or above P_t in the last bits."""
     return (0.5 * p_min, p_min + 0.2 * (p_one - p_min),
             p_min + 0.05 * (p_zero - p_min), p_min + 0.5 * (p_zero - p_min), 2.0 * p_zero,
             p_far)
@@ -629,16 +631,38 @@ def feasible_budgets(p_min, *powers):
 
 
 def category(lambda1):
-    """Where the bisection's answer lies: its lowest grid point at the
-    default tolerance (slack), above 1 (grown) or between (active)."""
+    """Where the search's answer lies: its lowest grid point at the default
+    tolerance (slack), above 1 (grown) or between (active)."""
     if lambda1 == 2.0 ** -30:
         return "slack"
     return "grown" if lambda1 > 1.0 else "active"
 
 
+def bracket_top(kernel, C, P_t):
+    """The first power of two from 1 up with power <= P_t."""
+    hi = 1.0
+    while kernel.step(hi, C).power > P_t:
+        hi *= 2.0
+    return hi
+
+
+def assert_certified(kernel, C, P_t, dual_tol, lambda1):
+    """The two-point certificate of a converged answer: lambda1 is a point of
+    the grid k * hi * 2^-n (hi the bracket top, n the halvings from it that
+    reach dual_tol), its power is below P_t or it is hi, and its lower
+    neighbour is 0 or has power at or above P_t."""
+    hi = grid = bracket_top(kernel, C, P_t)
+    while grid > dual_tol:
+        grid *= 0.5
+    assert 0.0 < lambda1 <= hi and lambda1 % grid == 0.0
+    assert kernel.step(lambda1, C).power < P_t or lambda1 == hi
+    assert lambda1 == grid or kernel.step(lambda1 - grid, C).power >= P_t
+
+
 class TestDualSearch:
-    """The search returns the bisection's iterate bit for bit, with at most
-    as many dual evaluations."""
+    """Every converged answer carries its certificate, with at most as many
+    dual evaluations as the bisection, and where power crosses P_t once it
+    is the bisection's answer bit for bit."""
 
     @staticmethod
     def solve_both(monkeypatch, *args):
@@ -655,57 +679,85 @@ class TestDualSearch:
                     out.append(exc)
         return out
 
-    def assert_same(self, monkeypatch, *args):
+    def assert_same(self, monkeypatch, *args, kernel=None, exact=True):
+        """The solutions of solve_both agree: the same error, or converged
+        designs with no more evaluations than the bisection, bit-equal to
+        its design if exact, and certified on the kernel if one is given."""
         sol, ref = self.solve_both(monkeypatch, *args)
         if isinstance(ref, Exception):
             assert type(sol) is type(ref) and str(sol) == str(ref)
-            return type(ref).__name__
-        assert sol.lambda1 == ref.lambda1
-        assert sol.lambda2 == ref.lambda2
-        assert sol.converged == ref.converged
-        assert sol.schedule.tobytes() == ref.schedule.tobytes()
+            return type(ref).__name__, 0, 0
+        assert sol.converged and ref.converged
         assert sol.iterations <= ref.iterations
-        return category(ref.lambda1)
+        if exact:
+            assert sol.lambda1 == ref.lambda1
+            assert sol.lambda2 == ref.lambda2
+            assert sol.schedule.tobytes() == ref.schedule.tobytes()
+        if kernel is not None:
+            P_t, C = args[-2:]
+            assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, sol.lambda1)
+        return category(ref.lambda1), sol.iterations, ref.iterations
 
     @staticmethod
-    def assert_same_search(kernel, C, P_t, dual_tol=covdesign.DUAL_TOL,
-                           max_iterations=covdesign.MAX_DUAL_EVALUATIONS):
+    def assert_same_search(kernel, C, P_t, dual_tol=covdesign.DUAL_TOL, exact=True):
         """The same assertions on _dual_search and the bisection oracle run
-        directly, with the given solver settings."""
-        out = []
-        for search in (covdesign._dual_search, bisection_oracle):
-            try:
-                out.append(search(kernel, C, P_t, dual_tol, max_iterations))
-            except SolverError as exc:
-                out.append(exc)
-        found, ref = out
-        if isinstance(ref, Exception):
-            assert type(found) is type(ref) and str(found) == str(ref)
-            return type(ref).__name__
-        (best, evaluations, converged), (ref_best, ref_evaluations, ref_converged) = found, ref
-        assert best.lambda1 == ref_best.lambda1
-        assert best.lambda2 == ref_best.lambda2
-        assert converged == ref_converged
-        assert kernel.covariances(best).tobytes() == kernel.covariances(ref_best).tobytes()
+        directly, at the given tolerance."""
+        max_iterations = covdesign.MAX_DUAL_EVALUATIONS
+        best, evaluations, converged = covdesign._dual_search(kernel, C, P_t, dual_tol,
+                                                              max_iterations)
+        ref, ref_evaluations, ref_converged = bisection_oracle(kernel, C, P_t, dual_tol,
+                                                               max_iterations)
+        assert converged and ref_converged
         assert evaluations <= ref_evaluations
-        return category(ref_best.lambda1)
+        assert_certified(kernel, C, P_t, dual_tol, best.lambda1)
+        if exact:
+            assert best.lambda1 == ref.lambda1
+            assert best.lambda2 == ref.lambda2
+            assert kernel.covariances(best).tobytes() == kernel.covariances(ref).tobytes()
+        return evaluations, ref_evaluations
 
     def test_random_instances_match_bisection(self, monkeypatch):
-        seen = set()
+        """Bit-equal to the bisection except where power is flat in lambda1
+        (all-zero weights) or P_t ties the power at the bracket top; every
+        answer certified."""
+        seen, counts = set(), np.zeros(2, dtype=int)
         for design, kernel, C, powers in search_instances():
+            flat = not design[0].any()
             for P_t in budgets(*powers):
-                seen.add(self.assert_same(monkeypatch, *design, P_t, C))
+                exact = not flat and P_t != powers[-1]
+                name, *n = self.assert_same(monkeypatch, *design, P_t, C,
+                                            kernel=kernel, exact=exact)
+                seen.add(name)
+                counts += n
             for P_t in feasible_budgets(*powers):
-                seen.add(self.assert_same_search(kernel, C, P_t, dual_tol=1e-6))
+                exact = not flat and P_t != powers[-1]
+                counts += self.assert_same_search(kernel, C, P_t, dual_tol=1e-6, exact=exact)
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
+        # Illinois steps need fewer than half the bisection's evaluations.
+        assert 2 * counts[0] < counts[1]
 
     @pytest.mark.parametrize("max_iterations", range(1, 11))
     def test_small_iteration_limits_match_bisection(self, max_iterations):
+        """A cap of max_iterations evaluations: the bisection's error where it
+        cannot bracket, and otherwise an evaluated answer below P_t (or the
+        bracket top), certified where the search converged."""
         seen = set()
         for _, kernel, C, powers in search_instances():
             for P_t in feasible_budgets(*powers):
-                seen.add(self.assert_same_search(kernel, C, P_t,
-                                                 max_iterations=max_iterations))
+                args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations)
+                try:
+                    ref = bisection_oracle(*args)[0]
+                except SolverError as exc:
+                    with pytest.raises(SolverError, match=str(exc)):
+                        covdesign._dual_search(*args)
+                    seen.add("SolverError")
+                    continue
+                best, evaluations, converged = covdesign._dual_search(*args)
+                assert evaluations <= max_iterations
+                assert best.power < P_t or best.lambda1 == bracket_top(kernel, C, P_t)
+                if converged:
+                    assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
+                seen.add(category(ref.lambda1))
         # Too few evaluations to bracket a grown multiplier raise (a budget
         # first met at 2^10 needs 11); one evaluation cannot bracket any.
         assert "SolverError" in seen and ("grown" in seen) == (max_iterations > 1)
@@ -713,16 +765,16 @@ class TestDualSearch:
     def test_power_equal_to_budget_is_not_below_it(self, monkeypatch):
         design, kernel, C, _ = next(search_instances())
         # The bracket stops growing at hi = 2 with power(2) == P_t: every
-        # midpoint then moves lo and the answer is the top point.
+        # grid point below it has power above P_t and the answer is the top.
         P_t = kernel.step(2.0, C).power
         assert kernel.step(1.0, C).power > P_t
         sol = solve_weighted_eip(*design, P_t, C)
         assert sol.lambda1 == 2.0
         self.assert_same(monkeypatch, *design, P_t, C)
-        # The first midpoint 0.5 has power == P_t and must move lo.
+        # The grid point 0.5 has power == P_t: it is the lower end.
         P_t = kernel.step(0.5, C).power
         sol = solve_weighted_eip(*design, P_t, C)
-        assert 0.5 < sol.lambda1 <= 0.5 + 2.0 ** -30
+        assert sol.lambda1 == 0.5 + 2.0 ** -30
         self.assert_same(monkeypatch, *design, P_t, C)
 
     def test_default_scenario_matches_bisection(self, monkeypatch):
@@ -739,7 +791,7 @@ class TestDualSearch:
     def test_probes_are_capped_on_a_step_curve(self):
         # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the
         # secant weight is 5e-301, and uncapped Illinois steps would creep
-        # one grid point at a time from hi for about a thousand probes.
+        # one grid point at a time from hi for about a thousand evaluations.
         class StepCurve:
             def step(self, lambda1, C):
                 power = 1e300 if lambda1 < 0.3 else 0.5
@@ -749,6 +801,23 @@ class TestDualSearch:
             StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
         ref, ref_evaluations, ref_converged = bisection_oracle(
             StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
-        assert best.lambda1 == ref.lambda1 and converged == ref_converged
-        # One bracket evaluation, at most 30 probes and 30 replayed midpoints.
-        assert ref_evaluations == 31 and evaluations <= 61
+        assert best.lambda1 == ref.lambda1 and converged and ref_converged
+        # One bracket evaluation, then at most 1 + 2n with n = 30 halvings:
+        # the lowest grid point, n Illinois steps and n midpoints.
+        assert ref_evaluations == 31 and evaluations <= 1 + 1 + 2 * 30
+
+    def test_sweep_p_dual_evaluations(self, monkeypatch):
+        """Dual evaluations from an empty memo over the default-config
+        p-sweep of both schemes, seeds 0-1: at most the 143 the bisection
+        replay with probes made (the selfish steps included)."""
+        calls = []
+        step = covdesign._DualKernel.step
+        monkeypatch.setattr(covdesign._DualKernel, "step",
+                            lambda self, *args: calls.append(1) or step(self, *args))
+        monkeypatch.setattr(covdesign, "_memo", None)
+        base = ScenarioConfig()
+        for cfg, methods in ((base, ["selfish", "noncoop", "coop"]),
+                             (base.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
+            sweep(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], sweep_var="p",
+                                 sweep_values=[0.2, 0.4, 0.6, 0.8, 1.0]))
+        assert len(calls) <= 143

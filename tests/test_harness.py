@@ -116,7 +116,9 @@ class TestRunCompare:
     def test_unconverged_solution_reported(self, monkeypatch):
         from specshare import covdesign
 
-        spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["noncoop"], seeds=[0])
+        # P_t = 16 binds (at P_t = 32 the budget is slack and 2 evaluations
+        # converge); the search needs 10 evaluations, so 5 leave it open.
+        spec = ExperimentSpec(cfg=scenario1(p=0.5, P_t=16.0), methods=["noncoop"], seeds=[0])
         search = covdesign._dual_search
         monkeypatch.setattr(covdesign, "_dual_search",
                             lambda kernel, C, P_t, dual_tol, _: search(kernel, C, P_t, dual_tol, 5))

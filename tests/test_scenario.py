@@ -438,6 +438,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(M_tR=0)
 
+    @pytest.mark.parametrize("name", ["M_tR", "M_rR", "M_tC", "M_rC", "L"])
+    def test_non_integer_dimensions_rejected(self, name):
+        for value in (32.5, 32.0, "32", None):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                ScenarioConfig(**{name: value})
+        cfg = ScenarioConfig(**{name: np.int64(4)})
+        assert getattr(cfg, name) == 4
+
     def test_round_trip(self):
         cfg = ScenarioConfig(
             M_tR=16, M_rR=32, M_tC=4, M_rC=4, p=0.4, C=10.5, seed=42,
