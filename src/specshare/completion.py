@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ScenarioConfig
 from .interference import MetricError
-from .linalg import psd_sqrt
+from .linalg import gram_spectrum, psd_sqrt
 from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
 
 # Iterations per continuation stage, and the geometric factor of the mu
@@ -50,20 +50,6 @@ class RecoveryReport:
     converged: bool
 
 
-def _gram_spectrum(X: np.ndarray):
-    """Singular values of X, descending, from its narrow-side Gram matrix.
-
-    Returns (sigma, A, V): A is X or X^H, whichever has no more columns than
-    rows, and the columns of V are the eigenvectors of A^H A in the same
-    order, i.e. the right singular vectors of A. The eigenvalues carry an
-    absolute error of about eps*sigma1^2, so sigma_i is exact to about
-    eps*sigma1^2/sigma_i.
-    """
-    A = X.conj().T if X.shape[0] < X.shape[1] else X
-    w, V = np.linalg.eigh(A.conj().T @ A)
-    return np.sqrt(np.maximum(w[::-1], 0.0)), A, V[:, ::-1]
-
-
 def shrink(X: np.ndarray, threshold: float):
     """Singular-value soft thresholding: sigma_i -> (sigma_i - t)^+.
 
@@ -75,7 +61,7 @@ def shrink(X: np.ndarray, threshold: float):
     itself to about eps*(sigma1/t)^2 or better; the completer's thresholds
     are at least mu >= mu_rel*sigma1.
     """
-    sigma, A, V = _gram_spectrum(X)
+    sigma, A, V = gram_spectrum(X)
     s = np.maximum(sigma - threshold, 0.0)
     k = int(np.count_nonzero(s))
     Vk = V[:, :k]
@@ -122,12 +108,12 @@ def complete(
     masked = omega * observed
     if np.linalg.norm(masked) == 0.0:
         return np.zeros_like(observed), 0, True
-    sigma1 = float(_gram_spectrum(masked)[0][0])
+    sigma1 = float(gram_spectrum(masked)[0][0])
     mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
     mus = _mu_schedule(sigma1, mu_final, _CONTINUATION)
     def objective(mat, mu, nuc=None):
         if nuc is None:
-            nuc = float(_gram_spectrum(mat)[0].sum())
+            nuc = float(gram_spectrum(mat)[0].sum())
         return mu * nuc + 0.5 * float(np.linalg.norm(omega * (mat - observed)) ** 2)
 
     X = np.zeros_like(observed)

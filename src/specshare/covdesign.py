@@ -14,11 +14,12 @@ certificate (see _dual_search).
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
 the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
-solve; each dual step is then one stacked SVD, and the power follows in
-closed form from its factors. Covariance matrices are built only for the
-returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs through
-the same kernel and is the feasibility test: C is reachable within P_t
-exactly when the minimum-power design fits in it. linalg.eig_floor is the
+solve; each dual step is then one stacked Hermitian eigendecomposition of
+the narrow-side Gram matrices of the whitened channels, and the power
+follows in closed form from its factors. Covariance matrices are built only
+for the returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs
+through the same kernel and is the feasibility test: C is reachable within
+P_t exactly when the minimum-power design fits in it. linalg.eig_floor is the
 only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
 
 The methods differ only in W_l, and only the cooperative weights depend on
@@ -43,7 +44,7 @@ import numpy as np
 
 from .config import SpecshareError
 from .interference import MetricError, average_capacity, check_covariances, total_power
-from .linalg import eig_floor, hermitize, psd_inv_sqrt
+from .linalg import eig_floor, gram_spectrum, hermitize, psd_inv_sqrt
 
 # The search on lambda1 shrinks its bracket to DUAL_TOL, within
 # MAX_DUAL_EVALUATIONS dual evaluations counting the bracket growth.
@@ -111,14 +112,16 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
 @dataclass
 class _DualIterate:
     """One dual evaluation: the multipliers, the power it consumes and the
-    factors its covariances are built from."""
+    factors its covariances are built from. The factors belong to the
+    subproblem scaled by 1/lambda1 (by 1 at lambda1 = 0), whose water level
+    is lambda2/lambda1; see _DualKernel."""
 
     lambda1: float
     lambda2: float
     power: float
-    d_isqrt: np.ndarray  # (L, n) eigenvalues of Phi_l^{-1/2} in the U_l basis
-    beta: np.ndarray  # (L, k) water-filling powers of the whitened channels
-    vh: np.ndarray  # (L, k, n) their right singular vectors in the U_l basis
+    s: np.ndarray  # (L, k) singular values of the scaled whitened channels, descending
+    beta: np.ndarray  # (L, k) their water-filling powers
+    T: np.ndarray  # (L, n, k) columns diag(c_l) B_l^H u_i in the U_l basis
 
 
 @dataclass
@@ -127,10 +130,16 @@ class _DualKernel:
     factored once: A_l = G2^H diag(w_l) G2 = U_l diag(a_l) U_l^H and the
     whitened channels B_l = R_wl^{-1/2} H U_l.
 
-    Phi_l = A_l + lambda1 I shares the eigenvectors U_l, so the whitened
-    channel R_wl^{-1/2} H Phi_l^{-1/2} = B_l diag(d_l^{-1/2}) U_l^H with
-    d_l = a_l + lambda1, and one stacked SVD of B_l diag(d_l^{-1/2}) gives
-    every symbol's singular values; V_l = U_l V'_l.
+    Phi_l = A_l + lambda1 I shares the eigenvectors U_l, with eigenvalues
+    d_l = a_l + lambda1. The kernel solves each subproblem scaled by
+    1/lambda1: Phi_l / lambda1 has the inverse diag(c_l) in the U_l basis,
+    c_l = lambda1/d_l in (0, 1] (1/d_l at lambda1 = 0), and its whitened
+    channel is B'_l = B_l diag(c_l)^{1/2}. One stacked eigh of the narrow-
+    side Gram matrix of B'_l gives the singular values s_i and the columns
+    T_i = diag(c_l)^{1/2} B'_l^H u_i = diag(c_l)^{1/2} v'_i s_i; a power beta_i
+    along v'_i costs beta_i ||T_i||^2 / s_i^2. Where w_l = 0, c_l = 1
+    exactly, so those symbols' factors do not depend on lambda1 bit for bit.
+    A gain s_i^2 is exact to about eps*s_1^2 absolute (linalg.gram_spectrum).
     """
 
     a: np.ndarray  # (L, n) ascending
@@ -149,34 +158,48 @@ class _DualKernel:
         L, _, n = whitened.shape
         return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)), B=whitened)
 
-    def whitened_svd(self, lambda1: float):
-        """(d^{-1/2}, singular values, V'^H) of every whitened channel at
-        lambda1 > 0; eig_floor keeps d^{-1/2} finite where A_l is singular."""
-        d_isqrt = 1.0 / np.sqrt(eig_floor(self.a + lambda1))
-        _, s, vh = np.linalg.svd(self.B * d_isqrt[:, None, :], full_matrices=False)
-        return d_isqrt, s, vh
+    def spectrum(self, lambda1: float):
+        """(s, T) of every scaled whitened channel at lambda1 >= 0; eig_floor
+        keeps c_l positive where Phi_l is singular."""
+        c = _scale(lambda1) / eig_floor(self.a + lambda1)
+        root = np.sqrt(c)[:, :, None]
+        X = self.B * np.swapaxes(root, -1, -2)
+        s, A, V = gram_spectrum(X)
+        # V holds the u_i when A = X^H, and the v'_i when A = X.
+        return s, root * (V * s[:, None, :] if A is X else A @ V)
 
-    def allocate(self, lambda1: float, lambda2: float, d_isqrt, s, vh) -> _DualIterate:
-        """Water-fill at level lambda2; power sum_i beta_i ||d^{-1/2} o v'_i||^2.
-        A gain s^2 whose inverse is not finite (a zero singular value, as of
-        a comm antenna that hears nothing) gets no power."""
+    def allocate(self, lambda1: float, level: float, s, T) -> _DualIterate:
+        """Water-fill the scaled channels at level = lambda2 / lambda1 (lambda2
+        at lambda1 = 0); power sum_i beta_i ||T_i||^2 / s_i^2. A gain s^2
+        whose inverse is not finite (a zero singular value, as of a comm
+        antenna that hears nothing) gets no power."""
         gain = s**2
         inv_gain = np.divide(1.0, gain, out=np.full_like(gain, np.inf),
                              where=gain > 1.0 / np.finfo(float).max)
-        beta = np.maximum(lambda2 - inv_gain, 0.0)
-        power = float(np.einsum("lk,lkn,ln->", beta, np.abs(vh) ** 2, d_isqrt**2))
-        return _DualIterate(lambda1, lambda2, power, d_isqrt, beta, vh)
+        beta = np.maximum(level - inv_gain, 0.0)
+        power = float(np.einsum("lk,lnk->", _per_gain(beta, gain), np.abs(T) ** 2))
+        return _DualIterate(lambda1, level * _scale(lambda1), power, s, beta, T)
 
     def step(self, lambda1: float, C: float) -> _DualIterate:
         """Dual evaluation at lambda1 with the smallest capacity-feasible lambda2."""
-        d_isqrt, s, vh = self.whitened_svd(lambda1)
-        lambda2 = min_capacity_multiplier(s.ravel(), C, s.shape[0])
-        return self.allocate(lambda1, lambda2, d_isqrt, s, vh)
+        s, T = self.spectrum(lambda1)
+        return self.allocate(lambda1, min_capacity_multiplier(s.ravel(), C, s.shape[0]), s, T)
 
     def covariances(self, it: _DualIterate) -> np.ndarray:
-        """(L, n, n) stack R_l = Phi_l^{-1/2} V_l diag(beta_l) V_l^H Phi_l^{-1/2}."""
-        X = self.U @ (it.d_isqrt[:, :, None] * np.swapaxes(it.vh, -1, -2).conj())
-        return hermitize((X * it.beta[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
+        """(L, n, n) stack R_l = U_l T_l diag(beta_l / s_l^2) T_l^H U_l^H."""
+        X = self.U @ it.T
+        weighted = X * _per_gain(it.beta, it.s**2)[:, None, :]
+        return hermitize(weighted @ np.swapaxes(X, -1, -2).conj())
+
+
+def _scale(lambda1: float) -> float:
+    """lambda1, or 1 at lambda1 = 0: the kernel's subproblems are divided by it."""
+    return lambda1 if lambda1 > 0 else 1.0
+
+
+def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """beta / gain, 0 where beta is 0 (a positive beta has a positive gain)."""
+    return np.divide(beta, gain, out=np.zeros_like(beta), where=beta > 0)
 
 
 def _whiten(H: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -211,11 +234,13 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     Power is nonincreasing in lambda1. The bracket top hi = 2^m is the first
     power of two with power(hi) <= P_t; the answer is the smallest point of
     the grid k * hi * 2^-n (n the halvings from hi that reach dual_tol)
-    whose power is below P_t, or hi if there is none. The lowest grid point
-    comes first when hi = 1: below P_t there, the budget is slack. Then
-    Illinois steps on power(lambda1) - P_t, taken in log(lambda1) because
-    the bracket spans about 30 octaves, each rounded to a grid point strictly
-    inside the bracket; after n of them, midpoints. The search stops when the
+    whose power is below P_t, or hi if there is none. When power(hi) equals
+    P_t, its lower neighbour comes first: power is nonincreasing, so that one
+    evaluation certifies hi, or is below P_t and replaces it. Otherwise the
+    lowest grid point comes first when hi = 1: below P_t there, the budget
+    is slack. Then Illinois steps on power(lambda1) - P_t, taken in
+    log(lambda1) because the bracket spans about 30 octaves, each rounded to
+    a grid point strictly inside the bracket; after n of them, midpoints. The search stops when the
     ends are neighbouring grid points, or after max_iterations evaluations
     counting the bracket growth, and returns the top end. converged says
     whether the bracket is then at most dual_tol wide; the lower end, unless
@@ -240,11 +265,15 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     low, f_low = (2 ** (n - 1), below.power - P_t) if hi > 1.0 else (0, math.nan)
     steps, moved = 0, 0  # moved: the end the last step replaced, -1 low, +1 top
     while top - low > 1 and evaluations < max_iterations:
-        if low == 0:
+        if best.power == P_t:
+            # Only the bracket top can tie P_t: its lower neighbour, at or
+            # above P_t, certifies it, and below P_t replaces it.
+            k = top - 1
+        elif low == 0:
             k = 1
         elif steps < n:
-            # The secant root in log(lambda1); a non-finite or degenerate
-            # weight (both ends at P_t) falls back to the geometric midpoint.
+            # The secant root in log(lambda1); a non-finite weight, or one
+            # with the lower end at P_t, falls back to the geometric midpoint.
             t = f_top / (f_top - f_low) if f_top < f_low else math.nan
             if not 0.0 < t < 1.0:
                 t = 0.5

@@ -164,7 +164,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
             try:
                 sol, omega = _solve_method(method, cfg, scn, noise)
                 if not sol.converged:
-                    row.error = f"dual bisection not converged after {sol.iterations} evaluations"
+                    row.error = f"dual search not converged after {sol.iterations} evaluations"
                 schedule = sol.schedule
                 Q = interference_diag_matrix(scn.G2, schedule)
                 row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), Q)

@@ -45,6 +45,21 @@ def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
     return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
+def gram_spectrum(X: np.ndarray):
+    """Singular values of X, or of each matrix in a stack, descending, from
+    the Hermitian eigendecomposition of the narrow-side Gram matrix.
+
+    Returns (sigma, A, V): A is X or X^H, whichever has no more columns than
+    rows, and the columns of V are the eigenvectors of A^H A in the same
+    order, i.e. the right singular vectors of A. The eigenvalues carry an
+    absolute error of about eps*sigma1^2, so sigma_i is exact to about
+    eps*sigma1^2/sigma_i.
+    """
+    A = np.swapaxes(X.conj(), -1, -2) if X.shape[-2] < X.shape[-1] else X
+    w, V = np.linalg.eigh(np.swapaxes(A.conj(), -1, -2) @ A)
+    return np.sqrt(np.maximum(w[..., ::-1], 0.0)), A, V[..., ::-1]
+
+
 def min_eig(a: np.ndarray):
     """Smallest eigenvalue of a Hermitian matrix, or of each matrix in a stack."""
     return np.linalg.eigvalsh(hermitize(a))[..., 0]

@@ -3,8 +3,9 @@
 They evaluate by other routes what the library computes: the EIP_II trace
 form and a Monte-Carlo estimate of the masked interference power drawn
 from the signal model itself (specshare.interference computes both through
-its one weighted form), singular-value soft thresholding through a thin
-SVD (specshare.completion goes through a Gram eigendecomposition), the
+its one weighted form), singular-value soft thresholding and the dual
+step of the covariance design through a thin SVD (specshare.completion and
+specshare.covdesign go through a Gram eigendecomposition), the
 completion at a fixed penalty iterated by plain proximal gradient until a
 fixed-point certificate holds (specshare.completion stops accelerated
 continuation stages on a step-size rule), the feasibility of a capacity
@@ -20,6 +21,7 @@ Bellman-Ford cycle search). Only the tests use them.
 import numpy as np
 
 from specshare.config import Scheme
+from specshare.covdesign import min_capacity_multiplier
 from specshare.interference import (
     MetricError,
     average_capacity,
@@ -28,7 +30,7 @@ from specshare.interference import (
     total_power,
     weighted_eip,
 )
-from specshare.linalg import psd_sqrt
+from specshare.linalg import eig_floor, hermitize, psd_sqrt
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
@@ -85,6 +87,25 @@ def svd_shrink(X, threshold: float):
     u, s, vh = np.linalg.svd(X, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
     return (u * s) @ vh, s
+
+
+def svd_dual_step(kernel, lambda1: float, C: float):
+    """One dual evaluation of a covdesign._DualKernel at lambda1 > 0 through a
+    thin SVD of the whitened channels B_l diag(d_l^{-1/2}), d_l =
+    eig_floor(a_l + lambda1), as the solver computed it before the Gram
+    eigendecomposition: (gains s^2, lambda2, power, beta, covariances) of
+    the unscaled subproblem, beta and the gains descending per symbol."""
+    d_isqrt = 1.0 / np.sqrt(eig_floor(kernel.a + lambda1))
+    _, s, vh = np.linalg.svd(kernel.B * d_isqrt[:, None, :], full_matrices=False)
+    lambda2 = min_capacity_multiplier(s.ravel(), C, s.shape[0])
+    gain = s**2
+    inv_gain = np.divide(1.0, gain, out=np.full_like(gain, np.inf),
+                         where=gain > 1.0 / np.finfo(float).max)
+    beta = np.maximum(lambda2 - inv_gain, 0.0)
+    power = float(np.einsum("lk,lkn,ln->", beta, np.abs(vh) ** 2, d_isqrt**2))
+    X = kernel.U @ (d_isqrt[:, :, None] * np.swapaxes(vh, -1, -2).conj())
+    covariances = hermitize((X * beta[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
+    return gain, lambda2, power, beta, covariances
 
 
 def converged_completion(observed, omega, mu: float):

@@ -30,7 +30,7 @@ from specshare.linalg import crandn, hermitize, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
-from oracles import capacity_bound, verify_solution, water_fill
+from oracles import capacity_bound, svd_dual_step, verify_solution, water_fill
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -96,7 +96,8 @@ def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
     a one-symbol block."""
     whitened = covdesign._whiten(H, np.stack([R_wl]))
     kernel = covdesign._DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
-    it = kernel.allocate(lambda1, lambda2, *kernel.whitened_svd(lambda1))
+    # The kernel water-fills the subproblem scaled by 1/lambda1, at level lambda2/lambda1.
+    it = kernel.allocate(lambda1, lambda2 / covdesign._scale(lambda1), *kernel.spectrum(lambda1))
     return kernel.covariances(it)[0]
 
 
@@ -484,7 +485,7 @@ class TestDualKernel:
                        solve_weighted_eip(w, H, G2, noise, 10.0, 2.0)]
             kernels = [covdesign._DualKernel.unweighted(whitened),
                        covdesign._DualKernel.weighted(w, G2, whitened)]
-            steps = [(kernel.whitened_svd(1.0)[1], kernel.step(1.0, 2.0)) for kernel in kernels]
+            steps = [(kernel.spectrum(1.0)[0], kernel.step(1.0, 2.0)) for kernel in kernels]
         for sol in designs:
             report = verify_solution(sol, H, G2, noise, 10.0, 2.0)
             assert report["psd_ok"] and report["power_feasible"] and report["capacity_active"]
@@ -500,7 +501,7 @@ class TestDualKernel:
         for lam2 in (0.0, 3.0, 1e6):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                it = kernel.allocate(1.0, lam2, np.ones((1, s.size)), s, np.eye(s.size)[None])
+                it = kernel.allocate(1.0, lam2, s, np.eye(s.size)[None])
             with np.errstate(divide="ignore", over="ignore"):
                 expect = np.where(s > 0, np.maximum(lam2 - 1.0 / s**2, 0.0), 0.0)
             assert it.beta.tobytes() == expect.tobytes()
@@ -517,6 +518,108 @@ class TestDualKernel:
             assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 2
             assert sol.converged
+
+
+def assert_matches_svd_oracle(kernel, lambda1, C):
+    """The kernel's dual step at lambda1 > 0 against the thin-SVD oracle.
+
+    A Gram eigenvalue is exact to about eps*s_1^2 absolute, so every gain
+    s_i^2 agrees to 64 eps times the largest of its symbol; lambda2, the
+    power, the covariances and beta (the last relative to lambda2) agree to
+    64 eps kappa^2 relative, where kappa^2 is the largest gain over the
+    smallest one with power. The kernel's gains and beta belong to the
+    subproblem scaled by 1/lambda1. Returns kappa^2.
+    """
+    gain, lambda2, power, beta, R = svd_dual_step(kernel, lambda1, C)
+    it = kernel.step(lambda1, C)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(it.s**2 / lambda1 - gain) <= 64 * eps * gain[:, :1])
+    kappa2 = gain.max() / gain[beta > 0].min()
+    tol = 64 * eps * kappa2
+    assert abs(it.lambda2 - lambda2) <= tol * lambda2
+    assert abs(it.power - power) <= tol * power
+    assert np.all(np.abs(it.beta * lambda1 - beta) <= tol * lambda2)
+    assert np.linalg.norm(kernel.covariances(it) - R) <= tol * np.linalg.norm(R)
+    return kappa2
+
+
+class TestGramKernel:
+    """The dual step's stacked eigh of the narrow-side Gram matrices against
+    the thin SVD it replaced (oracles.svd_dual_step)."""
+
+    def test_default_scenario(self):
+        cfg = ScenarioConfig(p=0.6, seed=3)
+        scn = make_scenario(cfg)
+        whitened = covdesign._whiten(scn.H, noise_covariances(cfg, scn.G1, scn.S))
+        for w in (tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)):
+            kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
+            for lambda1 in (2.0 ** -30, 1e-3, 1.0, 2.0 ** 10):
+                assert_matches_svd_oracle(kernel, lambda1, cfg.C)
+
+    def test_graded_channels(self):
+        # Channel singular values 1, 1e-2, 1e-4 and 1e-6 (condition 1e6),
+        # and a target that puts power on all of them: kappa^2 is 1.7e12 to
+        # 4.8e12, and the bound 64 eps kappa^2 is 0.02 to 0.07.
+        rng = stream(0, "graded")
+        Q1 = np.linalg.qr(crandn(rng, 4, 4))[0]
+        Q2 = np.linalg.qr(crandn(rng, 8, 4))[0]
+        H = (Q1 * np.logspace(0, -6, 4)) @ Q2.conj().T
+        whitened = covdesign._whiten(H, np.stack([np.eye(4)] * 3))
+        kernel = covdesign._DualKernel.weighted(tip_weights(5, 3), crandn(rng, 5, 8), whitened)
+        for lambda1 in (0.3, 1.0, 3.0):
+            assert 1e12 < assert_matches_svd_oracle(kernel, lambda1, 100.0) < 1e13
+
+    def test_singular_cooperative_weights(self):
+        # At p = 0.2 most A_l are singular, and at lambda1 = 2^-30 the
+        # scaled inverse c_l spans nine orders of magnitude.
+        cfg = ScenarioConfig(p=0.2, seed=2)
+        scn = make_scenario(cfg)
+        kernel = covdesign._DualKernel.weighted(
+            scheme_weights(cfg, scn.omega, scn.S), scn.G2,
+            covdesign._whiten(scn.H, noise_covariances(cfg, scn.G1, scn.S)))
+        assert np.count_nonzero(kernel.a[:, 0] <= 1e-12 * kernel.a[:, -1]) > cfg.L // 2
+        assert_matches_svd_oracle(kernel, 2.0 ** -30, cfg.C)
+
+    def test_deaf_comm_antenna(self):
+        """A zero row of H: both routes give every symbol a gain of exactly
+        0, with no power and no warning."""
+        H = crandn(np.random.default_rng(0), 3, 4)
+        H[2] = 0.0
+        whitened = covdesign._whiten(H, np.stack([0.01 * np.eye(3)] * 4))
+        G2 = crandn(np.random.default_rng(1), 5, 4)
+        for kernel in (covdesign._DualKernel.unweighted(whitened),
+                       covdesign._DualKernel.weighted(tip_weights(5, 4), G2, whitened)):
+            for lambda1 in (1e-3, 1.0):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert_matches_svd_oracle(kernel, lambda1, 2.0)
+                    it = kernel.step(lambda1, 2.0)
+                    gain = svd_dual_step(kernel, lambda1, 2.0)[0]
+                assert np.all(it.s[:, -1] == 0.0) and np.all(gain[:, -1] == 0.0)
+                assert np.all(it.beta[:, -1] == 0.0)
+
+    def test_more_receive_than_transmit_antennas(self):
+        # M_rC > M_tC: the Gram matrices are the n x n ones, B'^H B'.
+        rng, seen = stream(0, "narrow"), 0
+        while seen < 4:
+            (w, H, G2, noise), C = random_design(rng)
+            if H.shape[0] > H.shape[1]:
+                kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
+                for lambda1 in (1e-3, 1.0, 8.0):
+                    assert_matches_svd_oracle(kernel, lambda1, C)
+                seen += 1
+
+    def test_zero_weight_power_does_not_depend_on_lambda1(self):
+        """Where every w_l is 0, c_l = lambda1/lambda1 = 1 exactly: the scaled
+        subproblem, and so its power, is the same bit for bit at every lambda1."""
+        for seed in range(3):
+            H, G2, noise = small_instance(seed, L=5)
+            whitened = covdesign._whiten(H, noise)
+            for flat in (covdesign._DualKernel.weighted(np.zeros((5, 3)), G2, whitened),
+                         covdesign._DualKernel.unweighted(whitened)):
+                powers = {flat.step(lambda1, 2.0).power
+                          for lambda1 in (2.0 ** -30, 1e-3, 0.3, 1.0, 3.0, 2.0 ** 10)}
+                assert len(powers) == 1
 
 
 class TestPostConditions:
@@ -592,8 +695,8 @@ def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations):
 def search_instances():
     """Small random designs: TIP-like 0/1 weights on a 3 x 2 G2, or
     cooperative weights whose zero rows make A_l singular. Seeds 2, 5 and 8
-    draw all-zero weights: power does not depend on lambda1, and its
-    computed value is not monotone in the last bits.
+    draw all-zero weights: power does not depend on lambda1, bit for
+    bit.
     Yields the design, its dual kernel, C and its powers: the selfish
     (minimum) power as the feasibility test computes it, and the power at
     lambda1 = 1, 2^-30 and 2^10."""
@@ -776,6 +879,23 @@ class TestDualSearch:
         sol = solve_weighted_eip(*design, P_t, C)
         assert sol.lambda1 == 0.5 + 2.0 ** -30
         self.assert_same(monkeypatch, *design, P_t, C)
+
+    def test_budget_tied_to_the_bracket_top(self):
+        """P_t = power(hi): the lower neighbour of hi certifies it, one
+        evaluation after the bracket growth, also where power is flat."""
+        cases = set()
+        for design, kernel, C, _ in search_instances():
+            for m in (0, 3):
+                P_t = kernel.step(2.0 ** m, C).power
+                if bracket_top(kernel, C, P_t) != 2.0 ** m:
+                    continue  # flat power: the bracket stops at 1
+                best, evaluations, converged = covdesign._dual_search(
+                    kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
+                assert best.lambda1 == 2.0 ** m and converged
+                assert evaluations == m + 2
+                assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
+                cases.add((m, not design[0].any()))
+        assert cases == {(0, True), (0, False), (3, False)}
 
     def test_default_scenario_matches_bisection(self, monkeypatch):
         for p in (0.2, 0.6, 1.0):

@@ -123,7 +123,7 @@ class TestRunCompare:
         monkeypatch.setattr(covdesign, "_dual_search",
                             lambda kernel, C, P_t, dual_tol, _: search(kernel, C, P_t, dual_tol, 5))
         row = run_compare(spec)[0]
-        prefix = "dual bisection not converged after "
+        prefix = "dual search not converged after "
         assert row.error.startswith(prefix) and row.error.endswith(" evaluations")
         assert 1 <= int(row.error[len(prefix):].split()[0]) <= 5
         assert np.isfinite(row.eip) and np.isfinite(row.power)
