@@ -8,8 +8,8 @@ for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
 follow from the closed-form subproblem solution. The search returns the
 smallest point of a bisection grid whose power is below P_t, found by
-Illinois steps, with its lower neighbour evaluated at or above P_t as a
-certificate (see _dual_search).
+Illinois steps, with its lower neighbour (or 0) evaluated at or above P_t
+as a certificate; a slack budget takes one evaluation (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
@@ -229,48 +229,46 @@ def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
 
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
                  max_iterations: int) -> tuple[_DualIterate, int, bool]:
-    """The search on lambda1: (iterate, dual evaluations, converged).
+    """The search on lambda1, 0 < dual_tol < 1: (iterate, dual evaluations,
+    converged).
 
     Power is nonincreasing in lambda1. The bracket top hi = 2^m is the first
-    power of two with power(hi) <= P_t; the answer is the smallest point of
-    the grid k * hi * 2^-n (n the halvings from hi that reach dual_tol)
-    whose power is below P_t, or hi if there is none. When power(hi) equals
-    P_t, its lower neighbour comes first: power is nonincreasing, so that one
-    evaluation certifies hi, or is below P_t and replaces it. Otherwise the
-    lowest grid point comes first when hi = 1: below P_t there, the budget
-    is slack. Then Illinois steps on power(lambda1) - P_t, taken in
-    log(lambda1) because the bracket spans about 30 octaves, each rounded to
-    a grid point strictly inside the bracket; after n of them, midpoints. The search stops when the
-    ends are neighbouring grid points, or after max_iterations evaluations
-    counting the bracket growth, and returns the top end. converged says
-    whether the bracket is then at most dual_tol wide; the lower end, unless
-    it is 0, was evaluated at or above P_t, which certifies the answer.
+    power of two from 1 up with power(hi) <= P_t; the answer is the smallest
+    point of the grid k * hi * 2^-n (n the halvings from hi that reach
+    dual_tol) whose power is below P_t, or hi if there is none. The lowest
+    grid point, the largest power of two <= dual_tol whatever m is, comes
+    first: below P_t, it is the answer (the budget is slack), certified by
+    lambda1 = 0; otherwise it is the lower end, or hi / 2 is if the bracket
+    grew. When power(hi) equals P_t, its lower neighbour comes next: it
+    certifies hi, or is below P_t and replaces it. Then Illinois steps on
+    power(lambda1) - P_t in log(lambda1), as the bracket spans about 30
+    octaves, each rounded to a grid point strictly inside the bracket; after
+    n of them, midpoints. The search stops when the ends are neighbouring
+    grid points, or after max_iterations evaluations, and returns the top
+    end. converged says whether the bracket is then at most dual_tol wide;
+    its lower end, evaluated at or above P_t, certifies the answer.
     """
-    # Grow the upper bracket endpoint until the power budget is respected.
-    hi = 1.0
-    best = kernel.step(hi, C)
-    evaluations = 1
-    while best.power > P_t:
+    grid = math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
+    hi, best, evaluations = grid, kernel.step(grid, C), 1
+    if best.power < P_t:
+        return best, evaluations, True
+    # Grow the bracket top from 1 until the power budget is respected.
+    while hi < 1.0 or best.power > P_t:
         if evaluations >= max_iterations:
             raise SolverError("failed to bracket the power multiplier")
-        below, hi = best, 2.0 * hi
+        below, hi = best, max(2.0 * hi, 1.0)
         best = kernel.step(hi, C)
         evaluations += 1
-    n = 0
-    while math.ldexp(hi, -n) > dual_tol:
-        n += 1
-    grid = math.ldexp(hi, -n)
-    # The ends as grid indices; a grown bracket's lower end is hi / 2.
-    top, f_top = 2**n, best.power - P_t
-    low, f_low = (2 ** (n - 1), below.power - P_t) if hi > 1.0 else (0, math.nan)
+    # The ends as grid indices: powers of two over a power of two, exact.
+    top, f_top = int(hi / grid), best.power - P_t
+    low, f_low = int(below.lambda1 / grid), below.power - P_t
+    n = top.bit_length() - 1  # the halvings from hi to the grid
     steps, moved = 0, 0  # moved: the end the last step replaced, -1 low, +1 top
     while top - low > 1 and evaluations < max_iterations:
         if best.power == P_t:
             # Only the bracket top can tie P_t: its lower neighbour, at or
             # above P_t, certifies it, and below P_t replaces it.
             k = top - 1
-        elif low == 0:
-            k = 1
         elif steps < n:
             # The secant root in log(lambda1); a non-finite weight, or one
             # with the lower end at P_t, falls back to the geometric midpoint.
@@ -292,8 +290,7 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
         else:
             if moved < 0:
                 f_top *= 0.5
-            moved = -1 if low else 0  # the lowest grid point is no Illinois step
-            low, f_low = k, it.power - P_t
+            low, f_low, moved = k, it.power - P_t, -1
     return best, evaluations, (top - low) * grid <= dual_tol
 
 
@@ -357,18 +354,15 @@ def solve_weighted_eip(
     C: float,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
-    >= C and total power <= P_t, by a search on the power multiplier.
-    weights is the (L, M_rR) array of the diagonals of the W_l.
+    >= C and total power <= P_t, by a search on the power multiplier
+    (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
-    (selfish) design. Power consumption is nonincreasing in lambda1, so the
-    bracket [lo, hi] keeps power(hi) <= P_t <= power(lo); the returned
-    iterate comes from the power-feasible side. converged says whether the
-    bracket reached DUAL_TOL within MAX_DUAL_EVALUATIONS. iterations counts
-    the dual evaluations made: 2 when the power budget is slack and 7 to 17
-    when it binds (the benchmark's p-sweep, seeds 0-63), where a bisection
-    makes 31. A repeated call with bit-equal inputs returns the memoized
-    solution.
+    (selfish) design. converged says whether the search's bracket reached
+    DUAL_TOL within MAX_DUAL_EVALUATIONS. iterations counts the dual
+    evaluations made: 1 when the power budget is slack and 7 to 17 when it
+    binds (the benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
+    A repeated call with bit-equal inputs returns the memoized solution.
     """
     if len(noise) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .config import ScenarioConfig, Scheme, SpecshareError
-from .linalg import hermitize, min_eig
+from .linalg import hermitize
 
 PSD_TOL = 1e-9
 
@@ -41,15 +41,20 @@ def total_power(schedule: np.ndarray) -> float:
 
 
 def check_covariances(schedule: np.ndarray) -> None:
-    """Raise MetricError unless every matrix of the stack is Hermitian and PSD
-    to PSD_TOL relative to its trace."""
+    """Raise MetricError unless every matrix R_l of the stack is finite,
+    Hermitian and PSD to tau_l = PSD_TOL * max(1, Tr R_l): R_l + tau_l I has a
+    Cholesky factor, which up to rounding is min eig(R_l) > -tau_l."""
     R = schedule
+    if not np.all(np.isfinite(R)):
+        raise MetricError("covariance matrix is not finite")
     skew = np.linalg.norm(R - np.swapaxes(R, -1, -2).conj(), axis=(-2, -1))
     if np.any(skew > 1e-10 * np.maximum(1.0, np.linalg.norm(R, axis=(-2, -1)))):
         raise MetricError("covariance matrix is not Hermitian")
-    power = np.trace(R, axis1=-2, axis2=-1).real
-    if np.any(min_eig(R) < -PSD_TOL * np.maximum(1.0, power)):
-        raise MetricError("covariance matrix is not PSD")
+    tau = PSD_TOL * np.maximum(1.0, np.trace(R, axis1=-2, axis2=-1).real)
+    try:
+        np.linalg.cholesky(hermitize(R) + tau[..., None, None] * np.eye(R.shape[-1]))
+    except np.linalg.LinAlgError:
+        raise MetricError("covariance matrix is not PSD") from None
 
 
 def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -64,8 +69,12 @@ def average_capacity(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray) -> 
     """(1/L) sum_l log2 |I + R_wl^{-1} H R_xl H^H| in bits/symbol."""
     if len(noise) != len(schedule):
         raise MetricError("schedule and noise lengths differ")
-    if np.any(min_eig(noise) <= 0.0):
-        raise MetricError("noise covariance is not positive definite")
+    if not np.all(np.isfinite(noise)):
+        raise MetricError("noise covariance is not finite")
+    try:  # a Cholesky factor exists exactly when the noise is positive definite
+        np.linalg.cholesky(hermitize(noise))
+    except np.linalg.LinAlgError:
+        raise MetricError("noise covariance is not positive definite") from None
     sign_n, logdet_n = np.linalg.slogdet(noise)
     sign_f, logdet_f = np.linalg.slogdet(noise + H @ schedule @ H.conj().T)
     if np.any(sign_n.real <= 0) or np.any(sign_f.real <= 0):

@@ -58,8 +58,3 @@ def gram_spectrum(X: np.ndarray):
     A = np.swapaxes(X.conj(), -1, -2) if X.shape[-2] < X.shape[-1] else X
     w, V = np.linalg.eigh(np.swapaxes(A.conj(), -1, -2) @ A)
     return np.sqrt(np.maximum(w[..., ::-1], 0.0)), A, V[..., ::-1]
-
-
-def min_eig(a: np.ndarray):
-    """Smallest eigenvalue of a Hermitian matrix, or of each matrix in a stack."""
-    return np.linalg.eigvalsh(hermitize(a))[..., 0]

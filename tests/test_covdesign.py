@@ -20,6 +20,7 @@ from specshare.harness import ExperimentSpec, sweep
 from specshare.interference import (
     average_capacity,
     check_covariances,
+    fmfb_weights,
     interference_diag_matrix,
     noise_covariances,
     scheme_weights,
@@ -30,7 +31,7 @@ from specshare.linalg import crandn, hermitize, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
-from oracles import capacity_bound, svd_dual_step, verify_solution, water_fill
+from oracles import capacity_bound, svd_dual_step, top_first_search, verify_solution, water_fill
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -514,9 +515,22 @@ class TestDualKernel:
                   scheme_weights(cfg, scn.omega, scn.S)):
             sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
-            # times; the search evaluates hi and the lowest grid point only.
+            # times; the search evaluates the lowest grid point only.
             assert sol.lambda1 == 2.0 ** -30
-            assert sol.iterations == 2
+            assert sol.iterations == 1
+            assert sol.converged
+
+    def test_long_block_slack_design_dual_evaluations(self, monkeypatch):
+        # The joint-long benchmark's block: L = 128, 16/32/4/4 antennas.
+        monkeypatch.setattr(covdesign, "_memo", None)
+        cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
+        scn = make_scenario(cfg)
+        noise = noise_covariances(cfg, scn.G1, scn.S)
+        for w in (tip_weights(cfg.M_rR, cfg.L),
+                  scheme_weights(cfg, scn.omega, scn.S)):
+            sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+            assert sol.lambda1 == 2.0 ** -30
+            assert sol.iterations == 1
             assert sol.converged
 
 
@@ -841,15 +855,22 @@ class TestDualSearch:
 
     @pytest.mark.parametrize("max_iterations", range(1, 11))
     def test_small_iteration_limits_match_bisection(self, max_iterations):
-        """A cap of max_iterations evaluations: the bisection's error where it
-        cannot bracket, and otherwise an evaluated answer below P_t (or the
-        bracket top), certified where the search converged."""
+        """A cap of max_iterations evaluations. The lowest grid point comes
+        first, so the search brackets what the bisection brackets under one
+        evaluation fewer (and a cap of 0 brackets nothing), and a slack
+        budget within any cap: the bisection's error where it cannot
+        bracket, and otherwise an evaluated answer below P_t (or the bracket
+        top), certified where the search converged."""
         seen = set()
         for _, kernel, C, powers in search_instances():
             for P_t in feasible_budgets(*powers):
                 args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations)
+                slack = kernel.step(2.0 ** -30, C).power < P_t
+                cap = max_iterations if slack else max_iterations - 1
                 try:
-                    ref = bisection_oracle(*args)[0]
+                    if cap < 1:
+                        raise SolverError("failed to bracket the power multiplier")
+                    ref = bisection_oracle(kernel, C, P_t, covdesign.DUAL_TOL, cap)[0]
                 except SolverError as exc:
                     with pytest.raises(SolverError, match=str(exc)):
                         covdesign._dual_search(*args)
@@ -862,8 +883,8 @@ class TestDualSearch:
                     assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
                 seen.add(category(ref.lambda1))
         # Too few evaluations to bracket a grown multiplier raise (a budget
-        # first met at 2^10 needs 11); one evaluation cannot bracket any.
-        assert "SolverError" in seen and ("grown" in seen) == (max_iterations > 1)
+        # first met at 2^10 needs 12); two evaluations cannot bracket any.
+        assert "SolverError" in seen and ("grown" in seen) == (max_iterations > 2)
 
     def test_power_equal_to_budget_is_not_below_it(self, monkeypatch):
         design, kernel, C, _ = next(search_instances())
@@ -882,7 +903,8 @@ class TestDualSearch:
 
     def test_budget_tied_to_the_bracket_top(self):
         """P_t = power(hi): the lower neighbour of hi certifies it, one
-        evaluation after the bracket growth, also where power is flat."""
+        evaluation after the lowest grid point and the bracket growth, also
+        where power is flat."""
         cases = set()
         for design, kernel, C, _ in search_instances():
             for m in (0, 3):
@@ -892,10 +914,66 @@ class TestDualSearch:
                 best, evaluations, converged = covdesign._dual_search(
                     kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
                 assert best.lambda1 == 2.0 ** m and converged
-                assert evaluations == m + 2
+                assert evaluations == m + 3
                 assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
                 cases.add((m, not design[0].any()))
         assert cases == {(0, True), (0, False), (3, False)}
+
+    def test_sweep_p_designs_evaluate_the_top_first_points(self):
+        """The weighted designs of the p-sweep (both schemes, seeds 0-3), at
+        the default P_t and at a tight one that grows the bracket: a slack
+        budget takes one evaluation, the lowest grid point, where the search
+        with the bracket top first took two; a binding one evaluates that
+        search's points with the lowest grid point moved to the front (where
+        a grown bracket adds it), and either returns that search's iterate
+        bit for bit."""
+
+        class Recorder:
+            def __init__(self, kernel):
+                self.kernel, self.points = kernel, []
+
+            def step(self, lambda1, C):
+                self.points.append(lambda1)
+                return self.kernel.step(lambda1, C)
+
+        lowest = 2.0 ** -30
+        seen = {}
+        for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
+            for p in (0.2, 0.4, 0.6, 0.8, 1.0):
+                for seed in range(4):
+                    cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed)
+                    scn = make_scenario(cfg, require_coverage=False)  # as the sweep draws it
+                    noise = noise_covariances(cfg, scn.G1, scn.S)
+                    whitened = covdesign._whiten(scn.H, noise)
+                    p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, cfg.C).power
+                    # noncoop, coop or full, and partial under Scheme II.
+                    weights = [tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)]
+                    if scheme is Scheme.SCHEME_II:
+                        weights.append(fmfb_weights(scn.S, cfg.M_rR))
+                    for w in weights:
+                        kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
+                        for P_t in (cfg.P_t, 1.05 * p_min):
+                            new, old = Recorder(kernel), Recorder(kernel)
+                            args = (cfg.C, P_t, covdesign.DUAL_TOL,
+                                    covdesign.MAX_DUAL_EVALUATIONS)
+                            best, evaluations, converged = covdesign._dual_search(new, *args)
+                            ref, _, ref_converged = top_first_search(old, *args)
+                            assert converged and ref_converged
+                            assert evaluations == len(new.points)
+                            if new.points == [lowest]:
+                                name = "slack"
+                                assert old.points == [1.0, lowest]
+                            else:
+                                name = "grown" if max(new.points) > 1.0 else "binding"
+                                assert new.points == [lowest] + [
+                                    x for x in old.points if x != lowest]
+                            assert best.lambda1 == ref.lambda1
+                            assert best.lambda2 == ref.lambda2
+                            assert best.power == ref.power
+                            assert (kernel.covariances(best).tobytes()
+                                    == kernel.covariances(ref).tobytes())
+                            seen[name] = seen.get(name, 0) + 1
+        assert set(seen) == {"slack", "binding", "grown"}, seen
 
     def test_default_scenario_matches_bisection(self, monkeypatch):
         for p in (0.2, 0.6, 1.0):
@@ -928,8 +1006,9 @@ class TestDualSearch:
 
     def test_sweep_p_dual_evaluations(self, monkeypatch):
         """Dual evaluations from an empty memo over the default-config
-        p-sweep of both schemes, seeds 0-1: at most the 143 the bisection
-        replay with probes made (the selfish steps included)."""
+        p-sweep of both schemes, seeds 0-1: at most 130 (the selfish steps
+        included), 13 fewer than the 143 of the search with the bracket top
+        first, one per slack design."""
         calls = []
         step = covdesign._DualKernel.step
         monkeypatch.setattr(covdesign._DualKernel, "step",
@@ -940,4 +1019,4 @@ class TestDualSearch:
                              (base.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
             sweep(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], sweep_var="p",
                                  sweep_values=[0.2, 0.4, 0.6, 0.8, 1.0]))
-        assert len(calls) <= 143
+        assert len(calls) <= 130

@@ -1,12 +1,15 @@
 """Capacity and interference-power metrics, with Monte-Carlo oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from specshare.config import ScenarioConfig, Scheme
+from specshare.covdesign import solve_weighted_eip
 from specshare.interference import (
+    PSD_TOL,
     MetricError,
     average_capacity,
     check_covariances,
@@ -21,7 +24,7 @@ from specshare.interference import (
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize, psd_sqrt
-from specshare.scenario import generate_channels, generate_waveforms
+from specshare.scenario import generate_channels, generate_waveforms, make_scenario
 from specshare.streams import stream
 
 from oracles import eip_samples, eip_scheme2_trace_form, empirical_eip
@@ -655,6 +658,81 @@ class TestStackedAgainstPerSymbol:
             except MetricError:
                 ok = False
             assert np.array_equal(ok, loop_validate_ok(schedule))
+
+    @staticmethod
+    def validate_ok(schedule):
+        try:
+            check_covariances(schedule)
+        except MetricError:
+            return False
+        return True
+
+    @staticmethod
+    def shifted(R, c):
+        """R with its smallest eigenvalue moved to -c * tau, tau = PSD_TOL *
+        max(1, trace) of the result, along that eigenvalue's eigenvector."""
+        w, V = np.linalg.eigh(R)
+        trace = float(np.sum(w[1:]))
+        x = -c * PSD_TOL * max(1.0, trace) / (1.0 + c * PSD_TOL * (trace > 1.0))
+        return hermitize(R + (x - w[0]) * np.outer(V[:, 0], V[:, 0].conj()))
+
+    def test_validate_verdict_relative_to_the_trace(self):
+        """Traces above 1, so tau = PSD_TOL * trace is not PSD_TOL: a smallest
+        eigenvalue of -0.5 tau passes and one of -2 tau fails, alone or as
+        the one bad matrix of a stack, on random matrices and on the
+        solver's own rank-deficient covariances."""
+        rng = stream(1, "validate-loop")
+        random_mats = [random_psd(rng, 4, scale=10.0) for _ in range(6)]
+        # A capacity target high enough for traces above 1.
+        cfg = ScenarioConfig(p=0.6, seed=2, C=24.0, P_t=128.0)
+        scn = make_scenario(cfg)
+        sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S), scn.H, scn.G2,
+                                 noise_covariances(cfg, scn.G1, scn.S), cfg.P_t, cfg.C)
+        designs = list(sol.schedule)
+        # The design's covariances have rank M_rC = 4 of M_tC = 8.
+        assert max(np.linalg.matrix_rank(R) for R in designs) == 4
+        assert min(float(np.trace(R).real) for R in designs) > 1.0
+        for mats in (random_mats, designs):
+            assert self.validate_ok(np.stack(mats)) and loop_validate_ok(np.stack(mats))
+            big = int(np.argmax([np.trace(R).real for R in mats]))
+            for c, ok in ((0.5, True), (2.0, False)):
+                bad = self.shifted(mats[big], c)
+                for stack in ([bad], mats[:big] + [bad] + mats[big + 1:]):
+                    schedule = np.stack(stack)
+                    assert self.validate_ok(schedule) == ok
+                    assert loop_validate_ok(schedule) == ok
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        schedule = random_schedule(stream(0, "finite"), 3, 4)
+        schedule[2, 1, 0] = bad
+        noise = np.stack([np.eye(2)] * 4)
+        noise[1, 0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match="covariance matrix is not finite"):
+                check_covariances(schedule)
+            with pytest.raises(MetricError, match="noise covariance is not finite"):
+                average_capacity(schedule[:, :2, :2].real, np.eye(2), noise)
+
+    def test_singular_noise_verdict(self):
+        """The Cholesky test of the noise against the smallest eigenvalue:
+        sigma_C2 = 0 leaves rank-one noise, which both reject, also as the
+        one singular matrix of a stack, and the default noise passes."""
+        for cfg in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128)):
+            scn = make_scenario(cfg)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            singular = noise_covariances(cfg.replace(sigma_C2=0.0), scn.G1, scn.S)
+            one_singular = noise.copy()
+            one_singular[3] = singular[3]
+            schedule = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
+            for stack, ok in ((noise, True), (singular, False), (one_singular, False)):
+                assert (np.linalg.eigvalsh(hermitize(stack))[:, 0].min() > 0.0) == ok
+                if ok:
+                    assert average_capacity(schedule, scn.H, stack) == 0.0
+                else:
+                    with pytest.raises(MetricError, match="noise covariance is not positive definite"):
+                        average_capacity(schedule, scn.H, stack)
 
     def test_total_power(self):
         schedule = random_schedule(stream(0, "power-loop"), 8, 128, scale=3.0)
