@@ -4,12 +4,7 @@ sampling-mask optimization, matrix-completion recovery and an experiment
 harness."""
 
 from .config import ScenarioConfig, Scheme, SpecshareError, load_config, save_config
-from .covdesign import (
-    DesignSolution,
-    InfeasibleError,
-    solve_selfish,
-    solve_weighted_eip,
-)
+from .covdesign import DesignSolution, InfeasibleError, solve_weighted_eip
 from .interference import (
     average_capacity,
     fmfb_weights,

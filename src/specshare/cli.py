@@ -61,7 +61,7 @@ def _parse_sweep(text):
 
 def _add_common(p):
     p.add_argument("--config", help="scenario config file (flat key = value)")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
+    p.add_argument("--seed", type=int, help="base seed (default: the config's seed)")
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
     p.add_argument("--methods", default="selfish,noncoop", help="comma-separated methods")
     p.add_argument("--out", help="output CSV path (default: stdout)")
@@ -69,14 +69,21 @@ def _add_common(p):
     p.add_argument("--timing", action="store_true", help="emit real wall times")
 
 
-def _build_spec(args, sweep_var="none", sweep_values=(None,)):
+def _load(args) -> ScenarioConfig:
+    """The --config file's configuration (the defaults without one), with
+    --seed in place of its seed when given."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
+    return cfg if args.seed is None else cfg.replace(seed=args.seed)
+
+
+def _build_spec(args, sweep_var="none", sweep_values=(None,)):
+    cfg = _load(args)
     return ExperimentSpec(
         cfg=cfg,
         methods=[m.strip() for m in args.methods.split(",") if m.strip()],
         sweep_var=sweep_var,
         sweep_values=list(sweep_values),
-        seeds=list(range(args.seed, args.seed + args.seeds)),
+        seeds=list(range(cfg.seed, cfg.seed + args.seeds)),
         mc_trials=args.mc_trials,
     )
 
@@ -110,7 +117,7 @@ def main(argv=None) -> int:
 
     p_gap = sub.add_parser("mask-gap", help="spectral gap of the sampling mask")
     p_gap.add_argument("--config", help="scenario config file")
-    p_gap.add_argument("--seed", type=int, default=0)
+    p_gap.add_argument("--seed", type=int, help="seed (default: the config's seed)")
 
     args = parser.parse_args(argv)
     try:
@@ -124,8 +131,7 @@ def main(argv=None) -> int:
                 raise SpecError("mc-eval needs --mc-trials >= 1")
             return _emit(run_compare(_build_spec(args)), args)
         if args.command == "mask-gap":
-            cfg = load_config(args.config) if args.config else ScenarioConfig()
-            s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=args.seed)).omega)
+            s1, s2, gap = spectral_gap(make_scenario(_load(args)).omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
     except (SpecshareError, OSError) as exc:

@@ -17,8 +17,10 @@ the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
 solve; each dual step is then one stacked Hermitian eigendecomposition of
 the narrow-side Gram matrices of the whitened channels, and the power
 follows in closed form from its factors. Covariance matrices are built only
-for the returned iterate. The selfish design (W_l = 0, lambda1 = 1) runs
-through the same kernel and is the feasibility test: C is reachable within
+for the returned iterate. The selfish design is the one with W_l = 0: A_l = 0
+and c_l = 1 at every lambda1, so the search's first evaluation is the
+minimum-power step bit for bit, and its answer when that power is below P_t.
+The same step at lambda1 = 1 is the feasibility test: C is reachable within
 P_t exactly when the minimum-power design fits in it. linalg.eig_floor is the
 only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
 
@@ -26,7 +28,7 @@ The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
 the exact bytes (with dtype, shape and layout) of H, the noise stack and
-C; it holds the whitened channels, the selfish step and the last few
+C; it holds the whitened channels, the minimum power and the last few
 designs, keyed by the exact bytes of the weights and G2 and by P_t. A
 problem that differs in any bit replaces the one held; errors are never
 memoized. A design passes its post-conditions (_checked) once, when
@@ -67,7 +69,9 @@ class SolverError(SpecshareError):
 @dataclass(frozen=True)
 class DesignSolution:
     schedule: np.ndarray  # (L, M_tC, M_tC) transmit covariances
-    lambda1: float  # power multiplier (0 for the selfish design)
+    # Power multiplier: 2^-30, the lowest grid point, when P_t is slack, as in
+    # the selfish design (W_l = 0, from solve_weighted_eip like any other).
+    lambda1: float
     lambda2: float  # capacity multiplier
     achieved_capacity: float
     consumed_power: float
@@ -154,7 +158,7 @@ class _DualKernel:
 
     @classmethod
     def unweighted(cls, whitened: np.ndarray) -> "_DualKernel":
-        """A_l = 0: Phi_l = lambda1 I, as in the selfish power minimization."""
+        """A_l = 0: Phi_l = lambda1 I, as in the minimum-power design."""
         L, _, n = whitened.shape
         return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)), B=whitened)
 
@@ -304,14 +308,14 @@ def _exact(*values) -> tuple:
 @dataclass
 class _Problem:
     """One design problem (H, noise, C) and what its designs share: the
-    whitened channels and the selfish step, which is also the feasibility
-    test. designs holds up to _MEMO_SIZE checked solutions, the least
-    recently used dropped first; the selfish design is under None and the
-    weighted ones under _exact(weights, G2, P_t)."""
+    whitened channels and the power of the minimum-power (W_l = 0) design,
+    which is the feasibility test. designs holds up to _MEMO_SIZE checked
+    solutions under _exact(weights, G2, P_t), the least recently used
+    dropped first."""
 
     key: tuple
     whitened: np.ndarray
-    selfish: _DualIterate
+    min_power: float
     designs: OrderedDict = field(default_factory=OrderedDict)
 
     def design(self, key, solve) -> DesignSolution:
@@ -338,9 +342,9 @@ def _problem(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> _Problem
     key = _exact(H, noise, C)
     if _memo is None or _memo.key != key:
         whitened = _whiten(H, noise)
-        _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C))
+        _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C).power)
     # Written so that a NaN power is infeasible too.
-    if not _memo.selfish.power <= P_t:
+    if not _memo.min_power <= P_t:
         raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
     return _memo
 
@@ -355,11 +359,12 @@ def solve_weighted_eip(
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by a search on the power multiplier
-    (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l.
+    (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l;
+    zero weights give the selfish (minimum-power) design.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
-    (selfish) design. converged says whether the search's bracket reached
-    DUAL_TOL within MAX_DUAL_EVALUATIONS. iterations counts the dual
+    design. converged says whether the search's bracket reached DUAL_TOL
+    within MAX_DUAL_EVALUATIONS. iterations counts the dual
     evaluations made: 1 when the power budget is slack and 7 to 17 when it
     binds (the benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
@@ -378,22 +383,3 @@ def solve_weighted_eip(
                         iterations=iterations, converged=converged)
 
     return problem.design(_exact(weights, G2, P_t), solve)
-
-
-def solve_selfish(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> DesignSolution:
-    """Minimum-power design achieving average capacity C, ignoring the radar.
-
-    Dual of the power objective: the per-symbol subproblem has Phi = I, so
-    a single closed-form water-level solve suffices (no search). It is
-    the step the weighted solves of the same (H, noise, C) test feasibility
-    with, and is memoized with them. InfeasibleError: the design needs more
-    power than P_t, the same test as solve_weighted_eip's.
-    """
-    problem = _problem(H, noise, C, P_t)
-
-    def solve():
-        it = problem.selfish
-        return _checked(_DualKernel.unweighted(problem.whitened).covariances(it), H, noise, C, P_t,
-                        lambda1=0.0, lambda2=it.lambda2, iterations=1, converged=True)
-
-    return problem.design(None, solve)

@@ -69,8 +69,10 @@ def average_capacity(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray) -> 
     """(1/L) sum_l log2 |I + R_wl^{-1} H R_xl H^H| in bits/symbol."""
     if len(noise) != len(schedule):
         raise MetricError("schedule and noise lengths differ")
-    if not np.all(np.isfinite(noise)):
-        raise MetricError("noise covariance is not finite")
+    for name, value in (("noise covariance", noise), ("covariance matrix", schedule),
+                        ("channel matrix", H)):
+        if not np.all(np.isfinite(value)):
+            raise MetricError(f"{name} is not finite")
     try:  # a Cholesky factor exists exactly when the noise is positive definite
         np.linalg.cholesky(hermitize(noise))
     except np.linalg.LinAlgError:

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from specshare.config import Scheme
-from specshare.covdesign import SolverError, min_capacity_multiplier
+from specshare.covdesign import SolverError, min_capacity_multiplier, solve_weighted_eip
 from specshare.interference import (
     MetricError,
     average_capacity,
@@ -222,6 +222,12 @@ def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
     gains = np.linalg.svd(whitened, compute_uv=False).ravel() ** 2
     powers = water_fill(gains, P_t)
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))
+
+
+def selfish(H, noise, C: float, P_t: float, G2):
+    """The selfish (minimum-power) design: solve_weighted_eip with W_l = 0,
+    as the harness's selfish method solves it."""
+    return solve_weighted_eip(np.zeros((len(noise), G2.shape[0])), H, G2, noise, P_t, C)
 
 
 def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other=None) -> dict:

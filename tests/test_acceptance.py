@@ -16,7 +16,6 @@ from specshare.completion import CompletionParams, radar_pipeline
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import (
     min_capacity_multiplier,
-    solve_selfish,
     solve_weighted_eip,
 )
 from specshare.harness import ExperimentSpec, format_csv, sweep
@@ -34,7 +33,7 @@ from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import generate_sampling_mask, make_scenario
 from specshare.streams import stream
 
-from oracles import eip_scheme2_trace_form, empirical_eip
+from oracles import eip_scheme2_trace_form, empirical_eip, selfish
 
 P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 N_SEEDS = 20
@@ -136,14 +135,14 @@ def joint_grid():
             cfg = scenario2_cfg(p=p, seed=seed)
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.G1, scn.S)
-            selfish = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+            baseline = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
             result = best_joint_design(cfg, scn, noise, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
                 "eip_selfish": scheme_eip(cfg, scn.omega, scn.S,
-                                          scn.G2, selfish.schedule),
+                                          scn.G2, baseline.schedule),
                 "eip_joint": scheme_eip(cfg, result.mask, scn.S,
                                         scn.G2, result.solution.schedule),
-                "capacities": (selfish.achieved_capacity,
+                "capacities": (baseline.achieved_capacity,
                                result.solution.achieved_capacity),
             }
     return out
@@ -343,7 +342,7 @@ def test_criterion_11_recovery_trend():
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.G1, scn.S)
         if method == "selfish":
-            sol, mask = solve_selfish(scn.H, noise, cfg.C, cfg.P_t), scn.omega
+            sol, mask = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2), scn.omega
         elif method == "noncoop":
             w = tip_weights(cfg.M_rR, cfg.L)
             sol = solve_weighted_eip(w, scn.H, scn.G2, noise,

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import converged_completion, svd_shrink
+from oracles import converged_completion, selfish, svd_shrink
 from specshare import completion
 from specshare.completion import (
     CompletionParams,
@@ -19,7 +19,6 @@ from specshare.completion import (
     shrink,
 )
 from specshare.config import ScenarioConfig, Scheme
-from specshare.covdesign import solve_selfish
 from specshare.interference import noise_covariances
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
@@ -148,7 +147,7 @@ def mc_recovery_input():
     cfg = pipeline_cfg(L=32, p=0.5, seed=1)
     scn = make_scenario(cfg)
     noise = noise_covariances(cfg, scn.G1, scn.S)
-    roots = psd_sqrt(solve_selfish(scn.H, noise, cfg.C, cfg.P_t).schedule)
+    roots = psd_sqrt(selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2).schedule)
     rng = stream(1, "mc")
     X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
     observed = synthesize_radar_rx(
@@ -336,7 +335,7 @@ class TestRadarPipeline:
                 cfg = pipeline_cfg(p=0.5, seed=seed, targets=targets)
                 scn = make_scenario(cfg)
                 noise = noise_covariances(cfg, scn.G1, scn.S)
-                sol = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+                sol = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
                 stats = radar_pipeline(
                     cfg, scn.D, scn.S, scn.G2,
                     sol.schedule, scn.omega, 6, stream(seed, "mc", len(targets)),
@@ -376,7 +375,7 @@ def usable_cpus(monkeypatch, n):
 def selfish_pipeline(cfg, trials):
     scn = make_scenario(cfg)
     noise = noise_covariances(cfg, scn.G1, scn.S)
-    sol = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
+    sol = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
     return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, trials,
                           stream(cfg.seed, "mc"))
 

@@ -13,10 +13,9 @@ from specshare.covdesign import (
     InfeasibleError,
     SolverError,
     min_capacity_multiplier,
-    solve_selfish,
     solve_weighted_eip,
 )
-from specshare.harness import ExperimentSpec, sweep
+from specshare.harness import ExperimentSpec, run_compare, sweep
 from specshare.interference import (
     average_capacity,
     check_covariances,
@@ -31,7 +30,14 @@ from specshare.linalg import crandn, hermitize, psd_inv_sqrt
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
-from oracles import capacity_bound, svd_dual_step, top_first_search, verify_solution, water_fill
+from oracles import (
+    capacity_bound,
+    selfish,
+    svd_dual_step,
+    top_first_search,
+    verify_solution,
+    water_fill,
+)
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -265,48 +271,76 @@ class TestFeasibility:
     def test_agrees_with_water_filling_bound(self, monkeypatch):
         # Water-filling duality: C is unreachable within P_t exactly when the
         # capacity bound at P_t is below C.
-        monkeypatch.setattr(covdesign, "_dual_search", no_search)
         rng = stream(0, "feasible")
         outcomes = set()
         for _ in range(300):
             design, C = random_design(rng)
-            _, H, _, noise = design
-            p_min = solve_selfish(H, noise, C, np.inf).consumed_power
-            for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
-                with pytest.raises((InfeasibleError, SearchReached)) as info:
-                    solve_weighted_eip(*design, P_t, C)
-                infeasible = info.type is InfeasibleError
-                assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
-                outcomes.add(infeasible)
+            _, H, G2, noise = design
+            p_min = selfish(H, noise, C, np.inf, G2).consumed_power
+            with monkeypatch.context() as m:
+                m.setattr(covdesign, "_dual_search", no_search)
+                for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
+                    with pytest.raises((InfeasibleError, SearchReached)) as info:
+                        solve_weighted_eip(*design, P_t, C)
+                    infeasible = info.type is InfeasibleError
+                    assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
+                    outcomes.add(infeasible)
         assert outcomes == {True, False}
 
     def test_budget_just_below_selfish_power_skips_search(self, monkeypatch):
-        monkeypatch.setattr(covdesign, "_dual_search", no_search)
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
-            _, H, _, noise = design
-            p_min = solve_selfish(H, noise, C, np.inf).consumed_power
-            with pytest.raises(InfeasibleError, match="unreachable within power budget"):
-                solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
-            with pytest.raises(SearchReached):
-                solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
+            _, H, G2, noise = design
+            p_min = selfish(H, noise, C, np.inf, G2).consumed_power
+            with monkeypatch.context() as m:
+                m.setattr(covdesign, "_dual_search", no_search)
+                with pytest.raises(InfeasibleError, match="unreachable within power budget"):
+                    solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
+                with pytest.raises(SearchReached):
+                    solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
 
 
 class TestSolveSelfish:
+    """The selfish design: solve_weighted_eip with W_l = 0."""
+
     def test_zero_capacity_target(self):
-        H, _, noise = small_instance(0)
-        sol = solve_selfish(H, noise, 0.0, np.inf)
+        H, G2, noise = small_instance(0)
+        sol = selfish(H, noise, 0.0, np.inf, G2)
         assert sol.consumed_power == 0.0
 
     def test_scalar_power(self):
         noise = np.stack([np.eye(1)])
-        sol = solve_selfish(np.eye(1), noise, 4.0, np.inf)
+        sol = selfish(np.eye(1), noise, 4.0, np.inf, np.eye(1))
         assert abs(sol.consumed_power - (2.0**4 - 1.0)) <= 1e-6
 
     def test_capacity_active(self):
-        H, _, noise = small_instance(7)
-        sol = solve_selfish(H, noise, 3.0, np.inf)
+        H, G2, noise = small_instance(7)
+        sol = selfish(H, noise, 3.0, np.inf, G2)
         assert abs(sol.achieved_capacity - 3.0) <= 1e-6
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_zero_weights_give_the_minimum_power_step(self, scheme):
+        """W_l = 0 makes A_l = 0 and U_l = I exactly, so c_l = 1 at every
+        lambda1: the search's first evaluation, at the lowest grid point, is
+        the minimum-power step at lambda1 = 1 bit for bit, and the budget is
+        slack there. A budget below that step's power fails the selfish row
+        with the message every design of the problem fails with."""
+        for seed in range(3):
+            cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
+            scn = make_scenario(cfg)
+            noise = noise_covariances(cfg, scn.G1, scn.S)
+            kernel = covdesign._DualKernel.unweighted(covdesign._whiten(scn.H, noise))
+            step = kernel.step(1.0, cfg.C)
+            sol = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
+            assert sol.schedule.tobytes() == kernel.covariances(step).tobytes()
+            assert sol.iterations == 1 and sol.converged
+            assert sol.lambda1 == 2.0 ** -30
+            assert sol.lambda2 == step.lambda2 * 2.0 ** -30
+            tight = cfg.replace(P_t=0.5 * step.power)
+            spec = ExperimentSpec(cfg=tight, methods=["selfish", "noncoop"], seeds=[seed])
+            rows = run_compare(spec)
+            message = f"capacity target {cfg.C} unreachable within power budget {tight.P_t}"
+            assert [r.error for r in rows] == [message, message]
 
 
 class TestVerifySolution:
@@ -317,9 +351,8 @@ class TestVerifySolution:
         w = scheme_weights(cfg, scn.omega, scn.S)
         coop = solve_weighted_eip(w, scn.H, scn.G2, noise,
                                   cfg.P_t, cfg.C)
-        selfish = solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
-        report = verify_solution(coop, scn.H, scn.G2, noise,
-                                 cfg.P_t, cfg.C, weights=w, other=selfish)
+        report = verify_solution(coop, scn.H, scn.G2, noise, cfg.P_t, cfg.C, weights=w,
+                                 other=selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2))
         assert report["psd_ok"]
         assert report["power_feasible"]
         assert report["capacity_active"]
@@ -482,7 +515,7 @@ class TestDualKernel:
         whitened = covdesign._whiten(H, noise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            designs = [solve_selfish(H, noise, 2.0, 10.0),
+            designs = [selfish(H, noise, 2.0, 10.0, G2),
                        solve_weighted_eip(w, H, G2, noise, 10.0, 2.0)]
             kernels = [covdesign._DualKernel.unweighted(whitened),
                        covdesign._DualKernel.weighted(w, G2, whitened)]
@@ -646,7 +679,7 @@ class TestPostConditions:
         with pytest.raises(SolverError, match="capacity"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         with pytest.raises(SolverError, match="capacity"):
-            solve_selfish(H, noise, 2.0, P_t=6.0)
+            selfish(H, noise, 2.0, 6.0, G2)
 
     def test_power_excess_raises(self, monkeypatch):
         real = covdesign._DualKernel.covariances
@@ -666,7 +699,7 @@ class TestPostConditions:
         # too, which passes the budget test; doubled it uses 7.
         noise = np.stack([0.5 * np.eye(1)])
         with pytest.raises(SolverError, match="power"):
-            solve_selfish(np.eye(1), noise, 3.0, P_t=4.0)
+            selfish(np.eye(1), noise, 3.0, 4.0, np.eye(1))
 
     def test_invalid_schedule_raises(self, monkeypatch):
         real = covdesign._DualKernel.covariances
@@ -1006,17 +1039,28 @@ class TestDualSearch:
 
     def test_sweep_p_dual_evaluations(self, monkeypatch):
         """Dual evaluations from an empty memo over the default-config
-        p-sweep of both schemes, seeds 0-1: at most 130 (the selfish steps
-        included), 13 fewer than the 143 of the search with the bracket top
-        first, one per slack design."""
-        calls = []
-        step = covdesign._DualKernel.step
+        p-sweep of both schemes, seeds 0-1: at most 130 for the feasibility
+        steps and the searches with nonzero weights, 13 fewer than the 143
+        of the search with the bracket top first, one per slack design. The
+        selfish (zero-weight) design of each seed's problem adds its search,
+        of exactly one evaluation: the feasibility step over again."""
+        calls, zero_weight = [], []
+        step, search = covdesign._DualKernel.step, covdesign._dual_search
+
+        def counted_search(kernel, *args):
+            result = search(kernel, *args)
+            if not kernel.a.any():
+                zero_weight.append(result[1])
+            return result
+
         monkeypatch.setattr(covdesign._DualKernel, "step",
                             lambda self, *args: calls.append(1) or step(self, *args))
+        monkeypatch.setattr(covdesign, "_dual_search", counted_search)
         monkeypatch.setattr(covdesign, "_memo", None)
         base = ScenarioConfig()
         for cfg, methods in ((base, ["selfish", "noncoop", "coop"]),
                              (base.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
             sweep(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], sweep_var="p",
                                  sweep_values=[0.2, 0.4, 0.6, 0.8, 1.0]))
-        assert len(calls) <= 130
+        assert zero_weight == [1, 1]
+        assert len(calls) - sum(zero_weight) <= 130

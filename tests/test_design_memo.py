@@ -10,11 +10,13 @@ import pytest
 
 from specshare import covdesign, harness
 from specshare.config import ScenarioConfig, Scheme
-from specshare.covdesign import InfeasibleError, SolverError, solve_selfish, solve_weighted_eip
+from specshare.covdesign import InfeasibleError, SolverError, solve_weighted_eip
 from specshare.harness import ExperimentSpec, format_csv, run_compare, sweep
 from specshare.interference import noise_covariances, scheme_weights, tip_weights
 from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
+
+from oracles import selfish
 
 SCHEME_METHODS = {
     Scheme.SCHEME_I: ("selfish", "noncoop", "coop", "joint"),
@@ -157,15 +159,15 @@ class TestErrorsAreNotMemoized:
         with monkeypatch.context() as m:
             m.setattr(covdesign, "min_capacity_multiplier", unreachable)
             with pytest.raises(InfeasibleError):
-                solve_selfish(H, noise, C, P_t)
+                selfish(H, noise, C, P_t, G2)
             with pytest.raises(InfeasibleError):
                 solve_weighted_eip(w, H, G2, noise, P_t, C)
-        assert solve_selfish(H, noise, C, P_t).converged
+        assert selfish(H, noise, C, P_t, G2).converged
         assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
 
     def test_infeasible_budget(self):
         w, H, G2, noise, P_t, C = small_design()
-        p_min = solve_selfish(H, noise, C, P_t).consumed_power
+        p_min = selfish(H, noise, C, P_t, G2).consumed_power
         for _ in range(2):
             with pytest.raises(InfeasibleError):
                 solve_weighted_eip(w, H, G2, noise, 0.5 * p_min, C)
@@ -201,17 +203,27 @@ def sweep_p_jobs(seed):
 
 
 def test_sweep_p_seed_shares_one_problem(monkeypatch):
-    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    counts = count_calls(monkeypatch, "_whiten")
+    searches = collections.Counter()
+    search = covdesign._dual_search
+
+    def counted_search(kernel, *args):
+        searches["zero" if not kernel.a.any() else "weighted"] += 1
+        return search(kernel, *args)
+
+    monkeypatch.setattr(covdesign, "_dual_search", counted_search)
     for spec, p in sweep_p_jobs(13):
         rows = run_compare(spec, p)
         assert not any(r.error for r in rows)
-    # 25 weighted designs, of which 10 differ: the noncoop and partial
-    # weights do not depend on p, Scheme II noncoop repeats Scheme I's, the
-    # Scheme I coop weights at p = 1 are the noncoop ones, and the Scheme II
-    # full weights at p = 1 are the partial ones, bit for bit and in the
-    # same C-ordered layout.
+    # 25 designs with nonzero weights, of which 10 differ: the noncoop and
+    # partial weights do not depend on p, Scheme II noncoop repeats Scheme
+    # I's, the Scheme I coop weights at p = 1 are the noncoop ones, and the
+    # Scheme II full weights at p = 1 are the partial ones, bit for bit and
+    # in the same C-ordered layout. The 5 selfish (zero-weight) designs are
+    # one.
     assert counts["_whiten"] == 1
-    assert counts["_dual_search"] <= 10
+    assert searches["weighted"] <= 10
+    assert searches["zero"] == 1
 
 
 def test_joint_design_whitens_once(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from specshare import SpecshareError, cli, harness
 from specshare.cli import main as cli_main
 from specshare.config import ConfigError, ScenarioConfig, Scheme, save_config
-from specshare.covdesign import InfeasibleError, SolverError, solve_selfish
+from specshare.covdesign import InfeasibleError, SolverError
 from specshare.harness import (
     CSV_HEADER,
     ExperimentSpec,
@@ -24,6 +24,8 @@ from specshare.harness import (
 from specshare.interference import MetricError, noise_covariances
 from specshare.samplingopt import spectral_gap
 from specshare.scenario import ScenarioError, make_scenario
+
+from oracles import selfish
 
 
 def scenario1(**kw):
@@ -143,7 +145,7 @@ class TestRunCompare:
     def test_selfish_row_obeys_power_budget(self):
         # C = 30 needs about 79 of P_t = 32 even in the minimum-power design,
         # so the selfish row is infeasible like the weighted ones, while
-        # solve_selfish without a budget still returns that design.
+        # the zero-weight solve without a budget still returns that design.
         cfg = scenario1(C=30.0)
         spec = ExperimentSpec(cfg=cfg, methods=["selfish", "noncoop", "coop"], seeds=[0])
         for r in run_compare(spec):
@@ -152,8 +154,8 @@ class TestRunCompare:
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.G1, scn.S)
         with pytest.raises(InfeasibleError, match="unreachable within power budget 32.0"):
-            solve_selfish(scn.H, noise, cfg.C, cfg.P_t)
-        assert solve_selfish(scn.H, noise, cfg.C, np.inf).consumed_power > cfg.P_t
+            selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
+        assert selfish(scn.H, noise, cfg.C, np.inf, scn.G2).consumed_power > cfg.P_t
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(cfg, require_coverage=True):
@@ -321,6 +323,27 @@ class TestCli:
         save_config(scenario1(L=8, M_tC=2, M_rC=2, C=4.0), path)
         code = cli_main(["compare", "--methods", "selfish", "--config", str(path)])
         assert code == 0
+
+    def test_config_seed_is_the_base_seed(self, tmp_path, capsys):
+        """Without --seed, the config file's seed is the base seed, for the
+        design commands and mask-gap alike; an explicit --seed overrides it."""
+        seeded, plain = tmp_path / "seeded.txt", tmp_path / "plain.txt"
+        seeded.write_text("p = 0.5\nseed = 5\n")
+        plain.write_text("p = 0.5\n")
+
+        def run(*argv):
+            assert cli_main(list(argv)) == 0
+            return capsys.readouterr().out
+
+        for command in (["compare", "--methods", "noncoop", "--seeds", "2"], ["mask-gap"]):
+            from_config = run(*command, "--config", str(seeded))
+            assert from_config == run(*command, "--config", str(plain), "--seed", "5")
+            assert from_config != run(*command, "--config", str(plain))
+            overridden = run(*command, "--config", str(seeded), "--seed", "0")
+            assert overridden == run(*command, "--config", str(plain))
+        rows = run("compare", "--methods", "noncoop", "--seeds", "2",
+                   "--config", str(seeded)).splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["5", "6"]
 
     def test_mask_gap(self, tmp_path, capsys):
         assert cli_main(["mask-gap", "--seed", "1"]) == 0

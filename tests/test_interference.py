@@ -715,6 +715,25 @@ class TestStackedAgainstPerSymbol:
             with pytest.raises(MetricError, match="noise covariance is not finite"):
                 average_capacity(schedule[:, :2, :2].real, np.eye(2), noise)
 
+    def test_non_finite_covariance_rejected_by_capacity(self):
+        """A NaN covariance used to reach slogdet, which warned and returned nan."""
+        schedule = random_schedule(stream(0, "finite"), 2, 4)
+        schedule[2, 1, 0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match="covariance matrix is not finite"):
+                average_capacity(schedule, np.eye(2), np.stack([np.eye(2)] * 4))
+
+    def test_non_finite_channel_rejected_by_capacity(self):
+        """An inf in H used to reach matmul, which warned and returned nan."""
+        schedule = random_schedule(stream(0, "finite"), 2, 4)
+        H = np.eye(2)
+        H[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricError, match="channel matrix is not finite"):
+                average_capacity(schedule, H, np.stack([np.eye(2)] * 4))
+
     def test_singular_noise_verdict(self):
         """The Cholesky test of the noise against the smallest eigenvalue:
         sigma_C2 = 0 leaves rank-one noise, which both reject, also as the

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from specshare.covdesign import solve_selfish, solve_weighted_eip
+from specshare.covdesign import solve_weighted_eip
 from specshare.linalg import crandn, hermitize
 from specshare.streams import stream
 
-from oracles import verify_solution
+from oracles import selfish, verify_solution
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,7 +33,7 @@ def test_verify_solution_reports_kkt(seed, L, C, headroom):
     weights, H, G2, noise = instance(seed, L)
     # Above the selfish (minimum) power the target is feasible; small
     # headroom makes the budget bind, large headroom leaves it slack.
-    P_t = solve_selfish(H, noise, C, np.inf).consumed_power * (1.0 + headroom)
+    P_t = selfish(H, noise, C, np.inf, G2).consumed_power * (1.0 + headroom)
     sol = solve_weighted_eip(weights, H, G2, noise, P_t, C)
     report = verify_solution(sol, H, G2, noise, P_t, C)
     assert report["psd_ok"]
