@@ -18,22 +18,22 @@ solve; each dual step is then one stacked Hermitian eigendecomposition of
 the narrow-side Gram matrices of the whitened channels, and the power
 follows in closed form from its factors. Covariance matrices are built only
 for the returned iterate. The selfish design is the one with W_l = 0: A_l = 0
-and c_l = 1 at every lambda1, so the search's first evaluation is the
-minimum-power step bit for bit, and its answer when that power is below P_t.
-The same step at lambda1 = 1 is the feasibility test: C is reachable within
-P_t exactly when the minimum-power design fits in it. linalg.eig_floor is the
-only guard against a singular Phi_l; the search evaluates lambda1 > 0 only.
+and c_l = 1 at every lambda1, so it takes no search, only the minimum-power
+step at the search's lowest grid point, the answer of any slack budget. Its
+power is the feasibility test: C is reachable within P_t exactly when the
+minimum-power design fits in it. linalg.eig_floor is the only guard against
+a singular Phi_l; the kernel evaluates lambda1 > 0 only.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
 the exact bytes (with dtype, shape and layout) of H, the noise stack and
-C; it holds the whitened channels, the minimum power and the last few
-designs, keyed by the exact bytes of the weights and G2 and by P_t. A
-problem that differs in any bit replaces the one held; errors are never
-memoized. A design passes its post-conditions (_checked) once, when
-it is computed; a memoized one comes back as the same frozen solution with
-a read-only covariance stack.
+C; it holds the whitened channels, the minimum power once a design has
+needed it and the last few designs, keyed by the exact bytes of the weights
+and G2 and by P_t. A problem that differs in any bit replaces the one held;
+errors are never memoized. A design passes its post-conditions (_checked)
+once, when it is computed; a memoized one comes back as the same frozen
+solution with a read-only covariance stack.
 """
 
 from __future__ import annotations
@@ -69,9 +69,7 @@ class SolverError(SpecshareError):
 @dataclass(frozen=True)
 class DesignSolution:
     schedule: np.ndarray  # (L, M_tC, M_tC) transmit covariances
-    # Power multiplier: 2^-30, the lowest grid point, when P_t is slack, as in
-    # the selfish design (W_l = 0, from solve_weighted_eip like any other).
-    lambda1: float
+    lambda1: float  # power multiplier: the lowest grid point, 2^-30, when P_t is slack
     lambda2: float  # capacity multiplier
     achieved_capacity: float
     consumed_power: float
@@ -117,8 +115,8 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
 class _DualIterate:
     """One dual evaluation: the multipliers, the power it consumes and the
     factors its covariances are built from. The factors belong to the
-    subproblem scaled by 1/lambda1 (by 1 at lambda1 = 0), whose water level
-    is lambda2/lambda1; see _DualKernel."""
+    subproblem scaled by 1/lambda1, whose water level is lambda2/lambda1;
+    see _DualKernel."""
 
     lambda1: float
     lambda2: float
@@ -137,7 +135,7 @@ class _DualKernel:
     Phi_l = A_l + lambda1 I shares the eigenvectors U_l, with eigenvalues
     d_l = a_l + lambda1. The kernel solves each subproblem scaled by
     1/lambda1: Phi_l / lambda1 has the inverse diag(c_l) in the U_l basis,
-    c_l = lambda1/d_l in (0, 1] (1/d_l at lambda1 = 0), and its whitened
+    c_l = lambda1/d_l in (0, 1], and its whitened
     channel is B'_l = B_l diag(c_l)^{1/2}. One stacked eigh of the narrow-
     side Gram matrix of B'_l gives the singular values s_i and the columns
     T_i = diag(c_l)^{1/2} B'_l^H u_i = diag(c_l)^{1/2} v'_i s_i; a power beta_i
@@ -163,9 +161,9 @@ class _DualKernel:
         return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)), B=whitened)
 
     def spectrum(self, lambda1: float):
-        """(s, T) of every scaled whitened channel at lambda1 >= 0; eig_floor
+        """(s, T) of every scaled whitened channel at lambda1 > 0; eig_floor
         keeps c_l positive where Phi_l is singular."""
-        c = _scale(lambda1) / eig_floor(self.a + lambda1)
+        c = lambda1 / eig_floor(self.a + lambda1)
         root = np.sqrt(c)[:, :, None]
         X = self.B * np.swapaxes(root, -1, -2)
         s, A, V = gram_spectrum(X)
@@ -173,8 +171,8 @@ class _DualKernel:
         return s, root * (V * s[:, None, :] if A is X else A @ V)
 
     def allocate(self, lambda1: float, level: float, s, T) -> _DualIterate:
-        """Water-fill the scaled channels at level = lambda2 / lambda1 (lambda2
-        at lambda1 = 0); power sum_i beta_i ||T_i||^2 / s_i^2. A gain s^2
+        """Water-fill the scaled channels at level = lambda2 / lambda1; power
+        sum_i beta_i ||T_i||^2 / s_i^2. A gain s^2
         whose inverse is not finite (a zero singular value, as of a comm
         antenna that hears nothing) gets no power."""
         gain = s**2
@@ -182,7 +180,7 @@ class _DualKernel:
                              where=gain > 1.0 / np.finfo(float).max)
         beta = np.maximum(level - inv_gain, 0.0)
         power = float(np.einsum("lk,lnk->", _per_gain(beta, gain), np.abs(T) ** 2))
-        return _DualIterate(lambda1, level * _scale(lambda1), power, s, beta, T)
+        return _DualIterate(lambda1, level * lambda1, power, s, beta, T)
 
     def step(self, lambda1: float, C: float) -> _DualIterate:
         """Dual evaluation at lambda1 with the smallest capacity-feasible lambda2."""
@@ -194,11 +192,6 @@ class _DualKernel:
         X = self.U @ it.T
         weighted = X * _per_gain(it.beta, it.s**2)[:, None, :]
         return hermitize(weighted @ np.swapaxes(X, -1, -2).conj())
-
-
-def _scale(lambda1: float) -> float:
-    """lambda1, or 1 at lambda1 = 0: the kernel's subproblems are divided by it."""
-    return lambda1 if lambda1 > 0 else 1.0
 
 
 def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -231,6 +224,11 @@ def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
                           consumed_power=power, **fields)
 
 
+def _lowest_grid_point(dual_tol: float) -> float:
+    """The largest power of two <= dual_tol: the search's first evaluation."""
+    return math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
+
+
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
                  max_iterations: int) -> tuple[_DualIterate, int, bool]:
     """The search on lambda1, 0 < dual_tol < 1: (iterate, dual evaluations,
@@ -252,7 +250,7 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     end. converged says whether the bracket is then at most dual_tol wide;
     its lower end, evaluated at or above P_t, certifies the answer.
     """
-    grid = math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
+    grid = _lowest_grid_point(dual_tol)
     hi, best, evaluations = grid, kernel.step(grid, C), 1
     if best.power < P_t:
         return best, evaluations, True
@@ -308,15 +306,24 @@ def _exact(*values) -> tuple:
 @dataclass
 class _Problem:
     """One design problem (H, noise, C) and what its designs share: the
-    whitened channels and the power of the minimum-power (W_l = 0) design,
-    which is the feasibility test. designs holds up to _MEMO_SIZE checked
-    solutions under _exact(weights, G2, P_t), the least recently used
-    dropped first."""
+    whitened channels and, once a design has needed it, the power of the
+    minimum-power (W_l = 0) design, the feasibility test. designs holds up
+    to _MEMO_SIZE checked solutions under _exact(weights, G2, P_t), the
+    least recently used dropped first."""
 
     key: tuple
+    C: float
     whitened: np.ndarray
-    min_power: float
+    min_power: float | None = None
     designs: OrderedDict = field(default_factory=OrderedDict)
+
+    def check_budget(self, P_t: float) -> None:
+        """InfeasibleError unless the minimum-power design fits in P_t."""
+        if self.min_power is None:
+            self.min_power = _DualKernel.unweighted(self.whitened).step(1.0, self.C).power
+        # Written so that a NaN power is infeasible too.
+        if not self.min_power <= P_t:
+            raise InfeasibleError(f"capacity target {self.C} unreachable within power budget {P_t}")
 
     def design(self, key, solve) -> DesignSolution:
         if key in self.designs:
@@ -335,17 +342,12 @@ class _Problem:
 _memo: _Problem | None = None
 
 
-def _problem(H: np.ndarray, noise: np.ndarray, C: float, P_t: float) -> _Problem:
-    """The problem (H, noise, C), memoized; InfeasibleError unless its
-    minimum-power design fits in P_t."""
+def _problem(H: np.ndarray, noise: np.ndarray, C: float) -> _Problem:
+    """The problem (H, noise, C), memoized."""
     global _memo
     key = _exact(H, noise, C)
     if _memo is None or _memo.key != key:
-        whitened = _whiten(H, noise)
-        _memo = _Problem(key, whitened, _DualKernel.unweighted(whitened).step(1.0, C).power)
-    # Written so that a NaN power is infeasible too.
-    if not _memo.min_power <= P_t:
-        raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
+        _memo = _Problem(key, C, _whiten(H, noise))
     return _memo
 
 
@@ -360,7 +362,8 @@ def solve_weighted_eip(
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by a search on the power multiplier
     (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l;
-    zero weights give the selfish (minimum-power) design.
+    zero weights give the selfish (minimum-power) design in one dual
+    evaluation, without a search.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
     design. converged says whether the search's bracket reached DUAL_TOL
@@ -373,11 +376,20 @@ def solve_weighted_eip(
         raise SolverError("weights and noise schedules have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    problem = _problem(H, noise, C, P_t)
+    problem = _problem(H, noise, C)
 
     def solve():
-        kernel = _DualKernel.weighted(weights, G2, problem.whitened)
-        best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
+        if weights.any():
+            problem.check_budget(P_t)
+            kernel = _DualKernel.weighted(weights, G2, problem.whitened)
+            best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL,
+                                                       MAX_DUAL_EVALUATIONS)
+        else:  # A_l = 0: the same minimum-power step at every lambda1
+            kernel = _DualKernel.unweighted(problem.whitened)
+            best = kernel.step(_lowest_grid_point(DUAL_TOL), C)
+            iterations, converged = 1, True
+            problem.min_power = best.power
+            problem.check_budget(P_t)
         return _checked(kernel.covariances(best), H, noise, C, P_t,
                         lambda1=best.lambda1, lambda2=best.lambda2,
                         iterations=iterations, converged=converged)

@@ -124,20 +124,21 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
 def _solve_method(method, cfg, scn, noise):
     """Returns (DesignSolution, mask omega used for the EIP metric). The
     method's name picks the interference weights W_l of its design problem."""
+    H, G2, S = scn.H, scn.G2, scn.S
     if method == "selfish":  # ignores the radar
         w = np.zeros((cfg.L, cfg.M_rR))
     elif method == "noncoop":
         w = tip_weights(cfg.M_rR, cfg.L)
     elif method in ("coop", "full"):  # the radar scheme's EIP, per the spec check
-        w = scheme_weights(cfg, scn.omega, scn.S)
+        w = scheme_weights(cfg, scn.omega, S)
     elif method == "partial":
-        w = fmfb_weights(scn.S, cfg.M_rR)
+        w = fmfb_weights(S, cfg.M_rR)
     elif method == "joint":
-        result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+        result = joint_design(cfg, H, G2, noise, S, scn.omega)
         return result.solution, result.mask
     else:
         raise SpecError(f"unknown method {method!r}")
-    return solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C), scn.omega
+    return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.omega
 
 
 def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:

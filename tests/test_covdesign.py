@@ -10,6 +10,7 @@ import pytest
 from specshare import covdesign
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import (
+    DesignSolution,
     InfeasibleError,
     SolverError,
     min_capacity_multiplier,
@@ -104,17 +105,19 @@ def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
     whitened = covdesign._whiten(H, np.stack([R_wl]))
     kernel = covdesign._DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
     # The kernel water-fills the subproblem scaled by 1/lambda1, at level lambda2/lambda1.
-    it = kernel.allocate(lambda1, lambda2 / covdesign._scale(lambda1), *kernel.spectrum(lambda1))
+    it = kernel.allocate(lambda1, lambda2 / lambda1, *kernel.spectrum(lambda1))
     return kernel.covariances(it)[0]
 
 
 class TestSubproblemSolution:
     def test_scalar_substitution(self):
-        for lam2 in (0.5, 1.0, 2.0, 8.0):
-            R = subproblem_solution(
-                0.0, lam2, np.array([1.0]), np.eye(1), np.eye(1), np.eye(1)
-            )
-            assert abs(R[0, 0].real - max(lam2 - 1.0, 0.0)) < 1e-10
+        # Phi = 1 + lambda1 on a unit channel: R = (lambda2 / Phi - 1)^+.
+        for lam1 in (0.5, 2.0):
+            for lam2 in (0.5, 1.0, 2.0, 8.0):
+                R = subproblem_solution(
+                    lam1, lam2, np.array([1.0]), np.eye(1), np.eye(1), np.eye(1)
+                )
+                assert abs(R[0, 0].real - max(lam2 / (1.0 + lam1) - 1.0, 0.0)) < 1e-10
 
     def test_water_below_floor_gives_zero(self):
         rng = stream(0, "sub")
@@ -270,34 +273,38 @@ class TestFeasibility:
 
     def test_agrees_with_water_filling_bound(self, monkeypatch):
         # Water-filling duality: C is unreachable within P_t exactly when the
-        # capacity bound at P_t is below C.
+        # capacity bound at P_t is below C. A feasible design reaches the
+        # search, except with all-zero weights, which need none.
+        monkeypatch.setattr(covdesign, "_dual_search", no_search)
         rng = stream(0, "feasible")
-        outcomes = set()
+        outcomes, flat = set(), 0
         for _ in range(300):
             design, C = random_design(rng)
             _, H, G2, noise = design
             p_min = selfish(H, noise, C, np.inf, G2).consumed_power
-            with monkeypatch.context() as m:
-                m.setattr(covdesign, "_dual_search", no_search)
-                for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
-                    with pytest.raises((InfeasibleError, SearchReached)) as info:
-                        solve_weighted_eip(*design, P_t, C)
-                    infeasible = info.type is InfeasibleError
-                    assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
-                    outcomes.add(infeasible)
-        assert outcomes == {True, False}
+            feasible = SearchReached if design[0].any() else DesignSolution
+            flat += feasible is DesignSolution
+            for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
+                try:
+                    outcome = type(solve_weighted_eip(*design, P_t, C))
+                except (InfeasibleError, SearchReached) as exc:
+                    outcome = type(exc)
+                assert outcome in (InfeasibleError, feasible)
+                infeasible = outcome is InfeasibleError
+                assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
+                outcomes.add(infeasible)
+        assert outcomes == {True, False} and flat > 0
 
     def test_budget_just_below_selfish_power_skips_search(self, monkeypatch):
+        monkeypatch.setattr(covdesign, "_dual_search", no_search)
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
             _, H, G2, noise = design
             p_min = selfish(H, noise, C, np.inf, G2).consumed_power
-            with monkeypatch.context() as m:
-                m.setattr(covdesign, "_dual_search", no_search)
-                with pytest.raises(InfeasibleError, match="unreachable within power budget"):
-                    solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
-                with pytest.raises(SearchReached):
-                    solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
+            with pytest.raises(InfeasibleError, match="unreachable within power budget"):
+                solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
+            with pytest.raises(SearchReached):
+                solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
 
 
 class TestSolveSelfish:
@@ -320,22 +327,29 @@ class TestSolveSelfish:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_weights_give_the_minimum_power_step(self, scheme):
-        """W_l = 0 makes A_l = 0 and U_l = I exactly, so c_l = 1 at every
-        lambda1: the search's first evaluation, at the lowest grid point, is
-        the minimum-power step at lambda1 = 1 bit for bit, and the budget is
-        slack there. A budget below that step's power fails the selfish row
-        with the message every design of the problem fails with."""
+        """The zero-weight design is the minimum-power step at lambda1 = 1
+        bit for bit, in one evaluation at the lowest grid point. It is what
+        the search returns on the zero-weight kernel: W_l = 0 makes A_l = 0
+        and U_l = I exactly, so c_l = 1 at every lambda1 and the search's
+        first evaluation has the same factors and a slack budget. A budget
+        below that step's power fails the selfish row with the message every
+        design of the problem fails with."""
         for seed in range(3):
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.G1, scn.S)
-            kernel = covdesign._DualKernel.unweighted(covdesign._whiten(scn.H, noise))
+            whitened = covdesign._whiten(scn.H, noise)
+            kernel = covdesign._DualKernel.unweighted(whitened)
             step = kernel.step(1.0, cfg.C)
             sol = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
             assert sol.schedule.tobytes() == kernel.covariances(step).tobytes()
             assert sol.iterations == 1 and sol.converged
-            assert sol.lambda1 == 2.0 ** -30
-            assert sol.lambda2 == step.lambda2 * 2.0 ** -30
+            assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
+            zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, whitened)
+            searched, evaluations, _ = covdesign._dual_search(
+                zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
+            assert evaluations == 1 and (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
+            assert zero.covariances(searched).tobytes() == sol.schedule.tobytes()
             tight = cfg.replace(P_t=0.5 * step.power)
             spec = ExperimentSpec(cfg=tight, methods=["selfish", "noncoop"], seeds=[seed])
             rows = run_compare(spec)
@@ -869,14 +883,16 @@ class TestDualSearch:
     def test_random_instances_match_bisection(self, monkeypatch):
         """Bit-equal to the bisection except where power is flat in lambda1
         (all-zero weights) or P_t ties the power at the bracket top; every
-        answer certified."""
+        answer of the search certified. A design with all-zero weights takes
+        no search: one evaluation, the minimum-power step."""
         seen, counts = set(), np.zeros(2, dtype=int)
         for design, kernel, C, powers in search_instances():
             flat = not design[0].any()
             for P_t in budgets(*powers):
                 exact = not flat and P_t != powers[-1]
                 name, *n = self.assert_same(monkeypatch, *design, P_t, C,
-                                            kernel=kernel, exact=exact)
+                                            kernel=None if flat else kernel, exact=exact)
+                assert not flat or n == ([0, 0] if name == "InfeasibleError" else [1, 1])
                 seen.add(name)
                 counts += n
             for P_t in feasible_budgets(*powers):
@@ -1039,28 +1055,17 @@ class TestDualSearch:
 
     def test_sweep_p_dual_evaluations(self, monkeypatch):
         """Dual evaluations from an empty memo over the default-config
-        p-sweep of both schemes, seeds 0-1: at most 130 for the feasibility
-        steps and the searches with nonzero weights, 13 fewer than the 143
-        of the search with the bracket top first, one per slack design. The
-        selfish (zero-weight) design of each seed's problem adds its search,
-        of exactly one evaluation: the feasibility step over again."""
-        calls, zero_weight = [], []
-        step, search = covdesign._DualKernel.step, covdesign._dual_search
-
-        def counted_search(kernel, *args):
-            result = search(kernel, *args)
-            if not kernel.a.any():
-                zero_weight.append(result[1])
-            return result
-
+        p-sweep of both schemes, seeds 0-1: at most 130 (the selfish steps
+        included), 13 fewer than the 143 of the search with the bracket top
+        first, one per slack design."""
+        calls = []
+        step = covdesign._DualKernel.step
         monkeypatch.setattr(covdesign._DualKernel, "step",
                             lambda self, *args: calls.append(1) or step(self, *args))
-        monkeypatch.setattr(covdesign, "_dual_search", counted_search)
         monkeypatch.setattr(covdesign, "_memo", None)
         base = ScenarioConfig()
         for cfg, methods in ((base, ["selfish", "noncoop", "coop"]),
                              (base.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
             sweep(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], sweep_var="p",
                                  sweep_values=[0.2, 0.4, 0.6, 0.8, 1.0]))
-        assert zero_weight == [1, 1]
-        assert len(calls) - sum(zero_weight) <= 130
+        assert len(calls) <= 130

@@ -203,27 +203,17 @@ def sweep_p_jobs(seed):
 
 
 def test_sweep_p_seed_shares_one_problem(monkeypatch):
-    counts = count_calls(monkeypatch, "_whiten")
-    searches = collections.Counter()
-    search = covdesign._dual_search
-
-    def counted_search(kernel, *args):
-        searches["zero" if not kernel.a.any() else "weighted"] += 1
-        return search(kernel, *args)
-
-    monkeypatch.setattr(covdesign, "_dual_search", counted_search)
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
     for spec, p in sweep_p_jobs(13):
         rows = run_compare(spec, p)
         assert not any(r.error for r in rows)
-    # 25 designs with nonzero weights, of which 10 differ: the noncoop and
-    # partial weights do not depend on p, Scheme II noncoop repeats Scheme
-    # I's, the Scheme I coop weights at p = 1 are the noncoop ones, and the
-    # Scheme II full weights at p = 1 are the partial ones, bit for bit and
-    # in the same C-ordered layout. The 5 selfish (zero-weight) designs are
-    # one.
+    # 25 weighted designs, of which 10 differ: the noncoop and partial
+    # weights do not depend on p, Scheme II noncoop repeats Scheme I's, the
+    # Scheme I coop weights at p = 1 are the noncoop ones, and the Scheme II
+    # full weights at p = 1 are the partial ones, bit for bit and in the
+    # same C-ordered layout. The selfish (zero-weight) designs need no search.
     assert counts["_whiten"] == 1
-    assert searches["weighted"] <= 10
-    assert searches["zero"] == 1
+    assert counts["_dual_search"] <= 10
 
 
 def test_joint_design_whitens_once(monkeypatch):
