@@ -348,7 +348,8 @@ class TestSolveSelfish:
             zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, whitened)
             searched, evaluations, _ = covdesign._dual_search(
                 zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
-            assert evaluations == 1 and (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
+            assert evaluations == 1
+            assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
             assert zero.covariances(searched).tobytes() == sol.schedule.tobytes()
             tight = cfg.replace(P_t=0.5 * step.power)
             spec = ExperimentSpec(cfg=tight, methods=["selfish", "noncoop"], seeds=[seed])
