@@ -181,7 +181,8 @@ def _cpu_share(trials: int) -> int:
     taskset sets), at most one per trial. It is 1 where a worker cannot be
     forked safely: no fork start method, a daemonic caller (which may not
     have children), or a caller running other threads (a forked child
-    holds no copy of them, nor of the locks they hold).
+    holds no copy of them, nor of the locks they hold), a BLAS library's
+    own pool included (_thread_count).
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -193,9 +194,19 @@ def _cpu_share(trials: int) -> int:
 
         if ("fork" not in multiprocessing.get_all_start_methods()
                 or multiprocessing.current_process().daemon
-                or threading.active_count() > 1):
+                or _thread_count() > 1):
             return 1
     return n
+
+
+def _thread_count() -> int:
+    """The threads of this process: its OS threads where /proc/self/task
+    lists them, a native library's own (an unpinned OpenBLAS pool)
+    included; else its Python threads."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
 
 
 def _complete_trials(observations, omega, params, truth) -> list:

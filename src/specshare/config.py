@@ -6,7 +6,9 @@ Angles are in degrees, powers in normalized units, gamma2_dB in dB.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
+import math
 import operator
 import typing
 from dataclasses import dataclass, field
@@ -80,6 +82,14 @@ class ScenarioConfig:
             self.P_t = float(self.L)
         if self.rho2 is None:
             self.rho2 = 1000.0 * self.L / self.M_tR
+        # NaN passes every range test below, and inf some of them.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for target in self.targets:
+            if not all(cmath.isfinite(x) for x in target):
+                raise ConfigError(f"targets must be finite, got {target!r}")
         if isinstance(self.scheme, str):
             self.scheme = Scheme(self.scheme)
         if not (0.0 < self.p <= 1.0):

@@ -17,18 +17,20 @@ the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
 solve; each dual step is then one stacked Hermitian eigendecomposition of
 the narrow-side Gram matrices of the whitened channels, and the power
 follows in closed form from its factors. Covariance matrices are built only
-for the returned iterate. The selfish design is the one with W_l = 0: A_l = 0
-and c_l = 1 at every lambda1, so it takes no search, only the minimum-power
-step at the search's lowest grid point, the answer of any slack budget. Its
-power is the feasibility test: C is reachable within P_t exactly when the
-minimum-power design fits in it. linalg.eig_floor is the only guard against
-a singular Phi_l; the kernel evaluates lambda1 > 0 only.
+for the returned iterate. The selfish design is the one with W_l = 0 and
+takes the same search: A_l = 0 and c_l = 1 at every lambda1, so its power
+is flat, and a slack budget is met by the first evaluation. C is reachable
+within P_t exactly when the minimum-power (W_l = 0) design fits in it; the
+search asks that only where it would grow its bracket past lambda1 = 1,
+since any lambda1 with power within P_t proves feasibility.
+linalg.eig_floor is the only guard against a singular Phi_l; the kernel
+evaluates lambda1 > 0 only.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
 the exact bytes (with dtype, shape and layout) of H, the noise stack and
-C; it holds the whitened channels, the minimum power once a design has
+C; it holds the whitened channels, the minimum power once a search has
 needed it and the last few designs, keyed by the exact bytes of the weights
 and G2 and by P_t. A problem that differs in any bit replaces the one held;
 errors are never memoized. A design passes its post-conditions (_checked)
@@ -224,15 +226,12 @@ def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
                           consumed_power=power, **fields)
 
 
-def _lowest_grid_point(dual_tol: float) -> float:
-    """The largest power of two <= dual_tol: the search's first evaluation."""
-    return math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
-
-
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
-                 max_iterations: int) -> tuple[_DualIterate, int, bool]:
+                 max_iterations: int, check_budget) -> tuple[_DualIterate, int, bool]:
     """The search on lambda1, 0 < dual_tol < 1: (iterate, dual evaluations,
-    converged).
+    converged). check_budget(P_t) raises InfeasibleError unless the
+    minimum-power design fits in P_t; it is called before the bracket top
+    grows past 1, and never for a budget met at lambda1 <= 1.
 
     Power is nonincreasing in lambda1. The bracket top hi = 2^m is the first
     power of two from 1 up with power(hi) <= P_t; the answer is the smallest
@@ -250,12 +249,15 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     end. converged says whether the bracket is then at most dual_tol wide;
     its lower end, evaluated at or above P_t, certifies the answer.
     """
-    grid = _lowest_grid_point(dual_tol)
+    grid = math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
     hi, best, evaluations = grid, kernel.step(grid, C), 1
     if best.power < P_t:
         return best, evaluations, True
-    # Grow the bracket top from 1 until the power budget is respected.
-    while hi < 1.0 or best.power > P_t:
+    # Grow the bracket top from 1 until the power budget is respected;
+    # written so that a NaN power or budget reaches check_budget.
+    while hi < 1.0 or not best.power <= P_t:
+        if hi == 1.0:
+            check_budget(P_t)
         if evaluations >= max_iterations:
             raise SolverError("failed to bracket the power multiplier")
         below, hi = best, max(2.0 * hi, 1.0)
@@ -306,7 +308,7 @@ def _exact(*values) -> tuple:
 @dataclass
 class _Problem:
     """One design problem (H, noise, C) and what its designs share: the
-    whitened channels and, once a design has needed it, the power of the
+    whitened channels and, once a search has needed it, the power of the
     minimum-power (W_l = 0) design, the feasibility test. designs holds up
     to _MEMO_SIZE checked solutions under _exact(weights, G2, P_t), the
     least recently used dropped first."""
@@ -362,14 +364,14 @@ def solve_weighted_eip(
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by a search on the power multiplier
     (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l;
-    zero weights give the selfish (minimum-power) design in one dual
-    evaluation, without a search.
+    zero weights give the selfish (minimum-power) design.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
-    design. converged says whether the search's bracket reached DUAL_TOL
-    within MAX_DUAL_EVALUATIONS. iterations counts the dual
-    evaluations made: 1 when the power budget is slack and 7 to 17 when it
-    binds (the benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
+    design; once that design's power is known, before any evaluation.
+    converged says whether the search's bracket reached DUAL_TOL within
+    MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
+    when the power budget is slack and 7 to 17 when it binds (the
+    benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
     """
     if len(noise) != len(weights):
@@ -379,17 +381,11 @@ def solve_weighted_eip(
     problem = _problem(H, noise, C)
 
     def solve():
-        if weights.any():
+        if problem.min_power is not None:
             problem.check_budget(P_t)
-            kernel = _DualKernel.weighted(weights, G2, problem.whitened)
-            best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL,
-                                                       MAX_DUAL_EVALUATIONS)
-        else:  # A_l = 0: the same minimum-power step at every lambda1
-            kernel = _DualKernel.unweighted(problem.whitened)
-            best = kernel.step(_lowest_grid_point(DUAL_TOL), C)
-            iterations, converged = 1, True
-            problem.min_power = best.power
-            problem.check_budget(P_t)
+        kernel = _DualKernel.weighted(weights, G2, problem.whitened)
+        best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
+                                                   problem.check_budget)
         return _checked(kernel.covariances(best), H, noise, C, P_t,
                         lambda1=best.lambda1, lambda2=best.lambda2,
                         iterations=iterations, converged=converged)

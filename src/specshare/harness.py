@@ -79,6 +79,10 @@ class ExperimentSpec:
             raise SpecError("seed list is empty")
         if self.mc_trials < 0:
             raise SpecError("mc_trials must be nonnegative")
+        if self.sweep_var == "targets":
+            for value in self.sweep_values:
+                if value is not None:
+                    _target_count(value)
         if self.cfg.radar_rate != self.cfg.comm_rate:
             raise SpecError(
                 f"radar_rate {self.cfg.radar_rate} != comm_rate {self.cfg.comm_rate}: "
@@ -102,15 +106,20 @@ class ResultRow:
     error: str = ""
 
 
+def _target_count(value) -> int:
+    """The number of targets a targets sweep value names."""
+    if not float(value).is_integer() or value < 1:
+        raise SpecError(f"target count must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
     if var == "none" or value is None:
         return cfg
     if var in ("p", "C", "rho2", "sigma1_2"):
         return cfg.replace(**{var: float(value)})
     if var == "targets":
-        k = int(value)
-        if k < 1:
-            raise SpecError("target count must be >= 1")
+        k = _target_count(value)
         base_coef = cfg.targets[0][1] if cfg.targets else 0.2 + 0.1j
         if k == 1:
             return cfg.replace(targets=[(30.0, base_coef)])

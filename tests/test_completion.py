@@ -1,5 +1,6 @@
 """Nuclear-norm completion and the end-to-end recovery pipeline."""
 
+import _thread
 import concurrent.futures
 import multiprocessing
 import os
@@ -368,8 +369,11 @@ class TestRadarPipeline:
 
 
 def usable_cpus(monkeypatch, n):
-    """Make the process's CPU affinity mask read as n CPUs."""
+    """Make the process's CPU affinity mask read as n CPUs, and its threads
+    as its Python threads: a BLAS library's own pool, which an unpinned
+    OpenBLAS runs beside the main thread, goes unseen."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(completion, "_thread_count", threading.active_count)
 
 
 def selfish_pipeline(cfg, trials):
@@ -466,6 +470,31 @@ class TestParallelTrials:
         selfish_pipeline(cfg, 1)
         usable_cpus(monkeypatch, 1)
         selfish_pipeline(cfg, 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no per-process thread list")
+    def test_no_fork_beside_a_native_thread(self, monkeypatch):
+        # A thread of the _thread module, as a native library's would be,
+        # is not among threading's threads, but it is among the OS threads.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        before = completion._thread_count()
+        started, stop = _thread.allocate_lock(), _thread.allocate_lock()
+        started.acquire()
+        stop.acquire()
+
+        def wait():
+            started.release()
+            stop.acquire()
+
+        _thread.start_new_thread(wait, ())
+        started.acquire()
+        try:
+            assert completion._thread_count() == before + 1
+            assert completion._cpu_share(2) == 1
+            selfish_pipeline(ScenarioConfig(seed=1), 2)
+        finally:
+            stop.release()
 
     def test_no_fork_beside_other_threads(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)

@@ -259,52 +259,67 @@ def random_design(rng):
     return (w, H, G2, np.stack(mats)), float(rng.uniform(0.5, 6.0))
 
 
-class SearchReached(Exception):
-    pass
+def record_points(monkeypatch):
+    """The lambda1 of every dual step from now on, in order."""
+    points = []
+    step = covdesign._DualKernel.step
+    monkeypatch.setattr(covdesign._DualKernel, "step",
+                        lambda self, lambda1, C: points.append(lambda1) or step(self, lambda1, C))
+    return points
 
 
-def no_search(*args):
-    raise SearchReached
+def budget_check(whitened, C):
+    """The feasibility test the solver hands _dual_search for the problem
+    with these whitened channels."""
+    return covdesign._Problem((), C, whitened).check_budget
 
 
 class TestFeasibility:
-    """InfeasibleError comes from the minimum-power design, before any
-    dual search."""
+    """InfeasibleError comes from the minimum-power design. The search asks
+    for it just before its bracket would grow past lambda1 = 1; a problem
+    whose minimum power is known fails before any evaluation."""
 
-    def test_agrees_with_water_filling_bound(self, monkeypatch):
+    def test_agrees_with_water_filling_bound(self):
         # Water-filling duality: C is unreachable within P_t exactly when the
-        # capacity bound at P_t is below C. A feasible design reaches the
-        # search, except with all-zero weights, which need none.
-        monkeypatch.setattr(covdesign, "_dual_search", no_search)
+        # capacity bound at P_t is below C. Every other budget is solved,
+        # all-zero weights included.
         rng = stream(0, "feasible")
         outcomes, flat = set(), 0
         for _ in range(300):
             design, C = random_design(rng)
             _, H, G2, noise = design
             p_min = selfish(H, noise, C, np.inf, G2).consumed_power
-            feasible = SearchReached if design[0].any() else DesignSolution
-            flat += feasible is DesignSolution
+            flat += not design[0].any()
             for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
                 try:
                     outcome = type(solve_weighted_eip(*design, P_t, C))
-                except (InfeasibleError, SearchReached) as exc:
+                except InfeasibleError as exc:
                     outcome = type(exc)
-                assert outcome in (InfeasibleError, feasible)
+                assert outcome in (InfeasibleError, DesignSolution)
                 infeasible = outcome is InfeasibleError
                 assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
                 outcomes.add(infeasible)
         assert outcomes == {True, False} and flat > 0
 
-    def test_budget_just_below_selfish_power_skips_search(self, monkeypatch):
-        monkeypatch.setattr(covdesign, "_dual_search", no_search)
+    def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, monkeypatch):
+        """Just below the minimum power, InfeasibleError comes after the
+        points 2^-30 and 1 and one minimum-power step (at lambda1 = 1), and
+        on the same problem again before any evaluation; just above it, the
+        design is solved within P_t."""
+        points = record_points(monkeypatch)
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
             _, H, G2, noise = design
             p_min = selfish(H, noise, C, np.inf, G2).consumed_power
-            with pytest.raises(InfeasibleError, match="unreachable within power budget"):
-                solve_weighted_eip(*design, p_min * (1.0 - 1e-9), C)
-            with pytest.raises(SearchReached):
-                solve_weighted_eip(*design, p_min * (1.0 + 1e-9), C)
+            monkeypatch.setattr(covdesign, "_memo", None)
+            for P_t, expected in ((p_min * (1.0 - 1e-9), [2.0 ** -30, 1.0, 1.0]),
+                                  (0.5 * p_min, [])):
+                points.clear()
+                with pytest.raises(InfeasibleError, match="unreachable within power budget"):
+                    solve_weighted_eip(*design, P_t, C)
+                assert points == expected
+            P_t = p_min * (1.0 + 1e-9)
+            assert solve_weighted_eip(*design, P_t, C).consumed_power <= P_t
 
 
 class TestSolveSelfish:
@@ -328,11 +343,11 @@ class TestSolveSelfish:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_weights_give_the_minimum_power_step(self, scheme):
         """The zero-weight design is the minimum-power step at lambda1 = 1
-        bit for bit, in one evaluation at the lowest grid point. It is what
-        the search returns on the zero-weight kernel: W_l = 0 makes A_l = 0
-        and U_l = I exactly, so c_l = 1 at every lambda1 and the search's
-        first evaluation has the same factors and a slack budget. A budget
-        below that step's power fails the selfish row with the message every
+        bit for bit, in one evaluation at the lowest grid point: the search
+        on the zero-weight kernel, where W_l = 0 makes A_l = 0 and U_l = I
+        exactly, so c_l = 1 at every lambda1 and the search's first
+        evaluation has the same factors and a slack budget. A budget below
+        that step's power fails the selfish row with the message every
         design of the problem fails with."""
         for seed in range(3):
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
@@ -347,7 +362,8 @@ class TestSolveSelfish:
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
             zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, whitened)
             searched, evaluations, _ = covdesign._dual_search(
-                zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
+                zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS,
+                budget_check(whitened, cfg.C))
             assert evaluations == 1
             assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
             assert zero.covariances(searched).tobytes() == sol.schedule.tobytes()
@@ -727,14 +743,17 @@ class TestPostConditions:
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
 
 
-def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations):
-    """The plain bisection on lambda1 that covdesign._dual_search replaced;
+def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations, check_budget):
+    """The plain bisection on lambda1 that covdesign._dual_search replaced,
+    with its feasibility test where the bracket first grows past 1;
     reference only: (iterate, evaluations, converged)."""
     iterations = 0
     hi = 1.0
     it = kernel.step(hi, C)
     iterations += 1
     while it.power > P_t:
+        if hi == 1.0:
+            check_budget(P_t)
         hi *= 2.0
         it = kernel.step(hi, C)
         iterations += 1
@@ -776,6 +795,16 @@ def search_instances():
         p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, C).power
         powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30, 2.0 ** 10)]
         yield (w, H, G2, noise), kernel, C, (p_min, *powers)
+
+
+def instance_check(design, C):
+    """budget_check for a design of search_instances."""
+    _, H, _, noise = design
+    return budget_check(covdesign._whiten(H, noise), C)
+
+
+def never_grown(P_t):
+    raise AssertionError("the bracket grew past lambda1 = 1")
 
 
 def budgets(p_min, p_one, p_zero, p_far):
@@ -864,14 +893,12 @@ class TestDualSearch:
         return category(ref.lambda1), sol.iterations, ref.iterations
 
     @staticmethod
-    def assert_same_search(kernel, C, P_t, dual_tol=covdesign.DUAL_TOL, exact=True):
+    def assert_same_search(kernel, C, P_t, check, dual_tol=covdesign.DUAL_TOL, exact=True):
         """The same assertions on _dual_search and the bisection oracle run
         directly, at the given tolerance."""
-        max_iterations = covdesign.MAX_DUAL_EVALUATIONS
-        best, evaluations, converged = covdesign._dual_search(kernel, C, P_t, dual_tol,
-                                                              max_iterations)
-        ref, ref_evaluations, ref_converged = bisection_oracle(kernel, C, P_t, dual_tol,
-                                                               max_iterations)
+        args = (kernel, C, P_t, dual_tol, covdesign.MAX_DUAL_EVALUATIONS, check)
+        best, evaluations, converged = covdesign._dual_search(*args)
+        ref, ref_evaluations, ref_converged = bisection_oracle(*args)
         assert converged and ref_converged
         assert evaluations <= ref_evaluations
         assert_certified(kernel, C, P_t, dual_tol, best.lambda1)
@@ -884,21 +911,24 @@ class TestDualSearch:
     def test_random_instances_match_bisection(self, monkeypatch):
         """Bit-equal to the bisection except where power is flat in lambda1
         (all-zero weights) or P_t ties the power at the bracket top; every
-        answer of the search certified. A design with all-zero weights takes
-        no search: one evaluation, the minimum-power step."""
+        answer of the search certified. A design with all-zero weights has
+        flat power: a slack budget takes one evaluation, the minimum-power
+        step, and a budget equal to the minimum power the tie's three."""
         seen, counts = set(), np.zeros(2, dtype=int)
         for design, kernel, C, powers in search_instances():
             flat = not design[0].any()
+            check = instance_check(design, C)
             for P_t in budgets(*powers):
                 exact = not flat and P_t != powers[-1]
                 name, *n = self.assert_same(monkeypatch, *design, P_t, C,
                                             kernel=None if flat else kernel, exact=exact)
-                assert not flat or n == ([0, 0] if name == "InfeasibleError" else [1, 1])
+                assert not flat or n[0] == {"InfeasibleError": 0, "slack": 1, "active": 3}[name]
                 seen.add(name)
                 counts += n
             for P_t in feasible_budgets(*powers):
                 exact = not flat and P_t != powers[-1]
-                counts += self.assert_same_search(kernel, C, P_t, dual_tol=1e-6, exact=exact)
+                counts += self.assert_same_search(kernel, C, P_t, check, dual_tol=1e-6,
+                                                  exact=exact)
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
         # Illinois steps need fewer than half the bisection's evaluations.
         assert 2 * counts[0] < counts[1]
@@ -912,15 +942,16 @@ class TestDualSearch:
         bracket, and otherwise an evaluated answer below P_t (or the bracket
         top), certified where the search converged."""
         seen = set()
-        for _, kernel, C, powers in search_instances():
+        for design, kernel, C, powers in search_instances():
+            check = instance_check(design, C)
             for P_t in feasible_budgets(*powers):
-                args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations)
+                args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations, check)
                 slack = kernel.step(2.0 ** -30, C).power < P_t
                 cap = max_iterations if slack else max_iterations - 1
                 try:
                     if cap < 1:
                         raise SolverError("failed to bracket the power multiplier")
-                    ref = bisection_oracle(kernel, C, P_t, covdesign.DUAL_TOL, cap)[0]
+                    ref = bisection_oracle(kernel, C, P_t, covdesign.DUAL_TOL, cap, check)[0]
                 except SolverError as exc:
                     with pytest.raises(SolverError, match=str(exc)):
                         covdesign._dual_search(*args)
@@ -962,7 +993,8 @@ class TestDualSearch:
                 if bracket_top(kernel, C, P_t) != 2.0 ** m:
                     continue  # flat power: the bracket stops at 1
                 best, evaluations, converged = covdesign._dual_search(
-                    kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
+                    kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS,
+                    instance_check(design, C))
                 assert best.lambda1 == 2.0 ** m and converged
                 assert evaluations == m + 3
                 assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
@@ -1006,7 +1038,8 @@ class TestDualSearch:
                             new, old = Recorder(kernel), Recorder(kernel)
                             args = (cfg.C, P_t, covdesign.DUAL_TOL,
                                     covdesign.MAX_DUAL_EVALUATIONS)
-                            best, evaluations, converged = covdesign._dual_search(new, *args)
+                            best, evaluations, converged = covdesign._dual_search(
+                                new, *args, budget_check(whitened, cfg.C))
                             ref, _, ref_converged = top_first_search(old, *args)
                             assert converged and ref_converged
                             assert evaluations == len(new.points)
@@ -1045,10 +1078,9 @@ class TestDualSearch:
                 power = 1e300 if lambda1 < 0.3 else 0.5
                 return covdesign._DualIterate(lambda1, 1.0, power, None, None, None)
 
-        best, evaluations, converged = covdesign._dual_search(
-            StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
-        ref, ref_evaluations, ref_converged = bisection_oracle(
-            StepCurve(), 1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
+        args = (1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS, never_grown)
+        best, evaluations, converged = covdesign._dual_search(StepCurve(), *args)
+        ref, ref_evaluations, ref_converged = bisection_oracle(StepCurve(), *args)
         assert best.lambda1 == ref.lambda1 and converged and ref_converged
         # One bracket evaluation, then at most 1 + 2n with n = 30 halvings:
         # the lowest grid point, n Illinois steps and n midpoints.

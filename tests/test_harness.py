@@ -61,6 +61,17 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(cfg=scenario1(), mc_trials=-1)
 
+    def test_target_count_must_be_an_integer(self):
+        # int(1.5) would run one target under the label 1.5.
+        for value in (1.5, 2.5, 0, 0.0, -1):
+            with pytest.raises(SpecError, match="target count must be an integer >= 1"):
+                ExperimentSpec(cfg=scenario1(), sweep_var="targets", sweep_values=[1, value])
+            with pytest.raises(SpecError, match="target count must be an integer >= 1"):
+                apply_sweep(scenario1(), "targets", value)
+        spec = ExperimentSpec(cfg=scenario1(), sweep_var="targets", sweep_values=[1.0, 2, 3.0])
+        assert [len(apply_sweep(spec.cfg, "targets", v).targets) for v in spec.sweep_values] == [
+            1, 2, 3]
+
     @pytest.mark.parametrize("radar_rate,comm_rate", [(2.0, 1.0), (1.0, 2.0)])
     def test_unequal_symbol_rates_rejected(self, radar_rate, comm_rate):
         cfg = scenario1(radar_rate=radar_rate, comm_rate=comm_rate)
@@ -123,7 +134,8 @@ class TestRunCompare:
         spec = ExperimentSpec(cfg=scenario1(p=0.5, P_t=16.0), methods=["noncoop"], seeds=[0])
         search = covdesign._dual_search
         monkeypatch.setattr(covdesign, "_dual_search",
-                            lambda kernel, C, P_t, dual_tol, _: search(kernel, C, P_t, dual_tol, 5))
+                            lambda kernel, C, P_t, dual_tol, _, check:
+                            search(kernel, C, P_t, dual_tol, 5, check))
         row = run_compare(spec)[0]
         prefix = "dual search not converged after "
         assert row.error.startswith(prefix) and row.error.endswith(" evaluations")
@@ -381,6 +393,21 @@ class TestCli:
         assert err.startswith("error: ") and "Traceback" not in err
         if config is not None:
             assert err.startswith(f"error: line 1: {config.split()[0].decode()}: ")
+
+    @pytest.mark.parametrize("argv,config,message", [
+        (["compare"], "P_t = nan", "P_t must be finite, got nan"),
+        (["compare"], "sigma_C2 = nan", "sigma_C2 must be finite, got nan"),
+        (["compare"], "snr_dB = nan", "snr_dB must be finite, got nan"),
+        (["mc-eval", "--mc-trials", "1"], "targets = 30:nan", "targets must be finite"),
+        (["sweep", "--sweep", "targets=1:3:0.5"], "", "target count must be an integer >= 1"),
+    ])
+    def test_invalid_value_reported(self, tmp_path, capsys, argv, config, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(config + "\n")
+        assert cli_main(argv + ["--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["compare", "--seed", "abc"],

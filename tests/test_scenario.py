@@ -1,6 +1,7 @@
 """Scenario generation: channels, waveforms, targets, masks, phases, signals."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -445,6 +446,26 @@ class TestConfig:
                 ScenarioConfig(**{name: value})
         cfg = ScenarioConfig(**{name: np.int64(4)})
         assert getattr(cfg, name) == 4
+
+    @pytest.mark.parametrize("name", ["P_t", "C", "sigma_C2", "sigma_R2", "snr_dB", "sigma1_2",
+                                      "sigma2_2", "gamma2_dB", "rho2", "sigma_alpha2", "p",
+                                      "radar_rate", "comm_rate"])
+    def test_non_finite_floats_rejected(self, name):
+        # NaN passes the range tests, and would fail later as an unreachable
+        # capacity or an eigh that does not converge, or not at all.
+        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
+                ScenarioConfig(**{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got nan$"):
+            parse_config(f"{name} = nan\n")
+
+    @pytest.mark.parametrize("target", [
+        (math.nan, 0.2 + 0.1j), (math.inf, 0.2 + 0.1j),
+        (30.0, complex(math.nan, 0.1)), (30.0, complex(0.2, math.inf)),
+    ])
+    def test_non_finite_targets_rejected(self, target):
+        with pytest.raises(ConfigError, match="^targets must be finite, got "):
+            ScenarioConfig(targets=[(0.0, 0.1 + 0j), target])
 
     def test_round_trip(self):
         cfg = ScenarioConfig(
