@@ -1,11 +1,11 @@
 """Sampling-mask optimization by row/column permutation.
 
 The mask objective Tr(Omega^T Q~) is minimized over the permutation orbit
-of the initial mask: each sweep solves one column and one row linear
-assignment problem (Hungarian algorithm) and never increases the
-objective. Permutations preserve the mask's singular values, hence its
-spectral gap and completability. The joint design alternates this search
-with the weighted covariance design, from the one initial mask it is given.
+of the initial mask by column and row steps, each an optimal linear
+assignment (hungarian), up to their fixed point. Permutations preserve the
+mask's singular values, hence its spectral gap and completability. The joint
+design alternates this search with the weighted covariance design, from the
+one initial mask it is given, until the mask search lowers nothing.
 """
 
 from __future__ import annotations
@@ -19,20 +19,16 @@ from .interference import (interference_diag_matrix, scheme_mask_cost, scheme_we
 from .config import ScenarioConfig
 from .covdesign import DesignSolution, solve_weighted_eip
 
-# optimize_mask stops once a sweep lowers the objective by less than
-# _MASK_RTOL times the initial objective (at least 1), or after _MAX_SWEEPS.
-_MASK_RTOL = 1e-9
+# optimize_mask takes at most _MAX_SWEEPS column steps and as many row steps;
+# joint_design at most _MAX_OUTER covariance solves.
 _MAX_SWEEPS = 100
-# joint_design stops once an outer iteration moves the EIP by less than
-# _EIP_RTOL times the first iteration's EIP, or after _MAX_OUTER iterations.
-_EIP_RTOL = 1e-6
 _MAX_OUTER = 50
 
 
-@dataclass
-class Assignment:
-    permutation: np.ndarray  # row i assigned to column permutation[i]
-    cost: float
+class Permutation(np.ndarray):
+    """A permutation array perm (row i takes column perm[i]), as hungarian
+    returns it; perm.permutation, which perfbench/tracer.py reads, is perm."""
+    permutation = property(lambda self: self)
 
 
 @dataclass
@@ -43,9 +39,10 @@ class JointDesignResult:
     outer_iterations: int
 
 
-def hungarian(cost: np.ndarray) -> Assignment:
-    """Minimum-cost linear assignment of a square cost (shortest augmenting
-    path, O(n^3)); a non-square cost raises ValueError.
+def hungarian(cost: np.ndarray) -> Permutation:
+    """The minimum-cost linear assignment of a square cost (shortest
+    augmenting path, O(n^3)) as a permutation array perm: row i takes
+    column perm[i]. A non-square cost raises ValueError.
 
     A non-empty cost C is first answered by a warm start from the candidate
     permutation pi = identity and an empty row set S. Each round runs one
@@ -65,8 +62,8 @@ def hungarian(cost: np.ndarray) -> Assignment:
     S grows every round, so the loop ends. The full search decides when the
     cycle search is undecided, finds only rows already in S, or when S would
     hold more than _WARM_START_SHARE of the rows. Every answer is thus
-    either certified unique, or the full search's own result; the cost is
-    summed by the same expression, so both are bit-equal to the search.
+    either certified unique, or the full search's own result, so it is the
+    search's permutation either way.
 
     The search inserts rows one at a time; each step of the Dijkstra-like
     search for an augmenting path scans all n + 1 columns with a few
@@ -89,10 +86,8 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("cost matrix contains NaN")
     if np.isinf(cost).any():
         raise ValueError("cost matrix contains infinite entries")
-    n = cost.shape[0]
-    perm = _warm_started_search(cost) if n else np.empty(0, dtype=int)
-    total = float(sum(cost[np.arange(n), perm].tolist()))
-    return Assignment(permutation=perm, cost=total)
+    perm = _warm_started_search(cost) if cost.size else np.empty(0, dtype=int)
+    return perm.view(Permutation)
 
 
 # The warm start hands over to the full search once its row set S would hold
@@ -294,27 +289,24 @@ def best_column_permutation(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray
         raise ValueError("mask and cost matrix shapes differ")
     C = omega.T @ Qtilde
     out = np.empty_like(omega)
-    out[:, hungarian(C).permutation] = omega
+    out[:, hungarian(C)] = omega
     return out
 
 
 def optimize_mask(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
-    """Alternate column/row permutations of the mask omega until a sweep
-    stops lowering the objective (see _MASK_RTOL). The row step is the
-    column step on the transposes."""
+    """Alternate column and row steps on the mask omega, each kept only if it
+    strictly lowers Tr(Omega^T Q~), up to the first step after the first that
+    does not: the mask is then optimal for both step kinds. The row step is
+    the column step on the transposes. If no step is kept, omega is returned."""
     obj = mask_objective(omega, Qtilde)
-    tol = _MASK_RTOL * max(obj, 1.0)
-    for _ in range(_MAX_SWEEPS):
-        cand = best_column_permutation(omega, Qtilde)
-        cand = best_column_permutation(cand.T, Qtilde.T).T
-        new_obj = mask_objective(cand, Qtilde)
-        if new_obj > obj + 1e-12:
-            break  # assignment optimality should prevent this; stop defensively
-        omega = cand
-        if abs(obj - new_obj) < tol:
-            obj = new_obj
+    for step in range(2 * _MAX_SWEEPS):
+        cand = (best_column_permutation(omega.T, Qtilde.T).T if step % 2
+                else best_column_permutation(omega, Qtilde))
+        cand_obj = mask_objective(cand, Qtilde)
+        if cand_obj < obj:
+            omega, obj = cand, cand_obj
+        elif step:
             break
-        obj = new_obj
     return omega
 
 
@@ -339,12 +331,13 @@ def joint_design(
 
     Each outer iteration solves the weighted covariance problem for the
     current mask omega, then permutes the mask against the resulting
-    interference profile Q~ (scheme_mask_cost), until the EIP stops falling
-    (see _EIP_RTOL).
+    interference profile Q~ (scheme_mask_cost), until the EIP is exactly 0
+    or the mask search lowers nothing, so that the next solve would repeat
+    this one; the mask returned is then the one the solution was solved for.
     """
     trace = []
     solution = None
-    for n in range(_MAX_OUTER):
+    for _ in range(_MAX_OUTER):
         weights = scheme_weights(cfg, omega, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
         Q = interference_diag_matrix(G2, solution.schedule)  # M_rR x L
@@ -353,9 +346,10 @@ def joint_design(
         trace.append(eip)
         if eip == 0.0:
             break  # no interference reaches the radar; the mask is irrelevant
-        if n > 0 and abs(trace[-2] - eip) < _EIP_RTOL * max(trace[0], 1e-30):
-            break
-        omega = optimize_mask(omega, scheme_mask_cost(cfg, Q, S))
+        permuted = optimize_mask(omega, scheme_mask_cost(cfg, Q, S))
+        if np.array_equal(permuted, omega):
+            break  # unchanged: no step lowered the objective
+        omega = permuted
     return JointDesignResult(
         solution=solution, mask=omega, eip_trace=trace, outer_iterations=len(trace)
     )

@@ -286,7 +286,8 @@ def test_criterion_08_hungarian_exact():
                 sum(cost[i, perm[i]] for i in range(n))
                 for perm in itertools.permutations(range(n))
             )
-            if abs(hungarian(cost).cost - best) > 1e-9:
+            perm = hungarian(cost)
+            if abs(sum(cost[i, perm[i]] for i in range(n)) - best) > 1e-9:
                 ok = False
     print(f"criterion 8 (assignment cost equals exhaustive optimum): "
           f"{'PASS' if ok else 'FAIL'}")

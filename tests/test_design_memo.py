@@ -243,9 +243,13 @@ def test_step_count_does_not_depend_on_method_order(monkeypatch):
 
 
 def test_joint_design_whitens_once(monkeypatch):
-    cfg = ScenarioConfig(p=0.5, seed=1)
+    # A joint-long-sized scenario: at the default config the initial mask is
+    # already a fixed point of the mask search, and the joint design stops
+    # after one solve.
+    cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=2)
     scn = make_scenario(cfg)
     noise = noise_covariances(cfg, scn.G1, scn.S)
+    forget(monkeypatch)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
     result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
     assert result.outer_iterations >= 2

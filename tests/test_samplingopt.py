@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from specshare import samplingopt
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import (
@@ -133,6 +134,57 @@ class TestOptimizeMask:
             rows_in = sorted(mask.sum(axis=1))
             rows_out = sorted(out.sum(axis=1))
             assert rows_in == rows_out
+
+
+def cost_of_kind(rng, kind, rows, cols):
+    """A mask cost Q~: continuous, small integers, or binary; the last two
+    are full of ties."""
+    if kind == "continuous":
+        return rng.uniform(size=(rows, cols))
+    if kind == "integer":
+        return rng.integers(0, 3, size=(rows, cols)).astype(float)
+    return (rng.random((rows, cols)) < 0.5).astype(float)
+
+
+class TestFixedPoint:
+    """optimize_mask stops at a mask that neither step kind can lower."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "integer", "binary"])
+    def test_no_further_step_lowers_the_result(self, kind):
+        rng = stream(3, "opt", kind)
+        for _ in range(100):
+            rows, cols = (int(n) for n in rng.integers(2, 9, size=2))
+            mask = random_mask(rng, rows, cols)
+            Qtilde = cost_of_kind(rng, kind, rows, cols)
+            out = optimize_mask(mask, Qtilde)
+            obj = mask_objective(out, Qtilde)
+            assert obj <= mask_objective(mask, Qtilde)
+            assert mask_objective(best_column_permutation(out, Qtilde), Qtilde) >= obj
+            assert mask_objective(transposed_column_step(out, Qtilde), Qtilde) >= obj
+
+    def test_ends_well_inside_the_cap_on_ties(self, monkeypatch):
+        """Integer and binary costs: a stop on "the step left the mask
+        unchanged" cycles between tied masks on some of these and runs to
+        the cap of 2 * _MAX_SWEEPS steps; the strict-decrease stop ends
+        within 8."""
+        steps = [0]
+        column_step = samplingopt.best_column_permutation
+
+        def counting(*args):
+            steps[0] += 1
+            return column_step(*args)
+
+        monkeypatch.setattr(samplingopt, "best_column_permutation", counting)
+        rng = stream(0, "opt-ties")
+        most = 0
+        for k in range(600):
+            rows, cols = (int(n) for n in rng.integers(2, 9, size=2))
+            mask = random_mask(rng, rows, cols)
+            Qtilde = cost_of_kind(rng, ("integer", "binary")[k % 2], rows, cols)
+            steps[0] = 0
+            optimize_mask(mask, Qtilde)
+            most = max(most, steps[0])
+        assert most <= 8 < 2 * samplingopt._MAX_SWEEPS
 
 
 class TestSpectralGap:
