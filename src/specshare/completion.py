@@ -11,6 +11,7 @@ process may use.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -35,12 +36,13 @@ class CompletionParams:
     tolerance: float = 1e-5
 
     def __post_init__(self):
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.mu_rel <= 0:
-            raise ValueError("mu_rel must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        # Written so that NaN fails each test.
+        if self.mu is not None and not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
+        if not 0.0 < self.mu_rel < math.inf:
+            raise ValueError("mu_rel must be positive and finite")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass
@@ -260,6 +262,8 @@ def radar_pipeline(
     completed on the CPUs the process may use, with the same reports for
     any number of them.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     roots = psd_sqrt(schedule)
     L = len(schedule)
     truth = radar_truth(cfg, D, S)

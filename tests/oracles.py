@@ -10,10 +10,7 @@ completion at a fixed penalty iterated by plain proximal gradient until a
 fixed-point certificate holds (specshare.completion stops accelerated
 continuation stages on a step-size rule), the feasibility of a capacity
 target by classic water-filling of the power budget (specshare.covdesign
-asks whether the minimum-power design fits in the budget), the grid search
-on the power multiplier with the bracket top evaluated before the lowest
-grid point (specshare.covdesign evaluates the lowest point first), a
-feasibility
+asks whether the minimum-power design fits in the budget), a feasibility
 and optimality report of a returned design recomputed from its
 covariances (specshare.covdesign checks its own post-conditions once, as
 it solves), and a Floyd-Warshall certificate that the identity is the
@@ -21,12 +18,10 @@ unique optimal assignment (specshare.samplingopt certifies it by a
 Bellman-Ford cycle search). Only the tests use them.
 """
 
-import math
-
 import numpy as np
 
 from specshare.config import Scheme
-from specshare.covdesign import SolverError, min_capacity_multiplier, solve_weighted_eip
+from specshare.covdesign import min_capacity_multiplier, solve_weighted_eip
 from specshare.interference import (
     MetricError,
     average_capacity,
@@ -129,63 +124,6 @@ def converged_completion(observed, omega, mu: float):
             return X
         X = Z
     raise RuntimeError("no fixed-point certificate within 100 000 iterations")
-
-
-def top_first_search(kernel, C: float, P_t: float, dual_tol: float, max_iterations: int):
-    """The grid search on lambda1 of covdesign._dual_search with the bracket
-    top first: (iterate, dual evaluations, converged).
-
-    It evaluates lambda1 = 1 and grows the bracket top hi = 2^m before
-    anything else, so a slack budget takes two evaluations: hi = 1 and the
-    lowest grid point. A tie power(hi) = P_t evaluates hi's lower neighbour
-    next; an ungrown bracket then evaluates the lowest grid point, and
-    Illinois steps in log(lambda1) and midpoints follow on the grid
-    k * hi * 2^-n as in covdesign. For a binding budget it evaluates the
-    same points as covdesign, apart from the lowest grid point, which
-    covdesign evaluates first (and a grown bracket never here).
-    """
-    hi = 1.0
-    best = kernel.step(hi, C)
-    evaluations = 1
-    while best.power > P_t:
-        if evaluations >= max_iterations:
-            raise SolverError("failed to bracket the power multiplier")
-        below, hi = best, 2.0 * hi
-        best = kernel.step(hi, C)
-        evaluations += 1
-    n = 0
-    while math.ldexp(hi, -n) > dual_tol:
-        n += 1
-    grid = math.ldexp(hi, -n)
-    top, f_top = 2**n, best.power - P_t
-    low, f_low = (2 ** (n - 1), below.power - P_t) if hi > 1.0 else (0, math.nan)
-    steps, moved = 0, 0
-    while top - low > 1 and evaluations < max_iterations:
-        if best.power == P_t:
-            k = top - 1
-        elif low == 0:
-            k = 1
-        elif steps < n:
-            t = f_top / (f_top - f_low) if f_top < f_low else math.nan
-            if not 0.0 < t < 1.0:
-                t = 0.5
-            k = round(math.exp(math.log(top) - t * math.log(top / low)))
-            k = min(max(k, low + 1), top - 1)
-            steps += 1
-        else:
-            k = (low + top) // 2
-        it = kernel.step(k * grid, C)
-        evaluations += 1
-        if it.power < P_t:
-            if moved > 0:
-                f_low *= 0.5
-            best, top, f_top, moved = it, k, it.power - P_t, 1
-        else:
-            if moved < 0:
-                f_top *= 0.5
-            moved = -1 if low else 0
-            low, f_low = k, it.power - P_t
-    return best, evaluations, (top - low) * grid <= dual_tol
 
 
 def water_fill(gains: np.ndarray, budget: float) -> np.ndarray:

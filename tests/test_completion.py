@@ -4,6 +4,9 @@ import _thread
 import concurrent.futures
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -259,12 +262,13 @@ class TestComplete:
         assert resid <= 1e-4
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            CompletionParams(mu=-1.0)
-        for bad in (0.0, -1e-4):
-            with pytest.raises(ValueError):
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                CompletionParams(mu=bad)
+        for bad in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="mu_rel must"):
                 CompletionParams(mu_rel=bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="tolerance must"):
                 CompletionParams(tolerance=bad)
 
 
@@ -322,6 +326,15 @@ class TestRadarPipeline:
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
         assert stats.mean_error <= 1e-6
+
+    def test_no_trials_rejected(self):
+        cfg = pipeline_cfg(p=0.5, seed=0)
+        scn = make_scenario(cfg)
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, scn.omega, trials,
+                               stream(0, "mc"))
 
     def test_more_targets_never_easier(self):
         base = [(30.0, 0.2 + 0.1j)]
@@ -393,6 +406,33 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a process pool was built")
 
 
+def cpu_count_runs(cfg):
+    """For 1 and then 2 usable CPUs: the outcome of 5 selfish-design trials,
+    then the child processes and the threads left running."""
+    runs = []
+    with pytest.MonkeyPatch.context() as m:
+        for n in (1, 2):
+            usable_cpus(m, n)
+            runs.append((outcome(selfish_pipeline(cfg, 5)),
+                         len(multiprocessing.active_children()), threading.active_count()))
+    return runs
+
+
+def pinned_cpu_count_runs(cfg):
+    """cpu_count_runs(cfg) in a child interpreter whose OpenBLAS runs one
+    thread, with a RuntimeWarning an error as under pytest."""
+    script = ("import pickle, sys, warnings; warnings.simplefilter('error', RuntimeWarning); "
+              "from test_completion import cpu_count_runs; "
+              "pickle.dump(cpu_count_runs(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
+    paths = [os.path.dirname(os.path.abspath(__file__)),
+             os.path.dirname(os.path.dirname(completion.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(cfg),
+                           capture_output=True, env=env)
+    assert child.returncode == 0, child.stderr.decode()
+    return pickle.loads(child.stdout)
+
+
 class TestParallelTrials:
     """radar_pipeline completes its trials on the CPUs the process may use;
     the result is the in-process loop's bit for bit."""
@@ -402,14 +442,15 @@ class TestParallelTrials:
         pipeline_cfg(L=32, p=0.5, seed=14),
         ScenarioConfig(seed=0),
     ], ids=["mc-recovery-13", "mc-recovery-14", "default"])
-    def test_bit_identical_for_any_cpu_count(self, monkeypatch, cfg):
-        results = []
-        for n in (1, 2):
-            usable_cpus(monkeypatch, n)
-            results.append(outcome(selfish_pipeline(cfg, 5)))
-            assert multiprocessing.active_children() == []
-            assert threading.active_count() == 1  # the pool's threads are joined too
-        assert results[0] == results[1]
+    def test_bit_identical_for_any_cpu_count(self, cfg):
+        # usable_cpus hides an unpinned BLAS pool, whose threads the fork
+        # workers would then compete with for the CPUs: the runs take place
+        # where BLAS has one thread.
+        runs = pinned_cpu_count_runs(cfg)
+        (one, *_), (two, *_) = runs
+        assert one == two
+        # No child process is left, and the pool's threads are joined too.
+        assert [run[1:] for run in runs] == [(0, 1), (0, 1)]
 
     def test_caller_takes_a_fixed_share_from_the_back(self, monkeypatch):
         def pid_as_iterations(observed, omega, params=None):

