@@ -168,9 +168,10 @@ def format_config(cfg: ScenarioConfig) -> str:
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse flat key/value text (the format_config format; '#' starts a
-    comment) into a ScenarioConfig. Every key must be a config field; a
-    value its field's type cannot hold is a ConfigError naming its line."""
-    kwargs = {}
+    comment) into a ScenarioConfig. Every key must be a config field, set
+    once; a value its field's type cannot hold is a ConfigError naming its
+    line, and a repeated key one naming both lines."""
+    kwargs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -180,6 +181,10 @@ def parse_config(text: str) -> ScenarioConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in _FIELD_NAMES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}, first set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             kwargs[key] = _parse_value(key, val)
         except ValueError as exc:

@@ -404,11 +404,12 @@ class TestPinnedDraws:
         scn = make_scenario(cfg)
         seen = []
 
-        def record(observed, omega, params=None):
-            seen.append(observed.copy())
-            return np.zeros_like(observed), 0, True
+        def record(observed, omega, params):
+            seen.extend(observed.copy())
+            return (np.zeros_like(observed), np.zeros(len(observed), dtype=int),
+                    np.ones(len(observed), dtype=bool))
 
-        monkeypatch.setattr(completion, "complete", record)
+        monkeypatch.setattr(completion, "_complete_stack", record)
         eye = cfg.P_t / (cfg.L * cfg.M_tC) * np.eye(cfg.M_tC)
         schedule = np.broadcast_to(eye, (cfg.L, cfg.M_tC, cfg.M_tC))
         completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 1,
@@ -494,3 +495,8 @@ class TestConfig:
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
             parse_config("no_such_field = 3\n")
+
+    def test_parse_rejects_duplicate_key_naming_both_lines(self):
+        with pytest.raises(ConfigError,
+                           match=r"^line 4: duplicate key 'p', first set on line 2$"):
+            parse_config("# header\np = 0.5\nC = 8\np = 0.7\n")
