@@ -3,15 +3,14 @@
 The completer minimizes mu*||X||_* + 0.5*||P_Omega(X - observed)||_F^2 by
 accelerated proximal gradient descent with singular-value soft thresholding,
 using continuation on the penalty (mu is lowered geometrically toward its
-target, warm-starting each stage). Recovery trials run as lock-step stacks
-(_complete_stack, of which complete() is the one-observation case):
-complete_designs completes the trials that draw_trials drew for several
-designs of one scenario in one pass over the CPUs the process may use, and
-radar_pipeline is its one-design case.
+target, warm-starting each stage); the radar pipeline wraps it into the
+end-to-end recovery experiment, whose trials it completes on the CPUs the
+process may use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -53,26 +52,23 @@ class RecoveryReport:
     converged: bool
 
 
-def shrink(X: np.ndarray, threshold):
-    """Singular-value soft thresholding, sigma_i -> (sigma_i - t)^+, of a
-    matrix or of each matrix in a stack (threshold a scalar, or shaped
-    (..., 1) for one threshold per matrix).
+def shrink(X: np.ndarray, threshold: float):
+    """Singular-value soft thresholding: sigma_i -> (sigma_i - t)^+.
 
-    Returns the thresholded matrices and their singular values, descending
-    (the latter sum to the nuclear norm). Both come from the Hermitian
-    eigendecomposition of the narrow-side Gram matrix A^H A: the result is
-    A V diag(w) V^H with w_i = (sigma_i - t)/sigma_i where sigma_i > t and
-    w_i = 0 elsewhere. The products run over every column of V, so the
-    arithmetic of one matrix never depends on the others in its stack. A
-    kept value is exact to about eps*sigma1^2/sigma_k absolute, so relative
-    to itself to about eps*(sigma1/t)^2 or better; the completer's
-    thresholds are at least mu >= mu_rel*sigma1.
+    Returns the thresholded matrix and its singular values (the latter sum
+    to its nuclear norm). Both come from the Hermitian eigendecomposition
+    of the narrow-side Gram matrix A^H A: the result is
+    A V_k diag((sigma_k - t)/sigma_k) V_k^H over the kept sigma_k > t. A kept
+    value is exact to about eps*sigma1^2/sigma_k absolute, so relative to
+    itself to about eps*(sigma1/t)^2 or better; the completer's thresholds
+    are at least mu >= mu_rel*sigma1.
     """
     sigma, A, V = gram_spectrum(X)
     s = np.maximum(sigma - threshold, 0.0)
-    w = np.divide(s, sigma, out=np.zeros_like(s), where=s > 0.0)
-    Z = ((A @ V) * w[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
-    return (np.swapaxes(Z.conj(), -1, -2) if A is not X else Z), s
+    k = int(np.count_nonzero(s))
+    Vk = V[:, :k]
+    Z = ((A @ Vk) * (s[:k] / sigma[:k])) @ Vk.conj().T
+    return (Z.conj().T if A is not X else Z), s
 
 
 def _mu_schedule(sigma1: float, mu_final: float, continuation: float) -> list:
@@ -91,103 +87,6 @@ def _mu_schedule(sigma1: float, mu_final: float, continuation: float) -> list:
     return mus
 
 
-def _fro(x: np.ndarray) -> np.ndarray:
-    """The Frobenius norm of each matrix in a stack."""
-    return np.linalg.norm(x, axis=(-2, -1))
-
-
-def _objective(X, observed, omega, mu, nuclear=None) -> np.ndarray:
-    """mu*||X||_* + 0.5*||P_Omega(X - observed)||_F^2 for each matrix in a stack."""
-    if nuclear is None:
-        nuclear = gram_spectrum(X)[0].sum(axis=-1)
-    return mu * nuclear + 0.5 * _fro(omega * (X - observed)) ** 2
-
-
-def _complete_stack(observed: np.ndarray, omega: np.ndarray, params: CompletionParams,
-                    objective_trace: list | None = None):
-    """complete() for each matrix of a stack of observations (b, m, n) that
-    share the mask omega, run in lock-step.
-
-    Each iteration advances every trial still running with one shrink: one
-    stacked Gram product and one stacked eigh. The penalty mu, the
-    continuation stage, the momentum t, the objective and the stop test are
-    per-trial arrays, and a trial leaves the stack at its own stop. Every
-    step is elementwise or per matrix, so a trial's result is the same, bit
-    for bit, whatever else its stack holds. Returns (estimates, iterations,
-    converged) over the stack; objective_trace, a list, receives at every
-    iteration the accepted objective values of the trials still running.
-    """
-    if omega.shape != observed.shape[-2:]:
-        raise ValueError("mask and observation shapes differ")
-    if omega.sum(axis=1).min() < 1 or omega.sum(axis=0).min() < 1:
-        raise ValueError("mask has an empty row or column; completion impossible")
-    estimates = np.zeros_like(observed)
-    iterations = np.zeros(len(observed), dtype=int)
-    converged = np.ones(len(observed), dtype=bool)
-    masked = omega * observed
-    idx = np.flatnonzero(_fro(masked) != 0.0)  # an all-zero observation completes to 0
-    if idx.size == 0:
-        return estimates, iterations, converged
-    observed = observed[idx]
-    sigma1 = gram_spectrum(masked[idx])[0][:, 0]
-    mu_final = params.mu_rel * sigma1 if params.mu is None else np.full_like(sigma1, params.mu)
-    schedules = [_mu_schedule(float(a), float(b), _CONTINUATION) for a, b in zip(sigma1, mu_final)]
-    stages = np.array([len(mus) for mus in schedules])
-    mus = np.zeros((idx.size, stages.max()))
-    for row, schedule in zip(mus, schedules):
-        row[:len(schedule)] = schedule
-
-    # Monotone accelerated proximal gradient, each stage warm-started from
-    # the previous one: the shrinkage step Z is accepted only when it lowers
-    # the objective, while momentum always follows Z. The gradient step is
-    # 1, since P_Omega(Y - observed) is 1-Lipschitz.
-    stage = np.zeros(idx.size, dtype=int)
-    steps = np.zeros(idx.size, dtype=int)  # iterations in the current stage
-    total = np.zeros(idx.size, dtype=int)
-    mu = mus[:, 0].copy()
-    t = np.ones(idx.size)
-    X = np.zeros_like(observed)
-    Y = X.copy()
-    obj = _objective(X, observed, omega, mu)
-    while True:
-        Z, s = shrink(Y - omega * (Y - observed), mu[:, None])
-        obj_Z = _objective(Z, observed, omega, mu, nuclear=s.sum(axis=-1))
-        X_prev = X
-        accept = obj_Z <= obj
-        X = np.where(accept[:, None, None], Z, X)
-        obj = np.where(accept, obj_Z, obj)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        Y = (X + (t / t_new)[:, None, None] * (Z - X)
-             + ((t - 1.0) / t_new)[:, None, None] * (X - X_prev))
-        t = t_new
-        steps += 1
-        total += 1
-        if objective_trace is not None:
-            objective_trace.append(obj.copy())
-        stopped = _fro(Z - X_prev) / np.maximum(_fro(Z), 1e-300) < params.tolerance
-        ended = stopped | (steps == _MAX_ITERATIONS)
-        if not ended.any():
-            continue
-        done = ended & (stage == stages - 1)
-        if done.any():
-            estimates[idx[done]] = X[done]
-            iterations[idx[done]] = total[done]
-            converged[idx[done]] = stopped[done]
-            keep = ~done
-            if not keep.any():
-                return estimates, iterations, converged
-            (idx, observed, X, Y, t, obj, mu, mus, stages, stage, steps, total, ended) = (
-                a[keep] for a in (idx, observed, X, Y, t, obj, mu, mus, stages, stage, steps,
-                                  total, ended))
-        if ended.any():  # the next stage, from the accepted iterate
-            stage[ended] += 1
-            mu[ended] = mus[ended, stage[ended]]
-            steps[ended] = 0
-            t[ended] = 1.0
-            Y[ended] = X[ended]
-            obj[ended] = _objective(X[ended], observed[ended], omega, mu[ended])
-
-
 def complete(
     observed: np.ndarray,
     omega: np.ndarray,
@@ -196,20 +95,75 @@ def complete(
 ):
     """Nuclear-norm completion of the entries marked by the binary mask omega.
 
-    Returns (estimate, iterations, converged). Requires at least one
-    observed entry in every row and column. Accepted iterates never
-    increase the objective within a continuation stage (monotone
-    accelerated proximal gradient); pass a list as objective_trace to
-    record the accepted objective value at every iteration. This is the
-    one-observation case of the stacked kernel that completes the recovery
-    trials, and it gives the same result as a trial in any stack.
+    Returns (estimate, iterations, converged). Requires a mask of 0s and
+    1s with at least one observed entry in every row and column. Accepted
+    iterates never increase the objective within a continuation stage
+    (monotone accelerated proximal gradient); pass a list as
+    objective_trace to record the accepted objective value at every
+    iteration.
     """
-    trace = None if objective_trace is None else []
-    estimates, iterations, converged = _complete_stack(
-        observed[None], omega, CompletionParams() if params is None else params, trace)
-    if objective_trace is not None:
-        objective_trace.extend(float(obj[0]) for obj in trace)
-    return estimates[0], int(iterations[0]), bool(converged[0])
+    if params is None:
+        params = CompletionParams()
+    if omega.shape != observed.shape:
+        raise ValueError("mask and observation shapes differ")
+    seen = omega == 1.0
+    if not np.all(seen | (omega == 0.0)):
+        raise ValueError("mask entries must be 0 or 1")
+    if seen.sum(axis=1).min() < 1 or seen.sum(axis=0).min() < 1:
+        raise ValueError("mask has an empty row or column; completion impossible")
+    masked = omega * observed
+    if np.linalg.norm(masked) == 0.0:
+        return np.zeros_like(observed), 0, True
+    sigma1 = float(gram_spectrum(masked)[0][0])
+    mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
+    mus = _mu_schedule(sigma1, mu_final, _CONTINUATION)
+    where = np.flatnonzero(seen)
+    observed_entries = observed.ravel()[where]
+
+    def objective(mat, mu, nuc=None):
+        if nuc is None:
+            nuc = float(gram_spectrum(mat)[0].sum())
+        r = mat.ravel()[where] - observed_entries
+        return mu * nuc + 0.5 * float(np.vdot(r, r).real)
+
+    X = np.zeros_like(observed)
+    total = 0
+    converged = False
+    for mu in mus:
+        # Monotone accelerated proximal gradient, warm-started from the
+        # previous stage: the shrinkage step Z is accepted only when it
+        # lowers the objective, while momentum always follows Z. The
+        # gradient step is 1, since P_Omega(Y - observed) is 1-Lipschitz,
+        # so Y - P_Omega(Y - observed) takes the observed entries on the
+        # mask and keeps Y off it.
+        Y = X
+        t = 1.0
+        obj = objective(X, mu)
+        converged = False
+        for _ in range(_MAX_ITERATIONS):
+            Z, s = shrink(np.where(seen, observed, Y), mu)
+            obj_Z = objective(Z, mu, nuc=float(s.sum()))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            # The momentum step X + (t/t_new)(Z - X) + ((t-1)/t_new)(X - X_prev),
+            # X_prev the iterate before this step, keeps one term: an
+            # accepted Z leaves Z + ((t-1)/t_new)(Z - X_prev), a rejected
+            # one X + (t/t_new)(Z - X). Either difference is step, the
+            # change the stop test measures.
+            step = Z - X
+            if obj_Z <= obj:
+                X, obj = Z, obj_Z
+                Y = Z + ((t - 1.0) / t_new) * step
+            else:
+                Y = X + (t / t_new) * step
+            t = t_new
+            total += 1
+            if objective_trace is not None:
+                objective_trace.append(obj)
+            change = math.sqrt(np.vdot(step, step).real / max(np.vdot(Z, Z).real, 1e-300))
+            if change < params.tolerance:
+                converged = True
+                break
+    return X, total, converged
 
 
 def relative_error(truth: np.ndarray, estimate: np.ndarray) -> float:
@@ -227,6 +181,16 @@ class PipelineStats:
     mean_error: float
     std_error: float
     reports: list
+
+
+def _trial(observed, omega, params, truth) -> RecoveryReport:
+    """Complete one trial's observation and score it against the truth."""
+    estimate, iterations, converged = complete(observed, omega, params)
+    return RecoveryReport(
+        relative_error=relative_error(truth, estimate),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def _cpu_share(trials: int) -> int:
@@ -264,131 +228,35 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
-def _complete_stacks(share, params, truth) -> list:
-    """For each (design, observations, omega) stack of a share, the reports
-    of its trials scored against the truth, or the exception completing it
-    raised."""
-    out = []
-    for _, observations, omega in share:
-        try:
-            estimates, iterations, converged = _complete_stack(observations, omega, params)
-            out.append([RecoveryReport(relative_error(truth, e), int(i), bool(c))
-                        for e, i, c in zip(estimates, iterations, converged)])
-        except Exception as exc:  # fails this stack's design only
-            out.append(exc)
-    return out
+def _complete_trials(observations, omega, params, truth) -> list:
+    """The trials' reports, in trial order, completed on _cpu_share CPUs.
 
-
-def _complete_trials(designs, params, truth) -> list:
-    """For each (observations, omega) design, its trials' reports in trial
-    order, or the exception its trials raised; completed on _cpu_share CPUs.
-
-    The trials, in design and then trial order, fall into n fixed
-    contiguous shares: the caller completes the last len // n itself, and
-    n - 1 fork workers one near-equal share each of the others. A process
-    completes its share's trials of each design as one stack
-    (_complete_stack), and a trial's report does not depend on what else
-    its stack holds, so every report is the same on any number of CPUs. The
-    split is fixed, so the caller's own stacks, which a profiler in it sees,
-    are the same on every run. A fork worker shares the caller's code and
-    data; the pool exists only inside this call. Every error a design's
-    trials can raise depends only on what they all share: omega and its
-    shape (an empty row or column), the truth (zero), and the message of a
-    failed eigh. So a design that fails in several shares reports its first
-    share's error, which one stack of all its trials raises.
+    With n CPUs the caller completes the last len // n trials in-process,
+    and n - 1 fork workers share the others. The split is fixed, so the
+    caller's own complete calls, which a profiler in it sees, are the same
+    on every run. A fork worker shares the caller's code and data, so every
+    report equals the in-process one bit for bit; the pool exists only
+    inside this call. Every error a trial can raise depends only on what all
+    trials share: omega and its shape (an empty row or column), the truth
+    (zero), and the message of a failed eigh. So whichever trial fails first
+    raises what a loop in trial order raises.
     """
-    starts = np.cumsum([0] + [len(observations) for observations, _ in designs])
-    total = int(starts[-1])
-    n = _cpu_share(total)
-    cuts = [0, total]
-    if n > 1:
-        front = total - total // n
-        cuts = [i * front // (n - 1) for i in range(n)] + [total]
-    # Each share holds one (design, observations, omega) stack per design
-    # whose trials it takes.
-    shares = [[(d, observations[max(lo - start, 0):hi - start], omega)
-               for d, ((observations, omega), start) in enumerate(zip(designs, starts))
-               if start < hi and lo < start + len(observations)]
-              for lo, hi in zip(cuts, cuts[1:])]
+    run = functools.partial(_trial, omega=omega, params=params, truth=truth)
+    n = _cpu_share(len(observations))
     if n <= 1:
-        results = [_complete_stacks(shares[0], params, truth)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        return [run(obs) for obs in observations]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            theirs = [pool.submit(_complete_stacks, share, params, truth)
-                      for share in shares[:-1]]
-            try:
-                own = _complete_stacks(shares[-1], params, truth)
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # drop the shares no worker started
-                raise
-            results = [future.result() for future in theirs] + [own]
-    outcomes = [[] for _ in designs]
-    for share, result in zip(shares, results):
-        for (d, _, _), out in zip(share, result):
-            if not isinstance(outcomes[d], Exception):
-                outcomes[d] = out if isinstance(out, Exception) else outcomes[d] + out
-    return outcomes
-
-
-def draw_trials(
-    cfg: ScenarioConfig,
-    D: np.ndarray,
-    S: np.ndarray,
-    G2: np.ndarray,
-    schedule: np.ndarray,
-    omega: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The observations of a design's recovery trials, stacked by trial.
-
-    Per trial, in trial order: draw codewords x(l) = R_xl^{1/2} * randn and
-    synthesize the masked radar data matrix with fresh phases and noise.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    roots = psd_sqrt(schedule)
-    L = len(schedule)
-    observations = []
-    for _ in range(trials):
-        # Row l of z holds the real and imaginary parts of symbol l's draw,
-        # in the order L successive crandn(rng, M_tC) calls take them.
-        z = rng.standard_normal((L, 2, cfg.M_tC))
-        v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        X = (roots @ v[:, :, None])[:, :, 0].T
-        _, alpha2 = generate_phase_offsets(cfg, rng)
-        observations.append(synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng))
-    return np.stack(observations)
-
-
-def complete_designs(truth: np.ndarray, designs: list,
-                     params: CompletionParams | None = None) -> list:
-    """Complete the drawn trials of several designs of one scenario, scored
-    against its noiseless truth (scenario.radar_truth), in one pass over
-    the CPUs the process may use.
-
-    designs holds one (observations, omega) pair per design, observations
-    from draw_trials. Returns one entry per design: its PipelineStats, or
-    the exception its trials raised, which radar_pipeline raises for that
-    design alone. Every entry is the same, bit for bit, for any number of
-    CPUs and whatever other designs share the call.
-    """
-    outcomes = _complete_trials(designs, CompletionParams() if params is None else params, truth)
-    stats = []
-    for reports in outcomes:
-        if isinstance(reports, Exception):
-            stats.append(reports)
-            continue
-        errs = np.array([r.relative_error for r in reports])
-        stats.append(PipelineStats(
-            mean_error=float(errs.mean()),
-            std_error=float(errs.std(ddof=1)) if len(errs) > 1 else 0.0,
-            reports=reports,
-        ))
-    return stats
+    first_own = len(observations) - len(observations) // n
+    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        theirs = pool.map(run, observations[:first_own])
+        try:
+            own = [run(obs) for obs in observations[first_own:]]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # drop the trials no worker started
+            raise
+        return list(theirs) + own
 
 
 def radar_pipeline(
@@ -402,15 +270,33 @@ def radar_pipeline(
     rng: np.random.Generator,
     params: CompletionParams | None = None,
 ) -> PipelineStats:
-    """End-to-end recovery experiment for a fixed design: draw_trials, then
-    complete_designs for this one design, whose error it raises.
+    """End-to-end recovery experiment for a fixed design.
 
-    Every trial's draws are made first, in trial order; the trials are then
+    Per trial: draw codewords x(l) = R_xl^{1/2} * randn, synthesize the
+    masked radar data matrix with fresh phases and noise, complete it and
+    score against the noiseless ground truth (scenario.radar_truth). Every
+    trial's draws are made first, in trial order; the trials are then
     completed on the CPUs the process may use, with the same reports for
     any number of them.
     """
-    observations = draw_trials(cfg, D, S, G2, schedule, omega, trials, rng)
-    (stats,) = complete_designs(radar_truth(cfg, D, S), [(observations, omega)], params)
-    if isinstance(stats, Exception):
-        raise stats
-    return stats
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    roots = psd_sqrt(schedule)
+    L = len(schedule)
+    truth = radar_truth(cfg, D, S)
+    observations = []
+    for _ in range(trials):
+        # Row l of z holds the real and imaginary parts of symbol l's draw,
+        # in the order L successive crandn(rng, M_tC) calls take them.
+        z = rng.standard_normal((L, 2, cfg.M_tC))
+        v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+        X = (roots @ v[:, :, None])[:, :, 0].T
+        _, alpha2 = generate_phase_offsets(cfg, rng)
+        observations.append(synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng))
+    reports = _complete_trials(observations, omega, params, truth)
+    errs = np.array([r.relative_error for r in reports])
+    return PipelineStats(
+        mean_error=float(errs.mean()),
+        std_error=float(errs.std(ddof=1)) if trials > 1 else 0.0,
+        reports=reports,
+    )

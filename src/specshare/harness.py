@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .completion import complete_designs, draw_trials
+from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme, SpecshareError
 from .covdesign import solve_weighted_eip
 from .interference import (
@@ -29,7 +29,7 @@ from .interference import (
     weighted_eip,
 )
 from .samplingopt import joint_design
-from .scenario import make_scenario, radar_truth
+from .scenario import make_scenario
 from .streams import stream
 
 CSV_HEADER = "method,sweep_var,sweep_value,seed,eip,tip,capacity,power,mc_mean_err,mc_std_err,wall_ms"
@@ -153,12 +153,7 @@ def _solve_method(method, cfg, scn, noise):
 def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
     """One row per (seed, method) at a single sweep point. A row whose
     scenario or method fails with a SpecshareError or LinAlgError keeps nan
-    metrics and the message in ResultRow.error; other exceptions propagate.
-
-    With mc_trials, each method draws its recovery trials from its own
-    stream, and a seed's trials of every method are then completed in one
-    completion.complete_designs call; each row's wall_ms includes an equal
-    share of that call."""
+    metrics and the message in ResultRow.error; other exceptions propagate."""
     rows = []
     for seed in spec.seeds:
         cfg = apply_sweep(spec.cfg, spec.sweep_var, sweep_value).replace(seed=int(seed))
@@ -172,7 +167,6 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                     ResultRow(method, spec.sweep_var, value, int(seed), error=str(exc))
                 )
             continue
-        drawn = []  # (row, (observations, omega)) of the rows whose trials run
         for method in spec.methods:
             row = ResultRow(method, spec.sweep_var, value, int(seed))
             t0 = time.perf_counter()
@@ -187,28 +181,16 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
                 row.capacity = sol.achieved_capacity
                 row.power = sol.consumed_power
                 if spec.mc_trials > 0:
-                    observations = draw_trials(
+                    stats = radar_pipeline(
                         cfg, scn.D, scn.S, scn.G2, schedule, omega, spec.mc_trials,
                         stream(cfg.seed, "mc", method, spec.sweep_var, value),
                     )
-                    drawn.append((row, (observations, omega)))
+                    row.mc_mean_err = stats.mean_error
+                    row.mc_std_err = stats.std_error
             except _ROW_ERRORS as exc:
                 row.error = str(exc)
             row.wall_ms = (time.perf_counter() - t0) * 1e3
             rows.append(row)
-        if drawn:
-            t0 = time.perf_counter()
-            outcomes = complete_designs(radar_truth(cfg, scn.D, scn.S), [d for _, d in drawn])
-            share_ms = (time.perf_counter() - t0) * 1e3 / len(drawn)
-            for (row, _), stats in zip(drawn, outcomes):
-                row.wall_ms += share_ms
-                if isinstance(stats, _ROW_ERRORS):
-                    row.error = str(stats)
-                elif isinstance(stats, Exception):
-                    raise stats
-                else:
-                    row.mc_mean_err = stats.mean_error
-                    row.mc_std_err = stats.std_error
     return rows
 
 

@@ -8,7 +8,10 @@ step of the covariance design through a thin SVD (specshare.completion and
 specshare.covdesign go through a Gram eigendecomposition), the
 completion at a fixed penalty iterated by plain proximal gradient until a
 fixed-point certificate holds (specshare.completion stops accelerated
-continuation stages on a step-size rule), the feasibility of a capacity
+continuation stages on a step-size rule), the accelerated completion with
+its gradient and momentum steps as the formulas read (specshare.completion
+takes the observed entries by a mask lookup and keeps one momentum term),
+the feasibility of a capacity
 target by classic water-filling of the power budget (specshare.covdesign
 asks whether the minimum-power design fits in the budget), a feasibility
 and optimality report of a returned design recomputed from its
@@ -20,6 +23,7 @@ Bellman-Ford cycle search). Only the tests use them.
 
 import numpy as np
 
+from specshare.completion import _CONTINUATION, _MAX_ITERATIONS, _mu_schedule, shrink
 from specshare.config import Scheme
 from specshare.covdesign import min_capacity_multiplier, solve_weighted_eip
 from specshare.interference import (
@@ -30,7 +34,7 @@ from specshare.interference import (
     total_power,
     weighted_eip,
 )
-from specshare.linalg import eig_floor, hermitize, psd_sqrt
+from specshare.linalg import eig_floor, gram_spectrum, hermitize, psd_sqrt
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
@@ -124,6 +128,40 @@ def converged_completion(observed, omega, mu: float):
             return X
         X = Z
     raise RuntimeError("no fixed-point certificate within 100 000 iterations")
+
+
+def textbook_completion(observed, omega, params):
+    """completion.complete with each step as its formula reads: the
+    gradient step Y - P_Omega(Y - observed), the momentum step
+    X + (t/t_new)(Z - X) + ((t-1)/t_new)(X - X_prev), and Frobenius norms
+    for the objective and the stop test. Same schedule, same shrink.
+    Returns (estimate, iterations, converged)."""
+    masked = omega * observed
+    sigma1 = float(gram_spectrum(masked)[0][0])
+    mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1
+
+    def objective(mat, mu, nuc=None):
+        if nuc is None:
+            nuc = float(gram_spectrum(mat)[0].sum())
+        return mu * nuc + 0.5 * float(np.linalg.norm(omega * (mat - observed)) ** 2)
+
+    X, total, converged = np.zeros_like(observed), 0, False
+    for mu in _mu_schedule(sigma1, mu_final, _CONTINUATION):
+        Y, t, obj, converged = X, 1.0, objective(X, mu), False
+        for _ in range(_MAX_ITERATIONS):
+            Z, s = shrink(Y - omega * (Y - observed), mu)
+            obj_Z = objective(Z, mu, nuc=float(s.sum()))
+            X_prev = X
+            if obj_Z <= obj:
+                X, obj = Z, obj_Z
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            Y = X + (t / t_new) * (Z - X) + ((t - 1.0) / t_new) * (X - X_prev)
+            t = t_new
+            total += 1
+            if np.linalg.norm(Z - X_prev) / max(np.linalg.norm(Z), 1e-300) < params.tolerance:
+                converged = True
+                break
+    return X, total, converged
 
 
 def water_fill(gains: np.ndarray, budget: float) -> np.ndarray:

@@ -12,13 +12,12 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import converged_completion, selfish, svd_shrink
-from specshare import completion, harness
+from oracles import converged_completion, selfish, svd_shrink, textbook_completion
+from specshare import completion
 from specshare.completion import (
     CompletionParams,
     _mu_schedule,
     complete,
-    complete_designs,
     radar_pipeline,
     relative_error,
     shrink,
@@ -240,6 +239,29 @@ class TestComplete:
         with pytest.raises(ValueError):
             complete(np.ones((4, 4), dtype=complex), np.ones((4, 5)))
 
+    def test_non_binary_mask_rejected(self):
+        omega = np.ones((4, 4))
+        omega[1, 2] = 0.5
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            complete(np.ones((4, 4), dtype=complex), omega)
+
+    def test_matches_textbook_formulas(self):
+        # The 32 x 32 mc-recovery input at the default penalty and at one
+        # 100 times larger, and a wide 8 x 12 rank-one input: the same
+        # iteration counts, and the estimate to rounding (measured within
+        # 2.7e-12 relative over seeds 13-14 of the mc-recovery benchmark).
+        rng = stream(3, "complete-wide")
+        u, v = crandn(rng, 8, 1), crandn(rng, 1, 12)
+        wide = covered_mask(rng, 8, 12, 0.6)
+        cases = [(*mc_recovery_input(), CompletionParams()),
+                 (*mc_recovery_input(), CompletionParams(mu_rel=1e-2)),
+                 (wide * (u @ v), wide, CompletionParams(mu_rel=1e-3))]
+        for observed, omega, params in cases:
+            est, iters, conv = complete(observed, omega, params)
+            want, want_iters, want_conv = textbook_completion(observed, omega, params)
+            assert (iters, conv) == (want_iters, want_conv)
+            assert np.linalg.norm(est - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_objective_nonincreasing_single_stage(self):
         rng = stream(1, "complete")
         M = rank_one(rng)
@@ -403,13 +425,6 @@ def outcome(stats):
             [(r.relative_error, r.iterations, r.converged) for r in stats.reports])
 
 
-def pid_as_iterations(observed, omega, params):
-    """A stand-in for completion._complete_stack whose trials report the
-    completing process's id as their iteration count."""
-    return (np.zeros_like(observed), np.full(len(observed), os.getpid()),
-            np.ones(len(observed), dtype=bool))
-
-
 def no_pool(*args, **kwargs):
     raise AssertionError("a process pool was built")
 
@@ -426,31 +441,16 @@ def cpu_count_runs(cfg):
     return runs
 
 
-def job_cpu_count_runs(job):
-    """For 1 and then 2 usable CPUs: the outcome of complete_designs on the
-    (truth, designs, params) job, then the child processes and the threads
-    left running."""
-    truth, designs, params = job
-    runs = []
-    with pytest.MonkeyPatch.context() as m:
-        for n in (1, 2):
-            usable_cpus(m, n)
-            runs.append(([outcome(stats) for stats in complete_designs(truth, designs, params)],
-                         len(multiprocessing.active_children()), threading.active_count()))
-    return runs
-
-
-def in_pinned_child(function, arg):
-    """function(arg), for a function of this module, in a child interpreter
-    whose OpenBLAS runs one thread, with a RuntimeWarning an error as under
-    pytest."""
+def pinned_cpu_count_runs(cfg):
+    """cpu_count_runs(cfg) in a child interpreter whose OpenBLAS runs one
+    thread, with a RuntimeWarning an error as under pytest."""
     script = ("import pickle, sys, warnings; warnings.simplefilter('error', RuntimeWarning); "
-              f"from test_completion import {function.__name__} as run; "
-              "pickle.dump(run(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
+              "from test_completion import cpu_count_runs; "
+              "pickle.dump(cpu_count_runs(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
     paths = [os.path.dirname(os.path.abspath(__file__)),
              os.path.dirname(os.path.dirname(completion.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(arg),
+    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(cfg),
                            capture_output=True, env=env)
     assert child.returncode == 0, child.stderr.decode()
     return pickle.loads(child.stdout)
@@ -469,14 +469,17 @@ class TestParallelTrials:
         # usable_cpus hides an unpinned BLAS pool, whose threads the fork
         # workers would then compete with for the CPUs: the runs take place
         # where BLAS has one thread.
-        runs = in_pinned_child(cpu_count_runs, cfg)
+        runs = pinned_cpu_count_runs(cfg)
         (one, *_), (two, *_) = runs
         assert one == two
         # No child process is left, and the pool's threads are joined too.
         assert [run[1:] for run in runs] == [(0, 1), (0, 1)]
 
     def test_caller_takes_a_fixed_share_from_the_back(self, monkeypatch):
-        monkeypatch.setattr(completion, "_complete_stack", pid_as_iterations)
+        def pid_as_iterations(observed, omega, params=None):
+            return np.zeros_like(observed), os.getpid(), True
+
+        monkeypatch.setattr(completion, "complete", pid_as_iterations)
         cfg = ScenarioConfig(seed=1)
         me = os.getpid()
         for n, trials, own in ((2, 5, 2), (2, 4, 2), (3, 7, 2), (4, 2, 1)):
@@ -511,12 +514,12 @@ class TestParallelTrials:
     def test_interrupt_in_the_caller_propagates(self, monkeypatch):
         me = os.getpid()
 
-        def interrupted_here(observed, omega, params):
+        def interrupted_here(observed, omega, params=None):
             if os.getpid() == me:
                 raise KeyboardInterrupt
-            return pid_as_iterations(observed, omega, params)
+            return np.zeros_like(observed), 0, True
 
-        monkeypatch.setattr(completion, "_complete_stack", interrupted_here)
+        monkeypatch.setattr(completion, "complete", interrupted_here)
         usable_cpus(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             selfish_pipeline(ScenarioConfig(seed=1), 6)
@@ -569,80 +572,3 @@ class TestParallelTrials:
             stop.set()
             other.join(timeout=10)
         assert not other.is_alive()
-
-
-def mc_job(trials):
-    """The truth and the (observations, omega) designs that run_compare
-    passes to complete_designs for one selfish, noncoop and joint job of the
-    mc-recovery config (seed 13), whose joint design permutes the mask."""
-    seen = []
-    spec = harness.ExperimentSpec(cfg=pipeline_cfg(L=32, p=0.5, seed=13),
-                                  methods=["selfish", "noncoop", "joint"], seeds=[13],
-                                  mc_trials=trials)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(harness, "complete_designs", lambda *job: seen.append(job) or [])
-        harness.run_compare(spec)
-    (truth, designs), = seen
-    return truth, designs
-
-
-def assert_same_trials(got, want):
-    """(estimates, iterations, converged) of a stack against one
-    (estimate, iterations, converged) per trial, bit for bit."""
-    got = list(zip(*got))
-    assert len(got) == len(want)
-    for (est, its, conv), (want_est, want_its, want_conv) in zip(got, want):
-        assert est.tobytes() == want_est.tobytes()
-        assert (its, conv) == (want_its, want_conv)
-
-
-class TestLockStep:
-    """The stacked kernel completes each trial bit for bit as complete()
-    does alone, whether it runs in its method's share or in the whole job."""
-
-    # Two continuation stages, in about 250-350 iterations per trial.
-    PARAMS = CompletionParams(mu_rel=1e-2)
-
-    def test_trial_alone_in_its_share_and_in_the_job(self):
-        truth, designs = mc_job(3)
-        (_, selfish_mask), _, (_, joint_mask) = designs
-        assert not np.array_equal(selfish_mask, joint_mask)
-        alone = [[complete(obs, omega, self.PARAMS) for obs in observations]
-                 for observations, omega in designs]
-        zero = (np.zeros_like(designs[0][0][0]), 0, True)
-        for (observations, omega), want in zip(designs, alone):
-            # The method's trials, and a share of them in which an all-zero
-            # observation stops at once.
-            stacks = ((observations, want),
-                      (np.insert(observations[1:], 1, 0.0, axis=0), [want[1], zero, *want[2:]]))
-            for stack, expected in stacks:
-                assert_same_trials(completion._complete_stack(stack, omega, self.PARAMS), expected)
-        # The job of 9 trials on 2 CPUs: a worker completes 3 selfish and 2
-        # noncoop trials, the caller 1 noncoop and 3 joint ones.
-        reports = [[(relative_error(truth, est), its, conv) for est, its, conv in trials]
-                   for trials in alone]
-        for outcomes, children, threads in in_pinned_child(
-                job_cpu_count_runs, (truth, designs, self.PARAMS)):
-            assert [trials for _, _, trials in outcomes] == reports
-            assert (children, threads) == (0, 1)
-
-    def test_failed_design_fails_alone(self, monkeypatch):
-        # A design whose mask leaves a column empty returns its error; the
-        # design beside it returns what it returns alone, on 1 or 2 CPUs.
-        cfg = pipeline_cfg(p=0.5, seed=1)
-        scn = make_scenario(cfg)
-        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
-        truth = completion.radar_truth(cfg, scn.D, scn.S)
-        bad = scn.omega.copy()
-        bad[:, 0] = 0.0
-        designs = [(completion.draw_trials(cfg, scn.D, scn.S, scn.G2, zeros, omega, 3,
-                                           stream(1, "mc", k)), omega)
-                   for k, omega in enumerate((bad, scn.omega))]
-        alone = outcome(complete_designs(truth, designs[1:])[0])
-        for n in (1, 2):
-            usable_cpus(monkeypatch, n)
-            failed, stats = complete_designs(truth, designs)
-            assert type(failed) is ValueError
-            assert str(failed) == "mask has an empty row or column; completion impossible"
-            assert outcome(stats) == alone
-            assert multiprocessing.active_children() == []

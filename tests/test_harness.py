@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import SpecshareError, cli, completion, harness
+from specshare import SpecshareError, cli, harness
 from specshare.cli import main as cli_main
 from specshare.config import ConfigError, ScenarioConfig, Scheme, save_config
 from specshare.covdesign import InfeasibleError, SolverError
@@ -220,9 +220,9 @@ class TestRunCompare:
             assert r.error == "L must be >= M_tR for orthonormal waveform rows"
             assert np.isnan(r.eip) and np.isnan(r.power)
 
-    def test_job_trials_match_separate_pipelines(self):
-        # One complete_designs call completes every method's trials; each
-        # row's mc_* columns are those of its own radar_pipeline call.
+    def test_mc_columns_match_method_pipelines(self):
+        # Each row's mc_* columns are those of a radar_pipeline call on its
+        # method's design, drawing from the method's own stream.
         cfg = scenario1(p=0.5, seed=3)
         methods = ["selfish", "noncoop", "coop", "joint"]
         rows = run_compare(ExperimentSpec(cfg=cfg, methods=methods, seeds=[3], mc_trials=3))
@@ -234,30 +234,6 @@ class TestRunCompare:
                                    stream(cfg.seed, "mc", row.method, "none", 0.0))
             assert (row.mc_mean_err, row.mc_std_err) == (stats.mean_error, stats.std_error)
             assert not row.error
-
-    def test_trial_failure_fills_only_its_methods_row(self, monkeypatch):
-        # The mc-recovery config, seed 13, whose joint design permutes the
-        # mask: an eigh that fails on the joint mask's trials fails the
-        # joint row alone, with the message it raises.
-        cfg = ScenarioConfig(L=32, M_tR=16, M_rR=32, M_tC=4, M_rC=4, p=0.5, seed=13)
-        base = make_scenario(cfg, require_coverage=True).omega
-        spec = ExperimentSpec(cfg=cfg, methods=["selfish", "joint"], seeds=[13], mc_trials=2)
-        want = run_compare(spec)
-        real = completion._complete_stack
-
-        def fails_off_the_scenario_mask(observed, omega, params):
-            if not np.array_equal(omega, base):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(observed, omega, params)
-
-        monkeypatch.setattr(completion, "_complete_stack", fails_off_the_scenario_mask)
-        selfish_row, joint_row = run_compare(spec)
-        assert dataclasses.replace(selfish_row, wall_ms=0.0) == \
-            dataclasses.replace(want[0], wall_ms=0.0)
-        assert joint_row.error == "Eigenvalues did not converge"
-        assert np.isnan(joint_row.mc_mean_err) and np.isnan(joint_row.mc_std_err)
-        assert (joint_row.eip, joint_row.tip) == (want[1].eip, want[1].tip)
-        assert np.isfinite(want[1].mc_mean_err)
 
     def test_mc_columns_filled(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],

@@ -116,8 +116,8 @@ def counting(counts, name, real, count=lambda result: 1):
 def test_call_counts(name, monkeypatch, dual_steps):
     # The counted layers run before the recovery trials, which are skipped.
     monkeypatch.setattr(completion, "_complete_trials",
-                        lambda designs, *args: [[completion.RecoveryReport(0.0, 0, True)]
-                                                * len(observations) for observations, _ in designs])
+                        lambda observations, *args: [completion.RecoveryReport(0.0, 0, True)]
+                        * len(observations))
     counts = collections.Counter()
     for module, layer in ((covdesign, "_dual_search"), (samplingopt, "hungarian")):
         monkeypatch.setattr(module, layer, counting(counts, layer, getattr(module, layer)))

@@ -404,12 +404,11 @@ class TestPinnedDraws:
         scn = make_scenario(cfg)
         seen = []
 
-        def record(observed, omega, params):
-            seen.extend(observed.copy())
-            return (np.zeros_like(observed), np.zeros(len(observed), dtype=int),
-                    np.ones(len(observed), dtype=bool))
+        def record(observed, omega, params=None):
+            seen.append(observed.copy())
+            return np.zeros_like(observed), 0, True
 
-        monkeypatch.setattr(completion, "_complete_stack", record)
+        monkeypatch.setattr(completion, "complete", record)
         eye = cfg.P_t / (cfg.L * cfg.M_tC) * np.eye(cfg.M_tC)
         schedule = np.broadcast_to(eye, (cfg.L, cfg.M_tC, cfg.M_tC))
         completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 1,
