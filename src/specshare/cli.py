@@ -16,6 +16,7 @@ reported the same way.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import ScenarioConfig, SpecshareError, load_config
@@ -49,6 +50,8 @@ def _parse_sweep(text):
         start, stop, step = (float(s) for s in parts)
     except ValueError:
         raise SpecError(f"bad sweep spec {text!r}; bounds must be numbers") from None
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise SpecError(f"bad sweep spec {text!r}; bounds must be finite numbers")
     if step <= 0:
         raise SpecError("sweep step must be positive")
     values = []

@@ -65,6 +65,8 @@ class ExperimentSpec:
         if not self.methods:
             raise SpecError("method list is empty")
         for m in self.methods:
+            if self.methods.count(m) > 1:
+                raise SpecError(f"method {m!r} is repeated")
             if m not in METHODS:
                 raise SpecError(f"unknown method {m!r}")
             if m in _SCHEME_I_ONLY and self.cfg.scheme is not Scheme.SCHEME_I:

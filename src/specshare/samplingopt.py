@@ -45,25 +45,25 @@ def hungarian(cost: np.ndarray) -> Permutation:
     column perm[i]. A non-square cost raises ValueError.
 
     A non-empty cost C is first answered by a warm start from the candidate
-    permutation pi = identity and an empty row set S. Each round runs one
-    cycle search (_cycle_rows, a Bellman-Ford over the arc weights
-    C[i, pi(j)] - C[i, pi(i)]) that ends in one of three ways:
+    permutation pi = identity. Each round runs one cycle search
+    (_cycle_rows, a Bellman-Ford over the arc weights C[i, pi(j)] -
+    C[i, pi(i)]) and ends in one of three ways:
 
     1. Certified: every cycle weighs more than n^3 * eps * max|C|, so pi is
-       the unique optimum by more than that margin, the search would return
-       pi too, and pi is the answer.
-    2. Rows on cycles below -margin are found: they join S, and pi
-       becomes the identity off S and, on S, the search below applied to
-       the S x S sub-cost.
+       the unique optimum by more than that margin, the full search below
+       would return pi too, and pi is the answer.
+    2. Cancelled: the search returns disjoint cycles, each weighing less
+       than -margin. Each is rotated into pi (every row on it takes the
+       next row's column), which lowers the cost of pi by more than the
+       margin per cycle, and the next round searches again.
     3. Undecided: a cycle within the margin (ties and zero-weight cycles,
        as in constant or integer costs, are left to the search's
        lowest-index tie-break), or no cycle found in n rounds.
 
-    S grows every round, so the loop ends. The full search decides when the
-    cycle search is undecided, finds only rows already in S, or when S would
-    hold more than _WARM_START_SHARE of the rows. Every answer is thus
-    either certified unique, or the full search's own result, so it is the
-    search's permutation either way.
+    The full search answers when a round is undecided, when pi has moved
+    more than _WARM_START_SHARE of the rows, or after n rounds. Every answer
+    is thus either certified unique, or the full search's own result, so it
+    is the search's permutation either way.
 
     The search inserts rows one at a time; each step of the Dijkstra-like
     search for an augmenting path scans all n + 1 columns with a few
@@ -90,31 +90,31 @@ def hungarian(cost: np.ndarray) -> Permutation:
     return perm.view(Permutation)
 
 
-# The warm start hands over to the full search once its row set S would hold
-# more than this share of the rows: re-solving S x S costs about as much as
-# the full search by then.
+# The warm start hands the cost to the full search once pi has moved more than
+# this share of the rows: a cost that far from the identity can take many
+# cancelling rounds, each as dear as a good part of the full search.
 _WARM_START_SHARE = 0.5
 
 
 def _warm_started_search(cost: np.ndarray) -> np.ndarray:
     """The optimal permutation of the square cost, by the warm start of
-    hungarian: certify pi, else re-solve the rows on negative cycles."""
+    hungarian: cancel the negative cycles of pi until it is certified, else
+    hand the cost to the full search."""
     n = cost.shape[0]
     margin = _certificate_margin(cost)
-    perm = np.arange(n)
-    in_s = np.zeros(n, dtype=bool)
-    while True:
-        rows = _cycle_rows(_arc_weights(cost, perm), margin, _WARM_START_SHARE * n)
-        if rows is not None and not rows.size:
+    identity = np.arange(n)
+    perm = identity.copy()
+    for _ in range(n):
+        cycles = _cycle_rows(_arc_weights(cost, perm), margin)
+        if cycles is None:
+            break
+        if not cycles:
             return perm
-        if rows is None or in_s[rows].all():
-            return _augmenting_path_search(cost)
-        in_s[rows] = True
-        if in_s.sum() > _WARM_START_SHARE * n:
-            return _augmenting_path_search(cost)
-        s = np.flatnonzero(in_s)
-        perm = np.arange(n)
-        perm[s] = s[_augmenting_path_search(cost[np.ix_(s, s)])]
+        for cycle in cycles:
+            perm[cycle] = perm[np.roll(cycle, -1)]
+        if np.count_nonzero(perm != identity) > _WARM_START_SHARE * n:
+            break
+    return _augmenting_path_search(cost)
 
 
 def _certificate_margin(cost: np.ndarray) -> float:
@@ -133,12 +133,14 @@ def _arc_weights(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return D
 
 
-def _cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray | None:
+def _cycle_rows(D: np.ndarray, margin: float) -> list | None:
     """The warm start's cycle search over the arc weights D of a candidate
-    (see _arc_weights; overwritten here). Returns an empty array when every
-    cycle weighs more than the margin, which certifies the candidate; the
-    rows on disjoint cycles of weight below -margin, when some are found;
-    and None otherwise, which leaves the answer to the full search.
+    (see _arc_weights). Returns an empty list when every cycle weighs more
+    than the margin, which certifies the candidate; the disjoint cycles of
+    the first round that finds any, when each weighs less than -margin,
+    for the candidate to cancel; and None otherwise, which leaves the
+    answer to the full search. A cycle is an array of rows in which each
+    row takes the next row's column.
 
     Bellman-Ford relaxes from a virtual source, joined to every row by a
     zero arc, over the arc weights lowered by delta = 3/4 * margin. A cycle
@@ -147,15 +149,15 @@ def _cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray | None:
     that every cycle weighs at least 2 * delta > margin; an all-zero cost
     (margin 0, every cycle a tie) is never certified. After a round that
     relaxes an arc, the parent graph is searched for cycles, each of which
-    is negative after lowering. The rows of cycles below -margin are taken
-    out of the graph and the search starts again on the rest. Any other
-    cycle, a tie or one the lowering cannot tell from one, returns None at
-    once; so does running out of rounds (n in all) before any row is found.
-    The search also stops once more than `most` rows are found.
+    is negative after lowering. The first round that has any returns: its
+    cycles when all of them weigh less than -margin, and None when one is
+    a tie or one the lowering cannot tell from one. Running out of rounds
+    (n in all) with no cycle found returns None too.
 
     The search runs on the reversed digraph, whose cycles are those of D
     reversed, with the same weights. There row i of D holds the arcs into
-    i, so each round is one (n, n) add and an argmin along contiguous rows.
+    i, so each round is one (n, n) add and an argmin along contiguous rows,
+    and a row's parent is the row whose column it would take.
     """
     n = D.shape[0]
     if margin == 0.0:
@@ -164,7 +166,6 @@ def _cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray | None:
     dist = np.zeros(n)
     parent = np.full(n + 1, n)  # n is the virtual source, its own parent
     heads = np.arange(n)
-    found = np.zeros(n, dtype=bool)
     reach = np.empty_like(D)
     for _ in range(n):
         np.add(D, dist, out=reach)  # reach[i, j]: dist[j] plus the arc j -> i
@@ -172,22 +173,15 @@ def _cycle_rows(D: np.ndarray, margin: float, most: float) -> np.ndarray | None:
         best = reach[heads, tail] - delta
         better = best < dist
         if not better.any():
-            return np.flatnonzero(found)
+            return []
         dist[better] = best[better]
         parent[:n][better] = tail[better]
         cycles = _parent_cycles(parent)
         if cycles:
             if max(D[cycle, parent[cycle]].sum() for cycle in cycles) >= -margin:
                 return None
-            rows = np.concatenate(cycles)
-            found[rows] = True
-            if found.sum() > most:
-                break
-            D[rows, :] = np.inf
-            D[:, rows] = np.inf
-            dist.fill(0.0)
-            parent.fill(n)
-    return np.flatnonzero(found) if found.any() else None
+            return cycles
+    return None
 
 
 def _parent_cycles(parent: np.ndarray) -> list:

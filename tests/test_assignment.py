@@ -2,8 +2,9 @@
 column loop it replaced, and scipy's solver; its identity certificate on
 costs it must certify and on costs where it must leave the answer to the
 search, and against the Floyd-Warshall certificate it replaced; its warm
-start, which re-solves only the rows on negative cycles; and its
-independence of the cost's memory layout."""
+start, which cancels the negative cycles it finds and hands ties and
+far-from-identity costs to the full search; and its independence of the
+cost's memory layout."""
 
 import itertools
 import warnings
@@ -211,10 +212,18 @@ class TestScipyOracle:
         for cost in joint_costs:
             self.assert_optimal(cost)
 
+    def test_long_block_joint_costs(self):
+        """Every assignment of the L = 256 joint design of seeds 0-1, whose
+        256 x 256 column steps the warm start answers by cancelling."""
+        pytest.importorskip("scipy.optimize")
+        for cost in joint_design_costs((0, 1), L=256):
+            self.assert_optimal(cost)
 
-def joint_design_costs(seeds):
+
+def joint_design_costs(seeds, L=128):
     """Every assignment cost the joint design solves on joint-long-sized
-    Scheme I scenarios (L = 128, p = 0.5) of the given seeds, in call order."""
+    Scheme I scenarios (L = 128 unless given, p = 0.5) of the given seeds,
+    in call order."""
     costs = []
 
     def recording_hungarian(cost):
@@ -224,7 +233,7 @@ def joint_design_costs(seeds):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(samplingopt, "hungarian", recording_hungarian)
         for seed in seeds:
-            cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=seed)
+            cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=L, p=0.5, seed=seed)
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.G1, scn.S)
             joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
@@ -236,8 +245,8 @@ def search_certified(cost, perm=None):
     (default: the identity) for the cost, as the warm start asks it."""
     n = cost.shape[0]
     D = samplingopt._arc_weights(cost, np.arange(n) if perm is None else perm)
-    rows = samplingopt._cycle_rows(D, samplingopt._certificate_margin(cost), n)
-    return rows is not None and not rows.size
+    cycles = samplingopt._cycle_rows(D, samplingopt._certificate_margin(cost))
+    return cycles is not None and not cycles
 
 
 def identity_optimal(rng, n, lowered):
@@ -456,10 +465,26 @@ def search_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def cycle_searches(monkeypatch):
+    """The number of cycle searches hungarian has run."""
+    calls = [0]
+    search = samplingopt._cycle_rows
+
+    def counting_search(D, margin):
+        calls[0] += 1
+        return search(D, margin)
+
+    monkeypatch.setattr(samplingopt, "_cycle_rows", counting_search)
+    return calls
+
+
 class TestWarmStart:
-    """A cost the identity certificate rejects is re-solved on the rows of
-    its negative cycles and certified; ties and far-from-identity costs go
-    to the full search. Either way the answer is the scalar loop's."""
+    """A cost the identity certificate rejects has the negative cycles the
+    cycle search finds cancelled into its candidate until the candidate is
+    certified, with no search at all; ties, costs far from the identity and
+    candidates still uncertified after n rounds go to the full search.
+    Either way the answer is the scalar loop's."""
 
     def test_planted_cycles_skip_the_full_search(self, search_sizes):
         rng = stream(11, "hungarian")
@@ -468,8 +493,39 @@ class TestWarmStart:
                 cost, expected = planted_cycles(rng, n, (2, 3, 7), weight)
                 search_sizes.clear()
                 assert np.array_equal(hungarian(cost), expected)
-                assert search_sizes and max(search_sizes) < n
+                assert not search_sizes
                 assert_matches_scalar_loop(cost)
+
+    def test_cycles_over_half_the_rows_fall_back(self, search_sizes):
+        """Planted cycles on 18 of 32 rows: the candidate moves more than
+        half the rows before it can be certified, so the full search
+        answers, once."""
+        rng = stream(17, "hungarian")
+        for weight in (1e-3, 1.0, 4.0):
+            cost, expected = planted_cycles(rng, 32, (5, 6, 7), weight)
+            search_sizes.clear()
+            perm = hungarian(cost)
+            assert search_sizes == [32]
+            assert np.array_equal(perm, expected)
+            assert np.array_equal(perm, scalar_loop_hungarian(cost))
+
+    def test_rounds_are_bounded(self, search_sizes, cycle_searches, monkeypatch):
+        """A cycle search that returns the same 2-cycle forever swaps the
+        candidate back and forth, never past the share of moved rows; the
+        warm start stops after n rounds with the full search's answer."""
+        n = 16
+        cost = stream(18, "hungarian").uniform(-5.0, 5.0, size=(n, n))
+        counting_search = samplingopt._cycle_rows
+
+        def same_cycle(D, margin):
+            counting_search(D, margin)
+            return [np.array([0, 1])]
+
+        monkeypatch.setattr(samplingopt, "_cycle_rows", same_cycle)
+        perm = hungarian(cost)
+        assert cycle_searches[0] == n
+        assert search_sizes == [n]
+        assert np.array_equal(perm, scalar_loop_hungarian(cost))
 
     def test_zero_weight_cycle_falls_back(self, search_sizes):
         """A planted negative 3-cycle plus a zero-weight 2-cycle on two other
@@ -486,20 +542,22 @@ class TestWarmStart:
             assert search_sizes[-1] == n
             assert np.array_equal(perm, scalar_loop_hungarian(cost))
 
-    def test_joint_design_calls(self, search_sizes):
+    def test_joint_design_calls(self, search_sizes, cycle_searches):
         """The joint-long costs of seeds 13-18 (their number is a row of the
         count table in test_reference_rows): every call the certificate
-        rejects is answered without a full-size search, and every call
-        matches the scalar loop."""
+        rejects is answered by cancelling, with no search at all, at least
+        one after two or more cancelling rounds, and every call matches the
+        scalar loop."""
         costs = joint_design_costs(range(13, 19))
         uncertified = [cost for cost in costs if not search_certified(cost)]
         assert len(uncertified) == 15
-        answered = 0
+        rounds = []
         for cost in uncertified:
-            search_sizes.clear()
+            cycle_searches[0] = 0
             hungarian(cost)
-            answered += max(search_sizes) < cost.shape[0]
-        assert answered == 15
+            rounds.append(cycle_searches[0] - 1)  # the last search certifies
+        assert not search_sizes
+        assert max(rounds) >= 2
         for cost in costs:
             assert_matches_scalar_loop(cost)
 

@@ -46,6 +46,13 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(cfg=scenario1(), methods=["greedy"])
 
+    def test_repeated_method_rejected(self):
+        # It would run twice and print its rows twice.
+        with pytest.raises(SpecError, match="method 'noncoop' is repeated"):
+            ExperimentSpec(cfg=scenario1(), methods=["noncoop", "selfish", "noncoop"])
+        with pytest.raises(SpecError, match="method 'selfish' is repeated"):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), methods=["selfish", "selfish"])
+
     def test_coop_requires_scheme1(self):
         cfg = scenario1(scheme=Scheme.SCHEME_II)
         with pytest.raises(SpecError):
@@ -357,6 +364,24 @@ class TestCli:
 
     def test_bad_sweep_spec(self, capsys):
         assert cli_main(["sweep", "--methods", "selfish", "--sweep", "C=6:10"]) == 1
+
+    @pytest.mark.parametrize("grid", ["p=0.5:inf:0.5", "p=-inf:1:0.5", "p=nan:1:0.5",
+                                      "p=0.2:nan:0.5", "p=0.2:1:inf", "p=0.2:1:nan"])
+    def test_non_finite_sweep_bounds_rejected(self, capsys, grid):
+        # An infinite stop or start would grow the grid without bound.
+        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad sweep spec {grid!r}; bounds must be finite numbers\n"
+
+    @pytest.mark.parametrize("command", [["compare"], ["mc-eval", "--mc-trials", "1"]])
+    def test_repeated_method_exit_code(self, monkeypatch, capsys, command):
+        ran = []
+        monkeypatch.setattr(cli, "run_compare", lambda spec: ran.append(spec) or [])
+        assert cli_main(command + ["--methods", "selfish,noncoop,selfish"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not ran
+        assert captured.err == "error: method 'selfish' is repeated\n"
 
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
