@@ -58,6 +58,9 @@ def _parse_sweep(text):
     v = start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
+        if v + step == v:  # the grid would repeat v until memory runs out
+            raise SpecError(f"bad sweep spec {text!r}; step {step!r} does not advance "
+                            f"the grid at {v!r}")
         v += step
     return var, values
 

@@ -91,7 +91,11 @@ class ScenarioConfig:
             if not all(cmath.isfinite(x) for x in target):
                 raise ConfigError(f"targets must be finite, got {target!r}")
         if isinstance(self.scheme, str):
-            self.scheme = Scheme(self.scheme)
+            try:
+                self.scheme = Scheme(self.scheme)
+            except ValueError:
+                raise ConfigError(f"scheme must be one of {[s.value for s in Scheme]}, "
+                                  f"got {self.scheme!r}") from None
         if not (0.0 < self.p <= 1.0):
             raise ConfigError("p must be in (0, 1]")
         if self.P_t <= 0:

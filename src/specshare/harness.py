@@ -51,8 +51,12 @@ class SpecError(SpecshareError):
 
 @dataclass
 class ExperimentSpec:
-    """What an experiment runs; SpecError at construction (dataclasses.replace
-    included) unless the methods, sweep and seeds fit the config."""
+    """What an experiment runs. Construction (dataclasses.replace included)
+    fails unless the methods, sweep and seeds fit the config: a SpecError,
+    or the ConfigError of the first grid value the config rejects, since
+    every grid point's config is built here. A repeated method, seed or
+    sweep value, and a 'none' sweep of more than one value, would run or
+    print the same rows twice, and are refused too."""
 
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
@@ -77,14 +81,19 @@ class ExperimentSpec:
             raise SpecError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
             raise SpecError("sweep grid is empty")
+        if self.sweep_var == "none" and len(self.sweep_values) > 1:
+            raise SpecError(f"sweep 'none' takes one value, got {len(self.sweep_values)}")
+        for value in self.sweep_values:
+            if self.sweep_values.count(value) > 1:
+                raise SpecError(f"sweep value {value!r} is repeated")
+            apply_sweep(self.cfg, self.sweep_var, value)
         if not self.seeds:
             raise SpecError("seed list is empty")
+        for seed in self.seeds:
+            if self.seeds.count(seed) > 1:
+                raise SpecError(f"seed {seed!r} is repeated")
         if self.mc_trials < 0:
             raise SpecError("mc_trials must be nonnegative")
-        if self.sweep_var == "targets":
-            for value in self.sweep_values:
-                if value is not None:
-                    _target_count(value)
         if self.cfg.radar_rate != self.cfg.comm_rate:
             raise SpecError(
                 f"radar_rate {self.cfg.radar_rate} != comm_rate {self.cfg.comm_rate}: "
@@ -199,12 +208,10 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
 def sweep(spec: ExperimentSpec) -> list:
     """run_compare at every grid value; rows tagged with the sweep value.
 
-    Every grid point's config is built first, so a value the config
-    rejects fails before any design is solved. Seeds run one at a time
-    through the whole grid, so the designs a seed's grid points share come
-    from covdesign's memo of its last problem; format_csv sorts the rows."""
-    for value in spec.sweep_values:
-        apply_sweep(spec.cfg, spec.sweep_var, value)
+    Seeds run one at a time through the whole grid, so the designs a seed's
+    grid points share come from covdesign's memo of its last problem;
+    format_csv sorts the rows. The spec has built every grid point's config
+    already, so a value the config rejects never gets here."""
     rows = []
     for seed in spec.seeds:
         one_seed = replace(spec, seeds=[seed])

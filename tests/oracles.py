@@ -16,9 +16,9 @@ target by classic water-filling of the power budget (specshare.covdesign
 asks whether the minimum-power design fits in the budget), a feasibility
 and optimality report of a returned design recomputed from its
 covariances (specshare.covdesign checks its own post-conditions once, as
-it solves), and a Floyd-Warshall certificate that the identity is the
-unique optimal assignment (specshare.samplingopt certifies it by a
-Bellman-Ford cycle search). Only the tests use them.
+it solves), and a Floyd-Warshall bound on the cycle weights of an assignment
+candidate (specshare.samplingopt certifies a candidate by a Bellman-Ford
+cycle search). Only the tests use them.
 """
 
 import numpy as np
@@ -238,28 +238,33 @@ def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other
     return report
 
 
-def floyd_warshall_certified(cost, perm=None) -> bool:
-    """True when the identity is the unique optimal assignment of the square
-    cost C[:, perm] (perm defaults to the identity) by more than the margin
-    n^3 * eps * max|C|, which a column permutation does not change.
+def floyd_warshall_certified(cost, perm=None, below=None) -> bool:
+    """True when the candidate perm (default: the identity) is the unique
+    optimal assignment of the square cost by more than the margin
+    n^3 * eps * max|C|: every cycle of its exchange digraph weighs more than
+    the margin. Given `below`, True instead when no closed walk that
+    Floyd-Warshall forms weighs less than `below`; every cycle is such a
+    walk, so with below = -margin a True means that perm has no cycle
+    below -margin.
 
-    The identity is the unique optimum exactly when every cycle of the
-    complete digraph with arc weights D_ij = C[i, perm[j]] - C[i, perm[i]]
-    has positive weight (a permutation's cost minus the identity's is the
-    sum of its cycles' weights). Floyd-Warshall over D, with +inf on the
-    diagonal, leaves the least cycle weight through i in D_ii. It gives up
-    as soon as any D_ii falls to the margin, which also keeps negative
-    cycles from compounding towards overflow.
+    A permutation's cost minus that of perm is the sum of its cycles'
+    weights in the complete digraph with arc weights D_ij = C[i, perm[j]] -
+    C[i, perm[i]]. Floyd-Warshall over D, with +inf on the diagonal, leaves
+    the least cycle weight through i in D_ii (where a cycle is negative,
+    D_ii may hold a closed walk around it more than once, lower still). It
+    gives up as soon as any D_ii falls below the bound, which also keeps
+    negative cycles from compounding towards overflow.
     """
     cost = np.asarray(cost, dtype=float)
     n = cost.shape[0]
-    margin = n**3 * np.finfo(float).eps * float(np.abs(cost).max())
+    if below is None:  # every cycle above the margin: none below the double after it
+        below = np.nextafter(n**3 * np.finfo(float).eps * float(np.abs(cost).max()), np.inf)
     D = cost[:, np.arange(n) if perm is None else perm]
     D = D - np.diagonal(D)[:, None]
     np.fill_diagonal(D, np.inf)
     cycles = np.diagonal(D)  # a read-only view, updated in place with D
     for k in range(n):
         np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
-        if cycles.min() <= margin:
+        if cycles.min() < below:
             return False
     return True

@@ -318,6 +318,11 @@ class TestRelativeError:
         with pytest.raises(ValueError):
             relative_error(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+    def test_shape_mismatch_rejected(self, shape):
+        with pytest.raises(ValueError, match="^shape mismatch$"):
+            relative_error(np.ones((2, 2)), np.ones(shape))
+
 
 def pipeline_cfg(**kw):
     kw.setdefault("M_tR", 16)

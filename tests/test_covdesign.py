@@ -206,6 +206,14 @@ class TestSolveWeightedEip:
         with pytest.raises(SolverError):
             solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
 
+    @pytest.mark.parametrize("weight_symbols", [3, 5])
+    def test_weights_noise_length_mismatch_rejected(self, weight_symbols):
+        H, G2, noise = small_instance(0)
+        w = tip_weights(G2.shape[0], weight_symbols)
+        with pytest.raises(SolverError,
+                           match="^weights and noise schedules have different lengths$"):
+            solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
+
     def test_subproblem_consistency(self):
         # Re-deriving the schedule from the returned dual point reproduces it.
         H, G2, noise = small_instance(3)

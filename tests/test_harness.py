@@ -81,6 +81,40 @@ class TestExperimentSpec:
         assert [len(apply_sweep(spec.cfg, "targets", v).targets) for v in spec.sweep_values] == [
             1, 2, 3]
 
+    @pytest.mark.parametrize("sweep_var,values,message", [
+        ("p", [0.5, 1.5], r"p must be in \(0, 1\]"),
+        ("C", [4.0, -1.0], "C must be nonnegative"),
+        ("rho2", [0.0], "rho2 must be positive"),
+        ("sigma1_2", [-0.1], "sigma1_2 must be nonnegative"),
+    ])
+    def test_grid_value_the_config_rejects(self, sweep_var, values, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec(cfg=scenario1(), sweep_var=sweep_var, sweep_values=values)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), sweep_var=sweep_var,
+                                sweep_values=values)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"seeds": [3, 4, 3]}, "seed 3 is repeated"),
+        ({"sweep_var": "p", "sweep_values": [0.5, 1.0, 0.5]}, "sweep value 0.5 is repeated"),
+        ({"sweep_var": "targets", "sweep_values": [2, 2.0]}, "sweep value 2 is repeated"),
+        ({"sweep_values": [0.1, 0.2]}, "sweep 'none' takes one value, got 2"),
+    ])
+    def test_repeats_rejected(self, changes, message):
+        # Each would run or print the same design twice.
+        with pytest.raises(SpecError, match=message):
+            ExperimentSpec(cfg=scenario1(), **changes)
+        with pytest.raises(SpecError, match=message):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), **changes)
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"sweep_values": []}, "sweep grid is empty"),
+        ({"seeds": []}, "seed list is empty"),
+    ])
+    def test_empty_lists_rejected(self, changes, message):
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            ExperimentSpec(cfg=scenario1(), **changes)
+
     @pytest.mark.parametrize("radar_rate,comm_rate", [(2.0, 1.0), (1.0, 2.0)])
     def test_unequal_symbol_rates_rejected(self, radar_rate, comm_rate):
         cfg = scenario1(radar_rate=radar_rate, comm_rate=comm_rate)
@@ -268,14 +302,15 @@ class TestSweep:
         assert eips[0] <= eips[1] + 1e-9 <= eips[2] + 2e-9
 
     def test_rejected_grid_value_fails_before_any_design(self, monkeypatch):
+        """The spec builds every grid point's config, so it refuses a grid
+        with a value the config rejects before anything runs."""
         solved = []
         real = harness._solve_method
         monkeypatch.setattr(harness, "_solve_method",
                             lambda method, *args: solved.append(method) or real(method, *args))
-        spec = ExperimentSpec(cfg=scenario1(), methods=["selfish"], seeds=[0, 1],
-                              sweep_var="p", sweep_values=[0.5, 1.0, 1.5])
         with pytest.raises(ConfigError, match=r"p must be in \(0, 1\]"):
-            sweep(spec)
+            sweep(ExperimentSpec(cfg=scenario1(), methods=["selfish"], seeds=[0, 1],
+                                 sweep_var="p", sweep_values=[0.5, 1.0, 1.5]))
         assert solved == []
 
     def test_selfish_eip_nondecreasing_in_capacity(self):
@@ -373,6 +408,27 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad sweep spec {grid!r}; bounds must be finite numbers\n"
+
+    @pytest.mark.parametrize("grid,at", [("C=1e17:2e17:1", "1e+17"),
+                                         ("p=0.5:1:1e-17", "0.5"),
+                                         ("p=9007199254740990:9007199254740999:1",
+                                          "9007199254740992.0")])
+    def test_sweep_step_that_does_not_advance_rejected(self, capsys, grid, at):
+        """Where v + step == v, the grid would repeat v until memory ran out;
+        the last grid starts to advance and stalls at 2^53."""
+        step = grid.rsplit(":", 1)[1]
+        with pytest.raises(SpecError) as exc:
+            cli._parse_sweep(grid)
+        message = (f"bad sweep spec {grid!r}; step {float(step)!r} does not advance "
+                   f"the grid at {at}")
+        assert str(exc.value) == message
+        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("grid", ["p=0.2:1:0", "p=0.2:1:-0.2", "p=0.2:1:-0"])
+    def test_non_positive_sweep_step_rejected(self, capsys, grid):
+        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        assert capsys.readouterr().err == "error: sweep step must be positive\n"
 
     @pytest.mark.parametrize("command", [["compare"], ["mc-eval", "--mc-trials", "1"]])
     def test_repeated_method_exit_code(self, monkeypatch, capsys, command):

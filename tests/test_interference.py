@@ -481,6 +481,25 @@ class TestMismatchedRates:
         assert abs(val - loop_weighted_trace(mask.T, G2, schedule)) < 1e-12
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: average_capacity(np.stack([np.eye(1)] * 2), np.eye(1), np.stack([np.eye(1)] * 3)),
+     "schedule and noise lengths differ"),
+    (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 1.0, 4),
+     "equal rates require equal symbol counts"),
+    (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 2.0, 4),
+     "schedule too short for the radar symbol count"),
+    (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 3.0, 2.0, 2),
+     "radar rate must be an integer multiple of comm rate"),
+    (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 2.0, 1.0, 2),
+     "radar symbol count must equal k * comm symbol count"),
+], ids=["capacity-lengths", "equal-rates", "radar-slower-short", "radar-faster-ratio",
+        "radar-faster-count"])
+def test_inconsistent_inputs_rejected(call, message):
+    with pytest.raises(MetricError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestEmpiricalEip:
     def test_scheme1_per_realization_identity(self):
         # Unit-modulus phases cancel inside the elementwise modulus, so the

@@ -319,6 +319,24 @@ class TestSynthesis:
             )
 
 
+    @pytest.mark.parametrize("name,shape,message", [
+        ("D", (8, 5), "D has shape (8, 5), expected (8, 4)"),
+        ("S", (5, 32), "S has shape (5, 32), expected (4, 32)"),
+        ("G2", (8, 9), "G2 has shape (8, 9), expected (8, 8)"),
+        ("omega", (8, 31), "mask shape (8, 31) does not match data shape (8, 32)"),
+    ])
+    def test_radar_rx_input_shapes_checked(self, name, shape, message):
+        cfg = ScenarioConfig()
+        scn = make_scenario(cfg)
+        args = {"D": scn.D, "S": scn.S, "G2": scn.G2, "omega": scn.omega}
+        args[name] = np.zeros(shape, dtype=args[name].dtype)
+        X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
+        with pytest.raises(ScenarioError) as info:
+            synthesize_radar_rx(cfg, args["D"], args["S"], args["G2"], X,
+                                np.zeros(cfg.L), args["omega"], stream(0, "noise"))
+        assert str(info.value) == message
+
+
 class TestRadarTruth:
     def test_scheme1_samples_the_return(self):
         cfg = ScenarioConfig(seed=2)
@@ -435,6 +453,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(p=1.5)
 
+    @pytest.mark.parametrize("name,value,message", [
+        ("P_t", 0.0, "P_t must be positive"),
+        ("P_t", -1.0, "P_t must be positive"),
+        ("C", -0.5, "C must be nonnegative"),
+        ("sigma_C2", -1e-3, "sigma_C2 must be nonnegative"),
+        ("sigma1_2", -1e-3, "sigma1_2 must be nonnegative"),
+        ("sigma2_2", -1e-3, "sigma2_2 must be nonnegative"),
+        ("sigma_alpha2", -1e-3, "sigma_alpha2 must be nonnegative"),
+        ("sigma_R2", -1e-3, "sigma_R2 must be nonnegative"),
+        ("rho2", 0.0, "rho2 must be positive"),
+        ("rho2", -5.0, "rho2 must be positive"),
+        ("radar_rate", 0.0, "symbol rates must be positive"),
+        ("comm_rate", -1.0, "symbol rates must be positive"),
+        ("scheme", "bogus", "scheme must be one of ['SchemeI', 'SchemeII'], got 'bogus'"),
+    ])
+    def test_out_of_range_field_rejected(self, name, value, message):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**{name: value})
+        assert str(info.value) == message
+
+    def test_scheme_given_by_name(self):
+        assert ScenarioConfig(scheme="SchemeII").scheme is Scheme.SCHEME_II
+
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(M_tR=0)
@@ -490,6 +531,10 @@ class TestConfig:
             parse_config(f"# header\np = 0.5\n{line}\n")
         assert str(info.value).startswith(f"line 3: {key}: ")
         assert message in str(info.value)
+
+    def test_parse_rejects_line_without_equals(self):
+        with pytest.raises(ConfigError, match=r"^line 2: expected 'key = value'$"):
+            parse_config("p = 0.5\nC 8\n")
 
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ConfigError):
