@@ -12,6 +12,7 @@ weighted_eip).
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -54,9 +55,11 @@ class ExperimentSpec:
     """What an experiment runs. Construction (dataclasses.replace included)
     fails unless the methods, sweep and seeds fit the config: a SpecError,
     or the ConfigError of the first grid value the config rejects, since
-    every grid point's config is built here. A repeated method, seed or
-    sweep value, and a 'none' sweep of more than one value, would run or
-    print the same rows twice, and are refused too."""
+    every grid point's config is built here. A repeated method or seed, two
+    sweep values that print the same label, and a 'none' sweep of more than
+    one value, would run or print the same rows twice, and are refused too;
+    so is a seed that is not an integer. Each check is linear in its list,
+    as every benchmark job builds a spec."""
 
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
@@ -68,9 +71,11 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.methods:
             raise SpecError("method list is empty")
+        seen = set()
         for m in self.methods:
-            if self.methods.count(m) > 1:
+            if m in seen:
                 raise SpecError(f"method {m!r} is repeated")
+            seen.add(m)
             if m not in METHODS:
                 raise SpecError(f"unknown method {m!r}")
             if m in _SCHEME_I_ONLY and self.cfg.scheme is not Scheme.SCHEME_I:
@@ -83,15 +88,26 @@ class ExperimentSpec:
             raise SpecError("sweep grid is empty")
         if self.sweep_var == "none" and len(self.sweep_values) > 1:
             raise SpecError(f"sweep 'none' takes one value, got {len(self.sweep_values)}")
+        labels = {}  # the label format_csv prints -> the first value printing it
         for value in self.sweep_values:
-            if self.sweep_values.count(value) > 1:
-                raise SpecError(f"sweep value {value!r} is repeated")
             apply_sweep(self.cfg, self.sweep_var, value)
+            label = _fmt(_sweep_number(value))
+            if label in labels:
+                first = labels[label]
+                raise SpecError(f"sweep value {label} is repeated" if first == value else
+                                f"sweep values {first!r} and {value!r} both print as {label}")
+            labels[label] = value
         if not self.seeds:
             raise SpecError("seed list is empty")
+        seen = set()
         for seed in self.seeds:
-            if self.seeds.count(seed) > 1:
+            try:
+                seed = operator.index(seed)  # 0.5 would run as seed 0
+            except TypeError:
+                raise SpecError(f"seed {seed!r} is not an integer") from None
+            if seed in seen:
                 raise SpecError(f"seed {seed!r} is repeated")
+            seen.add(seed)
         if self.mc_trials < 0:
             raise SpecError("mc_trials must be nonnegative")
         if self.cfg.radar_rate != self.cfg.comm_rate:
@@ -122,6 +138,11 @@ def _target_count(value) -> int:
     if not float(value).is_integer() or value < 1:
         raise SpecError(f"target count must be an integer >= 1, got {value!r}")
     return int(value)
+
+
+def _sweep_number(value) -> float:
+    """The sweep value a result row holds, and format_csv prints."""
+    return 0.0 if value is None else float(value)
 
 
 def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
@@ -168,7 +189,7 @@ def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
     rows = []
     for seed in spec.seeds:
         cfg = apply_sweep(spec.cfg, spec.sweep_var, sweep_value).replace(seed=int(seed))
-        value = 0.0 if sweep_value is None else float(sweep_value)
+        value = _sweep_number(sweep_value)
         try:
             scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
             noise = noise_covariances(cfg, scn.G1, scn.S)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import converged_completion, selfish, svd_shrink, textbook_completion
-from specshare import completion
+from specshare import completion, harness
 from specshare.completion import (
     CompletionParams,
     _mu_schedule,
@@ -23,6 +23,7 @@ from specshare.completion import (
     shrink,
 )
 from specshare.config import ScenarioConfig, Scheme
+from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import noise_covariances
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
@@ -446,16 +447,41 @@ def cpu_count_runs(cfg):
     return runs
 
 
-def pinned_cpu_count_runs(cfg):
-    """cpu_count_runs(cfg) in a child interpreter whose OpenBLAS runs one
-    thread, with a RuntimeWarning an error as under pytest."""
-    script = ("import pickle, sys, warnings; warnings.simplefilter('error', RuntimeWarning); "
-              "from test_completion import cpu_count_runs; "
-              "pickle.dump(cpu_count_runs(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
+def mc_eval_outcomes(spec):
+    """The CSV of run_compare(spec), the outcome of each radar_pipeline call
+    it makes, and the CPUs that complete a call's trials."""
+    outcomes = []
+
+    def recorded(*args):
+        stats = radar_pipeline(*args)
+        outcomes.append(outcome(stats))
+        return stats
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "radar_pipeline", recorded)
+        return format_csv(run_compare(spec)), outcomes, completion._cpu_share(spec.mc_trials)
+
+
+def usable_cpu_count():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return 1
+
+
+def pinned_run(call, arg, one_cpu=False):
+    """call(arg), call a function of this module, in a child interpreter
+    whose OpenBLAS runs one thread, with a RuntimeWarning an error as under
+    pytest. With one_cpu, the child first restricts itself to one of the
+    CPUs it may use, as taskset -c does."""
+    script = ("import os, pickle, sys, warnings; warnings.simplefilter('error', RuntimeWarning); "
+              + ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " if one_cpu else "")
+              + f"from test_completion import {call.__name__} as call; "
+              "pickle.dump(call(pickle.load(sys.stdin.buffer)), sys.stdout.buffer)")
     paths = [os.path.dirname(os.path.abspath(__file__)),
              os.path.dirname(os.path.dirname(completion.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(cfg),
+    child = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(arg),
                            capture_output=True, env=env)
     assert child.returncode == 0, child.stderr.decode()
     return pickle.loads(child.stdout)
@@ -474,11 +500,27 @@ class TestParallelTrials:
         # usable_cpus hides an unpinned BLAS pool, whose threads the fork
         # workers would then compete with for the CPUs: the runs take place
         # where BLAS has one thread.
-        runs = pinned_cpu_count_runs(cfg)
+        runs = pinned_run(cpu_count_runs, cfg)
         (one, *_), (two, *_) = runs
         assert one == two
         # No child process is left, and the pool's threads are joined too.
         assert [run[1:] for run in runs] == [(0, 1), (0, 1)]
+
+    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no pool to compare")
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish", "noncoop"], seeds=[0, 1],
+                       mc_trials=4),
+        # The joint design permutes this 32 x 32 radar's mask, so a job's
+        # methods complete against two masks; 3 trials split unevenly.
+        ExperimentSpec(cfg=pipeline_cfg(L=32, p=0.5), methods=["selfish", "noncoop", "joint"],
+                       seeds=[0, 1], mc_trials=3),
+    ], ids=["default", "joint-32x32"])
+    def test_one_real_cpu_matches_all(self, spec):
+        """The mc-eval rows, and every trial's report, of a process pinned to
+        one CPU equal those of one that may use them all."""
+        one, every = (pinned_run(mc_eval_outcomes, spec, one_cpu) for one_cpu in (True, False))
+        assert one[:2] == every[:2]
+        assert (one[2], every[2]) == (1, min(usable_cpu_count(), spec.mc_trials))
 
     def test_caller_takes_a_fixed_share_from_the_back(self, monkeypatch):
         def pid_as_iterations(observed, omega, params=None):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import SpecshareError, cli, harness
+from specshare import SpecshareError, cli, covdesign, harness
 from specshare.cli import main as cli_main
 from specshare.config import ConfigError, ScenarioConfig, Scheme, save_config
 from specshare.covdesign import InfeasibleError, SolverError
@@ -99,6 +99,13 @@ class TestExperimentSpec:
         ({"sweep_var": "p", "sweep_values": [0.5, 1.0, 0.5]}, "sweep value 0.5 is repeated"),
         ({"sweep_var": "targets", "sweep_values": [2, 2.0]}, "sweep value 2 is repeated"),
         ({"sweep_values": [0.1, 0.2]}, "sweep 'none' takes one value, got 2"),
+        # Distinct values whose rows format_csv would print under one label.
+        ({"sweep_var": "p", "sweep_values": [0.3, 0.1 + 0.2]},
+         "sweep values 0.3 and 0.30000000000000004 both print as 0.3"),
+        ({"sweep_var": "C", "sweep_values": [12.0, 12.0000000005, 12.000000001]},
+         "sweep values 12.0 and 12.0000000005 both print as 12"),
+        # run_compare would run seed 0 for 0.5, and print seed 0 twice.
+        ({"seeds": [0.5, 0]}, "seed 0.5 is not an integer"),
     ])
     def test_repeats_rejected(self, changes, message):
         # Each would run or print the same design twice.
@@ -276,12 +283,21 @@ class TestRunCompare:
             assert (row.mc_mean_err, row.mc_std_err) == (stats.mean_error, stats.std_error)
             assert not row.error
 
-    def test_mc_columns_filled(self):
-        spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],
-                              mc_trials=2)
-        row = run_compare(spec)[0]
-        assert np.isfinite(row.mc_mean_err)
-        assert np.isfinite(row.mc_std_err)
+    @pytest.mark.parametrize("cfg,methods,seeds,trials", [
+        (scenario1(p=0.5), ["selfish"], [0], 2),
+        # At p = 0.15 a uniform draw covers the 8 x 32 mask with probability
+        # 6.4e-8, so each seed's mask comes from the covering fallback.
+        (scenario1(p=0.15), ["selfish"], [0, 1], 1),
+        (scenario1(scheme=Scheme.SCHEME_II), ["noncoop", "full"], [0], 1),
+    ], ids=["p0.5", "near-coverage-limit", "scheme2"])
+    def test_mc_columns_filled(self, cfg, methods, seeds, trials):
+        rows = run_compare(ExperimentSpec(cfg=cfg, methods=methods, seeds=seeds,
+                                          mc_trials=trials))
+        assert len(rows) == len(methods) * len(seeds)
+        for row in rows:
+            assert not row.error
+            assert np.isfinite(row.mc_mean_err)
+            assert np.isfinite(row.mc_std_err)
 
 
 class TestSweep:
@@ -439,6 +455,33 @@ class TestCli:
         assert captured.out == "" and not ran
         assert captured.err == "error: method 'selfish' is repeated\n"
 
+    @pytest.mark.parametrize("config,grid,seeds,orders", [
+        # Where cycle cancelling from the identity stops settles this sweep's
+        # tied and near-tied assignments; nothing else pins that choice.
+        ("scheme = SchemeII", "p=0.2:1.0:0.2", 20, ["noncoop,full,joint"] * 2),
+        # No benchmark workload reaches the 256 x 256 assignments of L = 256.
+        ("L = 256\nM_tR = 16\nM_rR = 32\nM_tC = 4\nM_rC = 4", "p=0.3:0.7:0.2", 2,
+         ["noncoop,coop,joint"] * 2),
+        # The budget binds, and seed 0's noncoop and coop designs grow the
+        # power multiplier's bracket above 1 (the default budget is slack in
+        # nearly every design); the methods in another order, selfish last.
+        ("P_t = 2.2", "p=0.2:1.0:0.2", 2,
+         ["selfish,noncoop,coop", "selfish,noncoop,coop", "noncoop,coop,selfish"]),
+    ], ids=["scheme2-joint", "joint-L256", "tight-budget"])
+    def test_every_run_prints_the_same_bytes(self, tmp_path, monkeypatch, capsysbinary,
+                                             config, grid, seeds, orders):
+        """Each run starts from an empty design memo, as a second process
+        would, and prints what the first run printed."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(config + "\n")
+        printed = []
+        for methods in orders:
+            monkeypatch.setattr(covdesign, "_memo", None)
+            assert cli_main(["sweep", "--methods", methods, "--sweep", grid,
+                             "--seeds", str(seeds), "--config", str(path)]) == 0
+            printed.append(capsysbinary.readouterr().out)
+        assert printed == [printed[0]] * len(orders)
+
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
         save_config(scenario1(L=8, M_tC=2, M_rC=2, C=4.0), path)
@@ -473,7 +516,8 @@ class TestCli:
         # The gap of make_scenario's mask, so the (config, seed) -> mask rule
         # lives in one place.
         path = tmp_path / "cfg.txt"
-        for cfg in (scenario1(), scenario1(p=0.5)):
+        # At p = 0.15 the mask comes from the covering fallback.
+        for cfg in (scenario1(), scenario1(p=0.5), scenario1(p=0.15)):
             save_config(cfg, path)
             assert cli_main(["mask-gap", "--seed", "3", "--config", str(path)]) == 0
             s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=3)).omega)
@@ -509,6 +553,8 @@ class TestCli:
         (["compare"], "snr_dB = nan", "snr_dB must be finite, got nan"),
         (["mc-eval", "--mc-trials", "1"], "targets = 30:nan", "targets must be finite"),
         (["sweep", "--sweep", "targets=1:3:0.5"], "", "target count must be an integer >= 1"),
+        (["sweep", "--sweep", "C=12:12.000000001:0.0000000005"], "",
+         "sweep values 12.0 and 12.0000000005 both print as 12"),
     ])
     def test_invalid_value_reported(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "cfg.txt"
