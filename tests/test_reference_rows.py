@@ -56,11 +56,7 @@ def csv_text(rows) -> str:
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)
-def test_stored_reference_rows(name, monkeypatch):
-    # The recovery trials complete in this process. Their reports are the
-    # same on any number of CPUs, and fork workers beside a multi-threaded
-    # BLAS made a pass take 7 to 53 s instead of 3 s on two CPUs.
-    monkeypatch.setattr(completion, "_cpu_share", lambda trials: 1)
+def test_stored_reference_rows(name):
     wl = workloads.build(name)
     reference = gate.load_reference(os.path.join(PERFBENCH, "reference", f"{name}.csv"))
     cfgs = {label: spec.cfg for label, spec in wl.templates}

@@ -464,8 +464,6 @@ class TestConfig:
         ("sigma_R2", -1e-3, "sigma_R2 must be nonnegative"),
         ("rho2", 0.0, "rho2 must be positive"),
         ("rho2", -5.0, "rho2 must be positive"),
-        ("radar_rate", 0.0, "symbol rates must be positive"),
-        ("comm_rate", -1.0, "symbol rates must be positive"),
         ("scheme", "bogus", "scheme must be one of ['SchemeI', 'SchemeII'], got 'bogus'"),
     ])
     def test_out_of_range_field_rejected(self, name, value, message):
@@ -489,8 +487,7 @@ class TestConfig:
         assert getattr(cfg, name) == 4
 
     @pytest.mark.parametrize("name", ["P_t", "C", "sigma_C2", "sigma_R2", "snr_dB", "sigma1_2",
-                                      "sigma2_2", "gamma2_dB", "rho2", "sigma_alpha2", "p",
-                                      "radar_rate", "comm_rate"])
+                                      "sigma2_2", "gamma2_dB", "rho2", "sigma_alpha2", "p"])
     def test_non_finite_floats_rejected(self, name):
         # NaN passes the range tests, and would fail later as an unreachable
         # capacity or an eigh that does not converge, or not at all.
