@@ -15,7 +15,7 @@ from .interference import (
     weighted_eip,
 )
 from .completion import CompletionParams, RecoveryReport, complete, radar_pipeline, relative_error
-from .harness import ExperimentSpec, ResultRow, run_compare, sweep, write_csv
+from .harness import ExperimentSpec, ResultRow, run_compare, write_csv
 from .samplingopt import JointDesignResult, hungarian, joint_design, optimize_mask, spectral_gap
 from .scenario import (
     Scenario,

@@ -20,14 +20,7 @@ import math
 import sys
 
 from .config import ScenarioConfig, SpecshareError, load_config
-from .harness import (
-    ExperimentSpec,
-    SpecError,
-    format_csv,
-    run_compare,
-    sweep as run_sweep,
-    write_csv,
-)
+from .harness import ExperimentSpec, SpecError, format_csv, run_compare, write_csv
 from .samplingopt import spectral_gap
 from .scenario import make_scenario
 
@@ -41,7 +34,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sweep(text):
-    """var=start:stop:step -> (var, [values])."""
+    """var=start:stop:step -> (var, [values]).
+
+    The values run from start in steps of step up to stop; a slack of a
+    billionth of a step, and rounding each value to 12 significant digits,
+    absorb the error of summing the steps at any scale."""
     var, _, grid = text.partition("=")
     parts = grid.split(":")
     if len(parts) != 3:
@@ -56,8 +53,8 @@ def _parse_sweep(text):
         raise SpecError("sweep step must be positive")
     values = []
     v = start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
+    while v <= stop + 1e-9 * step:
+        values.append(float(f"{v:.12g}"))
         if v + step == v:  # the grid would repeat v until memory runs out
             raise SpecError(f"bad sweep spec {text!r}; step {step!r} does not advance "
                             f"the grid at {v!r}")
@@ -127,23 +124,17 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "compare":
-            return _emit(run_compare(_build_spec(args)), args)
-        if args.command == "sweep":
-            var, values = _parse_sweep(args.sweep)
-            return _emit(run_sweep(_build_spec(args, var, values)), args)
-        if args.command == "mc-eval":
-            if args.mc_trials < 1:
-                raise SpecError("mc-eval needs --mc-trials >= 1")
-            return _emit(run_compare(_build_spec(args)), args)
         if args.command == "mask-gap":
             s1, s2, gap = spectral_gap(make_scenario(_load(args)).omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
+        if args.command == "mc-eval" and args.mc_trials < 1:
+            raise SpecError("mc-eval needs --mc-trials >= 1")
+        grid = _parse_sweep(args.sweep) if args.command == "sweep" else ()
+        return _emit(run_compare(_build_spec(args, *grid)), args)
     except (SpecshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

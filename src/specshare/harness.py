@@ -1,6 +1,10 @@
 """Experiment runner: assembles scenarios, runs the sharing methods over
 parameter sweeps and emits deterministic CSV tables.
 
+An ExperimentSpec builds the config of every point of its sweep grid once,
+and run_compare, the one runner, runs the whole grid or the grid points it
+is given; a value off the grid is refused before anything runs.
+
 Every row scores its design through one interference profile Q: the eip
 column is the radar scheme's EIP (scheme_weights) and the tip column the
 total interference power, both weighted sums of Q. Radar and comm systems
@@ -32,7 +36,9 @@ from .samplingopt import joint_design
 from .scenario import make_scenario
 from .streams import stream
 
-CSV_HEADER = "method,sweep_var,sweep_value,seed,eip,tip,capacity,power,mc_mean_err,mc_std_err,wall_ms"
+CSV_COLUMNS = ("method", "sweep_var", "sweep_value", "seed", "eip", "tip", "capacity", "power",
+               "mc_mean_err", "mc_std_err", "wall_ms")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 METHODS = ("selfish", "noncoop", "coop", "partial", "full", "joint")
 SWEEP_VARS = ("p", "C", "targets", "rho2", "sigma1_2", "none")
@@ -54,12 +60,13 @@ class ExperimentSpec:
     """What an experiment runs. Construction (dataclasses.replace included)
     fails unless the methods, sweep and seeds fit the config: a SpecError,
     or the ConfigError of the first grid value the config rejects, since
-    every grid point's config is built here. A repeated method or seed, and
-    two sweep values that print the same label, would run or print the same
-    rows twice, and are refused too; so is a seed or trial count that is not
-    an integer. None is the one value of the 'none' sweep (no sweep) and of
-    no other. Each check is linear in its list, as every benchmark job
-    builds a spec."""
+    every grid point's config is built here and kept in grid, a map from
+    sweep value to config. A repeated method or seed, and two sweep values
+    that print the same label, would run or print the same rows twice, and
+    are refused too; so is a seed or trial count that is not an integer.
+    None is the one value of the 'none' sweep (no sweep) and of no other.
+    Each check is linear in its list, as every benchmark job builds a
+    spec."""
 
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
@@ -67,6 +74,7 @@ class ExperimentSpec:
     sweep_values: list = field(default_factory=lambda: [None])
     seeds: list = field(default_factory=lambda: [0])
     mc_trials: int = 0
+    grid: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.methods:
@@ -88,11 +96,12 @@ class ExperimentSpec:
             raise SpecError("sweep grid is empty")
         if self.sweep_var == "none" and list(self.sweep_values) != [None]:
             raise SpecError(f"sweep 'none' takes one value, None, got {self.sweep_values!r}")
+        self.grid = {}
         labels = {}  # the label format_csv prints -> the first value printing it
         for value in self.sweep_values:
             if value is None and self.sweep_var != "none":
                 raise SpecError(f"sweep {self.sweep_var!r} takes numbers, got None")
-            apply_sweep(self.cfg, self.sweep_var, value)
+            self.grid[value] = apply_sweep(self.cfg, self.sweep_var, value)
             label = _fmt(_sweep_number(value))
             if label in labels:
                 first = labels[label]
@@ -183,67 +192,63 @@ def _solve_method(method, cfg, scn, noise):
     return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.omega
 
 
-def run_compare(spec: ExperimentSpec, sweep_value=None) -> list:
-    """One row per (seed, method) at a single sweep point. A row whose
-    scenario or method fails with a SpecshareError or LinAlgError keeps nan
-    metrics and the message in ResultRow.error; other exceptions propagate."""
+def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
+    """One row per (seed, grid point, method): at every point of the spec's
+    grid, or at the given values, each of which must be on the grid, else a
+    SpecError is raised before anything runs. Seeds are the outer loop, so
+    the designs a seed's grid points share come from covdesign's memo of its
+    last problem; format_csv sorts the rows. A row whose scenario or method
+    fails with a SpecshareError or LinAlgError keeps nan metrics and the
+    message in ResultRow.error; other exceptions propagate."""
+    for i, value in enumerate(sweep_values):
+        if value not in spec.grid:
+            raise SpecError(f"sweep value {value!r} is not on the {spec.sweep_var!r} grid "
+                            f"{spec.sweep_values!r}")
+        if value in sweep_values[:i]:  # its rows would print twice
+            raise SpecError(f"sweep value {value!r} is repeated")
     rows = []
     for seed in spec.seeds:
-        cfg = apply_sweep(spec.cfg, spec.sweep_var, sweep_value).replace(seed=int(seed))
-        value = _sweep_number(sweep_value)
-        try:
-            scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-        except _ROW_ERRORS as exc:  # a scenario failure fills every method's row
-            for method in spec.methods:
-                rows.append(
-                    ResultRow(method, spec.sweep_var, value, int(seed), error=str(exc))
-                )
-            continue
-        for method in spec.methods:
-            row = ResultRow(method, spec.sweep_var, value, int(seed))
-            t0 = time.perf_counter()
+        for sweep_value in sweep_values or spec.sweep_values:
+            cfg = spec.grid[sweep_value].replace(seed=int(seed))
+            value = _sweep_number(sweep_value)
             try:
-                sol, omega = _solve_method(method, cfg, scn, noise)
-                if not sol.converged:
-                    row.error = f"dual search not converged after {sol.iterations} evaluations"
-                schedule = sol.schedule
-                Q = interference_diag_matrix(scn.G2, schedule)
-                row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), Q)
-                row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), Q)
-                row.capacity = sol.achieved_capacity
-                row.power = sol.consumed_power
-                if spec.mc_trials > 0:
-                    stats = radar_pipeline(
-                        cfg, scn.D, scn.S, scn.G2, schedule, omega, spec.mc_trials,
-                        stream(cfg.seed, "mc", method, spec.sweep_var, value),
-                    )
-                    row.mc_mean_err = stats.mean_error
-                    row.mc_std_err = stats.std_error
-            except _ROW_ERRORS as exc:
-                row.error = str(exc)
-            row.wall_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(row)
+                scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
+                noise = noise_covariances(cfg, scn.G1, scn.S)
+            except _ROW_ERRORS as exc:  # a scenario failure fills every method's row
+                rows.extend(ResultRow(method, spec.sweep_var, value, cfg.seed, error=str(exc))
+                            for method in spec.methods)
+                continue
+            for method in spec.methods:
+                row = ResultRow(method, spec.sweep_var, value, cfg.seed)
+                t0 = time.perf_counter()
+                try:
+                    sol, omega = _solve_method(method, cfg, scn, noise)
+                    if not sol.converged:
+                        row.error = f"dual search not converged after {sol.iterations} evaluations"
+                    schedule = sol.schedule
+                    Q = interference_diag_matrix(scn.G2, schedule)
+                    row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), Q)
+                    row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), Q)
+                    row.capacity = sol.achieved_capacity
+                    row.power = sol.consumed_power
+                    if spec.mc_trials > 0:
+                        stats = radar_pipeline(
+                            cfg, scn.D, scn.S, scn.G2, schedule, omega, spec.mc_trials,
+                            stream(cfg.seed, "mc", method, spec.sweep_var, value),
+                        )
+                        row.mc_mean_err = stats.mean_error
+                        row.mc_std_err = stats.std_error
+                except _ROW_ERRORS as exc:
+                    row.error = str(exc)
+                row.wall_ms = (time.perf_counter() - t0) * 1e3
+                rows.append(row)
     return rows
 
 
-def sweep(spec: ExperimentSpec) -> list:
-    """run_compare at every grid value; rows tagged with the sweep value.
-
-    Seeds run one at a time through the whole grid, so the designs a seed's
-    grid points share come from covdesign's memo of its last problem;
-    format_csv sorts the rows. The spec has built every grid point's config
-    already, so a value the config rejects never gets here."""
-    rows = []
-    for seed in spec.seeds:
-        one_seed = replace(spec, seeds=[seed])
-        for value in spec.sweep_values:
-            rows.extend(run_compare(one_seed, sweep_value=value))
-    return rows
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
+def _fmt(x) -> str:
+    if not isinstance(x, float):
+        return str(x)
+    if math.isnan(x):
         return "nan"
     return f"{x:.9g}"
 
@@ -257,24 +262,8 @@ def format_csv(rows, timing: bool = False) -> str:
     ordered = sorted(rows, key=lambda r: (r.sweep_value, r.method, r.seed))
     lines = [CSV_HEADER]
     for r in ordered:
-        wall = r.wall_ms if timing else 0.0
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    r.sweep_var,
-                    _fmt(r.sweep_value),
-                    str(r.seed),
-                    _fmt(r.eip),
-                    _fmt(r.tip),
-                    _fmt(r.capacity),
-                    _fmt(r.power),
-                    _fmt(r.mc_mean_err),
-                    _fmt(r.mc_std_err),
-                    _fmt(wall),
-                ]
-            )
-        )
+        r = r if timing else replace(r, wall_ms=0.0)
+        lines.append(",".join(_fmt(getattr(r, column)) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from specshare.covdesign import (
     min_capacity_multiplier,
     solve_weighted_eip,
 )
-from specshare.harness import ExperimentSpec, format_csv, sweep
+from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import (
     fmfb_weights,
     interference_diag_matrix,
@@ -434,8 +434,8 @@ def test_criterion_13_determinism():
         seeds=[0, 1],
         mc_trials=2,
     )
-    a = format_csv(sweep(spec))
-    b = format_csv(sweep(spec))
+    a = format_csv(run_compare(spec))
+    b = format_csv(run_compare(spec))
     ok = a.encode() == b.encode()
     print(f"criterion 13 (repeated sweep yields byte-identical CSV): "
           f"{'PASS' if ok else 'FAIL'}")

@@ -11,7 +11,7 @@ import pytest
 from specshare import covdesign, harness
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import InfeasibleError, SolverError, solve_weighted_eip
-from specshare.harness import ExperimentSpec, format_csv, run_compare, sweep
+from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import noise_covariances, scheme_weights, tip_weights
 from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
@@ -255,7 +255,7 @@ def test_warm_sweep_csv_equals_cold(monkeypatch, scheme, methods):
                           sweep_var="p", sweep_values=[0.6, 1.0], seeds=[0, 1])
     with monkeypatch.context() as m:
         counts = count_calls(m, "_whiten")
-        warm = format_csv(sweep(spec))
+        warm = format_csv(run_compare(spec))
     # Seeds run one after the other, each through the whole grid.
     assert counts["_whiten"] == 2
     real = harness._solve_method
@@ -265,4 +265,4 @@ def test_warm_sweep_csv_equals_cold(monkeypatch, scheme, methods):
         return real(*args)
 
     monkeypatch.setattr(harness, "_solve_method", cold_solve)
-    assert format_csv(sweep(spec)) == warm
+    assert format_csv(run_compare(spec)) == warm

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from specshare.config import ScenarioConfig, Scheme
-from specshare.harness import CSV_HEADER, ExperimentSpec, format_csv, sweep
+from specshare.harness import CSV_HEADER, ExperimentSpec, format_csv, run_compare
 
 GOLDEN = Path(__file__).parent / "golden"
 KEY_COLUMNS = 4
@@ -37,7 +37,7 @@ def test_harness_grid_matches_golden(name):
     scheme, methods = GRIDS[name]
     spec = ExperimentSpec(cfg=ScenarioConfig(scheme=scheme), methods=methods,
                           sweep_var="p", sweep_values=[0.5, 1.0], seeds=[0, 1])
-    got = format_csv(sweep(spec)).splitlines()
+    got = format_csv(run_compare(spec)).splitlines()
     want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8").splitlines()
     assert got[0] == want[0] == CSV_HEADER
     assert len(got) == len(want) == 1 + 2 * 2 * len(methods)

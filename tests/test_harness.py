@@ -1,6 +1,7 @@
 """Experiment harness: validation, sweeps, CSV determinism and the CLI."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -18,7 +19,6 @@ from specshare.harness import (
     apply_sweep,
     format_csv,
     run_compare,
-    sweep,
     write_csv,
 )
 from specshare.completion import radar_pipeline
@@ -344,7 +344,7 @@ class TestSweep:
     def test_single_point_equals_run_compare(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["noncoop"], seeds=[0],
                               sweep_var="p", sweep_values=[0.5])
-        a = sweep(spec)[0]
+        a = run_compare(spec)[0]
         b = run_compare(
             ExperimentSpec(cfg=scenario1(p=0.5), methods=["noncoop"], seeds=[0]),
         )[0]
@@ -353,7 +353,7 @@ class TestSweep:
     def test_coop_eip_nonincreasing_as_p_decreases(self):
         spec = ExperimentSpec(cfg=scenario1(), methods=["coop"], seeds=[0],
                               sweep_var="p", sweep_values=[0.2, 0.6, 1.0])
-        rows = sorted(sweep(spec), key=lambda r: r.sweep_value)
+        rows = sorted(run_compare(spec), key=lambda r: r.sweep_value)
         eips = [r.eip for r in rows]
         assert eips[0] <= eips[1] + 1e-9 <= eips[2] + 2e-9
 
@@ -365,14 +365,51 @@ class TestSweep:
         monkeypatch.setattr(harness, "_solve_method",
                             lambda method, *args: solved.append(method) or real(method, *args))
         with pytest.raises(ConfigError, match=r"p must be in \(0, 1\]"):
-            sweep(ExperimentSpec(cfg=scenario1(), methods=["selfish"], seeds=[0, 1],
-                                 sweep_var="p", sweep_values=[0.5, 1.0, 1.5]))
+            run_compare(ExperimentSpec(cfg=scenario1(), methods=["selfish"], seeds=[0, 1],
+                                       sweep_var="p", sweep_values=[0.5, 1.0, 1.5]))
+        assert solved == []
+
+    def test_whole_grid_equals_its_points(self):
+        """run_compare(spec) runs each seed through the whole grid, as
+        run_compare(spec, value) one seed and one value at a time would, and
+        its CSV is the recorded one (by SHA-256), byte for byte."""
+        spec = ExperimentSpec(cfg=scenario1(), methods=["selfish", "noncoop", "coop"],
+                              sweep_var="p", sweep_values=[0.2, 0.6, 1.0], seeds=[0, 1])
+        whole = run_compare(spec)
+        points = [row for seed in spec.seeds for value in spec.sweep_values
+                  for row in run_compare(dataclasses.replace(spec, seeds=[seed]), value)]
+        key = [(r.seed, r.sweep_value, r.method) for r in whole]
+        assert key == [(r.seed, r.sweep_value, r.method) for r in points]
+        assert key[:3] == [(0, 0.2, "selfish"), (0, 0.2, "noncoop"), (0, 0.2, "coop")]
+        assert format_csv(whole) == format_csv(points)
+        assert hashlib.sha256(format_csv(whole).encode()).hexdigest() == (
+            "e4284f2793e19781ca55dcfe51504fba341092f833d5c6798c0f170686595964")
+
+    @pytest.mark.parametrize("grid,values,message", [
+        ([0.5], (0.7,), r"sweep value 0.7 is not on the 'p' grid \[0.5\]"),
+        ([0.5], (0.5, 0.7), r"sweep value 0.7 is not on the 'p' grid \[0.5\]"),
+        ([0.5], (None,), r"sweep value None is not on the 'p' grid \[0.5\]"),
+        # It would run p = 0.30000000000000004 under the label 0.3.
+        ([0.3], (0.1 + 0.2,), r"sweep value 0.30000000000000004 is not on the 'p' grid \[0.3\]"),
+        # Its rows would print twice.
+        ([0.3, 0.5], (0.5, 0.5), "sweep value 0.5 is repeated"),
+    ], ids=["off-grid", "after-a-grid-value", "none", "unequal-sum", "repeated"])
+    def test_value_off_the_grid_refused_before_any_design(self, monkeypatch, grid, values,
+                                                          message):
+        solved = []
+        real = harness._solve_method
+        monkeypatch.setattr(harness, "_solve_method",
+                            lambda method, *args: solved.append(method) or real(method, *args))
+        spec = ExperimentSpec(cfg=scenario1(), methods=["selfish"], seeds=[0, 1],
+                              sweep_var="p", sweep_values=grid)
+        with pytest.raises(SpecError, match=f"^{message}$"):
+            run_compare(spec, *values)
         assert solved == []
 
     def test_selfish_eip_nondecreasing_in_capacity(self):
         spec = ExperimentSpec(cfg=scenario1(p=0.5), methods=["selfish"], seeds=[0],
                               sweep_var="C", sweep_values=[6.0, 10.0, 14.0])
-        rows = sorted(sweep(spec), key=lambda r: r.sweep_value)
+        rows = sorted(run_compare(spec), key=lambda r: r.sweep_value)
         eips = [r.eip for r in rows]
         assert eips[0] <= eips[1] <= eips[2]
 
@@ -447,11 +484,17 @@ class TestCli:
 
     def test_sweep_grid(self, tmp_path):
         out = tmp_path / "out.csv"
-        code = cli_main(["sweep", "--methods", "selfish", "--sweep",
-                         "C=6:10:2", "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().strip().split("\n")
-        assert len(lines) == 4  # header + C in {6, 8, 10}
+        for grid, labels in [
+            ("C=6:10:2", ["6", "8", "10"]),
+            # A fixed end slack of 1e-12 ran rho2 one step past its stop, and
+            # rounding to 12 decimals made the sigma1_2 points 0 and 1e-12.
+            ("rho2=1e-12:5e-12:1e-12", ["1e-12", "2e-12", "3e-12", "4e-12", "5e-12"]),
+            ("sigma1_2=1e-13:3e-13:1e-13", ["1e-13", "2e-13", "3e-13"]),
+        ]:
+            code = cli_main(["sweep", "--methods", "selfish", "--sweep", grid, "--out", str(out)])
+            assert code == 0
+            lines = out.read_text().strip().split("\n")
+            assert [line.split(",")[2] for line in lines[1:]] == labels
 
     def test_bad_sweep_spec(self, capsys):
         assert cli_main(["sweep", "--methods", "selfish", "--sweep", "C=6:10"]) == 1

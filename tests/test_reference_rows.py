@@ -93,7 +93,7 @@ def counted_runs(name):
     if name == DEFAULT_SWEEP:
         specs = [dataclasses.replace(spec, seeds=[0, 1])
                  for _, spec in workloads.build("sweep-p").templates]
-        return [lambda: [harness.sweep(spec) for spec in specs]]
+        return [lambda: [harness.run_compare(spec) for spec in specs]]
     wl = workloads.build(name)
     return [functools.partial(run_pass, wl, seed) for seed in COUNT_SEEDS]
 
