@@ -14,6 +14,7 @@ import functools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
 # schedule (see _mu_schedule).
 _MAX_ITERATIONS = 500
 _CONTINUATION = 0.1
+# The longest wait, in seconds, for a closed trial pool's threads to leave.
+_THREAD_EXIT_WAIT = 0.1
 
 
 @dataclass
@@ -201,7 +204,8 @@ def _cpu_share(trials: int) -> int:
     forked safely: no fork start method, a daemonic caller (which may not
     have children), or a caller running other threads (a forked child
     holds no copy of them, nor of the locks they hold), a BLAS library's
-    own pool included (_thread_count).
+    own pool included (_thread_count). The last call's pool is not among
+    them: _complete_trials waits for its threads to leave.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -235,11 +239,13 @@ def _complete_trials(observations, omega, params, truth) -> list:
     and n - 1 fork workers share the others. The split is fixed, so the
     caller's own complete calls, which a profiler in it sees, are the same
     on every run. A fork worker shares the caller's code and data, so every
-    report equals the in-process one bit for bit; the pool exists only
-    inside this call. Every error a trial can raise depends only on what all
-    trials share: omega and its shape (an empty row or column), the truth
-    (zero), and the message of a failed eigh. So whichever trial fails first
-    raises what a loop in trial order raises.
+    report equals the in-process one bit for bit. The pool exists only
+    inside this call: when it returns or raises, the workers are gone, and
+    so are the pool's threads, which it waits up to _THREAD_EXIT_WAIT to see
+    leave the thread list _cpu_share reads. Every error a trial can raise
+    depends only on what all trials share: omega and its shape (an empty row
+    or column), the truth (zero), and the message of a failed eigh. So
+    whichever trial fails first raises what a loop in trial order raises.
     """
     run = functools.partial(_trial, omega=omega, params=params, truth=truth)
     n = _cpu_share(len(observations))
@@ -249,14 +255,22 @@ def _complete_trials(observations, omega, params, truth) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     first_own = len(observations) - len(observations) // n
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        theirs = pool.map(run, observations[:first_own])
-        try:
-            own = [run(obs) for obs in observations[first_own:]]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)  # drop the trials no worker started
-            raise
-        return list(theirs) + own
+    threads = _thread_count()
+    try:
+        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+            theirs = pool.map(run, observations[:first_own])
+            try:
+                own = [run(obs) for obs in observations[first_own:]]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # drop the trials no worker started
+                raise
+            return list(theirs) + own
+    finally:
+        # A joined thread can stay listed in /proc/self/task for a moment,
+        # where the next call's _cpu_share would count it.
+        deadline = time.monotonic() + _THREAD_EXIT_WAIT
+        while _thread_count() > threads and time.monotonic() < deadline:
+            time.sleep(1e-5)
 
 
 def radar_pipeline(

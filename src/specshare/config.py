@@ -88,12 +88,10 @@ class ScenarioConfig:
         for target in self.targets:
             if not all(cmath.isfinite(x) for x in target):
                 raise ConfigError(f"targets must be finite, got {target!r}")
-        if isinstance(self.scheme, str):
-            try:
-                self.scheme = Scheme(self.scheme)
-            except ValueError:
-                raise ConfigError(f"scheme must be one of {[s.value for s in Scheme]}, "
-                                  f"got {self.scheme!r}") from None
+        # A scheme name is parse_config's to read: here only a member passes.
+        if not isinstance(self.scheme, Scheme):
+            raise ConfigError(f"scheme must be one of {', '.join(map(str, Scheme))}, "
+                              f"got {self.scheme!r}")
         if not (0.0 < self.p <= 1.0):
             raise ConfigError("p must be in (0, 1]")
         if self.P_t <= 0:
@@ -190,11 +188,6 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return ScenarioConfig(**kwargs)
-
-
-def save_config(cfg: ScenarioConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_config(cfg))
 
 
 def load_config(path) -> ScenarioConfig:

@@ -367,7 +367,7 @@ def solve_weighted_eip(
     zero weights give the selfish (minimum-power) design.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
-    design; once that design's power is known, before any evaluation.
+    design; the search tests it before its bracket grows past lambda1 = 1.
     converged says whether the search's bracket reached DUAL_TOL within
     MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
     when the power budget is slack and 7 to 17 when it binds (the
@@ -381,8 +381,6 @@ def solve_weighted_eip(
     problem = _problem(H, noise, C)
 
     def solve():
-        if problem.min_power is not None:
-            problem.check_budget(P_t)
         kernel = _DualKernel.weighted(weights, G2, problem.whitened)
         best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
                                                    problem.check_budget)

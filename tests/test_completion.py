@@ -447,27 +447,49 @@ def cpu_count_runs(cfg):
     return runs
 
 
+def recorded_shares(m):
+    """Record in the returned list the CPU share each radar_pipeline call
+    takes, with m (a MonkeyPatch) wrapping completion._cpu_share."""
+    shares, real_share = [], completion._cpu_share
+
+    def cpu_share(trials):
+        shares.append(real_share(trials))
+        return shares[-1]
+
+    m.setattr(completion, "_cpu_share", cpu_share)
+    return shares
+
+
 def mc_eval_outcomes(spec):
     """The CSV of run_compare(spec), the outcome of each radar_pipeline call
-    it makes, and the CPUs that completed each call's trials. Each share is
-    recorded as the call takes it: a closed pool's threads can stay listed
-    in /proc/self/task for a moment, so a share read after a call may be 1."""
-    outcomes, shares = [], []
+    it makes, and the CPUs that completed each call's trials."""
+    outcomes = []
 
     def recorded(*args):
         stats = radar_pipeline(*args)
         outcomes.append(outcome(stats))
         return stats
 
-    def cpu_share(trials):
-        shares.append(real_share(trials))
-        return shares[-1]
-
-    real_share = completion._cpu_share
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "radar_pipeline", recorded)
-        m.setattr(completion, "_cpu_share", cpu_share)
+        shares = recorded_shares(m)
         return format_csv(run_compare(spec)), outcomes, shares
+
+
+def back_to_back_shares(cfg):
+    """The CPU share of each of 100 back-to-back 2-trial radar_pipeline
+    calls on cfg's selfish design, and the process's thread count after
+    each call."""
+    scn = make_scenario(cfg)
+    sol = selfish(scn.H, noise_covariances(cfg, scn.G1, scn.S), cfg.C, cfg.P_t, scn.G2)
+    rng = stream(cfg.seed, "mc")
+    threads = []
+    with pytest.MonkeyPatch.context() as m:
+        shares = recorded_shares(m)
+        for _ in range(100):
+            radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, 2, rng)
+            threads.append(completion._thread_count())
+    return shares, threads
 
 
 def usable_cpu_count():
@@ -529,7 +551,17 @@ class TestParallelTrials:
         one, every = (pinned_run(mc_eval_outcomes, spec, one_cpu) for one_cpu in (True, False))
         assert one[:2] == every[:2]
         assert one[2] == [1] * len(one[1])
-        assert every[2][0] == min(usable_cpu_count(), spec.mc_trials)
+        assert every[2] == [min(usable_cpu_count(), spec.mc_trials)] * len(every[1])
+
+    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no pool to take")
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="no per-process thread list")
+    def test_pool_threads_are_gone_when_the_call_returns(self):
+        """A closed pool's threads leave the process before radar_pipeline
+        returns, so the next call, right after it, takes the pool again."""
+        shares, threads = pinned_run(back_to_back_shares, ScenarioConfig(seed=1))
+        assert shares == [min(usable_cpu_count(), 2)] * 100
+        assert threads == [1] * 100
 
     def test_caller_takes_a_fixed_share_from_the_back(self, monkeypatch):
         def pid_as_iterations(observed, omega, params=None):

@@ -275,8 +275,9 @@ def budget_check(whitened, C):
 
 class TestFeasibility:
     """InfeasibleError comes from the minimum-power design. The search asks
-    for it just before its bracket would grow past lambda1 = 1; a problem
-    whose minimum power is known fails before any evaluation."""
+    for it just before its bracket would grow past lambda1 = 1, and only
+    there: a problem whose minimum power is known evaluates lambda1 = 2^-30
+    and 1 before it fails again."""
 
     def test_agrees_with_water_filling_bound(self):
         # Water-filling duality: C is unreachable within P_t exactly when the
@@ -304,15 +305,15 @@ class TestFeasibility:
                                                                       dual_steps):
         """Just below the minimum power, InfeasibleError comes after the
         points 2^-30 and 1 and one minimum-power step (at lambda1 = 1), and
-        on the same problem again before any evaluation; just above it, the
-        design is solved within P_t."""
+        on the same problem again after the two points alone; just above
+        it, the design is solved within P_t."""
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
             _, H, G2, noise = design
             p_min = selfish(H, noise, C, np.inf, G2).consumed_power
             monkeypatch.setattr(covdesign, "_memo", None)
             for P_t, expected in ((p_min * (1.0 - 1e-9), [2.0 ** -30, 1.0, 1.0]),
-                                  (0.5 * p_min, [])):
+                                  (0.5 * p_min, [2.0 ** -30, 1.0])):
                 dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
                     solve_weighted_eip(*design, P_t, C)

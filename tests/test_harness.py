@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import SpecshareError, cli, covdesign, harness
+from specshare import cli, covdesign, harness
 from specshare.cli import main as cli_main
-from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, save_config
+from specshare.config import ConfigError, ScenarioConfig, Scheme, SpecshareError, format_config
 from specshare.covdesign import InfeasibleError, SolverError
 from specshare.harness import (
     CSV_HEADER,
@@ -567,7 +567,7 @@ class TestCli:
 
     def test_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.txt"
-        save_config(scenario1(L=8, M_tC=2, M_rC=2, C=4.0), path)
+        path.write_text(format_config(scenario1(L=8, M_tC=2, M_rC=2, C=4.0)))
         code = cli_main(["compare", "--methods", "selfish", "--config", str(path)])
         assert code == 0
 
@@ -601,11 +601,11 @@ class TestCli:
         path = tmp_path / "cfg.txt"
         # At p = 0.15 the mask comes from the covering fallback.
         for cfg in (scenario1(), scenario1(p=0.5), scenario1(p=0.15)):
-            save_config(cfg, path)
+            path.write_text(format_config(cfg))
             assert cli_main(["mask-gap", "--seed", "3", "--config", str(path)]) == 0
             s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=3)).omega)
             assert capsys.readouterr().out == f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}\n"
-        save_config(scenario1(L=2), path)  # fewer symbols than radar waveforms
+        path.write_text(format_config(scenario1(L=2)))  # fewer symbols than radar waveforms
         assert cli_main(["mask-gap", "--config", str(path)]) == 1
         assert "L must be >= M_tR" in capsys.readouterr().err
 
@@ -667,7 +667,7 @@ class TestCli:
         # Every row fails with the same error: it is printed once, and the
         # CSV is what the harness formats for those rows.
         path = tmp_path / "cfg.txt"
-        save_config(scenario1(targets=[(30.0, 0j)]), path)
+        path.write_text(format_config(scenario1(targets=[(30.0, 0j)])))
         argv = ["mc-eval", "--mc-trials", "1", "--methods", "selfish,noncoop",
                 "--config", str(path)]
         assert cli_main(argv) == 2

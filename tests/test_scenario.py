@@ -464,7 +464,7 @@ class TestConfig:
         ("sigma_R2", -1e-3, "sigma_R2 must be nonnegative"),
         ("rho2", 0.0, "rho2 must be positive"),
         ("rho2", -5.0, "rho2 must be positive"),
-        ("scheme", "bogus", "scheme must be one of ['SchemeI', 'SchemeII'], got 'bogus'"),
+        ("scheme", "bogus", "scheme must be one of Scheme.SCHEME_I, Scheme.SCHEME_II, got 'bogus'"),
     ])
     def test_out_of_range_field_rejected(self, name, value, message):
         with pytest.raises(ConfigError) as info:
@@ -472,7 +472,10 @@ class TestConfig:
         assert str(info.value) == message
 
     def test_scheme_given_by_name(self):
-        assert ScenarioConfig(scheme="SchemeII").scheme is Scheme.SCHEME_II
+        # The name is a config file's to give; the constructor takes a member.
+        with pytest.raises(ConfigError, match="scheme must be one of .*, got 'SchemeII'"):
+            ScenarioConfig(scheme="SchemeII")
+        assert parse_config("scheme = SchemeII\n").scheme is Scheme.SCHEME_II
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
