@@ -5,16 +5,15 @@ accelerated proximal gradient descent with singular-value soft thresholding,
 using continuation on the penalty (mu is lowered geometrically toward its
 target, warm-starting each stage); the radar pipeline wraps it into the
 end-to-end recovery experiment, whose trials it completes on the CPUs the
-process may use.
+process may use: the caller completes one part of them and a forked worker
+process each other part.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
 # schedule (see _mu_schedule).
 _MAX_ITERATIONS = 500
 _CONTINUATION = 0.1
-# The longest wait, in seconds, for a closed trial pool's threads to leave.
-_THREAD_EXIT_WAIT = 0.1
 
 
 @dataclass
@@ -204,8 +201,8 @@ def _cpu_share(trials: int) -> int:
     forked safely: no fork start method, a daemonic caller (which may not
     have children), or a caller running other threads (a forked child
     holds no copy of them, nor of the locks they hold), a BLAS library's
-    own pool included (_thread_count). The last call's pool is not among
-    them: _complete_trials waits for its threads to leave.
+    own pool included (_thread_count). _complete_trials starts no thread,
+    so a call never finds one left by the call before it.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -232,45 +229,55 @@ def _thread_count() -> int:
         return threading.active_count()
 
 
+def _work(send, observations, omega, params, truth) -> None:
+    """A fork worker's body: send the reports of its trials, or the error
+    one of them raised, which the caller raises in turn."""
+    try:
+        send.send([_trial(obs, omega, params, truth) for obs in observations])
+    except Exception as exc:
+        send.send(exc)
+
+
 def _complete_trials(observations, omega, params, truth) -> list:
     """The trials' reports, in trial order, completed on _cpu_share CPUs.
 
-    With n CPUs the caller completes the last len // n trials in-process,
-    and n - 1 fork workers share the others. The split is fixed, so the
-    caller's own complete calls, which a profiler in it sees, are the same
-    on every run. A fork worker shares the caller's code and data, so every
-    report equals the in-process one bit for bit. The pool exists only
-    inside this call: when it returns or raises, the workers are gone, and
-    so are the pool's threads, which it waits up to _THREAD_EXIT_WAIT to see
-    leave the thread list _cpu_share reads. Every error a trial can raise
-    depends only on what all trials share: omega and its shape (an empty row
-    or column), the truth (zero), and the message of a failed eigh. So
-    whichever trial fails first raises what a loop in trial order raises.
+    With n CPUs the trials are cut into n contiguous parts, the first
+    len % n of them one trial longer: the caller completes the last part,
+    len // n trials, in-process, and one fork worker each of the others.
+    The split is fixed, so the caller's own complete calls, which a
+    profiler in it sees, are the same on every run. A fork worker shares
+    the caller's code and data, so every report equals the in-process one
+    bit for bit. The workers exist only inside this call: when it returns
+    or raises, they are killed and reaped. A worker sends back the error a
+    trial raised, and one that exits without sending its reports makes the
+    call raise EOFError. Every error a trial can raise depends only on
+    what all trials share: omega and its shape (an empty row or column),
+    the truth (zero), and the message of a failed eigh. So whichever trial
+    fails first raises what a loop in trial order raises.
     """
-    run = functools.partial(_trial, omega=omega, params=params, truth=truth)
-    n = _cpu_share(len(observations))
-    if n <= 1:
-        return [run(obs) for obs in observations]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    first_own = len(observations) - len(observations) // n
-    threads = _thread_count()
+    *parts, last = np.array_split(np.arange(len(observations)), _cpu_share(len(observations)))
+    workers = []
     try:
-        with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-            theirs = pool.map(run, observations[:first_own])
-            try:
-                own = [run(obs) for obs in observations[first_own:]]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # drop the trials no worker started
-                raise
-            return list(theirs) + own
+        for part in parts:
+            import multiprocessing
+
+            recv, send = multiprocessing.Pipe(duplex=False)
+            worker = multiprocessing.get_context("fork").Process(target=_work, args=(
+                send, [observations[i] for i in part], omega, params, truth))
+            worker.start()
+            workers.append((worker, recv))
+            send.close()  # the worker holds the only sending end: its exit is an EOF
+        own = [_trial(observations[i], omega, params, truth) for i in last]
+        theirs = [recv.recv() for _, recv in workers]
+        for reports in theirs:
+            if isinstance(reports, Exception):
+                raise reports
+        return [report for reports in theirs for report in reports] + own
     finally:
-        # A joined thread can stay listed in /proc/self/task for a moment,
-        # where the next call's _cpu_share would count it.
-        deadline = time.monotonic() + _THREAD_EXIT_WAIT
-        while _thread_count() > threads and time.monotonic() < deadline:
-            time.sleep(1e-5)
+        for worker, recv in workers:
+            worker.kill()
+            worker.join()
+            recv.close()
 
 
 def radar_pipeline(

@@ -67,10 +67,13 @@ class ScenarioConfig:
 
     def __post_init__(self):
         # The dimensions first: the rho2 default divides by M_tR. Any
-        # integer type passes (NumPy's too); 32.0 does not.
+        # integer type passes (NumPy's too); 32.0 does not, nor True, which
+        # Python counts as an integer.
         for name in ("M_tR", "M_rR", "M_tC", "M_rC", "L"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
@@ -80,11 +83,19 @@ class ScenarioConfig:
             self.P_t = float(self.L)
         if self.rho2 is None:
             self.rho2 = 1000.0 * self.L / self.M_tR
-        # NaN passes every range test below, and inf some of them.
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        # NaN passes every range test below, and inf some of them. Every
+        # real-number field is tested, whatever its type: NumPy's float32
+        # is not a float.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if float not in (kind, *typing.get_args(kind)) or value is None:
+                continue
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be a real number, got {value!r}") from None
+            if not finite:
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         for target in self.targets:
             if not all(cmath.isfinite(x) for x in target):
                 raise ConfigError(f"targets must be finite, got {target!r}")

@@ -174,7 +174,8 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
 
 def _solve_method(method, cfg, scn, noise):
     """Returns (DesignSolution, mask omega used for the EIP metric). The
-    method's name picks the interference weights W_l of its design problem."""
+    method's name, one ExperimentSpec accepts, picks the interference
+    weights W_l of its design problem."""
     H, G2, S = scn.H, scn.G2, scn.S
     if method == "selfish":  # ignores the radar
         w = np.zeros((cfg.L, cfg.M_rR))
@@ -187,8 +188,6 @@ def _solve_method(method, cfg, scn, noise):
     elif method == "joint":
         result = joint_design(cfg, H, G2, noise, S, scn.omega)
         return result.solution, result.mask
-    else:
-        raise SpecError(f"unknown method {method!r}")
     return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.omega
 
 

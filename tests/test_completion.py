@@ -1,7 +1,6 @@
 """Nuclear-norm completion and the end-to-end recovery pipeline."""
 
 import _thread
-import concurrent.futures
 import multiprocessing
 import os
 import pickle
@@ -431,8 +430,21 @@ def outcome(stats):
             [(r.relative_error, r.iterations, r.converged) for r in stats.reports])
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was built")
+def no_fork():
+    raise AssertionError("a trial worker was forked")
+
+
+def in_the_workers(failure):
+    """A stand-in for completion.complete that calls failure() in a fork
+    worker and completes nothing in the calling process."""
+    me = os.getpid()
+
+    def complete(observed, omega, params=None):
+        if os.getpid() != me:
+            failure()
+        return np.zeros_like(observed), 0, True
+
+    return complete
 
 
 def cpu_count_runs(cfg):
@@ -613,10 +625,66 @@ class TestParallelTrials:
             selfish_pipeline(ScenarioConfig(seed=1), 6)
         assert multiprocessing.active_children() == []
 
+    def test_worker_error_comes_back(self, monkeypatch):
+        """An error a trial raises in a fork worker is raised by the caller
+        with its type and message, so a LinAlgError stays a row error."""
+        def no_convergence():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(completion, "complete", in_the_workers(no_convergence))
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError) as exc:
+            selfish_pipeline(ScenarioConfig(seed=1), 3)
+        assert (type(exc.value), str(exc.value)) == (np.linalg.LinAlgError,
+                                                     "Eigenvalues did not converge")
+        assert multiprocessing.active_children() == []
+        spec = ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish", "noncoop"], mc_trials=2)
+        assert [row.error for row in run_compare(spec)] == ["Eigenvalues did not converge"] * 2
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_reports_raises(self, monkeypatch):
+        monkeypatch.setattr(completion, "complete", in_the_workers(lambda: os._exit(3)))
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(EOFError):
+            selfish_pipeline(ScenarioConfig(seed=1), 3)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fork_raises_its_own_error(self, monkeypatch):
+        """A fork that fails after another worker started raises its error,
+        and the started worker is reaped."""
+        real_fork, forks = os.fork, []
+
+        def fork_once():
+            if forks:
+                raise BlockingIOError("fork: resource temporarily unavailable")
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        usable_cpus(monkeypatch, 3)
+        with pytest.raises(BlockingIOError, match="^fork: resource temporarily unavailable$"):
+            selfish_pipeline(ScenarioConfig(seed=1), 3)
+        assert forks == [os.getpid()]
+        assert multiprocessing.active_children() == []
+
+    def test_thread_count_without_a_task_list(self, monkeypatch):
+        def no_task_list(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(os, "listdir", no_task_list)
+        assert completion._thread_count() == threading.active_count()
+
+    def test_share_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(completion, "_thread_count", lambda: 1)
+        for cpus, trials, share in ((3, 5, 3), (3, 2, 2), (None, 5, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert completion._cpu_share(trials) == share
+
     def test_no_pool_without_a_second_cpu_or_trial(self, monkeypatch):
         # TestPinnedDraws.test_first_pipeline_observation relies on a single
         # trial completing in-process.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         cfg = ScenarioConfig(seed=1)
         usable_cpus(monkeypatch, 2)
         selfish_pipeline(cfg, 1)
@@ -628,7 +696,7 @@ class TestParallelTrials:
     def test_no_fork_beside_a_native_thread(self, monkeypatch):
         # A thread of the _thread module, as a native library's would be,
         # is not among threading's threads, but it is among the OS threads.
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         before = completion._thread_count()
         started, stop = _thread.allocate_lock(), _thread.allocate_lock()
@@ -649,7 +717,7 @@ class TestParallelTrials:
             stop.release()
 
     def test_no_fork_beside_other_threads(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         usable_cpus(monkeypatch, 2)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait)

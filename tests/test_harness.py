@@ -161,6 +161,10 @@ class TestApplySweep:
         cfg = scenario1()
         assert apply_sweep(cfg, "none", None) is cfg
 
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(SpecError, match="^unknown sweep variable 'bogus'$"):
+            apply_sweep(scenario1(), "bogus", 1.0)
+
 
 class TestRunCompare:
     def test_noncoop_never_worse_than_selfish(self):
@@ -264,10 +268,16 @@ class TestRunCompare:
             assert np.isfinite(r.eip) and np.isnan(r.mc_mean_err)
 
     def test_singular_noise_reported(self):
-        spec = ExperimentSpec(cfg=scenario1(sigma_C2=0.0), methods=["selfish", "noncoop", "coop"])
-        for r in run_compare(spec):
-            assert r.error == "noise covariance is not positive definite"
-            assert np.isnan(r.eip) and np.isnan(r.power)
+        # Without channel noise the noise covariance is singular; without
+        # the phase-offset term too it is zero, whose inverse square root the
+        # design already refuses.
+        for kw, message in (({"sigma_C2": 0.0}, "noise covariance is not positive definite"),
+                            ({"sigma_C2": 0.0, "sigma_alpha2": 0.0},
+                             "matrix is not positive definite")):
+            spec = ExperimentSpec(cfg=scenario1(**kw), methods=["selfish", "noncoop", "coop"])
+            for r in run_compare(spec):
+                assert r.error == message
+                assert np.isnan(r.eip) and np.isnan(r.power)
 
     def test_scenario_error_fills_one_row_per_method(self):
         spec = ExperimentSpec(cfg=scenario1(L=3), methods=["selfish", "noncoop"], seeds=[0, 1])

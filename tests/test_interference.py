@@ -484,6 +484,9 @@ class TestMismatchedRates:
 @pytest.mark.parametrize("call,message", [
     (lambda: average_capacity(np.stack([np.eye(1)] * 2), np.eye(1), np.stack([np.eye(1)] * 3)),
      "schedule and noise lengths differ"),
+    # A negative covariance drives |I + H R H^H| below zero.
+    (lambda: average_capacity(np.stack([-2.0 * np.eye(1)]), np.eye(1), np.stack([np.eye(1)])),
+     "capacity determinant is not positive"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 1.0, 4),
      "equal rates require equal symbol counts"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 2.0, 4),
@@ -492,8 +495,8 @@ class TestMismatchedRates:
      "radar rate must be an integer multiple of comm rate"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 2.0, 1.0, 2),
      "radar symbol count must equal k * comm symbol count"),
-], ids=["capacity-lengths", "equal-rates", "radar-slower-short", "radar-faster-ratio",
-        "radar-faster-count"])
+], ids=["capacity-lengths", "capacity-determinant", "equal-rates", "radar-slower-short",
+        "radar-faster-ratio", "radar-faster-count"])
 def test_inconsistent_inputs_rejected(call, message):
     with pytest.raises(MetricError) as info:
         call()

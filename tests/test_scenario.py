@@ -465,6 +465,7 @@ class TestConfig:
         ("rho2", 0.0, "rho2 must be positive"),
         ("rho2", -5.0, "rho2 must be positive"),
         ("scheme", "bogus", "scheme must be one of Scheme.SCHEME_I, Scheme.SCHEME_II, got 'bogus'"),
+        ("snr_dB", "25", "snr_dB must be a real number, got '25'"),
     ])
     def test_out_of_range_field_rejected(self, name, value, message):
         with pytest.raises(ConfigError) as info:
@@ -483,7 +484,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["M_tR", "M_rR", "M_tC", "M_rC", "L"])
     def test_non_integer_dimensions_rejected(self, name):
-        for value in (32.5, 32.0, "32", None):
+        for value in (32.5, 32.0, "32", None, True, False):
             with pytest.raises(ConfigError, match=f"{name} must be an integer"):
                 ScenarioConfig(**{name: value})
         cfg = ScenarioConfig(**{name: np.int64(4)})
@@ -494,7 +495,8 @@ class TestConfig:
     def test_non_finite_floats_rejected(self, name):
         # NaN passes the range tests, and would fail later as an unreachable
         # capacity or an eigh that does not converge, or not at all.
-        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.nan),
+                      np.float32(math.inf)):
             with pytest.raises(ConfigError, match=f"^{name} must be finite, got "):
                 ScenarioConfig(**{name: value})
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got nan$"):
@@ -516,6 +518,10 @@ class TestConfig:
         )
         back = parse_config(format_config(cfg))
         assert back == cfg
+
+    def test_empty_target_parts_skipped(self):
+        cfg = parse_config("targets = 30.0:(0.2+0.1j);; -15.0:(0.05-0.02j);\n")
+        assert cfg.targets == [(30.0, 0.2 + 0.1j), (-15.0, 0.05 - 0.02j)]
 
     @pytest.mark.parametrize("line,message", [
         ("C = abc", "could not convert string to float: 'abc'"),
