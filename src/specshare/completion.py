@@ -250,10 +250,11 @@ def _complete_trials(observations, omega, params, truth) -> list:
     bit for bit. The workers exist only inside this call: when it returns
     or raises, they are killed and reaped. A worker sends back the error a
     trial raised, and one that exits without sending its reports makes the
-    call raise EOFError. Every error a trial can raise depends only on
-    what all trials share: omega and its shape (an empty row or column),
-    the truth (zero), and the message of a failed eigh. So whichever trial
-    fails first raises what a loop in trial order raises.
+    call raise an EOFError that names its pid and exit code. Every error a
+    trial can raise depends only on what all trials share: omega and its
+    shape (an empty row or column), the truth (zero), and the message of a
+    failed eigh. So whichever trial fails first raises what a loop in trial
+    order raises.
     """
     *parts, last = np.array_split(np.arange(len(observations)), _cpu_share(len(observations)))
     workers = []
@@ -268,7 +269,14 @@ def _complete_trials(observations, omega, params, truth) -> list:
             workers.append((worker, recv))
             send.close()  # the worker holds the only sending end: its exit is an EOF
         own = [_trial(observations[i], omega, params, truth) for i in last]
-        theirs = [recv.recv() for _, recv in workers]
+        theirs = []
+        for worker, recv in workers:
+            try:
+                theirs.append(recv.recv())
+            except EOFError:
+                worker.join()
+                raise EOFError(f"trial worker {worker.pid} exited with code {worker.exitcode} "
+                               "before sending its reports") from None
         for reports in theirs:
             if isinstance(reports, Exception):
                 raise reports

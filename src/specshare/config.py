@@ -66,10 +66,11 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # The dimensions first: the rho2 default divides by M_tR. Any
-        # integer type passes (NumPy's too); 32.0 does not, nor True, which
-        # Python counts as an integer.
-        for name in ("M_tR", "M_rR", "M_tC", "M_rC", "L"):
+        # The integers first: the rho2 default divides by M_tR. Any integer
+        # type passes (NumPy's too); 32.0 does not, nor True, which Python
+        # counts as an integer. A seed of 1.5 would draw seed 1's streams.
+        for name, least in (("M_tR", 1), ("M_rR", 1), ("M_tC", 1), ("M_rC", 1), ("L", 1),
+                            ("seed", 0)):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):
@@ -77,8 +78,8 @@ class ScenarioConfig:
                 operator.index(value)
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.P_t is None:
             self.P_t = float(self.L)
         if self.rho2 is None:

@@ -63,7 +63,8 @@ class ExperimentSpec:
     every grid point's config is built here and kept in grid, a map from
     sweep value to config. A repeated method or seed, and two sweep values
     that print the same label, would run or print the same rows twice, and
-    are refused too; so is a seed or trial count that is not an integer.
+    are refused too; so is a seed or trial count that is not an integer (a
+    bool included), and a negative seed.
     None is the one value of the 'none' sweep (no sweep) and of no other.
     Each check is linear in its list, as every benchmark job builds a
     spec."""
@@ -113,6 +114,8 @@ class ExperimentSpec:
         seen = set()
         for seed in self.seeds:
             seed = _integer("seed", seed)  # 0.5 would run as seed 0
+            if seed < 0:  # as ScenarioConfig refuses it
+                raise SpecError(f"seed {seed} is negative")
             if seed in seen:
                 raise SpecError(f"seed {seed!r} is repeated")
             seen.add(seed)
@@ -121,7 +124,11 @@ class ExperimentSpec:
 
 
 def _integer(name, value) -> int:
+    """value as an int: any integer type but bool, as ScenarioConfig takes
+    its integers."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise SpecError(f"{name} {value!r} is not an integer") from None

@@ -19,8 +19,9 @@ def stream(seed: int, *names) -> np.random.Generator:
     """Return a Generator for the (seed, *names) stream.
 
     Deterministic across platforms and runs; streams with different names
-    are statistically independent.
+    are statistically independent. The seed is a nonnegative integer, which
+    SeedSequence takes as it is: every seed draws its own streams.
     """
     key = tuple(_name_key(n) for n in names)
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1), spawn_key=key)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.default_rng(ss)

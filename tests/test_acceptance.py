@@ -4,6 +4,9 @@ Thirteen criteria covering the method orderings, the closed-form solver
 pieces, the mask optimization, the Monte-Carlo oracles, the recovery
 pipeline and end-to-end determinism. Each test prints a single
 ``criterion N ...: PASS`` line on success (visible with ``pytest -s``).
+
+Every design comes from what ships: the p-sweeps of criteria 1-3 and 5
+are run_compare rows, and every other design is harness._solve_method's.
 """
 
 import itertools
@@ -12,20 +15,16 @@ import time
 import numpy as np
 import pytest
 
+from specshare import harness
 from specshare.completion import CompletionParams, radar_pipeline
 from specshare.config import ScenarioConfig, Scheme
-from specshare.covdesign import (
-    min_capacity_multiplier,
-    solve_weighted_eip,
-)
+from specshare.covdesign import min_capacity_multiplier
 from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import (
-    fmfb_weights,
     interference_diag_matrix,
     mismatched_weight_diagonals,
     noise_covariances,
     scheme_weights,
-    tip_weights,
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize
@@ -33,7 +32,7 @@ from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import generate_sampling_mask, make_scenario
 from specshare.streams import stream
 
-from oracles import eip_scheme2_trace_form, empirical_eip, selfish
+from oracles import eip_scheme2_trace_form, empirical_eip
 
 P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 N_SEEDS = 20
@@ -68,62 +67,32 @@ def scenario2_cfg(**kw):
     return ScenarioConfig(**kw)
 
 
+def p_sweep(scheme, methods):
+    """run_compare's rows of the p-sweep over P_GRID and seeds 0 to
+    N_SEEDS - 1, as {(p, seed): {method: row}}. A row error fails the
+    fixture."""
+    spec = ExperimentSpec(cfg=ScenarioConfig(scheme=scheme), methods=methods,
+                          sweep_var="p", sweep_values=list(P_GRID), seeds=list(range(N_SEEDS)))
+    grid = {}
+    for row in run_compare(spec):
+        assert not row.error, f"{row.method} at p = {row.sweep_value}, seed {row.seed}: {row.error}"
+        grid.setdefault((row.sweep_value, row.seed), {})[row.method] = row
+    return grid
+
+
 @pytest.fixture(scope="module")
 def scheme1_grid():
-    """Scenario-1 sweep: noncooperative and cooperative designs per (p, seed)."""
+    """Scenario-1 sweep: noncooperative and cooperative rows per (p, seed),
+    and the seconds the sweep took."""
     t0 = time.perf_counter()
-    out = {}
-    for p in P_GRID:
-        for seed in range(N_SEEDS):
-            cfg = ScenarioConfig(p=p, seed=seed)
-            scn = make_scenario(cfg, require_coverage=False)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            w_tip = tip_weights(cfg.M_rR, cfg.L)
-            w_eip = scheme_weights(cfg, scn.omega, scn.S)
-            noncoop = solve_weighted_eip(w_tip, scn.H, scn.G2,
-                                         noise, cfg.P_t, cfg.C)
-            coop = solve_weighted_eip(w_eip, scn.H, scn.G2,
-                                      noise, cfg.P_t, cfg.C)
-            out[(p, seed)] = {
-                "eip_noncoop": scheme_eip(cfg, scn.omega, scn.S,
-                                          scn.G2, noncoop.schedule),
-                "eip_coop": scheme_eip(cfg, scn.omega, scn.S,
-                                       scn.G2, coop.schedule),
-                "capacities": (noncoop.achieved_capacity, coop.achieved_capacity),
-            }
-    out["elapsed"] = time.perf_counter() - t0
-    return out
+    grid = p_sweep(Scheme.SCHEME_I, ["noncoop", "coop"])
+    return grid, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def scheme2_grid():
-    """Scenario-1 sweep under Scheme II: noncoop / partial / full designs."""
-    out = {}
-    for p in P_GRID:
-        for seed in range(N_SEEDS):
-            cfg = ScenarioConfig(p=p, seed=seed, scheme=Scheme.SCHEME_II)
-            scn = make_scenario(cfg, require_coverage=False)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            S = scn.S
-            w_tip = tip_weights(cfg.M_rR, cfg.L)
-            w_fmfb = fmfb_weights(S, cfg.M_rR)
-            w_eip2 = scheme_weights(cfg, scn.omega, S)
-            sols = {
-                "noncoop": solve_weighted_eip(w_tip, scn.H, scn.G2,
-                                              noise, cfg.P_t, cfg.C),
-                "partial": solve_weighted_eip(w_fmfb, scn.H, scn.G2,
-                                              noise, cfg.P_t, cfg.C),
-                "full": solve_weighted_eip(w_eip2, scn.H, scn.G2,
-                                           noise, cfg.P_t, cfg.C),
-            }
-            out[(p, seed)] = {
-                "eips": {
-                    name: scheme_eip(cfg, scn.omega, S, scn.G2, sol.schedule)
-                    for name, sol in sols.items()
-                },
-                "capacities": tuple(s.achieved_capacity for s in sols.values()),
-            }
-    return out
+    """Scenario-1 sweep under Scheme II: noncoop / partial / full rows."""
+    return p_sweep(Scheme.SCHEME_II, ["noncoop", "partial", "full"])
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +104,10 @@ def joint_grid():
             cfg = scenario2_cfg(p=p, seed=seed)
             scn = make_scenario(cfg)
             noise = noise_covariances(cfg, scn.G1, scn.S)
-            baseline = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
+            baseline, omega = harness._solve_method("selfish", cfg, scn, noise)
             result = best_joint_design(cfg, scn, noise, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
-                "eip_selfish": scheme_eip(cfg, scn.omega, scn.S,
+                "eip_selfish": scheme_eip(cfg, omega, scn.S,
                                           scn.G2, baseline.schedule),
                 "eip_joint": scheme_eip(cfg, result.mask, scn.S,
                                         scn.G2, result.solution.schedule),
@@ -149,23 +118,19 @@ def joint_grid():
 
 
 def test_criterion_01_cooperative_ordering(scheme1_grid):
-    ok = all(
-        rec["eip_coop"] <= rec["eip_noncoop"] + 1e-6
-        for key, rec in scheme1_grid.items()
-        if key != "elapsed"
-    )
-    fast = scheme1_grid["elapsed"] < 300.0
+    grid, elapsed = scheme1_grid
+    ok = all(rows["coop"].eip <= rows["noncoop"].eip + 1e-6 for rows in grid.values())
+    fast = elapsed < 300.0
     verdict = "PASS" if ok and fast else "FAIL"
     print(f"criterion 1 (scheme-I cooperative <= noncooperative EIP, "
-          f"{scheme1_grid['elapsed']:.1f}s): {verdict}")
+          f"{elapsed:.1f}s): {verdict}")
     assert ok and fast
 
 
 def test_criterion_02_full_information_ordering(scheme2_grid):
     ok = all(
-        rec["eips"]["full"]
-        <= min(rec["eips"]["noncoop"], rec["eips"]["partial"]) + 1e-6
-        for rec in scheme2_grid.values()
+        rows["full"].eip <= min(rows["noncoop"].eip, rows["partial"].eip) + 1e-6
+        for rows in scheme2_grid.values()
     )
     print(f"criterion 2 (scheme-II full <= noncoop/partial EIP): "
           f"{'PASS' if ok else 'FAIL'}")
@@ -173,9 +138,9 @@ def test_criterion_02_full_information_ordering(scheme2_grid):
 
 
 def test_criterion_03_null_space_collapse(scheme1_grid):
+    grid, _ = scheme1_grid
     hits = sum(
-        scheme1_grid[(0.2, seed)]["eip_coop"]
-        <= 0.01 * scheme1_grid[(0.2, seed)]["eip_noncoop"]
+        grid[(0.2, seed)]["coop"].eip <= 0.01 * grid[(0.2, seed)]["noncoop"].eip
         for seed in range(N_SEEDS)
     )
     ok = hits >= 18
@@ -194,12 +159,8 @@ def test_criterion_04_joint_design_gain(joint_grid):
 
 
 def test_criterion_05_capacity_activeness(scheme1_grid, scheme2_grid, joint_grid):
-    caps = []
-    for key, rec in scheme1_grid.items():
-        if key != "elapsed":
-            caps.extend(rec["capacities"])
-    for rec in scheme2_grid.values():
-        caps.extend(rec["capacities"])
+    caps = [row.capacity for grid in (scheme1_grid[0], scheme2_grid)
+            for rows in grid.values() for row in rows.values()]
     for rec in joint_grid.values():
         caps.extend(rec["capacities"])
     worst = max(abs(c - 12.0) for c in caps)
@@ -342,16 +303,7 @@ def test_criterion_11_recovery_trend():
         cfg = scenario2_cfg(p=p, seed=seed)
         scn = make_scenario(cfg)
         noise = noise_covariances(cfg, scn.G1, scn.S)
-        if method == "selfish":
-            sol, mask = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2), scn.omega
-        elif method == "noncoop":
-            w = tip_weights(cfg.M_rR, cfg.L)
-            sol = solve_weighted_eip(w, scn.H, scn.G2, noise,
-                                     cfg.P_t, cfg.C)
-            mask = scn.omega
-        else:
-            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
-            sol, mask = result.solution, result.mask
+        sol, mask = harness._solve_method(method, cfg, scn, noise)
         stats = radar_pipeline(cfg, scn.D, scn.S,
                                scn.G2, sol.schedule, mask, 10,
                                stream(seed, "acc-mc", method, p),

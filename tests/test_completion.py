@@ -539,16 +539,16 @@ class TestParallelTrials:
         ScenarioConfig(seed=0),
     ], ids=["mc-recovery-13", "mc-recovery-14", "default"])
     def test_bit_identical_for_any_cpu_count(self, cfg):
-        # usable_cpus hides an unpinned BLAS pool, whose threads the fork
-        # workers would then compete with for the CPUs: the runs take place
-        # where BLAS has one thread.
+        # usable_cpus hides an unpinned BLAS library's threads, which the
+        # fork workers would then compete with for the CPUs: the runs take
+        # place where BLAS has one thread.
         runs = pinned_run(cpu_count_runs, cfg)
         (one, *_), (two, *_) = runs
         assert one == two
-        # No child process is left, and the pool's threads are joined too.
+        # No child process is left, and no thread beside the main one.
         assert [run[1:] for run in runs] == [(0, 1), (0, 1)]
 
-    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no pool to compare")
+    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to compare")
     @pytest.mark.parametrize("spec", [
         ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish", "noncoop"], seeds=[0, 1],
                        mc_trials=4),
@@ -565,12 +565,12 @@ class TestParallelTrials:
         assert one[2] == [1] * len(one[1])
         assert every[2] == [min(usable_cpu_count(), spec.mc_trials)] * len(every[1])
 
-    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no pool to take")
+    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to start")
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="no per-process thread list")
-    def test_pool_threads_are_gone_when_the_call_returns(self):
-        """A closed pool's threads leave the process before radar_pipeline
-        returns, so the next call, right after it, takes the pool again."""
+    def test_each_call_leaves_no_thread_for_the_next(self):
+        """radar_pipeline leaves no thread behind when it returns, so the
+        next call, right after it, starts its fork workers again."""
         shares, threads = pinned_run(back_to_back_shares, ScenarioConfig(seed=1))
         assert shares == [min(usable_cpu_count(), 2)] * 100
         assert threads == [1] * 100
@@ -645,7 +645,8 @@ class TestParallelTrials:
     def test_worker_exit_without_reports_raises(self, monkeypatch):
         monkeypatch.setattr(completion, "complete", in_the_workers(lambda: os._exit(3)))
         usable_cpus(monkeypatch, 2)
-        with pytest.raises(EOFError):
+        with pytest.raises(EOFError, match=r"^trial worker \d+ exited with code 3 before "
+                                           r"sending its reports$"):
             selfish_pipeline(ScenarioConfig(seed=1), 3)
         assert multiprocessing.active_children() == []
 

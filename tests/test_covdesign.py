@@ -322,7 +322,7 @@ class TestFeasibility:
             assert solve_weighted_eip(*design, P_t, C).consumed_power <= P_t
 
 
-class TestSolveSelfish:
+class TestSelfishDesign:
     """The selfish design: solve_weighted_eip with W_l = 0."""
 
     def test_zero_capacity_target(self):
@@ -527,7 +527,7 @@ class TestDualKernel:
             self.assert_matches_reference(w, G2, H, noise, lam1)
 
     @pytest.mark.parametrize("L", [1, 4, 128])
-    def test_ridge_branch_matches(self, L):
+    def test_near_singular_zero_weight_symbols_match(self, L):
         # Zero-weight symbols have Phi_l = lambda1 I, nearly singular at a
         # tiny lambda1; both paths floor its eigenvalues with eig_floor.
         w, G2, H, noise = coop_instance(10 + L, L, partial_rows=False)

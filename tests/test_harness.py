@@ -74,6 +74,8 @@ class TestExperimentSpec:
         # radar_pipeline would fail on 1.5 trials with a TypeError.
         with pytest.raises(SpecError, match=r"^mc_trials 1\.5 is not an integer$"):
             ExperimentSpec(cfg=scenario1(), mc_trials=1.5)
+        with pytest.raises(SpecError, match=r"^mc_trials True is not an integer$"):
+            ExperimentSpec(cfg=scenario1(), mc_trials=True)
         assert ExperimentSpec(cfg=scenario1(), mc_trials=np.int64(2)).mc_trials == 2
 
     def test_target_count_must_be_an_integer(self):
@@ -112,6 +114,10 @@ class TestExperimentSpec:
          "sweep values 12.0 and 12.0000000005 both print as 12"),
         # run_compare would run seed 0 for 0.5, and print seed 0 twice.
         ({"seeds": [0.5, 0]}, "seed 0.5 is not an integer"),
+        # True would run as seed 1, and print it twice. A negative seed,
+        # which ScenarioConfig refuses, is refused before any design runs.
+        ({"seeds": [True, 1]}, "seed True is not an integer"),
+        ({"seeds": [0, -1]}, "seed -1 is negative"),
     ])
     def test_repeats_rejected(self, changes, message):
         # Each would run or print the same design twice.
@@ -648,6 +654,7 @@ class TestCli:
         (["sweep", "--sweep", "targets=1:3:0.5"], "", "target count must be an integer >= 1"),
         (["sweep", "--sweep", "C=12:12.000000001:0.0000000005"], "",
          "sweep values 12.0 and 12.0000000005 both print as 12"),
+        (["compare", "--seed", "-1"], "", "seed must be >= 0"),
     ])
     def test_invalid_value_reported(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "cfg.txt"

@@ -370,6 +370,15 @@ class TestMakeScenario:
         assert np.array_equal(a.H, b.H)
         assert np.array_equal(a.S, b.S)
 
+    def test_every_seed_has_its_own_streams(self):
+        # SeedSequence takes the seed whole: 2**64 does not draw seed 0's.
+        def draw(seed):
+            return stream(seed, "channels").random(4)
+
+        assert not np.array_equal(draw(2**64), draw(0))
+        assert np.array_equal(draw(np.int64(7)), draw(7))
+        assert ScenarioConfig(seed=np.int64(7)).seed == 7
+
 
 def digest(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
@@ -466,6 +475,12 @@ class TestConfig:
         ("rho2", -5.0, "rho2 must be positive"),
         ("scheme", "bogus", "scheme must be one of Scheme.SCHEME_I, Scheme.SCHEME_II, got 'bogus'"),
         ("snr_dB", "25", "snr_dB must be a real number, got '25'"),
+        # A seed is checked as a dimension is: 1.5 would draw seed 1's
+        # streams, and "x" fail later with a bare ValueError.
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("seed", "x", "seed must be an integer, got 'x'"),
+        ("seed", -1, "seed must be >= 0"),
     ])
     def test_out_of_range_field_rejected(self, name, value, message):
         with pytest.raises(ConfigError) as info:
