@@ -21,7 +21,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .interference import MetricError
 from .linalg import gram_spectrum, psd_sqrt
-from .scenario import generate_phase_offsets, radar_truth, synthesize_radar_rx
+from .scenario import draw_trials, radar_truth, synthesize_radar_rx
 
 # Iterations per continuation stage, and the geometric factor of the mu
 # schedule (see _mu_schedule).
@@ -256,7 +256,7 @@ def _complete_trials(observations, omega, params, truth) -> list:
     failed eigh. So whichever trial fails first raises what a loop in trial
     order raises.
     """
-    *parts, last = np.array_split(np.arange(len(observations)), _cpu_share(len(observations)))
+    *parts, last = np.array_split(observations, _cpu_share(len(observations)))
     workers = []
     try:
         for part in parts:
@@ -264,11 +264,11 @@ def _complete_trials(observations, omega, params, truth) -> list:
 
             recv, send = multiprocessing.Pipe(duplex=False)
             worker = multiprocessing.get_context("fork").Process(target=_work, args=(
-                send, [observations[i] for i in part], omega, params, truth))
+                send, part, omega, params, truth))
             worker.start()
             workers.append((worker, recv))
             send.close()  # the worker holds the only sending end: its exit is an EOF
-        own = [_trial(observations[i], omega, params, truth) for i in last]
+        own = [_trial(observed, omega, params, truth) for observed in last]
         theirs = []
         for worker, recv in workers:
             try:
@@ -301,28 +301,19 @@ def radar_pipeline(
 ) -> PipelineStats:
     """End-to-end recovery experiment for a fixed design.
 
-    Per trial: draw codewords x(l) = R_xl^{1/2} * randn, synthesize the
-    masked radar data matrix with fresh phases and noise, complete it and
-    score against the noiseless ground truth (scenario.radar_truth). Every
-    trial's draws are made first, in trial order; the trials are then
-    completed on the CPUs the process may use, with the same reports for
-    any number of them.
+    Per trial: codewords x(l) = R_xl^{1/2} * randn, the masked radar data
+    with fresh phases and noise, its completion and its error against the
+    noiseless ground truth (scenario.radar_truth). One draw_trials call
+    draws every trial and one synthesis makes their stacked data, whose
+    trials are completed on the CPUs the process may use, with the same
+    reports for any number of them.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    roots = psd_sqrt(schedule)
-    L = len(schedule)
-    truth = radar_truth(cfg, D, S)
-    observations = []
-    for _ in range(trials):
-        # Row l of z holds the real and imaginary parts of symbol l's draw,
-        # in the order L successive crandn(rng, M_tC) calls take them.
-        z = rng.standard_normal((L, 2, cfg.M_tC))
-        v = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        X = (roots @ v[:, :, None])[:, :, 0].T
-        _, alpha2 = generate_phase_offsets(cfg, rng)
-        observations.append(synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, rng))
-    reports = _complete_trials(observations, omega, params, truth)
+    v, alpha2, noise = draw_trials(cfg, trials, rng)
+    X = np.swapaxes((psd_sqrt(schedule) @ v[..., None])[..., 0], -1, -2)
+    observations = synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, noise)
+    reports = _complete_trials(observations, omega, params, radar_truth(cfg, D, S))
     errs = np.array([r.relative_error for r in reports])
     return PipelineStats(
         mean_error=float(errs.mean()),

@@ -117,6 +117,18 @@ class ScenarioConfig:
             raise ConfigError("sigma_R2 must be nonnegative")
         if self.rho2 <= 0:
             raise ConfigError("rho2 must be positive")
+        # gamma and resolve_sigma_R2 take 10^(dB/scale): it overflows above
+        # about 6165 dB (gamma2_dB) or 3082 dB (snr_dB), and falls to 0, a
+        # divisor in resolve_sigma_R2, below about -6472 or -3236 dB.
+        for name, scale in (("gamma2_dB", 20.0), ("snr_dB", 10.0)):
+            value = getattr(self, name)
+            try:
+                factor = 10.0 ** (float(value) / scale)
+            except OverflowError:
+                factor = math.inf
+            if not 0.0 < factor < math.inf:
+                raise ConfigError(f"{name} out of range: 10^({name}/{scale:g}) must be a "
+                                  f"finite positive number, got {value!r}")
 
     @property
     def gamma(self) -> float:

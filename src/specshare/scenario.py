@@ -1,9 +1,9 @@
 """Random inputs of a coexistence experiment and radar receive synthesis.
 
-Generates the channels H, G1 and G2, the orthogonal radar waveforms S, the
-target response D, the binary sampling mask omega and oscillator phase
-offsets, all plain arrays, and synthesizes the masked radar receive matrix.
-All generators are pure functions of (config, rng stream).
+Generates the channels H, G1 and G2, the radar waveforms S, the target
+response D, the sampling mask omega and the recovery trials' codewords,
+phases and noise, all plain arrays, and synthesizes the masked radar
+receive matrix. All generators are pure functions of (config, rng stream).
 """
 
 from __future__ import annotations
@@ -154,12 +154,19 @@ def _covering_mask(rows: int, cols: int, n_ones: int, rng: np.random.Generator) 
     return omega
 
 
-def generate_phase_offsets(cfg: ScenarioConfig, rng: np.random.Generator):
-    """(alpha1, alpha2): zero-mean Gaussian phase jitter sequences of length L
-    in radians with variance sigma_alpha2, alpha1 drawn first."""
-    sd = np.sqrt(cfg.sigma_alpha2)
-    alpha1 = sd * rng.standard_normal(cfg.L)
-    return alpha1, sd * rng.standard_normal(cfg.L)
+def draw_trials(cfg: ScenarioConfig, trials: int, rng: np.random.Generator):
+    """Every random draw of `trials` recovery trials, in one rng call: unit
+    codewords v (trials, L, M_tC), phases alpha2 (trials, L) of variance
+    sigma_alpha2 and unit noise (trials, M_rR, L). A trial's normals come in
+    crandn's order: per symbol its codeword's real then imaginary parts,
+    then alpha1 (dropped), alpha2, and the noise's real then imaginary parts."""
+    L, n_tx, n_rx = cfg.L, cfg.M_tC, cfg.M_rR
+    draws = rng.standard_normal((trials, 2 * L * n_tx + 2 * L + 2 * n_rx * L))
+    z = draws[:, :2 * L * n_tx].reshape(trials, L, 2, n_tx)
+    w = draws[:, 2 * L * (n_tx + 1):].reshape(trials, 2, n_rx, L)
+    alpha2 = np.sqrt(cfg.sigma_alpha2) * draws[:, 2 * L * n_tx + L:2 * L * (n_tx + 1)]
+    return ((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0), alpha2,
+            (w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0))
 
 
 def _check_shapes(cfg, D, S, X, G2):
@@ -167,7 +174,7 @@ def _check_shapes(cfg, D, S, X, G2):
         raise ScenarioError(f"D has shape {D.shape}, expected {(cfg.M_rR, cfg.M_tR)}")
     if S.shape != (cfg.M_tR, cfg.L):
         raise ScenarioError(f"S has shape {S.shape}, expected {(cfg.M_tR, cfg.L)}")
-    if X.shape != (cfg.M_tC, cfg.L):
+    if X.shape[-2:] != (cfg.M_tC, cfg.L):
         raise ScenarioError(f"X has shape {X.shape}, expected {(cfg.M_tC, cfg.L)}")
     if G2.shape != (cfg.M_rR, cfg.M_tC):
         raise ScenarioError(f"G2 has shape {G2.shape}, expected {(cfg.M_rR, cfg.M_tC)}")
@@ -205,22 +212,23 @@ def synthesize_radar_rx(
     X: np.ndarray,
     alpha2: np.ndarray,
     omega: np.ndarray,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> np.ndarray:
-    """Masked radar receive matrix, Lambda2 = diag(exp(j alpha2)).
+    """Masked radar receive matrix, Lambda2 = diag(exp(j alpha2)) and W_R
+    the unit noise times sqrt(sigma_R2) (resolve_sigma_R2). X, alpha2 and
+    noise may carry a leading trial axis (draw_trials); the result then has it.
 
     Scheme I:  Omega o (gamma*rho*D*S + G2*X*Lambda2 + W_R)
     Scheme II: Omega o ((gamma*rho*D*S + G2*X*Lambda2 + W_R) S^H)
     """
     _check_shapes(cfg, D, S, X, G2)
-    sigma_R2 = resolve_sigma_R2(cfg, D, S)
-    W_R = np.sqrt(sigma_R2) * crandn(rng, cfg.M_rR, cfg.L)
-    Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2) + W_R
+    W_R = np.sqrt(resolve_sigma_R2(cfg, D, S)) * noise
+    Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2)[..., None, :] + W_R
     if cfg.scheme is Scheme.SCHEME_II:
         Y_R = Y_R @ S.conj().T
-    if omega.shape != Y_R.shape:
+    if omega.shape != Y_R.shape[-2:]:
         raise ScenarioError(
-            f"mask shape {omega.shape} does not match data shape {Y_R.shape}"
+            f"mask shape {omega.shape} does not match data shape {Y_R.shape[-2:]}"
         )
     return omega * Y_R
 

@@ -3,9 +3,12 @@
 They evaluate by other routes what the library computes: the EIP_II trace
 form and a Monte-Carlo estimate of the masked interference power drawn
 from the signal model itself (specshare.interference computes both through
-its one weighted form), singular-value soft thresholding and the dual
-step of the covariance design through a thin SVD (specshare.completion and
-specshare.covdesign go through a Gram eigendecomposition), the
+its one weighted form), the recovery trials' radar data drawn and
+synthesized one trial at a time (specshare.completion draws and
+synthesizes every trial as one stack), singular-value soft thresholding
+and the dual step of the covariance design through a thin SVD
+(specshare.completion and specshare.covdesign go through a Gram
+eigendecomposition), the
 completion at a fixed penalty iterated by plain proximal gradient until a
 fixed-point certificate holds (specshare.completion stops accelerated
 continuation stages on a step-size rule), the accelerated completion with
@@ -34,7 +37,8 @@ from specshare.interference import (
     total_power,
     weighted_eip,
 )
-from specshare.linalg import eig_floor, gram_spectrum, hermitize, psd_sqrt
+from specshare.linalg import crandn, eig_floor, gram_spectrum, hermitize, psd_sqrt
+from specshare.scenario import noiseless_radar_return, resolve_sigma_R2
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
@@ -83,6 +87,29 @@ def empirical_eip(cfg, mask, G2, S, schedule, trials: int, rng):
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
+
+
+def looped_observations(cfg, D, S, G2, schedule, omega, trials: int, rng) -> np.ndarray:
+    """The masked radar data of `trials` recovery trials, drawn and
+    synthesized one trial at a time: per trial the (L, 2, M_tC) codeword
+    normals, alpha1 then alpha2 of L each, crandn(rng, M_rR, L) noise, and
+    Omega o (gamma*rho*D*S + G2*X*diag(exp(j alpha2)) + sigma_R*W_R), times
+    S^H under Scheme II before the mask. Stacked along a leading trial
+    axis."""
+    roots = psd_sqrt(schedule)
+    sd = np.sqrt(cfg.sigma_alpha2)
+    observations = []
+    for _ in range(trials):
+        z = rng.standard_normal((cfg.L, 2, cfg.M_tC))
+        X = (roots @ ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))[:, :, None])[:, :, 0].T
+        rng.standard_normal(cfg.L)  # alpha1, drawn and dropped
+        alpha2 = sd * rng.standard_normal(cfg.L)
+        W_R = np.sqrt(resolve_sigma_R2(cfg, D, S)) * crandn(rng, cfg.M_rR, cfg.L)
+        Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2) + W_R
+        if cfg.scheme is Scheme.SCHEME_II:
+            Y_R = Y_R @ S.conj().T
+        observations.append(omega * Y_R)
+    return np.stack(observations)
 
 
 def svd_shrink(X, threshold: float):

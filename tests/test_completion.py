@@ -11,7 +11,13 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import converged_completion, selfish, svd_shrink, textbook_completion
+from oracles import (
+    converged_completion,
+    looped_observations,
+    selfish,
+    svd_shrink,
+    textbook_completion,
+)
 from specshare import completion, harness
 from specshare.completion import (
     CompletionParams,
@@ -26,7 +32,7 @@ from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import noise_covariances
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
-    generate_phase_offsets,
+    draw_trials,
     make_scenario,
     noiseless_radar_return,
     synthesize_radar_rx,
@@ -152,12 +158,9 @@ def mc_recovery_input():
     scn = make_scenario(cfg)
     noise = noise_covariances(cfg, scn.G1, scn.S)
     roots = psd_sqrt(selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2).schedule)
-    rng = stream(1, "mc")
-    X = np.stack([roots[l] @ crandn(rng, cfg.M_tC) for l in range(cfg.L)], axis=1)
-    observed = synthesize_radar_rx(
-        cfg, scn.D, scn.S, scn.G2, X,
-        generate_phase_offsets(cfg, rng)[1], scn.omega, rng,
-    )
+    (v,), (alpha2,), (noise,) = draw_trials(cfg, 1, stream(1, "mc"))
+    X = (roots @ v[:, :, None])[:, :, 0].T
+    observed = synthesize_radar_rx(cfg, scn.D, scn.S, scn.G2, X, alpha2, scn.omega, noise)
     return observed, scn.omega
 
 
@@ -333,6 +336,30 @@ def pipeline_cfg(**kw):
 
 
 class TestRadarPipeline:
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("M_rR,M_tC,L", [
+        (1, 1, 4), (1, 3, 32), (3, 2, 32), (8, 8, 32), (32, 4, 128), (5, 1, 32),
+    ])
+    def test_observations_equal_a_loop_over_trials(self, monkeypatch, scheme, M_rR, M_tC, L):
+        # The stacked draw and synthesis give the data a loop over trials
+        # gives, bit for bit. With M_rR = 1 or M_tC = 1 a matrix product is
+        # a vector one, which BLAS may round differently (oracles.eip_samples).
+        cfg = ScenarioConfig(M_rR=M_rR, M_tC=M_tC, L=L, p=1.0, C=1.0, scheme=scheme, seed=1)
+        scn = make_scenario(cfg)
+        schedule = selfish(scn.H, noise_covariances(cfg, scn.G1, scn.S), cfg.C, cfg.P_t,
+                           scn.G2).schedule
+        seen = []
+
+        def record(observations, *args):
+            seen.append(np.array(observations))
+            return [completion.RecoveryReport(0.0, 0, True)] * len(observations)
+
+        monkeypatch.setattr(completion, "_complete_trials", record)
+        radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 3, stream(1, "mc"))
+        want = looped_observations(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 3,
+                                   stream(1, "mc"))
+        assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
+
     def test_clean_full_sampling_recovers_exactly(self):
         cfg = pipeline_cfg(p=1.0, sigma_R2=0.0, seed=0)
         scn = make_scenario(cfg)
@@ -682,7 +709,7 @@ class TestParallelTrials:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert completion._cpu_share(trials) == share
 
-    def test_no_pool_without_a_second_cpu_or_trial(self, monkeypatch):
+    def test_no_fork_without_a_second_cpu_or_trial(self, monkeypatch):
         # TestPinnedDraws.test_first_pipeline_observation relies on a single
         # trial completing in-process.
         monkeypatch.setattr(os, "fork", no_fork)

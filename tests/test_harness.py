@@ -655,6 +655,7 @@ class TestCli:
         (["sweep", "--sweep", "C=12:12.000000001:0.0000000005"], "",
          "sweep values 12.0 and 12.0000000005 both print as 12"),
         (["compare", "--seed", "-1"], "", "seed must be >= 0"),
+        (["mc-eval", "--mc-trials", "2"], "gamma2_dB = 7000", "gamma2_dB out of range: "),
     ])
     def test_invalid_value_reported(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "cfg.txt"

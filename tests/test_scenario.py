@@ -12,8 +12,8 @@ from specshare.scenario import (
     ScenarioError,
     _coverage_probability,
     _covering_mask,
+    draw_trials,
     generate_channels,
-    generate_phase_offsets,
     generate_sampling_mask,
     generate_target_response,
     generate_waveforms,
@@ -243,25 +243,27 @@ class TestSamplingMask:
 
 
 class TestPhaseOffsets:
+    """The phase offsets alpha2 that draw_trials returns."""
+
     def test_zero_jitter_gives_identity(self):
         cfg = ScenarioConfig(sigma_alpha2=0.0)
-        for alpha in generate_phase_offsets(cfg, stream(0, "phases")):
-            assert np.all(np.exp(1j * alpha) == 1.0)
+        alpha2 = draw_trials(cfg, 1, stream(0, "phases"))[1]
+        assert np.all(np.exp(1j * alpha2) == 1.0)
 
     def test_unit_modulus(self):
         cfg = ScenarioConfig()
-        for alpha in generate_phase_offsets(cfg, stream(4, "phases")):
-            assert np.allclose(np.abs(np.exp(1j * alpha)), 1.0)
+        alpha2 = draw_trials(cfg, 1, stream(4, "phases"))[1]
+        assert np.allclose(np.abs(np.exp(1j * alpha2)), 1.0)
 
     def test_sample_variance_at_1e5_draws(self):
         cfg = ScenarioConfig(M_tR=1, M_rR=1, M_tC=1, M_rC=1, L=100_000)
-        var = np.var(np.concatenate(generate_phase_offsets(cfg, stream(9, "phases"))))
+        var = np.var(draw_trials(cfg, 2, stream(9, "phases"))[1])
         assert abs(var - 1e-3) < 0.05e-3
 
     def test_determinism(self):
         cfg = ScenarioConfig(seed=1)
-        a = generate_phase_offsets(cfg, stream(1, "phases"))
-        b = generate_phase_offsets(cfg, stream(1, "phases"))
+        a = draw_trials(cfg, 2, stream(1, "phases"))
+        b = draw_trials(cfg, 2, stream(1, "phases"))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -280,7 +282,7 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
             cfg, scn.D, scn.S, scn.G2, X,
-            np.zeros(cfg.L), scn.omega, stream(0, "noise"),
+            np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
         )
         expect = noiseless_radar_return(cfg, scn.D, scn.S)
         assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
@@ -292,7 +294,7 @@ class TestSynthesis:
         zero_mask = np.zeros((cfg.M_rR, cfg.L))
         out = synthesize_radar_rx(
             cfg, scn.D, scn.S, scn.G2, X,
-            np.zeros(cfg.L), zero_mask, stream(0, "noise"),
+            np.zeros(cfg.L), zero_mask, np.ones((cfg.M_rR, cfg.L)),
         )
         assert np.all(out == 0)
 
@@ -302,7 +304,7 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
             cfg, scn.D, scn.S, scn.G2, X,
-            np.zeros(cfg.L), scn.omega, stream(0, "noise"),
+            np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
         )
         expect = cfg.gamma * cfg.rho * scn.D
         assert numerical_rank(out) == 1
@@ -315,7 +317,7 @@ class TestSynthesis:
         with pytest.raises(ScenarioError):
             synthesize_radar_rx(
                 cfg, scn.D, scn.S, scn.G2, X,
-                np.zeros(cfg.L), scn.omega, stream(0, "noise"),
+                np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
             )
 
 
@@ -333,7 +335,7 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         with pytest.raises(ScenarioError) as info:
             synthesize_radar_rx(cfg, args["D"], args["S"], args["G2"], X,
-                                np.zeros(cfg.L), args["omega"], stream(0, "noise"))
+                                np.zeros(cfg.L), args["omega"], np.ones((cfg.M_rR, cfg.L)))
         assert str(info.value) == message
 
 
@@ -475,6 +477,13 @@ class TestConfig:
         ("rho2", -5.0, "rho2 must be positive"),
         ("scheme", "bogus", "scheme must be one of Scheme.SCHEME_I, Scheme.SCHEME_II, got 'bogus'"),
         ("snr_dB", "25", "snr_dB must be a real number, got '25'"),
+        # 10^(dB/20) or 10^(dB/10) overflows, or falls to 0.
+        ("gamma2_dB", 7000, "gamma2_dB out of range: 10^(gamma2_dB/20) must be a finite "
+                            "positive number, got 7000"),
+        ("snr_dB", 7000, "snr_dB out of range: 10^(snr_dB/10) must be a finite positive "
+                         "number, got 7000"),
+        ("snr_dB", -7000, "snr_dB out of range: 10^(snr_dB/10) must be a finite positive "
+                          "number, got -7000"),
         # A seed is checked as a dimension is: 1.5 would draw seed 1's
         # streams, and "x" fail later with a bare ValueError.
         ("seed", 1.5, "seed must be an integer, got 1.5"),
