@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
 or a file that cannot be read or written, reported as 'error: ...' on
-stderr; 2 every result row failed, with each distinct reason from the rows'
-errors (an unreachable capacity target, a scenario with L < M_tR, ...)
-reported the same way.
+stderr; 2 every result row failed. Each distinct reason of a failed row (an
+unreachable capacity target, a scenario with L < M_tR, ...) is reported the
+same way, whether some rows failed or all of them.
 """
 
 from __future__ import annotations
@@ -96,11 +96,9 @@ def _emit(rows, args):
         write_csv(rows, args.out, timing=args.timing)
     else:
         sys.stdout.write(format_csv(rows, timing=args.timing))
-    if rows and all(r.error for r in rows):
-        for error in dict.fromkeys(r.error for r in rows):
-            print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
+    for error in dict.fromkeys(r.error for r in rows if r.error):
+        print(f"error: {error}", file=sys.stderr)
+    return 2 if rows and all(r.error for r in rows) else 0
 
 
 def main(argv=None) -> int:

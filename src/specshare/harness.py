@@ -27,7 +27,6 @@ from .covdesign import solve_weighted_eip
 from .interference import (
     fmfb_weights,
     interference_diag_matrix,
-    noise_covariances,
     scheme_weights,
     tip_weights,
     weighted_eip,
@@ -179,11 +178,11 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
     raise SpecError(f"unknown sweep variable {var!r}")
 
 
-def _solve_method(method, cfg, scn, noise):
+def _solve_method(method, cfg, scn):
     """Returns (DesignSolution, mask omega used for the EIP metric). The
     method's name, one ExperimentSpec accepts, picks the interference
     weights W_l of its design problem."""
-    H, G2, S = scn.H, scn.G2, scn.S
+    H, G2, S, noise = scn.H, scn.G2, scn.S, scn.noise
     if method == "selfish":  # ignores the radar
         w = np.zeros((cfg.L, cfg.M_rR))
     elif method == "noncoop":
@@ -219,7 +218,6 @@ def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
             value = _sweep_number(sweep_value)
             try:
                 scn = make_scenario(cfg, require_coverage=spec.mc_trials > 0)
-                noise = noise_covariances(cfg, scn.G1, scn.S)
             except _ROW_ERRORS as exc:  # a scenario failure fills every method's row
                 rows.extend(ResultRow(method, spec.sweep_var, value, cfg.seed, error=str(exc))
                             for method in spec.methods)
@@ -228,7 +226,7 @@ def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
                 row = ResultRow(method, spec.sweep_var, value, cfg.seed)
                 t0 = time.perf_counter()
                 try:
-                    sol, omega = _solve_method(method, cfg, scn, noise)
+                    sol, omega = _solve_method(method, cfg, scn)
                     if not sol.converged:
                         row.error = f"dual search not converged after {sol.iterations} evaluations"
                     schedule = sol.schedule

@@ -14,6 +14,7 @@ from math import comb
 import numpy as np
 
 from .config import ScenarioConfig, Scheme, SpecshareError
+from .interference import noise_covariances
 from .linalg import crandn
 from .streams import stream
 
@@ -196,12 +197,17 @@ def radar_truth(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> np.ndarray
 
 def resolve_sigma_R2(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> float:
     """Radar noise variance: explicit if configured, else set by snr_dB
-    against the mean entry power of the noiseless return."""
+    against the mean entry power of the noiseless return. A ScenarioError
+    names the power or variance that overflows."""
     if cfg.sigma_R2 is not None:
         return float(cfg.sigma_R2)
-    signal = noiseless_radar_return(cfg, D, S)
-    mean_power = float(np.mean(np.abs(signal) ** 2))
-    return mean_power / 10.0 ** (cfg.snr_dB / 10.0)
+    with np.errstate(over="ignore"):
+        mean_power = float(np.mean(np.abs(noiseless_radar_return(cfg, D, S)) ** 2))
+    sigma_R2 = mean_power / 10.0 ** (cfg.snr_dB / 10.0)  # inf if mean_power is inf
+    for name, value in (("signal power", mean_power), ("noise variance", sigma_R2)):
+        if not np.isfinite(value):
+            raise ScenarioError(f"radar {name} is not finite")
+    return sigma_R2
 
 
 def synthesize_radar_rx(
@@ -235,25 +241,27 @@ def synthesize_radar_rx(
 
 @dataclass
 class Scenario:
-    """One fully generated experiment instance, the arrays of the generators."""
+    """One fully generated experiment instance: the generators' arrays and
+    the comm receiver's noise stack R_w, G1's one use (noise_covariances)."""
 
     H: np.ndarray
-    G1: np.ndarray
     G2: np.ndarray
     S: np.ndarray
     D: np.ndarray
     omega: np.ndarray
+    noise: np.ndarray
 
 
 def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenario:
     """Generate every random input of an experiment from named streams of
     cfg.seed. Stream separation keeps each piece stable as others evolve."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
+    S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
     return Scenario(
-        H, G1, G2,
-        S=generate_waveforms(cfg, stream(cfg.seed, "waveforms")),
+        H, G2, S,
         D=generate_target_response(cfg),
         omega=generate_sampling_mask(
             cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage
         ),
+        noise=noise_covariances(cfg, G1, S),
     )

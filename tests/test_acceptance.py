@@ -23,7 +23,6 @@ from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import (
     interference_diag_matrix,
     mismatched_weight_diagonals,
-    noise_covariances,
     scheme_weights,
     weighted_eip,
 )
@@ -47,13 +46,13 @@ def scheme_eip(cfg, mask, S, G2, schedule):
     return weighted_eip(scheme_weights(cfg, mask, S), interference_diag_matrix(G2, schedule))
 
 
-def best_joint_design(cfg, scn, noise, restarts, rng):
+def best_joint_design(cfg, scn, restarts, rng):
     """The joint design from scn.omega and from restarts - 1 covering masks
     drawn in turn from rng, keeping the lowest final EIP (the first on ties)."""
     best = None
     for r in range(restarts):
         mask = scn.omega if r == 0 else generate_sampling_mask(cfg, rng)
-        result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, mask)
+        result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, mask)
         if best is None or result.eip_trace[-1] < best.eip_trace[-1]:
             best = result
     return best
@@ -103,9 +102,8 @@ def joint_grid():
         for seed in range(5):
             cfg = scenario2_cfg(p=p, seed=seed)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            baseline, omega = harness._solve_method("selfish", cfg, scn, noise)
-            result = best_joint_design(cfg, scn, noise, 3, stream(seed, "acc-joint", p))
+            baseline, omega = harness._solve_method("selfish", cfg, scn)
+            result = best_joint_design(cfg, scn, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
                 "eip_selfish": scheme_eip(cfg, omega, scn.S,
                                           scn.G2, baseline.schedule),
@@ -261,8 +259,7 @@ def test_criterion_09_alternating_monotonicity():
         for seed in range(20):
             cfg = ScenarioConfig(p=0.5, seed=seed, scheme=scheme)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+            result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
             trace = result.eip_trace
             if not all(a >= b - 1e-9 for a, b in zip(trace, trace[1:])):
                 ok = False
@@ -302,8 +299,7 @@ def test_criterion_11_recovery_trend():
     def mean_error(p, method, seed):
         cfg = scenario2_cfg(p=p, seed=seed)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
-        sol, mask = harness._solve_method(method, cfg, scn, noise)
+        sol, mask = harness._solve_method(method, cfg, scn)
         stats = radar_pipeline(cfg, scn.D, scn.S,
                                scn.G2, sol.schedule, mask, 10,
                                stream(seed, "acc-mc", method, p),

@@ -15,7 +15,7 @@ import pytest
 from specshare import samplingopt
 from specshare.config import ScenarioConfig
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import interference_diag_matrix, noise_covariances, scheme_weights
+from specshare.interference import interference_diag_matrix, scheme_weights
 from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import make_scenario
 from specshare.streams import stream
@@ -94,9 +94,8 @@ def joint_costs():
     mask sweep of a joint design on a joint-long-sized Scheme I scenario."""
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
     sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S),
-                             scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+                             scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
     Q = interference_diag_matrix(scn.G2, sol.schedule)
     omega = scn.omega
     return omega.T @ Q, omega @ Q.T
@@ -247,8 +246,7 @@ def joint_design_costs(seeds, L=128):
         for seed in seeds:
             cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=L, p=0.5, seed=seed)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+            joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
     return costs
 
 

@@ -23,7 +23,6 @@ from specshare.interference import (
     check_covariances,
     fmfb_weights,
     interference_diag_matrix,
-    noise_covariances,
     scheme_weights,
     tip_weights,
     weighted_eip,
@@ -186,10 +185,8 @@ class TestSolveWeightedEip:
     def test_scenario1_capacity_active(self):
         cfg = ScenarioConfig(p=0.5, seed=0)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        sol = solve_weighted_eip(w, scn.H, scn.G2, noise,
-                                 cfg.P_t, cfg.C)
+        sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
         check_covariances(sol.schedule)
@@ -352,11 +349,10 @@ class TestSelfishDesign:
         for seed in range(3):
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            whitened = covdesign._whiten(scn.H, noise)
+            whitened = covdesign._whiten(scn.H, scn.noise)
             kernel = covdesign._DualKernel.unweighted(whitened)
             step = kernel.step(1.0, cfg.C)
-            sol = selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
+            sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
             assert sol.schedule.tobytes() == kernel.covariances(step).tobytes()
             assert sol.iterations == 1 and sol.converged
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
@@ -378,12 +374,10 @@ class TestVerifySolution:
     def test_selfish_vs_cooperative_ordering(self):
         cfg = ScenarioConfig(p=0.5, seed=1)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        coop = solve_weighted_eip(w, scn.H, scn.G2, noise,
-                                  cfg.P_t, cfg.C)
-        report = verify_solution(coop, scn.H, scn.G2, noise, cfg.P_t, cfg.C, weights=w,
-                                 other=selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2))
+        coop = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+        report = verify_solution(coop, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C, weights=w,
+                                 other=selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2))
         assert report["psd_ok"]
         assert report["power_feasible"]
         assert report["capacity_active"]
@@ -574,10 +568,9 @@ class TestDualKernel:
     def test_default_scenario_dual_evaluations(self):
         cfg = ScenarioConfig(p=0.6, seed=0)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates the lowest grid point only.
             assert sol.lambda1 == 2.0 ** -30
@@ -589,10 +582,9 @@ class TestDualKernel:
         monkeypatch.setattr(covdesign, "_memo", None)
         cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
             assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 1
             assert sol.converged
@@ -628,7 +620,7 @@ class TestGramKernel:
     def test_default_scenario(self):
         cfg = ScenarioConfig(p=0.6, seed=3)
         scn = make_scenario(cfg)
-        whitened = covdesign._whiten(scn.H, noise_covariances(cfg, scn.G1, scn.S))
+        whitened = covdesign._whiten(scn.H, scn.noise)
         for w in (tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)):
             kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
             for lambda1 in (2.0 ** -30, 1e-3, 1.0, 2.0 ** 10):
@@ -654,7 +646,7 @@ class TestGramKernel:
         scn = make_scenario(cfg)
         kernel = covdesign._DualKernel.weighted(
             scheme_weights(cfg, scn.omega, scn.S), scn.G2,
-            covdesign._whiten(scn.H, noise_covariances(cfg, scn.G1, scn.S)))
+            covdesign._whiten(scn.H, scn.noise))
         assert np.count_nonzero(kernel.a[:, 0] <= 1e-12 * kernel.a[:, -1]) > cfg.L // 2
         assert_matches_svd_oracle(kernel, 2.0 ** -30, cfg.C)
 
@@ -1013,8 +1005,7 @@ class TestDualSearch:
                 for seed in range(4):
                     cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed)
                     scn = make_scenario(cfg, require_coverage=False)  # as the sweep draws it
-                    noise = noise_covariances(cfg, scn.G1, scn.S)
-                    whitened = covdesign._whiten(scn.H, noise)
+                    whitened = covdesign._whiten(scn.H, scn.noise)
                     check = budget_check(whitened, cfg.C)
                     p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, cfg.C).power
                     # noncoop, coop or full, and partial under Scheme II.
@@ -1037,12 +1028,10 @@ class TestDualSearch:
         for p in (0.2, 0.6, 1.0):
             cfg = ScenarioConfig(p=p, seed=3)
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
             for w in (tip_weights(cfg.M_rR, cfg.L),
                       scheme_weights(cfg, scn.omega, scn.S)):
                 for P_t in (cfg.P_t, 0.1 * cfg.P_t):
-                    self.assert_same(monkeypatch, w, scn.H, scn.G2,
-                                     noise, P_t, cfg.C)
+                    self.assert_same(monkeypatch, w, scn.H, scn.G2, scn.noise, P_t, cfg.C)
 
     def test_probes_are_capped_on_a_step_curve(self):
         # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the

@@ -12,7 +12,7 @@ from specshare import covdesign, harness
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import InfeasibleError, SolverError, solve_weighted_eip
 from specshare.harness import ExperimentSpec, format_csv, run_compare
-from specshare.interference import noise_covariances, scheme_weights, tip_weights
+from specshare.interference import scheme_weights, tip_weights
 from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
 
@@ -53,9 +53,7 @@ def fingerprint(sol):
 def solve(method, cfg):
     """The harness's design for method on a freshly generated scenario, so
     that every call passes new arrays with the same bytes."""
-    scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
-    return harness._solve_method(method, cfg, scn, noise)[0]
+    return harness._solve_method(method, cfg, make_scenario(cfg))[0]
 
 
 def scheme_cases():
@@ -113,9 +111,8 @@ def perturbed_designs():
 def test_any_changed_input_misses(monkeypatch, name, change):
     cfg = ScenarioConfig(p=0.5, seed=5)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
     w = scheme_weights(cfg, scn.omega, scn.S)
-    design = (w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+    design = (w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
     base = solve_weighted_eip(*design)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
     assert solve_weighted_eip(*design) is base and not counts
@@ -144,9 +141,7 @@ def test_returned_designs_are_read_only():
 def small_design():
     cfg = ScenarioConfig(p=0.5, seed=7)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
-    w = tip_weights(cfg.M_rR, cfg.L)
-    return (w, scn.H, scn.G2, noise, cfg.P_t, cfg.C)
+    return (tip_weights(cfg.M_rR, cfg.L), scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
 
 
 class TestErrorsAreNotMemoized:
@@ -237,10 +232,9 @@ def test_joint_design_whitens_once(monkeypatch):
     # after one solve.
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=2)
     scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
     forget(monkeypatch)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+    result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
     assert result.outer_iterations >= 2
     assert counts["_whiten"] == 1
     assert counts["_dual_search"] <= result.outer_iterations

@@ -22,7 +22,7 @@ from specshare.harness import (
     write_csv,
 )
 from specshare.completion import radar_pipeline
-from specshare.interference import MetricError, noise_covariances
+from specshare.interference import MetricError
 from specshare.samplingopt import spectral_gap
 from specshare.scenario import ScenarioError, make_scenario
 from specshare.streams import stream
@@ -234,10 +234,9 @@ class TestRunCompare:
             assert r.error == "capacity target 30.0 unreachable within power budget 32.0"
             assert np.isnan(r.eip) and np.isnan(r.power)
         scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         with pytest.raises(InfeasibleError, match="unreachable within power budget 32.0"):
-            selfish(scn.H, noise, cfg.C, cfg.P_t, scn.G2)
-        assert selfish(scn.H, noise, cfg.C, np.inf, scn.G2).consumed_power > cfg.P_t
+            selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
+        assert selfish(scn.H, scn.noise, cfg.C, np.inf, scn.G2).consumed_power > cfg.P_t
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(cfg, require_coverage=True):
@@ -301,9 +300,8 @@ class TestRunCompare:
         methods = ["selfish", "noncoop", "coop", "joint"]
         rows = run_compare(ExperimentSpec(cfg=cfg, methods=methods, seeds=[3], mc_trials=3))
         scn = make_scenario(cfg, require_coverage=True)
-        noise = noise_covariances(cfg, scn.G1, scn.S)
         for row in rows:
-            sol, omega = harness._solve_method(row.method, cfg, scn, noise)
+            sol, omega = harness._solve_method(row.method, cfg, scn)
             stats = radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, omega, 3,
                                    stream(cfg.seed, "mc", row.method, "none", 0.0))
             assert (row.mc_mean_err, row.mc_std_err) == (stats.mean_error, stats.std_error)
@@ -694,6 +692,28 @@ class TestCli:
         spec = ExperimentSpec(cfg=scenario1(targets=[(30.0, 0j)]),
                               methods=["selfish", "noncoop"], mc_trials=1)
         assert out == format_csv(run_compare(spec))
+        # Some rows fail: each reason is printed all the same; the exit code is 0.
+        assert cli_main(["sweep", "--methods", "selfish", "--sweep", "C=6:96:90"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "error: capacity target 96.0 unreachable within power budget 32.0\n"
+        assert out.splitlines()[2].startswith("selfish,C,96,0,nan,")
+
+    @pytest.mark.parametrize("config,code,message", [
+        ("gamma2_dB = 6000", 2, "error: radar signal power is not finite\n"),
+        ("snr_dB = -3230", 2, "error: radar noise variance is not finite\n"),
+        ("snr_dB = -3000", 0, ""),  # finite: a recovery error near 1e150
+    ], ids=["gamma2_dB-6000", "snr_dB-3230", "snr_dB-3000-finite"])
+    def test_radar_overflow_reported(self, tmp_path, capsys, config, code, message):
+        """Radar data that overflows fails the row with a ScenarioError, not a
+        RuntimeWarning (an error in this suite); the design columns print."""
+        path = tmp_path / "cfg.txt"
+        path.write_text(config + "\n")
+        assert cli_main(["mc-eval", "--mc-trials", "2", "--methods", "selfish",
+                         "--config", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert err == message
+        row = out.splitlines()[1].split(",")
+        assert row[4] != "nan" and (row[8] == "nan") == (code == 2)
 
     def test_unknown_method_exit_code(self, capsys):
         assert cli_main(["compare", "--methods", "bogus"]) == 1

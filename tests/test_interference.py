@@ -709,7 +709,7 @@ class TestStackedAgainstPerSymbol:
         cfg = ScenarioConfig(p=0.6, seed=2, C=24.0, P_t=128.0)
         scn = make_scenario(cfg)
         sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S), scn.H, scn.G2,
-                                 noise_covariances(cfg, scn.G1, scn.S), cfg.P_t, cfg.C)
+                                 scn.noise, cfg.P_t, cfg.C)
         designs = list(sol.schedule)
         # The design's covariances have rank M_rC = 4 of M_tC = 8.
         assert max(np.linalg.matrix_rank(R) for R in designs) == 4
@@ -762,12 +762,11 @@ class TestStackedAgainstPerSymbol:
         one singular matrix of a stack, and the default noise passes."""
         for cfg in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128)):
             scn = make_scenario(cfg)
-            noise = noise_covariances(cfg, scn.G1, scn.S)
-            singular = noise_covariances(cfg.replace(sigma_C2=0.0), scn.G1, scn.S)
-            one_singular = noise.copy()
+            singular = make_scenario(cfg.replace(sigma_C2=0.0)).noise
+            one_singular = scn.noise.copy()
             one_singular[3] = singular[3]
             schedule = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
-            for stack, ok in ((noise, True), (singular, False), (one_singular, False)):
+            for stack, ok in ((scn.noise, True), (singular, False), (one_singular, False)):
                 assert (np.linalg.eigvalsh(hermitize(stack))[:, 0].min() > 0.0) == ok
                 if ok:
                     assert average_capacity(schedule, scn.H, stack) == 0.0

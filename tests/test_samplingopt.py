@@ -8,12 +8,7 @@ import pytest
 from specshare import samplingopt
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import (
-    interference_diag_matrix,
-    noise_covariances,
-    scheme_weights,
-    weighted_eip,
-)
+from specshare.interference import interference_diag_matrix, scheme_weights, weighted_eip
 from specshare.samplingopt import (
     best_column_permutation,
     joint_design,
@@ -215,27 +210,24 @@ class TestSpectralGap:
 
 def scenario_instance(seed, scheme=Scheme.SCHEME_I, p=0.5, **kw):
     cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed, **kw)
-    scn = make_scenario(cfg)
-    noise = noise_covariances(cfg, scn.G1, scn.S)
-    return cfg, scn, noise
+    return cfg, make_scenario(cfg)
 
 
 class TestJointDesign:
     def test_zero_interference_channel_converges_immediately(self):
-        cfg, scn, noise = scenario_instance(0)
+        cfg, scn = scenario_instance(0)
         G2 = np.zeros_like(scn.G2)
-        result = joint_design(cfg, scn.H, G2, noise, scn.S, scn.omega)
+        result = joint_design(cfg, scn.H, G2, scn.noise, scn.S, scn.omega)
         assert result.outer_iterations == 1
         assert result.eip_trace == [0.0]
         assert np.array_equal(result.mask, scn.omega)
 
     def test_never_worse_than_cooperative(self):
         for seed in range(3):
-            cfg, scn, noise = scenario_instance(seed)
+            cfg, scn = scenario_instance(seed)
             w = scheme_weights(cfg, scn.omega, scn.S)
-            coop = solve_weighted_eip(w, scn.H, scn.G2, noise,
-                                      cfg.P_t, cfg.C)
-            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+            coop = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+            result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
             joint_eip = weighted_eip(
                 scheme_weights(cfg, result.mask, scn.S),
                 interference_diag_matrix(scn.G2, result.solution.schedule))
@@ -244,8 +236,8 @@ class TestJointDesign:
 
     def test_trace_nonincreasing_and_orbit_preserved(self):
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
-            cfg, scn, noise = scenario_instance(1, scheme=scheme)
-            result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+            cfg, scn = scenario_instance(1, scheme=scheme)
+            result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
             trace = result.eip_trace
             assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
             s_in = np.linalg.svd(scn.omega, compute_uv=False)
@@ -253,8 +245,8 @@ class TestJointDesign:
             assert np.linalg.norm(s_in - s_out) <= 1e-10
 
     def test_final_eip_matches_schedule_and_mask(self):
-        cfg, scn, noise = scenario_instance(2, scheme=Scheme.SCHEME_II)
-        result = joint_design(cfg, scn.H, scn.G2, noise, scn.S, scn.omega)
+        cfg, scn = scenario_instance(2, scheme=Scheme.SCHEME_II)
+        result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
         val = weighted_eip(scheme_weights(cfg, result.mask, scn.S),
                            interference_diag_matrix(scn.G2, result.solution.schedule))
         # The recorded trace ends with the EIP of the final schedule under the

@@ -8,6 +8,7 @@ import pytest
 
 from specshare import completion
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
+from specshare.interference import noise_covariances
 from specshare.scenario import (
     ScenarioError,
     _coverage_probability,
@@ -362,8 +363,18 @@ class TestMakeScenario:
         cfg = ScenarioConfig(p=0.5, seed=13)
         a = make_scenario(cfg)
         b = make_scenario(cfg)
-        for name in ("H", "G1", "G2", "S", "D", "omega"):
+        for name in ("H", "G2", "S", "D", "omega", "noise"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(p=0.5, seed=4),
+        ScenarioConfig(scheme=Scheme.SCHEME_II, p=0.5, seed=4),
+        ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1),
+    ], ids=["scheme1", "scheme2", "L128"])
+    def test_noise_bit_equals_the_formula_on_the_channels_G1(self, cfg):
+        G1 = generate_channels(cfg, stream(cfg.seed, "channels"))[1]
+        scn = make_scenario(cfg)
+        assert scn.noise.tobytes() == noise_covariances(cfg, G1, scn.S).tobytes()
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.
@@ -422,7 +433,8 @@ class TestPinnedDraws:
         for seed in range(4):
             cfg = ScenarioConfig(p=0.3, scheme=scheme, seed=seed)
             scn = make_scenario(cfg, require_coverage=require_coverage)
-            got = tuple(digest(a) for a in (scn.H, scn.G1, scn.G2, scn.S, scn.D))
+            G1 = generate_channels(cfg, stream(seed, "channels"))[1]
+            got = tuple(digest(a) for a in (scn.H, G1, scn.G2, scn.S, scn.D))
             assert got == self.SCENARIO_DIGESTS[seed]
             assert digest(scn.omega) == self.MASK_DIGESTS[scheme, require_coverage][seed]
 
