@@ -112,7 +112,11 @@ def complete(
     if seen.sum(axis=1).min() < 1 or seen.sum(axis=0).min() < 1:
         raise ValueError("mask has an empty row or column; completion impossible")
     masked = omega * observed
-    if np.linalg.norm(masked) == 0.0:
+    with np.errstate(over="ignore"):
+        energy = np.vdot(masked, masked).real
+    if not math.isfinite(energy):
+        raise MetricError("observation's squared norm is not finite")
+    if energy == 0.0:
         return np.zeros_like(observed), 0, True
     sigma1 = float(gram_spectrum(masked)[0][0])
     mu_final = params.mu if params.mu is not None else params.mu_rel * sigma1

@@ -87,9 +87,9 @@ class ScenarioConfig:
         # NaN passes every range test below, and inf some of them. Every
         # real-number field is tested, whatever its type: NumPy's float32
         # is not a float.
-        for name, kind in _FIELD_TYPES.items():
+        for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if float not in (kind, *typing.get_args(kind)) or value is None:
+            if value is None:
                 continue
             try:
                 finite = math.isfinite(value)
@@ -168,6 +168,9 @@ def _parse_targets(text):
 
 _FIELD_NAMES = [f.name for f in dataclasses.fields(ScenarioConfig)]
 _FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+# The real-number fields (float or float | None), which __post_init__ tests.
+_REAL_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items()
+                     if float in (kind, *typing.get_args(kind)))
 
 
 def _parse_value(key, text):

@@ -8,8 +8,9 @@ for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
 follow from the closed-form subproblem solution. The search returns the
 smallest point of a bisection grid whose power is below P_t, found by
-Illinois steps, with its lower neighbour (or 0) evaluated at or above P_t
-as a certificate; a slack budget takes one evaluation (see _dual_search).
+Brent-Dekker steps on the log of power / P_t over log lambda1, with its
+lower neighbour (or 0) evaluated at or above P_t as a certificate; a slack
+budget takes one evaluation (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
@@ -226,6 +227,36 @@ def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
                           consumed_power=power, **fields)
 
 
+def _log_ratio(power: float, P_t: float) -> float:
+    """log(power / P_t), NaN where it is not finite."""
+    ratio = power / P_t
+    return math.log(ratio) if 0.0 < ratio < math.inf else math.nan
+
+
+def _brent_step(x_a, g_a, x_b, g_b, x_c, g_c, d, e) -> tuple[float, float]:
+    """Brent-Dekker's next step from x_b toward a root of g bracketed by x_b
+    and x_c, with x_a the estimate before x_b and d, e the last two steps:
+    (step, the step before it). Inverse quadratic interpolation through the
+    three points, or the secant where x_a is x_c, is taken when it stays
+    within three quarters of the bracket and is shorter than half of e;
+    otherwise, or where a g is not finite or g_b is 0, the midpoint."""
+    half = 0.5 * (x_c - x_b)
+    if g_b != 0.0 and abs(g_a) > abs(g_b) and all(map(math.isfinite, (g_a, g_b, g_c))):
+        s = g_b / g_a
+        if x_a == x_c:
+            p, q = 2.0 * half * s, 1.0 - s
+        else:
+            q, r = g_a / g_c, g_b / g_c
+            p = s * (2.0 * half * q * (q - r) - (x_b - x_a) * (r - 1.0))
+            q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+        if p > 0.0:
+            q = -q
+        p = abs(p)
+        if 2.0 * p < min(3.0 * half * q, abs(e * q)):
+            return p / q, d
+    return half, half
+
+
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
                  max_iterations: int, check_budget) -> tuple[_DualIterate, int, bool]:
     """The search on lambda1, 0 < dual_tol < 1: (iterate, dual evaluations,
@@ -241,10 +272,11 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     first: below P_t, it is the answer (the budget is slack), certified by
     lambda1 = 0; otherwise it is the lower end, or hi / 2 is if the bracket
     grew. When power(hi) equals P_t, its lower neighbour comes next: it
-    certifies hi, or is below P_t and replaces it. Then Illinois steps on
-    power(lambda1) - P_t in log(lambda1), as the bracket spans about 30
-    octaves, each rounded to a grid point strictly inside the bracket; after
-    n of them, midpoints. The search stops when the ends are neighbouring
+    certifies hi, or is below P_t and replaces it. Then Brent-Dekker steps
+    (_brent_step) on g = log(power(lambda1) / P_t) over log(lambda1), as
+    the bracket spans about 30 octaves, each rounded to a grid point
+    strictly inside the bracket, with a midpoint wherever g is not finite;
+    after n of them, midpoints. The search stops when the ends are neighbouring
     grid points, or after max_iterations evaluations, and returns the top
     end. converged says whether the bracket is then at most dual_tol wide;
     its lower end, evaluated at or above P_t, certifies the answer.
@@ -264,37 +296,39 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
         best = kernel.step(hi, C)
         evaluations += 1
     # The ends as grid indices: powers of two over a power of two, exact.
-    top, f_top = int(hi / grid), best.power - P_t
-    low, f_low = int(below.lambda1 / grid), below.power - P_t
+    top, g_top = int(hi / grid), _log_ratio(best.power, P_t)
+    low, g_low = int(below.lambda1 / grid), _log_ratio(below.power, P_t)
     n = top.bit_length() - 1  # the halvings from hi to the grid
-    steps, moved = 0, 0  # moved: the end the last step replaced, -1 low, +1 top
+    # Brent-Dekker state, points as grid indices k with x = log(k): b the
+    # last point, a the estimate before it, c the other end; d the last
+    # step in x and e the one before it.
+    a, g_a, b, g_b = low, g_low, top, g_top
+    steps = 0
     while top - low > 1 and evaluations < max_iterations:
+        c, g_c = (low, g_low) if b == top else (top, g_top)
+        if c == a:  # the first step, or b crossed the root: a and b are the ends
+            d = e = math.log(b / a)
+        if abs(g_c) < abs(g_b):  # b becomes the end nearer the root
+            a, g_a, b, g_b, c, g_c = b, g_b, c, g_c, b, g_b
         if best.power == P_t:
             # Only the bracket top can tie P_t: its lower neighbour, at or
             # above P_t, certifies it, and below P_t replaces it.
             k = top - 1
         elif steps < n:
-            # The secant root in log(lambda1); a non-finite weight, or one
-            # with the lower end at P_t, falls back to the geometric midpoint.
-            t = f_top / (f_top - f_low) if f_top < f_low else math.nan
-            if not 0.0 < t < 1.0:
-                t = 0.5
-            k = round(math.exp(math.log(top) - t * math.log(top / low)))
-            k = min(max(k, low + 1), top - 1)
+            d, e = _brent_step(math.log(a), g_a, math.log(b), g_b, math.log(c), g_c, d, e)
+            k = min(max(round(b * math.exp(d)), low + 1), top - 1)
+            d = math.log(k / b)
             steps += 1
         else:
             k = (low + top) // 2
         it = kernel.step(k * grid, C)
         evaluations += 1
-        # Illinois: an end kept twice in a row has its value halved.
+        g = _log_ratio(it.power, P_t)
         if it.power < P_t:
-            if moved > 0:
-                f_low *= 0.5
-            best, top, f_top, moved = it, k, it.power - P_t, 1
+            best, top, g_top = it, k, g
         else:
-            if moved < 0:
-                f_top *= 0.5
-            low, f_low, moved = k, it.power - P_t, -1
+            low, g_low = k, g
+        a, g_a, b, g_b = b, g_b, k, g
     return best, evaluations, (top - low) * grid <= dual_tol
 
 
@@ -370,7 +404,7 @@ def solve_weighted_eip(
     design; the search tests it before its bracket grows past lambda1 = 1.
     converged says whether the search's bracket reached DUAL_TOL within
     MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
-    when the power budget is slack and 7 to 17 when it binds (the
+    when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
     """

@@ -4,10 +4,13 @@ Generates the channels H, G1 and G2, the radar waveforms S, the target
 response D, the sampling mask omega and the recovery trials' codewords,
 phases and noise, all plain arrays, and synthesizes the masked radar
 receive matrix. All generators are pure functions of (config, rng stream).
+make_scenario keeps the draws of its last config that depend on neither p
+nor the scheme, so a p-sweep's grid points redraw only the mask.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from math import comb
 
@@ -242,7 +245,9 @@ def synthesize_radar_rx(
 @dataclass
 class Scenario:
     """One fully generated experiment instance: the generators' arrays and
-    the comm receiver's noise stack R_w, G1's one use (noise_covariances)."""
+    the comm receiver's noise stack R_w, G1's one use (noise_covariances).
+    All but omega are read-only, shared with the scenarios of configs that
+    differ only in p or the scheme (make_scenario)."""
 
     H: np.ndarray
     G2: np.ndarray
@@ -252,16 +257,54 @@ class Scenario:
     noise: np.ndarray
 
 
-def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenario:
-    """Generate every random input of an experiment from named streams of
-    cfg.seed. Stream separation keeps each piece stable as others evolve."""
+# Every config field but the two only the sampling mask reads: a config
+# that differs from the memoized one only in p or the scheme reuses its draws.
+_SHARED_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
+                       if f.name not in ("p", "scheme"))
+
+
+def _bits(value):
+    """An exact memo key for a config value: its type, and the bits of a
+    float or complex (0.0 and -0.0 differ), a list element by element. Other
+    values, such as integers and None, compare exactly as they are."""
+    if isinstance(value, (list, tuple)):
+        return type(value), tuple(map(_bits, value))
+    if isinstance(value, float):
+        return type(value), value.hex()
+    if isinstance(value, complex):
+        return type(value), value.real.hex(), value.imag.hex()
+    return type(value), value
+
+
+def _shared_draws(cfg: ScenarioConfig) -> tuple:
+    """(H, G2, S, D, noise), the draws that do not depend on p or the
+    scheme, made read-only to be shared."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
-    return Scenario(
-        H, G2, S,
-        D=generate_target_response(cfg),
-        omega=generate_sampling_mask(
-            cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage
-        ),
-        noise=noise_covariances(cfg, G1, S),
-    )
+    draws = (H, G2, S, generate_target_response(cfg), noise_covariances(cfg, G1, S))
+    for a in draws:
+        a.flags.writeable = False
+    return draws
+
+
+# (key, _shared_draws) of the last config; a key that differs in any bit
+# replaces it. It takes no lock: the harness makes scenarios on one thread.
+_memo: tuple | None = None
+
+
+def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenario:
+    """Generate every random input of an experiment from named streams of
+    cfg.seed. Stream separation keeps each piece stable as others evolve.
+
+    The draws that depend on neither p nor the scheme (H, G2, S, D and the
+    noise stack) are memoized for the last config, keyed on the exact bits
+    of its other fields, the seed included; they are read-only arrays, the
+    same objects at every hit. The mask is drawn at every call, after them.
+    An error is never memoized."""
+    global _memo
+    key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)
+    if _memo is None or _memo[0] != key:
+        _memo = (key, _shared_draws(cfg))
+    H, G2, S, D, noise = _memo[1]
+    omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage)
+    return Scenario(H, G2, S, D, omega, noise)

@@ -1,15 +1,17 @@
-"""Every test starts with an empty design memo (specshare.covdesign keeps
-the solves of its last problem), so a test that replaces a solver part
-sees a fresh solve and not one memoized by an earlier test."""
+"""Every test starts with empty memos (specshare.covdesign keeps the solves
+of its last problem, specshare.scenario the draws of its last config), so a
+test that replaces a solver part or a generator sees a fresh solve and fresh
+draws, not ones memoized by an earlier test."""
 
 import pytest
 
-from specshare import covdesign
+from specshare import covdesign, scenario
 
 
 @pytest.fixture(autouse=True)
-def empty_design_memo(monkeypatch):
+def empty_memos(monkeypatch):
     monkeypatch.setattr(covdesign, "_memo", None)
+    monkeypatch.setattr(scenario, "_memo", None)
 
 
 @pytest.fixture

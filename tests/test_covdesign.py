@@ -922,7 +922,7 @@ class TestDualSearch:
                 counts += self.assert_same_search(kernel, C, P_t, check, dual_tol=1e-6,
                                                   exact=exact)
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
-        # Illinois steps need fewer than half the bisection's evaluations.
+        # Brent-Dekker steps need fewer than half the bisection's evaluations.
         assert 2 * counts[0] < counts[1]
 
     @pytest.mark.parametrize("max_iterations", range(1, 11))
@@ -1035,7 +1035,7 @@ class TestDualSearch:
 
     def test_probes_are_capped_on_a_step_curve(self):
         # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the
-        # secant weight is 5e-301, and uncapped Illinois steps would creep
+        # secant weight is 5e-301, and uncapped interpolation steps would creep
         # one grid point at a time from hi for about a thousand evaluations.
         class StepCurve:
             def step(self, lambda1, C):
@@ -1047,5 +1047,5 @@ class TestDualSearch:
         ref, ref_evaluations, ref_converged = bisection_oracle(StepCurve(), *args)
         assert best.lambda1 == ref.lambda1 and converged and ref_converged
         # One bracket evaluation, then at most 1 + 2n with n = 30 halvings:
-        # the lowest grid point, n Illinois steps and n midpoints.
+        # the lowest grid point, n Brent-Dekker steps and n midpoints.
         assert ref_evaluations == 31 and evaluations <= 1 + 1 + 2 * 30

@@ -701,11 +701,14 @@ class TestCli:
     @pytest.mark.parametrize("config,code,message", [
         ("gamma2_dB = 6000", 2, "error: radar signal power is not finite\n"),
         ("snr_dB = -3230", 2, "error: radar noise variance is not finite\n"),
+        # sigma_R2 is finite, the observation's squared norm is not.
+        ("snr_dB = -3080", 2, "error: observation's squared norm is not finite\n"),
         ("snr_dB = -3000", 0, ""),  # finite: a recovery error near 1e150
-    ], ids=["gamma2_dB-6000", "snr_dB-3230", "snr_dB-3000-finite"])
+    ], ids=["gamma2_dB-6000", "snr_dB-3230", "snr_dB-3080", "snr_dB-3000-finite"])
     def test_radar_overflow_reported(self, tmp_path, capsys, config, code, message):
-        """Radar data that overflows fails the row with a ScenarioError, not a
-        RuntimeWarning (an error in this suite); the design columns print."""
+        """Radar data that overflows fails the row with a ScenarioError or a
+        MetricError, not a RuntimeWarning (an error in this suite); the
+        design columns print."""
         path = tmp_path / "cfg.txt"
         path.write_text(config + "\n")
         assert cli_main(["mc-eval", "--mc-trials", "2", "--methods", "selfish",

@@ -80,11 +80,11 @@ def test_stored_reference_rows(name):
 COUNT_SEEDS = range(13, 19)
 DEFAULT_SWEEP = "default-p-sweep"
 COUNTS = {
-    "sweep-p": {"step": [23, 25, 23, 36, 30, 66], "_dual_search": [11] * 6},
+    "sweep-p": {"step": [22, 17, 18, 26, 30, 52], "_dual_search": [11] * 6},
     "joint-long": {"step": [2] * 6, "_dual_search": [2] * 6,
                    "hungarian": [6, 5, 6, 6, 4, 8], "outer_iterations": [2] * 6},
     "mc-recovery": {"step": [2] * 6, "_dual_search": [2] * 6},
-    DEFAULT_SWEEP: {"step": [128], "_dual_search": [24]},
+    DEFAULT_SWEEP: {"step": [95], "_dual_search": [24]},
 }
 
 

@@ -1,12 +1,13 @@
 """Scenario generation: channels, waveforms, targets, masks, phases, signals."""
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from specshare import completion
+from specshare import completion, scenario
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
 from specshare.interference import noise_covariances
 from specshare.scenario import (
@@ -375,6 +376,54 @@ class TestMakeScenario:
         G1 = generate_channels(cfg, stream(cfg.seed, "channels"))[1]
         scn = make_scenario(cfg)
         assert scn.noise.tobytes() == noise_covariances(cfg, G1, scn.S).tobytes()
+
+    SHARED = ("H", "G2", "S", "D", "noise")
+    # A valid value other than the base config's for every field that is
+    # not the mask's: each must miss the memo. -0.0 equals C = 0.0 under ==
+    # but not in its bits, and np.int64(4) equals the seed but is another type.
+    OTHER = {
+        "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "P_t": 40.0, "C": -0.0,
+        "sigma_C2": 0.02, "sigma_R2": 0.05, "snr_dB": 20.0, "sigma1_2": 0.2, "sigma2_2": 0.2,
+        "gamma2_dB": -20.0, "rho2": 4000.0, "sigma_alpha2": 1e-2,
+        "targets": [(-20.0, 0.2 + 0.1j)], "seed": np.int64(4),
+    }
+
+    @pytest.mark.parametrize("change", [
+        {"p": 0.3}, {"scheme": Scheme.SCHEME_II}, {"p": 0.3, "scheme": Scheme.SCHEME_II},
+    ], ids=["p", "scheme", "both"])
+    def test_mask_fields_reuse_the_draws(self, monkeypatch, change):
+        """A config that differs from the last only in p or the scheme gets
+        the draws a cold call makes, bit for bit, as the last call's objects,
+        and its own mask."""
+        cfg = ScenarioConfig(p=0.5, seed=4, C=0.0)
+        cold = make_scenario(cfg.replace(**change))
+        monkeypatch.setattr(scenario, "_memo", None)
+        first = make_scenario(cfg)
+        warm = make_scenario(cfg.replace(**change))
+        for name in self.SHARED:
+            assert getattr(warm, name) is getattr(first, name)
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        assert warm.omega.tobytes() == cold.omega.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(OTHER))
+    def test_every_other_field_misses(self, name):
+        cfg = ScenarioConfig(p=0.5, seed=4, C=0.0)
+        other = cfg.replace(**{name: self.OTHER[name]})
+        first = make_scenario(cfg)
+        miss = make_scenario(other)
+        assert all(getattr(miss, a) is not getattr(first, a) for a in self.SHARED)
+        assert make_scenario(other).H is miss.H  # and is then the one memoized
+
+    def test_other_fields_cover_the_config(self):
+        names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(self.OTHER) == names - {"p", "scheme"}
+
+    def test_shared_arrays_refuse_writes(self):
+        scn = make_scenario(ScenarioConfig(p=0.5, seed=4))
+        for name in self.SHARED:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(scn, name)[0, 0] = 0.0
+        scn.omega[0, 0] = 0.0  # every call draws its own mask
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.
