@@ -145,11 +145,15 @@ class ScenarioConfig:
 
 
 def _format_value(name, value):
+    """A field's text as parse_config reads it: numbers as Python numbers,
+    whatever their type (NumPy's repr prefixes its scalars with theirs)."""
     if name == "scheme":
         return value.value
     if name == "targets":
-        return ";".join(f"{ang!r}:{coef!r}" for ang, coef in value)
-    return repr(value)
+        return ";".join(f"{float(ang)!r}:{complex(coef)!r}" for ang, coef in value)
+    if value is None:
+        return "None"
+    return repr(float(value) if name in _REAL_FIELDS else int(value))
 
 
 def _parse_targets(text):

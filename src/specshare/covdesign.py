@@ -15,28 +15,30 @@ budget takes one evaluation (see _dual_search).
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
 the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
-solve; each dual step is then one stacked Hermitian eigendecomposition of
-the narrow-side Gram matrices of the whitened channels, and the power
-follows in closed form from its factors. Covariance matrices are built only
-for the returned iterate. The selfish design is the one with W_l = 0 and
-takes the same search: A_l = 0 and c_l = 1 at every lambda1, so its power
-is flat, and a slack budget is met by the first evaluation. C is reachable
-within P_t exactly when the minimum-power (W_l = 0) design fits in it; the
-search asks that only where it would grow its bracket past lambda1 = 1,
-since any lambda1 with power within P_t proves feasibility.
+solve, and the whitened channels once per problem, in closed form (_whiten).
+Each dual step is then one stacked Hermitian eigendecomposition of the
+narrow-side Gram matrices of the whitened channels, and the power follows
+in closed form from its factors. A design is returned as its factors,
+R_l = X_l diag(d_l) X_l^H with d_l >= 0, Hermitian and PSD by construction.
+The selfish design is the one with W_l = 0 and takes the same search: A_l = 0
+and c_l = 1 at every lambda1, so its power is flat, and a slack budget is
+met by the first evaluation. C is reachable within P_t exactly when the
+minimum-power (W_l = 0) design fits in it; the search asks that only where
+it would grow its bracket past lambda1 = 1, since any lambda1 with power
+within P_t proves feasibility.
 linalg.eig_floor is the only guard against a singular Phi_l; the kernel
 evaluates lambda1 > 0 only.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
-the exact bytes (with dtype, shape and layout) of H, the noise stack and
-C; it holds the whitened channels, the minimum power once a search has
+the exact bytes (with dtype, shape and layout) of H, the noise factors
+and C; it holds the whitened channels, the minimum power once a search has
 needed it and the last few designs, keyed by the exact bytes of the weights
 and G2 and by P_t. A problem that differs in any bit replaces the one held;
 errors are never memoized. A design passes its post-conditions (_checked)
-once, when it is computed; a memoized one comes back as the same frozen
-solution with a read-only covariance stack.
+once, when it is computed, which also scores its interference profile; a
+memoized one comes back as the same frozen solution with read-only factors.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SpecshareError
-from .interference import MetricError, average_capacity, check_covariances, total_power
-from .linalg import eig_floor, gram_spectrum, hermitize, psd_inv_sqrt
+from .interference import (CommNoise, MetricError, average_capacity, check_covariances,
+                           interference_diag_matrix, total_power)
+from .linalg import eig_floor, gram_spectrum, hermitize
 
 # The search on lambda1 shrinks its bracket to DUAL_TOL, within
 # MAX_DUAL_EVALUATIONS dual evaluations counting the bracket growth.
@@ -71,13 +74,23 @@ class SolverError(SpecshareError):
 
 @dataclass(frozen=True)
 class DesignSolution:
-    schedule: np.ndarray  # (L, M_tC, M_tC) transmit covariances
+    """A design R_l = X_l diag(d_l) X_l^H, its interference profile Q
+    (interference_diag_matrix) and its search's record."""
+
+    X: np.ndarray  # (L, M_tC, k) transmit directions
+    d: np.ndarray  # (L, k) their powers, >= 0
+    Q: np.ndarray  # (M_rR, L) interference profile
     lambda1: float  # power multiplier: the lowest grid point, 2^-30, when P_t is slack
     lambda2: float  # capacity multiplier
     achieved_capacity: float
     consumed_power: float
     iterations: int
     converged: bool
+
+    @property
+    def schedule(self) -> np.ndarray:
+        """The (L, M_tC, M_tC) covariance stack R_l, built at each access."""
+        return hermitize((self.X * self.d[:, None, :]) @ np.swapaxes(self.X, -1, -2).conj())
 
 
 def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
@@ -190,11 +203,10 @@ class _DualKernel:
         s, T = self.spectrum(lambda1)
         return self.allocate(lambda1, min_capacity_multiplier(s.ravel(), C, s.shape[0]), s, T)
 
-    def covariances(self, it: _DualIterate) -> np.ndarray:
-        """(L, n, n) stack R_l = U_l T_l diag(beta_l / s_l^2) T_l^H U_l^H."""
-        X = self.U @ it.T
-        weighted = X * _per_gain(it.beta, it.s**2)[:, None, :]
-        return hermitize(weighted @ np.swapaxes(X, -1, -2).conj())
+    def factors(self, it: _DualIterate) -> tuple[np.ndarray, np.ndarray]:
+        """(X, d) of the design R_l = X_l diag(d_l) X_l^H: X_l = U_l T_l and
+        d_l = beta_l / s_l^2."""
+        return self.U @ it.T, _per_gain(it.beta, it.s**2)
 
 
 def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -202,29 +214,47 @@ def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return np.divide(beta, gain, out=np.zeros_like(beta), where=beta > 0)
 
 
-def _whiten(H: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """(L, M_rC, M_tC) stack of whitened channels R_wl^{-1/2} H."""
-    return psd_inv_sqrt(noise) @ H
+def _whiten(H: np.ndarray, noise: CommNoise) -> np.ndarray:
+    """(L, M_rC, M_tC) stack B_l = R_wl^{-1/2} H: R_wl^{-1/2} = sigma_C^{-1}
+    (I - c_l u_l u_l^H), u_l = g_l / ||g_l||, c_l = 1 - (1 + t_l)^{-1/2} with
+    t_l = a ||g_l||^2 / sigma_C^2, as -expm1(-log1p(t_l) / 2) so that a small
+    t_l keeps its digits. With sigma_C^2 = 0, R_wl = a g_l g_l^H is singular
+    (a MetricError) unless it is the positive scalar of one receive antenna."""
+    g, a, sigma_C2 = noise.g, noise.a, noise.sigma_C2
+    if not (np.all(np.isfinite(g)) and math.isfinite(a) and math.isfinite(sigma_C2)):
+        raise MetricError("noise covariance is not finite")
+    if not np.all(np.isfinite(H)):
+        raise MetricError("channel matrix is not finite")
+    norm2 = np.sum(g.real**2 + g.imag**2, axis=1)
+    if sigma_C2 == 0.0:
+        if H.shape[0] > 1 or not np.all(a * norm2 > 0.0):
+            raise MetricError("noise covariance is not positive definite")
+        return H / np.sqrt(a * norm2)[:, None, None]
+    with np.errstate(over="ignore"):  # t_l = inf gives c_l = 1
+        c = -np.expm1(-0.5 * np.log1p(a * norm2 / sigma_C2))
+    u = np.divide(g, np.sqrt(norm2)[:, None], out=np.zeros_like(g), where=norm2[:, None] > 0.0)
+    return (H - (c[:, None] * u)[:, :, None] * (u.conj() @ H)[:, None, :]) / math.sqrt(sigma_C2)
 
 
-def _checked(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray, C: float,
+def _checked(X: np.ndarray, d: np.ndarray, whitened: np.ndarray, G2: np.ndarray, C: float,
              P_t: float, **fields) -> DesignSolution:
-    """The design of the covariance stack, with its capacity and power and
-    the other DesignSolution fields, once its post-conditions hold: Hermitian
-    PSD covariances, power within P_t and capacity at least C, both to a
-    1e-9 relative slack."""
+    """The design R_l = X_l diag(d_l) X_l^H, with its capacity, power and
+    interference profile and the other DesignSolution fields, once its
+    post-conditions hold: finite factors (R_l is Hermitian and PSD by
+    construction, d_l >= 0), power within P_t and capacity at least C, both
+    to a 1e-9 relative slack."""
     try:
-        check_covariances(schedule)
+        check_covariances(X, d)
     except MetricError as exc:
         raise SolverError(f"invalid covariance schedule: {exc}") from exc
-    power = total_power(schedule)
+    power = total_power(X, d)
     if not power <= P_t * (1.0 + 1e-9):
         raise SolverError(f"power {power!r} exceeds the budget {P_t!r}")
-    capacity = average_capacity(schedule, H, noise)
+    capacity = average_capacity(whitened, X, d)
     if not capacity >= C * (1.0 - 1e-9):
         raise SolverError(f"capacity {capacity!r} is below the target {C!r}")
-    return DesignSolution(schedule=schedule, achieved_capacity=capacity,
-                          consumed_power=power, **fields)
+    return DesignSolution(X=X, d=d, Q=interference_diag_matrix(G2, X, d),
+                          achieved_capacity=capacity, consumed_power=power, **fields)
 
 
 def _log_ratio(power: float, P_t: float) -> float:
@@ -341,8 +371,8 @@ def _exact(*values) -> tuple:
 
 @dataclass
 class _Problem:
-    """One design problem (H, noise, C) and what its designs share: the
-    whitened channels and, once a search has needed it, the power of the
+    """One design problem (H, noise factors, C) and what its designs share:
+    the whitened channels and, once a search has needed it, the power of the
     minimum-power (W_l = 0) design, the feasibility test. designs holds up
     to _MEMO_SIZE checked solutions under _exact(weights, G2, P_t), the
     least recently used dropped first."""
@@ -366,7 +396,8 @@ class _Problem:
             self.designs.move_to_end(key)
             return self.designs[key]
         sol = solve()  # an error propagates and nothing is kept
-        sol.schedule.flags.writeable = False
+        for a in (sol.X, sol.d, sol.Q):
+            a.flags.writeable = False
         self.designs[key] = sol
         if len(self.designs) > _MEMO_SIZE:
             self.designs.popitem(last=False)
@@ -378,10 +409,10 @@ class _Problem:
 _memo: _Problem | None = None
 
 
-def _problem(H: np.ndarray, noise: np.ndarray, C: float) -> _Problem:
+def _problem(H: np.ndarray, noise: CommNoise, C: float) -> _Problem:
     """The problem (H, noise, C), memoized."""
     global _memo
-    key = _exact(H, noise, C)
+    key = _exact(H, noise.g, noise.a, noise.sigma_C2, C)
     if _memo is None or _memo.key != key:
         _memo = _Problem(key, C, _whiten(H, noise))
     return _memo
@@ -391,7 +422,7 @@ def solve_weighted_eip(
     weights: np.ndarray,
     H: np.ndarray,
     G2: np.ndarray,
-    noise: np.ndarray,
+    noise: CommNoise,
     P_t: float,
     C: float,
 ) -> DesignSolution:
@@ -407,8 +438,10 @@ def solve_weighted_eip(
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
+    MetricError: H or the noise factors are not finite, or a noise
+    covariance R_wl is singular (_whiten).
     """
-    if len(noise) != len(weights):
+    if len(noise.g) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
@@ -418,7 +451,7 @@ def solve_weighted_eip(
         kernel = _DualKernel.weighted(weights, G2, problem.whitened)
         best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
                                                    problem.check_budget)
-        return _checked(kernel.covariances(best), H, noise, C, P_t,
+        return _checked(*kernel.factors(best), problem.whitened, G2, C, P_t,
                         lambda1=best.lambda1, lambda2=best.lambda2,
                         iterations=iterations, converged=converged)
 

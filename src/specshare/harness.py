@@ -5,11 +5,12 @@ An ExperimentSpec builds the config of every point of its sweep grid once,
 and run_compare, the one runner, runs the whole grid or the grid points it
 is given; a value off the grid is refused before anything runs.
 
-Every row scores its design through one interference profile Q: the eip
-column is the radar scheme's EIP (scheme_weights) and the tip column the
-total interference power, both weighted sums of Q. Radar and comm systems
-share one L-symbol block, as in the paper; the mismatched-rate metric is a
-library call (mismatched_weight_diagonals, then weighted_eip).
+Every row scores its design through the interference profile Q the design
+carries (covdesign.DesignSolution.Q): the eip column is the radar scheme's
+EIP (scheme_weights) and the tip column the total interference power, both
+weighted sums of Q. Radar and comm systems share one L-symbol block, as in
+the paper; the mismatched-rate metric is a library call
+(mismatched_weight_diagonals, then weighted_eip).
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ import numpy as np
 from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme, SpecshareError
 from .covdesign import solve_weighted_eip
-from .interference import (
-    fmfb_weights,
-    interference_diag_matrix,
-    scheme_weights,
-    tip_weights,
-    weighted_eip,
-)
+from .interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
 from .samplingopt import joint_design
 from .scenario import make_scenario
 from .streams import stream
@@ -229,15 +224,13 @@ def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
                     sol, omega = _solve_method(method, cfg, scn)
                     if not sol.converged:
                         row.error = f"dual search not converged after {sol.iterations} evaluations"
-                    schedule = sol.schedule
-                    Q = interference_diag_matrix(scn.G2, schedule)
-                    row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), Q)
-                    row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), Q)
+                    row.eip = weighted_eip(scheme_weights(cfg, omega, scn.S), sol.Q)
+                    row.tip = weighted_eip(tip_weights(cfg.M_rR, cfg.L), sol.Q)
                     row.capacity = sol.achieved_capacity
                     row.power = sol.consumed_power
                     if spec.mc_trials > 0:
                         stats = radar_pipeline(
-                            cfg, scn.D, scn.S, scn.G2, schedule, omega, spec.mc_trials,
+                            cfg, scn.D, scn.S, scn.G2, sol.schedule, omega, spec.mc_trials,
                             stream(cfg.seed, "mc", method, spec.sweep_var, value),
                         )
                         row.mc_mean_err = stats.mean_error

@@ -1,9 +1,11 @@
-"""Capacity and interference-power metrics.
+"""Capacity and interference-power metrics of a design carried as its
+factors, R_xl = X_l diag(d_l) X_l^H with d_l >= 0.
 
 Every radar-side interference metric is the one weighted form
 sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T), where Q (M_rR x L) holds the
-diagonals of G2 R_xl G2^H (interference_diag_matrix) and only the
-nonnegative diagonal weights W_l differ. A weight array is (L, M_rR), row l
+diagonals of G2 R_xl G2^H, Q_il = sum_k d_lk |(G2 X_l)_ik|^2
+(interference_diag_matrix), and only the nonnegative diagonal weights W_l
+differ. A weight array is (L, M_rR), row l
 the diagonal of W_l, and each family has one builder:
 
   TIP      W_l = I             tip_weights: total power at the radar RX antennas
@@ -14,86 +16,86 @@ the diagonal of W_l, and each family has one builder:
 weighted_eip forms the sum, scheme_mask_cost (the adjoint of scheme_weights)
 the mask's own cost Q~ with EIP = sum(Omega o Q~), and
 mismatched_weight_diagonals remaps weights onto the comm symbol grid when the
-symbol rates differ. Covariance and noise schedules are stacked (L, n, n)
-arrays. Independent oracles for these quantities (the trace form of EIP_II
-and a Monte-Carlo estimate from the signal model) are kept with the tests.
+symbol rates differ. The comm noise covariances R_wl = sigma_C^2 I +
+a g_l g_l^H are carried as those factors too (CommNoise). Independent
+oracles (the trace form of EIP_II, a Monte-Carlo estimate from the signal
+model, the dense formulas) are kept with the tests.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig, Scheme, SpecshareError
-from .linalg import hermitize
-
-PSD_TOL = 1e-9
 
 
 class MetricError(SpecshareError):
     pass
 
 
-def total_power(schedule: np.ndarray) -> float:
-    """sum_l Tr(R_xl) of an (L, n, n) covariance stack."""
-    return float(np.trace(schedule, axis1=-2, axis2=-1).real.sum())
+@dataclass(frozen=True, eq=False)
+class CommNoise:
+    """The comm receiver's interference-plus-noise covariances in the paper's
+    factored form, R_wl = sigma_C2 I + a g_l g_l^H. Two records are equal
+    only as the same object."""
+
+    g: np.ndarray  # (L, M_rC), row l the radar interference G1 s(l)
+    a: float  # rho^2 sigma_alpha^2
+    sigma_C2: float
 
 
-def check_covariances(schedule: np.ndarray) -> None:
-    """Raise MetricError unless every matrix R_l of the stack is finite,
-    Hermitian and PSD to tau_l = PSD_TOL * max(1, Tr R_l): R_l + tau_l I has a
-    Cholesky factor, which up to rounding is min eig(R_l) > -tau_l."""
-    R = schedule
-    if not np.all(np.isfinite(R)):
+def total_power(X: np.ndarray, d: np.ndarray) -> float:
+    """sum_l Tr(R_l) = ||F||^2 of a design R_l = X_l diag(d_l) X_l^H, with
+    F_l = X_l diag(d_l)^{1/2}."""
+    return float(np.einsum("lnk,lnk,lk->", X.conj(), X, d).real)
+
+
+def check_covariances(X: np.ndarray, d: np.ndarray) -> None:
+    """Raise MetricError unless the factors of R_l = X_l diag(d_l) X_l^H are
+    finite; R_l is then Hermitian, and PSD for d_l >= 0, by construction."""
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(d))):
         raise MetricError("covariance matrix is not finite")
-    skew = np.linalg.norm(R - np.swapaxes(R, -1, -2).conj(), axis=(-2, -1))
-    if np.any(skew > 1e-10 * np.maximum(1.0, np.linalg.norm(R, axis=(-2, -1)))):
-        raise MetricError("covariance matrix is not Hermitian")
-    tau = PSD_TOL * np.maximum(1.0, np.trace(R, axis1=-2, axis2=-1).real)
-    try:
-        np.linalg.cholesky(hermitize(R) + tau[..., None, None] * np.eye(R.shape[-1]))
-    except np.linalg.LinAlgError:
-        raise MetricError("covariance matrix is not PSD") from None
 
 
-def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """(L, M_rC, M_rC) stack R_wl = rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H + sigma_C^2 I."""
-    scale = cfg.rho2 * cfg.sigma_alpha2
-    eye = cfg.sigma_C2 * np.eye(cfg.M_rC)
-    v = np.matmul(G1, S.T[:, :, None])[..., 0]  # row l: G1 s(l)
-    return hermitize(scale * (v[:, :, None] * v.conj()[:, None, :]) + eye)
+def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> CommNoise:
+    """The factors of R_wl = rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H + sigma_C^2 I."""
+    g = np.matmul(G1, S.T[:, :, None])[..., 0]  # row l: G1 s(l)
+    return CommNoise(g=g, a=float(cfg.rho2) * float(cfg.sigma_alpha2), sigma_C2=float(cfg.sigma_C2))
 
 
-def average_capacity(schedule: np.ndarray, H: np.ndarray, noise: np.ndarray) -> float:
-    """(1/L) sum_l log2 |I + R_wl^{-1} H R_xl H^H| in bits/symbol."""
-    if len(noise) != len(schedule):
-        raise MetricError("schedule and noise lengths differ")
-    for name, value in (("noise covariance", noise), ("covariance matrix", schedule),
-                        ("channel matrix", H)):
-        if not np.all(np.isfinite(value)):
-            raise MetricError(f"{name} is not finite")
-    try:  # a Cholesky factor exists exactly when the noise is positive definite
-        np.linalg.cholesky(hermitize(noise))
-    except np.linalg.LinAlgError:
-        raise MetricError("noise covariance is not positive definite") from None
-    sign_n, logdet_n = np.linalg.slogdet(noise)
-    sign_f, logdet_f = np.linalg.slogdet(noise + H @ schedule @ H.conj().T)
-    if np.any(sign_n.real <= 0) or np.any(sign_f.real <= 0):
+def average_capacity(whitened: np.ndarray, X: np.ndarray, d: np.ndarray) -> float:
+    """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| in bits/symbol, read as
+    log2 det(I + (B_l X_l) diag(d_l) (B_l X_l)^H) from the whitened channels
+    B_l = R_wl^{-1/2} H and the design R_l = X_l diag(d_l) X_l^H: each
+    determinant is that of the identity plus a PSD matrix."""
+    if len(whitened) != len(X):
+        raise MetricError("design and channel lengths differ")
+    Y = whitened @ X
+    gram = (Y * d[:, None, :]) @ np.swapaxes(Y, -1, -2).conj()
+    sign, logdet = np.linalg.slogdet(gram + np.eye(gram.shape[-1]))
+    if np.any(sign.real <= 0):
         raise MetricError("capacity determinant is not positive")
-    return float(np.sum((logdet_f - logdet_n) / math.log(2.0))) / len(schedule)
+    return float(np.sum(logdet / math.log(2.0))) / len(X)
 
 
-def interference_diag_matrix(G2: np.ndarray, schedule: np.ndarray) -> np.ndarray:
-    """Q with column l holding the diagonal of G2 R_xl G2^H (M_rR x L)."""
-    return np.einsum("ij,ljk,ik->il", G2, schedule, G2.conj()).real
+def interference_diag_matrix(G2: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Q (M_rR x L), Q_il = sum_k d_lk |(G2 X_l)_ik|^2, the diagonals of
+    G2 R_l G2^H: one product of G2 with the (n, L k) layout of X, then a sum
+    of nonnegative terms for d >= 0."""
+    L, n, k = X.shape
+    Y = np.asarray(G2 @ X.transpose(1, 0, 2).reshape(n, L * k), dtype=complex)
+    parts = Y.view(np.float64).reshape(-1, L, k, 2)
+    return np.einsum("ilkc,ilkc,lk->il", parts, parts, d)
 
 
 def weighted_eip(weights: np.ndarray, Q: np.ndarray) -> float:
     """Weighted interference power sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T).
 
-    Q comes from interference_diag_matrix. The sum is signed: roundoff can
-    leave a numerically zero power slightly negative.
+    Q comes from interference_diag_matrix: with nonnegative weights the sum is
+    nonnegative, and exactly 0 only where no weighted power reaches the radar.
     """
     if weights.shape != Q.T.shape:
         raise MetricError("weights and interference profile shapes differ")

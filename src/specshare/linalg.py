@@ -2,8 +2,8 @@
 
 import numpy as np
 
-# Relative eigenvalue floor for matrix inverse square roots; keeps
-# near-singular matrices from producing NaNs.
+# Relative eigenvalue floor for the inverse of a PSD matrix (covdesign's
+# Phi_l); keeps near-singular matrices from producing NaNs.
 EIG_FLOOR = 1e-14
 
 
@@ -35,14 +35,6 @@ def eig_floor(w: np.ndarray) -> np.ndarray:
         raise np.linalg.LinAlgError("matrix is not positive definite")
     floor = EIG_FLOOR * top
     return np.maximum(w, np.where(floor > 0, floor, EIG_FLOOR))
-
-
-def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
-    """Inverse square root of a Hermitian PD matrix, or of each matrix in a
-    stack, with a relative eigenvalue floor."""
-    w, v = np.linalg.eigh(hermitize(a))
-    w = eig_floor(w)
-    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
 
 
 def gram_spectrum(X: np.ndarray):

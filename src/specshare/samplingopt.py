@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import (interference_diag_matrix, scheme_mask_cost, scheme_weights,
-                           weighted_eip)
+from .interference import CommNoise, scheme_mask_cost, scheme_weights, weighted_eip
 from .config import ScenarioConfig
 from .covdesign import DesignSolution, solve_weighted_eip
 
@@ -230,30 +229,29 @@ def joint_design(
     cfg: ScenarioConfig,
     H: np.ndarray,
     G2: np.ndarray,
-    noise: np.ndarray,
+    noise: CommNoise,
     S: np.ndarray,
     omega: np.ndarray,
 ) -> JointDesignResult:
     """Alternating covariance / sampling-mask optimization.
 
     Each outer iteration solves the weighted covariance problem for the
-    current mask omega, then permutes the mask against the resulting
-    interference profile Q~ (scheme_mask_cost), until the EIP is exactly 0
-    or the mask search lowers nothing, so that the next solve would repeat
-    this one; the mask returned is then the one the solution was solved for.
+    current mask omega, then permutes the mask against the cost Q~
+    (scheme_mask_cost) of the design's interference profile Q, until the
+    EIP is exactly 0 or the mask search lowers nothing, so that the next
+    solve would repeat this one; the mask returned is then the one the
+    solution was solved for.
     """
     trace = []
     solution = None
     for _ in range(_MAX_OUTER):
         weights = scheme_weights(cfg, omega, S)
         solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
-        Q = interference_diag_matrix(G2, solution.schedule)  # M_rR x L
-        # Clamped at 0 so that roundoff never reports a negative power.
-        eip = max(weighted_eip(weights, Q), 0.0)
+        eip = weighted_eip(weights, solution.Q)
         trace.append(eip)
         if eip == 0.0:
             break  # no interference reaches the radar; the mask is irrelevant
-        permuted = optimize_mask(omega, scheme_mask_cost(cfg, Q, S))
+        permuted = optimize_mask(omega, scheme_mask_cost(cfg, solution.Q, S))
         if np.array_equal(permuted, omega):
             break  # unchanged: no step lowered the objective
         omega = permuted

@@ -4,20 +4,20 @@ Generates the channels H, G1 and G2, the radar waveforms S, the target
 response D, the sampling mask omega and the recovery trials' codewords,
 phases and noise, all plain arrays, and synthesizes the masked radar
 receive matrix. All generators are pure functions of (config, rng stream).
-make_scenario keeps the draws of its last config that depend on neither p
-nor the scheme, so a p-sweep's grid points redraw only the mask.
+make_scenario keeps the draws of its last config, keyed on the fields they
+read, so the grid points of a p-sweep (or of a C, P_t or radar-SNR sweep)
+redraw only the mask.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .config import ScenarioConfig, Scheme, SpecshareError
-from .interference import noise_covariances
+from .interference import CommNoise, noise_covariances
 from .linalg import crandn
 from .streams import stream
 
@@ -245,22 +245,23 @@ def synthesize_radar_rx(
 @dataclass
 class Scenario:
     """One fully generated experiment instance: the generators' arrays and
-    the comm receiver's noise stack R_w, G1's one use (noise_covariances).
-    All but omega are read-only, shared with the scenarios of configs that
-    differ only in p or the scheme (make_scenario)."""
+    the factors of the comm receiver's noise covariances R_wl
+    (noise_covariances), G1's one use. All but omega are read-only, shared
+    with the scenarios of configs that differ only in fields these draws do
+    not read (make_scenario)."""
 
     H: np.ndarray
     G2: np.ndarray
     S: np.ndarray
     D: np.ndarray
     omega: np.ndarray
-    noise: np.ndarray
+    noise: CommNoise
 
 
-# Every config field but the two only the sampling mask reads: a config
-# that differs from the memoized one only in p or the scheme reuses its draws.
-_SHARED_FIELDS = tuple(f.name for f in dataclasses.fields(ScenarioConfig)
-                       if f.name not in ("p", "scheme"))
+# The config fields that H, G1, G2, S, D and the noise factors read; p and
+# the scheme (the mask's), C, P_t, gamma2_dB, snr_dB and sigma_R2 are not.
+_SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "targets",
+                  "rho2", "sigma_alpha2", "sigma_C2", "seed")
 
 
 def _bits(value):
@@ -277,14 +278,15 @@ def _bits(value):
 
 
 def _shared_draws(cfg: ScenarioConfig) -> tuple:
-    """(H, G2, S, D, noise), the draws that do not depend on p or the
-    scheme, made read-only to be shared."""
+    """(H, G2, S, D, noise), the draws that read only _SHARED_FIELDS, with
+    their arrays made read-only to be shared."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
-    draws = (H, G2, S, generate_target_response(cfg), noise_covariances(cfg, G1, S))
-    for a in draws:
+    D = generate_target_response(cfg)
+    noise = noise_covariances(cfg, G1, S)
+    for a in (H, G2, S, D, noise.g):
         a.flags.writeable = False
-    return draws
+    return H, G2, S, D, noise
 
 
 # (key, _shared_draws) of the last config; a key that differs in any bit
@@ -296,10 +298,10 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     """Generate every random input of an experiment from named streams of
     cfg.seed. Stream separation keeps each piece stable as others evolve.
 
-    The draws that depend on neither p nor the scheme (H, G2, S, D and the
-    noise stack) are memoized for the last config, keyed on the exact bits
-    of its other fields, the seed included; they are read-only arrays, the
-    same objects at every hit. The mask is drawn at every call, after them.
+    The draws H, G2, S, D and the noise factors are memoized for the last
+    config, keyed on the exact bits of the fields they read (_SHARED_FIELDS),
+    the seed included; they are read-only arrays, the same objects at every
+    hit. The mask is drawn at every call, after them.
     An error is never memoized."""
     global _memo
     key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)

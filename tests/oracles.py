@@ -19,9 +19,13 @@ target by classic water-filling of the power budget (specshare.covdesign
 asks whether the minimum-power design fits in the budget), a feasibility
 and optimality report of a returned design recomputed from its
 covariances (specshare.covdesign checks its own post-conditions once, as
-it solves), and a Floyd-Warshall bound on the cycle weights of an assignment
-candidate (specshare.samplingopt certifies a candidate by a Bellman-Ford
-cycle search). Only the tests use them.
+it solves, on the design's factors), the dense forms of the comm noise
+covariances, of the whitening by an eigendecomposition, of the
+interference profile and of the capacity, and a 40-digit mpmath capacity
+(specshare carries the noise and the designs as factors and whitens in
+closed form), and a Floyd-Warshall bound on the cycle weights of an
+assignment candidate (specshare.samplingopt certifies a candidate by a
+Bellman-Ford cycle search). Only the tests use them.
 """
 
 import numpy as np
@@ -29,23 +33,87 @@ import numpy as np
 from specshare.completion import _CONTINUATION, _MAX_ITERATIONS, _mu_schedule, shrink
 from specshare.config import Scheme
 from specshare.covdesign import min_capacity_multiplier, solve_weighted_eip
-from specshare.interference import (
-    MetricError,
-    average_capacity,
-    check_covariances,
-    interference_diag_matrix,
-    total_power,
-    weighted_eip,
-)
+from specshare.interference import CommNoise, MetricError, weighted_eip
 from specshare.linalg import crandn, eig_floor, gram_spectrum, hermitize, psd_sqrt
 from specshare.scenario import noiseless_radar_return, resolve_sigma_R2
+
+
+def white_noise(sigma_C2: float, L: int, m: int) -> CommNoise:
+    """Noise factors of R_wl = sigma_C2 I, (L symbols, m receive antennas)."""
+    return CommNoise(g=np.zeros((L, m), dtype=complex), a=0.0, sigma_C2=sigma_C2)
+
+
+def dense_noise(noise: CommNoise) -> np.ndarray:
+    """The (L, M_rC, M_rC) stack R_wl = sigma_C2 I + a g_l g_l^H of noise
+    factors, formed as a matrix."""
+    g = noise.g
+    eye = noise.sigma_C2 * np.eye(g.shape[1])
+    return hermitize(noise.a * (g[:, :, None] * g.conj()[:, None, :]) + eye)
+
+
+def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian PD matrix, or of each matrix in a
+    stack, through its eigendecomposition with eig_floor's eigenvalue floor."""
+    w, v = np.linalg.eigh(hermitize(a))
+    w = eig_floor(w)
+    return (v / np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+
+
+def dense_whiten(H, noise_stack) -> np.ndarray:
+    """Whitened channels R_wl^{-1/2} H of a dense (L, m, m) noise stack."""
+    return psd_inv_sqrt(noise_stack) @ H
+
+
+def dense_profile(G2, schedule) -> np.ndarray:
+    """Q with column l the diagonal of G2 R_l G2^H (M_rR x L), from a dense
+    (L, n, n) covariance stack."""
+    return np.einsum("ij,ljk,ik->il", G2, schedule, G2.conj()).real
+
+
+def dense_capacity(schedule, H, noise_stack) -> float:
+    """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| as log det(R_wl + H R_l H^H)
+    - log det(R_wl), from dense stacks."""
+    _, logdet_n = np.linalg.slogdet(noise_stack)
+    _, logdet_f = np.linalg.slogdet(noise_stack + H @ schedule @ H.conj().T)
+    return float(np.sum((logdet_f - logdet_n) / np.log(2.0))) / len(schedule)
+
+
+def mp_capacity(H, noise: CommNoise, X, d, dps: int = 40) -> float:
+    """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| computed by mpmath at dps
+    digits, the float64 inputs taken as exact: the noise factors
+    R_wl = sigma_C2 I + a g_l g_l^H and the design R_l = X_l diag(d_l) X_l^H."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        Hm = mpmath.matrix(H.tolist())
+        total = mpmath.mpf(0)
+        for g, X_l, d_l in zip(noise.g, X, d):
+            gm = mpmath.matrix(g.tolist())
+            R_w = noise.sigma_C2 * mpmath.eye(len(g)) + noise.a * gm * gm.H
+            F = mpmath.matrix(X_l.tolist()) * mpmath.diag([mpmath.sqrt(x) for x in d_l.tolist()])
+            HF = Hm * F
+            total += mpmath.log(mpmath.det(R_w + HF * HF.H) / mpmath.det(R_w), 2).real
+        return float(total / len(X))
+
+
+def dense_schedule(X, d) -> np.ndarray:
+    """The covariance stack R_l = X_l diag(d_l) X_l^H of factors, as
+    DesignSolution.schedule builds it."""
+    return hermitize((X * d[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
+
+
+def factored(schedule):
+    """(X, d) with R_l = X_l diag(d_l) X_l^H, d >= 0, of a dense PSD stack,
+    from its eigendecomposition (eigenvalues clipped at 0)."""
+    d, X = np.linalg.eigh(hermitize(schedule))
+    return X, np.clip(d, 0.0, None)
 
 
 def eip_scheme2_trace_form(mask, S, G2, schedule) -> float:
     """Equivalent trace form Tr(Omega^T Q (S o conj(S))^T)."""
     if mask.shape != (G2.shape[0], S.shape[0]):
         raise MetricError("mask is not Scheme-II shaped")
-    Q = interference_diag_matrix(G2, schedule)
+    Q = dense_profile(G2, schedule)
     s_abs2 = np.abs(S) ** 2
     return float(np.trace(mask.T @ Q @ s_abs2.T).real)
 
@@ -230,32 +298,32 @@ def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
 def selfish(H, noise, C: float, P_t: float, G2):
     """The selfish (minimum-power) design: solve_weighted_eip with W_l = 0,
     as the harness's selfish method solves it."""
-    return solve_weighted_eip(np.zeros((len(noise), G2.shape[0])), H, G2, noise, P_t, C)
+    return solve_weighted_eip(np.zeros((len(noise.g), G2.shape[0])), H, G2, noise, P_t, C)
 
 
 def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other=None) -> dict:
-    """Feasibility / optimality report for a returned design.
+    """Feasibility / optimality report for a returned design, recomputed
+    from its covariance stack sol.schedule and the dense noise stack.
 
     When weights and a second solution are given, the ordering verdict
     checks that sol's weighted EIP does not exceed the other solution's
     (the structure of the cooperative-vs-noncooperative comparisons).
     """
     report = {}
-    try:
-        check_covariances(sol.schedule)
-        report["psd_ok"] = True
-    except Exception:
-        report["psd_ok"] = False
-    power = total_power(sol.schedule)
+    schedule = sol.schedule
+    trace = np.trace(schedule, axis1=-2, axis2=-1).real
+    report["psd_ok"] = bool(np.all(np.isfinite(schedule)) and np.all(
+        np.linalg.eigvalsh(hermitize(schedule))[:, 0] >= -1e-9 * np.maximum(1.0, trace)))
+    power = float(trace.sum())
     report["consumed_power"] = power
     report["power_feasible"] = power <= P_t + 1e-6
-    cap = average_capacity(sol.schedule, H, noise)
+    cap = dense_capacity(schedule, H, dense_noise(noise))
     report["capacity_gap"] = cap - C
     report["capacity_active"] = abs(cap - C) <= 1e-3
     report["slackness_residual"] = abs(sol.lambda1 * (P_t - power))
     if weights is not None:
-        def eip(design):  # clamped at 0 like the design objective
-            return max(weighted_eip(weights, interference_diag_matrix(G2, design.schedule)), 0.0)
+        def eip(design):  # clamped at 0: a dense profile can round below it
+            return max(weighted_eip(weights, dense_profile(G2, design.schedule)), 0.0)
 
         report["objective_eip"] = eip(sol)
         if other is not None:

@@ -26,12 +26,12 @@ from specshare.interference import (
     scheme_weights,
     weighted_eip,
 )
-from specshare.linalg import crandn, hermitize
+from specshare.linalg import crandn
 from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import generate_sampling_mask, make_scenario
 from specshare.streams import stream
 
-from oracles import eip_scheme2_trace_form, empirical_eip
+from oracles import dense_schedule, eip_scheme2_trace_form, empirical_eip
 
 P_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
 N_SEEDS = 20
@@ -41,9 +41,18 @@ N_SEEDS = 20
 PIPELINE_PARAMS = CompletionParams(mu_rel=0.1)
 
 
-def scheme_eip(cfg, mask, S, G2, schedule):
-    """The radar scheme's EIP of a design, through the one weighted form."""
-    return weighted_eip(scheme_weights(cfg, mask, S), interference_diag_matrix(G2, schedule))
+def scheme_eip(cfg, mask, S, G2, X, d):
+    """The radar scheme's EIP of a design R_l = X_l diag(d_l) X_l^H, through
+    the one weighted form."""
+    return weighted_eip(scheme_weights(cfg, mask, S), interference_diag_matrix(G2, X, d))
+
+
+def gram_factors(rng, n, L):
+    """(A, 1) for L random n x n matrices A_l: the factors of the
+    covariances R_l = A_l A_l^H, and the stack of those R_l."""
+    A = np.stack([crandn(rng, n, n) for _ in range(L)])
+    ones = np.ones((L, n))
+    return A, ones, dense_schedule(A, ones)
 
 
 def best_joint_design(cfg, scn, restarts, rng):
@@ -105,10 +114,9 @@ def joint_grid():
             baseline, omega = harness._solve_method("selfish", cfg, scn)
             result = best_joint_design(cfg, scn, 3, stream(seed, "acc-joint", p))
             out[(p, seed)] = {
-                "eip_selfish": scheme_eip(cfg, omega, scn.S,
-                                          scn.G2, baseline.schedule),
-                "eip_joint": scheme_eip(cfg, result.mask, scn.S,
-                                        scn.G2, result.solution.schedule),
+                "eip_selfish": scheme_eip(cfg, omega, scn.S, scn.G2, baseline.X, baseline.d),
+                "eip_joint": scheme_eip(cfg, result.mask, scn.S, scn.G2,
+                                        result.solution.X, result.solution.d),
                 "capacities": (baseline.achieved_capacity,
                                result.solution.achieved_capacity),
             }
@@ -179,13 +187,10 @@ def test_criterion_06_trace_identity():
         q, _ = np.linalg.qr(crandn(rng, L, m))
         S = q.conj().T
         G2 = crandn(rng, n_rx, n_tx)
-        schedule = np.stack([
-            hermitize(A @ A.conj().T)
-            for A in (crandn(rng, n_tx, n_tx) for _ in range(L))
-        ])
+        X, d, schedule = gram_factors(rng, n_tx, L)
         mask = (rng.random((n_rx, m)) < 0.5).astype(float)
         w = scheme_weights(ScenarioConfig(scheme=Scheme.SCHEME_II), mask, S)
-        a = weighted_eip(w, interference_diag_matrix(G2, schedule))
+        a = weighted_eip(w, interference_diag_matrix(G2, X, d))
         b = eip_scheme2_trace_form(mask, S, G2, schedule)
         worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
     ok = worst <= 1e-12
@@ -204,13 +209,10 @@ def test_criterion_07_monte_carlo_oracle():
             q, _ = np.linalg.qr(crandn(rng, 4, 2))
             S = q.conj().T
             G2 = crandn(rng, 3, 2)
-            schedule = np.stack([
-                hermitize(A @ A.conj().T)
-                for A in (crandn(rng, 2, 2) for _ in range(4))
-            ])
+            X, d, schedule = gram_factors(rng, 2, 4)
             cols = 4 if scheme is Scheme.SCHEME_I else 2
             mask = (rng.random((3, cols)) < 0.5).astype(float)
-            analytic = scheme_eip(cfg, mask, S, G2, schedule)
+            analytic = scheme_eip(cfg, mask, S, G2, X, d)
             mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10_000,
                                      stream(i, "acc-mc", scheme.value))
             if se > 0 and abs(analytic - mean) > 3 * se:
@@ -329,43 +331,36 @@ def test_criterion_12_mismatched_rates():
     mask = omega
     S4 = np.linalg.qr(crandn(rng, 4, 2))[0].conj().T
 
-    def rand_schedule(L):
-        return np.stack([
-            hermitize(A @ A.conj().T)
-            for A in (crandn(rng, 2, 2) for _ in range(L))
-        ])
-
     def q_diag(R):
         return np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real
 
     cfg = ScenarioConfig(M_tR=2, M_rR=3, M_tC=2, M_rC=2, L=4, p=0.5)
     w = scheme_weights(cfg, mask, S4)
 
-    def eip_mismatched(radar_rate, comm_rate, schedule):
-        diags = mismatched_weight_diagonals(w, radar_rate, comm_rate, len(schedule))
-        return weighted_eip(diags,
-                            interference_diag_matrix(G2, schedule))
+    def eip_mismatched(radar_rate, comm_rate, X, d):
+        diags = mismatched_weight_diagonals(w, radar_rate, comm_rate, len(X))
+        return weighted_eip(diags, interference_diag_matrix(G2, X, d))
 
     # Equal rates reproduce the matched-rate metric exactly.
-    sched4 = rand_schedule(4)
+    *factors4, sched4 = gram_factors(rng, 2, 4)
     hand = sum(float(np.sum(omega[:, l] * q_diag(sched4[l]))) for l in range(4))
-    ok = abs(eip_mismatched(1.0, 1.0, sched4) - hand) <= 1e-12
+    ok = abs(eip_mismatched(1.0, 1.0, *factors4) - hand) <= 1e-12
 
     # Radar twice as fast: comm symbol l sees the two radar symbols 2l, 2l+1.
-    sched2 = rand_schedule(2)
+    *factors2, sched2 = gram_factors(rng, 2, 2)
     hand = sum(
         float(np.sum((omega[:, 2 * l] + omega[:, 2 * l + 1]) * q_diag(sched2[l])))
         for l in range(2)
     )
-    val = eip_mismatched(2.0, 1.0, sched2)
+    val = eip_mismatched(2.0, 1.0, *factors2)
     ok = ok and abs(val - hand) <= 1e-12 * max(hand, 1e-300)
 
     # Radar at half rate: only every other comm symbol is sampled.
-    sched8 = rand_schedule(8)
+    *factors8, sched8 = gram_factors(rng, 2, 8)
     hand = sum(
         float(np.sum(omega[:, l] * q_diag(sched8[2 * l]))) for l in range(4)
     )
-    val = eip_mismatched(1.0, 2.0, sched8)
+    val = eip_mismatched(1.0, 2.0, *factors8)
     ok = ok and abs(val - hand) <= 1e-12 * max(hand, 1e-300)
 
     print(f"criterion 12 (mismatched symbol rates match hand-built index "

@@ -15,7 +15,7 @@ import pytest
 from specshare import samplingopt
 from specshare.config import ScenarioConfig
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import interference_diag_matrix, scheme_weights
+from specshare.interference import scheme_weights
 from specshare.samplingopt import hungarian, joint_design
 from specshare.scenario import make_scenario
 from specshare.streams import stream
@@ -96,7 +96,7 @@ def joint_costs():
     scn = make_scenario(cfg)
     sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S),
                              scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
-    Q = interference_diag_matrix(scn.G2, sol.schedule)
+    Q = sol.Q
     omega = scn.omega
     return omega.T @ Q, omega @ Q.T
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import covdesign
+from specshare import covdesign, harness
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import (
     DesignSolution,
@@ -18,26 +18,31 @@ from specshare.covdesign import (
     solve_weighted_eip,
 )
 from specshare.harness import ExperimentSpec, run_compare
-from specshare.interference import (
-    average_capacity,
-    check_covariances,
-    fmfb_weights,
-    interference_diag_matrix,
-    scheme_weights,
-    tip_weights,
-    weighted_eip,
-)
-from specshare.linalg import crandn, hermitize, psd_inv_sqrt
+from specshare.interference import (CommNoise, fmfb_weights, scheme_weights, tip_weights,
+                                    weighted_eip)
+from specshare.linalg import crandn, hermitize
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
 from oracles import (
     capacity_bound,
+    dense_capacity,
+    dense_noise,
+    dense_schedule,
+    dense_whiten,
+    mp_capacity,
+    psd_inv_sqrt,
     selfish,
     svd_dual_step,
     verify_solution,
     water_fill,
+    white_noise,
 )
+
+
+def covariances(kernel, it):
+    """The (L, n, n) covariance stack of a dual iterate."""
+    return dense_schedule(*kernel.factors(it))
 
 
 def achieved_log_sum(lam2, sing_vals):
@@ -100,12 +105,12 @@ class TestMinCapacityMultiplier:
 def subproblem_solution(lambda1, lambda2, w_diag, G2, H, R_wl):
     """Closed-form minimizer of Tr(Phi R) - lambda2 log2|I + R_w^{-1} H R H^H|
     with Phi = G2^H diag(w) G2 + lambda1 I, from the solver's dual kernel on
-    a one-symbol block."""
-    whitened = covdesign._whiten(H, np.stack([R_wl]))
+    a one-symbol block, whitened by an eigendecomposition of R_wl."""
+    whitened = dense_whiten(H, np.stack([R_wl]))
     kernel = covdesign._DualKernel.weighted(np.asarray(w_diag)[None, :], G2, whitened)
     # The kernel water-fills the subproblem scaled by 1/lambda1, at level lambda2/lambda1.
     it = kernel.allocate(lambda1, lambda2 / lambda1, *kernel.spectrum(lambda1))
-    return kernel.covariances(it)[0]
+    return covariances(kernel, it)[0]
 
 
 class TestSubproblemSolution:
@@ -152,14 +157,12 @@ class TestSubproblemSolution:
 
 
 def small_instance(seed, L=4):
+    """A 2 x 2 channel, a 3 x 2 radar channel and L noise covariances
+    R_wl = 0.1 I + g_l g_l^H."""
     rng = stream(seed, "inst")
     H = crandn(rng, 2, 2)
     G2 = crandn(rng, 3, 2)
-    mats = []
-    for _ in range(L):
-        A = crandn(rng, 2, 2)
-        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
-    return H, G2, np.stack(mats)
+    return H, G2, CommNoise(g=crandn(rng, L, 2), a=1.0, sigma_C2=0.1)
 
 
 class TestSolveWeightedEip:
@@ -168,18 +171,18 @@ class TestSolveWeightedEip:
         G2 = np.zeros((3, 2))
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
-        assert weighted_eip(w, interference_diag_matrix(G2, sol.schedule)) == 0.0
+        assert weighted_eip(w, sol.Q) == 0.0
         assert sol.achieved_capacity >= 2.0 - 1e-6
 
     def test_scalar_closed_form(self):
         sigma_C2 = 0.5
         C = 3.0
-        noise = np.stack([sigma_C2 * np.eye(1)])
+        noise = white_noise(sigma_C2, 1, 1)
         w = tip_weights(1, 1)
         sol = solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=10.0, C=C)
         expect = sigma_C2 * (2.0**C - 1.0)
         assert abs(sol.consumed_power - expect) <= 1e-6 * expect
-        eip = weighted_eip(w, interference_diag_matrix(np.eye(1), sol.schedule))
+        eip = weighted_eip(w, sol.Q)
         assert abs(eip - expect) <= 1e-6 * expect
 
     def test_scenario1_capacity_active(self):
@@ -189,17 +192,17 @@ class TestSolveWeightedEip:
         sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
-        check_covariances(sol.schedule)
+        assert verify_solution(sol, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)["psd_ok"]
 
     def test_infeasible_target_rejected(self):
-        noise = np.stack([np.eye(1)])
+        noise = white_noise(1.0, 1, 1)
         w = tip_weights(1, 1)
         with pytest.raises(InfeasibleError):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=1.0, C=10.0)
 
     def test_weights_antenna_count_mismatch_rejected(self):
         H, G2, noise = small_instance(0)
-        w = tip_weights(G2.shape[0] + 1, len(noise))
+        w = tip_weights(G2.shape[0] + 1, len(noise.g))
         with pytest.raises(SolverError):
             solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
 
@@ -218,7 +221,7 @@ class TestSolveWeightedEip:
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
         for l in range(4):
             R = subproblem_solution(
-                sol.lambda1, sol.lambda2, w[l], G2, H, noise[l]
+                sol.lambda1, sol.lambda2, w[l], G2, H, dense_noise(noise)[l]
             )
             assert np.linalg.norm(R - sol.schedule[l]) <= 1e-8 * max(
                 np.linalg.norm(sol.schedule[l]), 1.0
@@ -244,24 +247,18 @@ class TestSolveWeightedEip:
             w_tip = tip_weights(3, 4)
             coop = solve_weighted_eip(w_eip, H, G2, noise, P_t=10.0, C=1.0)
             noncoop = solve_weighted_eip(w_tip, H, G2, noise, P_t=10.0, C=1.0)
-            assert (
-                weighted_eip(w_eip, interference_diag_matrix(G2, coop.schedule))
-                <= weighted_eip(w_eip, interference_diag_matrix(G2, noncoop.schedule)) + 1e-6
-            )
+            assert weighted_eip(w_eip, coop.Q) <= weighted_eip(w_eip, noncoop.Q) + 1e-6
 
 
 def random_design(rng):
-    """L symbols, an m x n channel, an M x n radar channel, PD noise
-    covariances, 0/1 weights and a capacity target."""
+    """L symbols, an m x n channel, an M x n radar channel, noise
+    covariances 0.1 I + a g_l g_l^H, 0/1 weights and a capacity target."""
     L, m, n, M = (int(x) for x in rng.integers(1, [9, 5, 5, 5]))
     H = crandn(rng, m, n)
     G2 = crandn(rng, M, n)
-    mats = []
-    for _ in range(L):
-        A = crandn(rng, m, m)
-        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(m))
+    noise = CommNoise(g=crandn(rng, L, m), a=float(rng.uniform(0.0, 2.0)), sigma_C2=0.1)
     w = (rng.uniform(size=(L, M)) < 0.6).astype(float)
-    return (w, H, G2, np.stack(mats)), float(rng.uniform(0.5, 6.0))
+    return (w, H, G2, noise), float(rng.uniform(0.5, 6.0))
 
 
 def budget_check(whitened, C):
@@ -328,7 +325,7 @@ class TestSelfishDesign:
         assert sol.consumed_power == 0.0
 
     def test_scalar_power(self):
-        noise = np.stack([np.eye(1)])
+        noise = white_noise(1.0, 1, 1)
         sol = selfish(np.eye(1), noise, 4.0, np.inf, np.eye(1))
         assert abs(sol.consumed_power - (2.0**4 - 1.0)) <= 1e-6
 
@@ -353,7 +350,7 @@ class TestSelfishDesign:
             kernel = covdesign._DualKernel.unweighted(whitened)
             step = kernel.step(1.0, cfg.C)
             sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
-            assert sol.schedule.tobytes() == kernel.covariances(step).tobytes()
+            assert sol.schedule.tobytes() == covariances(kernel, step).tobytes()
             assert sol.iterations == 1 and sol.converged
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
             zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, whitened)
@@ -362,7 +359,7 @@ class TestSelfishDesign:
                 budget_check(whitened, cfg.C))
             assert evaluations == 1
             assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
-            assert zero.covariances(searched).tobytes() == sol.schedule.tobytes()
+            assert covariances(zero, searched).tobytes() == sol.schedule.tobytes()
             tight = cfg.replace(P_t=0.5 * step.power)
             spec = ExperimentSpec(cfg=tight, methods=["selfish", "noncoop"], seeds=[seed])
             rows = run_compare(spec)
@@ -396,8 +393,8 @@ class TestVerifySolution:
         H, G2, noise = small_instance(2)
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        bumped = np.stack([R + 10.0 * np.eye(2) for R in sol.schedule])
-        report = verify_solution(dataclasses.replace(sol, schedule=bumped), H, G2, noise, 6.0, 2.0)
+        doubled = dataclasses.replace(sol, d=sol.d * (12.0 / sol.consumed_power))
+        report = verify_solution(doubled, H, G2, noise, 6.0, 2.0)
         assert not report["power_feasible"]
 
 
@@ -406,7 +403,8 @@ class TestObjectiveConsistency:
         H, G2, noise = small_instance(6)
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        assert abs(sol.achieved_capacity - average_capacity(sol.schedule, H, noise)) < 1e-12
+        dense = dense_capacity(sol.schedule, H, dense_noise(noise))
+        assert abs(sol.achieved_capacity - dense) < 1e-12
 
 
 def loop_multiplier(sing_vals, C, L):
@@ -471,12 +469,13 @@ def reference_step(w_diags, G2, H, noise, lambda1, C):
     n = G2.shape[1]
     eye = np.eye(n)
     per_symbol = []
-    for l in range(len(noise)):
-        phi = hermitize(G2.conj().T @ (w_diags[l][:, None] * G2)) + lambda1 * eye
+    for R_w in dense_noise(noise):
+        phi = hermitize(G2.conj().T @ (w_diags[len(per_symbol)][:, None] * G2)) + lambda1 * eye
         phi_isqrt = psd_inv_sqrt(phi)
-        _, s, vh = np.linalg.svd(psd_inv_sqrt(noise[l]) @ H @ phi_isqrt, full_matrices=False)
+        _, s, vh = np.linalg.svd(psd_inv_sqrt(R_w) @ H @ phi_isqrt, full_matrices=False)
         per_symbol.append((phi_isqrt, s, vh.conj().T))
-    lam2 = min_capacity_multiplier(np.concatenate([s for _, s, _ in per_symbol]), C, len(noise))
+    lam2 = min_capacity_multiplier(np.concatenate([s for _, s, _ in per_symbol]), C,
+                                   len(per_symbol))
     mats = []
     for phi_isqrt, s, V in per_symbol:
         beta = np.where(s > 0, np.maximum(lam2 - 1.0 / np.maximum(s, 1e-300) ** 2, 0.0), 0.0)
@@ -491,16 +490,13 @@ def coop_instance(seed, L, partial_rows=True):
     M, n, m = 6, 3, 2
     G2 = crandn(rng, M, n)
     H = crandn(rng, m, n)
-    mats = []
-    for _ in range(L):
-        A = crandn(rng, m, m)
-        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(m))
+    noise = CommNoise(g=crandn(rng, L, m), a=1.0, sigma_C2=0.1)
     w = rng.uniform(0.2, 1.0, size=(L, M))
     kind = np.arange(L) % 3
     w[kind == 0] = 0.0
     if partial_rows:
         w[kind == 2, 1:] = 0.0
-    return w, G2, H, np.stack(mats)
+    return w, G2, H, noise
 
 
 class TestDualKernel:
@@ -510,7 +506,7 @@ class TestDualKernel:
         lam2, power, mats = reference_step(w, G2, H, noise, lambda1, C)
         assert abs(it.lambda2 - lam2) <= 1e-10 * lam2
         assert abs(it.power - power) <= 1e-10 * power
-        R = kernel.covariances(it)
+        R = covariances(kernel, it)
         assert np.linalg.norm(R - mats) <= 1e-10 * np.linalg.norm(mats)
         return kernel
 
@@ -534,7 +530,7 @@ class TestDualKernel:
         monkeypatch.setattr(covdesign, "_memo", None)
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
-        noise = np.stack([0.01 * np.eye(3)] * 4)  # what sigma_alpha2 = 0 gives
+        noise = white_noise(0.01, 4, 3)  # what sigma_alpha2 = 0 gives
         G2 = crandn(np.random.default_rng(1), 5, 4)
         w = tip_weights(5, 4)
         whitened = covdesign._whiten(H, noise)
@@ -609,7 +605,7 @@ def assert_matches_svd_oracle(kernel, lambda1, C):
     assert abs(it.lambda2 - lambda2) <= tol * lambda2
     assert abs(it.power - power) <= tol * power
     assert np.all(np.abs(it.beta * lambda1 - beta) <= tol * lambda2)
-    assert np.linalg.norm(kernel.covariances(it) - R) <= tol * np.linalg.norm(R)
+    assert np.linalg.norm(covariances(kernel, it) - R) <= tol * np.linalg.norm(R)
     return kappa2
 
 
@@ -634,7 +630,7 @@ class TestGramKernel:
         Q1 = np.linalg.qr(crandn(rng, 4, 4))[0]
         Q2 = np.linalg.qr(crandn(rng, 8, 4))[0]
         H = (Q1 * np.logspace(0, -6, 4)) @ Q2.conj().T
-        whitened = covdesign._whiten(H, np.stack([np.eye(4)] * 3))
+        whitened = covdesign._whiten(H, white_noise(1.0, 3, 4))
         kernel = covdesign._DualKernel.weighted(tip_weights(5, 3), crandn(rng, 5, 8), whitened)
         for lambda1 in (0.3, 1.0, 3.0):
             assert 1e12 < assert_matches_svd_oracle(kernel, lambda1, 100.0) < 1e13
@@ -655,7 +651,7 @@ class TestGramKernel:
         0, with no power and no warning."""
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
-        whitened = covdesign._whiten(H, np.stack([0.01 * np.eye(3)] * 4))
+        whitened = covdesign._whiten(H, white_noise(0.01, 4, 3))
         G2 = crandn(np.random.default_rng(1), 5, 4)
         for kernel in (covdesign._DualKernel.unweighted(whitened),
                        covdesign._DualKernel.weighted(tip_weights(5, 4), G2, whitened)):
@@ -705,34 +701,73 @@ class TestPostConditions:
             selfish(H, noise, 2.0, 6.0, G2)
 
     def test_power_excess_raises(self, monkeypatch):
-        real = covdesign._DualKernel.covariances
-        monkeypatch.setattr(covdesign._DualKernel, "covariances",
-                            lambda self, it: 2.0 * real(self, it))
+        monkeypatch.setattr(covdesign._DualKernel, "factors",
+                            doubled(covdesign._DualKernel.factors))
         # Scalar channel: the design uses 0.5 * (2**3 - 1) = 3.5 of P_t = 4.
-        noise = np.stack([0.5 * np.eye(1)])
+        noise = white_noise(0.5, 1, 1)
         w = tip_weights(1, 1)
         with pytest.raises(SolverError, match="power"):
             solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=4.0, C=3.0)
 
     def test_selfish_power_excess_raises(self, monkeypatch):
-        real = covdesign._DualKernel.covariances
-        monkeypatch.setattr(covdesign._DualKernel, "covariances",
-                            lambda self, it: 2.0 * real(self, it))
+        monkeypatch.setattr(covdesign._DualKernel, "factors",
+                            doubled(covdesign._DualKernel.factors))
         # The same scalar channel: the selfish design uses 3.5 of P_t = 4
         # too, which passes the budget test; doubled it uses 7.
-        noise = np.stack([0.5 * np.eye(1)])
+        noise = white_noise(0.5, 1, 1)
         with pytest.raises(SolverError, match="power"):
             selfish(np.eye(1), noise, 3.0, 4.0, np.eye(1))
 
     def test_invalid_schedule_raises(self, monkeypatch):
-        real = covdesign._DualKernel.covariances
-        skew = 1e-3 * np.array([[0.0, 1.0], [-1.0, 0.0]])
-        monkeypatch.setattr(covdesign._DualKernel, "covariances",
-                            lambda self, it: real(self, it) + skew)
+        real = covdesign._DualKernel.factors
+
+        def nan_direction(self, it):
+            X, d = real(self, it)
+            X = X.copy()
+            X[0, 0, 0] = np.nan
+            return X, d
+
+        monkeypatch.setattr(covdesign._DualKernel, "factors", nan_direction)
         H, G2, noise = small_instance(3)
         w = tip_weights(3, 4)
-        with pytest.raises(SolverError, match="Hermitian"):
+        with pytest.raises(SolverError, match="^invalid covariance schedule: covariance matrix "
+                                              "is not finite$"):
             solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+
+
+def doubled(factors):
+    """A _DualKernel.factors with every power doubled."""
+    def doubled_factors(self, it):
+        X, d = factors(self, it)
+        return X, 2.0 * d
+
+    return doubled_factors
+
+
+class TestIllConditionedNoise:
+    """Strong radar interference at the comm receiver: the noise covariances
+    R_wl have condition numbers from 6e8 to 1.2e10. Every design meets C in
+    exact arithmetic, and the capacity the post-condition reads agrees with a
+    40-digit evaluation of the same float64 inputs."""
+
+    CFG = ScenarioConfig(scheme=Scheme.SCHEME_II, M_tR=1, M_rR=1, M_tC=6, M_rC=4, L=8,
+                         sigma_C2=3e-6, rho2=5.38e5, sigma_alpha2=8.4e-3, sigma1_2=2.36,
+                         C=18.96, P_t=8.74, seed=0)
+    METHODS = ["noncoop", "partial", "full"]
+
+    def test_every_row_meets_the_target(self):
+        cfg = self.CFG
+        rows = run_compare(ExperimentSpec(cfg=cfg, methods=self.METHODS))
+        assert [r.error for r in rows] == [""] * 3
+        assert all(r.capacity >= cfg.C for r in rows)
+        scn = make_scenario(cfg)
+        w = np.linalg.eigvalsh(dense_noise(scn.noise))
+        assert (w[:, -1] / w[:, 0]).min() > 1e8
+        for method in self.METHODS:
+            sol = harness._solve_method(method, cfg, scn)[0]
+            exact = mp_capacity(scn.H, scn.noise, sol.X, sol.d)
+            assert exact >= cfg.C
+            assert abs(sol.achieved_capacity - exact) <= 1e-14 * exact
 
 
 def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations, check_budget):
@@ -897,7 +932,7 @@ class TestDualSearch:
         if exact:
             assert best.lambda1 == ref.lambda1
             assert best.lambda2 == ref.lambda2
-            assert kernel.covariances(best).tobytes() == kernel.covariances(ref).tobytes()
+            assert covariances(kernel, best).tobytes() == covariances(kernel, ref).tobytes()
         return evaluations, ref_evaluations
 
     def test_random_instances_match_bisection(self, monkeypatch):

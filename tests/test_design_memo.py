@@ -46,7 +46,7 @@ def fingerprint(sol):
     """Every field of a design, as bytes where it is a number."""
     numbers = [sol.lambda1, sol.lambda2, sol.achieved_capacity,
                sol.consumed_power]
-    return (sol.schedule.tobytes(), np.array(numbers).tobytes(),
+    return (sol.X.tobytes(), sol.d.tobytes(), sol.Q.tobytes(), np.array(numbers).tobytes(),
             sol.iterations, sol.converged)
 
 
@@ -95,7 +95,7 @@ def perturbed_designs():
     return [
         ("H", lambda w, H, G2, noise, P_t, C: (w, bump(H), G2, noise, P_t, C)),
         ("noise", lambda w, H, G2, noise, P_t, C:
-            (w, H, G2, bump(noise), P_t, C)),
+            (w, H, G2, dataclasses.replace(noise, g=bump(noise.g)), P_t, C)),
         ("G2", lambda w, H, G2, noise, P_t, C: (w, H, bump(G2), noise, P_t, C)),
         ("W", lambda w, H, G2, noise, P_t, C:
             (bump(w), H, G2, noise, P_t, C)),
@@ -131,9 +131,10 @@ def test_returned_designs_are_read_only():
     cfg = ScenarioConfig(p=0.5, seed=5)
     for method in ("selfish", "noncoop"):
         sol = solve(method, cfg)
-        assert not sol.schedule.flags.writeable
-        with pytest.raises(ValueError):
-            sol.schedule[0, 0, 0] = 0.0
+        for factor in (sol.X, sol.d, sol.Q):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             sol.converged = False
 
@@ -174,10 +175,14 @@ class TestErrorsAreNotMemoized:
         def fails(*args):
             raise SolverError("no search")
 
-        real = covdesign._DualKernel.covariances
+        def doubled(self, it):  # twice the power: over the budget
+            X, d = real(self, it)
+            return X, 2.0 * d
+
+        real = covdesign._DualKernel.factors
         for name, target, replacement in (
             ("_dual_search", covdesign, fails),
-            ("covariances", covdesign._DualKernel, lambda self, it: 2.0 * real(self, it)),
+            ("factors", covdesign._DualKernel, doubled),
         ):
             with monkeypatch.context() as m:
                 m.setattr(target, name, replacement)

@@ -248,12 +248,13 @@ class TestRunCompare:
 
     @pytest.mark.parametrize("expected", [ValueError, NotImplementedError])
     def test_method_programming_error_propagates(self, monkeypatch, expected):
-        def broken(G2, schedule):
+        def broken(G2, X, d):
             if expected is ValueError:
                 return np.ones(3) + np.ones(4)  # NumPy's broadcast error
             raise NotImplementedError
 
-        monkeypatch.setattr(harness, "interference_diag_matrix", broken)
+        # A design's interference profile is scored once, as it is checked.
+        monkeypatch.setattr(covdesign, "interference_diag_matrix", broken)
         with pytest.raises(expected):
             run_compare(ExperimentSpec(cfg=scenario1(), methods=["selfish"]))
 
@@ -273,16 +274,21 @@ class TestRunCompare:
             assert np.isfinite(r.eip) and np.isnan(r.mc_mean_err)
 
     def test_singular_noise_reported(self):
-        # Without channel noise the noise covariance is singular; without
-        # the phase-offset term too it is zero, whose inverse square root the
-        # design already refuses.
+        # Without channel noise the noise covariance is singular on the
+        # M_rC = 4 receive antennas; without the phase-offset term too it is
+        # zero. The design's whitening refuses both.
         for kw, message in (({"sigma_C2": 0.0}, "noise covariance is not positive definite"),
                             ({"sigma_C2": 0.0, "sigma_alpha2": 0.0},
-                             "matrix is not positive definite")):
+                             "noise covariance is not positive definite")):
             spec = ExperimentSpec(cfg=scenario1(**kw), methods=["selfish", "noncoop", "coop"])
             for r in run_compare(spec):
                 assert r.error == message
                 assert np.isnan(r.eip) and np.isnan(r.power)
+        # On one receive antenna it is the positive scalar a |g_l|^2: a result.
+        spec = ExperimentSpec(cfg=scenario1(sigma_C2=0.0, M_rC=1, C=4.0),
+                              methods=["selfish", "noncoop", "coop"], seeds=[0, 1])
+        for r in run_compare(spec):
+            assert r.error == "" and r.eip > 0.0 and r.capacity >= 4.0 * (1.0 - 1e-9)
 
     def test_scenario_error_fills_one_row_per_method(self):
         spec = ExperimentSpec(cfg=scenario1(L=3), methods=["selfish", "noncoop"], seeds=[0, 1])
@@ -397,7 +403,7 @@ class TestSweep:
         assert key[:3] == [(0, 0.2, "selfish"), (0, 0.2, "noncoop"), (0, 0.2, "coop")]
         assert format_csv(whole) == format_csv(points)
         assert hashlib.sha256(format_csv(whole).encode()).hexdigest() == (
-            "e4284f2793e19781ca55dcfe51504fba341092f833d5c6798c0f170686595964")
+            "ed353ee53abc1eda9471400d86f9b5d0a5c5db7c965647ca1e332168e33ec672")
 
     @pytest.mark.parametrize("grid,values,message", [
         ([0.5], (0.7,), r"sweep value 0.7 is not on the 'p' grid \[0.5\]"),

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from specshare.config import ScenarioConfig, Scheme
-from specshare.covdesign import solve_weighted_eip
+from specshare.covdesign import SolverError, solve_weighted_eip
+from specshare import covdesign
 from specshare.interference import (
-    PSD_TOL,
+    CommNoise,
     MetricError,
     average_capacity,
     check_covariances,
@@ -27,7 +28,16 @@ from specshare.linalg import crandn, hermitize, psd_sqrt
 from specshare.scenario import generate_channels, generate_waveforms, make_scenario
 from specshare.streams import stream
 
-from oracles import eip_samples, eip_scheme2_trace_form, empirical_eip
+from oracles import (
+    dense_noise,
+    dense_profile,
+    dense_schedule,
+    dense_whiten,
+    eip_samples,
+    eip_scheme2_trace_form,
+    empirical_eip,
+    factored,
+)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -75,9 +85,10 @@ def matched_filter_weights(S, mask):
 
 
 def metric(method, G2, schedule, mask=None, S=None):
-    """The named interference metric through the one weighted form."""
+    """The named interference metric through the one weighted form, on the
+    factors of the covariance stack."""
     w = named_weights(method, G2.shape[0], len(schedule), mask=mask, S=S)
-    return weighted_eip(w, interference_diag_matrix(G2, schedule))
+    return weighted_eip(w, interference_diag_matrix(G2, *factored(schedule)))
 
 
 def loop_weighted_trace(w_diags, G2, schedule):
@@ -104,22 +115,36 @@ class TestNoiseCovariances:
         G1 = crandn(stream(0, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(0, "s"), cfg.M_tR, cfg.L)
         noise = noise_covariances(cfg, G1, S)
-        for R in noise:
+        assert noise.a == 0.0 and noise.sigma_C2 == cfg.sigma_C2
+        for R in dense_noise(noise):
             assert np.linalg.norm(R - cfg.sigma_C2 * np.eye(cfg.M_rC)) <= 1e-12
 
     def test_interference_part_rank_one(self):
+        # R_wl - sigma_C2 I is the rank-one rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H.
         cfg = ScenarioConfig()
         G1 = crandn(stream(1, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(1, "s"), cfg.M_tR, cfg.L)
-        for R in noise_covariances(cfg, G1, S):
-            s = np.linalg.svd(R - cfg.sigma_C2 * np.eye(cfg.M_rC), compute_uv=False)
+        noise = noise_covariances(cfg, G1, S)
+        assert noise.g.shape == (cfg.L, cfg.M_rC)
+        for l, R in enumerate(dense_noise(noise)):
+            v = G1 @ S[:, l]
+            part = R - cfg.sigma_C2 * np.eye(cfg.M_rC)
+            expect = cfg.rho2 * cfg.sigma_alpha2 * np.outer(v, v.conj())
+            assert np.linalg.norm(part - expect) <= 1e-12 * np.linalg.norm(expect)
+            s = np.linalg.svd(part, compute_uv=False)
             assert np.sum(s > 1e-10 * max(s[0], 1e-300)) <= 1
 
     def test_scalar_case(self):
         cfg = ScenarioConfig(M_tR=1, M_rR=1, M_tC=1, M_rC=1, L=1, rho2=4.0,
                              sigma_alpha2=0.01, sigma_C2=0.3)
         noise = noise_covariances(cfg, np.ones((1, 1)), np.ones((1, 1)))
-        assert abs(noise[0][0, 0] - (4.0 * 0.01 + 0.3)) < 1e-14
+        assert abs(dense_noise(noise)[0][0, 0] - (4.0 * 0.01 + 0.3)) < 1e-14
+
+
+def capacity(schedule, H, noise_stack):
+    """average_capacity of a dense covariance stack under dense noise, on
+    its factors and the whitened channels of an eigendecomposition."""
+    return average_capacity(dense_whiten(H, noise_stack), *factored(schedule))
 
 
 class TestAverageCapacity:
@@ -128,14 +153,12 @@ class TestAverageCapacity:
         G1 = crandn(stream(0, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(0, "s"), cfg.M_tR, cfg.L)
         H = crandn(stream(0, "h"), cfg.M_rC, cfg.M_tC)
-        noise = noise_covariances(cfg, G1, S)
-        zeros = np.stack([np.zeros((cfg.M_tC, cfg.M_tC))] * cfg.L)
-        assert average_capacity(zeros, H, noise) == 0.0
+        whitened = covdesign._whiten(H, noise_covariances(cfg, G1, S))
+        X = np.broadcast_to(np.eye(cfg.M_tC), (cfg.L, cfg.M_tC, cfg.M_tC))
+        assert average_capacity(whitened, X, np.zeros((cfg.L, cfg.M_tC))) == 0.0
 
     def test_scalar_one_bit(self):
-        schedule = np.stack([np.eye(1)])
-        noise = np.stack([np.eye(1)])
-        cap = average_capacity(schedule, np.eye(1), noise)
+        cap = average_capacity(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.ones((1, 1)))
         assert abs(cap - 1.0) < 1e-12
 
     def test_matches_determinant_oracle(self):
@@ -152,7 +175,7 @@ class TestAverageCapacity:
                 M = np.eye(2) + np.linalg.inv(noise[l]) @ H @ schedule[l] @ H.conj().T
                 slow += math.log2(abs(np.linalg.det(M)))
             slow /= L
-            fast = average_capacity(schedule, H, noise)
+            fast = capacity(schedule, H, noise)
             assert abs(fast - slow) <= 1e-12 * max(1.0, abs(slow))
 
     def test_monotone_in_psd_order(self):
@@ -160,18 +183,18 @@ class TestAverageCapacity:
         H = crandn(rng, 3, 3)
         noise = np.stack([random_psd(rng, 3) + 0.1 * np.eye(3) for _ in range(2)])
         schedule = random_schedule(rng, 3, 2)
-        base = average_capacity(schedule, H, noise)
+        base = capacity(schedule, H, noise)
         v = crandn(rng, 3)
         bumped = np.stack(
             [R + 0.1 * np.outer(v, v.conj()) for R in schedule]
         )
-        assert average_capacity(bumped, H, noise) >= base - 1e-12
+        assert capacity(bumped, H, noise) >= base - 1e-12
 
     def test_non_pd_noise_rejected(self):
-        schedule = np.stack([np.eye(1)])
-        noise = np.stack([np.zeros((1, 1))])
-        with pytest.raises(MetricError):
-            average_capacity(schedule, np.eye(1), noise)
+        # Zero noise: the design's whitening refuses it.
+        noise = CommNoise(g=np.zeros((1, 1), dtype=complex), a=0.0, sigma_C2=0.0)
+        with pytest.raises(MetricError, match="^noise covariance is not positive definite$"):
+            covdesign._whiten(np.eye(1), noise)
 
 
 class TestTip:
@@ -371,7 +394,7 @@ class TestWeightSchedule:
             named_weights("IP_FMFB", n_rx, L, S=S),
             named_weights("EIP_II", n_rx, L, mask=mask2, S=S),
         ]
-        Q = interference_diag_matrix(G2, schedule)
+        Q = interference_diag_matrix(G2, *factored(schedule))
         for w in weights:
             direct = loop_weighted_trace(w, G2, schedule)
             generic = weighted_eip(w, Q)
@@ -476,16 +499,15 @@ class TestMismatchedRates:
         mask = random_mask(rng, 3, 4)
         w = scheme_weights(cfg, mask, S)
         diags = mismatched_weight_diagonals(w, 1.0, 1.0, len(schedule))
-        val = weighted_eip(diags,
-                           interference_diag_matrix(G2, schedule))
+        val = weighted_eip(diags, interference_diag_matrix(G2, *factored(schedule)))
         assert abs(val - loop_weighted_trace(mask.T, G2, schedule)) < 1e-12
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: average_capacity(np.stack([np.eye(1)] * 2), np.eye(1), np.stack([np.eye(1)] * 3)),
-     "schedule and noise lengths differ"),
-    # A negative covariance drives |I + H R H^H| below zero.
-    (lambda: average_capacity(np.stack([-2.0 * np.eye(1)]), np.eye(1), np.stack([np.eye(1)])),
+    (lambda: average_capacity(np.ones((3, 1, 1)), np.ones((2, 1, 1)), np.ones((2, 1))),
+     "design and channel lengths differ"),
+    # A negative power drives |I + B X d X^H B^H| below zero.
+    (lambda: average_capacity(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.array([[-2.0]])),
      "capacity determinant is not positive"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 1.0, 4),
      "equal rates require equal symbol counts"),
@@ -539,7 +561,7 @@ class TestEmpiricalEip:
         schedule = random_schedule(rng, 2, 4)
         mask = random_mask(rng, 3, 2)
         analytic = weighted_eip(scheme_weights(cfg, mask, S),
-                                interference_diag_matrix(G2, schedule))
+                                interference_diag_matrix(G2, *factored(schedule)))
         mean, se = empirical_eip(cfg, mask, G2, S, schedule, 10000, stream(1, "emp"))
         assert abs(analytic - mean) <= 3 * se
 
@@ -577,25 +599,15 @@ class TestEmpiricalEip:
 class TestCovarianceSchedule:
     def test_total_power(self):
         schedule = np.stack([np.eye(2), 2 * np.eye(2)])
-        assert abs(total_power(schedule) - 6.0) < 1e-12
-
-    def test_validate_rejects_non_hermitian(self):
-        schedule = np.stack([np.array([[1.0, 1.0], [0.0, 1.0]])])
-        with pytest.raises(MetricError):
-            check_covariances(schedule)
-
-    def test_validate_rejects_indefinite(self):
-        schedule = np.stack([np.diag([1.0, -1.0])])
-        with pytest.raises(MetricError):
-            check_covariances(schedule)
+        assert abs(total_power(*factored(schedule)) - 6.0) < 1e-12
 
     def test_interference_diag_matrix_shape(self):
         rng = stream(0, "q")
         G2 = crandn(rng, 5, 3)
         schedule = random_schedule(rng, 3, 4)
-        Q = interference_diag_matrix(G2, schedule)
+        Q = interference_diag_matrix(G2, *factored(schedule))
         assert Q.shape == (5, 4)
-        assert np.all(Q >= -1e-12)
+        assert np.all(Q >= 0.0)
 
 
 def loop_validate_ok(schedule, tol=1e-9):
@@ -608,8 +620,17 @@ def loop_validate_ok(schedule, tol=1e-9):
     return True
 
 
+def random_factors(rng, n, k, L):
+    """(X, d): L random n x k directions and their powers, every third
+    power 0."""
+    d = rng.uniform(0.0, 2.0, size=(L, k))
+    d.ravel()[::3] = 0.0
+    return crandn(rng, L, n, k), d
+
+
 class TestStackedAgainstPerSymbol:
-    """The stacked (L, n, n) schedule operations against per-symbol loops."""
+    """The stacked operations on covariance factors against per-symbol
+    loops over the dense covariances."""
 
     @pytest.mark.parametrize("n_rx,n_tx,L", [
         (8, 8, 32), (8, 8, 128), (32, 4, 32), (5, 3, 4), (3, 1, 7), (1, 6, 9),
@@ -617,23 +638,26 @@ class TestStackedAgainstPerSymbol:
     def test_interference_diag_matrix(self, n_rx, n_tx, L):
         rng = stream(0, "q-loop", n_rx, n_tx, L)
         G2 = crandn(rng, n_rx, n_tx)
-        schedule = random_schedule(rng, n_tx, L)
+        X, d = random_factors(rng, n_tx, min(n_tx, 4), L)
         loop = np.stack(
-            [np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real for R in schedule], axis=1
+            [np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real for R in dense_schedule(X, d)], axis=1
         )
-        assert np.array_equal(interference_diag_matrix(G2, schedule), loop)
+        Q = interference_diag_matrix(G2, X, d)
+        assert np.all(Q >= 0.0)
+        assert np.allclose(Q, loop, rtol=1e-13, atol=0.0)
 
     def test_interference_diag_matrix_tiny_operands(self):
-        # einsum may order the reduction differently for 2 x 2 operands, so
-        # these agree to roundoff rather than bit for bit.
+        # A power of 0 and a radar channel that misses a direction add exact
+        # zeros: the profile is nonnegative where the dense form rounds
+        # either way.
         rng = stream(1, "q-loop")
         G2 = crandn(rng, 2, 2)
-        schedule = random_schedule(rng, 2, 64)
-        loop = np.stack(
-            [np.einsum("ij,jk,ik->i", G2, R, G2.conj()).real for R in schedule], axis=1
-        )
-        Q = interference_diag_matrix(G2, schedule)
-        assert np.allclose(Q, loop, rtol=1e-14, atol=0.0)
+        X, d = random_factors(rng, 2, 2, 64)
+        X[::2, :, 1] = np.linalg.svd(G2)[2][-1].conj()  # G2 X_l[:, 1] = 0 up to rounding
+        loop = dense_profile(G2, dense_schedule(X, d))
+        Q = interference_diag_matrix(G2, X, d)
+        assert np.all(Q >= 0.0)
+        assert np.allclose(Q, loop, rtol=1e-13, atol=1e-14 * np.abs(loop).max())
 
     @pytest.mark.parametrize("cfg", [
         ScenarioConfig(),
@@ -641,16 +665,13 @@ class TestStackedAgainstPerSymbol:
         ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
     ])
     def test_noise_covariances(self, cfg):
-        scale = cfg.rho2 * cfg.sigma_alpha2
-        eye = cfg.sigma_C2 * np.eye(cfg.M_rC)
         for seed in range(30):
             _, G1, _ = generate_channels(cfg, stream(seed, "channels"))
             S = generate_waveforms(cfg, stream(seed, "waveforms"))
-            loop = []
-            for l in range(cfg.L):
-                v = G1 @ S[:, l]
-                loop.append(hermitize(scale * np.outer(v, v.conj()) + eye))
-            assert np.array_equal(noise_covariances(cfg, G1, S), np.stack(loop))
+            loop = np.stack([G1 @ S[:, l] for l in range(cfg.L)])
+            noise = noise_covariances(cfg, G1, S)
+            assert np.array_equal(noise.g, loop)
+            assert (noise.a, noise.sigma_C2) == (cfg.rho2 * cfg.sigma_alpha2, cfg.sigma_C2)
 
     def test_sqrts(self):
         rng = stream(0, "sqrt-loop")
@@ -665,119 +686,96 @@ class TestStackedAgainstPerSymbol:
             assert np.array_equal(psd_sqrt(sched)[0], psd_sqrt(sched[0]))
 
     def test_validate_verdict(self):
-        rng = stream(0, "validate-loop")
-        good = [random_psd(rng, 3) for _ in range(4)]
-        skew = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        indefinite = np.diag([1.0, -1e-3, 1.0])
-        barely = np.diag([1.0, -1e-10, 1.0])  # within PSD_TOL
-        cases = [good, good + [skew], [indefinite] + good, good + [indefinite],
-                 good[:2] + [barely], [skew, indefinite]]
-        for mats in cases:
-            schedule = np.stack(mats)
-            try:
-                check_covariances(schedule)
-                ok = True
-            except MetricError:
-                ok = False
-            assert np.array_equal(ok, loop_validate_ok(schedule))
-
-    @staticmethod
-    def validate_ok(schedule):
-        try:
-            check_covariances(schedule)
-        except MetricError:
-            return False
-        return True
-
-    @staticmethod
-    def shifted(R, c):
-        """R with its smallest eigenvalue moved to -c * tau, tau = PSD_TOL *
-        max(1, trace) of the result, along that eigenvalue's eigenvector."""
-        w, V = np.linalg.eigh(R)
-        trace = float(np.sum(w[1:]))
-        x = -c * PSD_TOL * max(1.0, trace) / (1.0 + c * PSD_TOL * (trace > 1.0))
-        return hermitize(R + (x - w[0]) * np.outer(V[:, 0], V[:, 0].conj()))
-
-    def test_validate_verdict_relative_to_the_trace(self):
-        """Traces above 1, so tau = PSD_TOL * trace is not PSD_TOL: a smallest
-        eigenvalue of -0.5 tau passes and one of -2 tau fails, alone or as
-        the one bad matrix of a stack, on random matrices and on the
-        solver's own rank-deficient covariances."""
-        rng = stream(1, "validate-loop")
-        random_mats = [random_psd(rng, 4, scale=10.0) for _ in range(6)]
-        # A capacity target high enough for traces above 1.
-        cfg = ScenarioConfig(p=0.6, seed=2, C=24.0, P_t=128.0)
-        scn = make_scenario(cfg)
-        sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S), scn.H, scn.G2,
-                                 scn.noise, cfg.P_t, cfg.C)
-        designs = list(sol.schedule)
-        # The design's covariances have rank M_rC = 4 of M_tC = 8.
-        assert max(np.linalg.matrix_rank(R) for R in designs) == 4
-        assert min(float(np.trace(R).real) for R in designs) > 1.0
-        for mats in (random_mats, designs):
-            assert self.validate_ok(np.stack(mats)) and loop_validate_ok(np.stack(mats))
-            big = int(np.argmax([np.trace(R).real for R in mats]))
-            for c, ok in ((0.5, True), (2.0, False)):
-                bad = self.shifted(mats[big], c)
-                for stack in ([bad], mats[:big] + [bad] + mats[big + 1:]):
-                    schedule = np.stack(stack)
-                    assert self.validate_ok(schedule) == ok
-                    assert loop_validate_ok(schedule) == ok
+        """Every design's covariances pass the per-symbol Hermitian and PSD
+        verdict by construction, on both schemes and for every method's
+        weights, at a capacity target that gives covariances of rank
+        M_rC = 4 of M_tC = 8."""
+        for scheme in Scheme:
+            cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=2, C=24.0, P_t=128.0)
+            scn = make_scenario(cfg)
+            weights = [np.zeros((cfg.L, cfg.M_rR)), tip_weights(cfg.M_rR, cfg.L),
+                       scheme_weights(cfg, scn.omega, scn.S), fmfb_weights(scn.S, cfg.M_rR)]
+            for w in weights:
+                sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+                assert np.all(sol.d >= 0.0)
+                assert loop_validate_ok(sol.schedule)
+                assert max(np.linalg.matrix_rank(R) for R in sol.schedule) == 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_without_warning(self, bad):
-        schedule = random_schedule(stream(0, "finite"), 3, 4)
-        schedule[2, 1, 0] = bad
-        noise = np.stack([np.eye(2)] * 4)
-        noise[1, 0, 1] = bad
+        X, d = random_factors(stream(0, "finite"), 3, 2, 4)
+        noise = CommNoise(g=crandn(stream(1, "finite"), 4, 2), a=1.0, sigma_C2=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MetricError, match="covariance matrix is not finite"):
-                check_covariances(schedule)
+            for name in ("X", "d"):
+                factors = {"X": X.copy(), "d": d.copy()}
+                factors[name].ravel()[5] = bad
+                with pytest.raises(MetricError, match="covariance matrix is not finite"):
+                    check_covariances(factors["X"], factors["d"])
+            g = noise.g.copy()
+            g[1, 0] = bad
             with pytest.raises(MetricError, match="noise covariance is not finite"):
-                average_capacity(schedule[:, :2, :2].real, np.eye(2), noise)
+                covdesign._whiten(np.eye(2), CommNoise(g, noise.a, noise.sigma_C2))
 
-    def test_non_finite_covariance_rejected_by_capacity(self):
-        """A NaN covariance used to reach slogdet, which warned and returned nan."""
-        schedule = random_schedule(stream(0, "finite"), 2, 4)
-        schedule[2, 1, 0] = np.nan
+    def test_non_finite_covariance_rejected_by_capacity(self, monkeypatch):
+        """A NaN power is a post-condition failure before the capacity's
+        slogdet, which would warn and return nan."""
+        real = covdesign._DualKernel.factors
+
+        def nan_power(self, it):
+            X, d = real(self, it)
+            d = d.copy()
+            d[2, 0] = np.nan
+            return X, d
+
+        monkeypatch.setattr(covdesign._DualKernel, "factors", nan_power)
+        cfg = ScenarioConfig(p=0.5, seed=1)
+        scn = make_scenario(cfg)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MetricError, match="covariance matrix is not finite"):
-                average_capacity(schedule, np.eye(2), np.stack([np.eye(2)] * 4))
+            with pytest.raises(SolverError, match="covariance matrix is not finite"):
+                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), scn.H, scn.G2, scn.noise,
+                                   cfg.P_t, cfg.C)
 
     def test_non_finite_channel_rejected_by_capacity(self):
-        """An inf in H used to reach matmul, which warned and returned nan."""
-        schedule = random_schedule(stream(0, "finite"), 2, 4)
-        H = np.eye(2)
+        """An inf in H would reach the whitening's matmul, which warns and
+        returns nan; the design problem refuses it first."""
+        cfg = ScenarioConfig(p=0.5, seed=1)
+        scn = make_scenario(cfg)
+        H = np.array(scn.H)
         H[0, 1] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MetricError, match="channel matrix is not finite"):
-                average_capacity(schedule, H, np.stack([np.eye(2)] * 4))
+                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), H, scn.G2, scn.noise,
+                                   cfg.P_t, cfg.C)
 
     def test_singular_noise_verdict(self):
-        """The Cholesky test of the noise against the smallest eigenvalue:
-        sigma_C2 = 0 leaves rank-one noise, which both reject, also as the
-        one singular matrix of a stack, and the default noise passes."""
-        for cfg in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128)):
+        """The closed-form whitening against the smallest eigenvalue of the
+        dense noise: sigma_C2 = 0 leaves rank-one noise on M_rC >= 2 receive
+        antennas, which both reject, and the positive scalar a |g_l|^2 on one
+        antenna, which both accept; the default noise passes."""
+        for cfg in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
+                    ScenarioConfig(M_rC=1)):
             scn = make_scenario(cfg)
             singular = make_scenario(cfg.replace(sigma_C2=0.0)).noise
-            one_singular = scn.noise.copy()
-            one_singular[3] = singular[3]
-            schedule = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
-            for stack, ok in ((scn.noise, True), (singular, False), (one_singular, False)):
-                assert (np.linalg.eigvalsh(hermitize(stack))[:, 0].min() > 0.0) == ok
+            for noise, ok in ((scn.noise, True), (singular, cfg.M_rC == 1)):
+                stack = dense_noise(noise)
+                smallest = np.linalg.eigvalsh(stack)[:, 0] / np.linalg.eigvalsh(stack)[:, -1]
+                assert (smallest.min() > 1e-12) == ok
                 if ok:
-                    assert average_capacity(schedule, scn.H, stack) == 0.0
+                    whitened = covdesign._whiten(scn.H, noise)
+                    expect = dense_whiten(scn.H, stack)
+                    assert np.linalg.norm(whitened - expect) <= 1e-10 * np.linalg.norm(expect)
                 else:
-                    with pytest.raises(MetricError, match="noise covariance is not positive definite"):
-                        average_capacity(schedule, scn.H, stack)
+                    with pytest.raises(MetricError,
+                                       match="^noise covariance is not positive definite$"):
+                        covdesign._whiten(scn.H, noise)
 
     def test_total_power(self):
         schedule = random_schedule(stream(0, "power-loop"), 8, 128, scale=3.0)
         loop = sum(float(np.trace(R).real) for R in schedule)
-        assert abs(total_power(schedule) - loop) <= 1e-12 * loop
+        assert abs(total_power(*factored(schedule)) - loop) <= 1e-12 * loop
 
     def test_average_capacity(self):
         rng = stream(0, "cap-loop")
@@ -788,9 +786,10 @@ class TestStackedAgainstPerSymbol:
         noise = noise_covariances(cfg, G1, S)
         schedule = random_schedule(rng, cfg.M_tC, cfg.L, scale=4.0)
         loop = 0.0
-        for R_x, R_w in zip(schedule, noise):
+        for R_x, R_w in zip(schedule, dense_noise(noise)):
             _, logdet_n = np.linalg.slogdet(R_w)
             _, logdet_f = np.linalg.slogdet(R_w + H @ R_x @ H.conj().T)
             loop += (logdet_f - logdet_n) / math.log(2.0)
         loop /= cfg.L
-        assert abs(average_capacity(schedule, H, noise) - loop) <= 1e-12 * loop
+        fast = average_capacity(covdesign._whiten(H, noise), *factored(schedule))
+        assert abs(fast - loop) <= 1e-12 * loop

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from specshare.covdesign import solve_weighted_eip
-from specshare.linalg import crandn, hermitize
+from specshare.interference import CommNoise
+from specshare.linalg import crandn
 from specshare.streams import stream
 
 from oracles import selfish, verify_solution
@@ -14,16 +15,14 @@ st = hypothesis.strategies
 
 
 def instance(seed, L):
-    """2 x 2 channel, 3 x 2 radar channel, L noise covariances and 0/1 weights."""
+    """2 x 2 channel, 3 x 2 radar channel, L noise covariances
+    0.1 I + g_l g_l^H and 0/1 weights."""
     rng = stream(seed, "kkt")
     H = crandn(rng, 2, 2)
     G2 = crandn(rng, 3, 2)
-    mats = []
-    for _ in range(L):
-        A = crandn(rng, 2, 2)
-        mats.append(hermitize(A @ A.conj().T) + 0.1 * np.eye(2))
+    noise = CommNoise(g=crandn(rng, L, 2), a=1.0, sigma_C2=0.1)
     w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
-    return w, H, G2, np.stack(mats)
+    return w, H, G2, noise
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)

@@ -8,7 +8,7 @@ import pytest
 from specshare import samplingopt
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import interference_diag_matrix, scheme_weights, weighted_eip
+from specshare.interference import scheme_weights, weighted_eip
 from specshare.samplingopt import (
     best_column_permutation,
     joint_design,
@@ -228,10 +228,8 @@ class TestJointDesign:
             w = scheme_weights(cfg, scn.omega, scn.S)
             coop = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
             result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
-            joint_eip = weighted_eip(
-                scheme_weights(cfg, result.mask, scn.S),
-                interference_diag_matrix(scn.G2, result.solution.schedule))
-            coop_eip = weighted_eip(w, interference_diag_matrix(scn.G2, coop.schedule))
+            joint_eip = weighted_eip(scheme_weights(cfg, result.mask, scn.S), result.solution.Q)
+            coop_eip = weighted_eip(w, coop.Q)
             assert joint_eip <= coop_eip + 1e-6
 
     def test_trace_nonincreasing_and_orbit_preserved(self):
@@ -247,8 +245,7 @@ class TestJointDesign:
     def test_final_eip_matches_schedule_and_mask(self):
         cfg, scn = scenario_instance(2, scheme=Scheme.SCHEME_II)
         result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
-        val = weighted_eip(scheme_weights(cfg, result.mask, scn.S),
-                           interference_diag_matrix(scn.G2, result.solution.schedule))
+        val = weighted_eip(scheme_weights(cfg, result.mask, scn.S), result.solution.Q)
         # The recorded trace ends with the EIP of the final schedule under the
         # mask it was solved for.
         assert abs(val - result.eip_trace[-1]) <= 1e-6 * max(val, 1e-12)

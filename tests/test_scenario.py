@@ -9,6 +9,7 @@ import pytest
 
 from specshare import completion, scenario
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
+from specshare.harness import ExperimentSpec, run_compare
 from specshare.interference import noise_covariances
 from specshare.scenario import (
     ScenarioError,
@@ -375,26 +376,34 @@ class TestMakeScenario:
     def test_noise_bit_equals_the_formula_on_the_channels_G1(self, cfg):
         G1 = generate_channels(cfg, stream(cfg.seed, "channels"))[1]
         scn = make_scenario(cfg)
-        assert scn.noise.tobytes() == noise_covariances(cfg, G1, scn.S).tobytes()
+        noise = noise_covariances(cfg, G1, scn.S)
+        assert scn.noise.g.tobytes() == noise.g.tobytes()
+        assert (scn.noise.a, scn.noise.sigma_C2) == (noise.a, noise.sigma_C2)
 
     SHARED = ("H", "G2", "S", "D", "noise")
-    # A valid value other than the base config's for every field that is
-    # not the mask's: each must miss the memo. -0.0 equals C = 0.0 under ==
-    # but not in its bits, and np.int64(4) equals the seed but is another type.
+    # A valid value other than the base config's for every field that a
+    # shared draw reads: each must miss the memo. np.int64(4) equals the seed
+    # but is another type.
     OTHER = {
-        "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "P_t": 40.0, "C": -0.0,
-        "sigma_C2": 0.02, "sigma_R2": 0.05, "snr_dB": 20.0, "sigma1_2": 0.2, "sigma2_2": 0.2,
-        "gamma2_dB": -20.0, "rho2": 4000.0, "sigma_alpha2": 1e-2,
+        "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "sigma_C2": 0.02,
+        "sigma1_2": 0.2, "sigma2_2": 0.2, "rho2": 4000.0, "sigma_alpha2": 1e-2,
         "targets": [(-20.0, 0.2 + 0.1j)], "seed": np.int64(4),
     }
+    # ... and for every field that none reads, besides p and the scheme,
+    # which only the mask reads: each must hit it. -0.0 equals C = 0.0.
+    UNREAD = {"P_t": 40.0, "C": -0.0, "sigma_R2": 0.05, "snr_dB": 20.0, "gamma2_dB": -20.0}
 
-    @pytest.mark.parametrize("change", [
-        {"p": 0.3}, {"scheme": Scheme.SCHEME_II}, {"p": 0.3, "scheme": Scheme.SCHEME_II},
-    ], ids=["p", "scheme", "both"])
-    def test_mask_fields_reuse_the_draws(self, monkeypatch, change):
-        """A config that differs from the last only in p or the scheme gets
-        the draws a cold call makes, bit for bit, as the last call's objects,
-        and its own mask."""
+    @staticmethod
+    def shared_bytes(scn, name):
+        value = getattr(scn, name)
+        if name == "noise":
+            return value.g.tobytes(), value.a, value.sigma_C2
+        return value.tobytes()
+
+    def assert_reused(self, monkeypatch, change):
+        """A config that differs from the last only in fields the shared
+        draws do not read gets the draws a cold call makes, bit for bit, as
+        the last call's objects, and its own mask."""
         cfg = ScenarioConfig(p=0.5, seed=4, C=0.0)
         cold = make_scenario(cfg.replace(**change))
         monkeypatch.setattr(scenario, "_memo", None)
@@ -402,8 +411,18 @@ class TestMakeScenario:
         warm = make_scenario(cfg.replace(**change))
         for name in self.SHARED:
             assert getattr(warm, name) is getattr(first, name)
-            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+            assert self.shared_bytes(warm, name) == self.shared_bytes(cold, name)
         assert warm.omega.tobytes() == cold.omega.tobytes()
+
+    @pytest.mark.parametrize("change", [
+        {"p": 0.3}, {"scheme": Scheme.SCHEME_II}, {"p": 0.3, "scheme": Scheme.SCHEME_II},
+    ], ids=["p", "scheme", "both"])
+    def test_mask_fields_reuse_the_draws(self, monkeypatch, change):
+        self.assert_reused(monkeypatch, change)
+
+    @pytest.mark.parametrize("name", sorted(UNREAD))
+    def test_unread_fields_reuse_the_draws(self, monkeypatch, name):
+        self.assert_reused(monkeypatch, {name: self.UNREAD[name]})
 
     @pytest.mark.parametrize("name", sorted(OTHER))
     def test_every_other_field_misses(self, name):
@@ -416,13 +435,27 @@ class TestMakeScenario:
 
     def test_other_fields_cover_the_config(self):
         names = {f.name for f in dataclasses.fields(ScenarioConfig)}
-        assert set(self.OTHER) == names - {"p", "scheme"}
+        assert set(self.OTHER) == set(scenario._SHARED_FIELDS)
+        assert set(self.OTHER) | set(self.UNREAD) == names - {"p", "scheme"}
+
+    def test_c_sweep_draws_once_per_seed(self, monkeypatch):
+        """A C-sweep's grid points reuse their seed's draws: one set of
+        shared draws per seed, not per point."""
+        calls = []
+        real = scenario._shared_draws
+        monkeypatch.setattr(scenario, "_shared_draws", lambda cfg: calls.append(cfg) or real(cfg))
+        spec = ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish"], sweep_var="C",
+                              sweep_values=[4.0, 8.0, 12.0, 16.0], seeds=[0, 1, 2])
+        rows = run_compare(spec)
+        assert len(rows) == 12 and not any(r.error for r in rows)
+        assert [cfg.seed for cfg in calls] == [0, 1, 2]
 
     def test_shared_arrays_refuse_writes(self):
         scn = make_scenario(ScenarioConfig(p=0.5, seed=4))
         for name in self.SHARED:
+            array = scn.noise.g if name == "noise" else getattr(scn, name)
             with pytest.raises(ValueError, match="read-only"):
-                getattr(scn, name)[0, 0] = 0.0
+                array[0, 0] = 0.0
         scn.omega[0, 0] = 0.0  # every call draws its own mask
 
     def test_streams_are_independent(self):
@@ -603,6 +636,13 @@ class TestConfig:
         )
         back = parse_config(format_config(cfg))
         assert back == cfg
+        # NumPy scalars, which the config accepts, are written as Python numbers.
+        cfg = ScenarioConfig(C=np.float32(10.5), P_t=np.float64(20.0), seed=np.int64(3),
+                             L=np.int32(24),
+                             targets=[(np.float64(30.0), np.complex128(0.2 + 0.1j))])
+        text = format_config(cfg)
+        assert "np." not in text
+        assert parse_config(text) == cfg
 
     def test_empty_target_parts_skipped(self):
         cfg = parse_config("targets = 30.0:(0.2+0.1j);; -15.0:(0.05-0.02j);\n")
