@@ -145,15 +145,12 @@ class ScenarioConfig:
 
 
 def _format_value(name, value):
-    """A field's text as parse_config reads it: numbers as Python numbers,
-    whatever their type (NumPy's repr prefixes its scalars with theirs)."""
+    """A field's text as parse_config reads it, NumPy scalars as Python numbers."""
     if name == "scheme":
         return value.value
     if name == "targets":
         return ";".join(f"{float(ang)!r}:{complex(coef)!r}" for ang, coef in value)
-    if value is None:
-        return "None"
-    return repr(float(value) if name in _REAL_FIELDS else int(value))
+    return "None" if value is None else repr(float(value) if name in _REAL_FIELDS else int(value))
 
 
 def _parse_targets(text):

@@ -15,19 +15,16 @@ budget takes one evaluation (see _dual_search).
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
 the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
-solve, and the whitened channels once per problem, in closed form (_whiten).
-Each dual step is then one stacked Hermitian eigendecomposition of the
-narrow-side Gram matrices of the whitened channels, and the power follows
-in closed form from its factors. A design is returned as its factors,
-R_l = X_l diag(d_l) X_l^H with d_l >= 0, Hermitian and PSD by construction.
+solve, the whitened channels once per problem (_whiten); each dual step is
+then one stacked Hermitian eigendecomposition of the narrow-side Gram
+matrices of the whitened channels, and the power follows in closed form
+from its factors. A design is returned as its factors (DesignSolution).
 The selfish design is the one with W_l = 0 and takes the same search: A_l = 0
 and c_l = 1 at every lambda1, so its power is flat, and a slack budget is
 met by the first evaluation. C is reachable within P_t exactly when the
 minimum-power (W_l = 0) design fits in it; the search asks that only where
 it would grow its bracket past lambda1 = 1, since any lambda1 with power
 within P_t proves feasibility.
-linalg.eig_floor is the only guard against a singular Phi_l; the kernel
-evaluates lambda1 > 0 only.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
@@ -37,8 +34,8 @@ and C; it holds the whitened channels, the minimum power once a search has
 needed it and the last few designs, keyed by the exact bytes of the weights
 and G2 and by P_t. A problem that differs in any bit replaces the one held;
 errors are never memoized. A design passes its post-conditions (_checked)
-once, when it is computed, which also scores its interference profile; a
-memoized one comes back as the same frozen solution with read-only factors.
+once, when it is computed; a memoized one comes back as the same frozen
+solution with read-only arrays.
 """
 
 from __future__ import annotations
@@ -74,8 +71,7 @@ class SolverError(SpecshareError):
 
 @dataclass(frozen=True)
 class DesignSolution:
-    """A design R_l = X_l diag(d_l) X_l^H, its interference profile Q
-    (interference_diag_matrix) and its search's record."""
+    """A design R_l = X_l diag(d_l) X_l^H, its profile Q and its search's record."""
 
     X: np.ndarray  # (L, M_tC, k) transmit directions
     d: np.ndarray  # (L, k) their powers, >= 0
@@ -129,10 +125,8 @@ def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
 
 @dataclass
 class _DualIterate:
-    """One dual evaluation: the multipliers, the power it consumes and the
-    factors its covariances are built from. The factors belong to the
-    subproblem scaled by 1/lambda1, whose water level is lambda2/lambda1;
-    see _DualKernel."""
+    """One dual evaluation: the multipliers, the power and the factors of
+    its design, of the subproblem scaled by 1/lambda1 (_DualKernel)."""
 
     lambda1: float
     lambda2: float
@@ -151,12 +145,12 @@ class _DualKernel:
     Phi_l = A_l + lambda1 I shares the eigenvectors U_l, with eigenvalues
     d_l = a_l + lambda1. The kernel solves each subproblem scaled by
     1/lambda1: Phi_l / lambda1 has the inverse diag(c_l) in the U_l basis,
-    c_l = lambda1/d_l in (0, 1], and its whitened
-    channel is B'_l = B_l diag(c_l)^{1/2}. One stacked eigh of the narrow-
-    side Gram matrix of B'_l gives the singular values s_i and the columns
-    T_i = diag(c_l)^{1/2} B'_l^H u_i = diag(c_l)^{1/2} v'_i s_i; a power beta_i
-    along v'_i costs beta_i ||T_i||^2 / s_i^2. Where w_l = 0, c_l = 1
-    exactly, so those symbols' factors do not depend on lambda1 bit for bit.
+    c_l = lambda1/d_l in (0, 1], and its whitened channel is B'_l = B_l
+    diag(c_l)^{1/2}. One stacked eigh of the narrow-side Gram matrix of B'_l
+    gives the singular values s_i and the columns T_i = diag(c_l)^{1/2}
+    B'_l^H u_i = diag(c_l)^{1/2} v'_i s_i; a power beta_i along v'_i costs
+    beta_i ||T_i||^2 / s_i^2. Where w_l = 0, c_l = 1 exactly, so those
+    symbols' factors do not depend on lambda1 bit for bit.
     A gain s_i^2 is exact to about eps*s_1^2 absolute (linalg.gram_spectrum).
     """
 
@@ -188,9 +182,8 @@ class _DualKernel:
 
     def allocate(self, lambda1: float, level: float, s, T) -> _DualIterate:
         """Water-fill the scaled channels at level = lambda2 / lambda1; power
-        sum_i beta_i ||T_i||^2 / s_i^2. A gain s^2
-        whose inverse is not finite (a zero singular value, as of a comm
-        antenna that hears nothing) gets no power."""
+        sum_i beta_i ||T_i||^2 / s_i^2. A gain s^2 whose inverse is not finite
+        (a zero singular value, as of a comm antenna that hears nothing) gets no power."""
         gain = s**2
         inv_gain = np.divide(1.0, gain, out=np.full_like(gain, np.inf),
                              where=gain > 1.0 / np.finfo(float).max)
@@ -204,8 +197,7 @@ class _DualKernel:
         return self.allocate(lambda1, min_capacity_multiplier(s.ravel(), C, s.shape[0]), s, T)
 
     def factors(self, it: _DualIterate) -> tuple[np.ndarray, np.ndarray]:
-        """(X, d) of the design R_l = X_l diag(d_l) X_l^H: X_l = U_l T_l and
-        d_l = beta_l / s_l^2."""
+        """(X, d) of the design: X_l = U_l T_l and d_l = beta_l / s_l^2."""
         return self.U @ it.T, _per_gain(it.beta, it.s**2)
 
 
@@ -215,10 +207,9 @@ def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _whiten(H: np.ndarray, noise: CommNoise) -> np.ndarray:
-    """(L, M_rC, M_tC) stack B_l = R_wl^{-1/2} H: R_wl^{-1/2} = sigma_C^{-1}
-    (I - c_l u_l u_l^H), u_l = g_l / ||g_l||, c_l = 1 - (1 + t_l)^{-1/2} with
-    t_l = a ||g_l||^2 / sigma_C^2, as -expm1(-log1p(t_l) / 2) so that a small
-    t_l keeps its digits. With sigma_C^2 = 0, R_wl = a g_l g_l^H is singular
+    """(L, M_rC, M_tC) stack B_l = R_wl^{-1/2} H, with R_wl^{-1/2} = sigma_C^{-1}
+    (I - c_l u_l u_l^H), u_l = g_l / ||g_l||, c_l = 1 - (1 + a ||g_l||^2 /
+    sigma_C^2)^{-1/2} by expm1 and log1p. With sigma_C^2 = 0, R_wl is singular
     (a MetricError) unless it is the positive scalar of one receive antenna."""
     g, a, sigma_C2 = noise.g, noise.a, noise.sigma_C2
     if not (np.all(np.isfinite(g)) and math.isfinite(a) and math.isfinite(sigma_C2)):
@@ -238,11 +229,9 @@ def _whiten(H: np.ndarray, noise: CommNoise) -> np.ndarray:
 
 def _checked(X: np.ndarray, d: np.ndarray, whitened: np.ndarray, G2: np.ndarray, C: float,
              P_t: float, **fields) -> DesignSolution:
-    """The design R_l = X_l diag(d_l) X_l^H, with its capacity, power and
-    interference profile and the other DesignSolution fields, once its
-    post-conditions hold: finite factors (R_l is Hermitian and PSD by
-    construction, d_l >= 0), power within P_t and capacity at least C, both
-    to a 1e-9 relative slack."""
+    """The DesignSolution of the factors once its post-conditions hold:
+    check_covariances, power within P_t and capacity at least C, both to a
+    1e-9 relative slack."""
     try:
         check_covariances(X, d)
     except MetricError as exc:
@@ -438,8 +427,7 @@ def solve_weighted_eip(
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
-    MetricError: H or the noise factors are not finite, or a noise
-    covariance R_wl is singular (_whiten).
+    MetricError: H or the noise is not finite, or R_wl is singular (_whiten).
     """
     if len(noise.g) != len(weights):
         raise SolverError("weights and noise schedules have different lengths")

@@ -5,12 +5,12 @@ An ExperimentSpec builds the config of every point of its sweep grid once,
 and run_compare, the one runner, runs the whole grid or the grid points it
 is given; a value off the grid is refused before anything runs.
 
-Every row scores its design through the interference profile Q the design
-carries (covdesign.DesignSolution.Q): the eip column is the radar scheme's
-EIP (scheme_weights) and the tip column the total interference power, both
-weighted sums of Q. Radar and comm systems share one L-symbol block, as in
-the paper; the mismatched-rate metric is a library call
-(mismatched_weight_diagonals, then weighted_eip).
+Every row scores its design through its interference profile
+DesignSolution.Q: the eip column is the radar scheme's EIP (scheme_weights)
+and the tip column the total interference power, both weighted sums of Q.
+Radar and comm systems share one L-symbol block, as in the paper; the
+mismatched-rate metric is a library call (mismatched_weight_diagonals, then
+weighted_eip).
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Capacity and interference-power metrics of a design carried as its
-factors, R_xl = X_l diag(d_l) X_l^H with d_l >= 0.
+"""Capacity and interference-power metrics of designs R_xl = X_l diag(d_l) X_l^H.
 
 Every radar-side interference metric is the one weighted form
 sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T), where Q (M_rR x L) holds the
-diagonals of G2 R_xl G2^H, Q_il = sum_k d_lk |(G2 X_l)_ik|^2
-(interference_diag_matrix), and only the nonnegative diagonal weights W_l
-differ. A weight array is (L, M_rR), row l
+diagonals of G2 R_xl G2^H (interference_diag_matrix) and only the
+nonnegative diagonal weights W_l differ. A weight array is (L, M_rR), row l
 the diagonal of W_l, and each family has one builder:
 
   TIP      W_l = I             tip_weights: total power at the radar RX antennas
@@ -16,10 +14,9 @@ the diagonal of W_l, and each family has one builder:
 weighted_eip forms the sum, scheme_mask_cost (the adjoint of scheme_weights)
 the mask's own cost Q~ with EIP = sum(Omega o Q~), and
 mismatched_weight_diagonals remaps weights onto the comm symbol grid when the
-symbol rates differ. The comm noise covariances R_wl = sigma_C^2 I +
-a g_l g_l^H are carried as those factors too (CommNoise). Independent
-oracles (the trace form of EIP_II, a Monte-Carlo estimate from the signal
-model, the dense formulas) are kept with the tests.
+symbol rates differ, and CommNoise holds the factors of the comm noise.
+Independent oracles (the trace form of EIP_II, a Monte-Carlo estimate, the
+dense formulas) are kept with the tests.
 """
 
 from __future__ import annotations
@@ -38,9 +35,8 @@ class MetricError(SpecshareError):
 
 @dataclass(frozen=True, eq=False)
 class CommNoise:
-    """The comm receiver's interference-plus-noise covariances in the paper's
-    factored form, R_wl = sigma_C2 I + a g_l g_l^H. Two records are equal
-    only as the same object."""
+    """The comm noise covariances R_wl = sigma_C2 I + a g_l g_l^H as factors;
+    two records are equal only as the same object."""
 
     g: np.ndarray  # (L, M_rC), row l the radar interference G1 s(l)
     a: float  # rho^2 sigma_alpha^2
@@ -48,16 +44,17 @@ class CommNoise:
 
 
 def total_power(X: np.ndarray, d: np.ndarray) -> float:
-    """sum_l Tr(R_l) = ||F||^2 of a design R_l = X_l diag(d_l) X_l^H, with
-    F_l = X_l diag(d_l)^{1/2}."""
+    """sum_l Tr(R_l) = sum_lk d_lk ||(X_l)_:k||^2 of R_l = X_l diag(d_l) X_l^H."""
     return float(np.einsum("lnk,lnk,lk->", X.conj(), X, d).real)
 
 
 def check_covariances(X: np.ndarray, d: np.ndarray) -> None:
     """Raise MetricError unless the factors of R_l = X_l diag(d_l) X_l^H are
-    finite; R_l is then Hermitian, and PSD for d_l >= 0, by construction."""
+    finite with d_l >= 0, so that R_l is Hermitian PSD."""
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(d))):
         raise MetricError("covariance matrix is not finite")
+    if not np.all(d >= 0.0):
+        raise MetricError("covariance matrix is not PSD")
 
 
 def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> CommNoise:
@@ -67,12 +64,12 @@ def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> Com
 
 
 def average_capacity(whitened: np.ndarray, X: np.ndarray, d: np.ndarray) -> float:
-    """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| in bits/symbol, read as
-    log2 det(I + (B_l X_l) diag(d_l) (B_l X_l)^H) from the whitened channels
-    B_l = R_wl^{-1/2} H and the design R_l = X_l diag(d_l) X_l^H: each
-    determinant is that of the identity plus a PSD matrix."""
+    """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| in bits/symbol, as log2
+    det(I + (B_l X_l) diag(d_l) (B_l X_l)^H) with B_l = R_wl^{-1/2} H whitened."""
     if len(whitened) != len(X):
         raise MetricError("design and channel lengths differ")
+    if not (np.all(np.isfinite(whitened)) and np.all(np.isfinite(X)) and np.all(np.isfinite(d))):
+        raise MetricError("capacity input is not finite")
     Y = whitened @ X
     gram = (Y * d[:, None, :]) @ np.swapaxes(Y, -1, -2).conj()
     sign, logdet = np.linalg.slogdet(gram + np.eye(gram.shape[-1]))
@@ -82,9 +79,8 @@ def average_capacity(whitened: np.ndarray, X: np.ndarray, d: np.ndarray) -> floa
 
 
 def interference_diag_matrix(G2: np.ndarray, X: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Q (M_rR x L), Q_il = sum_k d_lk |(G2 X_l)_ik|^2, the diagonals of
-    G2 R_l G2^H: one product of G2 with the (n, L k) layout of X, then a sum
-    of nonnegative terms for d >= 0."""
+    """Q (M_rR x L), Q_il = sum_k d_lk |(G2 X_l)_ik|^2 the diagonals of G2 R_l G2^H,
+    from one product of G2 with the (n, L k) layout of X."""
     L, n, k = X.shape
     Y = np.asarray(G2 @ X.transpose(1, 0, 2).reshape(n, L * k), dtype=complex)
     parts = Y.view(np.float64).reshape(-1, L, k, 2)
@@ -92,11 +88,8 @@ def interference_diag_matrix(G2: np.ndarray, X: np.ndarray, d: np.ndarray) -> np
 
 
 def weighted_eip(weights: np.ndarray, Q: np.ndarray) -> float:
-    """Weighted interference power sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T).
-
-    Q comes from interference_diag_matrix: with nonnegative weights the sum is
-    nonnegative, and exactly 0 only where no weighted power reaches the radar.
-    """
+    """Weighted interference power sum_l Tr(W_l G2 R_xl G2^H) = sum(W o Q^T),
+    nonnegative for nonnegative weights and d (interference_diag_matrix)."""
     if weights.shape != Q.T.shape:
         raise MetricError("weights and interference profile shapes differ")
     return float(np.sum(weights * Q.T))

@@ -237,10 +237,9 @@ def joint_design(
 
     Each outer iteration solves the weighted covariance problem for the
     current mask omega, then permutes the mask against the cost Q~
-    (scheme_mask_cost) of the design's interference profile Q, until the
-    EIP is exactly 0 or the mask search lowers nothing, so that the next
-    solve would repeat this one; the mask returned is then the one the
-    solution was solved for.
+    (scheme_mask_cost) of the design's profile Q, until the EIP is exactly 0
+    or the mask search lowers nothing, so that the next solve would repeat
+    this one; the mask returned is then the one the solution was solved for.
     """
     trace = []
     solution = None

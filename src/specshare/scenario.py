@@ -5,8 +5,7 @@ response D, the sampling mask omega and the recovery trials' codewords,
 phases and noise, all plain arrays, and synthesizes the masked radar
 receive matrix. All generators are pure functions of (config, rng stream).
 make_scenario keeps the draws of its last config, keyed on the fields they
-read, so the grid points of a p-sweep (or of a C, P_t or radar-SNR sweep)
-redraw only the mask.
+read, so the points of a p, C, P_t or radar-SNR sweep redraw only the mask.
 """
 
 from __future__ import annotations
@@ -245,10 +244,9 @@ def synthesize_radar_rx(
 @dataclass
 class Scenario:
     """One fully generated experiment instance: the generators' arrays and
-    the factors of the comm receiver's noise covariances R_wl
-    (noise_covariances), G1's one use. All but omega are read-only, shared
-    with the scenarios of configs that differ only in fields these draws do
-    not read (make_scenario)."""
+    the factors of the comm noise R_wl (noise_covariances), G1's one use. All
+    but omega are read-only, shared with configs that differ only in fields
+    these draws do not read (make_scenario)."""
 
     H: np.ndarray
     G2: np.ndarray

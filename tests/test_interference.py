@@ -509,6 +509,9 @@ class TestMismatchedRates:
     # A negative power drives |I + B X d X^H B^H| below zero.
     (lambda: average_capacity(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.array([[-2.0]])),
      "capacity determinant is not positive"),
+    # Checked before slogdet, which would warn and return nan.
+    (lambda: average_capacity(np.ones((1, 1, 1)), np.ones((1, 1, 1)), np.array([[np.nan]])),
+     "capacity input is not finite"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 1.0, 4),
      "equal rates require equal symbol counts"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 1.0, 2.0, 4),
@@ -517,7 +520,7 @@ class TestMismatchedRates:
      "radar rate must be an integer multiple of comm rate"),
     (lambda: mismatched_weight_diagonals(np.ones((3, 2)), 2.0, 1.0, 2),
      "radar symbol count must equal k * comm symbol count"),
-], ids=["capacity-lengths", "capacity-determinant", "equal-rates", "radar-slower-short",
+], ids=["capacity-lengths", "capacity-determinant", "capacity-non-finite", "equal-rates", "radar-slower-short",
         "radar-faster-ratio", "radar-faster-count"])
 def test_inconsistent_inputs_rejected(call, message):
     with pytest.raises(MetricError) as info:
@@ -716,6 +719,13 @@ class TestStackedAgainstPerSymbol:
             g[1, 0] = bad
             with pytest.raises(MetricError, match="noise covariance is not finite"):
                 covdesign._whiten(np.eye(2), CommNoise(g, noise.a, noise.sigma_C2))
+
+    def test_negative_power_rejected(self):
+        X, d = random_factors(stream(0, "negative"), 3, 2, 4)
+        d = d.copy()
+        d[1, 0] = -1e-300
+        with pytest.raises(MetricError, match="covariance matrix is not PSD"):
+            check_covariances(X, d)
 
     def test_non_finite_covariance_rejected_by_capacity(self, monkeypatch):
         """A NaN power is a post-condition failure before the capacity's
