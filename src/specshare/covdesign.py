@@ -14,11 +14,11 @@ budget takes one evaluation (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
-the whitened channels R_wl^{-1/2} H in its eigenbasis) are factored once per
-solve, the whitened channels once per problem (_whiten); each dual step is
-then one stacked Hermitian eigendecomposition of the narrow-side Gram
-matrices of the whitened channels, and the power follows in closed form
-from its factors. A design is returned as its factors (DesignSolution).
+the whitened channels B_l = R_wl^{-1/2} H, which the scenario carries, in
+its eigenbasis) are factored once per solve; each dual step is then one
+stacked Hermitian eigendecomposition of the narrow-side Gram matrices of
+the whitened channels, and the power follows in closed form from its
+factors. A design is returned as its factors (DesignSolution).
 The selfish design is the one with W_l = 0 and takes the same search: A_l = 0
 and c_l = 1 at every lambda1, so its power is flat, and a slack budget is
 met by the first evaluation. C is reachable within P_t exactly when the
@@ -29,25 +29,24 @@ within P_t proves feasibility.
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design problem is solved many times over with
 bit-equal inputs. Solves are memoized for one problem at a time: its key is
-the exact bytes (with dtype, shape and layout) of H, the noise factors
-and C; it holds the whitened channels, the minimum power once a search has
-needed it and the last few designs, keyed by the exact bytes of the weights
-and G2 and by P_t. A problem that differs in any bit replaces the one held;
-errors are never memoized. A design passes its post-conditions (_checked)
-once, when it is computed; a memoized one comes back as the same frozen
-solution with read-only arrays.
+the exact bytes (with dtype, shape and layout) of B and C, and it holds the
+last few designs, keyed by the exact bytes of the weights and G2 and by
+P_t. A problem that differs in any bit replaces the one held; errors are
+never memoized. A design passes its post-conditions (_checked) once, when
+it is computed; a memoized one comes back as the same frozen solution with
+read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SpecshareError
-from .interference import (CommNoise, MetricError, average_capacity, check_covariances,
+from .interference import (MetricError, average_capacity, check_covariances,
                            interference_diag_matrix, total_power)
 from .linalg import eig_floor, gram_spectrum, hermitize
 
@@ -56,8 +55,8 @@ from .linalg import eig_floor, gram_spectrum, hermitize
 DUAL_TOL = 1e-9
 MAX_DUAL_EVALUATIONS = 200
 
-# Designs memoized per problem (see _Problem); an L = 128 design with its
-# key takes about 100 KB.
+# Designs memoized per problem (see _memo); an L = 128 design with its key
+# takes about 100 KB.
 _MEMO_SIZE = 8
 
 
@@ -206,28 +205,7 @@ def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return np.divide(beta, gain, out=np.zeros_like(beta), where=beta > 0)
 
 
-def _whiten(H: np.ndarray, noise: CommNoise) -> np.ndarray:
-    """(L, M_rC, M_tC) stack B_l = R_wl^{-1/2} H, with R_wl^{-1/2} = sigma_C^{-1}
-    (I - c_l u_l u_l^H), u_l = g_l / ||g_l||, c_l = 1 - (1 + a ||g_l||^2 /
-    sigma_C^2)^{-1/2} by expm1 and log1p. With sigma_C^2 = 0, R_wl is singular
-    (a MetricError) unless it is the positive scalar of one receive antenna."""
-    g, a, sigma_C2 = noise.g, noise.a, noise.sigma_C2
-    if not (np.all(np.isfinite(g)) and math.isfinite(a) and math.isfinite(sigma_C2)):
-        raise MetricError("noise covariance is not finite")
-    if not np.all(np.isfinite(H)):
-        raise MetricError("channel matrix is not finite")
-    norm2 = np.sum(g.real**2 + g.imag**2, axis=1)
-    if sigma_C2 == 0.0:
-        if H.shape[0] > 1 or not np.all(a * norm2 > 0.0):
-            raise MetricError("noise covariance is not positive definite")
-        return H / np.sqrt(a * norm2)[:, None, None]
-    with np.errstate(over="ignore"):  # t_l = inf gives c_l = 1
-        c = -np.expm1(-0.5 * np.log1p(a * norm2 / sigma_C2))
-    u = np.divide(g, np.sqrt(norm2)[:, None], out=np.zeros_like(g), where=norm2[:, None] > 0.0)
-    return (H - (c[:, None] * u)[:, :, None] * (u.conj() @ H)[:, None, :]) / math.sqrt(sigma_C2)
-
-
-def _checked(X: np.ndarray, d: np.ndarray, whitened: np.ndarray, G2: np.ndarray, C: float,
+def _checked(X: np.ndarray, d: np.ndarray, B: np.ndarray, G2: np.ndarray, C: float,
              P_t: float, **fields) -> DesignSolution:
     """The DesignSolution of the factors once its post-conditions hold:
     check_covariances, power within P_t and capacity at least C, both to a
@@ -239,7 +217,7 @@ def _checked(X: np.ndarray, d: np.ndarray, whitened: np.ndarray, G2: np.ndarray,
     power = total_power(X, d)
     if not power <= P_t * (1.0 + 1e-9):
         raise SolverError(f"power {power!r} exceeds the budget {P_t!r}")
-    capacity = average_capacity(whitened, X, d)
+    capacity = average_capacity(B, X, d)
     if not capacity >= C * (1.0 - 1e-9):
         raise SolverError(f"capacity {capacity!r} is below the target {C!r}")
     return DesignSolution(X=X, d=d, Q=interference_diag_matrix(G2, X, d),
@@ -358,66 +336,36 @@ def _exact(*values) -> tuple:
     return tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in map(np.asarray, values))
 
 
-@dataclass
-class _Problem:
-    """One design problem (H, noise factors, C) and what its designs share:
-    the whitened channels and, once a search has needed it, the power of the
-    minimum-power (W_l = 0) design, the feasibility test. designs holds up
-    to _MEMO_SIZE checked solutions under _exact(weights, G2, P_t), the
-    least recently used dropped first."""
-
-    key: tuple
-    C: float
-    whitened: np.ndarray
-    min_power: float | None = None
-    designs: OrderedDict = field(default_factory=OrderedDict)
-
-    def check_budget(self, P_t: float) -> None:
-        """InfeasibleError unless the minimum-power design fits in P_t."""
-        if self.min_power is None:
-            self.min_power = _DualKernel.unweighted(self.whitened).step(1.0, self.C).power
+def _budget_check(B: np.ndarray, C: float):
+    """The feasibility test of the problem (B, C) for _dual_search: P_t ->
+    InfeasibleError unless the minimum-power (W_l = 0) design fits in P_t,
+    that design computed at the call."""
+    def check_budget(P_t: float) -> None:
         # Written so that a NaN power is infeasible too.
-        if not self.min_power <= P_t:
-            raise InfeasibleError(f"capacity target {self.C} unreachable within power budget {P_t}")
+        if not _DualKernel.unweighted(B).step(1.0, C).power <= P_t:
+            raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
 
-    def design(self, key, solve) -> DesignSolution:
-        if key in self.designs:
-            self.designs.move_to_end(key)
-            return self.designs[key]
-        sol = solve()  # an error propagates and nothing is kept
-        for a in (sol.X, sol.d, sol.Q):
-            a.flags.writeable = False
-        self.designs[key] = sol
-        if len(self.designs) > _MEMO_SIZE:
-            self.designs.popitem(last=False)
-        return sol
+    return check_budget
 
 
-# The problem of the last solve; one that differs in any bit replaces it.
-# It takes no lock: the harness and joint_design solve on one thread.
-_memo: _Problem | None = None
-
-
-def _problem(H: np.ndarray, noise: CommNoise, C: float) -> _Problem:
-    """The problem (H, noise, C), memoized."""
-    global _memo
-    key = _exact(H, noise.g, noise.a, noise.sigma_C2, C)
-    if _memo is None or _memo.key != key:
-        _memo = _Problem(key, C, _whiten(H, noise))
-    return _memo
+# (_exact(B, C), designs) of the last problem: up to _MEMO_SIZE checked
+# solutions under _exact(weights, G2, P_t), the least recently used dropped
+# first. A problem that differs in any bit replaces it. It takes no lock:
+# the harness and joint_design solve on one thread.
+_memo: tuple | None = None
 
 
 def solve_weighted_eip(
     weights: np.ndarray,
-    H: np.ndarray,
+    B: np.ndarray,
     G2: np.ndarray,
-    noise: CommNoise,
     P_t: float,
     C: float,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by a search on the power multiplier
-    (_dual_search). weights is the (L, M_rR) array of the diagonals of the W_l;
+    (_dual_search). weights is the (L, M_rR) array of the diagonals of the
+    W_l, B the (L, M_rC, M_tC) whitened channels R_wl^{-1/2} H (Scenario.B);
     zero weights give the selfish (minimum-power) design.
 
     InfeasibleError: C needs more power than P_t even in the minimum-power
@@ -427,20 +375,32 @@ def solve_weighted_eip(
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution.
-    MetricError: H or the noise is not finite, or R_wl is singular (_whiten).
+    MetricError: B is not finite.
     """
-    if len(noise.g) != len(weights):
-        raise SolverError("weights and noise schedules have different lengths")
+    global _memo
+    if len(B) != len(weights):
+        raise SolverError("weights and whitened channels have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    problem = _problem(H, noise, C)
+    problem = _exact(B, C)
+    if _memo is None or _memo[0] != problem:
+        if not np.all(np.isfinite(B)):
+            raise MetricError("whitened channel is not finite")
+        _memo = (problem, OrderedDict())
+    designs = _memo[1]
+    key = _exact(weights, G2, P_t)
+    if key in designs:
+        designs.move_to_end(key)
+        return designs[key]
 
-    def solve():
-        kernel = _DualKernel.weighted(weights, G2, problem.whitened)
-        best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
-                                                   problem.check_budget)
-        return _checked(*kernel.factors(best), problem.whitened, G2, C, P_t,
-                        lambda1=best.lambda1, lambda2=best.lambda2,
-                        iterations=iterations, converged=converged)
-
-    return problem.design(_exact(weights, G2, P_t), solve)
+    kernel = _DualKernel.weighted(weights, G2, B)
+    best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
+                                               _budget_check(B, C))
+    sol = _checked(*kernel.factors(best), B, G2, C, P_t, lambda1=best.lambda1,
+                   lambda2=best.lambda2, iterations=iterations, converged=converged)
+    for a in (sol.X, sol.d, sol.Q):
+        a.flags.writeable = False
+    designs[key] = sol
+    if len(designs) > _MEMO_SIZE:
+        designs.popitem(last=False)
+    return sol

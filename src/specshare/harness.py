@@ -177,19 +177,18 @@ def _solve_method(method, cfg, scn):
     """Returns (DesignSolution, mask omega used for the EIP metric). The
     method's name, one ExperimentSpec accepts, picks the interference
     weights W_l of its design problem."""
-    H, G2, S, noise = scn.H, scn.G2, scn.S, scn.noise
     if method == "selfish":  # ignores the radar
         w = np.zeros((cfg.L, cfg.M_rR))
     elif method == "noncoop":
         w = tip_weights(cfg.M_rR, cfg.L)
     elif method in ("coop", "full"):  # the radar scheme's EIP, per the spec check
-        w = scheme_weights(cfg, scn.omega, S)
+        w = scheme_weights(cfg, scn.omega, scn.S)
     elif method == "partial":
-        w = fmfb_weights(S, cfg.M_rR)
+        w = fmfb_weights(scn.S, cfg.M_rR)
     elif method == "joint":
-        result = joint_design(cfg, H, G2, noise, S, scn.omega)
+        result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
         return result.solution, result.mask
-    return solve_weighted_eip(w, H, G2, noise, cfg.P_t, cfg.C), scn.omega
+    return solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C), scn.omega
 
 
 def run_compare(spec: ExperimentSpec, *sweep_values) -> list:

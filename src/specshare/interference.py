@@ -14,7 +14,8 @@ the diagonal of W_l, and each family has one builder:
 weighted_eip forms the sum, scheme_mask_cost (the adjoint of scheme_weights)
 the mask's own cost Q~ with EIP = sum(Omega o Q~), and
 mismatched_weight_diagonals remaps weights onto the comm symbol grid when the
-symbol rates differ, and CommNoise holds the factors of the comm noise.
+symbol rates differ. The capacity reads the comm link only through its
+whitened channels B_l = R_wl^{-1/2} H (scenario.make_scenario forms them).
 Independent oracles (the trace form of EIP_II, a Monte-Carlo estimate, the
 dense formulas) are kept with the tests.
 """
@@ -22,7 +23,6 @@ dense formulas) are kept with the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +31,6 @@ from .config import ScenarioConfig, Scheme, SpecshareError
 
 class MetricError(SpecshareError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class CommNoise:
-    """The comm noise covariances R_wl = sigma_C2 I + a g_l g_l^H as factors;
-    two records are equal only as the same object."""
-
-    g: np.ndarray  # (L, M_rC), row l the radar interference G1 s(l)
-    a: float  # rho^2 sigma_alpha^2
-    sigma_C2: float
 
 
 def total_power(X: np.ndarray, d: np.ndarray) -> float:
@@ -55,12 +45,6 @@ def check_covariances(X: np.ndarray, d: np.ndarray) -> None:
         raise MetricError("covariance matrix is not finite")
     if not np.all(d >= 0.0):
         raise MetricError("covariance matrix is not PSD")
-
-
-def noise_covariances(cfg: ScenarioConfig, G1: np.ndarray, S: np.ndarray) -> CommNoise:
-    """The factors of R_wl = rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H + sigma_C^2 I."""
-    g = np.matmul(G1, S.T[:, :, None])[..., 0]  # row l: G1 s(l)
-    return CommNoise(g=g, a=float(cfg.rho2) * float(cfg.sigma_alpha2), sigma_C2=float(cfg.sigma_C2))
 
 
 def average_capacity(whitened: np.ndarray, X: np.ndarray, d: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import CommNoise, scheme_mask_cost, scheme_weights, weighted_eip
+from .interference import scheme_mask_cost, scheme_weights, weighted_eip
 from .config import ScenarioConfig
 from .covdesign import DesignSolution, solve_weighted_eip
 
@@ -227,9 +227,8 @@ def spectral_gap(omega: np.ndarray):
 
 def joint_design(
     cfg: ScenarioConfig,
-    H: np.ndarray,
+    B: np.ndarray,
     G2: np.ndarray,
-    noise: CommNoise,
     S: np.ndarray,
     omega: np.ndarray,
 ) -> JointDesignResult:
@@ -245,7 +244,7 @@ def joint_design(
     solution = None
     for _ in range(_MAX_OUTER):
         weights = scheme_weights(cfg, omega, S)
-        solution = solve_weighted_eip(weights, H, G2, noise, cfg.P_t, cfg.C)
+        solution = solve_weighted_eip(weights, B, G2, cfg.P_t, cfg.C)
         eip = weighted_eip(weights, solution.Q)
         trace.append(eip)
         if eip == 0.0:

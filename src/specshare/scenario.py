@@ -4,6 +4,8 @@ Generates the channels H, G1 and G2, the radar waveforms S, the target
 response D, the sampling mask omega and the recovery trials' codewords,
 phases and noise, all plain arrays, and synthesizes the masked radar
 receive matrix. All generators are pure functions of (config, rng stream).
+The comm link enters every design only through the whitened channels
+B_l = R_wl^{-1/2} H, which make_scenario forms once from H, G1 and S.
 make_scenario keeps the draws of its last config, keyed on the fields they
 read, so the points of a p, C, P_t or radar-SNR sweep redraw only the mask.
 """
@@ -11,12 +13,11 @@ read, so the points of a p, C, P_t or radar-SNR sweep redraw only the mask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite, sqrt
 
 import numpy as np
 
 from .config import ScenarioConfig, Scheme, SpecshareError
-from .interference import CommNoise, noise_covariances
 from .linalg import crandn
 from .streams import stream
 
@@ -243,21 +244,21 @@ def synthesize_radar_rx(
 
 @dataclass
 class Scenario:
-    """One fully generated experiment instance: the generators' arrays and
-    the factors of the comm noise R_wl (noise_covariances), G1's one use. All
-    but omega are read-only, shared with configs that differ only in fields
-    these draws do not read (make_scenario)."""
+    """One fully generated experiment instance: the generators' arrays, with
+    the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
+    R_wl^{-1/2} H (_whiten). All but omega are read-only, shared with
+    configs that differ only in fields these draws do not read
+    (make_scenario)."""
 
-    H: np.ndarray
+    B: np.ndarray
     G2: np.ndarray
     S: np.ndarray
     D: np.ndarray
     omega: np.ndarray
-    noise: CommNoise
 
 
-# The config fields that H, G1, G2, S, D and the noise factors read; p and
-# the scheme (the mask's), C, P_t, gamma2_dB, snr_dB and sigma_R2 are not.
+# The config fields that H, G1, G2, S, D and the comm noise read; p and the
+# scheme (the mask's), C, P_t, gamma2_dB, snr_dB and sigma_R2 are not.
 _SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "targets",
                   "rho2", "sigma_alpha2", "sigma_C2", "seed")
 
@@ -275,16 +276,40 @@ def _bits(value):
     return type(value), value
 
 
+def _whiten(cfg: ScenarioConfig, H: np.ndarray, G1: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(L, M_rC, M_tC) stack B_l = R_wl^{-1/2} H of the comm noise R_wl =
+    sigma_C^2 I + a g_l g_l^H, g_l = G1 s(l) and a = rho^2 sigma_alpha^2:
+    R_wl^{-1/2} = sigma_C^{-1} (I - c_l u_l u_l^H), u_l = g_l / ||g_l||,
+    c_l = 1 - (1 + a ||g_l||^2 / sigma_C^2)^{-1/2} by expm1 and log1p. With
+    sigma_C^2 = 0, R_wl is singular (a ScenarioError) unless it is the
+    positive scalar of one receive antenna."""
+    g = np.matmul(G1, S.T[:, :, None])[..., 0]  # row l: G1 s(l)
+    a, sigma_C2 = float(cfg.rho2) * float(cfg.sigma_alpha2), float(cfg.sigma_C2)
+    if not (np.all(np.isfinite(g)) and isfinite(a) and isfinite(sigma_C2)):
+        raise ScenarioError("noise covariance is not finite")
+    if not np.all(np.isfinite(H)):
+        raise ScenarioError("channel matrix is not finite")
+    norm2 = np.sum(g.real**2 + g.imag**2, axis=1)
+    if sigma_C2 == 0.0:
+        if H.shape[0] > 1 or not np.all(a * norm2 > 0.0):
+            raise ScenarioError("noise covariance is not positive definite")
+        return H / np.sqrt(a * norm2)[:, None, None]
+    with np.errstate(over="ignore"):  # t_l = inf gives c_l = 1
+        c = -np.expm1(-0.5 * np.log1p(a * norm2 / sigma_C2))
+    u = np.divide(g, np.sqrt(norm2)[:, None], out=np.zeros_like(g), where=norm2[:, None] > 0.0)
+    return (H - (c[:, None] * u)[:, :, None] * (u.conj() @ H)[:, None, :]) / sqrt(sigma_C2)
+
+
 def _shared_draws(cfg: ScenarioConfig) -> tuple:
-    """(H, G2, S, D, noise), the draws that read only _SHARED_FIELDS, with
-    their arrays made read-only to be shared."""
+    """(B, G2, S, D), the draws that read only _SHARED_FIELDS, with their
+    arrays made read-only to be shared."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
     D = generate_target_response(cfg)
-    noise = noise_covariances(cfg, G1, S)
-    for a in (H, G2, S, D, noise.g):
+    draws = (_whiten(cfg, H, G1, S), G2, S, D)
+    for a in draws:
         a.flags.writeable = False
-    return H, G2, S, D, noise
+    return draws
 
 
 # (key, _shared_draws) of the last config; a key that differs in any bit
@@ -296,15 +321,15 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     """Generate every random input of an experiment from named streams of
     cfg.seed. Stream separation keeps each piece stable as others evolve.
 
-    The draws H, G2, S, D and the noise factors are memoized for the last
-    config, keyed on the exact bits of the fields they read (_SHARED_FIELDS),
-    the seed included; they are read-only arrays, the same objects at every
-    hit. The mask is drawn at every call, after them.
-    An error is never memoized."""
+    The draws B, G2, S and D are memoized for the last config, keyed on the
+    exact bits of the fields they read (_SHARED_FIELDS), the seed included;
+    they are read-only arrays, the same objects at every hit. The mask is
+    drawn at every call, after them. A ScenarioError names a non-finite
+    channel or comm noise, or a singular one (_whiten); an error is never
+    memoized."""
     global _memo
     key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)
     if _memo is None or _memo[0] != key:
         _memo = (key, _shared_draws(cfg))
-    H, G2, S, D, noise = _memo[1]
     omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage)
-    return Scenario(H, G2, S, D, omega, noise)
+    return Scenario(*_memo[1], omega)

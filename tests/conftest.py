@@ -1,7 +1,8 @@
 """Every test starts with empty memos (specshare.covdesign keeps the solves
-of its last problem, specshare.scenario the draws of its last config), so a
-test that replaces a solver part or a generator sees a fresh solve and fresh
-draws, not ones memoized by an earlier test."""
+of its last problem (B, C), specshare.scenario the draws of its last config,
+the whitened channels B among them), so a test that replaces a solver part,
+a generator or the whitening sees a fresh solve and fresh draws, not ones
+memoized by an earlier test."""
 
 import pytest
 

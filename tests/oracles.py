@@ -19,36 +19,61 @@ target by classic water-filling of the power budget (specshare.covdesign
 asks whether the minimum-power design fits in the budget), a feasibility
 and optimality report of a returned design recomputed from its
 covariances (specshare.covdesign checks its own post-conditions once, as
-it solves, on the design's factors), the dense forms of the comm noise
-covariances, of the whitening by an eigendecomposition, of the
-interference profile and of the capacity, and a 40-digit mpmath capacity
-(specshare carries the noise and the designs as factors and whitens in
-closed form), and a Floyd-Warshall bound on the cycle weights of an
+it solves, on the design's factors), the comm channel and the dense comm
+noise covariances re-derived from a config's named streams, the dense
+forms of the whitening by an eigendecomposition, of the interference
+profile and of the capacity, and a 40-digit mpmath capacity (specshare
+whitens once, in closed form, as it makes a scenario, and carries the
+designs as factors), and a Floyd-Warshall bound on the cycle weights of an
 assignment candidate (specshare.samplingopt certifies a candidate by a
 Bellman-Ford cycle search). Only the tests use them.
 """
 
+import types
+
 import numpy as np
 
+from specshare import scenario
 from specshare.completion import _CONTINUATION, _MAX_ITERATIONS, _mu_schedule, shrink
 from specshare.config import Scheme
 from specshare.covdesign import min_capacity_multiplier, solve_weighted_eip
-from specshare.interference import CommNoise, MetricError, weighted_eip
+from specshare.interference import MetricError, weighted_eip
 from specshare.linalg import crandn, eig_floor, gram_spectrum, hermitize, psd_sqrt
-from specshare.scenario import noiseless_radar_return, resolve_sigma_R2
+from specshare.scenario import (generate_channels, generate_waveforms, noiseless_radar_return,
+                                resolve_sigma_R2)
+from specshare.streams import stream
 
 
-def white_noise(sigma_C2: float, L: int, m: int) -> CommNoise:
-    """Noise factors of R_wl = sigma_C2 I, (L symbols, m receive antennas)."""
-    return CommNoise(g=np.zeros((L, m), dtype=complex), a=0.0, sigma_C2=sigma_C2)
+def comm_noise_factors(cfg):
+    """(H, g, a): the comm channel H and the factors of the comm noise
+    R_wl = sigma_C2 I + a g_l g_l^H, row l of g the radar interference
+    G1 s(l) and a = rho2 sigma_alpha2, re-derived from cfg.seed's named
+    streams (generate_channels, generate_waveforms)."""
+    H, G1, _ = generate_channels(cfg, stream(cfg.seed, "channels"))
+    S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
+    return H, (G1 @ S).T, float(cfg.rho2) * float(cfg.sigma_alpha2)
 
 
-def dense_noise(noise: CommNoise) -> np.ndarray:
-    """The (L, M_rC, M_rC) stack R_wl = sigma_C2 I + a g_l g_l^H of noise
-    factors, formed as a matrix."""
-    g = noise.g
-    eye = noise.sigma_C2 * np.eye(g.shape[1])
-    return hermitize(noise.a * (g[:, :, None] * g.conj()[:, None, :]) + eye)
+def dense_noise(g, a: float, sigma_C2: float) -> np.ndarray:
+    """The (L, M_rC, M_rC) stack R_wl = sigma_C2 I + a g_l g_l^H, formed as
+    a matrix."""
+    eye = sigma_C2 * np.eye(g.shape[1])
+    return hermitize(a * (g[:, :, None] * g.conj()[:, None, :]) + eye)
+
+
+def whiten(H, g, a: float, sigma_C2: float) -> np.ndarray:
+    """B_l = R_wl^{-1/2} H of the noise R_wl = sigma_C2 I + a g_l g_l^H
+    given as factors, by the scenario's own closed form (not an oracle):
+    with G1 = g^T and S = I, g_l = G1 s(l)."""
+    cfg = types.SimpleNamespace(rho2=a, sigma_alpha2=1.0, sigma_C2=sigma_C2)
+    return scenario._whiten(cfg, H, g.T, np.eye(len(g)))
+
+
+def comm_link(cfg):
+    """(H, R_w): the comm channel and the dense (L, M_rC, M_rC) comm noise
+    stack of cfg's scenario, re-derived (comm_noise_factors)."""
+    H, g, a = comm_noise_factors(cfg)
+    return H, dense_noise(g, a, float(cfg.sigma_C2))
 
 
 def psd_inv_sqrt(a: np.ndarray) -> np.ndarray:
@@ -78,7 +103,7 @@ def dense_capacity(schedule, H, noise_stack) -> float:
     return float(np.sum((logdet_f - logdet_n) / np.log(2.0))) / len(schedule)
 
 
-def mp_capacity(H, noise: CommNoise, X, d, dps: int = 40) -> float:
+def mp_capacity(H, g, a: float, sigma_C2: float, X, d, dps: int = 40) -> float:
     """(1/L) sum_l log2 |I + R_wl^{-1} H R_l H^H| computed by mpmath at dps
     digits, the float64 inputs taken as exact: the noise factors
     R_wl = sigma_C2 I + a g_l g_l^H and the design R_l = X_l diag(d_l) X_l^H."""
@@ -87,9 +112,9 @@ def mp_capacity(H, noise: CommNoise, X, d, dps: int = 40) -> float:
     with mpmath.workdps(dps):
         Hm = mpmath.matrix(H.tolist())
         total = mpmath.mpf(0)
-        for g, X_l, d_l in zip(noise.g, X, d):
-            gm = mpmath.matrix(g.tolist())
-            R_w = noise.sigma_C2 * mpmath.eye(len(g)) + noise.a * gm * gm.H
+        for g_l, X_l, d_l in zip(g, X, d):
+            gm = mpmath.matrix(g_l.tolist())
+            R_w = sigma_C2 * mpmath.eye(len(g_l)) + a * gm * gm.H
             F = mpmath.matrix(X_l.tolist()) * mpmath.diag([mpmath.sqrt(x) for x in d_l.tolist()])
             HF = Hm * F
             total += mpmath.log(mpmath.det(R_w + HF * HF.H) / mpmath.det(R_w), 2).real
@@ -295,15 +320,17 @@ def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
     return float(np.sum(np.log2(1.0 + gains * powers)) / len(whitened))
 
 
-def selfish(H, noise, C: float, P_t: float, G2):
+def selfish(B, C: float, P_t: float, G2):
     """The selfish (minimum-power) design: solve_weighted_eip with W_l = 0,
     as the harness's selfish method solves it."""
-    return solve_weighted_eip(np.zeros((len(noise.g), G2.shape[0])), H, G2, noise, P_t, C)
+    return solve_weighted_eip(np.zeros((len(B), G2.shape[0])), B, G2, P_t, C)
 
 
-def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other=None) -> dict:
+def verify_solution(sol, H, R_w, G2, P_t: float, C: float, weights=None, other=None) -> dict:
     """Feasibility / optimality report for a returned design, recomputed
-    from its covariance stack sol.schedule and the dense noise stack.
+    from its covariance stack sol.schedule, the channel H and the dense
+    noise stack R_w (comm_link), not from the whitened channels it was
+    solved for.
 
     When weights and a second solution are given, the ordering verdict
     checks that sol's weighted EIP does not exceed the other solution's
@@ -317,7 +344,7 @@ def verify_solution(sol, H, G2, noise, P_t: float, C: float, weights=None, other
     power = float(trace.sum())
     report["consumed_power"] = power
     report["power_feasible"] = power <= P_t + 1e-6
-    cap = dense_capacity(schedule, H, dense_noise(noise))
+    cap = dense_capacity(schedule, H, R_w)
     report["capacity_gap"] = cap - C
     report["capacity_active"] = abs(cap - C) <= 1e-3
     report["slackness_residual"] = abs(sol.lambda1 * (P_t - power))

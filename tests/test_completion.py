@@ -155,7 +155,7 @@ def mc_recovery_input():
     p = 0.5 under the selfish design: (observed, omega)."""
     cfg = pipeline_cfg(L=32, p=0.5, seed=1)
     scn = make_scenario(cfg)
-    roots = psd_sqrt(selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2).schedule)
+    roots = psd_sqrt(selfish(scn.B, cfg.C, cfg.P_t, scn.G2).schedule)
     (v,), (alpha2,), (noise,) = draw_trials(cfg, 1, stream(1, "mc"))
     X = (roots @ v[:, :, None])[:, :, 0].T
     observed = synthesize_radar_rx(cfg, scn.D, scn.S, scn.G2, X, alpha2, scn.omega, noise)
@@ -344,7 +344,7 @@ class TestRadarPipeline:
         # a vector one, which BLAS may round differently (oracles.eip_samples).
         cfg = ScenarioConfig(M_rR=M_rR, M_tC=M_tC, L=L, p=1.0, C=1.0, scheme=scheme, seed=1)
         scn = make_scenario(cfg)
-        schedule = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2).schedule
+        schedule = selfish(scn.B, cfg.C, cfg.P_t, scn.G2).schedule
         seen = []
 
         def record(observations, *args):
@@ -400,7 +400,7 @@ class TestRadarPipeline:
             for seed in range(2):
                 cfg = pipeline_cfg(p=0.5, seed=seed, targets=targets)
                 scn = make_scenario(cfg)
-                sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
+                sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
                 stats = radar_pipeline(
                     cfg, scn.D, scn.S, scn.G2,
                     sol.schedule, scn.omega, 6, stream(seed, "mc", len(targets)),
@@ -442,7 +442,7 @@ def usable_cpus(monkeypatch, n):
 
 def selfish_pipeline(cfg, trials):
     scn = make_scenario(cfg)
-    sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
+    sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
     return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, trials,
                           stream(cfg.seed, "mc"))
 
@@ -515,7 +515,7 @@ def back_to_back_shares(cfg):
     calls on cfg's selfish design, and the process's thread count after
     each call."""
     scn = make_scenario(cfg)
-    sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
+    sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
     rng = stream(cfg.seed, "mc")
     threads = []
     with pytest.MonkeyPatch.context() as m:

@@ -18,14 +18,15 @@ from specshare.covdesign import (
     solve_weighted_eip,
 )
 from specshare.harness import ExperimentSpec, run_compare
-from specshare.interference import (CommNoise, fmfb_weights, scheme_weights, tip_weights,
-                                    weighted_eip)
+from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
 from specshare.linalg import crandn, hermitize
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
 from oracles import (
     capacity_bound,
+    comm_link,
+    comm_noise_factors,
     dense_capacity,
     dense_noise,
     dense_schedule,
@@ -36,7 +37,7 @@ from oracles import (
     svd_dual_step,
     verify_solution,
     water_fill,
-    white_noise,
+    whiten,
 )
 
 
@@ -156,30 +157,36 @@ class TestSubproblemSolution:
             assert abs(np.trace(Z @ R).real) <= 1e-6 * scale * max(np.trace(R).real, 1.0)
 
 
+def white(sigma_C2, L, H):
+    """The whitened channels of H under white noise R_wl = sigma_C2 I."""
+    return whiten(H, np.zeros((L, H.shape[0]), dtype=complex), 0.0, sigma_C2)
+
+
 def small_instance(seed, L=4):
-    """A 2 x 2 channel, a 3 x 2 radar channel and L noise covariances
-    R_wl = 0.1 I + g_l g_l^H."""
+    """(B, G2, H, R_w): the whitened channels of a 2 x 2 channel H under L
+    noise covariances R_wl = 0.1 I + g_l g_l^H, a 3 x 2 radar channel, H
+    and the dense R_wl."""
     rng = stream(seed, "inst")
     H = crandn(rng, 2, 2)
     G2 = crandn(rng, 3, 2)
-    return H, G2, CommNoise(g=crandn(rng, L, 2), a=1.0, sigma_C2=0.1)
+    g = crandn(rng, L, 2)
+    return whiten(H, g, 1.0, 0.1), G2, H, dense_noise(g, 1.0, 0.1)
 
 
 class TestSolveWeightedEip:
     def test_zero_interference_channel(self):
-        H, _, noise = small_instance(0)
+        B = small_instance(0)[0]
         G2 = np.zeros((3, 2))
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
         assert weighted_eip(w, sol.Q) == 0.0
         assert sol.achieved_capacity >= 2.0 - 1e-6
 
     def test_scalar_closed_form(self):
         sigma_C2 = 0.5
         C = 3.0
-        noise = white_noise(sigma_C2, 1, 1)
         w = tip_weights(1, 1)
-        sol = solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=10.0, C=C)
+        sol = solve_weighted_eip(w, white(sigma_C2, 1, np.eye(1)), np.eye(1), P_t=10.0, C=C)
         expect = sigma_C2 * (2.0**C - 1.0)
         assert abs(sol.consumed_power - expect) <= 1e-6 * expect
         eip = weighted_eip(w, sol.Q)
@@ -189,89 +196,79 @@ class TestSolveWeightedEip:
         cfg = ScenarioConfig(p=0.5, seed=0)
         scn = make_scenario(cfg)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+        sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
-        assert verify_solution(sol, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)["psd_ok"]
+        assert verify_solution(sol, *comm_link(cfg), scn.G2, cfg.P_t, cfg.C)["psd_ok"]
 
     def test_infeasible_target_rejected(self):
-        noise = white_noise(1.0, 1, 1)
         w = tip_weights(1, 1)
         with pytest.raises(InfeasibleError):
-            solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=1.0, C=10.0)
+            solve_weighted_eip(w, white(1.0, 1, np.eye(1)), np.eye(1), P_t=1.0, C=10.0)
 
     def test_weights_antenna_count_mismatch_rejected(self):
-        H, G2, noise = small_instance(0)
-        w = tip_weights(G2.shape[0] + 1, len(noise.g))
+        B, G2, *_ = small_instance(0)
+        w = tip_weights(G2.shape[0] + 1, len(B))
         with pytest.raises(SolverError):
-            solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
 
     @pytest.mark.parametrize("weight_symbols", [3, 5])
     def test_weights_noise_length_mismatch_rejected(self, weight_symbols):
-        H, G2, noise = small_instance(0)
+        B, G2, *_ = small_instance(0)
         w = tip_weights(G2.shape[0], weight_symbols)
         with pytest.raises(SolverError,
-                           match="^weights and noise schedules have different lengths$"):
-            solve_weighted_eip(w, H, G2, noise, P_t=8.0, C=2.0)
+                           match="^weights and whitened channels have different lengths$"):
+            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
 
     def test_subproblem_consistency(self):
         # Re-deriving the schedule from the returned dual point reproduces it.
-        H, G2, noise = small_instance(3)
+        B, G2, H, R_w = small_instance(3)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
         for l in range(4):
-            R = subproblem_solution(
-                sol.lambda1, sol.lambda2, w[l], G2, H, dense_noise(noise)[l]
-            )
+            R = subproblem_solution(sol.lambda1, sol.lambda2, w[l], G2, H, R_w[l])
             assert np.linalg.norm(R - sol.schedule[l]) <= 1e-8 * max(
                 np.linalg.norm(sol.schedule[l]), 1.0
             )
 
     def test_power_nonincreasing_in_lambda1(self):
-        H, G2, noise = small_instance(4)
+        B, G2, *_ = small_instance(4)
         w = tip_weights(3, 4)
-        kernel = covdesign._DualKernel.weighted(
-            w, G2, covdesign._whiten(H, noise))
+        kernel = covdesign._DualKernel.weighted(w, G2, B)
         powers = [kernel.step(lam1, 2.0).power for lam1 in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert all(a >= b - 1e-9 for a, b in zip(powers, powers[1:]))
 
     def test_cooperative_ordering(self):
         # EIP_I of the cooperative design never exceeds that of the TIP design.
         for seed in range(5):
-            H, G2, noise = small_instance(10 + seed)
+            B, G2, *_ = small_instance(10 + seed)
             while True:
                 omega = (stream(seed, "m").random((3, 4)) < 0.5).astype(float)
                 if omega.sum() > 0:
                     break
             w_eip = omega.T.copy()
             w_tip = tip_weights(3, 4)
-            coop = solve_weighted_eip(w_eip, H, G2, noise, P_t=10.0, C=1.0)
-            noncoop = solve_weighted_eip(w_tip, H, G2, noise, P_t=10.0, C=1.0)
+            coop = solve_weighted_eip(w_eip, B, G2, P_t=10.0, C=1.0)
+            noncoop = solve_weighted_eip(w_tip, B, G2, P_t=10.0, C=1.0)
             assert weighted_eip(w_eip, coop.Q) <= weighted_eip(w_eip, noncoop.Q) + 1e-6
 
 
 def random_design(rng):
-    """L symbols, an m x n channel, an M x n radar channel, noise
-    covariances 0.1 I + a g_l g_l^H, 0/1 weights and a capacity target."""
+    """((weights, B, G2), C): 0/1 weights over L symbols, the whitened
+    channels of an m x n channel under noise covariances 0.1 I + a g_l g_l^H,
+    an M x n radar channel and a capacity target."""
     L, m, n, M = (int(x) for x in rng.integers(1, [9, 5, 5, 5]))
     H = crandn(rng, m, n)
     G2 = crandn(rng, M, n)
-    noise = CommNoise(g=crandn(rng, L, m), a=float(rng.uniform(0.0, 2.0)), sigma_C2=0.1)
+    g, a = crandn(rng, L, m), float(rng.uniform(0.0, 2.0))
     w = (rng.uniform(size=(L, M)) < 0.6).astype(float)
-    return (w, H, G2, noise), float(rng.uniform(0.5, 6.0))
-
-
-def budget_check(whitened, C):
-    """The feasibility test the solver hands _dual_search for the problem
-    with these whitened channels."""
-    return covdesign._Problem((), C, whitened).check_budget
+    return (w, whiten(H, g, a, 0.1), G2), float(rng.uniform(0.5, 6.0))
 
 
 class TestFeasibility:
     """InfeasibleError comes from the minimum-power design. The search asks
     for it just before its bracket would grow past lambda1 = 1, and only
-    there: a problem whose minimum power is known evaluates lambda1 = 2^-30
-    and 1 before it fails again."""
+    there, computing that design then."""
 
     def test_agrees_with_water_filling_bound(self):
         # Water-filling duality: C is unreachable within P_t exactly when the
@@ -281,9 +278,9 @@ class TestFeasibility:
         outcomes, flat = set(), 0
         for _ in range(300):
             design, C = random_design(rng)
-            _, H, G2, noise = design
-            p_min = selfish(H, noise, C, np.inf, G2).consumed_power
-            flat += not design[0].any()
+            w, B, G2 = design
+            p_min = selfish(B, C, np.inf, G2).consumed_power
+            flat += not w.any()
             for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
                 try:
                     outcome = type(solve_weighted_eip(*design, P_t, C))
@@ -291,27 +288,26 @@ class TestFeasibility:
                     outcome = type(exc)
                 assert outcome in (InfeasibleError, DesignSolution)
                 infeasible = outcome is InfeasibleError
-                assert infeasible == (capacity_bound(covdesign._whiten(H, noise), P_t) < C)
+                assert infeasible == (capacity_bound(B, P_t) < C)
                 outcomes.add(infeasible)
         assert outcomes == {True, False} and flat > 0
 
     def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, monkeypatch,
                                                                       dual_steps):
-        """Just below the minimum power, InfeasibleError comes after the
-        points 2^-30 and 1 and one minimum-power step (at lambda1 = 1), and
-        on the same problem again after the two points alone; just above
-        it, the design is solved within P_t."""
+        """Below the minimum power, InfeasibleError comes after the points
+        2^-30 and 1 and one minimum-power step (at lambda1 = 1), at each
+        solve of the problem; just above it, the design is solved within
+        P_t."""
         for seed in range(4):
             design, C = random_design(stream(seed, "feasible-edge"))
-            _, H, G2, noise = design
-            p_min = selfish(H, noise, C, np.inf, G2).consumed_power
+            _, B, G2 = design
+            p_min = selfish(B, C, np.inf, G2).consumed_power
             monkeypatch.setattr(covdesign, "_memo", None)
-            for P_t, expected in ((p_min * (1.0 - 1e-9), [2.0 ** -30, 1.0, 1.0]),
-                                  (0.5 * p_min, [2.0 ** -30, 1.0])):
+            for P_t in (p_min * (1.0 - 1e-9), 0.5 * p_min):
                 dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
                     solve_weighted_eip(*design, P_t, C)
-                assert dual_steps == expected
+                assert dual_steps == [2.0 ** -30, 1.0, 1.0]
             P_t = p_min * (1.0 + 1e-9)
             assert solve_weighted_eip(*design, P_t, C).consumed_power <= P_t
 
@@ -320,18 +316,17 @@ class TestSelfishDesign:
     """The selfish design: solve_weighted_eip with W_l = 0."""
 
     def test_zero_capacity_target(self):
-        H, G2, noise = small_instance(0)
-        sol = selfish(H, noise, 0.0, np.inf, G2)
+        B, G2, *_ = small_instance(0)
+        sol = selfish(B, 0.0, np.inf, G2)
         assert sol.consumed_power == 0.0
 
     def test_scalar_power(self):
-        noise = white_noise(1.0, 1, 1)
-        sol = selfish(np.eye(1), noise, 4.0, np.inf, np.eye(1))
+        sol = selfish(white(1.0, 1, np.eye(1)), 4.0, np.inf, np.eye(1))
         assert abs(sol.consumed_power - (2.0**4 - 1.0)) <= 1e-6
 
     def test_capacity_active(self):
-        H, G2, noise = small_instance(7)
-        sol = selfish(H, noise, 3.0, np.inf, G2)
+        B, G2, *_ = small_instance(7)
+        sol = selfish(B, 3.0, np.inf, G2)
         assert abs(sol.achieved_capacity - 3.0) <= 1e-6
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -346,17 +341,16 @@ class TestSelfishDesign:
         for seed in range(3):
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
             scn = make_scenario(cfg)
-            whitened = covdesign._whiten(scn.H, scn.noise)
-            kernel = covdesign._DualKernel.unweighted(whitened)
+            kernel = covdesign._DualKernel.unweighted(scn.B)
             step = kernel.step(1.0, cfg.C)
-            sol = selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
+            sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
             assert sol.schedule.tobytes() == covariances(kernel, step).tobytes()
             assert sol.iterations == 1 and sol.converged
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
-            zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, whitened)
+            zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, scn.B)
             searched, evaluations, _ = covdesign._dual_search(
                 zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS,
-                budget_check(whitened, cfg.C))
+                covdesign._budget_check(scn.B, cfg.C))
             assert evaluations == 1
             assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
             assert covariances(zero, searched).tobytes() == sol.schedule.tobytes()
@@ -372,38 +366,38 @@ class TestVerifySolution:
         cfg = ScenarioConfig(p=0.5, seed=1)
         scn = make_scenario(cfg)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        coop = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
-        report = verify_solution(coop, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C, weights=w,
-                                 other=selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2))
+        coop = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+        report = verify_solution(coop, *comm_link(cfg), scn.G2, cfg.P_t, cfg.C, weights=w,
+                                 other=selfish(scn.B, cfg.C, cfg.P_t, scn.G2))
         assert report["psd_ok"]
         assert report["power_feasible"]
         assert report["capacity_active"]
         assert report["ordering_ok"]
 
     def test_slackness_residual(self):
-        H, G2, noise = small_instance(2)
+        B, G2, H, R_w = small_instance(2)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        report = verify_solution(sol, H, G2, noise, 6.0, 2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        report = verify_solution(sol, H, R_w, G2, 6.0, 2.0)
         # Either the budget binds (active power constraint) or lambda1 is 0
         # at the resolution of the bisection bracket.
         assert report["slackness_residual"] <= sol.lambda1 * 6.0 + 1e-6
 
     def test_power_violation_flagged(self):
-        H, G2, noise = small_instance(2)
+        B, G2, H, R_w = small_instance(2)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
         doubled = dataclasses.replace(sol, d=sol.d * (12.0 / sol.consumed_power))
-        report = verify_solution(doubled, H, G2, noise, 6.0, 2.0)
+        report = verify_solution(doubled, H, R_w, G2, 6.0, 2.0)
         assert not report["power_feasible"]
 
 
 class TestObjectiveConsistency:
     def test_objective_matches_metric(self):
-        H, G2, noise = small_instance(6)
+        B, G2, H, R_w = small_instance(6)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
-        dense = dense_capacity(sol.schedule, H, dense_noise(noise))
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        dense = dense_capacity(sol.schedule, H, R_w)
         assert abs(sol.achieved_capacity - dense) < 1e-12
 
 
@@ -463,13 +457,13 @@ class TestMultiplierScan:
         assert lam2 == loop_multiplier(sing, 12.0, 128)
 
 
-def reference_step(w_diags, G2, H, noise, lambda1, C):
+def reference_step(w_diags, G2, H, R_ws, lambda1, C):
     """One dual evaluation computed symbol by symbol, as the solver did
     before the batched kernel: (lambda2, power, stacked covariances)."""
     n = G2.shape[1]
     eye = np.eye(n)
     per_symbol = []
-    for R_w in dense_noise(noise):
+    for R_w in R_ws:
         phi = hermitize(G2.conj().T @ (w_diags[len(per_symbol)][:, None] * G2)) + lambda1 * eye
         phi_isqrt = psd_inv_sqrt(phi)
         _, s, vh = np.linalg.svd(psd_inv_sqrt(R_w) @ H @ phi_isqrt, full_matrices=False)
@@ -484,26 +478,27 @@ def reference_step(w_diags, G2, H, noise, lambda1, C):
 
 
 def coop_instance(seed, L, partial_rows=True):
-    """Cooperative-style weights: every third symbol has no sampled entry
-    (A_l = 0), and with partial_rows every third has a rank-1 A_l."""
+    """(w, G2, B, H, R_w) with cooperative-style weights: every third symbol
+    has no sampled entry (A_l = 0), and with partial_rows every third has a
+    rank-1 A_l; B whitens H under the noise R_wl = 0.1 I + g_l g_l^H."""
     rng = stream(seed, "kernel")
     M, n, m = 6, 3, 2
     G2 = crandn(rng, M, n)
     H = crandn(rng, m, n)
-    noise = CommNoise(g=crandn(rng, L, m), a=1.0, sigma_C2=0.1)
+    g = crandn(rng, L, m)
     w = rng.uniform(0.2, 1.0, size=(L, M))
     kind = np.arange(L) % 3
     w[kind == 0] = 0.0
     if partial_rows:
         w[kind == 2, 1:] = 0.0
-    return w, G2, H, noise
+    return w, G2, whiten(H, g, 1.0, 0.1), H, dense_noise(g, 1.0, 0.1)
 
 
 class TestDualKernel:
-    def assert_matches_reference(self, w, G2, H, noise, lambda1, C=2.0):
-        kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
+    def assert_matches_reference(self, w, G2, B, H, R_w, lambda1, C=2.0):
+        kernel = covdesign._DualKernel.weighted(w, G2, B)
         it = kernel.step(lambda1, C)
-        lam2, power, mats = reference_step(w, G2, H, noise, lambda1, C)
+        lam2, power, mats = reference_step(w, G2, H, R_w, lambda1, C)
         assert abs(it.lambda2 - lam2) <= 1e-10 * lam2
         assert abs(it.power - power) <= 1e-10 * power
         R = covariances(kernel, it)
@@ -512,16 +507,15 @@ class TestDualKernel:
 
     @pytest.mark.parametrize("L", [1, 4, 128])
     def test_matches_per_symbol_path(self, L):
-        w, G2, H, noise = coop_instance(L, L)
+        instance = coop_instance(L, L)
         for lam1 in (0.05, 0.5, 3.0):
-            self.assert_matches_reference(w, G2, H, noise, lam1)
+            self.assert_matches_reference(*instance, lam1)
 
     @pytest.mark.parametrize("L", [1, 4, 128])
     def test_near_singular_zero_weight_symbols_match(self, L):
         # Zero-weight symbols have Phi_l = lambda1 I, nearly singular at a
         # tiny lambda1; both paths floor its eigenvalues with eig_floor.
-        w, G2, H, noise = coop_instance(10 + L, L, partial_rows=False)
-        self.assert_matches_reference(w, G2, H, noise, 1e-12)
+        self.assert_matches_reference(*coop_instance(10 + L, L, partial_rows=False), 1e-12)
 
     def test_zero_singular_value(self, monkeypatch):
         """A comm antenna that hears nothing (a zero row of H) leaves every
@@ -530,19 +524,19 @@ class TestDualKernel:
         monkeypatch.setattr(covdesign, "_memo", None)
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
-        noise = white_noise(0.01, 4, 3)  # what sigma_alpha2 = 0 gives
+        R_w = np.broadcast_to(0.01 * np.eye(3), (4, 3, 3))  # what sigma_alpha2 = 0 gives
         G2 = crandn(np.random.default_rng(1), 5, 4)
         w = tip_weights(5, 4)
-        whitened = covdesign._whiten(H, noise)
+        whitened = white(0.01, 4, H)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            designs = [selfish(H, noise, 2.0, 10.0, G2),
-                       solve_weighted_eip(w, H, G2, noise, 10.0, 2.0)]
+            designs = [selfish(whitened, 2.0, 10.0, G2),
+                       solve_weighted_eip(w, whitened, G2, 10.0, 2.0)]
             kernels = [covdesign._DualKernel.unweighted(whitened),
                        covdesign._DualKernel.weighted(w, G2, whitened)]
             steps = [(kernel.spectrum(1.0)[0], kernel.step(1.0, 2.0)) for kernel in kernels]
         for sol in designs:
-            report = verify_solution(sol, H, G2, noise, 10.0, 2.0)
+            report = verify_solution(sol, H, R_w, G2, 10.0, 2.0)
             assert report["psd_ok"] and report["power_feasible"] and report["capacity_active"]
         for s, it in steps:
             assert np.all(s[:, -1] == 0.0) and np.all(s[:, :-1] > 0.0)
@@ -566,7 +560,7 @@ class TestDualKernel:
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates the lowest grid point only.
             assert sol.lambda1 == 2.0 ** -30
@@ -580,7 +574,7 @@ class TestDualKernel:
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
             assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 1
             assert sol.converged
@@ -616,9 +610,8 @@ class TestGramKernel:
     def test_default_scenario(self):
         cfg = ScenarioConfig(p=0.6, seed=3)
         scn = make_scenario(cfg)
-        whitened = covdesign._whiten(scn.H, scn.noise)
         for w in (tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)):
-            kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
+            kernel = covdesign._DualKernel.weighted(w, scn.G2, scn.B)
             for lambda1 in (2.0 ** -30, 1e-3, 1.0, 2.0 ** 10):
                 assert_matches_svd_oracle(kernel, lambda1, cfg.C)
 
@@ -630,8 +623,8 @@ class TestGramKernel:
         Q1 = np.linalg.qr(crandn(rng, 4, 4))[0]
         Q2 = np.linalg.qr(crandn(rng, 8, 4))[0]
         H = (Q1 * np.logspace(0, -6, 4)) @ Q2.conj().T
-        whitened = covdesign._whiten(H, white_noise(1.0, 3, 4))
-        kernel = covdesign._DualKernel.weighted(tip_weights(5, 3), crandn(rng, 5, 8), whitened)
+        kernel = covdesign._DualKernel.weighted(tip_weights(5, 3), crandn(rng, 5, 8),
+                                                white(1.0, 3, H))
         for lambda1 in (0.3, 1.0, 3.0):
             assert 1e12 < assert_matches_svd_oracle(kernel, lambda1, 100.0) < 1e13
 
@@ -641,8 +634,7 @@ class TestGramKernel:
         cfg = ScenarioConfig(p=0.2, seed=2)
         scn = make_scenario(cfg)
         kernel = covdesign._DualKernel.weighted(
-            scheme_weights(cfg, scn.omega, scn.S), scn.G2,
-            covdesign._whiten(scn.H, scn.noise))
+            scheme_weights(cfg, scn.omega, scn.S), scn.G2, scn.B)
         assert np.count_nonzero(kernel.a[:, 0] <= 1e-12 * kernel.a[:, -1]) > cfg.L // 2
         assert_matches_svd_oracle(kernel, 2.0 ** -30, cfg.C)
 
@@ -651,7 +643,7 @@ class TestGramKernel:
         0, with no power and no warning."""
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
-        whitened = covdesign._whiten(H, white_noise(0.01, 4, 3))
+        whitened = white(0.01, 4, H)
         G2 = crandn(np.random.default_rng(1), 5, 4)
         for kernel in (covdesign._DualKernel.unweighted(whitened),
                        covdesign._DualKernel.weighted(tip_weights(5, 4), G2, whitened)):
@@ -668,9 +660,9 @@ class TestGramKernel:
         # M_rC > M_tC: the Gram matrices are the n x n ones, B'^H B'.
         rng, seen = stream(0, "narrow"), 0
         while seen < 4:
-            (w, H, G2, noise), C = random_design(rng)
-            if H.shape[0] > H.shape[1]:
-                kernel = covdesign._DualKernel.weighted(w, G2, covdesign._whiten(H, noise))
+            (w, B, G2), C = random_design(rng)
+            if B.shape[1] > B.shape[2]:
+                kernel = covdesign._DualKernel.weighted(w, G2, B)
                 for lambda1 in (1e-3, 1.0, 8.0):
                     assert_matches_svd_oracle(kernel, lambda1, C)
                 seen += 1
@@ -679,8 +671,7 @@ class TestGramKernel:
         """Where every w_l is 0, c_l = lambda1/lambda1 = 1 exactly: the scaled
         subproblem, and so its power, is the same bit for bit at every lambda1."""
         for seed in range(3):
-            H, G2, noise = small_instance(seed, L=5)
-            whitened = covdesign._whiten(H, noise)
+            whitened, G2, *_ = small_instance(seed, L=5)
             for flat in (covdesign._DualKernel.weighted(np.zeros((5, 3)), G2, whitened),
                          covdesign._DualKernel.unweighted(whitened)):
                 powers = {flat.step(lambda1, 2.0).power
@@ -693,30 +684,28 @@ class TestPostConditions:
         real = covdesign.min_capacity_multiplier
         monkeypatch.setattr(covdesign, "min_capacity_multiplier",
                             lambda s, C, L: 0.5 * real(s, C, L))
-        H, G2, noise = small_instance(3)
+        B, G2, *_ = small_instance(3)
         w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="capacity"):
-            solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
         with pytest.raises(SolverError, match="capacity"):
-            selfish(H, noise, 2.0, 6.0, G2)
+            selfish(B, 2.0, 6.0, G2)
 
     def test_power_excess_raises(self, monkeypatch):
         monkeypatch.setattr(covdesign._DualKernel, "factors",
                             doubled(covdesign._DualKernel.factors))
         # Scalar channel: the design uses 0.5 * (2**3 - 1) = 3.5 of P_t = 4.
-        noise = white_noise(0.5, 1, 1)
         w = tip_weights(1, 1)
         with pytest.raises(SolverError, match="power"):
-            solve_weighted_eip(w, np.eye(1), np.eye(1), noise, P_t=4.0, C=3.0)
+            solve_weighted_eip(w, white(0.5, 1, np.eye(1)), np.eye(1), P_t=4.0, C=3.0)
 
     def test_selfish_power_excess_raises(self, monkeypatch):
         monkeypatch.setattr(covdesign._DualKernel, "factors",
                             doubled(covdesign._DualKernel.factors))
         # The same scalar channel: the selfish design uses 3.5 of P_t = 4
         # too, which passes the budget test; doubled it uses 7.
-        noise = white_noise(0.5, 1, 1)
         with pytest.raises(SolverError, match="power"):
-            selfish(np.eye(1), noise, 3.0, 4.0, np.eye(1))
+            selfish(white(0.5, 1, np.eye(1)), 3.0, 4.0, np.eye(1))
 
     def test_invalid_schedule_raises(self, monkeypatch):
         real = covdesign._DualKernel.factors
@@ -728,11 +717,11 @@ class TestPostConditions:
             return X, d
 
         monkeypatch.setattr(covdesign._DualKernel, "factors", nan_direction)
-        H, G2, noise = small_instance(3)
+        B, G2, *_ = small_instance(3)
         w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="^invalid covariance schedule: covariance matrix "
                                               "is not finite$"):
-            solve_weighted_eip(w, H, G2, noise, P_t=6.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
 
 
 def doubled(factors):
@@ -761,11 +750,12 @@ class TestIllConditionedNoise:
         assert [r.error for r in rows] == [""] * 3
         assert all(r.capacity >= cfg.C for r in rows)
         scn = make_scenario(cfg)
-        w = np.linalg.eigvalsh(dense_noise(scn.noise))
+        H, g, a = comm_noise_factors(cfg)
+        w = np.linalg.eigvalsh(dense_noise(g, a, cfg.sigma_C2))
         assert (w[:, -1] / w[:, 0]).min() > 1e8
         for method in self.METHODS:
             sol = harness._solve_method(method, cfg, scn)[0]
-            exact = mp_capacity(scn.H, scn.noise, sol.X, sol.d)
+            exact = mp_capacity(H, g, a, cfg.sigma_C2, sol.X, sol.d)
             assert exact >= cfg.C
             assert abs(sol.achieved_capacity - exact) <= 1e-14 * exact
 
@@ -812,22 +802,20 @@ def search_instances():
         rng = stream(seed, "search")
         L = int(rng.integers(1, 6))
         if seed % 2:
-            H, G2, noise = small_instance(seed, L)
+            whitened, G2, *_ = small_instance(seed, L)
             w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
         else:
-            w, G2, H, noise = coop_instance(seed, L)
+            w, G2, whitened, *_ = coop_instance(seed, L)
         C = float(rng.uniform(0.5, 3.0))
-        whitened = covdesign._whiten(H, noise)
         kernel = covdesign._DualKernel.weighted(w, G2, whitened)
         p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, C).power
         powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30, 2.0 ** 10)]
-        yield (w, H, G2, noise), kernel, C, (p_min, *powers)
+        yield (w, whitened, G2), kernel, C, (p_min, *powers)
 
 
 def instance_check(design, C):
-    """budget_check for a design of search_instances."""
-    _, H, _, noise = design
-    return budget_check(covdesign._whiten(H, noise), C)
+    """The solver's feasibility test for a design of search_instances."""
+    return covdesign._budget_check(design[1], C)
 
 
 def never_grown(P_t):
@@ -1040,15 +1028,14 @@ class TestDualSearch:
                 for seed in range(4):
                     cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed)
                     scn = make_scenario(cfg, require_coverage=False)  # as the sweep draws it
-                    whitened = covdesign._whiten(scn.H, scn.noise)
-                    check = budget_check(whitened, cfg.C)
-                    p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, cfg.C).power
+                    check = covdesign._budget_check(scn.B, cfg.C)
+                    p_min = covdesign._DualKernel.unweighted(scn.B).step(1.0, cfg.C).power
                     # noncoop, coop or full, and partial under Scheme II.
                     weights = [tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)]
                     if scheme is Scheme.SCHEME_II:
                         weights.append(fmfb_weights(scn.S, cfg.M_rR))
                     for w in weights:
-                        kernel = covdesign._DualKernel.weighted(w, scn.G2, whitened)
+                        kernel = covdesign._DualKernel.weighted(w, scn.G2, scn.B)
                         for P_t in (cfg.P_t, 1.05 * p_min):
                             evaluations, _ = self.assert_same_search(kernel, cfg.C, P_t, check)
                             if kernel.step(2.0 ** -30, cfg.C).power < P_t:
@@ -1066,7 +1053,7 @@ class TestDualSearch:
             for w in (tip_weights(cfg.M_rR, cfg.L),
                       scheme_weights(cfg, scn.omega, scn.S)):
                 for P_t in (cfg.P_t, 0.1 * cfg.P_t):
-                    self.assert_same(monkeypatch, w, scn.H, scn.G2, scn.noise, P_t, cfg.C)
+                    self.assert_same(monkeypatch, w, scn.B, scn.G2, P_t, cfg.C)
 
     def test_probes_are_capped_on_a_step_curve(self):
         # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the

@@ -1,6 +1,7 @@
-"""The design memo of specshare.covdesign: one problem (H, noise, C) at a
-time, its designs keyed by the exact inputs, and no answer that differs
-from a cold solve."""
+"""The design memo of specshare.covdesign: one problem (B, C) at a time,
+its designs keyed by the exact inputs, and no answer that differs from a
+cold solve. The whitened channels B come from make_scenario, which whitens
+once per set of draws; no solve whitens."""
 
 import collections
 import dataclasses
@@ -8,7 +9,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specshare import covdesign, harness
+from specshare import covdesign, harness, scenario
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import InfeasibleError, SolverError, solve_weighted_eip
 from specshare.harness import ExperimentSpec, format_csv, run_compare
@@ -29,16 +30,18 @@ def forget(monkeypatch):
 
 
 def count_calls(monkeypatch, *names):
-    """Counter of the calls to the named covdesign functions from now on."""
+    """Counter of the calls to the named functions from now on: _whiten of
+    specshare.scenario, the others of specshare.covdesign."""
     counts = collections.Counter()
     for name in names:
-        real = getattr(covdesign, name)
+        module = scenario if name == "_whiten" else covdesign
+        real = getattr(module, name)
 
         def counting(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(covdesign, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -93,16 +96,12 @@ def perturbed_designs():
         return a
 
     return [
-        ("H", lambda w, H, G2, noise, P_t, C: (w, bump(H), G2, noise, P_t, C)),
-        ("noise", lambda w, H, G2, noise, P_t, C:
-            (w, H, G2, dataclasses.replace(noise, g=bump(noise.g)), P_t, C)),
-        ("G2", lambda w, H, G2, noise, P_t, C: (w, H, bump(G2), noise, P_t, C)),
-        ("W", lambda w, H, G2, noise, P_t, C:
-            (bump(w), H, G2, noise, P_t, C)),
-        ("P_t", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, ulp(P_t), C)),
-        ("C", lambda w, H, G2, noise, P_t, C: (w, H, G2, noise, P_t, ulp(C))),
-        ("W layout", lambda w, H, G2, noise, P_t, C:
-            (np.asfortranarray(w), H, G2, noise, P_t, C)),
+        ("B", lambda w, B, G2, P_t, C: (w, bump(B), G2, P_t, C)),
+        ("G2", lambda w, B, G2, P_t, C: (w, B, bump(G2), P_t, C)),
+        ("W", lambda w, B, G2, P_t, C: (bump(w), B, G2, P_t, C)),
+        ("P_t", lambda w, B, G2, P_t, C: (w, B, G2, ulp(P_t), C)),
+        ("C", lambda w, B, G2, P_t, C: (w, B, G2, P_t, ulp(C))),
+        ("W layout", lambda w, B, G2, P_t, C: (np.asfortranarray(w), B, G2, P_t, C)),
     ]
 
 
@@ -112,14 +111,13 @@ def test_any_changed_input_misses(monkeypatch, name, change):
     cfg = ScenarioConfig(p=0.5, seed=5)
     scn = make_scenario(cfg)
     w = scheme_weights(cfg, scn.omega, scn.S)
-    design = (w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+    design = (w, scn.B, scn.G2, cfg.P_t, cfg.C)
     base = solve_weighted_eip(*design)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
     assert solve_weighted_eip(*design) is base and not counts
     changed = solve_weighted_eip(*change(*design))
-    assert changed is not base and counts["_dual_search"] == 1
-    new_problem = name in ("H", "noise", "C")
-    assert counts["_whiten"] == int(new_problem)
+    assert changed is not base and counts == {"_dual_search": 1}
+    new_problem = name in ("B", "C")
     # A changed weighted input leaves the problem and its designs in place;
     # a changed problem replaces them.
     again = solve_weighted_eip(*design)
@@ -142,12 +140,12 @@ def test_returned_designs_are_read_only():
 def small_design():
     cfg = ScenarioConfig(p=0.5, seed=7)
     scn = make_scenario(cfg)
-    return (tip_weights(cfg.M_rR, cfg.L), scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+    return (tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C)
 
 
 class TestErrorsAreNotMemoized:
     def test_infeasible_selfish_step(self, monkeypatch):
-        w, H, G2, noise, P_t, C = small_design()
+        w, B, G2, P_t, C = small_design()
 
         def unreachable(*args):
             raise InfeasibleError("unreachable")
@@ -155,19 +153,19 @@ class TestErrorsAreNotMemoized:
         with monkeypatch.context() as m:
             m.setattr(covdesign, "min_capacity_multiplier", unreachable)
             with pytest.raises(InfeasibleError):
-                selfish(H, noise, C, P_t, G2)
+                selfish(B, C, P_t, G2)
             with pytest.raises(InfeasibleError):
-                solve_weighted_eip(w, H, G2, noise, P_t, C)
-        assert selfish(H, noise, C, P_t, G2).converged
-        assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
+                solve_weighted_eip(w, B, G2, P_t, C)
+        assert selfish(B, C, P_t, G2).converged
+        assert solve_weighted_eip(w, B, G2, P_t, C).converged
 
     def test_infeasible_budget(self):
-        w, H, G2, noise, P_t, C = small_design()
-        p_min = selfish(H, noise, C, P_t, G2).consumed_power
+        w, B, G2, P_t, C = small_design()
+        p_min = selfish(B, C, P_t, G2).consumed_power
         for _ in range(2):
             with pytest.raises(InfeasibleError):
-                solve_weighted_eip(w, H, G2, noise, 0.5 * p_min, C)
-            assert solve_weighted_eip(w, H, G2, noise, P_t, C).converged
+                solve_weighted_eip(w, B, G2, 0.5 * p_min, C)
+            assert solve_weighted_eip(w, B, G2, P_t, C).converged
 
     def test_solver_errors(self, monkeypatch):
         design = small_design()
@@ -213,7 +211,8 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
     # and partial weights do not depend on p, Scheme II noncoop repeats
     # Scheme I's, the Scheme I coop weights at p = 1 are the noncoop ones,
     # and the Scheme II full weights at p = 1 are the partial ones, bit for
-    # bit and in the same C-ordered layout.
+    # bit and in the same C-ordered layout. Both schemes share the seed's
+    # draws, so make_scenario whitens once.
     assert counts["_whiten"] == 1
     assert counts["_dual_search"] == 11
 
@@ -231,18 +230,19 @@ def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
     assert totals[0] == totals[1]
 
 
-def test_joint_design_whitens_once(monkeypatch):
+def test_joint_design_whitens_nothing(monkeypatch):
     # A joint-long-sized scenario: at the default config the initial mask is
     # already a fixed point of the mask search, and the joint design stops
-    # after one solve.
+    # after one solve. Every solve is of the scenario's one problem (B, C).
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=2)
     scn = make_scenario(cfg)
     forget(monkeypatch)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    result = joint_design(cfg, scn.H, scn.G2, scn.noise, scn.S, scn.omega)
+    result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
     assert result.outer_iterations >= 2
-    assert counts["_whiten"] == 1
+    assert counts["_whiten"] == 0
     assert counts["_dual_search"] <= result.outer_iterations
+    assert covdesign._memo[0] == covdesign._exact(scn.B, cfg.C)
 
 
 @pytest.mark.parametrize("scheme,methods", [

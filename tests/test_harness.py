@@ -235,8 +235,8 @@ class TestRunCompare:
             assert np.isnan(r.eip) and np.isnan(r.power)
         scn = make_scenario(cfg)
         with pytest.raises(InfeasibleError, match="unreachable within power budget 32.0"):
-            selfish(scn.H, scn.noise, cfg.C, cfg.P_t, scn.G2)
-        assert selfish(scn.H, scn.noise, cfg.C, np.inf, scn.G2).consumed_power > cfg.P_t
+            selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
+        assert selfish(scn.B, cfg.C, np.inf, scn.G2).consumed_power > cfg.P_t
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(cfg, require_coverage=True):
@@ -276,7 +276,7 @@ class TestRunCompare:
     def test_singular_noise_reported(self):
         # Without channel noise the noise covariance is singular on the
         # M_rC = 4 receive antennas; without the phase-offset term too it is
-        # zero. The design's whitening refuses both.
+        # zero. The scenario's whitening refuses both, for every method's row.
         for kw, message in (({"sigma_C2": 0.0}, "noise covariance is not positive definite"),
                             ({"sigma_C2": 0.0, "sigma_alpha2": 0.0},
                              "noise covariance is not positive definite")):
@@ -625,9 +625,13 @@ class TestCli:
             assert cli_main(["mask-gap", "--seed", "3", "--config", str(path)]) == 0
             s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=3)).omega)
             assert capsys.readouterr().out == f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}\n"
-        path.write_text(format_config(scenario1(L=2)))  # fewer symbols than radar waveforms
-        assert cli_main(["mask-gap", "--config", str(path)]) == 1
-        assert "L must be >= M_tR" in capsys.readouterr().err
+        # Fewer symbols than radar waveforms, and singular comm noise: the
+        # scenario, not only its mask, must be valid.
+        for cfg, message in ((scenario1(L=2), "L must be >= M_tR for orthonormal waveform rows"),
+                             (scenario1(sigma_C2=0.0), "noise covariance is not positive definite")):
+            path.write_text(format_config(cfg))
+            assert cli_main(["mask-gap", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,config", [
         (["compare"], b"C = abc"),

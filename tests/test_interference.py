@@ -1,6 +1,7 @@
 """Capacity and interference-power metrics, with Monte-Carlo oracles."""
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -8,16 +9,14 @@ import pytest
 
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import SolverError, solve_weighted_eip
-from specshare import covdesign
+from specshare import covdesign, scenario
 from specshare.interference import (
-    CommNoise,
     MetricError,
     average_capacity,
     check_covariances,
     fmfb_weights,
     interference_diag_matrix,
     mismatched_weight_diagonals,
-    noise_covariances,
     scheme_mask_cost,
     scheme_weights,
     tip_weights,
@@ -25,10 +24,11 @@ from specshare.interference import (
     weighted_eip,
 )
 from specshare.linalg import crandn, hermitize, psd_sqrt
-from specshare.scenario import generate_channels, generate_waveforms, make_scenario
+from specshare.scenario import ScenarioError, generate_channels, generate_waveforms, make_scenario
 from specshare.streams import stream
 
 from oracles import (
+    comm_link,
     dense_noise,
     dense_profile,
     dense_schedule,
@@ -110,35 +110,37 @@ def loop_fmfb(S, G2, schedule):
 
 
 class TestNoiseCovariances:
+    """The scenario's whitened channels B_l = R_wl^{-1/2} H against the
+    noise R_wl = sigma_C2 I + rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H."""
+
     def test_zero_jitter_is_white(self):
         cfg = ScenarioConfig(sigma_alpha2=0.0)
         G1 = crandn(stream(0, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(0, "s"), cfg.M_tR, cfg.L)
-        noise = noise_covariances(cfg, G1, S)
-        assert noise.a == 0.0 and noise.sigma_C2 == cfg.sigma_C2
-        for R in dense_noise(noise):
-            assert np.linalg.norm(R - cfg.sigma_C2 * np.eye(cfg.M_rC)) <= 1e-12
+        H = crandn(stream(0, "h"), cfg.M_rC, cfg.M_tC)
+        B = scenario._whiten(cfg, H, G1, S)
+        assert np.array_equal(B, np.broadcast_to(H / math.sqrt(cfg.sigma_C2), B.shape))
 
     def test_interference_part_rank_one(self):
-        # R_wl - sigma_C2 I is the rank-one rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H.
+        # R_wl - sigma_C2 I is the rank-one rho^2 sigma_alpha^2 G1 s(l) s^H(l) G1^H,
+        # and B_l^H B_l = H^H R_wl^{-1} H.
         cfg = ScenarioConfig()
         G1 = crandn(stream(1, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(1, "s"), cfg.M_tR, cfg.L)
-        noise = noise_covariances(cfg, G1, S)
-        assert noise.g.shape == (cfg.L, cfg.M_rC)
-        for l, R in enumerate(dense_noise(noise)):
+        H = crandn(stream(1, "h"), cfg.M_rC, cfg.M_tC)
+        B = scenario._whiten(cfg, H, G1, S)
+        assert B.shape == (cfg.L, cfg.M_rC, cfg.M_tC)
+        for l, B_l in enumerate(B):
             v = G1 @ S[:, l]
-            part = R - cfg.sigma_C2 * np.eye(cfg.M_rC)
-            expect = cfg.rho2 * cfg.sigma_alpha2 * np.outer(v, v.conj())
-            assert np.linalg.norm(part - expect) <= 1e-12 * np.linalg.norm(expect)
-            s = np.linalg.svd(part, compute_uv=False)
-            assert np.sum(s > 1e-10 * max(s[0], 1e-300)) <= 1
+            R = cfg.sigma_C2 * np.eye(cfg.M_rC) + cfg.rho2 * cfg.sigma_alpha2 * np.outer(v, v.conj())
+            expect = H.conj().T @ np.linalg.solve(R, H)
+            assert np.linalg.norm(B_l.conj().T @ B_l - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_scalar_case(self):
         cfg = ScenarioConfig(M_tR=1, M_rR=1, M_tC=1, M_rC=1, L=1, rho2=4.0,
                              sigma_alpha2=0.01, sigma_C2=0.3)
-        noise = noise_covariances(cfg, np.ones((1, 1)), np.ones((1, 1)))
-        assert abs(dense_noise(noise)[0][0, 0] - (4.0 * 0.01 + 0.3)) < 1e-14
+        B = scenario._whiten(cfg, np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+        assert abs(B[0, 0, 0] - 1.0 / math.sqrt(4.0 * 0.01 + 0.3)) < 1e-14
 
 
 def capacity(schedule, H, noise_stack):
@@ -153,7 +155,7 @@ class TestAverageCapacity:
         G1 = crandn(stream(0, "g1"), cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(stream(0, "s"), cfg.M_tR, cfg.L)
         H = crandn(stream(0, "h"), cfg.M_rC, cfg.M_tC)
-        whitened = covdesign._whiten(H, noise_covariances(cfg, G1, S))
+        whitened = scenario._whiten(cfg, H, G1, S)
         X = np.broadcast_to(np.eye(cfg.M_tC), (cfg.L, cfg.M_tC, cfg.M_tC))
         assert average_capacity(whitened, X, np.zeros((cfg.L, cfg.M_tC))) == 0.0
 
@@ -191,10 +193,10 @@ class TestAverageCapacity:
         assert capacity(bumped, H, noise) >= base - 1e-12
 
     def test_non_pd_noise_rejected(self):
-        # Zero noise: the design's whitening refuses it.
-        noise = CommNoise(g=np.zeros((1, 1), dtype=complex), a=0.0, sigma_C2=0.0)
-        with pytest.raises(MetricError, match="^noise covariance is not positive definite$"):
-            covdesign._whiten(np.eye(1), noise)
+        # Zero noise, on one receive antenna: the scenario's whitening refuses it.
+        cfg = ScenarioConfig(M_rC=1, sigma_C2=0.0, sigma_alpha2=0.0)
+        with pytest.raises(ScenarioError, match="^noise covariance is not positive definite$"):
+            make_scenario(cfg)
 
 
 class TestTip:
@@ -668,13 +670,22 @@ class TestStackedAgainstPerSymbol:
         ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
     ])
     def test_noise_covariances(self, cfg):
+        """The stacked whitening against its closed form symbol by symbol:
+        sigma_C^{-1} (I - c u u^H) H with u = v / ||v||, v = G1 s(l) and
+        c = 1 - (1 + rho^2 sigma_alpha^2 ||v||^2 / sigma_C^2)^{-1/2}."""
+        a = cfg.rho2 * cfg.sigma_alpha2
         for seed in range(30):
-            _, G1, _ = generate_channels(cfg, stream(seed, "channels"))
+            cfg = cfg.replace(seed=seed)
+            H, G1, _ = generate_channels(cfg, stream(seed, "channels"))
             S = generate_waveforms(cfg, stream(seed, "waveforms"))
-            loop = np.stack([G1 @ S[:, l] for l in range(cfg.L)])
-            noise = noise_covariances(cfg, G1, S)
-            assert np.array_equal(noise.g, loop)
-            assert (noise.a, noise.sigma_C2) == (cfg.rho2 * cfg.sigma_alpha2, cfg.sigma_C2)
+            loop = []
+            for l in range(cfg.L):
+                v = G1 @ S[:, l]
+                u = v / np.linalg.norm(v)
+                c = 1.0 - (1.0 + a * np.linalg.norm(v) ** 2 / cfg.sigma_C2) ** -0.5
+                loop.append((H - c * np.outer(u, u.conj() @ H)) / math.sqrt(cfg.sigma_C2))
+            B = make_scenario(cfg).B
+            assert np.linalg.norm(B - np.stack(loop)) <= 1e-13 * np.linalg.norm(B)
 
     def test_sqrts(self):
         rng = stream(0, "sqrt-loop")
@@ -699,7 +710,7 @@ class TestStackedAgainstPerSymbol:
             weights = [np.zeros((cfg.L, cfg.M_rR)), tip_weights(cfg.M_rR, cfg.L),
                        scheme_weights(cfg, scn.omega, scn.S), fmfb_weights(scn.S, cfg.M_rR)]
             for w in weights:
-                sol = solve_weighted_eip(w, scn.H, scn.G2, scn.noise, cfg.P_t, cfg.C)
+                sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
                 assert np.all(sol.d >= 0.0)
                 assert loop_validate_ok(sol.schedule)
                 assert max(np.linalg.matrix_rank(R) for R in sol.schedule) == 4
@@ -707,7 +718,9 @@ class TestStackedAgainstPerSymbol:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_without_warning(self, bad):
         X, d = random_factors(stream(0, "finite"), 3, 2, 4)
-        noise = CommNoise(g=crandn(stream(1, "finite"), 4, 2), a=1.0, sigma_C2=0.1)
+        G1 = crandn(stream(1, "finite"), 2, 4)
+        nan_G1 = G1.copy()
+        nan_G1[1, 0] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for name in ("X", "d"):
@@ -715,10 +728,13 @@ class TestStackedAgainstPerSymbol:
                 factors[name].ravel()[5] = bad
                 with pytest.raises(MetricError, match="covariance matrix is not finite"):
                     check_covariances(factors["X"], factors["d"])
-            g = noise.g.copy()
-            g[1, 0] = bad
-            with pytest.raises(MetricError, match="noise covariance is not finite"):
-                covdesign._whiten(np.eye(2), CommNoise(g, noise.a, noise.sigma_C2))
+            # The factor a = rho^2 sigma_alpha^2 (the fields _whiten reads),
+            # and g_l = G1 s(l), which a drawn G1 leaves finite unless it
+            # holds a NaN.
+            for rho2, G in ((bad, G1), (1.0, nan_G1)):
+                cfg = types.SimpleNamespace(rho2=rho2, sigma_alpha2=1.0, sigma_C2=0.1)
+                with pytest.raises(ScenarioError, match="noise covariance is not finite"):
+                    scenario._whiten(cfg, np.eye(2), G, np.eye(4))
 
     def test_negative_power_rejected(self):
         X, d = random_factors(stream(0, "negative"), 3, 2, 4)
@@ -744,20 +760,24 @@ class TestStackedAgainstPerSymbol:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="covariance matrix is not finite"):
-                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), scn.H, scn.G2, scn.noise,
-                                   cfg.P_t, cfg.C)
+                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C)
 
     def test_non_finite_channel_rejected_by_capacity(self):
         """An inf in H would reach the whitening's matmul, which warns and
-        returns nan; the design problem refuses it first."""
+        returns nan; the scenario's whitening refuses it first. An inf in B
+        would reach the dual kernel's eigh; the design problem refuses it."""
         cfg = ScenarioConfig(p=0.5, seed=1)
-        scn = make_scenario(cfg)
-        H = np.array(scn.H)
+        H, G1, _ = generate_channels(cfg, stream(cfg.seed, "channels"))
+        S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
         H[0, 1] = np.inf
+        B = np.array(make_scenario(cfg).B)
+        B[3, 0, 1] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(MetricError, match="channel matrix is not finite"):
-                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), H, scn.G2, scn.noise,
+            with pytest.raises(ScenarioError, match="channel matrix is not finite"):
+                scenario._whiten(cfg, H, G1, S)
+            with pytest.raises(MetricError, match="whitened channel is not finite"):
+                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), B, make_scenario(cfg).G2,
                                    cfg.P_t, cfg.C)
 
     def test_singular_noise_verdict(self):
@@ -765,22 +785,20 @@ class TestStackedAgainstPerSymbol:
         dense noise: sigma_C2 = 0 leaves rank-one noise on M_rC >= 2 receive
         antennas, which both reject, and the positive scalar a |g_l|^2 on one
         antenna, which both accept; the default noise passes."""
-        for cfg in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
-                    ScenarioConfig(M_rC=1)):
-            scn = make_scenario(cfg)
-            singular = make_scenario(cfg.replace(sigma_C2=0.0)).noise
-            for noise, ok in ((scn.noise, True), (singular, cfg.M_rC == 1)):
-                stack = dense_noise(noise)
+        for base in (ScenarioConfig(), ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128),
+                     ScenarioConfig(M_rC=1)):
+            for cfg, ok in ((base, True), (base.replace(sigma_C2=0.0), base.M_rC == 1)):
+                H, stack = comm_link(cfg)
                 smallest = np.linalg.eigvalsh(stack)[:, 0] / np.linalg.eigvalsh(stack)[:, -1]
                 assert (smallest.min() > 1e-12) == ok
                 if ok:
-                    whitened = covdesign._whiten(scn.H, noise)
-                    expect = dense_whiten(scn.H, stack)
+                    whitened = make_scenario(cfg).B
+                    expect = dense_whiten(H, stack)
                     assert np.linalg.norm(whitened - expect) <= 1e-10 * np.linalg.norm(expect)
                 else:
-                    with pytest.raises(MetricError,
+                    with pytest.raises(ScenarioError,
                                        match="^noise covariance is not positive definite$"):
-                        covdesign._whiten(scn.H, noise)
+                        make_scenario(cfg)
 
     def test_total_power(self):
         schedule = random_schedule(stream(0, "power-loop"), 8, 128, scale=3.0)
@@ -793,13 +811,13 @@ class TestStackedAgainstPerSymbol:
         G1 = crandn(rng, cfg.M_rC, cfg.M_tR)
         S = random_orthonormal_rows(rng, cfg.M_tR, cfg.L)
         H = crandn(rng, cfg.M_rC, cfg.M_tC)
-        noise = noise_covariances(cfg, G1, S)
+        noise = dense_noise((G1 @ S).T, cfg.rho2 * cfg.sigma_alpha2, cfg.sigma_C2)
         schedule = random_schedule(rng, cfg.M_tC, cfg.L, scale=4.0)
         loop = 0.0
-        for R_x, R_w in zip(schedule, dense_noise(noise)):
+        for R_x, R_w in zip(schedule, noise):
             _, logdet_n = np.linalg.slogdet(R_w)
             _, logdet_f = np.linalg.slogdet(R_w + H @ R_x @ H.conj().T)
             loop += (logdet_f - logdet_n) / math.log(2.0)
         loop /= cfg.L
-        fast = average_capacity(covdesign._whiten(H, noise), *factored(schedule))
+        fast = average_capacity(scenario._whiten(cfg, H, G1, S), *factored(schedule))
         assert abs(fast - loop) <= 1e-12 * loop

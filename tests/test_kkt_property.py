@@ -4,37 +4,38 @@ import numpy as np
 import pytest
 
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import CommNoise
 from specshare.linalg import crandn
 from specshare.streams import stream
 
-from oracles import selfish, verify_solution
+from oracles import dense_noise, selfish, verify_solution, whiten
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
 def instance(seed, L):
-    """2 x 2 channel, 3 x 2 radar channel, L noise covariances
-    0.1 I + g_l g_l^H and 0/1 weights."""
+    """0/1 weights, a 2 x 2 channel H, a 3 x 2 radar channel and L noise
+    covariances R_wl = 0.1 I + g_l g_l^H, dense."""
     rng = stream(seed, "kkt")
     H = crandn(rng, 2, 2)
     G2 = crandn(rng, 3, 2)
-    noise = CommNoise(g=crandn(rng, L, 2), a=1.0, sigma_C2=0.1)
+    g = crandn(rng, L, 2)
     w = (rng.uniform(size=(L, 3)) < 0.6).astype(float)
-    return w, H, G2, noise
+    return w, H, G2, g
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=40)
 @hypothesis.given(seed=st.integers(0, 10_000), L=st.integers(1, 4),
                   C=st.floats(0.25, 3.0), headroom=st.floats(0.01, 3.0))
 def test_verify_solution_reports_kkt(seed, L, C, headroom):
-    weights, H, G2, noise = instance(seed, L)
+    weights, H, G2, g = instance(seed, L)
+    B = whiten(H, g, 1.0, 0.1)
     # Above the selfish (minimum) power the target is feasible; small
     # headroom makes the budget bind, large headroom leaves it slack.
-    P_t = selfish(H, noise, C, np.inf, G2).consumed_power * (1.0 + headroom)
-    sol = solve_weighted_eip(weights, H, G2, noise, P_t, C)
-    report = verify_solution(sol, H, G2, noise, P_t, C)
+    P_t = selfish(B, C, np.inf, G2).consumed_power * (1.0 + headroom)
+    sol = solve_weighted_eip(weights, B, G2, P_t, C)
+    # Checked against H and the dense noise, not against B.
+    report = verify_solution(sol, H, dense_noise(g, 1.0, 0.1), G2, P_t, C)
     assert report["psd_ok"]
     assert report["power_feasible"]
     assert report["capacity_active"]

@@ -10,7 +10,6 @@ import pytest
 from specshare import completion, scenario
 from specshare.config import ConfigError, ScenarioConfig, Scheme, format_config, parse_config
 from specshare.harness import ExperimentSpec, run_compare
-from specshare.interference import noise_covariances
 from specshare.scenario import (
     ScenarioError,
     _coverage_probability,
@@ -272,9 +271,11 @@ class TestPhaseOffsets:
 
 
 def _noiseless_cfg(**kw):
+    """A radar without noise or phase jitter; the comm noise, which the
+    synthesis does not read, keeps its default (a zero sigma_C2 would make
+    it singular, which make_scenario refuses)."""
     kw.setdefault("sigma_R2", 0.0)
     kw.setdefault("sigma_alpha2", 0.0)
-    kw.setdefault("sigma_C2", 0.0)
     return ScenarioConfig(**kw)
 
 
@@ -365,7 +366,7 @@ class TestMakeScenario:
         cfg = ScenarioConfig(p=0.5, seed=13)
         a = make_scenario(cfg)
         b = make_scenario(cfg)
-        for name in ("H", "G2", "S", "D", "omega", "noise"):
+        for name in ("B", "G2", "S", "D", "omega"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("cfg", [
@@ -374,13 +375,13 @@ class TestMakeScenario:
         ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1),
     ], ids=["scheme1", "scheme2", "L128"])
     def test_noise_bit_equals_the_formula_on_the_channels_G1(self, cfg):
-        G1 = generate_channels(cfg, stream(cfg.seed, "channels"))[1]
-        scn = make_scenario(cfg)
-        noise = noise_covariances(cfg, G1, scn.S)
-        assert scn.noise.g.tobytes() == noise.g.tobytes()
-        assert (scn.noise.a, scn.noise.sigma_C2) == (noise.a, noise.sigma_C2)
+        """B whitens H against the noise of the channels' own G1 and the
+        waveforms, drawn from their named streams."""
+        H, G1, _ = generate_channels(cfg, stream(cfg.seed, "channels"))
+        S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
+        assert make_scenario(cfg).B.tobytes() == scenario._whiten(cfg, H, G1, S).tobytes()
 
-    SHARED = ("H", "G2", "S", "D", "noise")
+    SHARED = ("B", "G2", "S", "D")
     # A valid value other than the base config's for every field that a
     # shared draw reads: each must miss the memo. np.int64(4) equals the seed
     # but is another type.
@@ -393,13 +394,6 @@ class TestMakeScenario:
     # which only the mask reads: each must hit it. -0.0 equals C = 0.0.
     UNREAD = {"P_t": 40.0, "C": -0.0, "sigma_R2": 0.05, "snr_dB": 20.0, "gamma2_dB": -20.0}
 
-    @staticmethod
-    def shared_bytes(scn, name):
-        value = getattr(scn, name)
-        if name == "noise":
-            return value.g.tobytes(), value.a, value.sigma_C2
-        return value.tobytes()
-
     def assert_reused(self, monkeypatch, change):
         """A config that differs from the last only in fields the shared
         draws do not read gets the draws a cold call makes, bit for bit, as
@@ -411,7 +405,7 @@ class TestMakeScenario:
         warm = make_scenario(cfg.replace(**change))
         for name in self.SHARED:
             assert getattr(warm, name) is getattr(first, name)
-            assert self.shared_bytes(warm, name) == self.shared_bytes(cold, name)
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
         assert warm.omega.tobytes() == cold.omega.tobytes()
 
     @pytest.mark.parametrize("change", [
@@ -431,7 +425,7 @@ class TestMakeScenario:
         first = make_scenario(cfg)
         miss = make_scenario(other)
         assert all(getattr(miss, a) is not getattr(first, a) for a in self.SHARED)
-        assert make_scenario(other).H is miss.H  # and is then the one memoized
+        assert make_scenario(other).B is miss.B  # and is then the one memoized
 
     def test_other_fields_cover_the_config(self):
         names = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -453,16 +447,15 @@ class TestMakeScenario:
     def test_shared_arrays_refuse_writes(self):
         scn = make_scenario(ScenarioConfig(p=0.5, seed=4))
         for name in self.SHARED:
-            array = scn.noise.g if name == "noise" else getattr(scn, name)
             with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 0.0
+                getattr(scn, name)[0, 0] = 0.0
         scn.omega[0, 0] = 0.0  # every call draws its own mask
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.
         a = make_scenario(ScenarioConfig(p=1.0, seed=3))
         b = make_scenario(ScenarioConfig(p=0.5, seed=3))
-        assert np.array_equal(a.H, b.H)
+        assert np.array_equal(a.B, b.B)
         assert np.array_equal(a.S, b.S)
 
     def test_every_seed_has_its_own_streams(self):
@@ -485,8 +478,9 @@ class TestPinnedDraws:
     generators or the synthesis moves a draw unnoticed. S comes from a
     LAPACK QR and may differ in its last bits under another LAPACK."""
 
-    # SHA-256 (first 16 hex digits) of the bytes of (H, G1, G2, S, D) by seed;
-    # they do not depend on the scheme or on require_coverage.
+    # SHA-256 (first 16 hex digits) of the bytes of (H, G1, G2, S, D) by seed,
+    # H and G1 as generate_channels draws them; they do not depend on the
+    # scheme or on require_coverage.
     SCENARIO_DIGESTS = {
         0: ("65811aed2ca60b18", "654d78cada8607c0", "b1e2ad4422d93856",
             "eb80daeada3473fb", "1cf7d3e0a14c454a"),
@@ -497,6 +491,10 @@ class TestPinnedDraws:
         3: ("6bedc417662b09c9", "b4379538313e6715", "89816ff050e65bd6",
             "66e12f7967455908", "1cf7d3e0a14c454a"),
     }
+    # ... and of the whitened channels B, the one form in which H and G1
+    # reach a design, so that no change to the whitening moves a bit of it
+    # unnoticed ...
+    B_DIGESTS = ("247026e71f07631b", "2fc88d6ae05876af", "390b27ff5c32e931", "d6c297af81acf3ab")
     # ... and of omega by (scheme, require_coverage): one digest per seed 0-3.
     MASK_DIGESTS = {
         (Scheme.SCHEME_I, True): ("383d47e75dd40d79", "e98a2578f6506414",
@@ -515,9 +513,10 @@ class TestPinnedDraws:
         for seed in range(4):
             cfg = ScenarioConfig(p=0.3, scheme=scheme, seed=seed)
             scn = make_scenario(cfg, require_coverage=require_coverage)
-            G1 = generate_channels(cfg, stream(seed, "channels"))[1]
-            got = tuple(digest(a) for a in (scn.H, G1, scn.G2, scn.S, scn.D))
+            H, G1, _ = generate_channels(cfg, stream(seed, "channels"))
+            got = tuple(digest(a) for a in (H, G1, scn.G2, scn.S, scn.D))
             assert got == self.SCENARIO_DIGESTS[seed]
+            assert digest(scn.B) == self.B_DIGESTS[seed]
             assert digest(scn.omega) == self.MASK_DIGESTS[scheme, require_coverage][seed]
 
     def test_first_pipeline_observation(self, monkeypatch):
