@@ -22,18 +22,17 @@ factors. A design is returned as its factors (DesignSolution).
 The selfish design is the one with W_l = 0 and takes the same search: A_l = 0
 and c_l = 1 at every lambda1, so its power is flat, and a slack budget is
 met by the first evaluation. C is reachable within P_t exactly when the
-minimum-power (W_l = 0) design fits in it; the search asks that only where
-it would grow its bracket past lambda1 = 1, since any lambda1 with power
-within P_t proves feasibility.
+minimum-power (W_l = 0) design fits in it. Every kernel holds that design
+as its lambda1 -> inf limit (_DualKernel.min_power); the search asks it
+only where it would grow its bracket past lambda1 = 1, since any lambda1
+with power within P_t proves feasibility.
 
 The methods differ only in W_l, and only the cooperative weights depend on
-the sampling mask, so one design problem is solved many times over with
-bit-equal inputs. Solves are memoized for one problem at a time: its key is
-the exact bytes (with dtype, shape and layout) of B and C, and it holds the
-last few designs, keyed by the exact bytes of the weights and G2 and by
-P_t. A problem that differs in any bit replaces the one held; errors are
-never memoized. A design passes its post-conditions (_checked) once, when
-it is computed; a memoized one comes back as the same frozen solution with
+the sampling mask, so one design is solved many times over with bit-equal
+inputs. The last few designs are memoized, keyed by the exact bytes (with
+dtype, shape and layout) of the weights, B, G2, P_t and C; errors are never
+memoized. A design passes its post-conditions (_checked) once, when it is
+computed; a memoized one comes back as the same frozen solution with
 read-only arrays.
 """
 
@@ -55,8 +54,8 @@ from .linalg import eig_floor, gram_spectrum, hermitize
 DUAL_TOL = 1e-9
 MAX_DUAL_EVALUATIONS = 200
 
-# Designs memoized per problem (see _memo); an L = 128 design with its key
-# takes about 100 KB.
+# Designs memoized (see _memo); an L = 128 design of the joint-long size
+# takes about 135 KB with its key, which holds weights and B (66 KB).
 _MEMO_SIZE = 8
 
 
@@ -78,7 +77,7 @@ class DesignSolution:
     lambda1: float  # power multiplier: the lowest grid point, 2^-30, when P_t is slack
     lambda2: float  # capacity multiplier
     achieved_capacity: float
-    consumed_power: float
+    consumed_power: float  # the power the search certified within P_t
     iterations: int
     converged: bool
 
@@ -163,12 +162,6 @@ class _DualKernel:
         a, U = np.linalg.eigh(hermitize(A))
         return cls(a=a, U=U, B=whitened @ U)
 
-    @classmethod
-    def unweighted(cls, whitened: np.ndarray) -> "_DualKernel":
-        """A_l = 0: Phi_l = lambda1 I, as in the minimum-power design."""
-        L, _, n = whitened.shape
-        return cls(a=np.zeros((L, n)), U=np.broadcast_to(np.eye(n), (L, n, n)), B=whitened)
-
     def spectrum(self, lambda1: float):
         """(s, T) of every scaled whitened channel at lambda1 > 0; eig_floor
         keeps c_l positive where Phi_l is singular."""
@@ -195,6 +188,11 @@ class _DualKernel:
         s, T = self.spectrum(lambda1)
         return self.allocate(lambda1, min_capacity_multiplier(s.ravel(), C, s.shape[0]), s, T)
 
+    def min_power(self, C: float) -> float:
+        """The power of the minimum-power (W_l = 0) design: the lambda1 -> inf
+        limit, where c_l = 1, taken by one step on the same U_l and B_l."""
+        return _DualKernel(np.zeros_like(self.a), self.U, self.B).step(1.0, C).power
+
     def factors(self, it: _DualIterate) -> tuple[np.ndarray, np.ndarray]:
         """(X, d) of the design: X_l = U_l T_l and d_l = beta_l / s_l^2."""
         return self.U @ it.T, _per_gain(it.beta, it.s**2)
@@ -208,8 +206,8 @@ def _per_gain(beta: np.ndarray, gain: np.ndarray) -> np.ndarray:
 def _checked(X: np.ndarray, d: np.ndarray, B: np.ndarray, G2: np.ndarray, C: float,
              P_t: float, **fields) -> DesignSolution:
     """The DesignSolution of the factors once its post-conditions hold:
-    check_covariances, power within P_t and capacity at least C, both to a
-    1e-9 relative slack."""
+    check_covariances, the factors' power within P_t and capacity at least
+    C, both to a 1e-9 relative slack."""
     try:
         check_covariances(X, d)
     except MetricError as exc:
@@ -221,7 +219,7 @@ def _checked(X: np.ndarray, d: np.ndarray, B: np.ndarray, G2: np.ndarray, C: flo
     if not capacity >= C * (1.0 - 1e-9):
         raise SolverError(f"capacity {capacity!r} is below the target {C!r}")
     return DesignSolution(X=X, d=d, Q=interference_diag_matrix(G2, X, d),
-                          achieved_capacity=capacity, consumed_power=power, **fields)
+                          achieved_capacity=capacity, **fields)
 
 
 def _log_ratio(power: float, P_t: float) -> float:
@@ -255,11 +253,11 @@ def _brent_step(x_a, g_a, x_b, g_b, x_c, g_c, d, e) -> tuple[float, float]:
 
 
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
-                 max_iterations: int, check_budget) -> tuple[_DualIterate, int, bool]:
+                 max_iterations: int) -> tuple[_DualIterate, int, bool]:
     """The search on lambda1, 0 < dual_tol < 1: (iterate, dual evaluations,
-    converged). check_budget(P_t) raises InfeasibleError unless the
-    minimum-power design fits in P_t; it is called before the bracket top
-    grows past 1, and never for a budget met at lambda1 <= 1.
+    converged). InfeasibleError unless the kernel's minimum-power design
+    fits in P_t (kernel.min_power), asked before the bracket top grows past
+    1, and never for a budget met at lambda1 <= 1.
 
     Power is nonincreasing in lambda1. The bracket top hi = 2^m is the first
     power of two from 1 up with power(hi) <= P_t; the answer is the smallest
@@ -283,10 +281,10 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     if best.power < P_t:
         return best, evaluations, True
     # Grow the bracket top from 1 until the power budget is respected;
-    # written so that a NaN power or budget reaches check_budget.
+    # written so that a NaN power or budget is infeasible.
     while hi < 1.0 or not best.power <= P_t:
-        if hi == 1.0:
-            check_budget(P_t)
+        if hi == 1.0 and not kernel.min_power(C) <= P_t:
+            raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
         if evaluations >= max_iterations:
             raise SolverError("failed to bracket the power multiplier")
         below, hi = best, max(2.0 * hi, 1.0)
@@ -336,23 +334,10 @@ def _exact(*values) -> tuple:
     return tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in map(np.asarray, values))
 
 
-def _budget_check(B: np.ndarray, C: float):
-    """The feasibility test of the problem (B, C) for _dual_search: P_t ->
-    InfeasibleError unless the minimum-power (W_l = 0) design fits in P_t,
-    that design computed at the call."""
-    def check_budget(P_t: float) -> None:
-        # Written so that a NaN power is infeasible too.
-        if not _DualKernel.unweighted(B).step(1.0, C).power <= P_t:
-            raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
-
-    return check_budget
-
-
-# (_exact(B, C), designs) of the last problem: up to _MEMO_SIZE checked
-# solutions under _exact(weights, G2, P_t), the least recently used dropped
-# first. A problem that differs in any bit replaces it. It takes no lock:
-# the harness and joint_design solve on one thread.
-_memo: tuple | None = None
+# The last _MEMO_SIZE checked solutions under _exact(weights, B, G2, P_t, C),
+# the least recently used dropped first. It takes no lock: the harness and
+# joint_design solve on one thread.
+_memo: OrderedDict = OrderedDict()
 
 
 def solve_weighted_eip(
@@ -374,33 +359,29 @@ def solve_weighted_eip(
     MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
-    A repeated call with bit-equal inputs returns the memoized solution.
-    MetricError: B is not finite.
+    A repeated call with bit-equal inputs returns the memoized solution
+    while it is among the last _MEMO_SIZE designs solved or returned
+    (_memo). MetricError: B is not finite.
     """
-    global _memo
     if len(B) != len(weights):
         raise SolverError("weights and whitened channels have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    problem = _exact(B, C)
-    if _memo is None or _memo[0] != problem:
-        if not np.all(np.isfinite(B)):
-            raise MetricError("whitened channel is not finite")
-        _memo = (problem, OrderedDict())
-    designs = _memo[1]
-    key = _exact(weights, G2, P_t)
-    if key in designs:
-        designs.move_to_end(key)
-        return designs[key]
+    key = _exact(weights, B, G2, P_t, C)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    if not np.all(np.isfinite(B)):
+        raise MetricError("whitened channel is not finite")
 
     kernel = _DualKernel.weighted(weights, G2, B)
-    best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS,
-                                               _budget_check(B, C))
+    best, iterations, converged = _dual_search(kernel, C, P_t, DUAL_TOL, MAX_DUAL_EVALUATIONS)
     sol = _checked(*kernel.factors(best), B, G2, C, P_t, lambda1=best.lambda1,
-                   lambda2=best.lambda2, iterations=iterations, converged=converged)
+                   lambda2=best.lambda2, consumed_power=best.power, iterations=iterations,
+                   converged=converged)
     for a in (sol.X, sol.d, sol.Q):
         a.flags.writeable = False
-    designs[key] = sol
-    if len(designs) > _MEMO_SIZE:
-        designs.popitem(last=False)
+    _memo[key] = sol
+    if len(_memo) > _MEMO_SIZE:
+        _memo.popitem(last=False)
     return sol

@@ -1,8 +1,10 @@
-"""Every test starts with empty memos (specshare.covdesign keeps the solves
-of its last problem (B, C), specshare.scenario the draws of its last config,
-the whitened channels B among them), so a test that replaces a solver part,
-a generator or the whitening sees a fresh solve and fresh draws, not ones
-memoized by an earlier test."""
+"""Every test starts with empty memos (specshare.covdesign keeps its last
+designs, specshare.scenario the draws of its last config, the whitened
+channels B among them), so a test that replaces a solver part, a generator
+or the whitening sees a fresh solve and fresh draws, not ones memoized by an
+earlier test."""
+
+import collections
 
 import pytest
 
@@ -11,7 +13,7 @@ from specshare import covdesign, scenario
 
 @pytest.fixture(autouse=True)
 def empty_memos(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", None)
+    monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
     monkeypatch.setattr(scenario, "_memo", None)
 
 

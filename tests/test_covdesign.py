@@ -3,6 +3,7 @@
 
 import collections
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -253,22 +254,24 @@ class TestSolveWeightedEip:
             assert weighted_eip(w_eip, coop.Q) <= weighted_eip(w_eip, noncoop.Q) + 1e-6
 
 
-def random_design(rng):
+def random_design(rng, dense=False):
     """((weights, B, G2), C): 0/1 weights over L symbols, the whitened
     channels of an m x n channel under noise covariances 0.1 I + a g_l g_l^H,
-    an M x n radar channel and a capacity target."""
+    an M x n radar channel and a capacity target. dense whitens through the
+    dense noise stack (oracles.dense_whiten), not the scenario's closed form."""
     L, m, n, M = (int(x) for x in rng.integers(1, [9, 5, 5, 5]))
     H = crandn(rng, m, n)
     G2 = crandn(rng, M, n)
     g, a = crandn(rng, L, m), float(rng.uniform(0.0, 2.0))
     w = (rng.uniform(size=(L, M)) < 0.6).astype(float)
-    return (w, whiten(H, g, a, 0.1), G2), float(rng.uniform(0.5, 6.0))
+    B = dense_whiten(H, dense_noise(g, a, 0.1)) if dense else whiten(H, g, a, 0.1)
+    return (w, B, G2), float(rng.uniform(0.5, 6.0))
 
 
 class TestFeasibility:
     """InfeasibleError comes from the minimum-power design. The search asks
-    for it just before its bracket would grow past lambda1 = 1, and only
-    there, computing that design then."""
+    its kernel for it (min_power) just before its bracket would grow past
+    lambda1 = 1, and only there, computing that design then."""
 
     def test_agrees_with_water_filling_bound(self):
         # Water-filling duality: C is unreachable within P_t exactly when the
@@ -296,13 +299,13 @@ class TestFeasibility:
                                                                       dual_steps):
         """Below the minimum power, InfeasibleError comes after the points
         2^-30 and 1 and one minimum-power step (at lambda1 = 1), at each
-        solve of the problem; just above it, the design is solved within
-        P_t."""
-        for seed in range(4):
-            design, C = random_design(stream(seed, "feasible-edge"))
+        solve; just above it, the design is solved within P_t, its power
+        not an ulp above it, with B whitened in closed form or densely."""
+        for seed, dense in itertools.product(range(4), (False, True)):
+            design, C = random_design(stream(seed, "feasible-edge"), dense)
             _, B, G2 = design
             p_min = selfish(B, C, np.inf, G2).consumed_power
-            monkeypatch.setattr(covdesign, "_memo", None)
+            monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
             for P_t in (p_min * (1.0 - 1e-9), 0.5 * p_min):
                 dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
@@ -329,28 +332,37 @@ class TestSelfishDesign:
         sol = selfish(B, 3.0, np.inf, G2)
         assert abs(sol.achieved_capacity - 3.0) <= 1e-6
 
+    def test_min_power_is_the_zero_weight_power(self):
+        """A kernel's lambda1 -> inf limit, min_power, is the power of the
+        zero-weight design of its channels, whatever its weights, to 1e-13
+        relative: the kernel's eigenbasis U_l only rotates the channels.
+        The p-sweep's kernels are checked in test_sweep_p_designs_match_bisection."""
+        for (_, B, G2), kernel, C, _ in search_instances():
+            p_min = selfish(B, C, np.inf, G2).consumed_power
+            assert abs(kernel.min_power(C) - p_min) <= 1e-13 * p_min
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_weights_give_the_minimum_power_step(self, scheme):
         """The zero-weight design is the minimum-power step at lambda1 = 1
-        bit for bit, in one evaluation at the lowest grid point: the search
-        on the zero-weight kernel, where W_l = 0 makes A_l = 0 and U_l = I
-        exactly, so c_l = 1 at every lambda1 and the search's first
-        evaluation has the same factors and a slack budget. A budget below
-        that step's power fails the selfish row with the message every
-        design of the problem fails with."""
+        bit for bit, in one evaluation at the lowest grid point: on the
+        zero-weight kernel, W_l = 0 makes A_l = 0 and U_l = I exactly, so
+        c_l = 1 at every lambda1 and the search's first evaluation has the
+        same factors and a slack budget. A budget below that step's power
+        fails the selfish row with the message every design of the scenario
+        fails with."""
         for seed in range(3):
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=seed)
             scn = make_scenario(cfg)
-            kernel = covdesign._DualKernel.unweighted(scn.B)
-            step = kernel.step(1.0, cfg.C)
+            zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, scn.B)
+            assert np.all(zero.a == 0.0) and np.all(zero.U == np.eye(cfg.M_tC))
+            step = zero.step(1.0, cfg.C)
+            assert step.power == zero.min_power(cfg.C)
             sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
-            assert sol.schedule.tobytes() == covariances(kernel, step).tobytes()
+            assert sol.schedule.tobytes() == covariances(zero, step).tobytes()
             assert sol.iterations == 1 and sol.converged
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
-            zero = covdesign._DualKernel.weighted(np.zeros((cfg.L, cfg.M_rR)), scn.G2, scn.B)
             searched, evaluations, _ = covdesign._dual_search(
-                zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS,
-                covdesign._budget_check(scn.B, cfg.C))
+                zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
             assert evaluations == 1
             assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
             assert covariances(zero, searched).tobytes() == sol.schedule.tobytes()
@@ -521,7 +533,7 @@ class TestDualKernel:
         """A comm antenna that hears nothing (a zero row of H) leaves every
         whitened channel a zero singular value. It gets no power, with no
         divide-by-zero warning, and both designs meet their post-conditions."""
-        monkeypatch.setattr(covdesign, "_memo", None)
+        monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
         R_w = np.broadcast_to(0.01 * np.eye(3), (4, 3, 3))  # what sigma_alpha2 = 0 gives
@@ -532,7 +544,7 @@ class TestDualKernel:
             warnings.simplefilter("error")
             designs = [selfish(whitened, 2.0, 10.0, G2),
                        solve_weighted_eip(w, whitened, G2, 10.0, 2.0)]
-            kernels = [covdesign._DualKernel.unweighted(whitened),
+            kernels = [covdesign._DualKernel.weighted(np.zeros((4, 5)), G2, whitened),
                        covdesign._DualKernel.weighted(w, G2, whitened)]
             steps = [(kernel.spectrum(1.0)[0], kernel.step(1.0, 2.0)) for kernel in kernels]
         for sol in designs:
@@ -546,7 +558,8 @@ class TestDualKernel:
         """The water-filling powers are those of lambda2 - 1/s^2 wherever it
         is finite, bit for bit, down to the underflow of s^2, and 0 at s = 0."""
         s = np.array([[0.0, 5e-324, 1e-300, 1e-160, 7.5e-155, 1e-150, 1e-3, 0.5, 1.0, 40.0]])
-        kernel = covdesign._DualKernel.unweighted(np.zeros((1, 1, s.size)))
+        kernel = covdesign._DualKernel(np.zeros((1, s.size)), np.eye(s.size)[None],
+                                       np.zeros((1, 1, s.size)))
         for lam2 in (0.0, 3.0, 1e6):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -569,7 +582,7 @@ class TestDualKernel:
 
     def test_long_block_slack_design_dual_evaluations(self, monkeypatch):
         # The joint-long benchmark's block: L = 128, 16/32/4/4 antennas.
-        monkeypatch.setattr(covdesign, "_memo", None)
+        monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
         cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
@@ -645,7 +658,7 @@ class TestGramKernel:
         H[2] = 0.0
         whitened = white(0.01, 4, H)
         G2 = crandn(np.random.default_rng(1), 5, 4)
-        for kernel in (covdesign._DualKernel.unweighted(whitened),
+        for kernel in (covdesign._DualKernel.weighted(np.zeros((4, 5)), G2, whitened),
                        covdesign._DualKernel.weighted(tip_weights(5, 4), G2, whitened)):
             for lambda1 in (1e-3, 1.0):
                 with warnings.catch_warnings():
@@ -669,14 +682,14 @@ class TestGramKernel:
 
     def test_zero_weight_power_does_not_depend_on_lambda1(self):
         """Where every w_l is 0, c_l = lambda1/lambda1 = 1 exactly: the scaled
-        subproblem, and so its power, is the same bit for bit at every lambda1."""
+        subproblem, and so its power, is the same bit for bit at every lambda1,
+        and at the kernel's lambda1 -> inf limit (min_power)."""
         for seed in range(3):
             whitened, G2, *_ = small_instance(seed, L=5)
-            for flat in (covdesign._DualKernel.weighted(np.zeros((5, 3)), G2, whitened),
-                         covdesign._DualKernel.unweighted(whitened)):
-                powers = {flat.step(lambda1, 2.0).power
-                          for lambda1 in (2.0 ** -30, 1e-3, 0.3, 1.0, 3.0, 2.0 ** 10)}
-                assert len(powers) == 1
+            flat = covdesign._DualKernel.weighted(np.zeros((5, 3)), G2, whitened)
+            powers = {flat.step(lambda1, 2.0).power
+                      for lambda1 in (2.0 ** -30, 1e-3, 0.3, 1.0, 3.0, 2.0 ** 10)}
+            assert powers == {flat.min_power(2.0)}
 
 
 class TestPostConditions:
@@ -760,17 +773,17 @@ class TestIllConditionedNoise:
             assert abs(sol.achieved_capacity - exact) <= 1e-14 * exact
 
 
-def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations, check_budget):
+def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations):
     """The plain bisection on lambda1 that covdesign._dual_search replaced,
-    with its feasibility test where the bracket first grows past 1;
-    reference only: (iterate, evaluations, converged)."""
+    with its feasibility test (kernel.min_power) where the bracket first
+    grows past 1; reference only: (iterate, evaluations, converged)."""
     iterations = 0
     hi = 1.0
     it = kernel.step(hi, C)
     iterations += 1
     while it.power > P_t:
-        if hi == 1.0:
-            check_budget(P_t)
+        if hi == 1.0 and not kernel.min_power(C) <= P_t:
+            raise InfeasibleError(f"capacity target {C} unreachable within power budget {P_t}")
         hi *= 2.0
         it = kernel.step(hi, C)
         iterations += 1
@@ -796,8 +809,8 @@ def search_instances():
     draw all-zero weights: power does not depend on lambda1, bit for
     bit.
     Yields the design, its dual kernel, C and its powers: the selfish
-    (minimum) power as the feasibility test computes it, and the power at
-    lambda1 = 1, 2^-30 and 2^10."""
+    (minimum) power as the feasibility test computes it (min_power), and
+    the power at lambda1 = 1, 2^-30 and 2^10."""
     for seed in range(12):
         rng = stream(seed, "search")
         L = int(rng.integers(1, 6))
@@ -808,18 +821,19 @@ def search_instances():
             w, G2, whitened, *_ = coop_instance(seed, L)
         C = float(rng.uniform(0.5, 3.0))
         kernel = covdesign._DualKernel.weighted(w, G2, whitened)
-        p_min = covdesign._DualKernel.unweighted(whitened).step(1.0, C).power
+        p_min = kernel.min_power(C)
         powers = [kernel.step(lam1, C).power for lam1 in (1.0, 2.0 ** -30, 2.0 ** 10)]
         yield (w, whitened, G2), kernel, C, (p_min, *powers)
 
 
-def instance_check(design, C):
-    """The solver's feasibility test for a design of search_instances."""
-    return covdesign._budget_check(design[1], C)
-
-
-def never_grown(P_t):
-    raise AssertionError("the bracket grew past lambda1 = 1")
+@pytest.fixture
+def min_power_calls(monkeypatch):
+    """The C of every _DualKernel.min_power call in the test, in order."""
+    calls = []
+    real = covdesign._DualKernel.min_power
+    monkeypatch.setattr(covdesign._DualKernel, "min_power",
+                        lambda self, C: calls.append(C) or real(self, C))
+    return calls
 
 
 def budgets(p_min, p_one, p_zero, p_far):
@@ -881,7 +895,7 @@ class TestDualSearch:
         for search in (covdesign._dual_search, bisection_oracle):
             with monkeypatch.context() as m:
                 m.setattr(covdesign, "_dual_search", search)
-                m.setattr(covdesign, "_memo", None)
+                m.setattr(covdesign, "_memo", collections.OrderedDict())
                 try:
                     out.append(solve_weighted_eip(*args))
                 except (InfeasibleError, SolverError) as exc:
@@ -908,11 +922,15 @@ class TestDualSearch:
         return category(ref.lambda1), sol.iterations, ref.iterations
 
     @staticmethod
-    def assert_same_search(kernel, C, P_t, check, dual_tol=covdesign.DUAL_TOL, exact=True):
+    def assert_same_search(kernel, C, P_t, min_power_calls, dual_tol=covdesign.DUAL_TOL,
+                           exact=True):
         """The same assertions on _dual_search and the bisection oracle run
-        directly, at the given tolerance."""
-        args = (kernel, C, P_t, dual_tol, covdesign.MAX_DUAL_EVALUATIONS, check)
+        directly, at the given tolerance; the search asks min_power once
+        where its bracket grew past lambda1 = 1, and nowhere else."""
+        args = (kernel, C, P_t, dual_tol, covdesign.MAX_DUAL_EVALUATIONS)
+        min_power_calls.clear()
         best, evaluations, converged = covdesign._dual_search(*args)
+        assert len(min_power_calls) == (best.lambda1 > 1.0)
         ref, ref_evaluations, ref_converged = bisection_oracle(*args)
         assert converged and ref_converged
         assert evaluations <= ref_evaluations
@@ -923,7 +941,7 @@ class TestDualSearch:
             assert covariances(kernel, best).tobytes() == covariances(kernel, ref).tobytes()
         return evaluations, ref_evaluations
 
-    def test_random_instances_match_bisection(self, monkeypatch):
+    def test_random_instances_match_bisection(self, monkeypatch, min_power_calls):
         """Bit-equal to the bisection except where power is flat in lambda1
         (all-zero weights) or P_t ties the power at the bracket top; every
         answer of the search certified. A design with all-zero weights has
@@ -932,7 +950,6 @@ class TestDualSearch:
         seen, counts = set(), np.zeros(2, dtype=int)
         for design, kernel, C, powers in search_instances():
             flat = not design[0].any()
-            check = instance_check(design, C)
             for P_t in budgets(*powers):
                 exact = not flat and P_t != powers[-1]
                 name, *n = self.assert_same(monkeypatch, *design, P_t, C,
@@ -942,7 +959,7 @@ class TestDualSearch:
                 counts += n
             for P_t in feasible_budgets(*powers):
                 exact = not flat and P_t != powers[-1]
-                counts += self.assert_same_search(kernel, C, P_t, check, dual_tol=1e-6,
+                counts += self.assert_same_search(kernel, C, P_t, min_power_calls, dual_tol=1e-6,
                                                   exact=exact)
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
         # Brent-Dekker steps need fewer than half the bisection's evaluations.
@@ -958,15 +975,14 @@ class TestDualSearch:
         top), certified where the search converged."""
         seen = set()
         for design, kernel, C, powers in search_instances():
-            check = instance_check(design, C)
             for P_t in feasible_budgets(*powers):
-                args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations, check)
+                args = (kernel, C, P_t, covdesign.DUAL_TOL, max_iterations)
                 slack = kernel.step(2.0 ** -30, C).power < P_t
                 cap = max_iterations if slack else max_iterations - 1
                 try:
                     if cap < 1:
                         raise SolverError("failed to bracket the power multiplier")
-                    ref = bisection_oracle(kernel, C, P_t, covdesign.DUAL_TOL, cap, check)[0]
+                    ref = bisection_oracle(kernel, C, P_t, covdesign.DUAL_TOL, cap)[0]
                 except SolverError as exc:
                     with pytest.raises(SolverError, match=str(exc)):
                         covdesign._dual_search(*args)
@@ -997,47 +1013,50 @@ class TestDualSearch:
         assert sol.lambda1 == 0.5 + 2.0 ** -30
         self.assert_same(monkeypatch, *design, P_t, C)
 
-    def test_budget_tied_to_the_bracket_top(self):
+    def test_budget_tied_to_the_bracket_top(self, min_power_calls):
         """P_t = power(hi): the lower neighbour of hi certifies it, one
         evaluation after the lowest grid point and the bracket growth, also
-        where power is flat."""
+        where power is flat; min_power is asked only where the bracket grew."""
         cases = set()
         for design, kernel, C, _ in search_instances():
             for m in (0, 3):
                 P_t = kernel.step(2.0 ** m, C).power
                 if bracket_top(kernel, C, P_t) != 2.0 ** m:
                     continue  # flat power: the bracket stops at 1
+                min_power_calls.clear()
                 best, evaluations, converged = covdesign._dual_search(
-                    kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS,
-                    instance_check(design, C))
+                    kernel, C, P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
                 assert best.lambda1 == 2.0 ** m and converged
+                assert len(min_power_calls) == (m > 0)
                 assert evaluations == m + 3
                 assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, best.lambda1)
                 cases.add((m, not design[0].any()))
         assert cases == {(0, True), (0, False), (3, False)}
 
-    def test_sweep_p_designs_match_bisection(self):
+    def test_sweep_p_designs_match_bisection(self, min_power_calls):
         """The weighted designs of the p-sweep (both schemes, seeds 0-3), at
         the default P_t and at a tight one that grows the bracket: each is
         the bisection's answer bit for bit, certified, in no more
         evaluations, and a slack budget evaluates the lowest grid point
-        only."""
+        only. Each kernel's min_power is the selfish power to 1e-13
+        relative."""
         seen = collections.Counter()
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
             for p in (0.2, 0.4, 0.6, 0.8, 1.0):
                 for seed in range(4):
                     cfg = ScenarioConfig(scheme=scheme, p=p, seed=seed)
                     scn = make_scenario(cfg, require_coverage=False)  # as the sweep draws it
-                    check = covdesign._budget_check(scn.B, cfg.C)
-                    p_min = covdesign._DualKernel.unweighted(scn.B).step(1.0, cfg.C).power
+                    p_min = selfish(scn.B, cfg.C, np.inf, scn.G2).consumed_power
                     # noncoop, coop or full, and partial under Scheme II.
                     weights = [tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)]
                     if scheme is Scheme.SCHEME_II:
                         weights.append(fmfb_weights(scn.S, cfg.M_rR))
                     for w in weights:
                         kernel = covdesign._DualKernel.weighted(w, scn.G2, scn.B)
+                        assert abs(kernel.min_power(cfg.C) - p_min) <= 1e-13 * p_min
                         for P_t in (cfg.P_t, 1.05 * p_min):
-                            evaluations, _ = self.assert_same_search(kernel, cfg.C, P_t, check)
+                            evaluations, _ = self.assert_same_search(kernel, cfg.C, P_t,
+                                                                     min_power_calls)
                             if kernel.step(2.0 ** -30, cfg.C).power < P_t:
                                 assert evaluations == 1
                                 seen["slack"] += 1
@@ -1064,7 +1083,10 @@ class TestDualSearch:
                 power = 1e300 if lambda1 < 0.3 else 0.5
                 return covdesign._DualIterate(lambda1, 1.0, power, None, None, None)
 
-        args = (1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS, never_grown)
+            def min_power(self, C):
+                raise AssertionError("the bracket grew past lambda1 = 1")
+
+        args = (1.0, 1.0, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
         best, evaluations, converged = covdesign._dual_search(StepCurve(), *args)
         ref, ref_evaluations, ref_converged = bisection_oracle(StepCurve(), *args)
         assert best.lambda1 == ref.lambda1 and converged and ref_converged

@@ -1,7 +1,7 @@
-"""The design memo of specshare.covdesign: one problem (B, C) at a time,
-its designs keyed by the exact inputs, and no answer that differs from a
-cold solve. The whitened channels B come from make_scenario, which whitens
-once per set of draws; no solve whitens."""
+"""The design memo of specshare.covdesign: the last designs, keyed by the
+exact inputs, and no answer that differs from a cold solve. The whitened
+channels B come from make_scenario, which whitens once per set of draws; no
+solve whitens."""
 
 import collections
 import dataclasses
@@ -26,7 +26,7 @@ SCHEME_METHODS = {
 
 
 def forget(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", None)
+    monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
 
 
 def count_calls(monkeypatch, *names):
@@ -67,7 +67,7 @@ def scheme_cases():
 def test_hit_is_bit_equal_to_cold_solve(monkeypatch, scheme, method):
     cfg = ScenarioConfig(scheme=scheme, p=0.5, seed=3)
     cold = fingerprint(solve(method, cfg))
-    # The other methods first: this one is then solved on a warm problem,
+    # The other methods first: this one is then solved after their designs,
     # and again as a memo hit.
     forget(monkeypatch)
     for other in SCHEME_METHODS[scheme]:
@@ -117,12 +117,21 @@ def test_any_changed_input_misses(monkeypatch, name, change):
     assert solve_weighted_eip(*design) is base and not counts
     changed = solve_weighted_eip(*change(*design))
     assert changed is not base and counts == {"_dual_search": 1}
-    new_problem = name in ("B", "C")
-    # A changed weighted input leaves the problem and its designs in place;
-    # a changed problem replaces them.
-    again = solve_weighted_eip(*design)
-    assert (again is base) == (not new_problem)
-    assert fingerprint(again) == fingerprint(base)
+    assert solve_weighted_eip(*design) is base
+
+
+def test_designs_of_alternating_problems_hit(monkeypatch):
+    """A design of seed 0's channels stays memoized through a design of
+    seed 1's: returning to seed 0 is a hit."""
+    designs = []
+    for seed in (0, 1):
+        cfg = ScenarioConfig(p=0.5, seed=seed)
+        scn = make_scenario(cfg)
+        designs.append((tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C))
+    first = solve_weighted_eip(*designs[0])
+    assert solve_weighted_eip(*designs[1]) is not first
+    counts = count_calls(monkeypatch, "_dual_search")
+    assert solve_weighted_eip(*designs[0]) is first and not counts
 
 
 def test_returned_designs_are_read_only():
@@ -233,7 +242,7 @@ def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
 def test_joint_design_whitens_nothing(monkeypatch):
     # A joint-long-sized scenario: at the default config the initial mask is
     # already a fixed point of the mask search, and the joint design stops
-    # after one solve. Every solve is of the scenario's one problem (B, C).
+    # after one solve. Every solve is of the scenario's B and C.
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=2)
     scn = make_scenario(cfg)
     forget(monkeypatch)
@@ -242,7 +251,7 @@ def test_joint_design_whitens_nothing(monkeypatch):
     assert result.outer_iterations >= 2
     assert counts["_whiten"] == 0
     assert counts["_dual_search"] <= result.outer_iterations
-    assert covdesign._memo[0] == covdesign._exact(scn.B, cfg.C)
+    assert {(key[1], key[4]) for key in covdesign._memo} == {covdesign._exact(scn.B, cfg.C)}
 
 
 @pytest.mark.parametrize("scheme,methods", [

@@ -1,5 +1,6 @@
 """Experiment harness: validation, sweeps, CSV determinism and the CLI."""
 
+import collections
 import dataclasses
 import hashlib
 import warnings
@@ -204,8 +205,8 @@ class TestRunCompare:
         spec = ExperimentSpec(cfg=scenario1(p=0.5, P_t=16.0), methods=["noncoop"], seeds=[0])
         search = covdesign._dual_search
         monkeypatch.setattr(covdesign, "_dual_search",
-                            lambda kernel, C, P_t, dual_tol, _, check:
-                            search(kernel, C, P_t, dual_tol, 5, check))
+                            lambda kernel, C, P_t, dual_tol, _:
+                            search(kernel, C, P_t, dual_tol, 5))
         row = run_compare(spec)[0]
         prefix = "dual search not converged after "
         assert row.error.startswith(prefix) and row.error.endswith(" evaluations")
@@ -579,7 +580,7 @@ class TestCli:
         path.write_text(config + "\n")
         printed = []
         for methods in orders:
-            monkeypatch.setattr(covdesign, "_memo", None)
+            monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
             assert cli_main(["sweep", "--methods", methods, "--sweep", grid,
                              "--seeds", str(seeds), "--config", str(path)]) == 0
             printed.append(capsysbinary.readouterr().out)

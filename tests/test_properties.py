@@ -68,7 +68,7 @@ def test_rows_hold_their_properties(specshare_errors_only, cfg, mc_trials):
         # A recovery-trial error keeps the design columns.
         assert r.error == "" or mc_trials > 0
         assert r.eip >= 0.0 and r.tip >= 0.0
-        assert r.capacity >= cfg.C * (1.0 - 1e-9) and r.power <= cfg.P_t * (1.0 + 1e-9)
+        assert r.capacity >= cfg.C * (1.0 - 1e-9) and r.power <= cfg.P_t
     done = {r.method: r for r in rows if not np.isnan(r.eip)}
     for lower, upper, metric in ORDERINGS:
         if lower in done and upper in done:
