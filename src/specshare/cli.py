@@ -9,8 +9,8 @@ Subcommands:
 Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
 or a file that cannot be read or written, reported as 'error: ...' on
 stderr; 2 every result row failed. Each distinct reason of a failed row (an
-unreachable capacity target, a scenario with L < M_tR, ...) is reported the
-same way, whether some rows failed or all of them.
+unreachable capacity target, a scenario with singular comm noise, ...) is
+reported the same way, whether some rows failed or all of them.
 """
 
 from __future__ import annotations

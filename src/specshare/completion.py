@@ -96,11 +96,11 @@ def complete(
     """Nuclear-norm completion of the entries marked by the binary mask omega.
 
     Returns (estimate, iterations, converged). Requires a mask of 0s and
-    1s with at least one observed entry in every row and column. Accepted
-    iterates never increase the objective within a continuation stage
-    (monotone accelerated proximal gradient); pass a list as
-    objective_trace to record the accepted objective value at every
-    iteration.
+    1s with at least one observed entry in every row and column; a mask
+    that leaves one empty is a MetricError. Accepted iterates never
+    increase the objective within a continuation stage (monotone
+    accelerated proximal gradient); pass a list as objective_trace to
+    record the accepted objective value at every iteration.
     """
     if params is None:
         params = CompletionParams()
@@ -110,7 +110,7 @@ def complete(
     if not np.all(seen | (omega == 0.0)):
         raise ValueError("mask entries must be 0 or 1")
     if seen.sum(axis=1).min() < 1 or seen.sum(axis=0).min() < 1:
-        raise ValueError("mask has an empty row or column; completion impossible")
+        raise MetricError("mask has an empty row or column; completion impossible")
     masked = omega * observed
     with np.errstate(over="ignore"):
         energy = np.vdot(masked, masked).real

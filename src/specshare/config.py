@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import numbers
 import operator
 import typing
 from dataclasses import dataclass, field
@@ -16,9 +17,11 @@ from enum import Enum
 
 
 class SpecshareError(ValueError):
-    """A failure of a problem instance or its input (an invalid config or
-    spec, an unreachable capacity target, a singular noise covariance): a
-    result row records it and the CLI reports it. Anything else is a bug."""
+    """A failure of a problem instance or its input (a config no seed can
+    run or an invalid spec, an unusable draw such as a singular noise
+    covariance, an unreachable capacity target, a mask completion cannot
+    cover): a result row records it and the CLI reports it. Anything else
+    is a bug."""
 
 
 class ConfigError(SpecshareError):
@@ -80,6 +83,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}")
+        if self.L < self.M_tR:
+            raise ConfigError("L must be >= M_tR for orthonormal waveform rows")
         if self.P_t is None:
             self.P_t = float(self.L)
         if self.rho2 is None:
@@ -97,9 +102,15 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}") from None
             if not finite:
                 raise ConfigError(f"{name} must be finite, got {value!r}")
+        if not self.targets:
+            raise ConfigError("target list is empty")
         for target in self.targets:
             if not all(cmath.isfinite(x) for x in target):
                 raise ConfigError(f"targets must be finite, got {target!r}")
+            # Only a real angle steers; 30j would not compare with the bounds.
+            if not (isinstance(target[0], numbers.Real) and -90.0 < target[0] < 90.0):
+                raise ConfigError(f"target angles must be real numbers in (-90, 90) degrees, "
+                                  f"got {target[0]!r}")
         # A scheme name is parse_config's to read: here only a member passes.
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"scheme must be one of {', '.join(map(str, Scheme))}, "

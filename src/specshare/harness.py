@@ -16,7 +16,7 @@ weighted_eip).
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -57,11 +57,11 @@ class ExperimentSpec:
     every grid point's config is built here and kept in grid, a map from
     sweep value to config. A repeated method or seed, and two sweep values
     that print the same label, would run or print the same rows twice, and
-    are refused too; so is a seed or trial count that is not an integer (a
-    bool included), and a negative seed.
-    None is the one value of the 'none' sweep (no sweep) and of no other.
-    Each check is linear in its list, as every benchmark job builds a
-    spec."""
+    are refused too; so is a trial count that is not a nonnegative integer
+    (a bool included). A seed the config refuses (0.5, True, -1) is its
+    ConfigError. None is the one value of the 'none' sweep (no sweep) and
+    of no other. Each check is linear in its list, as every benchmark job
+    builds a spec."""
 
     cfg: ScenarioConfig
     methods: list = field(default_factory=lambda: ["selfish", "noncoop"])
@@ -107,25 +107,14 @@ class ExperimentSpec:
             raise SpecError("seed list is empty")
         seen = set()
         for seed in self.seeds:
-            seed = _integer("seed", seed)  # 0.5 would run as seed 0
-            if seed < 0:  # as ScenarioConfig refuses it
-                raise SpecError(f"seed {seed} is negative")
+            self.cfg.replace(seed=seed)
             if seed in seen:
                 raise SpecError(f"seed {seed!r} is repeated")
             seen.add(seed)
-        if _integer("mc_trials", self.mc_trials) < 0:
+        if isinstance(self.mc_trials, bool) or not isinstance(self.mc_trials, numbers.Integral):
+            raise SpecError(f"mc_trials {self.mc_trials!r} is not an integer")
+        if self.mc_trials < 0:
             raise SpecError("mc_trials must be nonnegative")
-
-
-def _integer(name, value) -> int:
-    """value as an int: any integer type but bool, as ScenarioConfig takes
-    its integers."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise SpecError(f"{name} {value!r} is not an integer") from None
 
 
 @dataclass
@@ -163,7 +152,7 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
         return cfg.replace(**{var: float(value)})
     if var == "targets":
         k = _target_count(value)
-        base_coef = cfg.targets[0][1] if cfg.targets else 0.2 + 0.1j
+        base_coef = cfg.targets[0][1]
         if k == 1:
             return cfg.replace(targets=[(30.0, base_coef)])
         # Spread angles, scale coefficients so the return power stays fixed.

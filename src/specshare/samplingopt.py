@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interference import scheme_mask_cost, scheme_weights, weighted_eip
+from .interference import MetricError, scheme_mask_cost, scheme_weights, weighted_eip
 from .config import ScenarioConfig
 from .covdesign import DesignSolution, solve_weighted_eip
 
@@ -219,7 +219,7 @@ def optimize_mask(omega: np.ndarray, Qtilde: np.ndarray) -> np.ndarray:
 def spectral_gap(omega: np.ndarray):
     """(sigma1, sigma2, sigma1 - sigma2) of the binary mask omega."""
     if omega.sum() == 0:
-        raise ValueError("spectral gap of the all-zero mask is undefined")
+        raise MetricError("spectral gap of the all-zero mask is undefined")
     s = np.linalg.svd(omega, compute_uv=False)
     s2 = float(s[1]) if s.size > 1 else 0.0
     return float(s[0]), s2, float(s[0]) - s2

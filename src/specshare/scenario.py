@@ -44,9 +44,7 @@ def generate_channels(cfg: ScenarioConfig, rng: np.random.Generator):
 
 def generate_waveforms(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndarray:
     """Gaussian orthogonal waveforms: the M_tR x L matrix S, its rows
-    orthonormalized so S S^H = I."""
-    if cfg.L < cfg.M_tR:
-        raise ScenarioError("L must be >= M_tR for orthonormal waveform rows")
+    orthonormalized so S S^H = I (ScenarioConfig keeps L >= M_tR)."""
     A = crandn(rng, cfg.M_tR, cfg.L)
     # QR of A^H gives orthonormal columns; transpose back to orthonormal rows.
     q, _ = np.linalg.qr(A.conj().T)
@@ -55,12 +53,8 @@ def generate_waveforms(cfg: ScenarioConfig, rng: np.random.Generator) -> np.ndar
 
 def generate_target_response(cfg: ScenarioConfig) -> np.ndarray:
     """D = sum_k beta_k a_r(theta_k) a_t(theta_k)^T for stationary ULA targets."""
-    if not cfg.targets:
-        raise ScenarioError("target list is empty")
     D = np.zeros((cfg.M_rR, cfg.M_tR), dtype=complex)
     for angle_deg, coef in cfg.targets:
-        if not (-90.0 < angle_deg < 90.0):
-            raise ScenarioError("target angles must lie in (-90, 90) degrees")
         a_r = steering_vector(cfg.M_rR, angle_deg)
         a_t = steering_vector(cfg.M_tR, angle_deg)
         D += complex(coef) * np.outer(a_r, a_t)
@@ -86,26 +80,22 @@ def generate_sampling_mask(
     """Uniformly random binary mask omega, M_rR x L (Scheme I) or M_rR x M_tR
     (Scheme II), with exactly floor(p * entries) ones.
 
-    With require_coverage (the default), every row and every column holds at
-    least one sample; a matrix with an empty row or column cannot be
-    completed. A draw that leaves one empty is rejected and redrawn, as long
-    as a uniform draw covers with probability at least 1e-4
-    (_coverage_probability). Closer to the coverage limit the first failed
-    draw hands over to _covering_mask, which is not uniform over the
-    covering masks. Callers that only need the interference weights (no
-    completion) may opt out for sub-sampling rates too low to cover every
-    row and column.
+    With require_coverage (the default), a mask whose ones can cover every
+    row and every column (n_ones >= max(rows, cols)) does: a draw that
+    leaves one empty is rejected and redrawn, as long as a uniform draw
+    covers with probability at least 1e-4 (_coverage_probability). Closer
+    to the coverage limit the first failed draw hands over to
+    _covering_mask, which is not uniform over the covering masks. Fewer
+    ones leave a row or column empty in every draw, and give the one
+    uniform draw that require_coverage=False gives: the designs read the
+    mask only through its interference weights, and completion refuses it
+    (a MetricError).
     """
     rows, cols = mask_shape(cfg)
     size = rows * cols
     n_ones = int(np.floor(cfg.p * size))
-    if require_coverage and n_ones < max(rows, cols):
-        raise ScenarioError(
-            f"cannot cover every row and column with {n_ones} ones "
-            f"in a {rows}x{cols} mask"
-        )
     cells = rng.choice(size, size=n_ones, replace=False)
-    if require_coverage and not _covers(cells, rows, cols):
+    if require_coverage and n_ones >= max(rows, cols) and not _covers(cells, rows, cols):
         if _coverage_probability(rows, cols, n_ones) < _MIN_COVERAGE_PROBABILITY:
             return _covering_mask(rows, cols, n_ones, rng)
         while not _covers(cells, rows, cols):
@@ -248,7 +238,8 @@ class Scenario:
     the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
     R_wl^{-1/2} H (_whiten). All but omega are read-only, shared with
     configs that differ only in fields these draws do not read
-    (make_scenario)."""
+    (make_scenario). omega may leave a row or column empty when p is too
+    low to cover them; only completion needs it to cover."""
 
     B: np.ndarray
     G2: np.ndarray
@@ -324,9 +315,10 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     The draws B, G2, S and D are memoized for the last config, keyed on the
     exact bits of the fields they read (_SHARED_FIELDS), the seed included;
     they are read-only arrays, the same objects at every hit. The mask is
-    drawn at every call, after them. A ScenarioError names a non-finite
-    channel or comm noise, or a singular one (_whiten); an error is never
-    memoized."""
+    drawn at every call, after them. ScenarioConfig refuses every config no
+    seed can run, so a ScenarioError means only unusable draws: a
+    non-finite channel or comm noise, or a singular one (_whiten); an error
+    is never memoized."""
     global _memo
     key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)
     if _memo is None or _memo[0] != key:

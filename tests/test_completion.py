@@ -29,6 +29,7 @@ from specshare.completion import (
 )
 from specshare.config import ScenarioConfig, Scheme
 from specshare.harness import ExperimentSpec, format_csv, run_compare
+from specshare.interference import MetricError
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
     draw_trials,
@@ -627,7 +628,7 @@ class TestParallelTrials:
         errors = []
         for n in (1, 2):
             usable_cpus(monkeypatch, n)
-            with pytest.raises(ValueError, match=message) as exc:
+            with pytest.raises(MetricError, match=message) as exc:
                 radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, omega, 3, stream(1, "mc"))
             errors.append((type(exc.value), str(exc.value)))
             assert multiprocessing.active_children() == []

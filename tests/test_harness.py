@@ -113,12 +113,6 @@ class TestExperimentSpec:
          "sweep values 0.3 and 0.30000000000000004 both print as 0.3"),
         ({"sweep_var": "C", "sweep_values": [12.0, 12.0000000005, 12.000000001]},
          "sweep values 12.0 and 12.0000000005 both print as 12"),
-        # run_compare would run seed 0 for 0.5, and print seed 0 twice.
-        ({"seeds": [0.5, 0]}, "seed 0.5 is not an integer"),
-        # True would run as seed 1, and print it twice. A negative seed,
-        # which ScenarioConfig refuses, is refused before any design runs.
-        ({"seeds": [True, 1]}, "seed True is not an integer"),
-        ({"seeds": [0, -1]}, "seed -1 is negative"),
     ])
     def test_repeats_rejected(self, changes, message):
         # Each would run or print the same design twice.
@@ -126,6 +120,20 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=scenario1(), **changes)
         with pytest.raises(SpecError, match=message):
             dataclasses.replace(ExperimentSpec(cfg=scenario1()), **changes)
+
+    @pytest.mark.parametrize("seeds,message", [
+        # 0.5 would run as seed 0, and print seed 0 twice; True as seed 1.
+        ([0.5, 0], r"^seed must be an integer, got 0\.5$"),
+        ([True, 1], "^seed must be an integer, got True$"),
+        ([0, -1], "^seed must be >= 0$"),
+    ], ids=["half", "bool", "negative"])
+    def test_seed_the_config_refuses(self, seeds, message):
+        # The config's own seed rule, before any design runs.
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec(cfg=scenario1(), seeds=seeds)
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(ExperimentSpec(cfg=scenario1()), seeds=seeds)
+        assert ExperimentSpec(cfg=scenario1(), seeds=[np.int64(2), 0]).seeds == [2, 0]
 
     @pytest.mark.parametrize("changes,message", [
         ({"sweep_values": []}, "sweep grid is empty"),
@@ -292,13 +300,33 @@ class TestRunCompare:
             assert r.error == "" and r.eip > 0.0 and r.capacity >= 4.0 * (1.0 - 1e-9)
 
     def test_scenario_error_fills_one_row_per_method(self):
-        spec = ExperimentSpec(cfg=scenario1(L=3), methods=["selfish", "noncoop"], seeds=[0, 1])
+        # Singular comm noise on M_rC = 4 receive antennas.
+        spec = ExperimentSpec(cfg=scenario1(sigma_C2=0.0, M_rC=4),
+                              methods=["selfish", "noncoop"], seeds=[0, 1])
         rows = run_compare(spec)
         assert [(r.method, r.seed) for r in rows] == [
             ("selfish", 0), ("noncoop", 0), ("selfish", 1), ("noncoop", 1)]
         for r in rows:
-            assert r.error == "L must be >= M_tR for orthonormal waveform rows"
+            assert r.error == "noise covariance is not positive definite"
             assert np.isnan(r.eip) and np.isnan(r.power)
+
+    @pytest.mark.parametrize("cfg,methods", [
+        (scenario1(p=0.01), ["selfish", "noncoop", "coop", "joint"]),  # 2 ones, 32 columns
+        (scenario1(p=0.2, scheme=Scheme.SCHEME_II), ["noncoop", "partial", "full", "joint"]),
+    ], ids=["scheme1-p0.01", "scheme2-p0.2"])
+    def test_uncoverable_mask_fails_only_the_recovery_columns(self, cfg, methods):
+        # Too few samples to cover every row and column: completion refuses
+        # the mask, and each row keeps the design it has without trials.
+        designs = run_compare(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1]))
+        rows = run_compare(ExperimentSpec(cfg=cfg, methods=methods, seeds=[0, 1], mc_trials=2))
+        assert len(rows) == len(designs) == 2 * len(methods)
+        for row, design in zip(rows, designs):
+            assert design.error == "" and np.isfinite(design.eip)
+            assert (row.method, row.seed) == (design.method, design.seed)
+            assert [getattr(row, c) for c in ("eip", "tip", "capacity", "power")] == [
+                getattr(design, c) for c in ("eip", "tip", "capacity", "power")]
+            assert np.isnan(row.mc_mean_err) and np.isnan(row.mc_std_err)
+            assert row.error == "mask has an empty row or column; completion impossible"
 
     def test_mc_columns_match_method_pipelines(self):
         # Each row's mc_* columns are those of a radar_pipeline call on its
@@ -626,13 +654,19 @@ class TestCli:
             assert cli_main(["mask-gap", "--seed", "3", "--config", str(path)]) == 0
             s1, s2, gap = spectral_gap(make_scenario(cfg.replace(seed=3)).omega)
             assert capsys.readouterr().out == f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}\n"
-        # Fewer symbols than radar waveforms, and singular comm noise: the
-        # scenario, not only its mask, must be valid.
-        for cfg, message in ((scenario1(L=2), "L must be >= M_tR for orthonormal waveform rows"),
-                             (scenario1(sigma_C2=0.0), "noise covariance is not positive definite")):
-            path.write_text(format_config(cfg))
+        # A mask too sparse to cover still has a gap: two ones in distinct
+        # rows and columns.
+        path.write_text("p = 0.01\n")
+        assert cli_main(["mask-gap", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "sigma1=1 sigma2=1 gap=0\n"
+        # Singular comm noise: the scenario, not only its mask, must be
+        # valid. A mask with no ones has no gap.
+        for text, message in (("sigma_C2 = 0.0", "noise covariance is not positive definite"),
+                              ("p = 0.001", "spectral gap of the all-zero mask is undefined")):
+            path.write_text(text + "\n")
             assert cli_main(["mask-gap", "--config", str(path)]) == 1
-            assert capsys.readouterr().err == f"error: {message}\n"
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,config", [
         (["compare"], b"C = abc"),
@@ -665,6 +699,9 @@ class TestCli:
          "sweep values 12.0 and 12.0000000005 both print as 12"),
         (["compare", "--seed", "-1"], "", "seed must be >= 0"),
         (["mc-eval", "--mc-trials", "2"], "gamma2_dB = 7000", "gamma2_dB out of range: "),
+        # Configs no seed can run: refused at load, before any row.
+        (["compare"], "L = 2", "L must be >= M_tR for orthonormal waveform rows"),
+        (["compare"], "targets = 95.0:(0.2+0.1j)", "target angles must be real numbers in "),
     ])
     def test_invalid_value_reported(self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "cfg.txt"

@@ -1,6 +1,9 @@
-"""Properties of run_compare over random valid configs: 1 to 6 antennas per
-side, L up to 11 symbols, both schemes, every method a scheme accepts
-(joint included), with and without recovery trials.
+"""Properties of run_compare over random configs: 1 to 6 antennas per side,
+L up to 11 symbols, both schemes, every method a scheme accepts (joint
+included), with and without recovery trials.
+
+- A draw with L < M_tR, which no seed can run, is a ConfigError when its
+  config is built; every other draw is a valid config.
 
 - Every row meets the design's post-conditions with nonnegative eip and
   tip, or carries the message of a SpecshareError (the harness's other row
@@ -16,7 +19,8 @@ import numpy as np
 import pytest
 
 from specshare import harness
-from specshare.config import ScenarioConfig, Scheme, SpecshareError, format_config, parse_config
+from specshare.config import (ConfigError, ScenarioConfig, Scheme, SpecshareError, format_config,
+                              parse_config)
 from specshare.harness import ExperimentSpec, format_csv, run_compare
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -38,8 +42,9 @@ def log_uniform(low, high):
 
 @st.composite
 def configs(draw):
+    """A config's fields; build() makes the config."""
     antennas = st.integers(1, 6)
-    return ScenarioConfig(
+    return dict(
         M_tR=draw(antennas), M_rR=draw(antennas), M_tC=draw(antennas), M_rC=draw(antennas),
         L=draw(st.integers(1, 11)), scheme=draw(st.sampled_from(list(Scheme))),
         p=draw(st.floats(0.05, 1.0)), C=draw(st.floats(0.0, 20.0)),
@@ -50,6 +55,16 @@ def configs(draw):
     )
 
 
+def build(fields):
+    """The config of the drawn fields, or None for L < M_tR, which the
+    config must refuse."""
+    if fields["L"] < fields["M_tR"]:
+        with pytest.raises(ConfigError, match="^L must be >= M_tR for orthonormal waveform rows$"):
+            ScenarioConfig(**fields)
+        return None
+    return ScenarioConfig(**fields)
+
+
 @pytest.fixture
 def specshare_errors_only(monkeypatch):
     """Rows record SpecshareErrors only: any other error propagates."""
@@ -58,8 +73,11 @@ def specshare_errors_only(monkeypatch):
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=100,
                      suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
-@hypothesis.given(cfg=configs(), mc_trials=st.sampled_from([0, 2]))
-def test_rows_hold_their_properties(specshare_errors_only, cfg, mc_trials):
+@hypothesis.given(fields=configs(), mc_trials=st.sampled_from([0, 2]))
+def test_rows_hold_their_properties(specshare_errors_only, fields, mc_trials):
+    cfg = build(fields)
+    if cfg is None:
+        return
     spec = ExperimentSpec(cfg=cfg, methods=METHODS[cfg.scheme], mc_trials=mc_trials)
     rows = run_compare(spec)
     for r in rows:
@@ -91,7 +109,10 @@ def numpy_scalars(cfg, kinds):
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=50)
-@hypothesis.given(cfg=configs(), kinds=st.lists(st.integers(0, 2), min_size=19, max_size=19))
-def test_config_round_trip(cfg, kinds):
+@hypothesis.given(fields=configs(), kinds=st.lists(st.integers(0, 2), min_size=19, max_size=19))
+def test_config_round_trip(fields, kinds):
+    cfg = build(fields)
+    if cfg is None:
+        return
     cfg = numpy_scalars(cfg, kinds)
     assert parse_config(format_config(cfg)) == cfg

@@ -8,7 +8,7 @@ import pytest
 from specshare import samplingopt
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import scheme_weights, weighted_eip
+from specshare.interference import MetricError, scheme_weights, weighted_eip
 from specshare.samplingopt import (
     best_column_permutation,
     joint_design,
@@ -204,7 +204,8 @@ class TestSpectralGap:
         assert abs(a[0] - b[0]) < 1e-10 and abs(a[1] - b[1]) < 1e-10
 
     def test_zero_mask_rejected(self):
-        with pytest.raises(ValueError):
+        # A problem of the input, which the CLI reports: not a bug.
+        with pytest.raises(MetricError, match="^spectral gap of the all-zero mask is undefined$"):
             spectral_gap(np.zeros((3, 3)))
 
 

@@ -77,9 +77,9 @@ class TestWaveforms:
         assert abs(np.sum(np.abs(S) ** 2, axis=0).sum() - 4.0) <= 1e-10
 
     def test_L_smaller_than_M_tR_rejected(self):
-        cfg = ScenarioConfig(M_tR=4, L=3, M_rR=4)
-        with pytest.raises(ScenarioError):
-            generate_waveforms(cfg, stream(0, "waveforms"))
+        # No seed could orthonormalize the rows: the config refuses it.
+        with pytest.raises(ConfigError, match="^L must be >= M_tR for orthonormal waveform rows$"):
+            ScenarioConfig(M_tR=4, L=3, M_rR=4)
 
 
 class TestTargetResponse:
@@ -101,14 +101,16 @@ class TestTargetResponse:
         assert numerical_rank(D) == 2
 
     def test_empty_target_list_rejected(self):
-        cfg = ScenarioConfig(targets=[])
-        with pytest.raises(ScenarioError):
-            generate_target_response(cfg)
+        with pytest.raises(ConfigError, match="^target list is empty$"):
+            ScenarioConfig(targets=[])
 
-    def test_angle_outside_open_interval_rejected(self):
-        cfg = ScenarioConfig(targets=[(90.0, 1.0)])
-        with pytest.raises(ScenarioError):
-            generate_target_response(cfg)
+    # 30j once passed the config, and the run ended in a TypeError of the
+    # angle test; np.complex128(30) would steer by its real part.
+    @pytest.mark.parametrize("angle", [90.0, -90.0, 95.0, np.float64(-90.5), 30j,
+                                       np.complex128(30.0)])
+    def test_angle_outside_open_interval_rejected(self, angle):
+        with pytest.raises(ConfigError, match=r"^target angles must be real numbers in \(-90, 90\)"):
+            ScenarioConfig(targets=[(30.0, 0.2 + 0.1j), (angle, 1.0)])
 
     def test_steering_vector_first_entry_unity(self):
         a = steering_vector(6, 42.0)
@@ -138,11 +140,23 @@ class TestSamplingMask:
         omega = generate_sampling_mask(cfg, stream(2, "mask"))
         assert set(np.unique(omega)) <= {0.0, 1.0}
 
-    def test_coverage_unsatisfiable_rejected(self):
-        # 8x32 mask at p=0.05 has 12 ones < 32 columns.
-        cfg = ScenarioConfig(M_rR=8, L=32, p=0.05)
-        with pytest.raises(ScenarioError):
-            generate_sampling_mask(cfg, stream(0, "mask"))
+    @pytest.mark.parametrize("scheme,p,n_ones", [
+        (Scheme.SCHEME_I, 0.05, 12),   # 12 ones < 32 columns
+        (Scheme.SCHEME_I, 0.01, 2),
+        (Scheme.SCHEME_I, 0.001, 0),
+        (Scheme.SCHEME_II, 0.2, 6),    # 6 ones < 8 rows
+    ])
+    def test_uncoverable_mask_is_the_uniform_draw(self, scheme, p, n_ones):
+        # Too few ones to cover: completion refuses the mask, not the
+        # sampler, which returns the opt-out's draw from the same stream.
+        for seed in range(3):
+            cfg = ScenarioConfig(M_rR=8, L=32, p=p, scheme=scheme, seed=seed)
+            rng, want_rng = stream(seed, "mask"), stream(seed, "mask")
+            omega = generate_sampling_mask(cfg, rng)
+            want = generate_sampling_mask(cfg, want_rng, require_coverage=False)
+            assert omega.sum() == n_ones
+            assert omega.tobytes() == want.tobytes()
+            assert rng.random() == want_rng.random()
 
     def test_covering_fallback_near_coverage_limit(self):
         # 33 and 38 ones can cover the 32 columns and 8 rows, but a uniform
