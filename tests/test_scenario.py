@@ -104,11 +104,15 @@ class TestTargetResponse:
         with pytest.raises(ConfigError, match="^target list is empty$"):
             ScenarioConfig(targets=[])
 
+    def test_angle_outside_open_interval_rejected(self):
+        with pytest.raises(ConfigError, match=r"^target angles must be real numbers in \(-90, 90\)"):
+            ScenarioConfig(targets=[(90.0, 1.0)])
+
     # 30j once passed the config, and the run ended in a TypeError of the
     # angle test; np.complex128(30) would steer by its real part.
-    @pytest.mark.parametrize("angle", [90.0, -90.0, 95.0, np.float64(-90.5), 30j,
+    @pytest.mark.parametrize("angle", [-90.0, 95.0, np.float64(-90.5), 30j,
                                        np.complex128(30.0)])
-    def test_angle_outside_open_interval_rejected(self, angle):
+    def test_angle_not_real_in_open_interval_rejected(self, angle):
         with pytest.raises(ConfigError, match=r"^target angles must be real numbers in \(-90, 90\)"):
             ScenarioConfig(targets=[(30.0, 0.2 + 0.1j), (angle, 1.0)])
 
