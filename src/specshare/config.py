@@ -105,12 +105,20 @@ class ScenarioConfig:
         if not self.targets:
             raise ConfigError("target list is empty")
         for target in self.targets:
-            if not all(cmath.isfinite(x) for x in target):
-                raise ConfigError(f"targets must be finite, got {target!r}")
+            # A string, a one-element target or a triple fails here, not in
+            # generate_target_response.
+            try:
+                angle, coefficient = target
+                finite = cmath.isfinite(angle) and cmath.isfinite(coefficient)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ConfigError(f"targets must be finite number pairs (angle, coefficient), "
+                                  f"got {target!r}")
             # Only a real angle steers; 30j would not compare with the bounds.
-            if not (isinstance(target[0], numbers.Real) and -90.0 < target[0] < 90.0):
+            if not (isinstance(angle, numbers.Real) and -90.0 < angle < 90.0):
                 raise ConfigError(f"target angles must be real numbers in (-90, 90) degrees, "
-                                  f"got {target[0]!r}")
+                                  f"got {angle!r}")
         # A scheme name is parse_config's to read: here only a member passes.
         if not isinstance(self.scheme, Scheme):
             raise ConfigError(f"scheme must be one of {', '.join(map(str, Scheme))}, "

@@ -29,17 +29,18 @@ with power within P_t proves feasibility.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design is solved many times over with bit-equal
-inputs. The last few designs are memoized, keyed by the exact bytes (with
-dtype, shape and layout) of the weights, B, G2, P_t and C; errors are never
-memoized. A design passes its post-conditions (_checked) once, when it is
-computed; a memoized one comes back as the same frozen solution with
-read-only arrays.
+inputs, and always on one scenario's channels B and G2. The designs of the
+current channels are memoized: the memo is stamped with the exact bytes
+(with dtype, shape and layout) of B and G2 and keyed by those of the
+weights, P_t and C. A solve on other channels starts it afresh, and errors
+are never memoized. A design passes its post-conditions (_checked) once,
+when it is computed; a memoized one comes back as the same frozen solution
+with read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +54,6 @@ from .linalg import eig_floor, gram_spectrum, hermitize
 # MAX_DUAL_EVALUATIONS dual evaluations counting the bracket growth.
 DUAL_TOL = 1e-9
 MAX_DUAL_EVALUATIONS = 200
-
-# Designs memoized (see _memo); an L = 128 design of the joint-long size
-# takes about 135 KB with its key, which holds weights and B (66 KB).
-_MEMO_SIZE = 8
 
 
 class InfeasibleError(SpecshareError):
@@ -334,10 +331,10 @@ def _exact(*values) -> tuple:
     return tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in map(np.asarray, values))
 
 
-# The last _MEMO_SIZE checked solutions under _exact(weights, B, G2, P_t, C),
-# the least recently used dropped first. It takes no lock: the harness and
+# The _exact(B, G2) stamp of the current channels and their checked
+# solutions under _exact(weights, P_t, C). It takes no lock: the harness and
 # joint_design solve on one thread.
-_memo: OrderedDict = OrderedDict()
+_memo: tuple = (None, {})
 
 
 def solve_weighted_eip(
@@ -360,17 +357,21 @@ def solve_weighted_eip(
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     A repeated call with bit-equal inputs returns the memoized solution
-    while it is among the last _MEMO_SIZE designs solved or returned
-    (_memo). MetricError: B is not finite.
+    while no call on other channels B, G2 came in between (_memo).
+    MetricError: B is not finite.
     """
     if len(B) != len(weights):
         raise SolverError("weights and whitened channels have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    key = _exact(weights, B, G2, P_t, C)
-    if key in _memo:
-        _memo.move_to_end(key)
-        return _memo[key]
+    global _memo
+    channels = _exact(B, G2)
+    if _memo[0] != channels:
+        _memo = (channels, {})
+    designs = _memo[1]
+    key = _exact(weights, P_t, C)
+    if key in designs:
+        return designs[key]
     if not np.all(np.isfinite(B)):
         raise MetricError("whitened channel is not finite")
 
@@ -381,7 +382,5 @@ def solve_weighted_eip(
                    converged=converged)
     for a in (sol.X, sol.d, sol.Q):
         a.flags.writeable = False
-    _memo[key] = sol
-    if len(_memo) > _MEMO_SIZE:
-        _memo.popitem(last=False)
+    designs[key] = sol
     return sol

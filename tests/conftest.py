@@ -1,10 +1,8 @@
-"""Every test starts with empty memos (specshare.covdesign keeps its last
-designs, specshare.scenario the draws of its last config, the whitened
-channels B among them), so a test that replaces a solver part, a generator
-or the whitening sees a fresh solve and fresh draws, not ones memoized by an
-earlier test."""
-
-import collections
+"""Every test starts with empty memos (specshare.covdesign keeps the designs
+of its last channels, specshare.scenario the draws of its last config, the
+whitened channels B among them), so a test that replaces a solver part, a
+generator or the whitening sees a fresh solve and fresh draws, not ones
+memoized by an earlier test."""
 
 import pytest
 
@@ -13,7 +11,7 @@ from specshare import covdesign, scenario
 
 @pytest.fixture(autouse=True)
 def empty_memos(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+    monkeypatch.setattr(covdesign, "_memo", (None, {}))
     monkeypatch.setattr(scenario, "_memo", None)
 
 

@@ -305,7 +305,7 @@ class TestFeasibility:
             design, C = random_design(stream(seed, "feasible-edge"), dense)
             _, B, G2 = design
             p_min = selfish(B, C, np.inf, G2).consumed_power
-            monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+            monkeypatch.setattr(covdesign, "_memo", (None, {}))
             for P_t in (p_min * (1.0 - 1e-9), 0.5 * p_min):
                 dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
@@ -533,7 +533,7 @@ class TestDualKernel:
         """A comm antenna that hears nothing (a zero row of H) leaves every
         whitened channel a zero singular value. It gets no power, with no
         divide-by-zero warning, and both designs meet their post-conditions."""
-        monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
         R_w = np.broadcast_to(0.01 * np.eye(3), (4, 3, 3))  # what sigma_alpha2 = 0 gives
@@ -582,7 +582,7 @@ class TestDualKernel:
 
     def test_long_block_slack_design_dual_evaluations(self, monkeypatch):
         # The joint-long benchmark's block: L = 128, 16/32/4/4 antennas.
-        monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
@@ -895,7 +895,7 @@ class TestDualSearch:
         for search in (covdesign._dual_search, bisection_oracle):
             with monkeypatch.context() as m:
                 m.setattr(covdesign, "_dual_search", search)
-                m.setattr(covdesign, "_memo", collections.OrderedDict())
+                m.setattr(covdesign, "_memo", (None, {}))
                 try:
                     out.append(solve_weighted_eip(*args))
                 except (InfeasibleError, SolverError) as exc:

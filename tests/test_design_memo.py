@@ -1,7 +1,7 @@
-"""The design memo of specshare.covdesign: the last designs, keyed by the
-exact inputs, and no answer that differs from a cold solve. The whitened
-channels B come from make_scenario, which whitens once per set of draws; no
-solve whitens."""
+"""The design memo of specshare.covdesign: the designs of the current
+channels, keyed by the exact inputs, and no answer that differs from a cold
+solve. The whitened channels B come from make_scenario, which whitens once
+per set of draws; no solve whitens."""
 
 import collections
 import dataclasses
@@ -26,7 +26,7 @@ SCHEME_METHODS = {
 
 
 def forget(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+    monkeypatch.setattr(covdesign, "_memo", (None, {}))
 
 
 def count_calls(monkeypatch, *names):
@@ -117,21 +117,35 @@ def test_any_changed_input_misses(monkeypatch, name, change):
     assert solve_weighted_eip(*design) is base and not counts
     changed = solve_weighted_eip(*change(*design))
     assert changed is not base and counts == {"_dual_search": 1}
-    assert solve_weighted_eip(*design) is base
+    again = solve_weighted_eip(*design)
+    if name in ("B", "G2"):
+        # Other channels started the memo afresh: the return is a new solve.
+        assert again is not base and counts == {"_dual_search": 2}
+        assert fingerprint(again) == fingerprint(base)
+    else:
+        assert again is base and counts == {"_dual_search": 1}
 
 
-def test_designs_of_alternating_problems_hit(monkeypatch):
-    """A design of seed 0's channels stays memoized through a design of
-    seed 1's: returning to seed 0 is a hit."""
-    designs = []
-    for seed in (0, 1):
-        cfg = ScenarioConfig(p=0.5, seed=seed)
-        scn = make_scenario(cfg)
-        designs.append((tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C))
-    first = solve_weighted_eip(*designs[0])
-    assert solve_weighted_eip(*designs[1]) is not first
+def test_return_to_earlier_channels_solves_again(monkeypatch):
+    """A design of seed 1's channels drops seed 0's designs: returning to
+    seed 0 solves again, to the same bytes, and then the memo holds only
+    seed 0's designs."""
+    cfg = ScenarioConfig(p=0.5)
+    channels = [(scn.B, scn.G2) for scn in (make_scenario(cfg.replace(seed=seed))
+                                            for seed in (0, 1))]
+    weights = (tip_weights(cfg.M_rR, cfg.L), np.zeros((cfg.L, cfg.M_rR)))
+    first = [solve_weighted_eip(w, *channels[0], cfg.P_t, cfg.C) for w in weights]
+    assert solve_weighted_eip(weights[0], *channels[1], cfg.P_t, cfg.C) is not first[0]
     counts = count_calls(monkeypatch, "_dual_search")
-    assert solve_weighted_eip(*designs[0]) is first and not counts
+    again = [solve_weighted_eip(w, *channels[0], cfg.P_t, cfg.C) for w in weights]
+    assert counts == {"_dual_search": 2}
+    for sol, earlier in zip(again, first):
+        assert sol is not earlier and fingerprint(sol) == fingerprint(earlier)
+    stamp, designs = covdesign._memo
+    assert stamp == covdesign._exact(*channels[0])
+    keys = [covdesign._exact(w, cfg.P_t, cfg.C) for w in weights]
+    assert list(designs) == keys
+    assert all(designs[key] is sol for key, sol in zip(keys, again))
 
 
 def test_returned_designs_are_read_only():
@@ -251,7 +265,9 @@ def test_joint_design_whitens_nothing(monkeypatch):
     assert result.outer_iterations >= 2
     assert counts["_whiten"] == 0
     assert counts["_dual_search"] <= result.outer_iterations
-    assert {(key[1], key[4]) for key in covdesign._memo} == {covdesign._exact(scn.B, cfg.C)}
+    channels, designs = covdesign._memo
+    assert channels == covdesign._exact(scn.B, scn.G2)
+    assert {key[2] for key in designs} == set(covdesign._exact(cfg.C))
 
 
 @pytest.mark.parametrize("scheme,methods", [

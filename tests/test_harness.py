@@ -1,6 +1,5 @@
 """Experiment harness: validation, sweeps, CSV determinism and the CLI."""
 
-import collections
 import dataclasses
 import hashlib
 import warnings
@@ -608,7 +607,7 @@ class TestCli:
         path.write_text(config + "\n")
         printed = []
         for methods in orders:
-            monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+            monkeypatch.setattr(covdesign, "_memo", (None, {}))
             assert cli_main(["sweep", "--methods", methods, "--sweep", grid,
                              "--seeds", str(seeds), "--config", str(path)]) == 0
             printed.append(capsysbinary.readouterr().out)

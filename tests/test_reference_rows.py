@@ -75,8 +75,8 @@ def test_stored_reference_rows(name):
 
 # Calls per run, each run from an empty memo: one pass of the workload for
 # each of seeds 13-18, or, in the last row, `specshare sweep` of the
-# sweep-p templates over seeds 0-1, whose Scheme II template finds each
-# seed's noncoop design still memoized from the Scheme I template.
+# sweep-p templates over seeds 0-1, whose Scheme II template solves each
+# seed's noncoop design again: seed 1's channels came in between.
 # Each entry is exact: a change that moves a count edits its row here.
 COUNT_SEEDS = range(13, 19)
 DEFAULT_SWEEP = "default-p-sweep"
@@ -85,7 +85,7 @@ COUNTS = {
     "joint-long": {"step": [2] * 6, "_dual_search": [2] * 6,
                    "hungarian": [6, 5, 6, 6, 4, 8], "outer_iterations": [2] * 6},
     "mc-recovery": {"step": [2] * 6, "_dual_search": [2] * 6},
-    DEFAULT_SWEEP: {"step": [85], "_dual_search": [22]},
+    DEFAULT_SWEEP: {"step": [95], "_dual_search": [24]},
 }
 
 
@@ -122,7 +122,7 @@ def test_call_counts(name, monkeypatch, dual_steps):
         counts, "outer_iterations", harness.joint_design, lambda result: result.outer_iterations))
     runs = []
     for run in counted_runs(name):
-        monkeypatch.setattr(covdesign, "_memo", collections.OrderedDict())
+        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         counts.clear()
         dual_steps.clear()
         run()

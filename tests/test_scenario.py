@@ -637,12 +637,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got nan$"):
             parse_config(f"{name} = nan\n")
 
+    # The last three once raised a TypeError from cmath.isfinite, or passed
+    # the config and failed to unpack in run_compare.
     @pytest.mark.parametrize("target", [
         (math.nan, 0.2 + 0.1j), (math.inf, 0.2 + 0.1j),
         (30.0, complex(math.nan, 0.1)), (30.0, complex(0.2, math.inf)),
+        ("30", 0.2), (30.0, "x"), (30.0,),
     ])
     def test_non_finite_targets_rejected(self, target):
-        with pytest.raises(ConfigError, match="^targets must be finite, got "):
+        with pytest.raises(ConfigError, match=r"^targets must be finite number pairs "
+                                              r"\(angle, coefficient\), got "):
             ScenarioConfig(targets=[(0.0, 0.1 + 0j), target])
 
     def test_round_trip(self):
