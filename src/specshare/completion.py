@@ -5,14 +5,16 @@ accelerated proximal gradient descent with singular-value soft thresholding,
 using continuation on the penalty (mu is lowered geometrically toward its
 target, warm-starting each stage); the radar pipeline wraps it into the
 end-to-end recovery experiment, whose trials it completes on the CPUs the
-process may use: the caller completes one part of them and a forked worker
-process each other part.
+process may use: the caller completes one part of them and a worker made by
+os.fork each other part, which pickles its reports back through a pipe.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass
 
@@ -202,24 +204,19 @@ def _cpu_share(trials: int) -> int:
 
     n is the number of CPUs the process may use (its affinity mask, which
     taskset sets), at most one per trial. It is 1 where a worker cannot be
-    forked safely: no fork start method, a daemonic caller (which may not
-    have children), or a caller running other threads (a forked child
-    holds no copy of them, nor of the locks they hold), a BLAS library's
-    own pool included (_thread_count). _complete_trials starts no thread,
-    so a call never finds one left by the call before it.
+    forked safely: no os.fork on this platform, or a caller running other
+    threads (a forked child holds no copy of them, nor of the locks they
+    hold), a BLAS library's own pool included (_thread_count).
+    _complete_trials starts no thread, so a call never finds one left by
+    the call before it.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     n = min(cpus, trials)
-    if n > 1:
-        import multiprocessing
-
-        if ("fork" not in multiprocessing.get_all_start_methods()
-                or multiprocessing.current_process().daemon
-                or _thread_count() > 1):
-            return 1
+    if n > 1 and (not hasattr(os, "fork") or _thread_count() > 1):
+        return 1
     return n
 
 
@@ -234,12 +231,22 @@ def _thread_count() -> int:
 
 
 def _work(send, observations, omega, params, truth) -> None:
-    """A fork worker's body: send the reports of its trials, or the error
-    one of them raised, which the caller raises in turn."""
+    """A fork worker's body: pickle to send the reports of its trials, or
+    the error one of them raised, which the caller raises in turn. It never
+    returns: the worker leaves through os._exit, with code 0 once it has
+    sent, so no exit handler of the caller's runs in it and no buffer of
+    the caller's is written twice."""
+    code = 1
     try:
-        send.send([_trial(obs, omega, params, truth) for obs in observations])
-    except Exception as exc:
-        send.send(exc)
+        try:
+            reports = [_trial(obs, omega, params, truth) for obs in observations]
+        except Exception as exc:
+            reports = exc
+        pickle.dump(reports, send)
+        send.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _complete_trials(observations, omega, params, truth) -> list:
@@ -247,49 +254,53 @@ def _complete_trials(observations, omega, params, truth) -> list:
 
     With n CPUs the trials are cut into n contiguous parts, the first
     len % n of them one trial longer: the caller completes the last part,
-    len // n trials, in-process, and one fork worker each of the others.
-    The split is fixed, so the caller's own complete calls, which a
-    profiler in it sees, are the same on every run. A fork worker shares
-    the caller's code and data, so every report equals the in-process one
-    bit for bit. The workers exist only inside this call: when it returns
-    or raises, they are killed and reaped. A worker sends back the error a
-    trial raised, and one that exits without sending its reports makes the
-    call raise an EOFError that names its pid and exit code. Every error a
-    trial can raise depends only on what all trials share: omega and its
-    shape (an empty row or column), the truth (zero), and the message of a
-    failed eigh. So whichever trial fails first raises what a loop in trial
-    order raises.
+    len // n trials, in-process, and one fork worker each of the others,
+    which pickles its reports to the caller through a pipe. The split is
+    fixed, so the caller's own complete calls, which a profiler in it sees,
+    are the same on every run. A fork worker shares the caller's code and
+    data, so every report equals the in-process one bit for bit. The
+    workers exist only inside this call: when it returns or raises, they
+    are killed and reaped. A worker sends back the error a trial raised,
+    and one that exits without sending its reports makes the call raise an
+    EOFError that names its pid and exit code. Every error a trial can
+    raise depends only on what all trials share: omega and its shape (an
+    empty row or column), the truth (zero), and the message of a failed
+    eigh. So whichever trial fails first raises what a loop in trial order
+    raises.
     """
     *parts, last = np.array_split(observations, _cpu_share(len(observations)))
-    workers = []
+    pids, readers = [], []  # readers[i] is the pipe from worker pids[i]
     try:
         for part in parts:
-            import multiprocessing
-
-            recv, send = multiprocessing.Pipe(duplex=False)
-            worker = multiprocessing.get_context("fork").Process(target=_work, args=(
-                send, part, omega, params, truth))
-            worker.start()
-            workers.append((worker, recv))
-            send.close()  # the worker holds the only sending end: its exit is an EOF
+            recv, send = os.pipe()
+            readers.append(open(recv, "rb"))
+            # The caller closes its sending end before the next fork, so the
+            # worker holds the only one: its exit is an EOF.
+            with open(send, "wb") as sending:
+                pid = os.fork()
+                if pid == 0:
+                    _work(sending, part, omega, params, truth)
+            pids.append(pid)
         own = [_trial(observed, omega, params, truth) for observed in last]
         theirs = []
-        for worker, recv in workers:
+        for i, reader in enumerate(readers):
             try:
-                theirs.append(recv.recv())
+                theirs.append(pickle.load(reader))
             except EOFError:
-                worker.join()
-                raise EOFError(f"trial worker {worker.pid} exited with code {worker.exitcode} "
-                               "before sending its reports") from None
+                pid, status = os.waitpid(pids.pop(i), 0)
+                raise EOFError(f"trial worker {pid} exited with code "
+                               f"{os.waitstatus_to_exitcode(status)} before sending its reports"
+                               ) from None
         for reports in theirs:
             if isinstance(reports, Exception):
                 raise reports
         return [report for reports in theirs for report in reports] + own
     finally:
-        for worker, recv in workers:
-            worker.kill()
-            worker.join()
-            recv.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
 
 
 def radar_pipeline(

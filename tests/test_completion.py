@@ -1,9 +1,9 @@
 """Nuclear-norm completion and the end-to-end recovery pipeline."""
 
 import _thread
-import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
@@ -457,6 +457,16 @@ def no_fork():
     raise AssertionError("a trial worker was forked")
 
 
+def no_child_left() -> bool:
+    """Whether this process has no child process, running or exited and
+    not yet reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def in_the_workers(failure):
     """A stand-in for completion.complete that calls failure() in a fork
     worker and completes nothing in the calling process."""
@@ -472,13 +482,13 @@ def in_the_workers(failure):
 
 def cpu_count_runs(cfg):
     """For 1 and then 2 usable CPUs: the outcome of 5 selfish-design trials,
-    then the child processes and the threads left running."""
+    then whether no child process is left, and the threads left running."""
     runs = []
     with pytest.MonkeyPatch.context() as m:
         for n in (1, 2):
             usable_cpus(m, n)
             runs.append((outcome(selfish_pipeline(cfg, 5)),
-                         len(multiprocessing.active_children()), threading.active_count()))
+                         no_child_left(), threading.active_count()))
     return runs
 
 
@@ -497,7 +507,8 @@ def recorded_shares(m):
 
 def mc_eval_outcomes(spec):
     """The CSV of run_compare(spec), the outcome of each radar_pipeline call
-    it makes, and the CPUs that completed each call's trials."""
+    it makes, the CPUs that completed each call's trials, and whether
+    multiprocessing was imported by the end of the run."""
     outcomes = []
 
     def recorded(*args):
@@ -508,7 +519,7 @@ def mc_eval_outcomes(spec):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "radar_pipeline", recorded)
         shares = recorded_shares(m)
-        return format_csv(run_compare(spec)), outcomes, shares
+        return format_csv(run_compare(spec)), outcomes, shares, "multiprocessing" in sys.modules
 
 
 def back_to_back_shares(cfg):
@@ -569,7 +580,7 @@ class TestParallelTrials:
         (one, *_), (two, *_) = runs
         assert one == two
         # No child process is left, and no thread beside the main one.
-        assert [run[1:] for run in runs] == [(0, 1), (0, 1)]
+        assert [run[1:] for run in runs] == [(True, 1), (True, 1)]
 
     @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to compare")
     @pytest.mark.parametrize("spec", [
@@ -587,6 +598,15 @@ class TestParallelTrials:
         assert one[:2] == every[:2]
         assert one[2] == [1] * len(one[1])
         assert every[2] == [min(usable_cpu_count(), spec.mc_trials)] * len(every[1])
+
+    @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to start")
+    def test_workers_need_no_multiprocessing(self):
+        """The fork workers are bare os.fork children: an mc-eval run that
+        forks them imports no multiprocessing module."""
+        spec = ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish"], seeds=[0], mc_trials=2)
+        _, outcomes, shares, imported = pinned_run(mc_eval_outcomes, spec)
+        assert shares == [2] * len(outcomes)
+        assert not imported
 
     @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to start")
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -631,7 +651,7 @@ class TestParallelTrials:
             with pytest.raises(MetricError, match=message) as exc:
                 radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, omega, 3, stream(1, "mc"))
             errors.append((type(exc.value), str(exc.value)))
-            assert multiprocessing.active_children() == []
+            assert no_child_left()
         assert errors[0] == errors[1]
 
     def test_interrupt_in_the_caller_propagates(self, monkeypatch):
@@ -646,7 +666,7 @@ class TestParallelTrials:
         usable_cpus(monkeypatch, 2)
         with pytest.raises(KeyboardInterrupt):
             selfish_pipeline(ScenarioConfig(seed=1), 6)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_worker_error_comes_back(self, monkeypatch):
         """An error a trial raises in a fork worker is raised by the caller
@@ -660,10 +680,10 @@ class TestParallelTrials:
             selfish_pipeline(ScenarioConfig(seed=1), 3)
         assert (type(exc.value), str(exc.value)) == (np.linalg.LinAlgError,
                                                      "Eigenvalues did not converge")
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         spec = ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish", "noncoop"], mc_trials=2)
         assert [row.error for row in run_compare(spec)] == ["Eigenvalues did not converge"] * 2
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_worker_exit_without_reports_raises(self, monkeypatch):
         monkeypatch.setattr(completion, "complete", in_the_workers(lambda: os._exit(3)))
@@ -671,7 +691,18 @@ class TestParallelTrials:
         with pytest.raises(EOFError, match=r"^trial worker \d+ exited with code 3 before "
                                            r"sending its reports$"):
             selfish_pipeline(ScenarioConfig(seed=1), 3)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+    def test_killed_worker_raises(self, monkeypatch):
+        def killed():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(completion, "complete", in_the_workers(killed))
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(EOFError, match=r"^trial worker \d+ exited with code -9 before "
+                                           r"sending its reports$"):
+            selfish_pipeline(ScenarioConfig(seed=1), 3)
+        assert no_child_left()
 
     def test_failed_fork_raises_its_own_error(self, monkeypatch):
         """A fork that fails after another worker started raises its error,
@@ -689,7 +720,7 @@ class TestParallelTrials:
         with pytest.raises(BlockingIOError, match="^fork: resource temporarily unavailable$"):
             selfish_pipeline(ScenarioConfig(seed=1), 3)
         assert forks == [os.getpid()]
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_thread_count_without_a_task_list(self, monkeypatch):
         def no_task_list(path):

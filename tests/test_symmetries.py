@@ -1,0 +1,97 @@
+"""Exact symmetries of the weighted-EIP design, checked on the solver's own
+results with no oracle that re-derives the model.
+
+On the default p-sweep designs (Scheme I selfish/noncoop/coop and Scheme II
+noncoop/partial/full, p on the sweep grid), solve_weighted_eip must return
+the same design, up to roundoff, for two problems that are the same:
+
+- the L symbols permuted, the weights and the whitened channels B
+  together: the EIP is a sum over the symbols;
+- B -> 2B with P_t -> P_t/4: the design R -> R/4 keeps the capacity, so
+  the EIP, the TIP and the power scale by 1/4.
+
+eip (the radar scheme's weights, as a row prints it), tip, capacity and
+power agree to 1e-12 relative. A face row, one with eip <= 1e-12 tip,
+holds a zero-interference design, and which point of that face the search
+stops on depends on roundoff: there both designs only keep eip <= 1e-12
+tip.
+"""
+
+import numpy as np
+import pytest
+
+from specshare.config import ScenarioConfig, Scheme
+from specshare.covdesign import solve_weighted_eip
+from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
+from specshare.scenario import make_scenario
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+METHODS = {
+    Scheme.SCHEME_I: ["selfish", "noncoop", "coop"],
+    Scheme.SCHEME_II: ["noncoop", "partial", "full"],
+}
+SWEEP_P = [0.2, 0.4, 0.6, 0.8, 1.0]
+RTOL = 1e-12
+
+
+@st.composite
+def designs(draw):
+    """A default p-sweep config, one of its scheme's methods, and that
+    method's weights on the config's scenario."""
+    scheme = draw(st.sampled_from(list(Scheme)))
+    cfg = ScenarioConfig(scheme=scheme, p=draw(st.sampled_from(SWEEP_P)),
+                         seed=draw(st.integers(0, 63)))
+    method = draw(st.sampled_from(METHODS[scheme]))
+    scn = make_scenario(cfg)
+    if method == "selfish":
+        weights = np.zeros((cfg.L, cfg.M_rR))
+    elif method == "noncoop":
+        weights = tip_weights(cfg.M_rR, cfg.L)
+    elif method == "partial":
+        weights = fmfb_weights(scn.S, cfg.M_rR)
+    else:  # coop, full: the scheme's own EIP
+        weights = scheme_weights(cfg, scn.omega, scn.S)
+    return cfg, scn, weights
+
+
+def metrics(sol, eip_weights, L, M_rR):
+    """(eip, tip, capacity, power) of a design, as a row prints them."""
+    return (weighted_eip(eip_weights, sol.Q), weighted_eip(tip_weights(M_rR, L), sol.Q),
+            sol.achieved_capacity, sol.consumed_power)
+
+
+def assert_same_design(a, b):
+    """a and b: (eip, tip, capacity, power) of the same design, b's already
+    mapped back onto a's problem."""
+    eip, tip = a[0], a[1]
+    if eip <= RTOL * tip:  # on the face
+        assert b[0] <= RTOL * b[1]
+    else:
+        np.testing.assert_allclose(b, a, rtol=RTOL, atol=0.0)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(design=designs(), data=st.data())
+def test_permuting_the_symbols(design, data):
+    cfg, scn, weights = design
+    perm = np.array(data.draw(st.permutations(range(cfg.L))))
+    eip_w = scheme_weights(cfg, scn.omega, scn.S)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
+    moved = solve_weighted_eip(np.ascontiguousarray(weights[perm]),
+                               np.ascontiguousarray(scn.B[perm]), scn.G2, cfg.P_t, cfg.C)
+    assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
+                       metrics(moved, np.ascontiguousarray(eip_w[perm]), cfg.L, cfg.M_rR))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(design=designs())
+def test_doubling_the_channel_quarters_the_budget(design):
+    cfg, scn, weights = design
+    eip_w = scheme_weights(cfg, scn.omega, scn.S)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
+    scaled = solve_weighted_eip(weights, 2.0 * scn.B, scn.G2, cfg.P_t / 4.0, cfg.C)
+    eip, tip, capacity, power = metrics(scaled, eip_w, cfg.L, cfg.M_rR)
+    assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
+                       (4.0 * eip, 4.0 * tip, capacity, 4.0 * power))
