@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands:
-  compare   run the selected methods at a fixed configuration
-  sweep     run a parameter sweep (p, C, targets, rho2, sigma1_2)
-  mc-eval   recovery-error evaluation via the completion pipeline
+  compare   run the selected methods at one configuration, or over a
+            parameter sweep with --sweep var=start:stop:step (p, C,
+            targets, rho2, sigma1_2); --mc-trials N adds N recovery
+            trials per row through the completion pipeline
   mask-gap  spectral gap of the generated sampling mask
 
 Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
@@ -62,16 +63,6 @@ def _parse_sweep(text):
     return var, values
 
 
-def _add_common(p):
-    p.add_argument("--config", help="scenario config file (flat key = value)")
-    p.add_argument("--seed", type=int, help="base seed (default: the config's seed)")
-    p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
-    p.add_argument("--methods", default="selfish,noncoop", help="comma-separated methods")
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--mc-trials", type=int, default=0, dest="mc_trials")
-    p.add_argument("--timing", action="store_true", help="emit real wall times")
-
-
 def _load(args) -> ScenarioConfig:
     """The --config file's configuration (the defaults without one), with
     --seed in place of its seed when given."""
@@ -105,16 +96,16 @@ def main(argv=None) -> int:
     parser = _Parser(prog="specshare", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cmp = sub.add_parser("compare", help="run methods at a fixed configuration")
-    _add_common(p_cmp)
-
-    p_swp = sub.add_parser("sweep", help="run a parameter sweep")
-    _add_common(p_swp)
-    p_swp.add_argument("--sweep", required=True, help="var=start:stop:step")
-
-    p_mc = sub.add_parser("mc-eval", help="matrix-completion recovery evaluation")
-    _add_common(p_mc)
-    p_mc.set_defaults(mc_trials=10)
+    p_cmp = sub.add_parser("compare", help="run methods at a configuration or over a sweep")
+    p_cmp.add_argument("--config", help="scenario config file (flat key = value)")
+    p_cmp.add_argument("--seed", type=int, help="base seed (default: the config's seed)")
+    p_cmp.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
+    p_cmp.add_argument("--methods", default="selfish,noncoop", help="comma-separated methods")
+    p_cmp.add_argument("--out", help="output CSV path (default: stdout)")
+    p_cmp.add_argument("--mc-trials", type=int, default=0, dest="mc_trials",
+                       help="recovery trials per row (default: 0)")
+    p_cmp.add_argument("--timing", action="store_true", help="emit real wall times")
+    p_cmp.add_argument("--sweep", help="var=start:stop:step (default: no sweep)")
 
     p_gap = sub.add_parser("mask-gap", help="spectral gap of the sampling mask")
     p_gap.add_argument("--config", help="scenario config file")
@@ -126,9 +117,7 @@ def main(argv=None) -> int:
             s1, s2, gap = spectral_gap(make_scenario(_load(args)).omega)
             print(f"sigma1={s1:.9g} sigma2={s2:.9g} gap={gap:.9g}")
             return 0
-        if args.command == "mc-eval" and args.mc_trials < 1:
-            raise SpecError("mc-eval needs --mc-trials >= 1")
-        grid = _parse_sweep(args.sweep) if args.command == "sweep" else ()
+        grid = () if args.sweep is None else _parse_sweep(args.sweep)
         return _emit(run_compare(_build_spec(args, *grid)), args)
     except (SpecshareError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ class ScenarioConfig:
     Defaults mirror the desk-scale simulation setup: L=32 symbols,
     sigma_C2=0.01, P_t=L, gamma2_dB=-30, rho2=1000*L/M_tR,
     sigma_alpha2=1e-3, sigma1_2=sigma2_2=0.1, one target at 30 degrees.
-    sigma_R2 defaults to None, meaning it is derived from snr_dB against
-    the noiseless radar return at synthesis time.
+    The radar noise variance is not a field: snr_dB sets it against the
+    noiseless radar return at synthesis time (scenario.resolve_sigma_R2).
     """
 
     M_tR: int = 4
@@ -56,7 +56,6 @@ class ScenarioConfig:
     P_t: float | None = None          # defaults to L
     C: float = 12.0                   # bits/symbol
     sigma_C2: float = 0.01
-    sigma_R2: float | None = None     # derived from snr_dB when None
     snr_dB: float = 25.0
     sigma1_2: float = 0.1
     sigma2_2: float = 0.1
@@ -132,8 +131,6 @@ class ScenarioConfig:
         for name in ("sigma_C2", "sigma1_2", "sigma2_2", "sigma_alpha2"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.sigma_R2 is not None and self.sigma_R2 < 0:
-            raise ConfigError("sigma_R2 must be nonnegative")
         if self.rho2 <= 0:
             raise ConfigError("rho2 must be positive")
         # gamma and resolve_sigma_R2 take 10^(dB/scale): it overflows above

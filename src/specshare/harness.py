@@ -184,8 +184,8 @@ def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
     """One row per (seed, grid point, method): at every point of the spec's
     grid, or at the given values, each of which must be on the grid, else a
     SpecError is raised before anything runs. Seeds are the outer loop, so
-    the designs a seed's grid points share come from covdesign's memo of its
-    last designs; format_csv sorts the rows. A row whose scenario or method
+    the designs a seed's grid points share come from covdesign's memo, which
+    holds the designs of the current channels; format_csv sorts the rows. A row whose scenario or method
     fails with a SpecshareError or LinAlgError keeps nan metrics and the
     message in ResultRow.error; other exceptions propagate."""
     for i, value in enumerate(sweep_values):

@@ -189,11 +189,9 @@ def radar_truth(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> np.ndarray
 
 
 def resolve_sigma_R2(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> float:
-    """Radar noise variance: explicit if configured, else set by snr_dB
-    against the mean entry power of the noiseless return. A ScenarioError
-    names the power or variance that overflows."""
-    if cfg.sigma_R2 is not None:
-        return float(cfg.sigma_R2)
+    """Radar noise variance, set by snr_dB against the mean entry power of
+    the noiseless return. A ScenarioError names the power or variance that
+    overflows."""
     with np.errstate(over="ignore"):
         mean_power = float(np.mean(np.abs(noiseless_radar_return(cfg, D, S)) ** 2))
     sigma_R2 = mean_power / 10.0 ** (cfg.snr_dB / 10.0)  # inf if mean_power is inf
@@ -249,7 +247,7 @@ class Scenario:
 
 
 # The config fields that H, G1, G2, S, D and the comm noise read; p and the
-# scheme (the mask's), C, P_t, gamma2_dB, snr_dB and sigma_R2 are not.
+# scheme (the mask's), C, P_t, gamma2_dB and snr_dB are not.
 _SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "targets",
                   "rho2", "sigma_alpha2", "sigma_C2", "seed")
 

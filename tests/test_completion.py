@@ -35,6 +35,7 @@ from specshare.scenario import (
     draw_trials,
     make_scenario,
     noiseless_radar_return,
+    resolve_sigma_R2,
     synthesize_radar_rx,
 )
 from specshare.streams import stream
@@ -358,8 +359,31 @@ class TestRadarPipeline:
                                    stream(1, "mc"))
         assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_3000_dB_observations_are_noise_free(self, monkeypatch, scheme):
+        """At snr_dB = 3000 the radar noise is below half an ulp of the
+        return: the clean-recovery tests below complete the noise-free
+        observations, bit for bit."""
+        cfg = pipeline_cfg(p=1.0, snr_dB=3000.0, seed=0, scheme=scheme)
+        scn = make_scenario(cfg)
+        assert resolve_sigma_R2(cfg, scn.D, scn.S) > 0.0
+        seen = []
+
+        def record(observations, *args):
+            seen.append(np.array(observations))
+            return [completion.RecoveryReport(0.0, 0, True)] * len(observations)
+
+        monkeypatch.setattr(completion, "_complete_trials", record)
+        zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
+        radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, scn.omega, 2, stream(0, "mc"))
+        noise_free = synthesize_radar_rx(
+            cfg, scn.D, scn.S, scn.G2, np.zeros((2, cfg.M_tC, cfg.L), dtype=complex),
+            np.zeros((2, cfg.L)), scn.omega, np.zeros((2, cfg.M_rR, cfg.L), dtype=complex),
+        )
+        assert seen[0].tobytes() == noise_free.tobytes()
+
     def test_clean_full_sampling_recovers_exactly(self):
-        cfg = pipeline_cfg(p=1.0, sigma_R2=0.0, seed=0)
+        cfg = pipeline_cfg(p=1.0, snr_dB=3000.0, seed=0)
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
@@ -370,7 +394,7 @@ class TestRadarPipeline:
         assert stats.mean_error <= 1e-6
 
     def test_scheme2_truth_is_target_response(self):
-        cfg = pipeline_cfg(p=1.0, sigma_R2=0.0, seed=0, scheme=Scheme.SCHEME_II)
+        cfg = pipeline_cfg(p=1.0, snr_dB=3000.0, seed=0, scheme=Scheme.SCHEME_II)
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
@@ -505,7 +529,7 @@ def recorded_shares(m):
     return shares
 
 
-def mc_eval_outcomes(spec):
+def recovery_outcomes(spec):
     """The CSV of run_compare(spec), the outcome of each radar_pipeline call
     it makes, the CPUs that completed each call's trials, and whether
     multiprocessing was imported by the end of the run."""
@@ -592,19 +616,19 @@ class TestParallelTrials:
                        seeds=[0, 1], mc_trials=3),
     ], ids=["default", "joint-32x32"])
     def test_one_real_cpu_matches_all(self, spec):
-        """The mc-eval rows, and every trial's report, of a process pinned to
+        """The recovery rows, and every trial's report, of a process pinned to
         one CPU equal those of one that may use them all."""
-        one, every = (pinned_run(mc_eval_outcomes, spec, one_cpu) for one_cpu in (True, False))
+        one, every = (pinned_run(recovery_outcomes, spec, one_cpu) for one_cpu in (True, False))
         assert one[:2] == every[:2]
         assert one[2] == [1] * len(one[1])
         assert every[2] == [min(usable_cpu_count(), spec.mc_trials)] * len(every[1])
 
     @pytest.mark.skipif(usable_cpu_count() < 2, reason="one usable CPU: no fork worker to start")
     def test_workers_need_no_multiprocessing(self):
-        """The fork workers are bare os.fork children: an mc-eval run that
-        forks them imports no multiprocessing module."""
+        """The fork workers are bare os.fork children: a run with recovery
+        trials that forks them imports no multiprocessing module."""
         spec = ExperimentSpec(cfg=ScenarioConfig(), methods=["selfish"], seeds=[0], mc_trials=2)
-        _, outcomes, shares, imported = pinned_run(mc_eval_outcomes, spec)
+        _, outcomes, shares, imported = pinned_run(recovery_outcomes, spec)
         assert shares == [2] * len(outcomes)
         assert not imported
 

@@ -362,30 +362,30 @@ class TestRunCompare:
 # test_every_config_field_has_an_effect.
 PERTURBED = {
     "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "P_t": 40.0, "C": 10.0,
-    "sigma_C2": 0.02, "sigma_R2": 0.05, "snr_dB": 20.0, "sigma1_2": 0.2, "sigma2_2": 0.2,
+    "sigma_C2": 0.02, "snr_dB": 20.0, "sigma1_2": 0.2, "sigma2_2": 0.2,
     "gamma2_dB": -20.0, "rho2": 4000.0, "sigma_alpha2": 1e-2, "p": 0.7,
     "scheme": Scheme.SCHEME_II, "targets": [(-20.0, 0.2 + 0.1j)], "seed": 4,
 }
 
 
-def _mc_eval_csv(cfg):
-    """The CSV of a two-trial mc-eval run of the config, seeded by it as the
-    CLI seeds a run."""
+def _trials_csv(cfg):
+    """The CSV of a run of the config with two recovery trials per row,
+    seeded by it as the CLI seeds a run."""
     spec = ExperimentSpec(cfg=cfg, methods=["selfish", "noncoop"], seeds=[cfg.seed],
                           mc_trials=2)
     return format_csv(run_compare(spec))
 
 
 @pytest.fixture(scope="module")
-def base_mc_eval_csv():
-    return _mc_eval_csv(scenario1(seed=3, p=0.5))
+def base_trials_csv():
+    return _trials_csv(scenario1(seed=3, p=0.5))
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ScenarioConfig)])
-def test_every_config_field_has_an_effect(name, base_mc_eval_csv):
+def test_every_config_field_has_an_effect(name, base_trials_csv):
     cfg = scenario1(seed=3, p=0.5).replace(**{name: PERTURBED[name]})
     assert getattr(cfg, name) != getattr(scenario1(seed=3, p=0.5), name)
-    assert _mc_eval_csv(cfg) != base_mc_eval_csv
+    assert _trials_csv(cfg) != base_trials_csv
 
 
 class TestSweep:
@@ -522,7 +522,7 @@ class TestCli:
         assert capsys.readouterr().out.startswith(CSV_HEADER)
 
     def test_out_file_bytes_equal_stdout(self, tmp_path, capsysbinary):
-        argv = ["sweep", "--methods", "selfish,noncoop", "--sweep", "p=0.5:1.0:0.5",
+        argv = ["compare", "--methods", "selfish,noncoop", "--sweep", "p=0.5:1.0:0.5",
                 "--seeds", "2"]
         out = tmp_path / "out.csv"
         assert cli_main(argv + ["--out", str(out)]) == 0
@@ -539,19 +539,20 @@ class TestCli:
             ("rho2=1e-12:5e-12:1e-12", ["1e-12", "2e-12", "3e-12", "4e-12", "5e-12"]),
             ("sigma1_2=1e-13:3e-13:1e-13", ["1e-13", "2e-13", "3e-13"]),
         ]:
-            code = cli_main(["sweep", "--methods", "selfish", "--sweep", grid, "--out", str(out)])
+            code = cli_main(["compare", "--methods", "selfish", "--sweep", grid,
+                             "--out", str(out)])
             assert code == 0
             lines = out.read_text().strip().split("\n")
             assert [line.split(",")[2] for line in lines[1:]] == labels
 
     def test_bad_sweep_spec(self, capsys):
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", "C=6:10"]) == 1
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", "C=6:10"]) == 1
 
     @pytest.mark.parametrize("grid", ["p=0.5:inf:0.5", "p=-inf:1:0.5", "p=nan:1:0.5",
                                       "p=0.2:nan:0.5", "p=0.2:1:inf", "p=0.2:1:nan"])
     def test_non_finite_sweep_bounds_rejected(self, capsys, grid):
         # An infinite stop or start would grow the grid without bound.
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", grid]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: bad sweep spec {grid!r}; bounds must be finite numbers\n"
@@ -569,15 +570,15 @@ class TestCli:
         message = (f"bad sweep spec {grid!r}; step {float(step)!r} does not advance "
                    f"the grid at {at}")
         assert str(exc.value) == message
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", grid]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("grid", ["p=0.2:1:0", "p=0.2:1:-0.2", "p=0.2:1:-0"])
     def test_non_positive_sweep_step_rejected(self, capsys, grid):
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", grid]) == 1
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", grid]) == 1
         assert capsys.readouterr().err == "error: sweep step must be positive\n"
 
-    @pytest.mark.parametrize("command", [["compare"], ["mc-eval", "--mc-trials", "1"]])
+    @pytest.mark.parametrize("command", [["compare"], ["compare", "--mc-trials", "1"]])
     def test_repeated_method_exit_code(self, monkeypatch, capsys, command):
         ran = []
         monkeypatch.setattr(cli, "run_compare", lambda spec: ran.append(spec) or [])
@@ -608,7 +609,7 @@ class TestCli:
         printed = []
         for methods in orders:
             monkeypatch.setattr(covdesign, "_memo", (None, {}))
-            assert cli_main(["sweep", "--methods", methods, "--sweep", grid,
+            assert cli_main(["compare", "--methods", methods, "--sweep", grid,
                              "--seeds", str(seeds), "--config", str(path)]) == 0
             printed.append(capsysbinary.readouterr().out)
         assert printed == [printed[0]] * len(orders)
@@ -672,8 +673,8 @@ class TestCli:
         (["compare"], b"scheme = Foo"),
         (["compare"], b"targets = 30"),
         (["mask-gap"], b"L = 3.5"),
-        (["mc-eval"], b"p = 0.5\xff"),  # not UTF-8
-        (["sweep", "--sweep", "p=a:b:c"], None),
+        (["compare", "--mc-trials", "10"], b"p = 0.5\xff"),  # not UTF-8
+        (["compare", "--sweep", "p=a:b:c"], None),
         (["compare", "--config", "missing.txt"], None),
         (["compare", "--out", "no/such/dir/out.csv"], None),
     ])
@@ -692,12 +693,12 @@ class TestCli:
         (["compare"], "P_t = nan", "P_t must be finite, got nan"),
         (["compare"], "sigma_C2 = nan", "sigma_C2 must be finite, got nan"),
         (["compare"], "snr_dB = nan", "snr_dB must be finite, got nan"),
-        (["mc-eval", "--mc-trials", "1"], "targets = 30:nan", "targets must be finite"),
-        (["sweep", "--sweep", "targets=1:3:0.5"], "", "target count must be an integer >= 1"),
-        (["sweep", "--sweep", "C=12:12.000000001:0.0000000005"], "",
+        (["compare", "--mc-trials", "1"], "targets = 30:nan", "targets must be finite"),
+        (["compare", "--sweep", "targets=1:3:0.5"], "", "target count must be an integer >= 1"),
+        (["compare", "--sweep", "C=12:12.000000001:0.0000000005"], "",
          "sweep values 12.0 and 12.0000000005 both print as 12"),
         (["compare", "--seed", "-1"], "", "seed must be >= 0"),
-        (["mc-eval", "--mc-trials", "2"], "gamma2_dB = 7000", "gamma2_dB out of range: "),
+        (["compare", "--mc-trials", "2"], "gamma2_dB = 7000", "gamma2_dB out of range: "),
         # Configs no seed can run: refused at load, before any row.
         (["compare"], "L = 2", "L must be >= M_tR for orthonormal waveform rows"),
         (["compare"], "targets = 95.0:(0.2+0.1j)", "target angles must be real numbers in "),
@@ -713,7 +714,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["compare", "--seed", "abc"],
         ["compare", "--bogus"],
-        ["sweep", "--methods", "selfish"],  # no --sweep
+        ["compare", "--sweep"],  # no sweep spec
         [],
     ])
     def test_usage_error_exit_code(self, capsys, argv):
@@ -726,12 +727,27 @@ class TestCli:
             cli_main(argv[:1] + ["--help"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--methods", "selfish", "--sweep", "p=0.5:1.0:0.5"],
+        ["mc-eval"],
+        ["mc-eval", "--methods", "selfish", "--mc-trials", "2"],
+    ])
+    def test_removed_commands_are_usage_errors(self, capsys, argv):
+        """compare is the one run command: it takes --sweep and --mc-trials,
+        which sweep and mc-eval added to it."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument command: invalid choice: {argv[0]!r}" in captured.err
+
     def test_failed_rows_reported(self, tmp_path, capsys):
         # Every row fails with the same error: it is printed once, and the
         # CSV is what the harness formats for those rows.
         path = tmp_path / "cfg.txt"
         path.write_text(format_config(scenario1(targets=[(30.0, 0j)])))
-        argv = ["mc-eval", "--mc-trials", "1", "--methods", "selfish,noncoop",
+        argv = ["compare", "--mc-trials", "1", "--methods", "selfish,noncoop",
                 "--config", str(path)]
         assert cli_main(argv) == 2
         out, err = capsys.readouterr()
@@ -740,7 +756,7 @@ class TestCli:
                               methods=["selfish", "noncoop"], mc_trials=1)
         assert out == format_csv(run_compare(spec))
         # Some rows fail: each reason is printed all the same; the exit code is 0.
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", "C=6:96:90"]) == 0
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", "C=6:96:90"]) == 0
         out, err = capsys.readouterr()
         assert err == "error: capacity target 96.0 unreachable within power budget 32.0\n"
         assert out.splitlines()[2].startswith("selfish,C,96,0,nan,")
@@ -758,7 +774,7 @@ class TestCli:
         design columns print."""
         path = tmp_path / "cfg.txt"
         path.write_text(config + "\n")
-        assert cli_main(["mc-eval", "--mc-trials", "2", "--methods", "selfish",
+        assert cli_main(["compare", "--mc-trials", "2", "--methods", "selfish",
                          "--config", str(path)]) == code
         out, err = capsys.readouterr()
         assert err == message
@@ -773,31 +789,30 @@ class TestCli:
         path = tmp_path / "cfg.txt"
         path.write_text(format_config(scenario1()) + "radar_rate = 1.0\ncomm_rate = 1.0\n")
         assert cli_main(["compare", "--methods", "selfish", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == "error: line 20: unknown key 'radar_rate'\n"
+        assert capsys.readouterr().err == "error: line 19: unknown key 'radar_rate'\n"
+
+    def test_sigma_R2_key_exit_code(self, tmp_path, capsys):
+        # Config files saved while ScenarioConfig had a sigma_R2 field, which
+        # overrode snr_dB: snr_dB alone sets the radar noise now.
+        path = tmp_path / "cfg.txt"
+        path.write_text("sigma_R2 = 0.1\n")
+        assert cli_main(["compare", "--methods", "selfish", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: unknown key 'sigma_R2'\n"
 
     def test_none_sweep_exit_code(self, capsys):
-        assert cli_main(["sweep", "--methods", "selfish", "--sweep", "none=0:0:1"]) == 1
+        assert cli_main(["compare", "--methods", "selfish", "--sweep", "none=0:0:1"]) == 1
         assert capsys.readouterr().err == "error: sweep 'none' takes one value, None, got [0.0]\n"
 
     def test_mc_trials_counts(self, monkeypatch, capsys):
-        """mc-eval runs 10 trials by default and rejects fewer than 1; the
-        other commands default to none and reject a negative count."""
+        """compare runs no recovery trials by default, any count >= 0 given,
+        and rejects a negative count."""
         assert cli_main(["compare", "--methods", "selfish", "--mc-trials", "-2"]) == 1
+        assert capsys.readouterr().err == "error: mc_trials must be nonnegative\n"
         seen = []
         monkeypatch.setattr(cli, "run_compare", lambda spec: seen.append(spec.mc_trials) or [])
-        assert cli_main(["mc-eval", "--methods", "selfish"]) == 0
-        assert cli_main(["mc-eval", "--methods", "selfish", "--mc-trials", "3"]) == 0
+        assert cli_main(["compare", "--methods", "selfish", "--mc-trials", "3"]) == 0
+        assert cli_main(["compare", "--methods", "selfish", "--mc-trials", "0"]) == 0
         assert cli_main(["compare", "--methods", "selfish"]) == 0
-        assert seen == [10, 3, 0]
-        capsys.readouterr()
-        for bad in ("0", "-2"):
-            assert cli_main(["mc-eval", "--methods", "selfish", "--mc-trials", bad]) == 1
-            assert "--mc-trials >= 1" in capsys.readouterr().err
-        assert seen == [10, 3, 0]
-
-    def test_mc_eval_defaults_trials(self, tmp_path):
-        out = tmp_path / "mc.csv"
-        code = cli_main(["mc-eval", "--methods", "selfish", "--out", str(out)])
-        assert code == 0
-        line = out.read_text().strip().split("\n")[1]
-        assert line.split(",")[8] != "nan"
+        assert seen == [3, 0, 0]

@@ -74,9 +74,9 @@ def test_stored_reference_rows(name):
 
 
 # Calls per run, each run from an empty memo: one pass of the workload for
-# each of seeds 13-18, or, in the last row, `specshare sweep` of the
-# sweep-p templates over seeds 0-1, whose Scheme II template solves each
-# seed's noncoop design again: seed 1's channels came in between.
+# each of seeds 13-18, or, in the last row, `specshare compare --sweep` of
+# the sweep-p templates over seeds 0-1, whose Scheme II template solves
+# each seed's noncoop design again: seed 1's channels came in between.
 # Each entry is exact: a change that moves a count edits its row here.
 COUNT_SEEDS = range(13, 19)
 DEFAULT_SWEEP = "default-p-sweep"

@@ -289,10 +289,12 @@ class TestPhaseOffsets:
 
 
 def _noiseless_cfg(**kw):
-    """A radar without noise or phase jitter; the comm noise, which the
-    synthesis does not read, keeps its default (a zero sigma_C2 would make
-    it singular, which make_scenario refuses)."""
-    kw.setdefault("sigma_R2", 0.0)
+    """A radar without noise or phase jitter: at 3000 dB the noise is below
+    half an ulp of the return (TestRadarPipeline checks the observations
+    bit for bit). The comm noise, which the synthesis does not read, keeps
+    its default (a zero sigma_C2 would make it singular, which
+    make_scenario refuses)."""
+    kw.setdefault("snr_dB", 3000.0)
     kw.setdefault("sigma_alpha2", 0.0)
     return ScenarioConfig(**kw)
 
@@ -410,7 +412,7 @@ class TestMakeScenario:
     }
     # ... and for every field that none reads, besides p and the scheme,
     # which only the mask reads: each must hit it. -0.0 equals C = 0.0.
-    UNREAD = {"P_t": 40.0, "C": -0.0, "sigma_R2": 0.05, "snr_dB": 20.0, "gamma2_dB": -20.0}
+    UNREAD = {"P_t": 40.0, "C": -0.0, "snr_dB": 20.0, "gamma2_dB": -20.0}
 
     def assert_reused(self, monkeypatch, change):
         """A config that differs from the last only in fields the shared
@@ -583,7 +585,6 @@ class TestConfig:
         ("sigma1_2", -1e-3, "sigma1_2 must be nonnegative"),
         ("sigma2_2", -1e-3, "sigma2_2 must be nonnegative"),
         ("sigma_alpha2", -1e-3, "sigma_alpha2 must be nonnegative"),
-        ("sigma_R2", -1e-3, "sigma_R2 must be nonnegative"),
         ("rho2", 0.0, "rho2 must be positive"),
         ("rho2", -5.0, "rho2 must be positive"),
         ("scheme", "bogus", "scheme must be one of Scheme.SCHEME_I, Scheme.SCHEME_II, got 'bogus'"),
@@ -625,8 +626,8 @@ class TestConfig:
         cfg = ScenarioConfig(**{name: np.int64(4)})
         assert getattr(cfg, name) == 4
 
-    @pytest.mark.parametrize("name", ["P_t", "C", "sigma_C2", "sigma_R2", "snr_dB", "sigma1_2",
-                                      "sigma2_2", "gamma2_dB", "rho2", "sigma_alpha2", "p"])
+    @pytest.mark.parametrize("name", ["P_t", "C", "sigma_C2", "snr_dB", "sigma1_2", "sigma2_2",
+                                      "gamma2_dB", "rho2", "sigma_alpha2", "p"])
     def test_non_finite_floats_rejected(self, name):
         # NaN passes the range tests, and would fail later as an unreachable
         # capacity or an eigh that does not converge, or not at all.

@@ -8,10 +8,22 @@ the same design, up to roundoff, for two problems that are the same:
 - the L symbols permuted, the weights and the whitened channels B
   together: the EIP is a sum over the symbols;
 - B -> 2B with P_t -> P_t/4: the design R -> R/4 keeps the capacity, so
-  the EIP, the TIP and the power scale by 1/4.
+  the EIP, the TIP and the power scale by 1/4;
+- a change of transmit basis, B_l -> B_l V and G2 -> G2 V with V unitary:
+  the design R -> V^H R V keeps the profile, the capacity and the power;
+- a change of receive basis, B_l -> W B_l with W unitary: the capacity
+  log det is unitarily invariant, and nothing else reads B.
+
+V and W are Haar unitaries drawn from the design's seed and their own
+named streams.
 
 eip (the radar scheme's weights, as a row prints it), tip, capacity and
-power agree to 1e-12 relative. A face row, one with eip <= 1e-12 tip,
+power agree to 1e-12 relative, and to 1e-11 under a change of transmit
+basis: the search then runs in another basis, and near the face (coop and
+full designs with eip around 1e-5 tip, or a slack budget) eip and tip are
+ill-conditioned. Over all 1920 designs the strategy can draw, the worst
+off-face difference was 3.7e-12 there (12 designs above 1e-12), against
+1.4e-14 for the receive basis. A face row, one with eip <= 1e-12 tip,
 holds a zero-interference design, and which point of that face the search
 stops on depends on roundoff: there both designs only keep eip <= 1e-12
 tip.
@@ -23,7 +35,9 @@ import pytest
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
+from specshare.linalg import crandn
 from specshare.scenario import make_scenario
+from specshare.streams import stream
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -34,6 +48,7 @@ METHODS = {
 }
 SWEEP_P = [0.2, 0.4, 0.6, 0.8, 1.0]
 RTOL = 1e-12
+TRANSMIT_RTOL = 1e-11
 
 
 @st.composite
@@ -56,20 +71,28 @@ def designs(draw):
     return cfg, scn, weights
 
 
+def unitary(n, seed, name):
+    """A Haar n x n unitary from the (seed, name) stream: the Q factor of a
+    complex Gaussian matrix, each column's phase fixed by R's diagonal."""
+    q, r = np.linalg.qr(crandn(stream(seed, name), n, n))
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 def metrics(sol, eip_weights, L, M_rR):
     """(eip, tip, capacity, power) of a design, as a row prints them."""
     return (weighted_eip(eip_weights, sol.Q), weighted_eip(tip_weights(M_rR, L), sol.Q),
             sol.achieved_capacity, sol.consumed_power)
 
 
-def assert_same_design(a, b):
+def assert_same_design(a, b, rtol=RTOL):
     """a and b: (eip, tip, capacity, power) of the same design, b's already
     mapped back onto a's problem."""
     eip, tip = a[0], a[1]
     if eip <= RTOL * tip:  # on the face
         assert b[0] <= RTOL * b[1]
     else:
-        np.testing.assert_allclose(b, a, rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(b, a, rtol=rtol, atol=0.0)
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
@@ -95,3 +118,27 @@ def test_doubling_the_channel_quarters_the_budget(design):
     eip, tip, capacity, power = metrics(scaled, eip_w, cfg.L, cfg.M_rR)
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        (4.0 * eip, 4.0 * tip, capacity, 4.0 * power))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(design=designs())
+def test_changing_the_transmit_basis(design):
+    cfg, scn, weights = design
+    V = unitary(cfg.M_tC, cfg.seed, "transmit-basis")
+    eip_w = scheme_weights(cfg, scn.omega, scn.S)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
+    turned = solve_weighted_eip(weights, scn.B @ V, scn.G2 @ V, cfg.P_t, cfg.C)
+    assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
+                       metrics(turned, eip_w, cfg.L, cfg.M_rR), rtol=TRANSMIT_RTOL)
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(design=designs())
+def test_changing_the_receive_basis(design):
+    cfg, scn, weights = design
+    W = unitary(cfg.M_rC, cfg.seed, "receive-basis")
+    eip_w = scheme_weights(cfg, scn.omega, scn.S)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
+    turned = solve_weighted_eip(weights, W @ scn.B, scn.G2, cfg.P_t, cfg.C)
+    assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
+                       metrics(turned, eip_w, cfg.L, cfg.M_rR))
