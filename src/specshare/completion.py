@@ -23,7 +23,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .interference import MetricError
 from .linalg import gram_spectrum, psd_sqrt
-from .scenario import draw_trials, radar_truth, synthesize_radar_rx
+from .scenario import covers, draw_trials, radar_truth, synthesize_radar_rx
 
 # Iterations per continuation stage, and the geometric factor of the mu
 # schedule (see _mu_schedule).
@@ -93,16 +93,14 @@ def complete(
     observed: np.ndarray,
     omega: np.ndarray,
     params: CompletionParams | None = None,
-    objective_trace: list | None = None,
 ):
     """Nuclear-norm completion of the entries marked by the binary mask omega.
 
     Returns (estimate, iterations, converged). Requires a mask of 0s and
-    1s with at least one observed entry in every row and column; a mask
-    that leaves one empty is a MetricError. Accepted iterates never
-    increase the objective within a continuation stage (monotone
-    accelerated proximal gradient); pass a list as objective_trace to
-    record the accepted objective value at every iteration.
+    1s that covers every row and column (scenario.covers); a mask that
+    leaves one empty is a MetricError. Accepted iterates never increase
+    the objective within a continuation stage (monotone accelerated
+    proximal gradient).
     """
     if params is None:
         params = CompletionParams()
@@ -111,7 +109,7 @@ def complete(
     seen = omega == 1.0
     if not np.all(seen | (omega == 0.0)):
         raise ValueError("mask entries must be 0 or 1")
-    if seen.sum(axis=1).min() < 1 or seen.sum(axis=0).min() < 1:
+    if not covers(omega):
         raise MetricError("mask has an empty row or column; completion impossible")
     masked = omega * observed
     with np.errstate(over="ignore"):
@@ -163,8 +161,6 @@ def complete(
                 Y = X + (t / t_new) * step
             t = t_new
             total += 1
-            if objective_trace is not None:
-                objective_trace.append(obj)
             change = math.sqrt(np.vdot(step, step).real / max(np.vdot(Z, Z).real, 1e-300))
             if change < params.tolerance:
                 converged = True

@@ -72,6 +72,14 @@ def mask_shape(cfg: ScenarioConfig) -> tuple[int, int]:
 _MIN_COVERAGE_PROBABILITY = 1e-4
 
 
+def covers(omega: np.ndarray) -> bool:
+    """Whether the mask omega has a nonzero entry in every column and every
+    row: completion cannot recover a matrix from a mask that leaves a row or
+    a column unsampled. The columns go first; a wide mask misses one of
+    them far more often than one of its rows."""
+    return bool(omega.any(axis=0).all() and omega.any(axis=1).all())
+
+
 def generate_sampling_mask(
     cfg: ScenarioConfig,
     rng: np.random.Generator,
@@ -82,7 +90,7 @@ def generate_sampling_mask(
 
     With require_coverage (the default), a mask whose ones can cover every
     row and every column (n_ones >= max(rows, cols)) does: a draw that
-    leaves one empty is rejected and redrawn, as long as a uniform draw
+    covers(omega) refuses is rejected and redrawn, as long as a uniform draw
     covers with probability at least 1e-4 (_coverage_probability). Closer
     to the coverage limit the first failed draw hands over to
     _covering_mask, which is not uniform over the covering masks. Fewer
@@ -92,17 +100,16 @@ def generate_sampling_mask(
     (a MetricError).
     """
     rows, cols = mask_shape(cfg)
-    size = rows * cols
-    n_ones = int(np.floor(cfg.p * size))
-    cells = rng.choice(size, size=n_ones, replace=False)
-    if require_coverage and n_ones >= max(rows, cols) and not _covers(cells, rows, cols):
-        if _coverage_probability(rows, cols, n_ones) < _MIN_COVERAGE_PROBABILITY:
+    n_ones = int(np.floor(cfg.p * rows * cols))
+    first = True
+    while True:
+        omega = np.zeros((rows, cols))
+        omega.ravel()[rng.choice(rows * cols, size=n_ones, replace=False)] = 1.0
+        if not require_coverage or n_ones < max(rows, cols) or covers(omega):
+            return omega
+        if first and _coverage_probability(rows, cols, n_ones) < _MIN_COVERAGE_PROBABILITY:
             return _covering_mask(rows, cols, n_ones, rng)
-        while not _covers(cells, rows, cols):
-            cells = rng.choice(size, size=n_ones, replace=False)
-    flat = np.zeros(size)
-    flat[cells] = 1.0
-    return flat.reshape(rows, cols)
+        first = False
 
 
 def _coverage_probability(rows: int, cols: int, n_ones: int) -> float:
@@ -119,12 +126,6 @@ def _coverage_probability(rows: int, cols: int, n_ones: int) -> float:
         for j in range(cols + 1)
     )
     return hits / comb(rows * cols, n_ones)
-
-
-def _covers(cells: np.ndarray, rows: int, cols: int) -> bool:
-    """Whether the flat (row-major) cell indices hit every column and row."""
-    return (len(set((cells % cols).tolist())) == cols
-            and len(set((cells // cols).tolist())) == rows)
 
 
 def _covering_mask(rows: int, cols: int, n_ones: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,8 +237,8 @@ class Scenario:
     the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
     R_wl^{-1/2} H (_whiten). All but omega are read-only, shared with
     configs that differ only in fields these draws do not read
-    (make_scenario). omega may leave a row or column empty when p is too
-    low to cover them; only completion needs it to cover."""
+    (make_scenario). covers(omega) may be false when p is too low to cover
+    every row and column; only completion needs it to be true."""
 
     B: np.ndarray
     G2: np.ndarray

@@ -265,16 +265,24 @@ class TestComplete:
             assert (iters, conv) == (want_iters, want_conv)
             assert np.linalg.norm(est - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_objective_nonincreasing_single_stage(self):
+    def test_objective_nonincreasing_single_stage(self, monkeypatch):
         rng = stream(1, "complete")
         M = rank_one(rng)
         mask = covered_mask(rng, 10, 10, 0.5)
         obs = mask * M
         # mu above the continuation start collapses the schedule to one stage.
         sigma1 = float(np.linalg.svd(obs, compute_uv=False)[0])
+        params = CompletionParams(mu=0.3 * sigma1)
+        _, n, conv = complete(obs, mask, params)
+        assert n >= 2 and conv
+        # Capped at k iterations, the stage returns its k-th accepted iterate.
         trace = []
-        complete(obs, mask, CompletionParams(mu=0.3 * sigma1), objective_trace=trace)
-        assert len(trace) >= 2
+        for k in range(1, n + 1):
+            monkeypatch.setattr(completion, "_MAX_ITERATIONS", k)
+            X, iters, conv = complete(obs, mask, params)
+            assert (iters, conv) == (k, k == n)
+            nuc = np.linalg.svd(X, compute_uv=False).sum()
+            trace.append(params.mu * nuc + 0.5 * np.linalg.norm(mask * (X - obs)) ** 2)
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-10 * max(trace[0], 1.0))
 

@@ -14,6 +14,7 @@ from specshare.scenario import (
     ScenarioError,
     _coverage_probability,
     _covering_mask,
+    covers,
     draw_trials,
     generate_channels,
     generate_sampling_mask,
@@ -122,6 +123,28 @@ class TestTargetResponse:
         assert np.allclose(np.abs(a), 1.0)
 
 
+class TestCovers:
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_edge_shapes(self, dtype):
+        empty_row, empty_col = np.ones((4, 5)), np.ones((4, 5))
+        empty_row[2] = 0
+        empty_col[:, 3] = 0
+        cases = [
+            (np.ones((1, 1)), True),
+            (np.zeros((1, 1)), False),
+            (np.ones((1, 6)), True),
+            ([[1, 1, 0, 1, 1, 1]], False),
+            (np.ones((6, 1)), True),
+            ([[1], [1], [1], [1], [0], [1]], False),
+            (empty_row, False),
+            (empty_col, False),
+            (np.ones((4, 5)), True),
+            (np.eye(4)[::-1], True),
+        ]
+        for mask, want in cases:
+            assert covers(np.asarray(mask, dtype=dtype)) is want
+
+
 class TestSamplingMask:
     def test_full_sampling_all_ones(self):
         cfg = ScenarioConfig(p=1.0)
@@ -188,10 +211,12 @@ class TestSamplingMask:
         size = rows * cols
         bits = (np.arange(2 ** size)[:, None] >> np.arange(size)) & 1
         grids = bits.reshape(-1, rows, cols).astype(bool)
-        covers = grids.any(axis=2).all(axis=1) & grids.any(axis=1).all(axis=1)
+        covered = grids.any(axis=2).all(axis=1) & grids.any(axis=1).all(axis=1)
+        for grid, want in zip(grids, covered):
+            assert covers(grid) is covers(grid.astype(float)) is bool(want)
         counts = bits.sum(axis=1)
         for n_ones in range(size + 1):
-            want = covers[counts == n_ones].mean()
+            want = covered[counts == n_ones].mean()
             assert abs(_coverage_probability(rows, cols, n_ones) - want) <= 1e-15
         assert _coverage_probability(rows, cols, max(rows, cols) - 1) == 0.0
         assert _coverage_probability(rows, cols, size) == 1.0
@@ -207,11 +232,11 @@ class TestSamplingMask:
         (Scheme.SCHEME_II, 0.9, True),
     ])
     def test_same_masks_and_draws_as_mask_loop(self, scheme, p, require_coverage):
-        # The coverage test runs on the drawn cells; the sampler must still
-        # make the same rng calls and return the same mask as the loop that
-        # built every candidate mask and summed its rows and columns, and
-        # that gave up after the first failed draw when a uniform draw
-        # covers with probability below 1e-4.
+        # The sampler tests each candidate mask with covers; it must make
+        # the same rng calls and return the same mask as the loop that
+        # summed every candidate's rows and columns, and that gave up after
+        # the first failed draw when a uniform draw covers with probability
+        # below 1e-4.
         def loop_mask(cfg, rng):
             rows, cols = mask_shape(cfg)
             n_ones = int(np.floor(cfg.p * rows * cols))

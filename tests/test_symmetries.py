@@ -27,6 +27,17 @@ off-face difference was 3.7e-12 there (12 designs above 1e-12), against
 holds a zero-interference design, and which point of that face the search
 stops on depends on roundoff: there both designs only keep eip <= 1e-12
 tip.
+
+The joint design must also be the same under a relabelling of the radar
+receive antennas, the rows of G2 and of the Scheme I mask permuted
+together: the weights, the profile Q and the mask cost permute with them,
+and each run's eip is scored on its own final mask. Over the 100 joint
+designs of the default Scheme I config at p = 0.2 .. 0.8 and a 32 x 32,
+L = 32 config at p = 0.5, seeds 0-19 each, 64 were face rows and the worst
+off-face difference was 1.6e-12 (eip at p = 0.8, about 4e-5 tip), so the
+test asserts 1e-11, as for the transmit basis. A larger difference may be
+a tie between two final masks on each other's cost (hungarian settles ties
+from the identity), so check that before treating it as a fault.
 """
 
 import numpy as np
@@ -36,6 +47,7 @@ from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
 from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
 from specshare.linalg import crandn
+from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
 from specshare.streams import stream
 
@@ -47,6 +59,8 @@ METHODS = {
     Scheme.SCHEME_II: ["noncoop", "partial", "full"],
 }
 SWEEP_P = [0.2, 0.4, 0.6, 0.8, 1.0]
+JOINT_CONFIGS = [ScenarioConfig(p=p) for p in (0.2, 0.4, 0.6, 0.8)] + [
+    ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=32, p=0.5)]
 RTOL = 1e-12
 TRANSMIT_RTOL = 1e-11
 
@@ -142,3 +156,17 @@ def test_changing_the_receive_basis(design):
     turned = solve_weighted_eip(weights, W @ scn.B, scn.G2, cfg.P_t, cfg.C)
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        metrics(turned, eip_w, cfg.L, cfg.M_rR))
+
+
+@hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
+@hypothesis.given(cfg=st.sampled_from(JOINT_CONFIGS), seed=st.integers(0, 19))
+def test_relabelling_the_radar_receive_antennas(cfg, seed):
+    cfg = cfg.replace(seed=seed)
+    scn = make_scenario(cfg)
+    perm = stream(seed, "receive-antennas").permutation(cfg.M_rR)
+    joint = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+    relabelled = joint_design(cfg, scn.B, scn.G2[perm], scn.S, scn.omega[perm])
+    assert_same_design(
+        metrics(joint.solution, scheme_weights(cfg, joint.mask, scn.S), cfg.L, cfg.M_rR),
+        metrics(relabelled.solution, scheme_weights(cfg, relabelled.mask, scn.S), cfg.L, cfg.M_rR),
+        rtol=TRANSMIT_RTOL)
