@@ -304,13 +304,15 @@ def radar_pipeline(
     D: np.ndarray,
     S: np.ndarray,
     G2: np.ndarray,
-    schedule: np.ndarray,
+    X: np.ndarray,
+    d: np.ndarray,
     omega: np.ndarray,
     trials: int,
     rng: np.random.Generator,
     params: CompletionParams | None = None,
 ) -> PipelineStats:
-    """End-to-end recovery experiment for a fixed design.
+    """End-to-end recovery experiment for a fixed design, given as its
+    factors: R_xl = X_l diag(d_l) X_l^H (DesignSolution.X and .d).
 
     Per trial: codewords x(l) = R_xl^{1/2} * randn, the masked radar data
     with fresh phases and noise, its completion and its error against the
@@ -322,8 +324,9 @@ def radar_pipeline(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     v, alpha2, noise = draw_trials(cfg, trials, rng)
-    X = np.swapaxes((psd_sqrt(schedule) @ v[..., None])[..., 0], -1, -2)
-    observations = synthesize_radar_rx(cfg, D, S, G2, X, alpha2, omega, noise)
+    root = psd_sqrt((X * d[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
+    codewords = np.swapaxes((root @ v[..., None])[..., 0], -1, -2)
+    observations = synthesize_radar_rx(cfg, D, S, G2, codewords, alpha2, omega, noise)
     reports = _complete_trials(observations, omega, params, radar_truth(cfg, D, S))
     errs = np.array([r.relative_error for r in reports])
     return PipelineStats(

@@ -90,11 +90,10 @@ class ScenarioConfig:
             self.rho2 = 1000.0 * self.L / self.M_tR
         # NaN passes every range test below, and inf some of them. Every
         # real-number field is tested, whatever its type: NumPy's float32
-        # is not a float.
+        # is not a float. None is not a real number; the two optional
+        # fields, P_t and rho2, are filled above.
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            if value is None:
-                continue
             try:
                 finite = math.isfinite(value)
             except TypeError:
@@ -166,7 +165,7 @@ def _format_value(name, value):
         return value.value
     if name == "targets":
         return ";".join(f"{float(ang)!r}:{complex(coef)!r}" for ang, coef in value)
-    return "None" if value is None else repr(float(value) if name in _REAL_FIELDS else int(value))
+    return repr(float(value) if name in _REAL_FIELDS else int(value))
 
 
 def _parse_targets(text):

@@ -78,11 +78,6 @@ class DesignSolution:
     iterations: int
     converged: bool
 
-    @property
-    def schedule(self) -> np.ndarray:
-        """The (L, M_tC, M_tC) covariance stack R_l, built at each access."""
-        return hermitize((self.X * self.d[:, None, :]) @ np.swapaxes(self.X, -1, -2).conj())
-
 
 def min_capacity_multiplier(sing_vals: np.ndarray, C: float, L: int) -> float:
     """Smallest lambda2 >= 0 with sum_i (log2(lambda2 sigma_i^2))^+ >= L*C.

@@ -122,8 +122,8 @@ def mp_capacity(H, g, a: float, sigma_C2: float, X, d, dps: int = 40) -> float:
 
 
 def dense_schedule(X, d) -> np.ndarray:
-    """The covariance stack R_l = X_l diag(d_l) X_l^H of factors, as
-    DesignSolution.schedule builds it."""
+    """The dense (L, n, n) covariance stack R_l = X_l diag(d_l) X_l^H of a
+    design's factors, hermitized."""
     return hermitize((X * d[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
 
 
@@ -328,16 +328,16 @@ def selfish(B, C: float, P_t: float, G2):
 
 def verify_solution(sol, H, R_w, G2, P_t: float, C: float, weights=None, other=None) -> dict:
     """Feasibility / optimality report for a returned design, recomputed
-    from its covariance stack sol.schedule, the channel H and the dense
-    noise stack R_w (comm_link), not from the whitened channels it was
-    solved for.
+    from its dense covariance stack (dense_schedule of sol.X and sol.d),
+    the channel H and the dense noise stack R_w (comm_link), not from the
+    whitened channels it was solved for.
 
     When weights and a second solution are given, the ordering verdict
     checks that sol's weighted EIP does not exceed the other solution's
     (the structure of the cooperative-vs-noncooperative comparisons).
     """
     report = {}
-    schedule = sol.schedule
+    schedule = dense_schedule(sol.X, sol.d)
     trace = np.trace(schedule, axis1=-2, axis2=-1).real
     report["psd_ok"] = bool(np.all(np.isfinite(schedule)) and np.all(
         np.linalg.eigvalsh(hermitize(schedule))[:, 0] >= -1e-9 * np.maximum(1.0, trace)))
@@ -350,7 +350,7 @@ def verify_solution(sol, H, R_w, G2, P_t: float, C: float, weights=None, other=N
     report["slackness_residual"] = abs(sol.lambda1 * (P_t - power))
     if weights is not None:
         def eip(design):  # clamped at 0: a dense profile can round below it
-            return max(weighted_eip(weights, dense_profile(G2, design.schedule)), 0.0)
+            return max(weighted_eip(weights, dense_profile(G2, dense_schedule(design.X, design.d))), 0.0)
 
         report["objective_eip"] = eip(sol)
         if other is not None:

@@ -303,7 +303,7 @@ def test_criterion_11_recovery_trend():
         scn = make_scenario(cfg)
         sol, mask = harness._solve_method(method, cfg, scn)
         stats = radar_pipeline(cfg, scn.D, scn.S,
-                               scn.G2, sol.schedule, mask, 10,
+                               scn.G2, sol.X, sol.d, mask, 10,
                                stream(seed, "acc-mc", method, p),
                                PIPELINE_PARAMS)
         return stats.mean_error

@@ -13,6 +13,8 @@ import pytest
 
 from oracles import (
     converged_completion,
+    dense_schedule,
+    factored,
     looped_observations,
     selfish,
     svd_shrink,
@@ -157,7 +159,8 @@ def mc_recovery_input():
     p = 0.5 under the selfish design: (observed, omega)."""
     cfg = pipeline_cfg(L=32, p=0.5, seed=1)
     scn = make_scenario(cfg)
-    roots = psd_sqrt(selfish(scn.B, cfg.C, cfg.P_t, scn.G2).schedule)
+    sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
+    roots = psd_sqrt(dense_schedule(sol.X, sol.d))
     (v,), (alpha2,), (noise,) = draw_trials(cfg, 1, stream(1, "mc"))
     X = (roots @ v[:, :, None])[:, :, 0].T
     observed = synthesize_radar_rx(cfg, scn.D, scn.S, scn.G2, X, alpha2, scn.omega, noise)
@@ -343,18 +346,34 @@ def pipeline_cfg(**kw):
     return ScenarioConfig(**kw)
 
 
+# The inputs of test_observations_equal_a_loop_over_trials: (scheme, method,
+# config fields). The selfish design, whose directions are orthogonal, at
+# shapes where a matrix product may be a vector one; and weighted designs,
+# whose directions are not, at the mc-recovery shape, where each symbol
+# powers 3 of its 4 directions.
+_LOOP_CASES = [
+    *(pytest.param(scheme, "selfish", dict(M_rR=M_rR, M_tC=M_tC, L=L, p=1.0, C=1.0),
+                   id=f"{M_rR}-{M_tC}-{L}-{scheme}")
+      for M_rR, M_tC, L in [(1, 1, 4), (1, 3, 32), (3, 2, 32), (8, 8, 32), (32, 4, 128), (5, 1, 32)]
+      for scheme in Scheme),
+    *(pytest.param(scheme, method, dict(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=32, p=0.5),
+                   id=f"{method}-32-4-32-{scheme}")
+      for scheme, method in [(Scheme.SCHEME_I, "noncoop"), (Scheme.SCHEME_II, "noncoop"),
+                             (Scheme.SCHEME_I, "coop"), (Scheme.SCHEME_II, "full")]),
+]
+
+
 class TestRadarPipeline:
-    @pytest.mark.parametrize("scheme", list(Scheme))
-    @pytest.mark.parametrize("M_rR,M_tC,L", [
-        (1, 1, 4), (1, 3, 32), (3, 2, 32), (8, 8, 32), (32, 4, 128), (5, 1, 32),
-    ])
-    def test_observations_equal_a_loop_over_trials(self, monkeypatch, scheme, M_rR, M_tC, L):
+    @pytest.mark.parametrize("scheme,method,fields", _LOOP_CASES)
+    def test_observations_equal_a_loop_over_trials(self, monkeypatch, scheme, method, fields):
         # The stacked draw and synthesis give the data a loop over trials
-        # gives, bit for bit. With M_rR = 1 or M_tC = 1 a matrix product is
-        # a vector one, which BLAS may round differently (oracles.eip_samples).
-        cfg = ScenarioConfig(M_rR=M_rR, M_tC=M_tC, L=L, p=1.0, C=1.0, scheme=scheme, seed=1)
+        # gives, bit for bit, and the root the pipeline forms from the
+        # factors is that of their dense stack. With M_rR = 1 or M_tC = 1 a
+        # matrix product is a vector one, which BLAS may round differently
+        # (oracles.eip_samples).
+        cfg = ScenarioConfig(**fields, scheme=scheme, seed=1)
         scn = make_scenario(cfg)
-        schedule = selfish(scn.B, cfg.C, cfg.P_t, scn.G2).schedule
+        sol, omega = harness._solve_method(method, cfg, scn)
         seen = []
 
         def record(observations, *args):
@@ -362,9 +381,9 @@ class TestRadarPipeline:
             return [completion.RecoveryReport(0.0, 0, True)] * len(observations)
 
         monkeypatch.setattr(completion, "_complete_trials", record)
-        radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 3, stream(1, "mc"))
-        want = looped_observations(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 3,
-                                   stream(1, "mc"))
+        radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, omega, 3, stream(1, "mc"))
+        want = looped_observations(cfg, scn.D, scn.S, scn.G2, dense_schedule(sol.X, sol.d),
+                                   omega, 3, stream(1, "mc"))
         assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -383,7 +402,7 @@ class TestRadarPipeline:
 
         monkeypatch.setattr(completion, "_complete_trials", record)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
-        radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, scn.omega, 2, stream(0, "mc"))
+        radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), scn.omega, 2, stream(0, "mc"))
         noise_free = synthesize_radar_rx(
             cfg, scn.D, scn.S, scn.G2, np.zeros((2, cfg.M_tC, cfg.L), dtype=complex),
             np.zeros((2, cfg.L)), scn.omega, np.zeros((2, cfg.M_rR, cfg.L), dtype=complex),
@@ -395,7 +414,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, zeros,
+            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
             scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
@@ -406,7 +425,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, zeros,
+            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
             scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
@@ -418,7 +437,7 @@ class TestRadarPipeline:
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         for trials in (0, -1):
             with pytest.raises(ValueError, match="trials must be >= 1"):
-                radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, scn.omega, trials,
+                radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), scn.omega, trials,
                                stream(0, "mc"))
 
     def test_more_targets_never_easier(self):
@@ -436,7 +455,7 @@ class TestRadarPipeline:
                 sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
                 stats = radar_pipeline(
                     cfg, scn.D, scn.S, scn.G2,
-                    sol.schedule, scn.omega, 6, stream(seed, "mc", len(targets)),
+                    sol.X, sol.d, scn.omega, 6, stream(seed, "mc", len(targets)),
                     params,
                 )
                 acc += stats.mean_error
@@ -448,7 +467,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, zeros,
+            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
             scn.omega, 3, stream(1, "mc"),
         )
         assert len(stats.reports) == 3
@@ -476,7 +495,7 @@ def usable_cpus(monkeypatch, n):
 def selfish_pipeline(cfg, trials):
     scn = make_scenario(cfg)
     sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
-    return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, trials,
+    return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, scn.omega, trials,
                           stream(cfg.seed, "mc"))
 
 
@@ -565,7 +584,7 @@ def back_to_back_shares(cfg):
     with pytest.MonkeyPatch.context() as m:
         shares = recorded_shares(m)
         for _ in range(100):
-            radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.schedule, scn.omega, 2, rng)
+            radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, scn.omega, 2, rng)
             threads.append(completion._thread_count())
     return shares, threads
 
@@ -681,7 +700,8 @@ class TestParallelTrials:
         for n in (1, 2):
             usable_cpus(monkeypatch, n)
             with pytest.raises(MetricError, match=message) as exc:
-                radar_pipeline(cfg, scn.D, scn.S, scn.G2, zeros, omega, 3, stream(1, "mc"))
+                radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), omega, 3,
+                               stream(1, "mc"))
             errors.append((type(exc.value), str(exc.value)))
             assert no_child_left()
         assert errors[0] == errors[1]

@@ -228,9 +228,8 @@ class TestSolveWeightedEip:
         sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
         for l in range(4):
             R = subproblem_solution(sol.lambda1, sol.lambda2, w[l], G2, H, R_w[l])
-            assert np.linalg.norm(R - sol.schedule[l]) <= 1e-8 * max(
-                np.linalg.norm(sol.schedule[l]), 1.0
-            )
+            R_l = dense_schedule(sol.X, sol.d)[l]
+            assert np.linalg.norm(R - R_l) <= 1e-8 * max(np.linalg.norm(R_l), 1.0)
 
     def test_power_nonincreasing_in_lambda1(self):
         B, G2, *_ = small_instance(4)
@@ -358,14 +357,14 @@ class TestSelfishDesign:
             step = zero.step(1.0, cfg.C)
             assert step.power == zero.min_power(cfg.C)
             sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
-            assert sol.schedule.tobytes() == covariances(zero, step).tobytes()
+            assert dense_schedule(sol.X, sol.d).tobytes() == covariances(zero, step).tobytes()
             assert sol.iterations == 1 and sol.converged
             assert (sol.lambda1, sol.lambda2) == (2.0 ** -30, step.lambda2 * 2.0 ** -30)
             searched, evaluations, _ = covdesign._dual_search(
                 zero, cfg.C, cfg.P_t, covdesign.DUAL_TOL, covdesign.MAX_DUAL_EVALUATIONS)
             assert evaluations == 1
             assert (searched.lambda1, searched.lambda2) == (sol.lambda1, sol.lambda2)
-            assert covariances(zero, searched).tobytes() == sol.schedule.tobytes()
+            assert covariances(zero, searched).tobytes() == dense_schedule(sol.X, sol.d).tobytes()
             tight = cfg.replace(P_t=0.5 * step.power)
             spec = ExperimentSpec(cfg=tight, methods=["selfish", "noncoop"], seeds=[seed])
             rows = run_compare(spec)
@@ -409,7 +408,7 @@ class TestObjectiveConsistency:
         B, G2, H, R_w = small_instance(6)
         w = tip_weights(3, 4)
         sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
-        dense = dense_capacity(sol.schedule, H, R_w)
+        dense = dense_capacity(dense_schedule(sol.X, sol.d), H, R_w)
         assert abs(sol.achieved_capacity - dense) < 1e-12
 
 
@@ -915,7 +914,8 @@ class TestDualSearch:
         if exact:
             assert sol.lambda1 == ref.lambda1
             assert sol.lambda2 == ref.lambda2
-            assert sol.schedule.tobytes() == ref.schedule.tobytes()
+            assert (dense_schedule(sol.X, sol.d).tobytes()
+                    == dense_schedule(ref.X, ref.d).tobytes())
         if kernel is not None:
             P_t, C = args[-2:]
             assert_certified(kernel, C, P_t, covdesign.DUAL_TOL, sol.lambda1)

@@ -712,8 +712,9 @@ class TestStackedAgainstPerSymbol:
             for w in weights:
                 sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
                 assert np.all(sol.d >= 0.0)
-                assert loop_validate_ok(sol.schedule)
-                assert max(np.linalg.matrix_rank(R) for R in sol.schedule) == 4
+                schedule = dense_schedule(sol.X, sol.d)
+                assert loop_validate_ok(schedule)
+                assert max(np.linalg.matrix_rank(R) for R in schedule) == 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected_without_warning(self, bad):

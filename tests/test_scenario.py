@@ -576,9 +576,9 @@ class TestPinnedDraws:
             return np.zeros_like(observed), 0, True
 
         monkeypatch.setattr(completion, "complete", record)
-        eye = cfg.P_t / (cfg.L * cfg.M_tC) * np.eye(cfg.M_tC)
-        schedule = np.broadcast_to(eye, (cfg.L, cfg.M_tC, cfg.M_tC))
-        completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, schedule, scn.omega, 1,
+        X = np.broadcast_to(np.eye(cfg.M_tC), (cfg.L, cfg.M_tC, cfg.M_tC))
+        d = np.full((cfg.L, cfg.M_tC), cfg.P_t / (cfg.L * cfg.M_tC))
+        completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, X, d, scn.omega, 1,
                                   stream(cfg.seed, "mc"))
         assert digest(seen[0]) == self.OBSERVED_DIGEST
 
@@ -662,6 +662,17 @@ class TestConfig:
                 ScenarioConfig(**{name: value})
         with pytest.raises(ConfigError, match=f"^{name} must be finite, got nan$"):
             parse_config(f"{name} = nan\n")
+
+    # These once raised a TypeError from a later comparison with None.
+    @pytest.mark.parametrize("name", ["C", "sigma_C2", "snr_dB", "sigma1_2", "sigma2_2",
+                                      "gamma2_dB", "sigma_alpha2", "p"])
+    def test_none_rejected_where_not_optional(self, name):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**{name: None})
+        assert str(info.value) == f"{name} must be a real number, got None"
+        # The optional fields take None for their derived defaults.
+        cfg = ScenarioConfig(P_t=None, rho2=None, L=16, M_tR=2)
+        assert (cfg.P_t, cfg.rho2) == (16.0, 1000.0 * 16 / 2)
 
     # The last three once raised a TypeError from cmath.isfinite, or passed
     # the config and failed to unpack in run_compare.
