@@ -203,6 +203,8 @@ def _parse_value(key, text):
 
 
 def format_config(cfg: ScenarioConfig) -> str:
+    """The text parse_config reads back to cfg; the CLI tests write their
+    config files with it."""
     lines = [f"{name} = {_format_value(name, getattr(cfg, name))}" for name in _FIELD_NAMES]
     return "\n".join(lines) + "\n"
 

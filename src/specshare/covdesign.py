@@ -29,13 +29,13 @@ with power within P_t proves feasibility.
 
 The methods differ only in W_l, and only the cooperative weights depend on
 the sampling mask, so one design is solved many times over with bit-equal
-inputs, and always on one scenario's channels B and G2. The designs of the
-current channels are memoized: the memo is stamped with the exact bytes
-(with dtype, shape and layout) of B and G2 and keyed by those of the
-weights, P_t and C. A solve on other channels starts it afresh, and errors
-are never memoized. A design passes its post-conditions (_checked) once,
-when it is computed; a memoized one comes back as the same frozen solution
-with read-only arrays.
+inputs, and always on one scenario's channels B and G2. The caller passes
+the mapping that keeps the designs, the scenario's (Scenario.designs), which
+lives as long as the draws; a design is stored there under the exact bytes
+(with dtype, shape and layout) of its weights, B, G2, P_t and C, and errors
+are never stored. A design passes its post-conditions (_checked) once, when
+it is computed; a stored one comes back as the same frozen solution with
+read-only arrays.
 """
 
 from __future__ import annotations
@@ -326,18 +326,13 @@ def _exact(*values) -> tuple:
     return tuple((a.dtype.str, a.shape, a.strides, a.tobytes()) for a in map(np.asarray, values))
 
 
-# The _exact(B, G2) stamp of the current channels and their checked
-# solutions under _exact(weights, P_t, C). It takes no lock: the harness and
-# joint_design solve on one thread.
-_memo: tuple = (None, {})
-
-
 def solve_weighted_eip(
     weights: np.ndarray,
     B: np.ndarray,
     G2: np.ndarray,
     P_t: float,
     C: float,
+    designs: dict,
 ) -> DesignSolution:
     """Minimize the weighted interference power subject to average capacity
     >= C and total power <= P_t, by a search on the power multiplier
@@ -351,20 +346,16 @@ def solve_weighted_eip(
     MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
     when the power budget is slack and 6 to 13 when it binds (the
     benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
-    A repeated call with bit-equal inputs returns the memoized solution
-    while no call on other channels B, G2 came in between (_memo).
+    designs maps _exact(weights, B, G2, P_t, C) to the solution of those
+    inputs: a stored one is returned, a cold solve stored. Pass the
+    scenario's mapping (Scenario.designs), or {} for no reuse.
     MetricError: B is not finite.
     """
     if len(B) != len(weights):
         raise SolverError("weights and whitened channels have different lengths")
     if weights.shape[1] != G2.shape[0]:
         raise SolverError(f"weights cover {weights.shape[1]} radar antennas, G2 has {G2.shape[0]}")
-    global _memo
-    channels = _exact(B, G2)
-    if _memo[0] != channels:
-        _memo = (channels, {})
-    designs = _memo[1]
-    key = _exact(weights, P_t, C)
+    key = _exact(weights, B, G2, P_t, C)
     if key in designs:
         return designs[key]
     if not np.all(np.isfinite(B)):

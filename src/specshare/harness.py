@@ -3,7 +3,8 @@ parameter sweeps and emits deterministic CSV tables.
 
 An ExperimentSpec builds the config of every point of its sweep grid once,
 and run_compare, the one runner, runs the whole grid or the grid points it
-is given; a value off the grid is refused before anything runs.
+is given; a value off the grid is refused before anything runs. A seed's
+grid points share its draws and the designs solved on them (Scenario.designs).
 
 Every row scores its design through its interference profile
 DesignSolution.Q: the eip column is the radar scheme's EIP (scheme_weights)
@@ -175,19 +176,18 @@ def _solve_method(method, cfg, scn):
     elif method == "partial":
         w = fmfb_weights(scn.S, cfg.M_rR)
     elif method == "joint":
-        result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+        result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, scn.designs)
         return result.solution, result.mask
-    return solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C), scn.omega
+    return solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, scn.designs), scn.omega
 
 
 def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
     """One row per (seed, grid point, method): at every point of the spec's
     grid, or at the given values, each of which must be on the grid, else a
-    SpecError is raised before anything runs. Seeds are the outer loop, so
-    the designs a seed's grid points share come from covdesign's memo, which
-    holds the designs of the current channels; format_csv sorts the rows. A row whose scenario or method
-    fails with a SpecshareError or LinAlgError keeps nan metrics and the
-    message in ResultRow.error; other exceptions propagate."""
+    SpecError is raised before anything runs. Seeds are the outer loop, so a
+    seed's grid points reuse its scenario's designs; format_csv sorts the rows.
+    A row whose scenario or method fails with a SpecshareError or LinAlgError
+    keeps nan metrics and the message in ResultRow.error; others propagate."""
     for i, value in enumerate(sweep_values):
         if value not in spec.grid:
             raise SpecError(f"sweep value {value!r} is not on the {spec.sweep_var!r} grid "

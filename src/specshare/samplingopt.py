@@ -231,6 +231,7 @@ def joint_design(
     G2: np.ndarray,
     S: np.ndarray,
     omega: np.ndarray,
+    designs: dict,
 ) -> JointDesignResult:
     """Alternating covariance / sampling-mask optimization.
 
@@ -239,12 +240,13 @@ def joint_design(
     (scheme_mask_cost) of the design's profile Q, until the EIP is exactly 0
     or the mask search lowers nothing, so that the next solve would repeat
     this one; the mask returned is then the one the solution was solved for.
+    Every solve goes through designs, solve_weighted_eip's mapping.
     """
     trace = []
     solution = None
     for _ in range(_MAX_OUTER):
         weights = scheme_weights(cfg, omega, S)
-        solution = solve_weighted_eip(weights, B, G2, cfg.P_t, cfg.C)
+        solution = solve_weighted_eip(weights, B, G2, cfg.P_t, cfg.C, designs)
         eip = weighted_eip(weights, solution.Q)
         trace.append(eip)
         if eip == 0.0:

@@ -7,7 +7,8 @@ receive matrix. All generators are pure functions of (config, rng stream).
 The comm link enters every design only through the whitened channels
 B_l = R_wl^{-1/2} H, which make_scenario forms once from H, G1 and S.
 make_scenario keeps the draws of its last config, keyed on the fields they
-read, so the points of a p, C, P_t or radar-SNR sweep redraw only the mask.
+read, with the designs solved on them (Scenario.designs), the one owner of
+reuse: a p, C, P_t, targets or radar-SNR sweep redraws only the mask.
 """
 
 from __future__ import annotations
@@ -235,34 +236,32 @@ def synthesize_radar_rx(
 class Scenario:
     """One fully generated experiment instance: the generators' arrays, with
     the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
-    R_wl^{-1/2} H (_whiten). All but omega are read-only, shared with
-    configs that differ only in fields these draws do not read
+    R_wl^{-1/2} H (_whiten). B, G2, S (read-only) and designs, the mapping of
+    the designs solved on B and G2 (covdesign.solve_weighted_eip), are shared
+    with configs that differ only in fields these draws do not read
     (make_scenario). covers(omega) may be false when p is too low to cover
     every row and column; only completion needs it to be true."""
 
     B: np.ndarray
     G2: np.ndarray
     S: np.ndarray
+    designs: dict
     D: np.ndarray
     omega: np.ndarray
 
 
-# The config fields that H, G1, G2, S, D and the comm noise read; p and the
-# scheme (the mask's), C, P_t, gamma2_dB and snr_dB are not.
-_SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "targets",
-                  "rho2", "sigma_alpha2", "sigma_C2", "seed")
+# The config fields that H, G1, G2, S and the comm noise read; p and the
+# scheme (the mask's), targets (D's), C, P_t, gamma2_dB and snr_dB are not.
+_SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "rho2",
+                  "sigma_alpha2", "sigma_C2", "seed")
 
 
 def _bits(value):
     """An exact memo key for a config value: its type, and the bits of a
-    float or complex (0.0 and -0.0 differ), a list element by element. Other
-    values, such as integers and None, compare exactly as they are."""
-    if isinstance(value, (list, tuple)):
-        return type(value), tuple(map(_bits, value))
+    float (0.0 and -0.0 differ). Other values, such as integers, compare
+    exactly as they are."""
     if isinstance(value, float):
         return type(value), value.hex()
-    if isinstance(value, complex):
-        return type(value), value.real.hex(), value.imag.hex()
     return type(value), value
 
 
@@ -291,15 +290,14 @@ def _whiten(cfg: ScenarioConfig, H: np.ndarray, G1: np.ndarray, S: np.ndarray) -
 
 
 def _shared_draws(cfg: ScenarioConfig) -> tuple:
-    """(B, G2, S, D), the draws that read only _SHARED_FIELDS, with their
-    arrays made read-only to be shared."""
+    """(B, G2, S), the draws that read only _SHARED_FIELDS, with their
+    arrays made read-only to be shared, and an empty designs mapping."""
     H, G1, G2 = generate_channels(cfg, stream(cfg.seed, "channels"))
     S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
-    D = generate_target_response(cfg)
-    draws = (_whiten(cfg, H, G1, S), G2, S, D)
+    draws = (_whiten(cfg, H, G1, S), G2, S)
     for a in draws:
         a.flags.writeable = False
-    return draws
+    return (*draws, {})
 
 
 # (key, _shared_draws) of the last config; a key that differs in any bit
@@ -311,16 +309,17 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     """Generate every random input of an experiment from named streams of
     cfg.seed. Stream separation keeps each piece stable as others evolve.
 
-    The draws B, G2, S and D are memoized for the last config, keyed on the
+    The draws B, G2 and S are memoized for the last config, keyed on the
     exact bits of the fields they read (_SHARED_FIELDS), the seed included;
-    they are read-only arrays, the same objects at every hit. The mask is
-    drawn at every call, after them. ScenarioConfig refuses every config no
-    seed can run, so a ScenarioError means only unusable draws: a
-    non-finite channel or comm noise, or a singular one (_whiten); an error
-    is never memoized."""
+    they are read-only arrays, the same objects at every hit, and carry the
+    designs solved on them. D, which is not random, and the mask are made at
+    every call. ScenarioConfig refuses every config no seed can run, so a
+    ScenarioError means only unusable draws: a non-finite channel or comm
+    noise, or a singular one (_whiten); an error is never memoized."""
     global _memo
     key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)
     if _memo is None or _memo[0] != key:
         _memo = (key, _shared_draws(cfg))
+    D = generate_target_response(cfg)
     omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage)
-    return Scenario(*_memo[1], omega)
+    return Scenario(*_memo[1], D, omega)

@@ -1,8 +1,8 @@
-"""Every test starts with empty memos (specshare.covdesign keeps the designs
-of its last channels, specshare.scenario the draws of its last config, the
-whitened channels B among them), so a test that replaces a solver part, a
-generator or the whitening sees a fresh solve and fresh draws, not ones
-memoized by an earlier test."""
+"""Every test starts with an empty scenario memo (specshare.scenario keeps
+the draws of its last config, the whitened channels B among them, and the
+designs solved on them), so a test that replaces a solver part, a generator
+or the whitening sees fresh draws and a fresh solve, not ones kept from an
+earlier test."""
 
 import pytest
 
@@ -10,8 +10,7 @@ from specshare import covdesign, scenario
 
 
 @pytest.fixture(autouse=True)
-def empty_memos(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", (None, {}))
+def empty_memo(monkeypatch):
     monkeypatch.setattr(scenario, "_memo", None)
 
 

@@ -323,7 +323,7 @@ def capacity_bound(whitened: np.ndarray, P_t: float) -> float:
 def selfish(B, C: float, P_t: float, G2):
     """The selfish (minimum-power) design: solve_weighted_eip with W_l = 0,
     as the harness's selfish method solves it."""
-    return solve_weighted_eip(np.zeros((len(B), G2.shape[0])), B, G2, P_t, C)
+    return solve_weighted_eip(np.zeros((len(B), G2.shape[0])), B, G2, P_t, C, {})
 
 
 def verify_solution(sol, H, R_w, G2, P_t: float, C: float, weights=None, other=None) -> dict:

@@ -61,7 +61,7 @@ def best_joint_design(cfg, scn, restarts, rng):
     best = None
     for r in range(restarts):
         mask = scn.omega if r == 0 else generate_sampling_mask(cfg, rng)
-        result = joint_design(cfg, scn.B, scn.G2, scn.S, mask)
+        result = joint_design(cfg, scn.B, scn.G2, scn.S, mask, {})
         if best is None or result.eip_trace[-1] < best.eip_trace[-1]:
             best = result
     return best
@@ -261,7 +261,7 @@ def test_criterion_09_alternating_monotonicity():
         for seed in range(20):
             cfg = ScenarioConfig(p=0.5, seed=seed, scheme=scheme)
             scn = make_scenario(cfg)
-            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
             trace = result.eip_trace
             if not all(a >= b - 1e-9 for a, b in zip(trace, trace[1:])):
                 ok = False

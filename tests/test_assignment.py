@@ -95,7 +95,7 @@ def joint_costs():
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
     scn = make_scenario(cfg)
     sol = solve_weighted_eip(scheme_weights(cfg, scn.omega, scn.S),
-                             scn.B, scn.G2, cfg.P_t, cfg.C)
+                             scn.B, scn.G2, cfg.P_t, cfg.C, {})
     Q = sol.Q
     omega = scn.omega
     return omega.T @ Q, omega @ Q.T
@@ -246,7 +246,7 @@ def joint_design_costs(seeds, L=128):
         for seed in seeds:
             cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=L, p=0.5, seed=seed)
             scn = make_scenario(cfg)
-            joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+            joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
     return costs
 
 

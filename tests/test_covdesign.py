@@ -179,7 +179,7 @@ class TestSolveWeightedEip:
         B = small_instance(0)[0]
         G2 = np.zeros((3, 2))
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0, designs={})
         assert weighted_eip(w, sol.Q) == 0.0
         assert sol.achieved_capacity >= 2.0 - 1e-6
 
@@ -187,7 +187,8 @@ class TestSolveWeightedEip:
         sigma_C2 = 0.5
         C = 3.0
         w = tip_weights(1, 1)
-        sol = solve_weighted_eip(w, white(sigma_C2, 1, np.eye(1)), np.eye(1), P_t=10.0, C=C)
+        sol = solve_weighted_eip(w, white(sigma_C2, 1, np.eye(1)), np.eye(1), P_t=10.0, C=C,
+                                 designs={})
         expect = sigma_C2 * (2.0**C - 1.0)
         assert abs(sol.consumed_power - expect) <= 1e-6 * expect
         eip = weighted_eip(w, sol.Q)
@@ -197,7 +198,7 @@ class TestSolveWeightedEip:
         cfg = ScenarioConfig(p=0.5, seed=0)
         scn = make_scenario(cfg)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+        sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
         assert abs(sol.achieved_capacity - 12.0) <= 1e-3
         assert sol.consumed_power <= cfg.P_t + 1e-6
         assert verify_solution(sol, *comm_link(cfg), scn.G2, cfg.P_t, cfg.C)["psd_ok"]
@@ -205,13 +206,13 @@ class TestSolveWeightedEip:
     def test_infeasible_target_rejected(self):
         w = tip_weights(1, 1)
         with pytest.raises(InfeasibleError):
-            solve_weighted_eip(w, white(1.0, 1, np.eye(1)), np.eye(1), P_t=1.0, C=10.0)
+            solve_weighted_eip(w, white(1.0, 1, np.eye(1)), np.eye(1), P_t=1.0, C=10.0, designs={})
 
     def test_weights_antenna_count_mismatch_rejected(self):
         B, G2, *_ = small_instance(0)
         w = tip_weights(G2.shape[0] + 1, len(B))
         with pytest.raises(SolverError):
-            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0, designs={})
 
     @pytest.mark.parametrize("weight_symbols", [3, 5])
     def test_weights_noise_length_mismatch_rejected(self, weight_symbols):
@@ -219,13 +220,13 @@ class TestSolveWeightedEip:
         w = tip_weights(G2.shape[0], weight_symbols)
         with pytest.raises(SolverError,
                            match="^weights and whitened channels have different lengths$"):
-            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=8.0, C=2.0, designs={})
 
     def test_subproblem_consistency(self):
         # Re-deriving the schedule from the returned dual point reproduces it.
         B, G2, H, R_w = small_instance(3)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
         for l in range(4):
             R = subproblem_solution(sol.lambda1, sol.lambda2, w[l], G2, H, R_w[l])
             R_l = dense_schedule(sol.X, sol.d)[l]
@@ -248,8 +249,8 @@ class TestSolveWeightedEip:
                     break
             w_eip = omega.T.copy()
             w_tip = tip_weights(3, 4)
-            coop = solve_weighted_eip(w_eip, B, G2, P_t=10.0, C=1.0)
-            noncoop = solve_weighted_eip(w_tip, B, G2, P_t=10.0, C=1.0)
+            coop = solve_weighted_eip(w_eip, B, G2, P_t=10.0, C=1.0, designs={})
+            noncoop = solve_weighted_eip(w_tip, B, G2, P_t=10.0, C=1.0, designs={})
             assert weighted_eip(w_eip, coop.Q) <= weighted_eip(w_eip, noncoop.Q) + 1e-6
 
 
@@ -285,7 +286,7 @@ class TestFeasibility:
             flat += not w.any()
             for P_t in p_min * np.array([1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0]):
                 try:
-                    outcome = type(solve_weighted_eip(*design, P_t, C))
+                    outcome = type(solve_weighted_eip(*design, P_t, C, {}))
                 except InfeasibleError as exc:
                     outcome = type(exc)
                 assert outcome in (InfeasibleError, DesignSolution)
@@ -294,8 +295,7 @@ class TestFeasibility:
                 outcomes.add(infeasible)
         assert outcomes == {True, False} and flat > 0
 
-    def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, monkeypatch,
-                                                                      dual_steps):
+    def test_budget_just_below_selfish_power_fails_at_the_bracket_top(self, dual_steps):
         """Below the minimum power, InfeasibleError comes after the points
         2^-30 and 1 and one minimum-power step (at lambda1 = 1), at each
         solve; just above it, the design is solved within P_t, its power
@@ -304,14 +304,13 @@ class TestFeasibility:
             design, C = random_design(stream(seed, "feasible-edge"), dense)
             _, B, G2 = design
             p_min = selfish(B, C, np.inf, G2).consumed_power
-            monkeypatch.setattr(covdesign, "_memo", (None, {}))
             for P_t in (p_min * (1.0 - 1e-9), 0.5 * p_min):
                 dual_steps.clear()
                 with pytest.raises(InfeasibleError, match="unreachable within power budget"):
-                    solve_weighted_eip(*design, P_t, C)
+                    solve_weighted_eip(*design, P_t, C, {})
                 assert dual_steps == [2.0 ** -30, 1.0, 1.0]
             P_t = p_min * (1.0 + 1e-9)
-            assert solve_weighted_eip(*design, P_t, C).consumed_power <= P_t
+            assert solve_weighted_eip(*design, P_t, C, {}).consumed_power <= P_t
 
 
 class TestSelfishDesign:
@@ -377,7 +376,7 @@ class TestVerifySolution:
         cfg = ScenarioConfig(p=0.5, seed=1)
         scn = make_scenario(cfg)
         w = scheme_weights(cfg, scn.omega, scn.S)
-        coop = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+        coop = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
         report = verify_solution(coop, *comm_link(cfg), scn.G2, cfg.P_t, cfg.C, weights=w,
                                  other=selfish(scn.B, cfg.C, cfg.P_t, scn.G2))
         assert report["psd_ok"]
@@ -388,7 +387,7 @@ class TestVerifySolution:
     def test_slackness_residual(self):
         B, G2, H, R_w = small_instance(2)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
         report = verify_solution(sol, H, R_w, G2, 6.0, 2.0)
         # Either the budget binds (active power constraint) or lambda1 is 0
         # at the resolution of the bisection bracket.
@@ -397,7 +396,7 @@ class TestVerifySolution:
     def test_power_violation_flagged(self):
         B, G2, H, R_w = small_instance(2)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
         doubled = dataclasses.replace(sol, d=sol.d * (12.0 / sol.consumed_power))
         report = verify_solution(doubled, H, R_w, G2, 6.0, 2.0)
         assert not report["power_feasible"]
@@ -407,7 +406,7 @@ class TestObjectiveConsistency:
     def test_objective_matches_metric(self):
         B, G2, H, R_w = small_instance(6)
         w = tip_weights(3, 4)
-        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+        sol = solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
         dense = dense_capacity(dense_schedule(sol.X, sol.d), H, R_w)
         assert abs(sol.achieved_capacity - dense) < 1e-12
 
@@ -528,11 +527,10 @@ class TestDualKernel:
         # tiny lambda1; both paths floor its eigenvalues with eig_floor.
         self.assert_matches_reference(*coop_instance(10 + L, L, partial_rows=False), 1e-12)
 
-    def test_zero_singular_value(self, monkeypatch):
+    def test_zero_singular_value(self):
         """A comm antenna that hears nothing (a zero row of H) leaves every
         whitened channel a zero singular value. It gets no power, with no
         divide-by-zero warning, and both designs meet their post-conditions."""
-        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         H = crandn(np.random.default_rng(0), 3, 4)
         H[2] = 0.0
         R_w = np.broadcast_to(0.01 * np.eye(3), (4, 3, 3))  # what sigma_alpha2 = 0 gives
@@ -542,7 +540,7 @@ class TestDualKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             designs = [selfish(whitened, 2.0, 10.0, G2),
-                       solve_weighted_eip(w, whitened, G2, 10.0, 2.0)]
+                       solve_weighted_eip(w, whitened, G2, 10.0, 2.0, {})]
             kernels = [covdesign._DualKernel.weighted(np.zeros((4, 5)), G2, whitened),
                        covdesign._DualKernel.weighted(w, G2, whitened)]
             steps = [(kernel.spectrum(1.0)[0], kernel.step(1.0, 2.0)) for kernel in kernels]
@@ -572,21 +570,20 @@ class TestDualKernel:
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
             # The power budget is slack: the bisection halves hi = 1 thirty
             # times; the search evaluates the lowest grid point only.
             assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 1
             assert sol.converged
 
-    def test_long_block_slack_design_dual_evaluations(self, monkeypatch):
+    def test_long_block_slack_design_dual_evaluations(self):
         # The joint-long benchmark's block: L = 128, 16/32/4/4 antennas.
-        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=1)
         scn = make_scenario(cfg)
         for w in (tip_weights(cfg.M_rR, cfg.L),
                   scheme_weights(cfg, scn.omega, scn.S)):
-            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+            sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
             assert sol.lambda1 == 2.0 ** -30
             assert sol.iterations == 1
             assert sol.converged
@@ -699,7 +696,7 @@ class TestPostConditions:
         B, G2, *_ = small_instance(3)
         w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="capacity"):
-            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
         with pytest.raises(SolverError, match="capacity"):
             selfish(B, 2.0, 6.0, G2)
 
@@ -709,7 +706,7 @@ class TestPostConditions:
         # Scalar channel: the design uses 0.5 * (2**3 - 1) = 3.5 of P_t = 4.
         w = tip_weights(1, 1)
         with pytest.raises(SolverError, match="power"):
-            solve_weighted_eip(w, white(0.5, 1, np.eye(1)), np.eye(1), P_t=4.0, C=3.0)
+            solve_weighted_eip(w, white(0.5, 1, np.eye(1)), np.eye(1), P_t=4.0, C=3.0, designs={})
 
     def test_selfish_power_excess_raises(self, monkeypatch):
         monkeypatch.setattr(covdesign._DualKernel, "factors",
@@ -733,7 +730,7 @@ class TestPostConditions:
         w = tip_weights(3, 4)
         with pytest.raises(SolverError, match="^invalid covariance schedule: covariance matrix "
                                               "is not finite$"):
-            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0)
+            solve_weighted_eip(w, B, G2, P_t=6.0, C=2.0, designs={})
 
 
 def doubled(factors):
@@ -889,14 +886,13 @@ class TestDualSearch:
     @staticmethod
     def solve_both(monkeypatch, *args):
         """solve_weighted_eip's solution or error, with the search and then
-        with the bisection oracle in its place, each from an empty memo."""
+        with the bisection oracle in its place, each with no stored designs."""
         out = []
         for search in (covdesign._dual_search, bisection_oracle):
             with monkeypatch.context() as m:
                 m.setattr(covdesign, "_dual_search", search)
-                m.setattr(covdesign, "_memo", (None, {}))
                 try:
-                    out.append(solve_weighted_eip(*args))
+                    out.append(solve_weighted_eip(*args, {}))
                 except (InfeasibleError, SolverError) as exc:
                     out.append(exc)
         return out
@@ -1004,12 +1000,12 @@ class TestDualSearch:
         # grid point below it has power above P_t and the answer is the top.
         P_t = kernel.step(2.0, C).power
         assert kernel.step(1.0, C).power > P_t
-        sol = solve_weighted_eip(*design, P_t, C)
+        sol = solve_weighted_eip(*design, P_t, C, {})
         assert sol.lambda1 == 2.0
         self.assert_same(monkeypatch, *design, P_t, C)
         # The grid point 0.5 has power == P_t: it is the lower end.
         P_t = kernel.step(0.5, C).power
-        sol = solve_weighted_eip(*design, P_t, C)
+        sol = solve_weighted_eip(*design, P_t, C, {})
         assert sol.lambda1 == 0.5 + 2.0 ** -30
         self.assert_same(monkeypatch, *design, P_t, C)
 

@@ -1,7 +1,8 @@
-"""The design memo of specshare.covdesign: the designs of the current
-channels, keyed by the exact inputs, and no answer that differs from a cold
-solve. The whitened channels B come from make_scenario, which whitens once
-per set of draws; no solve whitens."""
+"""Design reuse has one owner: the draws of make_scenario carry the mapping
+of the designs solved on them (Scenario.designs), which
+covdesign.solve_weighted_eip reads and fills under the exact inputs, and a
+stored design never differs from a cold solve. The whitened channels B come
+from make_scenario, which whitens once per set of draws; no solve whitens."""
 
 import collections
 import dataclasses
@@ -17,31 +18,26 @@ from specshare.interference import scheme_weights, tip_weights
 from specshare.samplingopt import joint_design
 from specshare.scenario import make_scenario
 
-from oracles import selfish
-
 SCHEME_METHODS = {
     Scheme.SCHEME_I: ("selfish", "noncoop", "coop", "joint"),
     Scheme.SCHEME_II: ("selfish", "noncoop", "partial", "full", "joint"),
 }
 
 
-def forget(monkeypatch):
-    monkeypatch.setattr(covdesign, "_memo", (None, {}))
-
-
 def count_calls(monkeypatch, *names):
     """Counter of the calls to the named functions from now on: _whiten of
-    specshare.scenario, the others of specshare.covdesign."""
+    specshare.scenario, weighted of covdesign._DualKernel (one per kernel
+    built, i.e. per cold solve), the others of specshare.covdesign."""
     counts = collections.Counter()
     for name in names:
-        module = scenario if name == "_whiten" else covdesign
-        real = getattr(module, name)
+        owner = {"_whiten": scenario, "weighted": covdesign._DualKernel}.get(name, covdesign)
+        real = getattr(owner, name)
 
         def counting(*args, real=real, name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(owner, name, staticmethod(counting) if name == "weighted" else counting)
     return counts
 
 
@@ -54,9 +50,15 @@ def fingerprint(sol):
 
 
 def solve(method, cfg):
-    """The harness's design for method on a freshly generated scenario, so
-    that every call passes new arrays with the same bytes."""
+    """The harness's design for method on cfg's scenario, through its
+    designs mapping."""
     return harness._solve_method(method, cfg, make_scenario(cfg))[0]
+
+
+def cold(method, cfg):
+    """The same design solved with no stored designs."""
+    return harness._solve_method(method, cfg, dataclasses.replace(make_scenario(cfg),
+                                                                  designs={}))[0]
 
 
 def scheme_cases():
@@ -66,18 +68,17 @@ def scheme_cases():
 @pytest.mark.parametrize("scheme,method", scheme_cases())
 def test_hit_is_bit_equal_to_cold_solve(monkeypatch, scheme, method):
     cfg = ScenarioConfig(scheme=scheme, p=0.5, seed=3)
-    cold = fingerprint(solve(method, cfg))
+    reference = fingerprint(cold(method, cfg))
     # The other methods first: this one is then solved after their designs,
-    # and again as a memo hit.
-    forget(monkeypatch)
+    # and again as a hit.
     for other in SCHEME_METHODS[scheme]:
         if other != method:
             solve(other, cfg)
     first = solve(method, cfg)
-    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    counts = count_calls(monkeypatch, "_whiten", "weighted", "_dual_search")
     again = solve(method, cfg)
     assert again is first and not counts
-    assert fingerprint(first) == cold
+    assert fingerprint(first) == reference
 
 
 def perturbed_designs():
@@ -108,44 +109,37 @@ def perturbed_designs():
 @pytest.mark.parametrize("name,change", perturbed_designs(),
                          ids=[name for name, _ in perturbed_designs()])
 def test_any_changed_input_misses(monkeypatch, name, change):
+    """A mapping never returns a design of other inputs, channels included:
+    a changed input gets a cold solve, bit-equal to one with no stored
+    designs, and the stored design stays a hit."""
     cfg = ScenarioConfig(p=0.5, seed=5)
     scn = make_scenario(cfg)
     w = scheme_weights(cfg, scn.omega, scn.S)
     design = (w, scn.B, scn.G2, cfg.P_t, cfg.C)
-    base = solve_weighted_eip(*design)
+    reference = fingerprint(solve_weighted_eip(*change(*design), {}))
+    designs = {}
+    base = solve_weighted_eip(*design, designs)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    assert solve_weighted_eip(*design) is base and not counts
-    changed = solve_weighted_eip(*change(*design))
+    assert solve_weighted_eip(*design, designs) is base and not counts
+    changed = solve_weighted_eip(*change(*design), designs)
     assert changed is not base and counts == {"_dual_search": 1}
-    again = solve_weighted_eip(*design)
-    if name in ("B", "G2"):
-        # Other channels started the memo afresh: the return is a new solve.
-        assert again is not base and counts == {"_dual_search": 2}
-        assert fingerprint(again) == fingerprint(base)
-    else:
-        assert again is base and counts == {"_dual_search": 1}
+    assert fingerprint(changed) == reference
+    assert solve_weighted_eip(*design, designs) is base
+    assert solve_weighted_eip(*change(*design), designs) is changed
+    assert counts == {"_dual_search": 1} and len(designs) == 2
 
 
 def test_return_to_earlier_channels_solves_again(monkeypatch):
-    """A design of seed 1's channels drops seed 0's designs: returning to
-    seed 0 solves again, to the same bytes, and then the memo holds only
-    seed 0's designs."""
+    """Seed 1's draws replace seed 0's in the scenario memo, and the designs
+    go with them: returning to seed 0 draws and solves again, to the same
+    bytes."""
     cfg = ScenarioConfig(p=0.5)
-    channels = [(scn.B, scn.G2) for scn in (make_scenario(cfg.replace(seed=seed))
-                                            for seed in (0, 1))]
-    weights = (tip_weights(cfg.M_rR, cfg.L), np.zeros((cfg.L, cfg.M_rR)))
-    first = [solve_weighted_eip(w, *channels[0], cfg.P_t, cfg.C) for w in weights]
-    assert solve_weighted_eip(weights[0], *channels[1], cfg.P_t, cfg.C) is not first[0]
-    counts = count_calls(monkeypatch, "_dual_search")
-    again = [solve_weighted_eip(w, *channels[0], cfg.P_t, cfg.C) for w in weights]
-    assert counts == {"_dual_search": 2}
-    for sol, earlier in zip(again, first):
-        assert sol is not earlier and fingerprint(sol) == fingerprint(earlier)
-    stamp, designs = covdesign._memo
-    assert stamp == covdesign._exact(*channels[0])
-    keys = [covdesign._exact(w, cfg.P_t, cfg.C) for w in weights]
-    assert list(designs) == keys
-    assert all(designs[key] is sol for key, sol in zip(keys, again))
+    first = solve("noncoop", cfg)
+    solve("noncoop", cfg.replace(seed=1))
+    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    again = solve("noncoop", cfg)
+    assert counts == {"_whiten": 1, "_dual_search": 1}
+    assert again is not first and fingerprint(again) == fingerprint(first)
 
 
 def test_returned_designs_are_read_only():
@@ -169,29 +163,34 @@ def small_design():
 class TestErrorsAreNotMemoized:
     def test_infeasible_selfish_step(self, monkeypatch):
         w, B, G2, P_t, C = small_design()
+        designs = {}
 
         def unreachable(*args):
             raise InfeasibleError("unreachable")
 
         with monkeypatch.context() as m:
             m.setattr(covdesign, "min_capacity_multiplier", unreachable)
-            with pytest.raises(InfeasibleError):
-                selfish(B, C, P_t, G2)
-            with pytest.raises(InfeasibleError):
-                solve_weighted_eip(w, B, G2, P_t, C)
-        assert selfish(B, C, P_t, G2).converged
-        assert solve_weighted_eip(w, B, G2, P_t, C).converged
+            for weights in (np.zeros_like(w), w):
+                with pytest.raises(InfeasibleError):
+                    solve_weighted_eip(weights, B, G2, P_t, C, designs)
+        assert not designs
+        for weights in (np.zeros_like(w), w):
+            assert solve_weighted_eip(weights, B, G2, P_t, C, designs).converged
+        assert len(designs) == 2
 
     def test_infeasible_budget(self):
         w, B, G2, P_t, C = small_design()
-        p_min = selfish(B, C, P_t, G2).consumed_power
+        designs = {}
+        p_min = solve_weighted_eip(np.zeros_like(w), B, G2, P_t, C, {}).consumed_power
         for _ in range(2):
             with pytest.raises(InfeasibleError):
-                solve_weighted_eip(w, B, G2, 0.5 * p_min, C)
-            assert solve_weighted_eip(w, B, G2, P_t, C).converged
+                solve_weighted_eip(w, B, G2, 0.5 * p_min, C, designs)
+            assert solve_weighted_eip(w, B, G2, P_t, C, designs).converged
+        assert len(designs) == 1
 
     def test_solver_errors(self, monkeypatch):
         design = small_design()
+        designs = {}
 
         def fails(*args):
             raise SolverError("no search")
@@ -208,9 +207,10 @@ class TestErrorsAreNotMemoized:
             with monkeypatch.context() as m:
                 m.setattr(target, name, replacement)
                 with pytest.raises(SolverError):
-                    solve_weighted_eip(*design)
-            assert solve_weighted_eip(*design).converged
-            forget(monkeypatch)
+                    solve_weighted_eip(*design, designs)
+            assert not designs
+            assert solve_weighted_eip(*design, designs).converged
+            designs.clear()
 
 
 def sweep_p_jobs(seed):
@@ -225,19 +225,35 @@ def sweep_p_jobs(seed):
 
 
 def test_sweep_p_seed_shares_one_problem(monkeypatch):
-    forget(monkeypatch)
-    counts = count_calls(monkeypatch, "_whiten", "_dual_search")
+    counts = count_calls(monkeypatch, "_whiten", "weighted", "_dual_search")
     for spec, p in sweep_p_jobs(13):
         rows = run_compare(spec, p)
         assert not any(r.error for r in rows)
-    # 30 designs, of which 11 differ, one search each: the selfish, noncoop
-    # and partial weights do not depend on p, Scheme II noncoop repeats
-    # Scheme I's, the Scheme I coop weights at p = 1 are the noncoop ones,
-    # and the Scheme II full weights at p = 1 are the partial ones, bit for
-    # bit and in the same C-ordered layout. Both schemes share the seed's
-    # draws, so make_scenario whitens once.
-    assert counts["_whiten"] == 1
-    assert counts["_dual_search"] == 11
+    # 30 designs, of which 11 differ, one kernel and one search each: the
+    # selfish, noncoop and partial weights do not depend on p, Scheme II
+    # noncoop repeats Scheme I's, the Scheme I coop weights at p = 1 are the
+    # noncoop ones, and the Scheme II full weights at p = 1 are the partial
+    # ones, bit for bit and in the same C-ordered layout. Both schemes share
+    # the seed's draws, so make_scenario whitens once.
+    assert counts == {"_whiten": 1, "weighted": 11, "_dual_search": 11}
+
+
+@pytest.mark.parametrize("sweep_var,values", [
+    ("C", [6.0, 8.0, 10.0, 12.0, 14.0]), ("targets", [1, 2, 3]),
+])
+def test_sweep_reuses_one_set_of_draws(monkeypatch, sweep_var, values):
+    """A C or targets sweep of one seed whitens once and solves each
+    distinct design once: at p = 0.5 the selfish, noncoop and coop weights
+    differ, and none depends on C or the targets (only D reads them, and no
+    design reads D)."""
+    spec = ExperimentSpec(cfg=ScenarioConfig(p=0.5), methods=["selfish", "noncoop", "coop"],
+                          sweep_var=sweep_var, sweep_values=values, seeds=[0])
+    counts = count_calls(monkeypatch, "_whiten", "weighted")
+    rows = run_compare(spec)
+    assert len(rows) == 3 * len(values) and not any(r.error for r in rows)
+    distinct = 3 * len(values) if sweep_var == "C" else 3
+    assert counts == {"_whiten": 1, "weighted": distinct}
+    assert len(make_scenario(spec.cfg).designs) == distinct
 
 
 def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
@@ -245,7 +261,7 @@ def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
     feasibility: no minimum-power step is taken for either order."""
     totals = []
     for methods in (["selfish", "noncoop"], ["noncoop", "selfish"]):
-        forget(monkeypatch)
+        monkeypatch.setattr(scenario, "_memo", None)
         dual_steps.clear()
         rows = run_compare(ExperimentSpec(cfg=ScenarioConfig(), methods=methods, seeds=[2]))
         assert not any(r.error for r in rows)
@@ -256,18 +272,18 @@ def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):
 def test_joint_design_whitens_nothing(monkeypatch):
     # A joint-long-sized scenario: at the default config the initial mask is
     # already a fixed point of the mask search, and the joint design stops
-    # after one solve. Every solve is of the scenario's B and C.
+    # after one solve. Every solve is of the scenario's B and C, and is
+    # stored in its designs.
     cfg = ScenarioConfig(M_tR=16, M_rR=32, M_tC=4, M_rC=4, L=128, p=0.5, seed=2)
     scn = make_scenario(cfg)
-    forget(monkeypatch)
     counts = count_calls(monkeypatch, "_whiten", "_dual_search")
-    result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+    result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, scn.designs)
     assert result.outer_iterations >= 2
     assert counts["_whiten"] == 0
     assert counts["_dual_search"] <= result.outer_iterations
-    channels, designs = covdesign._memo
-    assert channels == covdesign._exact(scn.B, scn.G2)
-    assert {key[2] for key in designs} == set(covdesign._exact(cfg.C))
+    assert len(scn.designs) == counts["_dual_search"]
+    assert {key[1:] for key in scn.designs} == {covdesign._exact(scn.B, scn.G2, cfg.P_t, cfg.C)}
+    assert any(sol is result.solution for sol in scn.designs.values())
 
 
 @pytest.mark.parametrize("scheme,methods", [
@@ -284,9 +300,8 @@ def test_warm_sweep_csv_equals_cold(monkeypatch, scheme, methods):
     assert counts["_whiten"] == 2
     real = harness._solve_method
 
-    def cold_solve(*args):
-        forget(monkeypatch)
-        return real(*args)
+    def cold_solve(method, cfg, scn):
+        return real(method, cfg, dataclasses.replace(scn, designs={}))
 
     monkeypatch.setattr(harness, "_solve_method", cold_solve)
     assert format_csv(run_compare(spec)) == warm

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from specshare import cli, covdesign, harness
+from specshare import cli, covdesign, harness, scenario
 from specshare.cli import main as cli_main
 from specshare.config import ConfigError, ScenarioConfig, Scheme, SpecshareError, format_config
 from specshare.covdesign import InfeasibleError, SolverError
@@ -602,13 +602,14 @@ class TestCli:
     ], ids=["scheme2-joint", "joint-L256", "tight-budget"])
     def test_every_run_prints_the_same_bytes(self, tmp_path, monkeypatch, capsysbinary,
                                              config, grid, seeds, orders):
-        """Each run starts from an empty design memo, as a second process
-        would, and prints what the first run printed."""
+        """Each run starts from an empty scenario memo, with no draws or
+        designs kept, as a second process would, and prints what the first
+        run printed."""
         path = tmp_path / "cfg.txt"
         path.write_text(config + "\n")
         printed = []
         for methods in orders:
-            monkeypatch.setattr(covdesign, "_memo", (None, {}))
+            monkeypatch.setattr(scenario, "_memo", None)
             assert cli_main(["compare", "--methods", methods, "--sweep", grid,
                              "--seeds", str(seeds), "--config", str(path)]) == 0
             printed.append(capsysbinary.readouterr().out)

@@ -710,7 +710,7 @@ class TestStackedAgainstPerSymbol:
             weights = [np.zeros((cfg.L, cfg.M_rR)), tip_weights(cfg.M_rR, cfg.L),
                        scheme_weights(cfg, scn.omega, scn.S), fmfb_weights(scn.S, cfg.M_rR)]
             for w in weights:
-                sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
+                sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
                 assert np.all(sol.d >= 0.0)
                 schedule = dense_schedule(sol.X, sol.d)
                 assert loop_validate_ok(schedule)
@@ -761,7 +761,7 @@ class TestStackedAgainstPerSymbol:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match="covariance matrix is not finite"):
-                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C)
+                solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), scn.B, scn.G2, cfg.P_t, cfg.C, {})
 
     def test_non_finite_channel_rejected_by_capacity(self):
         """An inf in H would reach the whitening's matmul, which warns and
@@ -779,7 +779,7 @@ class TestStackedAgainstPerSymbol:
                 scenario._whiten(cfg, H, G1, S)
             with pytest.raises(MetricError, match="whitened channel is not finite"):
                 solve_weighted_eip(tip_weights(cfg.M_rR, cfg.L), B, make_scenario(cfg).G2,
-                                   cfg.P_t, cfg.C)
+                                   cfg.P_t, cfg.C, {})
 
     def test_singular_noise_verdict(self):
         """The closed-form whitening against the smallest eigenvalue of the

@@ -33,7 +33,7 @@ def test_verify_solution_reports_kkt(seed, L, C, headroom):
     # Above the selfish (minimum) power the target is feasible; small
     # headroom makes the budget bind, large headroom leaves it slack.
     P_t = selfish(B, C, np.inf, G2).consumed_power * (1.0 + headroom)
-    sol = solve_weighted_eip(weights, B, G2, P_t, C)
+    sol = solve_weighted_eip(weights, B, G2, P_t, C, {})
     # Checked against H and the dense noise, not against B.
     report = verify_solution(sol, H, dense_noise(g, 1.0, 0.1), G2, P_t, C)
     assert report["psd_ok"]

@@ -73,10 +73,10 @@ def test_stored_reference_rows(name):
     assert csv_text(run_pass(wl, SEEDS[name][0])) == texts[0]
 
 
-# Calls per run, each run from an empty memo: one pass of the workload for
-# each of seeds 13-18, or, in the last row, `specshare compare --sweep` of
+# Calls per run: one pass of the workload for each of seeds 13-18, each on
+# draws of its own seed, or, in the last row, `specshare compare --sweep` of
 # the sweep-p templates over seeds 0-1, whose Scheme II template solves
-# each seed's noncoop design again: seed 1's channels came in between.
+# each seed's noncoop design again: seed 1's draws came in between.
 # Each entry is exact: a change that moves a count edits its row here.
 COUNT_SEEDS = range(13, 19)
 DEFAULT_SWEEP = "default-p-sweep"
@@ -122,7 +122,6 @@ def test_call_counts(name, monkeypatch, dual_steps):
         counts, "outer_iterations", harness.joint_design, lambda result: result.outer_iterations))
     runs = []
     for run in counted_runs(name):
-        monkeypatch.setattr(covdesign, "_memo", (None, {}))
         counts.clear()
         dual_steps.clear()
         run()

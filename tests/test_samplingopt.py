@@ -218,7 +218,7 @@ class TestJointDesign:
     def test_zero_interference_channel_converges_immediately(self):
         cfg, scn = scenario_instance(0)
         G2 = np.zeros_like(scn.G2)
-        result = joint_design(cfg, scn.B, G2, scn.S, scn.omega)
+        result = joint_design(cfg, scn.B, G2, scn.S, scn.omega, {})
         assert result.outer_iterations == 1
         assert result.eip_trace == [0.0]
         assert np.array_equal(result.mask, scn.omega)
@@ -227,8 +227,8 @@ class TestJointDesign:
         for seed in range(3):
             cfg, scn = scenario_instance(seed)
             w = scheme_weights(cfg, scn.omega, scn.S)
-            coop = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C)
-            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+            coop = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
+            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
             joint_eip = weighted_eip(scheme_weights(cfg, result.mask, scn.S), result.solution.Q)
             coop_eip = weighted_eip(w, coop.Q)
             assert joint_eip <= coop_eip + 1e-6
@@ -236,7 +236,7 @@ class TestJointDesign:
     def test_trace_nonincreasing_and_orbit_preserved(self):
         for scheme in (Scheme.SCHEME_I, Scheme.SCHEME_II):
             cfg, scn = scenario_instance(1, scheme=scheme)
-            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+            result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
             trace = result.eip_trace
             assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
             s_in = np.linalg.svd(scn.omega, compute_uv=False)
@@ -245,7 +245,7 @@ class TestJointDesign:
 
     def test_final_eip_matches_schedule_and_mask(self):
         cfg, scn = scenario_instance(2, scheme=Scheme.SCHEME_II)
-        result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
+        result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
         val = weighted_eip(scheme_weights(cfg, result.mask, scn.S), result.solution.Q)
         # The recorded trace ends with the EIP of the final schedule under the
         # mask it was solved for.

@@ -426,23 +426,26 @@ class TestMakeScenario:
         S = generate_waveforms(cfg, stream(cfg.seed, "waveforms"))
         assert make_scenario(cfg).B.tobytes() == scenario._whiten(cfg, H, G1, S).tobytes()
 
-    SHARED = ("B", "G2", "S", "D")
+    SHARED = ("B", "G2", "S")
     # A valid value other than the base config's for every field that a
     # shared draw reads: each must miss the memo. np.int64(4) equals the seed
     # but is another type.
     OTHER = {
         "M_tR": 2, "M_rR": 6, "M_tC": 6, "M_rC": 3, "L": 24, "sigma_C2": 0.02,
         "sigma1_2": 0.2, "sigma2_2": 0.2, "rho2": 4000.0, "sigma_alpha2": 1e-2,
-        "targets": [(-20.0, 0.2 + 0.1j)], "seed": np.int64(4),
+        "seed": np.int64(4),
     }
     # ... and for every field that none reads, besides p and the scheme,
     # which only the mask reads: each must hit it. -0.0 equals C = 0.0.
-    UNREAD = {"P_t": 40.0, "C": -0.0, "snr_dB": 20.0, "gamma2_dB": -20.0}
+    # Only D reads targets, and D is made at every call.
+    UNREAD = {"P_t": 40.0, "C": -0.0, "snr_dB": 20.0, "gamma2_dB": -20.0,
+              "targets": [(-20.0, 0.2 + 0.1j)]}
 
     def assert_reused(self, monkeypatch, change):
         """A config that differs from the last only in fields the shared
         draws do not read gets the draws a cold call makes, bit for bit, as
-        the last call's objects, and its own mask."""
+        the last call's objects with the same designs mapping, and its own
+        target response and mask."""
         cfg = ScenarioConfig(p=0.5, seed=4, C=0.0)
         cold = make_scenario(cfg.replace(**change))
         monkeypatch.setattr(scenario, "_memo", None)
@@ -451,7 +454,9 @@ class TestMakeScenario:
         for name in self.SHARED:
             assert getattr(warm, name) is getattr(first, name)
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
-        assert warm.omega.tobytes() == cold.omega.tobytes()
+        assert warm.designs is first.designs
+        for name in ("D", "omega"):
+            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
 
     @pytest.mark.parametrize("change", [
         {"p": 0.3}, {"scheme": Scheme.SCHEME_II}, {"p": 0.3, "scheme": Scheme.SCHEME_II},
@@ -469,7 +474,8 @@ class TestMakeScenario:
         other = cfg.replace(**{name: self.OTHER[name]})
         first = make_scenario(cfg)
         miss = make_scenario(other)
-        assert all(getattr(miss, a) is not getattr(first, a) for a in self.SHARED)
+        assert all(getattr(miss, a) is not getattr(first, a)
+                   for a in (*self.SHARED, "designs"))
         assert make_scenario(other).B is miss.B  # and is then the one memoized
 
     def test_other_fields_cover_the_config(self):
@@ -494,7 +500,7 @@ class TestMakeScenario:
         for name in self.SHARED:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(scn, name)[0, 0] = 0.0
-        scn.omega[0, 0] = 0.0  # every call draws its own mask
+        scn.D[0, 0] = scn.omega[0, 0] = 0.0  # every call makes its own D and mask
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.

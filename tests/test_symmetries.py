@@ -115,9 +115,9 @@ def test_permuting_the_symbols(design, data):
     cfg, scn, weights = design
     perm = np.array(data.draw(st.permutations(range(cfg.L))))
     eip_w = scheme_weights(cfg, scn.omega, scn.S)
-    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C, {})
     moved = solve_weighted_eip(np.ascontiguousarray(weights[perm]),
-                               np.ascontiguousarray(scn.B[perm]), scn.G2, cfg.P_t, cfg.C)
+                               np.ascontiguousarray(scn.B[perm]), scn.G2, cfg.P_t, cfg.C, {})
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        metrics(moved, np.ascontiguousarray(eip_w[perm]), cfg.L, cfg.M_rR))
 
@@ -127,8 +127,8 @@ def test_permuting_the_symbols(design, data):
 def test_doubling_the_channel_quarters_the_budget(design):
     cfg, scn, weights = design
     eip_w = scheme_weights(cfg, scn.omega, scn.S)
-    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
-    scaled = solve_weighted_eip(weights, 2.0 * scn.B, scn.G2, cfg.P_t / 4.0, cfg.C)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C, {})
+    scaled = solve_weighted_eip(weights, 2.0 * scn.B, scn.G2, cfg.P_t / 4.0, cfg.C, {})
     eip, tip, capacity, power = metrics(scaled, eip_w, cfg.L, cfg.M_rR)
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        (4.0 * eip, 4.0 * tip, capacity, 4.0 * power))
@@ -140,8 +140,8 @@ def test_changing_the_transmit_basis(design):
     cfg, scn, weights = design
     V = unitary(cfg.M_tC, cfg.seed, "transmit-basis")
     eip_w = scheme_weights(cfg, scn.omega, scn.S)
-    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
-    turned = solve_weighted_eip(weights, scn.B @ V, scn.G2 @ V, cfg.P_t, cfg.C)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C, {})
+    turned = solve_weighted_eip(weights, scn.B @ V, scn.G2 @ V, cfg.P_t, cfg.C, {})
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        metrics(turned, eip_w, cfg.L, cfg.M_rR), rtol=TRANSMIT_RTOL)
 
@@ -152,8 +152,8 @@ def test_changing_the_receive_basis(design):
     cfg, scn, weights = design
     W = unitary(cfg.M_rC, cfg.seed, "receive-basis")
     eip_w = scheme_weights(cfg, scn.omega, scn.S)
-    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C)
-    turned = solve_weighted_eip(weights, W @ scn.B, scn.G2, cfg.P_t, cfg.C)
+    sol = solve_weighted_eip(weights, scn.B, scn.G2, cfg.P_t, cfg.C, {})
+    turned = solve_weighted_eip(weights, W @ scn.B, scn.G2, cfg.P_t, cfg.C, {})
     assert_same_design(metrics(sol, eip_w, cfg.L, cfg.M_rR),
                        metrics(turned, eip_w, cfg.L, cfg.M_rR))
 
@@ -164,8 +164,8 @@ def test_relabelling_the_radar_receive_antennas(cfg, seed):
     cfg = cfg.replace(seed=seed)
     scn = make_scenario(cfg)
     perm = stream(seed, "receive-antennas").permutation(cfg.M_rR)
-    joint = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega)
-    relabelled = joint_design(cfg, scn.B, scn.G2[perm], scn.S, scn.omega[perm])
+    joint = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, {})
+    relabelled = joint_design(cfg, scn.B, scn.G2[perm], scn.S, scn.omega[perm], {})
     assert_same_design(
         metrics(joint.solution, scheme_weights(cfg, joint.mask, scn.S), cfg.L, cfg.M_rR),
         metrics(relabelled.solution, scheme_weights(cfg, relabelled.mask, scn.S), cfg.L, cfg.M_rR),
