@@ -5,7 +5,8 @@ Subcommands:
             parameter sweep with --sweep var=start:stop:step (p, C,
             targets, rho2, sigma1_2); --mc-trials N adds N recovery
             trials per row through the completion pipeline
-  mask-gap  spectral gap of the generated sampling mask
+  mask-gap  spectral gap of the sampling mask compare --mc-trials uses;
+            without trials compare uses the first uniform draw
 
 Exit codes: 0 success; 1 invalid input (config file, options, sweep spec)
 or a file that cannot be read or written, reported as 'error: ...' on
@@ -107,7 +108,8 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--timing", action="store_true", help="emit real wall times")
     p_cmp.add_argument("--sweep", help="var=start:stop:step (default: no sweep)")
 
-    p_gap = sub.add_parser("mask-gap", help="spectral gap of the sampling mask")
+    p_gap = sub.add_parser("mask-gap", help="spectral gap of the sampling mask of compare "
+                           "--mc-trials (without trials, compare uses the first uniform draw)")
     p_gap.add_argument("--config", help="scenario config file")
     p_gap.add_argument("--seed", type=int, help="seed (default: the config's seed)")
 

@@ -301,7 +301,6 @@ def _complete_trials(observations, omega, params, truth) -> list:
 
 def radar_pipeline(
     cfg: ScenarioConfig,
-    D: np.ndarray,
     S: np.ndarray,
     G2: np.ndarray,
     X: np.ndarray,
@@ -315,8 +314,9 @@ def radar_pipeline(
     factors: R_xl = X_l diag(d_l) X_l^H (DesignSolution.X and .d).
 
     Per trial: codewords x(l) = R_xl^{1/2} * randn, the masked radar data
-    with fresh phases and noise, its completion and its error against the
-    noiseless ground truth (scenario.radar_truth). One draw_trials call
+    of cfg's targets (scenario.generate_target_response) with fresh phases
+    and noise, its completion and its error against the noiseless ground
+    truth (scenario.radar_truth). One draw_trials call
     draws every trial and one synthesis makes their stacked data, whose
     trials are completed on the CPUs the process may use, with the same
     reports for any number of them.
@@ -326,8 +326,8 @@ def radar_pipeline(
     v, alpha2, noise = draw_trials(cfg, trials, rng)
     root = psd_sqrt((X * d[:, None, :]) @ np.swapaxes(X, -1, -2).conj())
     codewords = np.swapaxes((root @ v[..., None])[..., 0], -1, -2)
-    observations = synthesize_radar_rx(cfg, D, S, G2, codewords, alpha2, omega, noise)
-    reports = _complete_trials(observations, omega, params, radar_truth(cfg, D, S))
+    observations = synthesize_radar_rx(cfg, S, G2, codewords, alpha2, omega, noise)
+    reports = _complete_trials(observations, omega, params, radar_truth(cfg, S))
     errs = np.array([r.relative_error for r in reports])
     return PipelineStats(
         mean_error=float(errs.mean()),

@@ -218,7 +218,7 @@ def run_compare(spec: ExperimentSpec, *sweep_values) -> list:
                     row.power = sol.consumed_power
                     if spec.mc_trials > 0:
                         stats = radar_pipeline(
-                            cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, omega, spec.mc_trials,
+                            cfg, scn.S, scn.G2, sol.X, sol.d, omega, spec.mc_trials,
                             stream(cfg.seed, "mc", method, spec.sweep_var, value),
                         )
                         row.mc_mean_err = stats.mean_error

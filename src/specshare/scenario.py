@@ -1,9 +1,9 @@
 """Random inputs of a coexistence experiment and radar receive synthesis.
 
-Generates the channels H, G1 and G2, the radar waveforms S, the target
-response D, the sampling mask omega and the recovery trials' codewords,
-phases and noise, all plain arrays, and synthesizes the masked radar
-receive matrix. All generators are pure functions of (config, rng stream).
+Generates the channels H, G1 and G2, the radar waveforms S, the sampling
+mask omega and the recovery trials' codewords, phases and noise, all plain
+arrays, and synthesizes the masked radar receive matrix of the config's
+targets. All generators are pure functions of (config, rng stream).
 The comm link enters every design only through the whitened channels
 B_l = R_wl^{-1/2} H, which make_scenario forms once from H, G1 and S.
 make_scenario keeps the draws of its last config, keyed on the fields they
@@ -165,9 +165,7 @@ def draw_trials(cfg: ScenarioConfig, trials: int, rng: np.random.Generator):
             (w[:, 0] + 1j * w[:, 1]) / np.sqrt(2.0))
 
 
-def _check_shapes(cfg, D, S, X, G2):
-    if D.shape != (cfg.M_rR, cfg.M_tR):
-        raise ScenarioError(f"D has shape {D.shape}, expected {(cfg.M_rR, cfg.M_tR)}")
+def _check_shapes(cfg, S, X, G2):
     if S.shape != (cfg.M_tR, cfg.L):
         raise ScenarioError(f"S has shape {S.shape}, expected {(cfg.M_tR, cfg.L)}")
     if X.shape[-2:] != (cfg.M_tC, cfg.L):
@@ -176,26 +174,27 @@ def _check_shapes(cfg, D, S, X, G2):
         raise ScenarioError(f"G2 has shape {G2.shape}, expected {(cfg.M_rR, cfg.M_tC)}")
 
 
-def noiseless_radar_return(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """gamma*rho*D*S, the interference- and noise-free target return."""
-    return cfg.gamma * cfg.rho * (D @ S)
+def noiseless_radar_return(cfg: ScenarioConfig, S: np.ndarray) -> np.ndarray:
+    """gamma*rho*D*S, the interference- and noise-free return of cfg's targets."""
+    return cfg.gamma * cfg.rho * (generate_target_response(cfg) @ S)
 
 
-def radar_truth(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The noiseless matrix the radar completes: gamma*rho*D*S for Scheme I,
-    which samples the receive antennas, and gamma*rho*D for Scheme II, which
-    samples the matched-filter outputs (gamma*rho*D*S S^H, with S S^H = I)."""
+def radar_truth(cfg: ScenarioConfig, S: np.ndarray) -> np.ndarray:
+    """The noiseless matrix the radar completes for cfg's targets: gamma*rho*D*S
+    for Scheme I, which samples the receive antennas, and gamma*rho*D for
+    Scheme II, which samples the matched-filter outputs (gamma*rho*D*S S^H,
+    with S S^H = I)."""
     if cfg.scheme is Scheme.SCHEME_II:
-        return cfg.gamma * cfg.rho * D
-    return noiseless_radar_return(cfg, D, S)
+        return cfg.gamma * cfg.rho * generate_target_response(cfg)
+    return noiseless_radar_return(cfg, S)
 
 
-def resolve_sigma_R2(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> float:
+def resolve_sigma_R2(cfg: ScenarioConfig, S: np.ndarray) -> float:
     """Radar noise variance, set by snr_dB against the mean entry power of
     the noiseless return. A ScenarioError names the power or variance that
     overflows."""
     with np.errstate(over="ignore"):
-        mean_power = float(np.mean(np.abs(noiseless_radar_return(cfg, D, S)) ** 2))
+        mean_power = float(np.mean(np.abs(noiseless_radar_return(cfg, S)) ** 2))
     sigma_R2 = mean_power / 10.0 ** (cfg.snr_dB / 10.0)  # inf if mean_power is inf
     for name, value in (("signal power", mean_power), ("noise variance", sigma_R2)):
         if not np.isfinite(value):
@@ -205,7 +204,6 @@ def resolve_sigma_R2(cfg: ScenarioConfig, D: np.ndarray, S: np.ndarray) -> float
 
 def synthesize_radar_rx(
     cfg: ScenarioConfig,
-    D: np.ndarray,
     S: np.ndarray,
     G2: np.ndarray,
     X: np.ndarray,
@@ -213,16 +211,16 @@ def synthesize_radar_rx(
     omega: np.ndarray,
     noise: np.ndarray,
 ) -> np.ndarray:
-    """Masked radar receive matrix, Lambda2 = diag(exp(j alpha2)) and W_R
-    the unit noise times sqrt(sigma_R2) (resolve_sigma_R2). X, alpha2 and
-    noise may carry a leading trial axis (draw_trials); the result then has it.
+    """Masked radar receive matrix of cfg's targets, Lambda2 = diag(exp(j alpha2))
+    and W_R the unit noise times sqrt(sigma_R2) (resolve_sigma_R2). X, alpha2
+    and noise may carry a leading trial axis (draw_trials); the result has it.
 
     Scheme I:  Omega o (gamma*rho*D*S + G2*X*Lambda2 + W_R)
     Scheme II: Omega o ((gamma*rho*D*S + G2*X*Lambda2 + W_R) S^H)
     """
-    _check_shapes(cfg, D, S, X, G2)
-    W_R = np.sqrt(resolve_sigma_R2(cfg, D, S)) * noise
-    Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2)[..., None, :] + W_R
+    _check_shapes(cfg, S, X, G2)
+    W_R = np.sqrt(resolve_sigma_R2(cfg, S)) * noise
+    Y_R = noiseless_radar_return(cfg, S) + (G2 @ X) * np.exp(1j * alpha2)[..., None, :] + W_R
     if cfg.scheme is Scheme.SCHEME_II:
         Y_R = Y_R @ S.conj().T
     if omega.shape != Y_R.shape[-2:]:
@@ -234,24 +232,24 @@ def synthesize_radar_rx(
 
 @dataclass
 class Scenario:
-    """One fully generated experiment instance: the generators' arrays, with
-    the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
-    R_wl^{-1/2} H (_whiten). B, G2, S (read-only) and designs, the mapping of
-    the designs solved on B and G2 (covdesign.solve_weighted_eip), are shared
-    with configs that differ only in fields these draws do not read
-    (make_scenario). covers(omega) may be false when p is too low to cover
-    every row and column; only completion needs it to be true."""
+    """One seed's random draws (the target response D is the config's, not
+    a draw): the comm channel as its whitened stack B (L, M_rC, M_tC), B_l =
+    R_wl^{-1/2} H (_whiten), G2, S and the mask omega. B, G2, S (read-only)
+    and designs, the mapping of the designs solved on B and G2
+    (covdesign.solve_weighted_eip), are shared with configs that differ only
+    in fields these draws do not read (make_scenario). covers(omega) may be
+    false when p is too low to cover every row and column; only completion
+    needs it to be true."""
 
     B: np.ndarray
     G2: np.ndarray
     S: np.ndarray
     designs: dict
-    D: np.ndarray
     omega: np.ndarray
 
 
 # The config fields that H, G1, G2, S and the comm noise read; p and the
-# scheme (the mask's), targets (D's), C, P_t, gamma2_dB and snr_dB are not.
+# scheme (the mask's), targets, C, P_t, gamma2_dB and snr_dB are not.
 _SHARED_FIELDS = ("M_tR", "M_rR", "M_tC", "M_rC", "L", "sigma1_2", "sigma2_2", "rho2",
                   "sigma_alpha2", "sigma_C2", "seed")
 
@@ -312,14 +310,13 @@ def make_scenario(cfg: ScenarioConfig, require_coverage: bool = True) -> Scenari
     The draws B, G2 and S are memoized for the last config, keyed on the
     exact bits of the fields they read (_SHARED_FIELDS), the seed included;
     they are read-only arrays, the same objects at every hit, and carry the
-    designs solved on them. D, which is not random, and the mask are made at
-    every call. ScenarioConfig refuses every config no seed can run, so a
-    ScenarioError means only unusable draws: a non-finite channel or comm
-    noise, or a singular one (_whiten); an error is never memoized."""
+    designs solved on them; the mask is drawn at every call. ScenarioConfig
+    refuses every config no seed can run, so a ScenarioError means only
+    unusable draws: a non-finite channel or comm noise, or a singular one
+    (_whiten); an error is never memoized."""
     global _memo
     key = tuple(_bits(getattr(cfg, name)) for name in _SHARED_FIELDS)
     if _memo is None or _memo[0] != key:
         _memo = (key, _shared_draws(cfg))
-    D = generate_target_response(cfg)
     omega = generate_sampling_mask(cfg, stream(cfg.seed, "mask"), require_coverage=require_coverage)
-    return Scenario(*_memo[1], D, omega)
+    return Scenario(*_memo[1], omega)

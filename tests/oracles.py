@@ -182,13 +182,13 @@ def empirical_eip(cfg, mask, G2, S, schedule, trials: int, rng):
     return mean, stderr
 
 
-def looped_observations(cfg, D, S, G2, schedule, omega, trials: int, rng) -> np.ndarray:
+def looped_observations(cfg, S, G2, schedule, omega, trials: int, rng) -> np.ndarray:
     """The masked radar data of `trials` recovery trials, drawn and
     synthesized one trial at a time: per trial the (L, 2, M_tC) codeword
     normals, alpha1 then alpha2 of L each, crandn(rng, M_rR, L) noise, and
     Omega o (gamma*rho*D*S + G2*X*diag(exp(j alpha2)) + sigma_R*W_R), times
-    S^H under Scheme II before the mask. Stacked along a leading trial
-    axis."""
+    S^H under Scheme II before the mask, with D cfg's target response.
+    Stacked along a leading trial axis."""
     roots = psd_sqrt(schedule)
     sd = np.sqrt(cfg.sigma_alpha2)
     observations = []
@@ -197,8 +197,8 @@ def looped_observations(cfg, D, S, G2, schedule, omega, trials: int, rng) -> np.
         X = (roots @ ((z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0))[:, :, None])[:, :, 0].T
         rng.standard_normal(cfg.L)  # alpha1, drawn and dropped
         alpha2 = sd * rng.standard_normal(cfg.L)
-        W_R = np.sqrt(resolve_sigma_R2(cfg, D, S)) * crandn(rng, cfg.M_rR, cfg.L)
-        Y_R = noiseless_radar_return(cfg, D, S) + (G2 @ X) * np.exp(1j * alpha2) + W_R
+        W_R = np.sqrt(resolve_sigma_R2(cfg, S)) * crandn(rng, cfg.M_rR, cfg.L)
+        Y_R = noiseless_radar_return(cfg, S) + (G2 @ X) * np.exp(1j * alpha2) + W_R
         if cfg.scheme is Scheme.SCHEME_II:
             Y_R = Y_R @ S.conj().T
         observations.append(omega * Y_R)

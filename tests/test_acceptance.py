@@ -302,8 +302,7 @@ def test_criterion_11_recovery_trend():
         cfg = scenario2_cfg(p=p, seed=seed)
         scn = make_scenario(cfg)
         sol, mask = harness._solve_method(method, cfg, scn)
-        stats = radar_pipeline(cfg, scn.D, scn.S,
-                               scn.G2, sol.X, sol.d, mask, 10,
+        stats = radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, mask, 10,
                                stream(seed, "acc-mc", method, p),
                                PIPELINE_PARAMS)
         return stats.mean_error

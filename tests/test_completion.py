@@ -35,6 +35,7 @@ from specshare.interference import MetricError
 from specshare.linalg import crandn, psd_sqrt
 from specshare.scenario import (
     draw_trials,
+    generate_target_response,
     make_scenario,
     noiseless_radar_return,
     resolve_sigma_R2,
@@ -163,7 +164,7 @@ def mc_recovery_input():
     roots = psd_sqrt(dense_schedule(sol.X, sol.d))
     (v,), (alpha2,), (noise,) = draw_trials(cfg, 1, stream(1, "mc"))
     X = (roots @ v[:, :, None])[:, :, 0].T
-    observed = synthesize_radar_rx(cfg, scn.D, scn.S, scn.G2, X, alpha2, scn.omega, noise)
+    observed = synthesize_radar_rx(cfg, scn.S, scn.G2, X, alpha2, scn.omega, noise)
     return observed, scn.omega
 
 
@@ -381,8 +382,8 @@ class TestRadarPipeline:
             return [completion.RecoveryReport(0.0, 0, True)] * len(observations)
 
         monkeypatch.setattr(completion, "_complete_trials", record)
-        radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, omega, 3, stream(1, "mc"))
-        want = looped_observations(cfg, scn.D, scn.S, scn.G2, dense_schedule(sol.X, sol.d),
+        radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, omega, 3, stream(1, "mc"))
+        want = looped_observations(cfg, scn.S, scn.G2, dense_schedule(sol.X, sol.d),
                                    omega, 3, stream(1, "mc"))
         assert seen[0].shape == want.shape and seen[0].tobytes() == want.tobytes()
 
@@ -393,7 +394,7 @@ class TestRadarPipeline:
         observations, bit for bit."""
         cfg = pipeline_cfg(p=1.0, snr_dB=3000.0, seed=0, scheme=scheme)
         scn = make_scenario(cfg)
-        assert resolve_sigma_R2(cfg, scn.D, scn.S) > 0.0
+        assert resolve_sigma_R2(cfg, scn.S) > 0.0
         seen = []
 
         def record(observations, *args):
@@ -402,9 +403,9 @@ class TestRadarPipeline:
 
         monkeypatch.setattr(completion, "_complete_trials", record)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
-        radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), scn.omega, 2, stream(0, "mc"))
+        radar_pipeline(cfg, scn.S, scn.G2, *factored(zeros), scn.omega, 2, stream(0, "mc"))
         noise_free = synthesize_radar_rx(
-            cfg, scn.D, scn.S, scn.G2, np.zeros((2, cfg.M_tC, cfg.L), dtype=complex),
+            cfg, scn.S, scn.G2, np.zeros((2, cfg.M_tC, cfg.L), dtype=complex),
             np.zeros((2, cfg.L)), scn.omega, np.zeros((2, cfg.M_rR, cfg.L), dtype=complex),
         )
         assert seen[0].tobytes() == noise_free.tobytes()
@@ -414,7 +415,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
+            cfg, scn.S, scn.G2, *factored(zeros),
             scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
@@ -425,7 +426,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
+            cfg, scn.S, scn.G2, *factored(zeros),
             scn.omega, 2, stream(0, "mc"),
             CompletionParams(mu_rel=1e-8, tolerance=1e-10),
         )
@@ -437,7 +438,7 @@ class TestRadarPipeline:
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         for trials in (0, -1):
             with pytest.raises(ValueError, match="trials must be >= 1"):
-                radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), scn.omega, trials,
+                radar_pipeline(cfg, scn.S, scn.G2, *factored(zeros), scn.omega, trials,
                                stream(0, "mc"))
 
     def test_more_targets_never_easier(self):
@@ -454,7 +455,7 @@ class TestRadarPipeline:
                 scn = make_scenario(cfg)
                 sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
                 stats = radar_pipeline(
-                    cfg, scn.D, scn.S, scn.G2,
+                    cfg, scn.S, scn.G2,
                     sol.X, sol.d, scn.omega, 6, stream(seed, "mc", len(targets)),
                     params,
                 )
@@ -467,7 +468,7 @@ class TestRadarPipeline:
         scn = make_scenario(cfg)
         zeros = np.zeros((cfg.L, cfg.M_tC, cfg.M_tC))
         stats = radar_pipeline(
-            cfg, scn.D, scn.S, scn.G2, *factored(zeros),
+            cfg, scn.S, scn.G2, *factored(zeros),
             scn.omega, 3, stream(1, "mc"),
         )
         assert len(stats.reports) == 3
@@ -478,9 +479,9 @@ class TestRadarPipeline:
     def test_truth_helper(self):
         cfg = pipeline_cfg(seed=0)
         scn = make_scenario(cfg)
-        truth = noiseless_radar_return(cfg, scn.D, scn.S)
+        truth = noiseless_radar_return(cfg, scn.S)
         assert truth.shape == (cfg.M_rR, cfg.L)
-        expect = cfg.gamma * cfg.rho * (scn.D @ scn.S)
+        expect = cfg.gamma * cfg.rho * (generate_target_response(cfg) @ scn.S)
         assert np.linalg.norm(truth - expect) == 0.0
 
 
@@ -495,7 +496,7 @@ def usable_cpus(monkeypatch, n):
 def selfish_pipeline(cfg, trials):
     scn = make_scenario(cfg)
     sol = selfish(scn.B, cfg.C, cfg.P_t, scn.G2)
-    return radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, scn.omega, trials,
+    return radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, scn.omega, trials,
                           stream(cfg.seed, "mc"))
 
 
@@ -584,7 +585,7 @@ def back_to_back_shares(cfg):
     with pytest.MonkeyPatch.context() as m:
         shares = recorded_shares(m)
         for _ in range(100):
-            radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, scn.omega, 2, rng)
+            radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, scn.omega, 2, rng)
             threads.append(completion._thread_count())
     return shares, threads
 
@@ -700,7 +701,7 @@ class TestParallelTrials:
         for n in (1, 2):
             usable_cpus(monkeypatch, n)
             with pytest.raises(MetricError, match=message) as exc:
-                radar_pipeline(cfg, scn.D, scn.S, scn.G2, *factored(zeros), omega, 3,
+                radar_pipeline(cfg, scn.S, scn.G2, *factored(zeros), omega, 3,
                                stream(1, "mc"))
             errors.append((type(exc.value), str(exc.value)))
             assert no_child_left()

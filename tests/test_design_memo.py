@@ -244,8 +244,10 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
 def test_sweep_reuses_one_set_of_draws(monkeypatch, sweep_var, values):
     """A C or targets sweep of one seed whitens once and solves each
     distinct design once: at p = 0.5 the selfish, noncoop and coop weights
-    differ, and none depends on C or the targets (only D reads them, and no
-    design reads D)."""
+    differ, and none depends on C or the targets (no draw reads them: the
+    target response is the config's, and no design reads it). With recovery
+    trials, each targets value's rows are those of a cold run of that value
+    alone, though its grid points share their draws."""
     spec = ExperimentSpec(cfg=ScenarioConfig(p=0.5), methods=["selfish", "noncoop", "coop"],
                           sweep_var=sweep_var, sweep_values=values, seeds=[0])
     counts = count_calls(monkeypatch, "_whiten", "weighted")
@@ -254,6 +256,14 @@ def test_sweep_reuses_one_set_of_draws(monkeypatch, sweep_var, values):
     distinct = 3 * len(values) if sweep_var == "C" else 3
     assert counts == {"_whiten": 1, "weighted": distinct}
     assert len(make_scenario(spec.cfg).designs) == distinct
+    if sweep_var == "targets":
+        spec = dataclasses.replace(spec, mc_trials=2)
+        warm = run_compare(spec)
+        assert not any(r.error for r in warm)
+        for value in values:
+            monkeypatch.setattr(scenario, "_memo", None)
+            cold = run_compare(spec, value)
+            assert format_csv([r for r in warm if r.sweep_value == value]) == format_csv(cold)
 
 
 def test_step_count_does_not_depend_on_method_order(monkeypatch, dual_steps):

@@ -336,7 +336,7 @@ class TestRunCompare:
         scn = make_scenario(cfg, require_coverage=True)
         for row in rows:
             sol, omega = harness._solve_method(row.method, cfg, scn)
-            stats = radar_pipeline(cfg, scn.D, scn.S, scn.G2, sol.X, sol.d, omega, 3,
+            stats = radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, omega, 3,
                                    stream(cfg.seed, "mc", row.method, "none", 0.0))
             assert (row.mc_mean_err, row.mc_std_err) == (stats.mean_error, stats.std_error)
             assert not row.error

@@ -330,10 +330,10 @@ class TestSynthesis:
         scn = make_scenario(cfg)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
-            cfg, scn.D, scn.S, scn.G2, X,
+            cfg, scn.S, scn.G2, X,
             np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
         )
-        expect = noiseless_radar_return(cfg, scn.D, scn.S)
+        expect = noiseless_radar_return(cfg, scn.S)
         assert np.linalg.norm(out - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_radar_rx_zero_mask(self):
@@ -342,7 +342,7 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         zero_mask = np.zeros((cfg.M_rR, cfg.L))
         out = synthesize_radar_rx(
-            cfg, scn.D, scn.S, scn.G2, X,
+            cfg, scn.S, scn.G2, X,
             np.zeros(cfg.L), zero_mask, np.ones((cfg.M_rR, cfg.L)),
         )
         assert np.all(out == 0)
@@ -352,10 +352,10 @@ class TestSynthesis:
         scn = make_scenario(cfg)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
         out = synthesize_radar_rx(
-            cfg, scn.D, scn.S, scn.G2, X,
+            cfg, scn.S, scn.G2, X,
             np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
         )
-        expect = cfg.gamma * cfg.rho * scn.D
+        expect = cfg.gamma * cfg.rho * generate_target_response(cfg)
         assert numerical_rank(out) == 1
         assert np.linalg.norm(out - expect) <= 1e-10 * np.linalg.norm(expect)
 
@@ -365,13 +365,13 @@ class TestSynthesis:
         X = np.zeros((cfg.M_tC + 1, cfg.L), dtype=complex)
         with pytest.raises(ScenarioError):
             synthesize_radar_rx(
-                cfg, scn.D, scn.S, scn.G2, X,
+                cfg, scn.S, scn.G2, X,
                 np.zeros(cfg.L), scn.omega, np.zeros((cfg.M_rR, cfg.L)),
             )
 
 
     @pytest.mark.parametrize("name,shape,message", [
-        ("D", (8, 5), "D has shape (8, 5), expected (8, 4)"),
+        ("X", (9, 32), "X has shape (9, 32), expected (8, 32)"),
         ("S", (5, 32), "S has shape (5, 32), expected (4, 32)"),
         ("G2", (8, 9), "G2 has shape (8, 9), expected (8, 8)"),
         ("omega", (8, 31), "mask shape (8, 31) does not match data shape (8, 32)"),
@@ -379,11 +379,11 @@ class TestSynthesis:
     def test_radar_rx_input_shapes_checked(self, name, shape, message):
         cfg = ScenarioConfig()
         scn = make_scenario(cfg)
-        args = {"D": scn.D, "S": scn.S, "G2": scn.G2, "omega": scn.omega}
-        args[name] = np.zeros(shape, dtype=args[name].dtype)
         X = np.zeros((cfg.M_tC, cfg.L), dtype=complex)
+        args = {"X": X, "S": scn.S, "G2": scn.G2, "omega": scn.omega}
+        args[name] = np.zeros(shape, dtype=args[name].dtype)
         with pytest.raises(ScenarioError) as info:
-            synthesize_radar_rx(cfg, args["D"], args["S"], args["G2"], X,
+            synthesize_radar_rx(cfg, args["S"], args["G2"], args["X"],
                                 np.zeros(cfg.L), args["omega"], np.ones((cfg.M_rR, cfg.L)))
         assert str(info.value) == message
 
@@ -392,17 +392,17 @@ class TestRadarTruth:
     def test_scheme1_samples_the_return(self):
         cfg = ScenarioConfig(seed=2)
         scn = make_scenario(cfg)
-        truth = radar_truth(cfg, scn.D, scn.S)
+        truth = radar_truth(cfg, scn.S)
         assert truth.shape == (cfg.M_rR, cfg.L)
-        assert np.array_equal(truth, cfg.gamma * cfg.rho * (scn.D @ scn.S))
+        assert np.array_equal(truth, cfg.gamma * cfg.rho * (generate_target_response(cfg) @ scn.S))
 
     def test_scheme2_samples_the_matched_filters(self):
         # gamma*rho*D*S S^H = gamma*rho*D, since S S^H = I.
         cfg = ScenarioConfig(scheme=Scheme.SCHEME_II, seed=2)
         scn = make_scenario(cfg)
-        truth = radar_truth(cfg, scn.D, scn.S)
-        assert np.array_equal(truth, cfg.gamma * cfg.rho * scn.D)
-        filtered = noiseless_radar_return(cfg, scn.D, scn.S) @ scn.S.conj().T
+        truth = radar_truth(cfg, scn.S)
+        assert np.array_equal(truth, cfg.gamma * cfg.rho * generate_target_response(cfg))
+        filtered = noiseless_radar_return(cfg, scn.S) @ scn.S.conj().T
         assert np.linalg.norm(filtered - truth) <= 1e-12 * np.linalg.norm(truth)
 
 
@@ -411,7 +411,7 @@ class TestMakeScenario:
         cfg = ScenarioConfig(p=0.5, seed=13)
         a = make_scenario(cfg)
         b = make_scenario(cfg)
-        for name in ("B", "G2", "S", "D", "omega"):
+        for name in ("B", "G2", "S", "omega"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
     @pytest.mark.parametrize("cfg", [
@@ -437,7 +437,8 @@ class TestMakeScenario:
     }
     # ... and for every field that none reads, besides p and the scheme,
     # which only the mask reads: each must hit it. -0.0 equals C = 0.0.
-    # Only D reads targets, and D is made at every call.
+    # No draw reads targets: the target response is the config's
+    # (generate_target_response), not the scenario's.
     UNREAD = {"P_t": 40.0, "C": -0.0, "snr_dB": 20.0, "gamma2_dB": -20.0,
               "targets": [(-20.0, 0.2 + 0.1j)]}
 
@@ -445,7 +446,7 @@ class TestMakeScenario:
         """A config that differs from the last only in fields the shared
         draws do not read gets the draws a cold call makes, bit for bit, as
         the last call's objects with the same designs mapping, and its own
-        target response and mask."""
+        mask."""
         cfg = ScenarioConfig(p=0.5, seed=4, C=0.0)
         cold = make_scenario(cfg.replace(**change))
         monkeypatch.setattr(scenario, "_memo", None)
@@ -455,8 +456,7 @@ class TestMakeScenario:
             assert getattr(warm, name) is getattr(first, name)
             assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
         assert warm.designs is first.designs
-        for name in ("D", "omega"):
-            assert getattr(warm, name).tobytes() == getattr(cold, name).tobytes()
+        assert warm.omega.tobytes() == cold.omega.tobytes()
 
     @pytest.mark.parametrize("change", [
         {"p": 0.3}, {"scheme": Scheme.SCHEME_II}, {"p": 0.3, "scheme": Scheme.SCHEME_II},
@@ -500,7 +500,7 @@ class TestMakeScenario:
         for name in self.SHARED:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(scn, name)[0, 0] = 0.0
-        scn.D[0, 0] = scn.omega[0, 0] = 0.0  # every call makes its own D and mask
+        scn.omega[0, 0] = 0.0  # every call makes its own mask
 
     def test_streams_are_independent(self):
         # Mask draw count must not perturb channel draws.
@@ -530,8 +530,9 @@ class TestPinnedDraws:
     LAPACK QR and may differ in its last bits under another LAPACK."""
 
     # SHA-256 (first 16 hex digits) of the bytes of (H, G1, G2, S, D) by seed,
-    # H and G1 as generate_channels draws them; they do not depend on the
-    # scheme or on require_coverage.
+    # H and G1 as generate_channels draws them and D as
+    # generate_target_response builds it; they do not depend on the scheme
+    # or on require_coverage.
     SCENARIO_DIGESTS = {
         0: ("65811aed2ca60b18", "654d78cada8607c0", "b1e2ad4422d93856",
             "eb80daeada3473fb", "1cf7d3e0a14c454a"),
@@ -565,7 +566,8 @@ class TestPinnedDraws:
             cfg = ScenarioConfig(p=0.3, scheme=scheme, seed=seed)
             scn = make_scenario(cfg, require_coverage=require_coverage)
             H, G1, _ = generate_channels(cfg, stream(seed, "channels"))
-            got = tuple(digest(a) for a in (H, G1, scn.G2, scn.S, scn.D))
+            D = generate_target_response(cfg)
+            got = tuple(digest(a) for a in (H, G1, scn.G2, scn.S, D))
             assert got == self.SCENARIO_DIGESTS[seed]
             assert digest(scn.B) == self.B_DIGESTS[seed]
             assert digest(scn.omega) == self.MASK_DIGESTS[scheme, require_coverage][seed]
@@ -584,7 +586,7 @@ class TestPinnedDraws:
         monkeypatch.setattr(completion, "complete", record)
         X = np.broadcast_to(np.eye(cfg.M_tC), (cfg.L, cfg.M_tC, cfg.M_tC))
         d = np.full((cfg.L, cfg.M_tC), cfg.P_t / (cfg.L * cfg.M_tC))
-        completion.radar_pipeline(cfg, scn.D, scn.S, scn.G2, X, d, scn.omega, 1,
+        completion.radar_pipeline(cfg, scn.S, scn.G2, X, d, scn.omega, 1,
                                   stream(cfg.seed, "mc"))
         assert digest(seen[0]) == self.OBSERVED_DIGEST
 
