@@ -1,8 +1,7 @@
 """Capacity- and power-constrained transmit covariance design.
 
-One generic solver handles the noncooperative (TIP), cooperative (EIP_I),
-partially cooperative (IP_FMFB) and fully cooperative (EIP_II) problems:
-they differ only in the diagonal interference weights. The solver is dual
+One generic solver handles every method of harness.METHOD_WEIGHTS: they
+differ only in the diagonal interference weights. The solver is dual
 decomposition with an outer search on the power multiplier lambda1;
 for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances

@@ -35,15 +35,22 @@ CSV_COLUMNS = ("method", "sweep_var", "sweep_value", "seed", "eip", "tip", "capa
                "mc_mean_err", "mc_std_err", "wall_ms")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-METHODS = ("selfish", "noncoop", "coop", "partial", "full", "joint")
+# Each method but joint, which also permutes the mask (samplingopt.joint_design):
+# the Scheme it requires (or None) and its weights W_l from (cfg, scn), all that
+# the one dual solver reads of it. partial (IP_FMFB) is full (EIP_II) at Omega = 1.
+METHOD_WEIGHTS = {
+    "selfish": (None, lambda cfg, scn: np.zeros((cfg.L, cfg.M_rR))),  # ignores the radar
+    "noncoop": (None, lambda cfg, scn: tip_weights(cfg.M_rR, cfg.L)),
+    "coop": (Scheme.SCHEME_I, lambda cfg, scn: scheme_weights(cfg, scn.omega, scn.S)),
+    "partial": (Scheme.SCHEME_II, lambda cfg, scn: fmfb_weights(scn.S, cfg.M_rR)),
+    "full": (Scheme.SCHEME_II, lambda cfg, scn: scheme_weights(cfg, scn.omega, scn.S)),
+}
+METHODS = (*METHOD_WEIGHTS, "joint")
 SWEEP_VARS = ("p", "C", "targets", "rho2", "sigma1_2", "none")
 
 # A failure of the problem instance, which its result row records: the
 # library's own family, or a numerical one (linalg.eig_floor, NumPy solvers).
 _ROW_ERRORS = (SpecshareError, np.linalg.LinAlgError)
-
-_SCHEME_I_ONLY = {"coop"}
-_SCHEME_II_ONLY = {"partial", "full"}
 
 
 class SpecError(SpecshareError):
@@ -82,10 +89,9 @@ class ExperimentSpec:
             seen.add(m)
             if m not in METHODS:
                 raise SpecError(f"unknown method {m!r}")
-            if m in _SCHEME_I_ONLY and self.cfg.scheme is not Scheme.SCHEME_I:
-                raise SpecError(f"method {m!r} requires Scheme I")
-            if m in _SCHEME_II_ONLY and self.cfg.scheme is not Scheme.SCHEME_II:
-                raise SpecError(f"method {m!r} requires Scheme II")
+            need = METHOD_WEIGHTS.get(m, (None,))[0]
+            if need not in (None, self.cfg.scheme):
+                raise SpecError(f"method {m!r} requires Scheme {need.value.removeprefix('Scheme')}")
         if self.sweep_var not in SWEEP_VARS:
             raise SpecError(f"unknown sweep variable {self.sweep_var!r}")
         if not self.sweep_values:
@@ -164,20 +170,13 @@ def apply_sweep(cfg: ScenarioConfig, var: str, value) -> ScenarioConfig:
 
 
 def _solve_method(method, cfg, scn):
-    """Returns (DesignSolution, mask omega used for the EIP metric). The
-    method's name, one ExperimentSpec accepts, picks the interference
-    weights W_l of its design problem."""
-    if method == "selfish":  # ignores the radar
-        w = np.zeros((cfg.L, cfg.M_rR))
-    elif method == "noncoop":
-        w = tip_weights(cfg.M_rR, cfg.L)
-    elif method in ("coop", "full"):  # the radar scheme's EIP, per the spec check
-        w = scheme_weights(cfg, scn.omega, scn.S)
-    elif method == "partial":
-        w = fmfb_weights(scn.S, cfg.M_rR)
-    elif method == "joint":
+    """Returns (DesignSolution, mask omega used for the EIP metric) of a
+    method one ExperimentSpec accepts: its weights' design (METHOD_WEIGHTS),
+    or the joint design and the mask it permuted."""
+    if method == "joint":
         result = joint_design(cfg, scn.B, scn.G2, scn.S, scn.omega, scn.designs)
         return result.solution, result.mask
+    w = METHOD_WEIGHTS[method][1](cfg, scn)
     return solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, scn.designs), scn.omega
 
 

@@ -24,8 +24,10 @@ noise covariances re-derived from a config's named streams, the dense
 forms of the whitening by an eigendecomposition, of the interference
 profile and of the capacity, and a 40-digit mpmath capacity (specshare
 whitens once, in closed form, as it makes a scenario, and carries the
-designs as factors), and a Floyd-Warshall bound on the cycle weights of an
-assignment candidate (specshare.samplingopt certifies a candidate by a
+designs as factors), that closed form one symbol at a time as the
+formula reads (specshare forms it for all symbols at once, by expm1 and
+log1p), and a Floyd-Warshall bound on the cycle weights of an assignment
+candidate (specshare.samplingopt certifies a candidate by a
 Bellman-Ford cycle search). Only the tests use them.
 """
 
@@ -67,6 +69,19 @@ def whiten(H, g, a: float, sigma_C2: float) -> np.ndarray:
     with G1 = g^T and S = I, g_l = G1 s(l)."""
     cfg = types.SimpleNamespace(rho2=a, sigma_alpha2=1.0, sigma_C2=sigma_C2)
     return scenario._whiten(cfg, H, g.T, np.eye(len(g)))
+
+
+def closed_form_whiten(H, G1, S, a: float, sigma_C2: float) -> np.ndarray:
+    """B_l = R_wl^{-1/2} H of R_wl = sigma_C2 I + a g_l g_l^H, g_l = G1 s(l),
+    one symbol at a time as the formula reads: sigma_C^{-1} (I - c_l u_l
+    u_l^H) H with u_l = g_l / ||g_l|| and c_l = 1 - (1 + a ||g_l||^2 /
+    sigma_C2)^{-1/2} (sigma_C2 > 0)."""
+    B = []
+    for g in (G1 @ S).T:
+        u = g / np.linalg.norm(g)
+        c = 1.0 - 1.0 / np.sqrt(1.0 + a * np.linalg.norm(g) ** 2 / sigma_C2)
+        B.append((H - c * np.outer(u, u.conj() @ H)) / np.sqrt(sigma_C2))
+    return np.stack(B)
 
 
 def comm_link(cfg):

@@ -43,7 +43,7 @@ class TestExperimentSpec:
             ExperimentSpec(cfg=scenario1(), methods=[])
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="^unknown method 'greedy'$"):
             ExperimentSpec(cfg=scenario1(), methods=["greedy"])
 
     def test_repeated_method_rejected(self):
@@ -55,12 +55,13 @@ class TestExperimentSpec:
 
     def test_coop_requires_scheme1(self):
         cfg = scenario1(scheme=Scheme.SCHEME_II)
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="^method 'coop' requires Scheme I$"):
             ExperimentSpec(cfg=cfg, methods=["coop"])
 
     def test_full_requires_scheme2(self):
-        with pytest.raises(SpecError):
-            ExperimentSpec(cfg=scenario1(), methods=["full"])
+        for method in ("partial", "full"):
+            with pytest.raises(SpecError, match=f"^method '{method}' requires Scheme II$"):
+                ExperimentSpec(cfg=scenario1(), methods=["selfish", method])
 
     def test_unknown_sweep_var_rejected(self):
         with pytest.raises(SpecError):

@@ -300,6 +300,26 @@ class TestEipScheme2:
         assert abs(metric("EIP_II", G2, schedule, mask=mask, S=S)
                    - loop_fmfb(S, G2, schedule)) < 1e-10
 
+    def test_full_mask_weights_are_fmfb_weights(self):
+        # IP_FMFB is EIP_II on the whole matched-filter bank, to the bit on the
+        # default Scheme II shape, so that full at p = 1 is a designs hit on
+        # partial (a design is stored under its weights' bytes), as the 11
+        # dual searches of a sweep-p pass (COUNTS, test_reference_rows) count
+        # on. At M_tR = 16 the two sums round apart (measured: at most 3 ulp).
+        cfg = SCHEME_II
+        for seed in range(64):
+            S = generate_waveforms(cfg, stream(seed, "waveforms"))
+            a = fmfb_weights(S, cfg.M_rR)
+            b = scheme_weights(cfg, np.ones(scenario.mask_shape(cfg)), S)
+            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
+            assert a.tobytes() == b.tobytes()
+        cfg = SCHEME_II.replace(M_tR=16)
+        for seed in range(64):
+            S = generate_waveforms(cfg, stream(seed, "waveforms"))
+            np.testing.assert_array_max_ulp(
+                fmfb_weights(S, cfg.M_rR),
+                scheme_weights(cfg, np.ones(scenario.mask_shape(cfg)), S), maxulp=4)
+
     def test_zero_mask(self):
         rng = stream(1, "eip2")
         S = random_orthonormal_rows(rng, 3, 6)
