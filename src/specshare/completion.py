@@ -97,10 +97,11 @@ def complete(
     """Nuclear-norm completion of the entries marked by the binary mask omega.
 
     Returns (estimate, iterations, converged). Requires a mask of 0s and
-    1s that covers every row and column (scenario.covers); a mask that
-    leaves one empty is a MetricError. Accepted iterates never increase
-    the objective within a continuation stage (monotone accelerated
-    proximal gradient).
+    1s; one that leaves a row or column empty (scenario.covers) is a
+    MetricError. Accepted iterates never increase the objective within a
+    continuation stage (monotone accelerated proximal gradient). An
+    iterate's singular values are computed once, by its shrink; the
+    accepted iterate carries its objective into the next stage.
     """
     if params is None:
         params = CompletionParams()
@@ -124,15 +125,13 @@ def complete(
     where = np.flatnonzero(seen)
     observed_entries = observed.ravel()[where]
 
-    def objective(mat, mu, nuc=None):
-        if nuc is None:
-            nuc = float(gram_spectrum(mat)[0].sum())
+    def residual(mat):
         r = mat.ravel()[where] - observed_entries
-        return mu * nuc + 0.5 * float(np.vdot(r, r).real)
+        return 0.5 * float(np.vdot(r, r).real)
 
     X = np.zeros_like(observed)
+    nuc, res = 0.0, residual(X)  # X's nuclear norm and residual
     total = 0
-    converged = False
     for mu in mus:
         # Monotone accelerated proximal gradient, warm-started from the
         # previous stage: the shrinkage step Z is accepted only when it
@@ -142,11 +141,12 @@ def complete(
         # mask and keeps Y off it.
         Y = X
         t = 1.0
-        obj = objective(X, mu)
+        obj = mu * nuc + res
         converged = False
         for _ in range(_MAX_ITERATIONS):
             Z, s = shrink(np.where(seen, observed, Y), mu)
-            obj_Z = objective(Z, mu, nuc=float(s.sum()))
+            nuc_Z, res_Z = float(s.sum()), residual(Z)
+            obj_Z = mu * nuc_Z + res_Z
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             # The momentum step X + (t/t_new)(Z - X) + ((t-1)/t_new)(X - X_prev),
             # X_prev the iterate before this step, keeps one term: an
@@ -155,7 +155,7 @@ def complete(
             # change the stop test measures.
             step = Z - X
             if obj_Z <= obj:
-                X, obj = Z, obj_Z
+                X, obj, nuc, res = Z, obj_Z, nuc_Z, res_Z
                 Y = Z + ((t - 1.0) / t_new) * step
             else:
                 Y = X + (t / t_new) * step

@@ -32,7 +32,7 @@ from specshare.completion import (
 from specshare.config import ScenarioConfig, Scheme
 from specshare.harness import ExperimentSpec, format_csv, run_compare
 from specshare.interference import MetricError
-from specshare.linalg import crandn, psd_sqrt
+from specshare.linalg import crandn, gram_spectrum, psd_sqrt
 from specshare.scenario import (
     draw_trials,
     generate_target_response,
@@ -268,6 +268,24 @@ class TestComplete:
             want, want_iters, want_conv = textbook_completion(observed, omega, params)
             assert (iters, conv) == (want_iters, want_conv)
             assert np.linalg.norm(est - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_one_spectrum_per_iteration(self, monkeypatch):
+        # One spectrum for sigma1 and one per iteration, by its shrink: a
+        # continuation stage starts from the objective its accepted iterate
+        # carries, with no decomposition of its own. The default penalty
+        # runs four stages, so a stage-start spectrum would show.
+        params = CompletionParams()
+        assert len(_mu_schedule(1.0, params.mu_rel, completion._CONTINUATION)) == 4
+        observed, omega = mc_recovery_input()
+        calls = []
+
+        def counted(X):
+            calls.append(X.shape)
+            return gram_spectrum(X)
+
+        monkeypatch.setattr(completion, "gram_spectrum", counted)
+        _, iters, _ = complete(observed, omega, params)
+        assert len(calls) == iters + 1
 
     def test_objective_nonincreasing_single_stage(self, monkeypatch):
         rng = stream(1, "complete")
