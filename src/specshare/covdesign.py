@@ -6,10 +6,10 @@ decomposition with an outer search on the power multiplier lambda1;
 for each lambda1 the capacity multiplier lambda2 is found in closed form
 by an exact sort-based water-level solve, and the L per-symbol covariances
 follow from the closed-form subproblem solution. The search returns the
-smallest point of a bisection grid whose power is below P_t, found by
-Brent-Dekker steps on the log of power / P_t over log lambda1, with its
-lower neighbour (or 0) evaluated at or above P_t as a certificate; a slack
-budget takes one evaluation (see _dual_search).
+smallest point of a bisection grid whose power is below P_t, found by a
+secant and then Chandrupatla steps on the log of power / P_t over log
+lambda1, with its lower neighbour (or 0) evaluated at or above P_t as a
+certificate; a slack budget takes one evaluation (see _dual_search).
 
 All L subproblems run as one batched kernel over stacked arrays. The parts
 that do not depend on lambda1 (the eigendecomposition of G2^H W_l G2 and
@@ -219,28 +219,20 @@ def _log_ratio(power: float, P_t: float) -> float:
     return math.log(ratio) if 0.0 < ratio < math.inf else math.nan
 
 
-def _brent_step(x_a, g_a, x_b, g_b, x_c, g_c, d, e) -> tuple[float, float]:
-    """Brent-Dekker's next step from x_b toward a root of g bracketed by x_b
-    and x_c, with x_a the estimate before x_b and d, e the last two steps:
-    (step, the step before it). Inverse quadratic interpolation through the
-    three points, or the secant where x_a is x_c, is taken when it stays
-    within three quarters of the bracket and is shorter than half of e;
-    otherwise, or where a g is not finite or g_b is 0, the midpoint."""
-    half = 0.5 * (x_c - x_b)
-    if g_b != 0.0 and abs(g_a) > abs(g_b) and all(map(math.isfinite, (g_a, g_b, g_c))):
-        s = g_b / g_a
-        if x_a == x_c:
-            p, q = 2.0 * half * s, 1.0 - s
-        else:
-            q, r = g_a / g_c, g_b / g_c
-            p = s * (2.0 * half * q * (q - r) - (x_b - x_a) * (r - 1.0))
-            q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-        if p > 0.0:
-            q = -q
-        p = abs(p)
-        if 2.0 * p < min(3.0 * half * q, abs(e * q)):
-            return p / q, d
-    return half, half
+def _chandrupatla_step(x_a, g_a, x_b, g_b, x_c, g_c) -> float:
+    """Chandrupatla's next point as the fraction t of the way from x_a, the
+    last point, toward x_b, the other end of the bracket, with x_c the point
+    x_a replaced: the zero of the inverse quadratic through the three points
+    where xi = (x_a - x_b)/(x_c - x_b) and phi = (g_a - g_b)/(g_c - g_b) pass
+    phi^2 < xi and (1 - phi)^2 < 1 - xi, where it is monotone between x_a and
+    x_b; otherwise 1/2, as where a g is not finite or x_a is x_b, and where
+    x_c or g_c equals b's, so that xi or phi has no value."""
+    if x_c != x_b and g_c != g_b:
+        xi, phi = (x_a - x_b) / (x_c - x_b), (g_a - g_b) / (g_c - g_b)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            return (g_a / (g_b - g_a) * g_c / (g_b - g_c)
+                    + (x_c - x_a) / (x_b - x_a) * g_a / (g_c - g_a) * g_b / (g_c - g_b))
+    return 0.5
 
 
 def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
@@ -258,14 +250,17 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
     first: below P_t, it is the answer (the budget is slack), certified by
     lambda1 = 0; otherwise it is the lower end, or hi / 2 is if the bracket
     grew. When power(hi) equals P_t, its lower neighbour comes next: it
-    certifies hi, or is below P_t and replaces it. Then Brent-Dekker steps
-    (_brent_step) on g = log(power(lambda1) / P_t) over log(lambda1), as
-    the bracket spans about 30 octaves, each rounded to a grid point
-    strictly inside the bracket, with a midpoint wherever g is not finite;
-    after n of them, midpoints. The search stops when the ends are neighbouring
-    grid points, or after max_iterations evaluations, and returns the top
-    end. converged says whether the bracket is then at most dual_tol wide;
-    its lower end, evaluated at or above P_t, certifies the answer.
+    certifies hi, or is below P_t and replaces it. Then interpolation steps
+    on g = log(power(lambda1) / P_t) over log(lambda1), as the bracket spans
+    about 30 octaves: the secant through the ends, then Chandrupatla steps
+    (_chandrupatla_step), which take the inverse quadratic through the last
+    three points where it is monotone and a midpoint otherwise or wherever
+    g is not finite; each is rounded to a grid point strictly inside the
+    bracket, and after n of them, midpoints. The search stops when the ends
+    are neighbouring grid points, or after max_iterations evaluations, and
+    returns the top end. converged says whether the bracket is then at most
+    dual_tol wide; its lower end, evaluated at or above P_t, certifies the
+    answer.
     """
     grid = math.ldexp(1.0, math.frexp(dual_tol)[1] - 1)
     hi, best, evaluations = grid, kernel.step(grid, C), 1
@@ -281,41 +276,36 @@ def _dual_search(kernel: _DualKernel, C: float, P_t: float, dual_tol: float,
         below, hi = best, max(2.0 * hi, 1.0)
         best = kernel.step(hi, C)
         evaluations += 1
-    # The ends as grid indices: powers of two over a power of two, exact.
-    top, g_top = int(hi / grid), _log_ratio(best.power, P_t)
-    low, g_low = int(below.lambda1 / grid), _log_ratio(below.power, P_t)
-    n = top.bit_length() - 1  # the halvings from hi to the grid
-    # Brent-Dekker state, points as grid indices k with x = log(k): b the
-    # last point, a the estimate before it, c the other end; d the last
-    # step in x and e the one before it.
-    a, g_a, b, g_b = low, g_low, top, g_top
+    # Chandrupatla's points as grid indices k, over x = log(k): powers of two
+    # over a power of two, exact. a is the last point and b the other end of
+    # the bracket, at first its top and its lower end; c is the point a replaced.
+    a, g_a = int(hi / grid), _log_ratio(best.power, P_t)
+    b, g_b = int(below.lambda1 / grid), _log_ratio(below.power, P_t)
+    n = a.bit_length() - 1  # the halvings from hi to the grid
     steps = 0
-    while top - low > 1 and evaluations < max_iterations:
-        c, g_c = (low, g_low) if b == top else (top, g_top)
-        if c == a:  # the first step, or b crossed the root: a and b are the ends
-            d = e = math.log(b / a)
-        if abs(g_c) < abs(g_b):  # b becomes the end nearer the root
-            a, g_a, b, g_b, c, g_c = b, g_b, c, g_c, b, g_b
+    while abs(a - b) > 1 and evaluations < max_iterations:
+        low, top = sorted((a, b))
         if best.power == P_t:
             # Only the bracket top can tie P_t: its lower neighbour, at or
             # above P_t, certifies it, and below P_t replaces it.
             k = top - 1
         elif steps < n:
-            d, e = _brent_step(math.log(a), g_a, math.log(b), g_b, math.log(c), g_c, d, e)
-            k = min(max(round(b * math.exp(d)), low + 1), top - 1)
-            d = math.log(k / b)
+            if steps == 0:  # the secant through the ends
+                t = g_a / (g_a - g_b) if math.isfinite(g_a - g_b) else 0.5
+            else:
+                t = _chandrupatla_step(math.log(a), g_a, math.log(b), g_b, math.log(c), g_c)
+            k = min(max(round(a * (b / a) ** t), low + 1), top - 1)
             steps += 1
         else:
             k = (low + top) // 2
         it = kernel.step(k * grid, C)
         evaluations += 1
-        g = _log_ratio(it.power, P_t)
         if it.power < P_t:
-            best, top, g_top = it, k, g
-        else:
-            low, g_low = k, g
-        a, g_a, b, g_b = b, g_b, k, g
-    return best, evaluations, (top - low) * grid <= dual_tol
+            best = it
+        if (it.power < P_t) != (a == top):  # k replaces b: a becomes the other end
+            a, g_a, b, g_b = b, g_b, a, g_a
+        a, g_a, c, g_c = k, _log_ratio(it.power, P_t), a, g_a
+    return best, evaluations, abs(a - b) * grid <= dual_tol
 
 
 def _exact(*values) -> tuple:
@@ -343,8 +333,8 @@ def solve_weighted_eip(
     design; the search tests it before its bracket grows past lambda1 = 1.
     converged says whether the search's bracket reached DUAL_TOL within
     MAX_DUAL_EVALUATIONS. iterations counts the dual evaluations made: 1
-    when the power budget is slack and 6 to 13 when it binds (the
-    benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
+    when the power budget is slack and 6 to 13, 9.92 on average, when it
+    binds (the benchmark's p-sweep, seeds 0-63), where a bisection makes 31.
     designs maps _exact(weights, B, G2, P_t, C) to the solution of those
     inputs: a stored one is returned, a cold solve stored. Pass the
     scenario's mapping (Scenario.designs), or {} for no reuse.

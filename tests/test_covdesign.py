@@ -4,6 +4,7 @@
 import collections
 import dataclasses
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -769,6 +770,62 @@ class TestIllConditionedNoise:
             assert abs(sol.achieved_capacity - exact) <= 1e-14 * exact
 
 
+class TestChandrupatlaStep:
+    """covdesign._chandrupatla_step: the fraction of the way from x_a, the
+    last point, toward x_b, the other end of the bracket, of the next point,
+    with x_c the point x_a replaced."""
+
+    # A step whose test holds: xi = 0.5, phi = 0.6.
+    POINT = dict(x_a=0.5, g_a=0.2, x_b=0.0, g_b=-1.0, x_c=1.0, g_c=1.0)
+
+    @staticmethod
+    def quadratic_zero(x, g):
+        """The fraction from x[0] toward x[1] at which the inverse quadratic
+        through the points (g_i, x_i) takes g = 0, in Lagrange form."""
+        zero = sum(x[i] * math.prod(g[j] / (g[j] - g[i]) for j in range(3) if j != i)
+                   for i in range(3))
+        return (zero - x[0]) / (x[1] - x[0])
+
+    def test_inverse_quadratic_where_the_test_holds(self):
+        """Random brackets laid out as the search keeps them, x_a between
+        x_b and x_c and g_a of g_c's sign: where phi^2 < xi and
+        (1 - phi)^2 < 1 - xi the zero of the inverse quadratic, inside the
+        bracket, and 1/2 elsewhere."""
+        rng = stream(0, "chandrupatla")
+        held = 0
+        for _ in range(2000):
+            x_b, x_c = (float(x) for x in rng.normal(scale=10.0, size=2))
+            x_a = x_b + float(rng.uniform()) * (x_c - x_b)
+            g_b, g_a, g_c = (float(g) for g in rng.exponential(size=3) * [-1.0, 1.0, 1.0])
+            t = covdesign._chandrupatla_step(x_a, g_a, x_b, g_b, x_c, g_c)
+            xi, phi = (x_a - x_b) / (x_c - x_b), (g_a - g_b) / (g_c - g_b)
+            if phi**2 < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+                held += 1
+                zero = self.quadratic_zero((x_a, x_b, x_c), (g_a, g_b, g_c))
+                assert t == pytest.approx(zero, rel=1e-9, abs=1e-12)
+                assert 0.0 < t < 1.0
+            else:
+                assert t == 0.5
+        assert 0 < held < 2000
+
+    @pytest.mark.parametrize("name", ["g_a", "g_b", "g_c"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_half_where_a_g_is_not_finite(self, name, value):
+        assert covdesign._chandrupatla_step(**self.POINT) != 0.5
+        assert covdesign._chandrupatla_step(**{**self.POINT, name: value}) == 0.5
+
+    @pytest.mark.parametrize("x_a", [0.25, 0.75])
+    def test_half_on_the_boundary_of_the_test(self, x_a):
+        """phi = 1/2 exactly, with phi^2 = xi = 1/4 or (1 - phi)^2 = 1 - xi = 1/4."""
+        point = dict(x_a=x_a, g_a=1.0, x_b=0.0, g_b=-1.0, x_c=1.0, g_c=3.0)
+        assert covdesign._chandrupatla_step(**point) == 0.5
+
+    @pytest.mark.parametrize("coincident", [dict(x_c=0.0), dict(g_c=-1.0), dict(x_a=0.0)])
+    def test_half_for_coincident_points(self, coincident):
+        """x_c or g_c equal to b's, where xi or phi has no value, and x_a on x_b."""
+        assert covdesign._chandrupatla_step(**{**self.POINT, **coincident}) == 0.5
+
+
 def bisection_oracle(kernel, C, P_t, dual_tol, max_iterations):
     """The plain bisection on lambda1 that covdesign._dual_search replaced,
     with its feasibility test (kernel.min_power) where the bracket first
@@ -958,7 +1015,7 @@ class TestDualSearch:
                 counts += self.assert_same_search(kernel, C, P_t, min_power_calls, dual_tol=1e-6,
                                                   exact=exact)
         assert seen == {"InfeasibleError", "slack", "grown", "active"}
-        # Brent-Dekker steps need fewer than half the bisection's evaluations.
+        # Chandrupatla steps need fewer than half the bisection's evaluations.
         assert 2 * counts[0] < counts[1]
 
     @pytest.mark.parametrize("max_iterations", range(1, 11))
@@ -1071,9 +1128,9 @@ class TestDualSearch:
                     self.assert_same(monkeypatch, w, scn.B, scn.G2, P_t, cfg.C)
 
     def test_probes_are_capped_on_a_step_curve(self):
-        # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3: the
-        # secant weight is 5e-301, and uncapped interpolation steps would creep
-        # one grid point at a time from hi for about a thousand evaluations.
+        # power drops from 1e300 to half of P_t = 1 at lambda1 = 0.3, a jump
+        # of 691 in log(power / P_t) that no interpolation fits: whatever the
+        # steps, the cap on them bounds the evaluations.
         class StepCurve:
             def step(self, lambda1, C):
                 power = 1e300 if lambda1 < 0.3 else 0.5
@@ -1087,5 +1144,5 @@ class TestDualSearch:
         ref, ref_evaluations, ref_converged = bisection_oracle(StepCurve(), *args)
         assert best.lambda1 == ref.lambda1 and converged and ref_converged
         # One bracket evaluation, then at most 1 + 2n with n = 30 halvings:
-        # the lowest grid point, n Brent-Dekker steps and n midpoints.
+        # the lowest grid point, n interpolation steps and n midpoints.
         assert ref_evaluations == 31 and evaluations <= 1 + 1 + 2 * 30
