@@ -26,9 +26,9 @@ import numpy as np
 from .completion import radar_pipeline
 from .config import ScenarioConfig, Scheme, SpecshareError
 from .covdesign import solve_weighted_eip
-from .interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
+from .interference import scheme_weights, tip_weights, weighted_eip
 from .samplingopt import joint_design
-from .scenario import make_scenario
+from .scenario import make_scenario, mask_shape
 from .streams import stream
 
 CSV_COLUMNS = ("method", "sweep_var", "sweep_value", "seed", "eip", "tip", "capacity", "power",
@@ -42,7 +42,8 @@ METHOD_WEIGHTS = {
     "selfish": (None, lambda cfg, scn: np.zeros((cfg.L, cfg.M_rR))),  # ignores the radar
     "noncoop": (None, lambda cfg, scn: tip_weights(cfg.M_rR, cfg.L)),
     "coop": (Scheme.SCHEME_I, lambda cfg, scn: scheme_weights(cfg, scn.omega, scn.S)),
-    "partial": (Scheme.SCHEME_II, lambda cfg, scn: fmfb_weights(scn.S, cfg.M_rR)),
+    "partial": (Scheme.SCHEME_II,
+                lambda cfg, scn: scheme_weights(cfg, np.ones(mask_shape(cfg)), scn.S)),
     "full": (Scheme.SCHEME_II, lambda cfg, scn: scheme_weights(cfg, scn.omega, scn.S)),
 }
 METHODS = (*METHOD_WEIGHTS, "joint")

@@ -8,8 +8,8 @@ the diagonal of W_l, and each family has one builder:
 
   TIP      W_l = I             tip_weights: total power at the radar RX antennas
   EIP_I    W_l = Delta_l       scheme_weights: entries sampled by a Scheme I radar
-  IP_FMFB  W_l = a_l * I       fmfb_weights: full matched filter bank output power
   EIP_II   W_l = Delta_l_xi    scheme_weights: random matched filter bank (Scheme II)
+  IP_FMFB  W_l = a_l * I       scheme_weights at Omega = 1: full matched filter bank
 
 weighted_eip forms the sum, scheme_mask_cost (the adjoint of scheme_weights)
 the mask's own cost Q~ with EIP = sum(Omega o Q~), and
@@ -82,12 +82,6 @@ def weighted_eip(weights: np.ndarray, Q: np.ndarray) -> float:
 def tip_weights(n_rx: int, L: int) -> np.ndarray:
     """TIP weights W_l = I."""
     return np.ones((L, n_rx))
-
-
-def fmfb_weights(S: np.ndarray, n_rx: int) -> np.ndarray:
-    """IP_FMFB weights W_l = a_l I, a_l = ||s(l)||^2 the waveform column energies."""
-    a = np.sum(np.abs(S) ** 2, axis=0)
-    return np.repeat(a[:, None], n_rx, axis=1)
 
 
 def scheme_weights(cfg: ScenarioConfig, omega: np.ndarray, S: np.ndarray) -> np.ndarray:

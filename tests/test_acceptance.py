@@ -3,7 +3,9 @@
 Thirteen criteria covering the method orderings, the closed-form solver
 pieces, the mask optimization, the Monte-Carlo oracles, the recovery
 pipeline and end-to-end determinism. Each test prints a single
-``criterion N ...: PASS`` line on success (visible with ``pytest -s``).
+``criterion N ...: PASS`` line on success (visible with ``pytest -s``);
+criteria 1-6 and 11 print their margin in it: a ratio to the bound, a count
+against its threshold, a worst error or a difference in standard errors.
 
 Every design comes from what ships: the p-sweeps of criteria 1-3 and 5
 are run_compare rows, and every other design is harness._solve_method's.
@@ -126,10 +128,11 @@ def joint_grid():
 def test_criterion_01_cooperative_ordering(scheme1_grid):
     grid, elapsed = scheme1_grid
     ok = all(rows["coop"].eip <= rows["noncoop"].eip + 1e-6 for rows in grid.values())
+    ratio = max(rows["coop"].eip / rows["noncoop"].eip for rows in grid.values())
     fast = elapsed < 300.0
     verdict = "PASS" if ok and fast else "FAIL"
-    print(f"criterion 1 (scheme-I cooperative <= noncooperative EIP, "
-          f"{elapsed:.1f}s): {verdict}")
+    print(f"criterion 1 (scheme-I cooperative <= noncooperative EIP, largest "
+          f"coop/noncoop {ratio:.9g}, {elapsed:.1f}s): {verdict}")
     assert ok and fast
 
 
@@ -138,8 +141,10 @@ def test_criterion_02_full_information_ordering(scheme2_grid):
         rows["full"].eip <= min(rows["noncoop"].eip, rows["partial"].eip) + 1e-6
         for rows in scheme2_grid.values()
     )
-    print(f"criterion 2 (scheme-II full <= noncoop/partial EIP): "
-          f"{'PASS' if ok else 'FAIL'}")
+    ratio = max(rows["full"].eip / min(rows["noncoop"].eip, rows["partial"].eip)
+                for rows in scheme2_grid.values())
+    print(f"criterion 2 (scheme-II full <= noncoop/partial EIP, largest "
+          f"full/min(noncoop, partial) {ratio:.9g}): {'PASS' if ok else 'FAIL'}")
     assert ok
 
 
@@ -150,7 +155,7 @@ def test_criterion_03_null_space_collapse(scheme1_grid):
         for seed in range(N_SEEDS)
     )
     ok = hits >= 18
-    print(f"criterion 3 (low-rate EIP collapse, {hits}/{N_SEEDS} seeds): "
+    print(f"criterion 3 (low-rate EIP collapse, {hits}/{N_SEEDS} seeds, 18 needed): "
           f"{'PASS' if ok else 'FAIL'}")
     assert ok
 
@@ -159,8 +164,9 @@ def test_criterion_04_joint_design_gain(joint_grid):
     ok = all(
         rec["eip_joint"] <= 0.8 * rec["eip_selfish"] for rec in joint_grid.values()
     )
-    print(f"criterion 4 (joint design cuts selfish EIP by >= 20%): "
-          f"{'PASS' if ok else 'FAIL'}")
+    ratio = max(rec["eip_joint"] / rec["eip_selfish"] for rec in joint_grid.values())
+    print(f"criterion 4 (joint design cuts selfish EIP by >= 20%, largest "
+          f"joint/selfish {ratio:.4f} against 0.8): {'PASS' if ok else 'FAIL'}")
     assert ok
 
 
@@ -298,27 +304,42 @@ def test_criterion_10_water_level_closed_form():
 
 
 def test_criterion_11_recovery_trend():
-    def mean_error(p, method, seed):
+    def pipeline(p, method, seed):
         cfg = scenario2_cfg(p=p, seed=seed)
         scn = make_scenario(cfg)
         sol, mask = harness._solve_method(method, cfg, scn)
-        stats = radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, mask, 10,
-                               stream(seed, "acc-mc", method, p),
-                               PIPELINE_PARAMS)
-        return stats.mean_error
+        return radar_pipeline(cfg, scn.S, scn.G2, sol.X, sol.d, mask, 10,
+                              stream(seed, "acc-mc", method, p),
+                              PIPELINE_PARAMS)
+
+    def mean_error(p, method):
+        """The mean over seeds 0-4 of the per-seed mean errors, and its
+        standard error with the 50 trial errors taken as independent."""
+        runs = [pipeline(p, method, s) for s in range(5)]
+        errors = [r.relative_error for stats in runs for r in stats.reports]
+        return (np.mean([stats.mean_error for stats in runs]),
+                np.std(errors, ddof=1) / np.sqrt(len(errors)))
+
+    def margin(worse, better):
+        """How far better's mean is below worse's, in standard errors."""
+        return (worse[0] - better[0]) / np.hypot(worse[1], better[1])
 
     ok = True
+    margins = []
     for method in ("selfish", "noncoop", "joint"):
-        lo = np.mean([mean_error(0.3, method, s) for s in range(5)])
-        hi = np.mean([mean_error(0.6, method, s) for s in range(5)])
-        if not hi < lo:
+        lo = mean_error(0.3, method)
+        hi = mean_error(0.6, method)
+        if not hi[0] < lo[0]:
             ok = False
-    e_selfish = np.mean([mean_error(0.5, "selfish", s) for s in range(5)])
-    e_joint = np.mean([mean_error(0.5, "joint", s) for s in range(5)])
-    if not e_joint <= e_selfish:
+        margins.append(f"{method} {margin(lo, hi):+.1f}")
+    e_selfish = mean_error(0.5, "selfish")
+    e_joint = mean_error(0.5, "joint")
+    if not e_joint[0] <= e_selfish[0]:
         ok = False
+    margins.append(f"joint below selfish {margin(e_selfish, e_joint):+.1f}")
     print(f"criterion 11 (recovery error improves with sampling rate and "
-          f"joint design): {'PASS' if ok else 'FAIL'}")
+          f"joint design; margins in standard errors: {', '.join(margins)}): "
+          f"{'PASS' if ok else 'FAIL'}")
     assert ok
 
 

@@ -20,9 +20,9 @@ from specshare.covdesign import (
     solve_weighted_eip,
 )
 from specshare.harness import ExperimentSpec, run_compare
-from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
+from specshare.interference import scheme_weights, tip_weights, weighted_eip
 from specshare.linalg import crandn, hermitize
-from specshare.scenario import make_scenario
+from specshare.scenario import make_scenario, mask_shape
 from specshare.streams import stream
 
 from oracles import (
@@ -1103,7 +1103,7 @@ class TestDualSearch:
                     # noncoop, coop or full, and partial under Scheme II.
                     weights = [tip_weights(cfg.M_rR, cfg.L), scheme_weights(cfg, scn.omega, scn.S)]
                     if scheme is Scheme.SCHEME_II:
-                        weights.append(fmfb_weights(scn.S, cfg.M_rR))
+                        weights.append(scheme_weights(cfg, np.ones(mask_shape(cfg)), scn.S))
                     for w in weights:
                         kernel = covdesign._DualKernel.weighted(w, scn.G2, scn.B)
                         assert abs(kernel.min_power(cfg.C) - p_min) <= 1e-13 * p_min

@@ -238,6 +238,32 @@ def test_sweep_p_seed_shares_one_problem(monkeypatch):
     assert counts == {"_whiten": 1, "weighted": 11, "_dual_search": 11}
 
 
+# CI's ill-conditioned comm noise (the installed console script's ill.txt).
+ILL_CONDITIONED = ScenarioConfig(scheme=Scheme.SCHEME_II, M_tR=1, M_rR=1, M_tC=6, M_rC=4, L=8,
+                                 sigma_C2=3e-6, rho2=5.38e5, sigma_alpha2=8.4e-3,
+                                 sigma1_2=2.36, C=18.96, P_t=8.74)
+
+
+@pytest.mark.parametrize("cfg", [ScenarioConfig(scheme=Scheme.SCHEME_II, M_tR=m)
+                                 for m in (4, 8, 12, 16)] + [ILL_CONDITIONED],
+                         ids=["M_tR=4", "M_tR=8", "M_tR=12", "M_tR=16", "ill-conditioned"])
+def test_full_at_p1_is_partial(monkeypatch, cfg):
+    """IP_FMFB is EIP_II with every matched filter kept: at p = 1 the full
+    weights are the partial ones to the bit, whatever the antenna count, so
+    full is a hit on partial's design (one dual search per seed) and both
+    rows print the same metrics."""
+    columns = ("eip", "tip", "capacity", "power")
+    counts = count_calls(monkeypatch, "_dual_search")
+    for seed in range(3):
+        counts.clear()
+        partial, full = run_compare(ExperimentSpec(cfg=cfg, methods=["partial", "full"],
+                                                   seeds=[seed]))
+        assert counts == {"_dual_search": 1}
+        assert not partial.error and not full.error
+        assert ([harness._fmt(getattr(full, c)) for c in columns]
+                == [harness._fmt(getattr(partial, c)) for c in columns])
+
+
 @pytest.mark.parametrize("sweep_var,values", [
     ("C", [6.0, 8.0, 10.0, 12.0, 14.0]), ("targets", [1, 2, 3]),
 ])

@@ -14,7 +14,6 @@ from specshare.interference import (
     MetricError,
     average_capacity,
     check_covariances,
-    fmfb_weights,
     interference_diag_matrix,
     mismatched_weight_diagonals,
     scheme_mask_cost,
@@ -69,8 +68,8 @@ def named_weights(method, n_rx, L, mask=None, S=None):
     """The named metric's weights, from the builder of its family."""
     if method == "TIP":
         return tip_weights(n_rx, L)
-    if method == "IP_FMFB":
-        return fmfb_weights(S, n_rx)
+    if method == "IP_FMFB":  # EIP_II of the full matched-filter bank
+        return scheme_weights(SCHEME_II, np.ones((n_rx, S.shape[0])), S)
     if method == "EIP_I":
         # Scheme I weights read only the symbol count of the waveforms.
         return scheme_weights(SCHEME_I, mask, np.empty((0, L)) if S is None else S)
@@ -300,26 +299,6 @@ class TestEipScheme2:
         assert abs(metric("EIP_II", G2, schedule, mask=mask, S=S)
                    - loop_fmfb(S, G2, schedule)) < 1e-10
 
-    def test_full_mask_weights_are_fmfb_weights(self):
-        # IP_FMFB is EIP_II on the whole matched-filter bank, to the bit on the
-        # default Scheme II shape, so that full at p = 1 is a designs hit on
-        # partial (a design is stored under its weights' bytes), as the 11
-        # dual searches of a sweep-p pass (COUNTS, test_reference_rows) count
-        # on. At M_tR = 16 the two sums round apart (measured: at most 3 ulp).
-        cfg = SCHEME_II
-        for seed in range(64):
-            S = generate_waveforms(cfg, stream(seed, "waveforms"))
-            a = fmfb_weights(S, cfg.M_rR)
-            b = scheme_weights(cfg, np.ones(scenario.mask_shape(cfg)), S)
-            assert (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides)
-            assert a.tobytes() == b.tobytes()
-        cfg = SCHEME_II.replace(M_tR=16)
-        for seed in range(64):
-            S = generate_waveforms(cfg, stream(seed, "waveforms"))
-            np.testing.assert_array_max_ulp(
-                fmfb_weights(S, cfg.M_rR),
-                scheme_weights(cfg, np.ones(scenario.mask_shape(cfg)), S), maxulp=4)
-
     def test_zero_mask(self):
         rng = stream(1, "eip2")
         S = random_orthonormal_rows(rng, 3, 6)
@@ -479,7 +458,7 @@ class TestWeightSchedule:
         # in the summation order of weighted_eip.
         rng = stream(5, "ws")
         S = random_orthonormal_rows(rng, 3, 6)
-        for w in (tip_weights(4, 6), fmfb_weights(S, 4),
+        for w in (tip_weights(4, 6), named_weights("IP_FMFB", 4, 6, S=S),
                   scheme_weights(SCHEME_I, random_mask(rng, 4, 6), S),
                   scheme_weights(SCHEME_II, random_mask(rng, 4, 3), S)):
             assert w.shape == (6, 4) and w.flags.c_contiguous
@@ -728,7 +707,8 @@ class TestStackedAgainstPerSymbol:
             cfg = ScenarioConfig(scheme=scheme, p=0.6, seed=2, C=24.0, P_t=128.0)
             scn = make_scenario(cfg)
             weights = [np.zeros((cfg.L, cfg.M_rR)), tip_weights(cfg.M_rR, cfg.L),
-                       scheme_weights(cfg, scn.omega, scn.S), fmfb_weights(scn.S, cfg.M_rR)]
+                       scheme_weights(cfg, scn.omega, scn.S),
+                       named_weights("IP_FMFB", cfg.M_rR, cfg.L, S=scn.S)]
             for w in weights:
                 sol = solve_weighted_eip(w, scn.B, scn.G2, cfg.P_t, cfg.C, {})
                 assert np.all(sol.d >= 0.0)

@@ -45,10 +45,10 @@ import pytest
 
 from specshare.config import ScenarioConfig, Scheme
 from specshare.covdesign import solve_weighted_eip
-from specshare.interference import fmfb_weights, scheme_weights, tip_weights, weighted_eip
+from specshare.interference import scheme_weights, tip_weights, weighted_eip
 from specshare.linalg import crandn
 from specshare.samplingopt import joint_design
-from specshare.scenario import make_scenario
+from specshare.scenario import make_scenario, mask_shape
 from specshare.streams import stream
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -79,7 +79,7 @@ def designs(draw):
     elif method == "noncoop":
         weights = tip_weights(cfg.M_rR, cfg.L)
     elif method == "partial":
-        weights = fmfb_weights(scn.S, cfg.M_rR)
+        weights = scheme_weights(cfg, np.ones(mask_shape(cfg)), scn.S)
     else:  # coop, full: the scheme's own EIP
         weights = scheme_weights(cfg, scn.omega, scn.S)
     return cfg, scn, weights
